@@ -20,7 +20,7 @@ use sortnet_network::Network;
 
 use crate::bitsim::{
     first_detections_multi_metered, first_detections_multi_packed_on,
-    redundant_faults_multi_metered, redundant_faults_multi_wide,
+    redundant_faults_multi_metered, redundant_faults_multi_on,
 };
 use crate::universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative,
@@ -36,7 +36,7 @@ use crate::universe::{
 /// bit-parallel paths are validated against.  All engines share one
 /// redundancy-sweep bound: with `check_redundancy` both the scalar
 /// per-fault sweep ([`is_multi_fault_redundant`]) and the bit-parallel
-/// batch sweep ([`redundant_faults_multi_wide`]) guard through the
+/// batch sweep ([`redundant_faults_multi_wide`](crate::bitsim::redundant_faults_multi_wide)) guard through the
 /// canonical `ensure_sweepable` (`n < 32`) with one pinned error text,
 /// so the engines agree on exactly which inputs are sweepable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -201,47 +201,72 @@ impl CoverageReport {
     }
 }
 
+/// The bit-parallel redundancy phase at lane width `W`: one pass over
+/// exactly the faults `missed` selects — the shared-prefix batch `2^n`
+/// sweep under [`RedundancyMode::Exhaustive`], or a first-detection
+/// sweep against the family materialised as `P` under
+/// [`RedundancyMode::RelativeTo`] (redundant iff no family vector
+/// detects the fault).  Returns one verdict per fault of `faults`;
+/// faults not selected, and every fault under [`RedundancyMode::Skip`],
+/// read `false`.
+///
+/// Public so external batching layers (the oracle service) classify the
+/// union of several queries' missed faults through the cold path's own
+/// phase: a fault's verdict depends only on the network and the mode,
+/// never on the test list that missed it.
+///
+/// # Panics
+/// Panics if a fault does not fit the network, or under
+/// [`RedundancyMode::Exhaustive`] with `n ≥ 32` when some fault is
+/// selected (callers admit the mode first with
+/// [`RedundancyMode::ensure_admissible`]).
+#[must_use]
+pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
+    network: &Network,
+    faults: &[MultiFault],
+    missed: impl Fn(usize) -> bool,
+    mode: RedundancyMode,
+    backend: Backend,
+) -> Vec<bool> {
+    let mut redundant = vec![false; faults.len()];
+    if mode == RedundancyMode::Skip {
+        return redundant;
+    }
+    let missed_idx: Vec<usize> = (0..faults.len()).filter(|&i| missed(i)).collect();
+    if missed_idx.is_empty() {
+        return redundant;
+    }
+    let missed: Vec<MultiFault> = missed_idx.iter().map(|&i| faults[i]).collect();
+    let verdicts: Vec<bool> = match mode {
+        RedundancyMode::Exhaustive => redundant_faults_multi_on::<W>(network, &missed, backend),
+        RedundancyMode::RelativeTo(family) => {
+            let fam: Vec<P> = family.collect(network.lines());
+            first_detections_multi_packed_on::<W, P>(network, &missed, &fam, backend)
+                .into_iter()
+                .map(|detection| detection.is_none())
+                .collect()
+        }
+        RedundancyMode::Skip => unreachable!("skip mode classifies nothing"),
+    };
+    for (&i, verdict) in missed_idx.iter().zip(verdicts) {
+        redundant[i] = verdict;
+    }
+    redundant
+}
+
 /// The bit-parallel per-fault results at lane width `W`: first-detection
-/// indices with early exit, plus one redundancy pass over exactly the
-/// faults the whole sequence missed — the shared-prefix batch `2^n`
-/// sweep under [`RedundancyMode::Exhaustive`], or a second
-/// first-detection sweep against the materialised family under
-/// [`RedundancyMode::RelativeTo`] (same engine, same width).
+/// indices with early exit, then [`redundancy_verdicts_on`] over exactly
+/// the faults the whole sequence missed (same engine, same width).
 fn bitparallel_results<const W: usize, P: TestVector>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
     mode: RedundancyMode,
 ) -> (Vec<Option<usize>>, Vec<bool>) {
-    let first = first_detections_multi_packed_on::<W, P>(network, faults, tests, Backend::active());
-    let mut redundant = vec![false; faults.len()];
-    if mode != RedundancyMode::Skip {
-        let missed_idx: Vec<usize> = (0..faults.len()).filter(|&i| first[i].is_none()).collect();
-        let missed: Vec<MultiFault> = missed_idx.iter().map(|&i| faults[i]).collect();
-        match mode {
-            RedundancyMode::Exhaustive => {
-                for (&i, flag) in missed_idx
-                    .iter()
-                    .zip(redundant_faults_multi_wide::<W>(network, &missed))
-                {
-                    redundant[i] = flag;
-                }
-            }
-            RedundancyMode::RelativeTo(family) => {
-                let fam: Vec<P> = family.collect(network.lines());
-                let verdicts = first_detections_multi_packed_on::<W, P>(
-                    network,
-                    &missed,
-                    &fam,
-                    Backend::active(),
-                );
-                for (&i, verdict) in missed_idx.iter().zip(verdicts) {
-                    redundant[i] = verdict.is_none();
-                }
-            }
-            RedundancyMode::Skip => unreachable!(),
-        }
-    }
+    let backend = Backend::active();
+    let first = first_detections_multi_packed_on::<W, P>(network, faults, tests, backend);
+    let redundant =
+        redundancy_verdicts_on::<W, P>(network, faults, |i| first[i].is_none(), mode, backend);
     (first, redundant)
 }
 
@@ -411,12 +436,12 @@ pub fn coverage_of_universe_packed_with<P: TestVector + Sync>(
 /// undecided faults land in `missed`, never in `detected` or
 /// `redundant_faults`.
 ///
-/// Public so external batching layers (the oracle service) that derive
-/// per-query verdicts from a shared [`DetectionMatrix`] pass fold them
-/// through *this* function and stay bit-identical to the cold path —
-/// reimplementing the fold is how summary statistics drift.
-///
-/// [`DetectionMatrix`]: crate::bitsim::DetectionMatrix
+/// Public so external batching layers (the oracle service) that share
+/// fault enumeration and redundancy passes across queries fold their
+/// per-query verdicts through *this* function and stay bit-identical to
+/// the cold path — reimplementing the fold is how summary statistics
+/// drift.  `redundant[i]` is read only where `first[i]` is `None`, so a
+/// verdict shared across queries can be passed as it is.
 ///
 /// The `mode` the verdicts were derived under is recorded verbatim as
 /// the report's [`redundancy`](CoverageReport::redundancy) provenance —
@@ -500,7 +525,7 @@ pub fn summarise_verdicts(
 /// engine-independent `ensure_sweepable`), even if it later turns out
 /// no fault is missed.
 /// Public for external batching layers (the oracle service): a batched
-/// grade that shares one detection matrix across queries must admit or
+/// grade that shares work across queries must admit or
 /// refuse each query by *these* rules — the same ones the cold entry
 /// points apply — or batched and cold answers diverge on the error
 /// surface.

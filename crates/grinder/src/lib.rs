@@ -635,7 +635,6 @@ pub fn grind_service_cache(seed: u64, queries_per_leg: u64) -> CacheGrindReport 
                 max_batch: 4,
                 engine,
                 answer_cache: 4,
-                matrix_cache: 2,
                 ..ServiceConfig::default()
             });
             for _ in 0..queries_per_leg {

@@ -1,10 +1,9 @@
 //! A plain O(1) LRU cache with hit/miss/eviction counters.
 //!
-//! The service keeps two instances: finished answers keyed by
-//! [`crate::oracle::AnswerKey`], and shared detection matrices keyed by
-//! [`crate::oracle::MatrixKey`]
-//! (see `docs/SERVICE.md` for the key definitions and why the test
-//! fingerprint must be part of both).  The implementation is a
+//! The service keeps one instance: finished answers keyed by
+//! [`crate::oracle::AnswerKey`] (see `docs/SERVICE.md` for the key
+//! definition and why the test fingerprint must be part of it).  The
+//! implementation is a
 //! `HashMap` into a slab-allocated doubly-linked recency list — no
 //! external crates, every operation O(1) amortised.
 

@@ -10,15 +10,16 @@
 //! The serving problem has three levers, each its own module:
 //!
 //! * **Batching** ([`oracle`]) — queued coverage queries are sharded by
-//!   (network hash, universe, redundancy flag); each shard computes one
-//!   shared [`DetectionMatrix`](sortnet_faults::bitsim::DetectionMatrix)
-//!   over the union of the shard's test vectors and derives every
-//!   member's report from it, folding verdicts through the engine's own
+//!   (network hash, universe, redundancy mode); each shard enumerates
+//!   the faults once, runs the cold path's early-exit first-detection
+//!   sweep per distinct member test list and classifies the union of the
+//!   members' missed faults in one batched redundancy pass, folding
+//!   verdicts through the engine's own
 //!   [`summarise_verdicts`](sortnet_faults::coverage::summarise_verdicts)
 //!   so batched answers are bit-identical to cold ones.
-//! * **Caching** ([`cache`]) — an LRU over finished answers and over
-//!   detection matrices, keyed by (network hash, universe, `n`, test
-//!   fingerprint, query kind), with hit/miss/eviction counters.
+//! * **Caching** ([`cache`]) — an LRU over finished answers, keyed by
+//!   (network hash, `n`, query fingerprint — universe, mode and tests
+//!   included), with hit/miss/eviction counters.
 //! * **Budget degradation** ([`pool`], [`oracle`]) — a per-request
 //!   [`SweepBudget`] (or the
 //!   service default) is plumbed into the engine's budgeted entry
@@ -71,8 +72,9 @@ pub struct ServiceConfig {
     /// Worker threads draining the queue.
     pub workers: usize,
     /// Most queued requests one worker drains into a single batch —
-    /// the sharding window.  Larger batches amortise matrices across
-    /// more queries; smaller ones bound per-answer latency.
+    /// the sharding window.  Larger batches amortise fault enumeration
+    /// and redundancy passes across more queries; smaller ones bound
+    /// per-answer latency.
     pub max_batch: usize,
     /// Simulation engine for coverage grades and candidate matrices.
     pub engine: FaultSimEngine,
@@ -80,13 +82,14 @@ pub struct ServiceConfig {
     pub backend: Backend,
     /// Answer-cache capacity in entries (0 = off).
     pub answer_cache: usize,
-    /// Detection-matrix cache capacity in entries (0 = off).
+    /// Ignored: the service keeps no detection-matrix cache.  Kept only
+    /// for source compatibility.
     pub matrix_cache: usize,
     /// Answer-cache entry time-to-live; `None` never expires.  Expired
     /// entries are never served and are counted separately from LRU
     /// evictions (see [`cache::CacheCounters::expirations`]).
     pub answer_ttl: Option<Duration>,
-    /// Detection-matrix cache entry time-to-live; `None` never expires.
+    /// Ignored, like [`matrix_cache`](Self::matrix_cache).
     pub matrix_ttl: Option<Duration>,
     /// Budget applied to requests that do not carry their own.  Any
     /// bounded effective budget routes a request down the solo,

@@ -114,8 +114,6 @@ pub struct LoadgenSummary {
     pub bypasses: u64,
     /// Answer-cache evictions (capacity pressure).
     pub evictions: u64,
-    /// Detection-matrix cache hits (shard sharing across waves).
-    pub matrix_hits: u64,
     /// `hits / (hits + misses)` over the cacheable responses.
     pub hit_rate: f64,
     /// Responses that degraded to [`Completion::Partial`].
@@ -150,7 +148,6 @@ impl LoadgenSummary {
                 "  \"misses\": {},\n",
                 "  \"bypasses\": {},\n",
                 "  \"evictions\": {},\n",
-                "  \"matrix_hits\": {},\n",
                 "  \"hit_rate\": {:.4},\n",
                 "  \"partials\": {},\n",
                 "  \"refusals\": {},\n",
@@ -167,7 +164,6 @@ impl LoadgenSummary {
             self.misses,
             self.bypasses,
             self.evictions,
-            self.matrix_hits,
             self.hit_rate,
             self.partials,
             self.refusals,
@@ -472,7 +468,6 @@ pub fn run(config: &ServiceConfig, options: &LoadgenOptions) -> LoadgenSummary {
         misses,
         bypasses,
         evictions: stats.answers.evictions,
-        matrix_hits: stats.matrices.hits,
         hit_rate: if cacheable == 0 {
             0.0
         } else {
@@ -518,7 +513,6 @@ mod tests {
             workers: 2,
             max_batch: 8,
             answer_cache: 32,
-            matrix_cache: 8,
             ..ServiceConfig::default()
         };
         let options = LoadgenOptions {

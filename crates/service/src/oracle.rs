@@ -3,13 +3,17 @@
 //! [`answer_cold`] is the reference path: one request, straight through
 //! the engine's typed entry points, no cache.  [`answer_batch`] is the
 //! serving path the worker pool drives: it looks finished answers up in
-//! the LRU, shards the remaining coverage queries by (network, universe,
-//! redundancy mode), computes **one** detection matrix per shard over
-//! the union of the shard's test vectors, and derives every member's
-//! report from that matrix — folding verdicts through the engine's own
-//! [`summarise_verdicts`] so a batched answer is bit-identical to the
-//! cold one (the grinder's cache strategy and the load generator both
-//! assert this).
+//! the LRU and shards the remaining coverage queries by (network,
+//! universe, redundancy mode).  A shard shares what its members really
+//! have in common: the admitted fault list and **one** batched
+//! redundancy pass over the union of the members' missed faults.  Each
+//! member's first detections come from the cold path's own early-exit
+//! sweep over its own test list, the redundancy pass is the cold path's
+//! own [`redundancy_verdicts_on`], and the verdicts are folded through
+//! the engine's own
+//! [`summarise_verdicts`], so a batched answer is bit-identical to the
+//! cold one (the grinder's cache strategy, the load generator and the
+//! shard differential suite all assert this).
 //!
 //! Budget rule: a request carrying its own [`SweepBudget`] (or running
 //! under a bounded service default) is evaluated **solo** through the
@@ -28,21 +32,19 @@
 //! without touching the engine) lives in [`crate::pool`].
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sortnet_combinat::ChannelVec;
-use sortnet_faults::bitsim::{detection_matrix_multi_packed_on, DetectionMatrix};
+use sortnet_faults::bitsim::first_detections_multi_packed_on;
 use sortnet_faults::coverage::{
-    check_coverage_inputs, coverage_of_universe_budgeted_packed_with, summarise_verdicts,
-    try_coverage_of_universe_packed_with, CoverageReport, RedundancyMode,
+    check_coverage_inputs, coverage_of_universe_budgeted_packed_with, redundancy_verdicts_on,
+    summarise_verdicts, try_coverage_of_universe_packed_with, CoverageReport, RedundancyMode,
 };
-use sortnet_faults::universe::{
-    is_multi_fault_redundant, is_multi_fault_redundant_relative, MultiFault, StandardUniverse,
-};
+use sortnet_faults::universe::{MultiFault, StandardUniverse};
 use sortnet_faults::FaultSimEngine;
 use sortnet_network::budget::{BudgetReason, Budgeted, SweepBudget, SweepProgress};
-use sortnet_network::lanes::LaneWidth;
+use sortnet_network::lanes::{Backend, LaneWidth, DEFAULT_WIDTH};
 use sortnet_network::Network;
 use sortnet_testsets::augment::{try_minimum_augmentation_packed, CandidatePool, SearchOptions};
 use sortnet_testsets::verify::{self, try_verify_on, Property, Strategy};
@@ -242,58 +244,44 @@ impl AnswerKey {
     }
 }
 
-/// The matrix-cache key: one shared detection matrix per (network,
-/// universe, union-test-list) triple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MatrixKey {
-    /// [`fingerprint`] of the whole network.
-    pub network: u64,
-    /// Line count (same rationale as [`AnswerKey::lines`]).
-    pub lines: usize,
-    /// The fault universe the rows enumerate.
-    pub universe: StandardUniverse,
-    /// [`fingerprint`] of the union test list, order-sensitive (columns
-    /// are positional).
-    pub tests: u64,
-}
-
-/// The two LRU caches the workers share.  Each is behind its own mutex
-/// and locked only for lookups and inserts — matrix and coverage
-/// computation happen outside the locks, so concurrent workers can
-/// (rarely) both compute the same entry; the second insert is a
-/// harmless overwrite.
+/// The answer cache the workers share, behind a mutex locked only for
+/// lookups and inserts — coverage computation happens outside the lock,
+/// so concurrent workers can (rarely) both compute the same entry; the
+/// second insert is a harmless overwrite.
 pub struct OracleCaches {
     answers: Mutex<Lru<AnswerKey, Answer>>,
-    matrices: Mutex<Lru<MatrixKey, Arc<DetectionMatrix>>>,
 }
 
 impl OracleCaches {
-    /// Fresh caches with the given entry capacities and no TTL.
+    /// A fresh answer cache with the given entry capacity and no TTL.
     #[must_use]
-    pub fn new(answer_capacity: usize, matrix_capacity: usize) -> Self {
-        Self::with_ttls(answer_capacity, None, matrix_capacity, None)
+    pub fn new(answer_capacity: usize) -> Self {
+        Self::with_ttls(answer_capacity, None, 0, None)
     }
 
-    /// Fresh caches with capacities and per-cache entry TTLs.
+    /// A fresh answer cache with a capacity and an entry TTL.  The
+    /// matrix-cache arguments are ignored: the service keeps no matrix
+    /// cache, and they remain only for source compatibility.
     #[must_use]
     pub fn with_ttls(
         answer_capacity: usize,
         answer_ttl: Option<std::time::Duration>,
-        matrix_capacity: usize,
-        matrix_ttl: Option<std::time::Duration>,
+        _matrix_capacity: usize,
+        _matrix_ttl: Option<std::time::Duration>,
     ) -> Self {
         Self {
             answers: Mutex::new(Lru::with_ttl(answer_capacity, answer_ttl)),
-            matrices: Mutex::new(Lru::with_ttl(matrix_capacity, matrix_ttl)),
         }
     }
 
-    /// (answer-cache counters, matrix-cache counters).
+    /// (answer-cache counters, matrix-cache counters).  The matrix side
+    /// is always [`CacheCounters::default`]: there is no matrix cache,
+    /// and the pair remains only for source compatibility.
     #[must_use]
     pub fn counters(&self) -> (CacheCounters, CacheCounters) {
         (
             unpoisoned(&self.answers).counters(),
-            unpoisoned(&self.matrices).counters(),
+            CacheCounters::default(),
         )
     }
 }
@@ -336,42 +324,50 @@ fn completion_of<T>(outcome: &Budgeted<T>) -> Completion {
     }
 }
 
-/// One shared-prefix detection matrix, at the lane width the configured
-/// engine implies (the scalar engine maps to `W = 1`; all widths
-/// produce bit-identical matrices, so the choice is a throughput knob,
-/// never a semantic one).
-fn build_matrix(
+/// A shard's verdicts at the lane width `config.engine` implies (the scalar
+/// engine maps to `W = 1`; every width yields bit-identical verdicts, so
+/// the choice is a throughput knob, never a semantic one): per member
+/// list, its first detections, and the shard-wide redundancy verdicts.
+fn shard_verdicts(
     config: &ServiceConfig,
     network: &Network,
     faults: &[MultiFault],
-    tests: &[ChannelVec],
-) -> DetectionMatrix {
-    let b = config.backend;
-    match config.engine {
-        FaultSimEngine::Scalar => {
-            detection_matrix_multi_packed_on::<1, ChannelVec>(network, faults, tests, b)
+    lists: &[&[ChannelVec]],
+    redundancy: RedundancyMode,
+) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
+    let backend = config.backend;
+    let run = match config.engine {
+        FaultSimEngine::Scalar | FaultSimEngine::BitParallelWide(LaneWidth::W1) => {
+            shard_verdicts_on::<1>
         }
-        FaultSimEngine::BitParallel => {
-            detection_matrix_multi_packed_on::<4, ChannelVec>(network, faults, tests, b)
-        }
-        FaultSimEngine::BitParallelWide(w) => match w {
-            LaneWidth::W1 => {
-                detection_matrix_multi_packed_on::<1, ChannelVec>(network, faults, tests, b)
-            }
-            LaneWidth::W2 => {
-                detection_matrix_multi_packed_on::<2, ChannelVec>(network, faults, tests, b)
-            }
-            LaneWidth::W4 => {
-                detection_matrix_multi_packed_on::<4, ChannelVec>(network, faults, tests, b)
-            }
-            LaneWidth::W8 => {
-                detection_matrix_multi_packed_on::<8, ChannelVec>(network, faults, tests, b)
-            }
-            LaneWidth::W16 => {
-                detection_matrix_multi_packed_on::<16, ChannelVec>(network, faults, tests, b)
-            }
-        },
-    }
+        FaultSimEngine::BitParallel => shard_verdicts_on::<DEFAULT_WIDTH>,
+        FaultSimEngine::BitParallelWide(LaneWidth::W2) => shard_verdicts_on::<2>,
+        FaultSimEngine::BitParallelWide(LaneWidth::W4) => shard_verdicts_on::<4>,
+        FaultSimEngine::BitParallelWide(LaneWidth::W8) => shard_verdicts_on::<8>,
+        FaultSimEngine::BitParallelWide(LaneWidth::W16) => shard_verdicts_on::<16>,
+    };
+    run(network, faults, lists, redundancy, backend)
+}
+
+/// The cold path's two phases, shared across the shard: each member's
+/// list gets the early-exit first-detection sweep (indices in that
+/// list's order), then the faults any member missed are classified in
+/// **one** [`redundancy_verdicts_on`] pass.
+fn shard_verdicts_on<const W: usize>(
+    network: &Network,
+    faults: &[MultiFault],
+    lists: &[&[ChannelVec]],
+    redundancy: RedundancyMode,
+    backend: Backend,
+) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
+    let first: Vec<Vec<Option<usize>>> = lists
+        .iter()
+        .map(|tests| first_detections_multi_packed_on::<W, _>(network, faults, tests, backend))
+        .collect();
+    let missed = |f: usize| first.iter().any(|list| list[f].is_none());
+    let redundant =
+        redundancy_verdicts_on::<W, ChannelVec>(network, faults, missed, redundancy, backend);
+    (first, redundant)
 }
 
 /// The reference path: evaluates one request straight through the
@@ -481,15 +477,15 @@ fn evaluate(
 }
 
 /// A coverage shard: every member grades the same network against the
-/// same universe with the same redundancy mode, so one matrix (and one
-/// redundancy sweep) serves them all.
+/// same universe with the same redundancy mode, so they share the
+/// admitted fault list and one redundancy pass.  Each member carries the
+/// answer key its cache lookup computed, reused for the insert.
 struct Shard {
-    members: Vec<usize>,
+    members: Vec<(usize, AnswerKey)>,
 }
 
 /// The serving path: answers a drained batch of requests with cache
-/// lookups, coverage sharding and shared matrices.  Responses come back
-/// in request order.
+/// lookups and coverage sharding.  Responses come back in request order.
 #[must_use]
 pub fn answer_batch(
     config: &ServiceConfig,
@@ -540,7 +536,7 @@ pub fn answer_batch(
                         members: Vec::new(),
                     })
                     .members
-                    .push(i);
+                    .push((i, key));
             }
             Query::Verify { .. } | Query::Augment { .. } => {
                 let (outcome, completion) = evaluate(config, request, &SweepBudget::unlimited());
@@ -559,24 +555,23 @@ pub fn answer_batch(
         }
     }
 
-    for ((net_fp, lines, universe, redundancy), shard) in shards {
+    for ((_, _, universe, redundancy), shard) in shards {
         // A fingerprint groups, equality decides: members whose network
         // is not byte-equal to the sub-shard leader get their own pass,
         // so a (astronomically unlikely) hash collision can never share
-        // a matrix across different networks.
+        // faults or verdicts across different networks.
         let mut pending = shard.members;
-        while let Some(&leader) = pending.first() {
-            let network = requests[leader].network.clone();
-            let (same, rest): (Vec<usize>, Vec<usize>) = pending
+        while let Some(&(leader, _)) = pending.first() {
+            let network = &requests[leader].network;
+            let (same, rest): (Vec<_>, Vec<_>) = pending
                 .iter()
-                .partition(|&&i| requests[i].network == network);
+                .partition(|&&(i, _)| requests[i].network == *network);
             pending = rest;
             answer_coverage_shard(
                 config,
                 caches,
                 requests,
-                &network,
-                (net_fp, lines, universe, redundancy),
+                (network, universe, redundancy),
                 &same,
                 &mut responses,
                 start,
@@ -597,26 +592,23 @@ fn shard_tests(requests: &[Request], i: usize) -> &[ChannelVec] {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn answer_coverage_shard(
     config: &ServiceConfig,
     caches: &OracleCaches,
     requests: &[Request],
-    network: &Network,
-    key: (u64, usize, StandardUniverse, RedundancyMode),
-    members: &[usize],
+    (network, universe, redundancy): (&Network, StandardUniverse, RedundancyMode),
+    members: &[(usize, AnswerKey)],
     responses: &mut [Option<Response>],
     start: Instant,
 ) {
-    let (net_fp, lines, universe, redundancy) = key;
     // Admission per member, by the cold path's own rules.
     let mut faults: Option<Vec<MultiFault>> = None;
-    let mut valid: Vec<usize> = Vec::with_capacity(members.len());
-    for &i in members {
+    let mut valid: Vec<(usize, AnswerKey)> = Vec::with_capacity(members.len());
+    for &(i, key) in members {
         match check_coverage_inputs(network, &universe, shard_tests(requests, i), redundancy) {
             Ok(f) => {
                 faults.get_or_insert(f);
-                valid.push(i);
+                valid.push((i, key));
             }
             Err(e) => {
                 responses[i] = Some(Response {
@@ -630,89 +622,17 @@ fn answer_coverage_shard(
     }
     let Some(faults) = faults else { return };
 
-    // The union test list, deduplicated in arrival order; per-member
-    // columns map each submitted test to its union column.
-    let mut union: Vec<ChannelVec> = Vec::new();
-    let mut column: HashMap<&ChannelVec, usize> = HashMap::new();
-    for &i in &valid {
-        for test in shard_tests(requests, i) {
-            if !column.contains_key(test) {
-                column.insert(test, union.len());
-                union.push(test.clone());
-            }
-        }
-    }
-
-    let mkey = MatrixKey {
-        network: net_fp,
-        lines,
-        universe,
-        tests: fingerprint(&union),
-    };
-    let matrix: Arc<DetectionMatrix> = {
-        let cached = unpoisoned(&caches.matrices).get(&mkey).cloned();
-        match cached {
-            Some(m) => m,
-            None => {
-                let m = Arc::new(build_matrix(config, network, &faults, &union));
-                unpoisoned(&caches.matrices).insert(mkey, Arc::clone(&m));
-                m
-            }
-        }
-    };
-
-    // Per-member first detections, in each member's own test order —
-    // exactly what the cold path's per-query sweep reports.
-    let member_first: Vec<Vec<Option<usize>>> = valid
+    let lists: Vec<&[ChannelVec]> = valid
         .iter()
-        .map(|&i| {
-            let cols: Vec<usize> = shard_tests(requests, i).iter().map(|t| column[t]).collect();
-            (0..faults.len())
-                .map(|f| cols.iter().position(|&c| matrix.is_detected_by(f, c)))
-                .collect()
-        })
+        .map(|&(i, _)| shard_tests(requests, i))
         .collect();
+    let (first, redundant) = shard_verdicts(config, network, &faults, &lists, redundancy);
 
-    // One redundancy sweep for the union of the shard's missed faults;
-    // the verdict of a fault is engine-independent (and, for the
-    // relative mode, depends only on the named family), so every member
-    // shares it.
-    let mut union_redundant: Vec<bool> = vec![false; faults.len()];
-    if redundancy != RedundancyMode::Skip {
-        let need: Vec<usize> = (0..faults.len())
-            .filter(|&f| member_first.iter().any(|first| first[f].is_none()))
-            .collect();
-        match redundancy {
-            RedundancyMode::Exhaustive => {
-                for &f in &need {
-                    union_redundant[f] = is_multi_fault_redundant(network, &faults[f]);
-                }
-            }
-            RedundancyMode::RelativeTo(family) => {
-                // Materialise the named family once per shard; every
-                // member's verdicts come from the same vectors.
-                let fam: Vec<ChannelVec> = family.collect(lines);
-                for &f in &need {
-                    union_redundant[f] =
-                        is_multi_fault_redundant_relative(network, &faults[f], &fam);
-                }
-            }
-            RedundancyMode::Skip => unreachable!("skip mode classifies nothing"),
-        }
-    }
-
-    for (slot, &i) in valid.iter().enumerate() {
-        let first = &member_first[slot];
-        let redundant: Vec<bool> = first
-            .iter()
-            .zip(&union_redundant)
-            .map(|(f, &r)| f.is_none() && r)
-            .collect();
+    for (&(i, key), first) in valid.iter().zip(&first) {
+        // `summarise_verdicts` reads a redundancy verdict only for faults
+        // this member missed, so the shard-wide verdicts fold as they are.
         let report = summarise_verdicts(&faults, first, &redundant, redundancy);
-        unpoisoned(&caches.answers).insert(
-            AnswerKey::of(&requests[i]),
-            Answer::Coverage(report.clone()),
-        );
+        unpoisoned(&caches.answers).insert(key, Answer::Coverage(report.clone()));
         responses[i] = Some(Response {
             outcome: Ok(Answer::Coverage(report)),
             completion: Completion::Complete,
@@ -750,7 +670,7 @@ mod tests {
     #[test]
     fn batched_coverage_is_bit_identical_to_cold_and_caches_repeats() {
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let requests = vec![coverage_request(8, true), coverage_request(8, true)];
         let batch = answer_batch(&config, &caches, &requests);
         let cold = answer_cold(&config, &requests[0]);
@@ -769,7 +689,7 @@ mod tests {
     #[test]
     fn mixed_shard_members_get_their_own_first_detection_order() {
         // Two queries over the same network/universe whose test lists
-        // differ in order: the shared matrix must not leak one member's
+        // differ in order: the shared shard must not leak one member's
         // indices into the other's report.
         let n = 6;
         let network = odd_even_merge_sort(n);
@@ -777,7 +697,7 @@ mod tests {
         let mut reversed = forward.clone();
         reversed.reverse();
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let make = |tests: Vec<ChannelVec>| Request {
             network: network.clone(),
             query: Query::Coverage {
@@ -805,7 +725,7 @@ mod tests {
             engine: FaultSimEngine::Scalar,
             ..ServiceConfig::default()
         };
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let mut request = coverage_request(8, false);
         request.budget = Some(SweepBudget::unlimited().with_max_blocks(1));
         let batch = answer_batch(&config, &caches, std::slice::from_ref(&request));
@@ -827,7 +747,7 @@ mod tests {
     #[test]
     fn verify_and_augment_queries_cache_their_answers() {
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let network = odd_even_merge_sort(6);
         let verify_req = Request {
             network: network.clone(),
@@ -880,7 +800,7 @@ mod tests {
         // Packed redundancy at n = 96 is refused up front with the
         // pinned SweepTooLarge error, batched exactly as cold.
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let n = 96;
         let request = Request {
             network: Network::from_pairs(n, &[(0, 1), (1, 95)]),
@@ -909,7 +829,7 @@ mod tests {
         // sorted strings — batched, cached and cold answers all agree and
         // the report names its provenance.
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let n = 96;
         let request = Request {
             network: Network::from_pairs(n, &[(0, 95), (31, 64), (0, 1)]),
@@ -943,7 +863,7 @@ mod tests {
         // refused, and the answer is the engine's conservative partial
         // with the Deadline reason — on the cache-bypassing path.
         let config = ServiceConfig::default();
-        let caches = OracleCaches::new(8, 4);
+        let caches = OracleCaches::new(8);
         let mut request = coverage_request(8, false);
         request.deadline = Some(Instant::now() - std::time::Duration::from_millis(5));
         let cold = answer_cold(&config, &request);

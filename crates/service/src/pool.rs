@@ -5,7 +5,8 @@
 //! `config.max_batch` queued jobs in one gulp and hands them to
 //! [`answer_batch`] — so batching emerges
 //! from queue pressure: an idle service answers each request alone,
-//! a loaded one shards whole gulps through shared matrices.  Replies
+//! a loaded one shards whole gulps so coverage queries on one network
+//! share fault enumeration and redundancy passes.  Replies
 //! travel back over per-job rendezvous channels, so [`Service::submit`]
 //! is a plain blocking call from any thread.
 //!
@@ -131,7 +132,8 @@ pub struct ServiceStats {
     pub worker_restarts: u64,
     /// Answer-cache counters.
     pub answers: CacheCounters,
-    /// Detection-matrix-cache counters.
+    /// Always [`CacheCounters::default`]: the service keeps no
+    /// detection-matrix cache.  Kept only for source compatibility.
     pub matrices: CacheCounters,
 }
 
@@ -157,12 +159,7 @@ impl Service {
     pub fn start(config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
-            caches: OracleCaches::with_ttls(
-                config.answer_cache,
-                config.answer_ttl,
-                config.matrix_cache,
-                config.matrix_ttl,
-            ),
+            caches: OracleCaches::with_ttls(config.answer_cache, config.answer_ttl, 0, None),
             config,
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -633,7 +630,7 @@ mod tests {
                 shutdown: false,
             }),
             available: Condvar::new(),
-            caches: OracleCaches::new(0, 0),
+            caches: OracleCaches::new(0),
             quarantine: Mutex::new(HashMap::new()),
             answered: AtomicU64::new(0),
             partials: AtomicU64::new(0),
