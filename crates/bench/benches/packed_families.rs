@@ -1,12 +1,17 @@
 //! `packed_families` — the cost of the structured-family layer past the
 //! 64-line wall.
 //!
-//! The `family_fill` group times draining each [`PackedFamily`] through
-//! [`FamilySource`]'s direct block fill at W = 4 against the scalar
-//! per-index materialisation ([`PackedFamily::collect`]) on the same
-//! family — the ratio is what the range-mask fill buys over assembling
-//! every vector bit by bit.  n ∈ {96, 128} (mid-word and exactly two
-//! channel words); `elements` in the JSON is the family size.
+//! The `family_fill` group times three ways of getting each
+//! [`PackedFamily`] at n ∈ {96, 128} (mid-word and exactly two channel
+//! words); `elements` in the JSON is the family size:
+//!
+//! * `block_fill_*`: [`FamilySource`]'s direct range-mask fill at W = 4,
+//!   drained back into vectors by per-bit extraction;
+//! * `scalar_collect_*`: the per-index materialisation
+//!   ([`PackedFamily::collect`]) with no block fill at all;
+//! * `collect_then_fill_*`: that collect followed by an [`IterSource`]
+//!   drain at W = 4, i.e. what a sweep over a collected family pays for
+//!   its blocks (the word-transposed fill).
 //!
 //! The `relative_redundancy` group times the n = 96 acceptance
 //! workload: a stuck-line coverage report over the Batcher sorter with
@@ -27,7 +32,9 @@ use sortnet_faults::coverage::{coverage_of_universe_packed_with, RedundancyMode}
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_faults::FaultSimEngine;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{collect_packed, FamilySource, LaneWidth, PackedFamily};
+use sortnet_network::lanes::{
+    collect_packed, BlockSource, FamilySource, IterSource, LaneWidth, PackedFamily, WideBlock,
+};
 
 fn bench_family_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("family_fill");
@@ -58,6 +65,22 @@ fn bench_family_fill(c: &mut Criterion) {
                 BenchmarkId::new(format!("scalar_collect_{family}"), n),
                 &n,
                 |b, &n| b.iter(|| black_box(family).collect::<ChannelVec>(n)),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("collect_then_fill_{family}"), n),
+                &n,
+                |b, &n| {
+                    b.iter(|| {
+                        let vectors = black_box(family).collect::<ChannelVec>(n);
+                        let mut source = IterSource::new(n, vectors);
+                        let mut block = WideBlock::<4>::zeroed(n);
+                        let mut filled = 0u32;
+                        while BlockSource::<4>::next_block(&mut source, &mut block) {
+                            filled += black_box(&block).count();
+                        }
+                        filled
+                    })
+                },
             );
         }
     }

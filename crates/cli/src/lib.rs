@@ -28,12 +28,12 @@
 //! extra vectors restoring completeness.
 //!
 //! The examples all sit on the same width-generic streaming substrate
-//! (`sortnet_network::lanes`): test-vector families are generated directly
-//! in transposed `WideBlock<W>` form (`W × 64` vectors per pass) by
+//! (`sortnet_network::lanes`): test-vector families stream into
+//! transposed `WideBlock<W>` form (`W × 64` vectors per pass) through
 //! `BlockSource` implementations — counting patterns for the exhaustive
-//! `2^n` family, block-filling adapters over the combinat generators for
-//! the Theorem 2.2/2.4/2.5 minimal sets — so no sweep materialises its
-//! vectors.  `verify_batcher` drives a `BlockSource` by hand to show the
+//! `2^n` family, a 64×64 word-transposing adapter over the combinat
+//! generators for the Theorem 2.2/2.4/2.5 minimal sets — so no sweep
+//! materialises its vectors.  `verify_batcher` drives a `BlockSource` by hand to show the
 //! machinery; the others go through the `testsets::verify` front end and
 //! the fault engine, which use it internally.
 

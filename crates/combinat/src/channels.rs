@@ -323,6 +323,12 @@ pub trait ChannelPack: Clone + PartialEq + fmt::Debug + fmt::Display {
     /// The bit on line `i` (`i < len`).
     fn bit(&self, i: usize) -> bool;
 
+    /// Channel word `k` (`k < channel_words(len)`): bit `i` is the value
+    /// on line `64k + i`, and bits past `len` are zero.  Block packing
+    /// transposes these words 64 vectors at a time instead of reading
+    /// [`ChannelPack::bit`] per line.
+    fn word(&self, k: usize) -> u64;
+
     /// Builds an `n`-line vector with bit `i` given by `f(i)`.
     fn assemble(n: usize, f: impl FnMut(usize) -> bool) -> Self;
 
@@ -342,6 +348,12 @@ impl ChannelPack for BitString {
     #[inline]
     fn bit(&self, i: usize) -> bool {
         self.get(i)
+    }
+
+    #[inline]
+    fn word(&self, k: usize) -> u64 {
+        debug_assert_eq!(k, 0, "a BitString has one channel word");
+        BitString::word(self)
     }
 
     fn assemble(n: usize, mut f: impl FnMut(usize) -> bool) -> Self {
@@ -375,6 +387,11 @@ impl ChannelPack for ChannelVec {
     #[inline]
     fn bit(&self, i: usize) -> bool {
         self.get(i)
+    }
+
+    #[inline]
+    fn word(&self, k: usize) -> u64 {
+        self.words[k]
     }
 
     fn assemble(n: usize, f: impl FnMut(usize) -> bool) -> Self {
@@ -507,6 +524,28 @@ mod tests {
         assert_eq!(v.to_string(), s.to_string());
         assert_eq!(v.to_bitstring(), Some(s));
         assert_eq!(ChannelVec::ones(100).to_bitstring(), None);
+    }
+
+    #[test]
+    fn pack_word_k_holds_lines_64k_onwards() {
+        for n in [63usize, 64, 65, 128, 129] {
+            let v = ChannelVec::from_fn(n, |i| (i * 7 + i / 5) % 3 == 0);
+            for k in 0..channel_words(n) {
+                let word = ChannelPack::word(&v, k);
+                for i in 0..64 {
+                    let line = 64 * k + i;
+                    let expected = line < n && v.bit(line);
+                    assert_eq!((word >> i) & 1 == 1, expected, "n={n} k={k} i={i}");
+                }
+            }
+            if n <= 64 {
+                let s = BitString::assemble(n, |i| v.bit(i));
+                let word = ChannelPack::word(&s, 0);
+                for i in 0..64 {
+                    assert_eq!((word >> i) & 1 == 1, i < n && s.bit(i), "n={n} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

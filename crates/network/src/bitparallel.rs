@@ -20,7 +20,11 @@
 //! Sweeps are embarrassingly parallel across blocks, so
 //! [`ParallelismHint::Rayon`] distributes block index ranges over the rayon
 //! thread pool (a real `std::thread::scope`-backed pool in this
-//! workspace's shim).
+//! workspace's shim).  Every call spawns its scoped threads afresh, which
+//! costs more than a whole single-threaded sweep up to about `n = 20`, so
+//! below `n = 22` lines a `Rayon` sweep runs inline on the calling thread.
+//! The answer does not change: the parallel witness search already returns
+//! the sequential (lowest-word) witness.
 
 use rayon::prelude::*;
 
@@ -31,6 +35,26 @@ use crate::error::{self, EngineError};
 use crate::lanes::{self, Backend, WideBlock};
 use crate::network::Network;
 
+/// Fewest lines at which a [`ParallelismHint::Rayon`] exhaustive sweep
+/// actually fans out; smaller sweeps run sequentially on the calling
+/// thread.  Each parallel call spawns scoped OS threads afresh.  Passing
+/// `find_unsorted_input_backend::<4>` sweeps of Batcher sorters on a
+/// 2-vCPU x86_64 (AVX2) host, Rayon vs Sequential, median µs:
+///
+/// | n | 8 | 12 | 16 | 20 | 21 | 22 | 24 |
+/// |---|---|---|---|---|---|---|---|
+/// | Rayon | 24 | 144 | 238 | 1 200 | 2 516 | 5 079 | 18 704 |
+/// | Sequential | 0.2 | 4.2 | 86 | 1 101 | 3 905 | 8 028 | 20 777 |
+///
+/// `n = 21` flips between runs; from 22 lines on the pool wins.
+const PARALLEL_MIN_LINES: usize = 22;
+
+/// `true` when a sweep over `n` lines under `hint` should fan out over the
+/// rayon pool (see [`PARALLEL_MIN_LINES`]).
+fn fans_out(hint: ParallelismHint, n: usize) -> bool {
+    hint == ParallelismHint::Rayon && n >= PARALLEL_MIN_LINES
+}
+
 /// A block of up to 64 binary input vectors in transposed form: the
 /// single-word (`W = 1`) instance of [`WideBlock`].
 pub type BitBlock = WideBlock<1>;
@@ -40,7 +64,8 @@ pub type BitBlock = WideBlock<1>;
 pub enum ParallelismHint {
     /// Single-threaded sweep.
     Sequential,
-    /// Distribute blocks of `W × 64` vectors across the rayon thread pool.
+    /// Distribute blocks of `W × 64` vectors across the rayon thread pool
+    /// (from 22 lines up; smaller sweeps run on the calling thread).
     #[default]
     Rayon,
 }
@@ -130,12 +155,13 @@ pub fn find_unsorted_input_backend<const W: usize>(
             .map(|j| BitString::from_word(start + u64::from(j), n))
     };
 
-    match hint {
-        ParallelismHint::Sequential => (0..block_count).find_map(check_block),
+    if fans_out(hint, n) {
         // `find_map_first` keeps the lowest-word witness (blocks are in
         // ascending word order) and short-circuits, matching the
         // sequential arm's early exit on the first failing block.
-        ParallelismHint::Rayon => (0..block_count).into_par_iter().find_map_first(check_block),
+        (0..block_count).into_par_iter().find_map_first(check_block)
+    } else {
+        (0..block_count).find_map(check_block)
     }
 }
 
@@ -261,9 +287,10 @@ pub fn count_unsorted_outputs_backend<const W: usize>(
         block.run_with(backend, network);
         u64::from(lanes::mask_count(&block.unsorted_masks_with(backend)))
     };
-    match hint {
-        ParallelismHint::Sequential => (0..block_count).map(count_block).sum(),
-        ParallelismHint::Rayon => (0..block_count).into_par_iter().map(count_block).sum(),
+    if fans_out(hint, n) {
+        (0..block_count).into_par_iter().map(count_block).sum()
+    } else {
+        (0..block_count).map(count_block).sum()
     }
 }
 
@@ -369,12 +396,13 @@ pub fn find_selector_violation_backend<const W: usize>(
         lanes::mask_first(&wrong).map(|j| BitString::from_word(start + u64::from(j), n))
     };
 
-    match hint {
-        ParallelismHint::Sequential => (0..block_count).find_map(check_block),
+    if fans_out(hint, n) {
         // As in `find_unsorted_input_wide`: first block in ascending order
         // is the lowest-word witness, and the sweep stops at the first
         // violation.
-        ParallelismHint::Rayon => (0..block_count).into_par_iter().find_map_first(check_block),
+        (0..block_count).into_par_iter().find_map_first(check_block)
+    } else {
+        (0..block_count).find_map(check_block)
     }
 }
 
@@ -714,6 +742,41 @@ mod tests {
             count_unsorted_outputs(&empty, ParallelismHint::Sequential)
         );
         assert!(*capped.value() <= *full_count.value());
+    }
+
+    #[test]
+    fn rayon_answers_equal_sequential_across_the_parallel_cutoff() {
+        use crate::builders::batcher::odd_even_merge_sort;
+        // n = 21 runs the Rayon hint inline, n = 22 fans out; both must
+        // give the sequential answer for a sorter and for a sorter with
+        // its middle comparator removed (failures spread over many blocks).
+        for n in [PARALLEL_MIN_LINES - 1, PARALLEL_MIN_LINES] {
+            let sorter = odd_even_merge_sort(n);
+            let broken = sorter.without_comparator(sorter.size() / 2);
+            for backend in Backend::runnable() {
+                for (net, passes) in [(&sorter, true), (&broken, false)] {
+                    let label = format!("n={n} {} passes={passes}", backend.name());
+                    let sweeps = |hint| {
+                        (
+                            find_unsorted_input_backend::<16>(net, hint, backend),
+                            find_selector_violation_backend::<16>(net, n / 2, hint, backend),
+                            count_unsorted_outputs_backend::<16>(net, hint, backend),
+                        )
+                    };
+                    let sequential = sweeps(ParallelismHint::Sequential);
+                    assert_eq!(sweeps(ParallelismHint::Rayon), sequential, "{label}");
+                    assert_eq!(sequential.0.is_none(), passes, "{label}");
+                    assert_eq!(sequential.1.is_none(), passes, "{label}");
+                    assert_eq!(sequential.2 == 0, passes, "{label}");
+                }
+            }
+            let wide = |hint| count_unsorted_outputs_wide::<4>(&broken, hint);
+            assert_eq!(
+                wide(ParallelismHint::Rayon),
+                wide(ParallelismHint::Sequential),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

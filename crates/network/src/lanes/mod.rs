@@ -36,7 +36,9 @@
 //! * [`IterSource`] — a block-filling adapter over any iterator of packed
 //!   vectors, which turns the `sortnet-combinat` generators (unsorted
 //!   strings, low-weight subsets, half-sorted merge inputs) into sources
-//!   without intermediate storage.
+//!   without intermediate storage.  Like [`WideBlock::from_strings`], it
+//!   packs 64 vectors at a time by a 64×64 bit-matrix transpose of each
+//!   channel word, not bit by bit.
 //!
 //! [`sweep_find`] is the streaming driver: it pulls blocks from a source,
 //! asks a caller-supplied closure for a violation mask per block, and
@@ -156,6 +158,30 @@ const COUNT_PATTERNS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// Transposes a 64×64 bit matrix in place: bit `c` of row `r` moves to
+/// bit `r` of row `c`.  Six rounds of masked swaps, each exchanging the
+/// off-diagonal `j×j` sub-blocks of every `2j×2j` diagonal block
+/// (`j = 32, 16, …, 1`).
+fn transpose_64x64(rows: &mut [u64; 64]) {
+    const ROUNDS: [(usize, u64); 6] = [
+        (32, 0x0000_0000_FFFF_FFFF),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+        (4, 0x0F0F_0F0F_0F0F_0F0F),
+        (2, 0x3333_3333_3333_3333),
+        (1, 0x5555_5555_5555_5555),
+    ];
+    for (j, mask) in ROUNDS {
+        for base in (0..64).step_by(2 * j) {
+            for r in base..base + j {
+                let t = ((rows[r] >> j) ^ rows[r + j]) & mask;
+                rows[r + j] ^= t;
+                rows[r] ^= t << j;
+            }
+        }
+    }
+}
+
 /// A block of up to `W × 64` binary input vectors in transposed
 /// (bit-sliced) form.
 ///
@@ -216,17 +242,29 @@ impl<const W: usize> WideBlock<W> {
     }
 
     /// Overwrites the block with `inputs` (count becomes `inputs.len()`).
+    ///
+    /// Word-level packing: for each group of 64 vectors (lane word `w`)
+    /// and each channel word `k`, the 64 vectors' words `k` form a 64×64
+    /// bit matrix whose transpose is exactly lane rows `64k..64k + 64` of
+    /// word `w`.  Missing vectors are zero rows, so every lane bit past
+    /// `inputs.len()` is zero.
     fn fill_from_strings<P: ChannelPack>(&mut self, inputs: &[P]) {
         let n = self.lanes.len();
-        for lane in &mut self.lanes {
-            *lane = [0u64; W];
-        }
-        for (j, s) in inputs.iter().enumerate() {
+        for s in inputs {
             assert_eq!(s.len(), n, "input length mismatch");
-            let (w, bit) = (j / 64, j % 64);
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                if s.bit(i) {
-                    lane[w] |= 1 << bit;
+        }
+        let mut rows = [0u64; 64];
+        for w in 0..W {
+            let group = inputs.get(w * 64..).unwrap_or_default();
+            let group = &group[..group.len().min(64)];
+            for (k, lanes) in self.lanes.chunks_mut(64).enumerate() {
+                for (row, s) in rows.iter_mut().zip(group) {
+                    *row = s.word(k);
+                }
+                rows[group.len()..].fill(0);
+                transpose_64x64(&mut rows);
+                for (lane, &row) in lanes.iter_mut().zip(&rows) {
+                    lane[w] = row;
                 }
             }
         }

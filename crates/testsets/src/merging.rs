@@ -22,8 +22,9 @@ use crate::verify::Property;
 
 /// The minimum 0/1 test set for `(n/2, n/2)`-merging, as a streaming block
 /// source: all concatenations of two sorted halves that are not already
-/// sorted (Theorem 2.5(i)), generated directly in transposed blocks from
-/// [`BitString::all_half_sorted`].
+/// sorted (Theorem 2.5(i)), enumerated by [`BitString::all_half_sorted`]
+/// and packed into transposed blocks by the 64×64 word transpose of
+/// [`IterSource`].
 ///
 /// # Panics
 /// Panics if `n` is odd.

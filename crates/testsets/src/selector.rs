@@ -20,8 +20,9 @@ use crate::verify::Property;
 
 /// The minimum 0/1 test set `T_k^n` for the `(k, n)`-selector property, as
 /// a streaming block source: every non-sorted string with at most `k` zeros
-/// (Theorem 2.4(i)), generated low-weight-subset by low-weight-subset
-/// directly into transposed blocks.
+/// (Theorem 2.4(i)), enumerated low-weight-subset by low-weight-subset as
+/// iterator items and packed into transposed blocks by the 64×64 word
+/// transpose of [`IterSource`].
 ///
 /// # Panics
 /// Panics if `k > n` or `n ≥ 26`.

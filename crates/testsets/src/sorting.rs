@@ -20,8 +20,9 @@ use crate::criteria;
 use crate::verify::Property;
 
 /// The minimum 0/1 test set for sorting, as a streaming block source: every
-/// non-sorted string of length `n` (Theorem 2.2(i)), generated directly in
-/// transposed `W × 64`-vector blocks.
+/// non-sorted string of length `n` (Theorem 2.2(i)).  The strings are
+/// iterator items, packed into transposed `W × 64`-vector blocks by the
+/// 64×64 word transpose of [`IterSource`].
 ///
 /// # Panics
 /// Panics if `n ≥ 26`.
