@@ -20,20 +20,16 @@
 //! `target/bench-summaries/bench_fault_coverage.json` for the `BENCH_*`
 //! perf trajectory.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use sortnet_combinat::BitString;
-use sortnet_faults::universe::FaultUniverse;
+use sortnet_faults::universe::{FaultUniverse, SingleComparator};
 use sortnet_faults::{
-    coverage_of_tests, coverage_of_tests_with, coverage_of_universe_with,
-    redundant_faults_multi_on, FaultSimEngine, MultiFault, StandardUniverse,
+    redundant_faults_multi_on, try_coverage_of_universe_packed_with, CoverageReport,
+    FaultSimEngine, MultiFault, RedundancyMode, StandardUniverse,
 };
 use sortnet_network::bitparallel::{
     is_sorter_exhaustive_backend, is_sorter_exhaustive_wide, ParallelismHint,
@@ -41,10 +37,22 @@ use sortnet_network::bitparallel::{
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
 use sortnet_testsets::augment::{
-    minimum_augmentation, CandidatePool, SearchOptions, SuggestAugmentation,
+    try_minimum_augmentation_packed, CandidatePool, SearchOptions, SuggestAugmentation,
 };
 use sortnet_testsets::sorting;
+
+/// The single-comparator coverage grade the E10 groups time.
+fn single_comparator_grade(
+    net: &Network,
+    tests: &[BitString],
+    mode: RedundancyMode,
+    engine: FaultSimEngine,
+) -> CoverageReport {
+    try_coverage_of_universe_packed_with(net, &SingleComparator, tests, mode, engine)
+        .expect("the E10 grades are admissible")
+}
 
 fn bench_fault_coverage(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_fault_coverage");
@@ -59,10 +67,24 @@ fn bench_fault_coverage(c: &mut Criterion) {
             .map(|_| sampler.random_input(n))
             .collect();
         group.bench_with_input(BenchmarkId::new("minimal_testset", n), &n, |b, _| {
-            b.iter(|| coverage_of_tests(black_box(&net), black_box(&minimal), false))
+            b.iter(|| {
+                single_comparator_grade(
+                    black_box(&net),
+                    black_box(&minimal),
+                    RedundancyMode::Skip,
+                    FaultSimEngine::default(),
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("random_same_budget", n), &n, |b, _| {
-            b.iter(|| coverage_of_tests(black_box(&net), black_box(&random), false))
+            b.iter(|| {
+                single_comparator_grade(
+                    black_box(&net),
+                    black_box(&random),
+                    RedundancyMode::Skip,
+                    FaultSimEngine::default(),
+                )
+            })
         });
     }
     group.finish();
@@ -82,7 +104,12 @@ fn bench_engine_comparison(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
-                    coverage_of_tests_with(black_box(&net), black_box(&minimal), true, engine)
+                    single_comparator_grade(
+                        black_box(&net),
+                        black_box(&minimal),
+                        RedundancyMode::Exhaustive,
+                        engine,
+                    )
                 })
             });
         }
@@ -106,7 +133,12 @@ fn bench_engine_comparison_no_redundancy(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
-                    coverage_of_tests_with(black_box(&net), black_box(&minimal), false, engine)
+                    single_comparator_grade(
+                        black_box(&net),
+                        black_box(&minimal),
+                        RedundancyMode::Skip,
+                        engine,
+                    )
                 })
             });
         }
@@ -139,7 +171,14 @@ fn bench_lane_width_sweep(c: &mut Criterion) {
     ] {
         let engine = FaultSimEngine::BitParallelWide(width);
         group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-            b.iter(|| coverage_of_tests_with(black_box(&net), black_box(&minimal), true, engine))
+            b.iter(|| {
+                single_comparator_grade(
+                    black_box(&net),
+                    black_box(&minimal),
+                    RedundancyMode::Exhaustive,
+                    engine,
+                )
+            })
         });
     }
 
@@ -261,13 +300,14 @@ fn bench_universe_sweep(c: &mut Criterion) {
         group.throughput(Throughput::Elements(universe.len(&net) as u64));
         group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
             b.iter(|| {
-                coverage_of_universe_with(
+                try_coverage_of_universe_packed_with(
                     black_box(&net),
                     &universe,
                     black_box(&minimal),
-                    true,
+                    RedundancyMode::Exhaustive,
                     FaultSimEngine::BitParallel,
                 )
+                .unwrap()
             })
         });
     }
@@ -301,7 +341,7 @@ fn bench_augmentation_search(c: &mut Criterion) {
             &universe,
             |b, universe| {
                 b.iter(|| {
-                    minimum_augmentation(
+                    try_minimum_augmentation_packed(
                         black_box(&net),
                         universe,
                         black_box(&minimal),
@@ -314,8 +354,14 @@ fn bench_augmentation_search(c: &mut Criterion) {
         );
     }
     for (label, universe) in workloads {
-        let report =
-            coverage_of_universe_with(&net, &universe, &minimal, true, FaultSimEngine::BitParallel);
+        let report = try_coverage_of_universe_packed_with(
+            &net,
+            &universe,
+            &minimal,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::BitParallel,
+        )
+        .unwrap();
         group.throughput(Throughput::Elements(report.missed_faults.len() as u64));
         group.bench_with_input(
             BenchmarkId::new(format!("{label}_search_only"), n),
@@ -323,7 +369,7 @@ fn bench_augmentation_search(c: &mut Criterion) {
             |b, report| {
                 b.iter(|| {
                     report
-                        .suggest_augmentation(
+                        .try_suggest_augmentation(
                             black_box(&net),
                             &CandidatePool::Exhaustive,
                             &SearchOptions::default(),

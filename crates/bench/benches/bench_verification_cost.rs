@@ -7,10 +7,6 @@
 //! are asymptotically smaller; this bench shows the corresponding wall-clock
 //! ordering on real sorters and near-sorters.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +14,7 @@ use std::hint::black_box;
 
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_testsets::verify::{verify, Property, Strategy};
+use sortnet_testsets::verify::{try_verify, Property, Strategy};
 
 fn bench_sorter_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_sorter_verification");
@@ -33,7 +29,7 @@ fn bench_sorter_verification(c: &mut Criterion) {
             ("permutation", Strategy::Permutation),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| verify(black_box(&sorter), Property::Sorter, strategy))
+                b.iter(|| try_verify(black_box(&sorter), Property::Sorter, strategy).unwrap())
             });
         }
     }
@@ -55,7 +51,7 @@ fn bench_rejecting_a_non_sorter(c: &mut Criterion) {
             ("permutation", Strategy::Permutation),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| verify(black_box(&almost), Property::Sorter, strategy))
+                b.iter(|| try_verify(black_box(&almost), Property::Sorter, strategy).unwrap())
             });
         }
     }

@@ -8,11 +8,11 @@
 //! candidate pool (matrix streaming + exact set cover, starting from a
 //! precomputed missed-fault list — redundancy sweeps are exhaustive `2^n`
 //! and stay out of multi-word benches).  The `monomorphised_baseline`
-//! group pins the n = 64 single-word cost three ways — the legacy
-//! `BitString` entry point, `P = BitString` through the packed delegators,
-//! and `P = ChannelVec` with one channel word — so a regression of the
-//! n ≤ 64 fast path or an overhead in the word-generic layer shows up as
-//! a ratio between adjacent records.  Matrix benches are annotated with
+//! group pins the n = 64 single-word cost two ways — `P = BitString` and
+//! `P = ChannelVec` with one channel word — so an overhead in the
+//! word-generic layer shows up as a ratio between adjacent records.
+//! Every matrix here is the matrix driver over a `SliceSource`, so it
+//! includes the echo of the swept vectors.  Matrix benches are annotated with
 //! the universe size (`elements` in the JSON) for per-fault throughput.
 //! The criterion shim writes `target/bench-summaries/multiword_sweep.json`.
 
@@ -22,13 +22,25 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
-use sortnet_faults::bitsim::{detection_matrix_multi_on, detection_matrix_multi_packed_on};
-use sortnet_faults::coverage::coverage_of_universe_packed_with;
-use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse};
-use sortnet_faults::FaultSimEngine;
+use sortnet_faults::bitsim::{detection_matrix_from_source_packed_on, DetectionMatrix};
+use sortnet_faults::coverage::try_coverage_of_universe_packed_with;
+use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse, TestVector};
+use sortnet_faults::{FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, LaneWidth};
-use sortnet_testsets::augment::{augmentation_for_missed_packed, CandidatePool, SearchOptions};
+use sortnet_network::lanes::{Backend, LaneWidth, SliceSource};
+use sortnet_network::Network;
+use sortnet_testsets::augment::{try_augmentation_for_missed_packed, CandidatePool, SearchOptions};
+
+/// The faults × tests matrix of an explicit test list on the active
+/// backend.
+fn matrix<const W: usize, P: TestVector>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[P],
+) -> DetectionMatrix {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_packed_on::<W, P, _>(net, faults, source, Backend::active()).0
+}
 
 /// The n + 1 sorted zero–one strings `0^n, 0^(n-1)1, …, 1^n` in the
 /// universal multi-word packing.
@@ -54,30 +66,29 @@ fn bench_multiword_sweep(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| match width {
-                    1 => detection_matrix_multi_packed_on::<1, ChannelVec>(
+                    1 => matrix::<1, ChannelVec>(
                         black_box(&net),
                         black_box(&faults),
                         black_box(&tests),
-                        Backend::active(),
                     ),
-                    _ => detection_matrix_multi_packed_on::<4, ChannelVec>(
+                    _ => matrix::<4, ChannelVec>(
                         black_box(&net),
                         black_box(&faults),
                         black_box(&tests),
-                        Backend::active(),
                     ),
                 })
             });
         }
         group.bench_with_input(BenchmarkId::new("coverage_stuck_line_w4", n), &n, |b, _| {
             b.iter(|| {
-                coverage_of_universe_packed_with(
+                try_coverage_of_universe_packed_with(
                     black_box(&net),
                     &StandardUniverse::StuckLine,
                     black_box(&tests),
-                    false,
+                    RedundancyMode::Skip,
                     FaultSimEngine::BitParallelWide(LaneWidth::W4),
                 )
+                .unwrap()
             })
         });
     }
@@ -89,13 +100,14 @@ fn bench_multiword_sweep(c: &mut Criterion) {
     let n = 96usize;
     let net = odd_even_merge_sort(n);
     let base = sorted_strings(n);
-    let report = coverage_of_universe_packed_with(
+    let report = try_coverage_of_universe_packed_with(
         &net,
         &StandardUniverse::StuckLine,
         &base,
-        false,
+        RedundancyMode::Skip,
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
-    );
+    )
+    .unwrap();
     let pool = CandidatePool::Explicit(vec![
         ChannelVec::zeros(n),
         ChannelVec::ones(n),
@@ -105,7 +117,7 @@ fn bench_multiword_sweep(c: &mut Criterion) {
     group.throughput(Throughput::Elements(report.missed_faults.len() as u64));
     group.bench_with_input(BenchmarkId::new("augment_search", n), &n, |b, _| {
         b.iter(|| {
-            augmentation_for_missed_packed(
+            try_augmentation_for_missed_packed(
                 black_box(&net),
                 black_box(&report.missed_faults),
                 &pool,
@@ -117,12 +129,9 @@ fn bench_multiword_sweep(c: &mut Criterion) {
 }
 
 fn bench_monomorphised_baseline(c: &mut Criterion) {
-    // The n = 64 single-word workload three ways.  `legacy_bitstring` is
-    // the pre-existing entry point (the monomorphised fast path the
-    // n ≤ 64 benches rely on); `packed_bitstring` is the same workload
-    // through the packing-generic delegators; `packed_channelvec` pays
-    // the one-channel-word `Vec<u64>` layout.  The first two must stay
-    // within noise of each other — the delegator is a plain call.
+    // The n = 64 single-word workload two ways: `packed_bitstring` is the
+    // monomorphised fast path the n ≤ 64 benches rely on, and
+    // `packed_channelvec` pays the one-channel-word `Vec<u64>` layout.
     let mut group = c.benchmark_group("monomorphised_baseline");
     group
         .sample_size(10)
@@ -138,33 +147,17 @@ fn bench_monomorphised_baseline(c: &mut Criterion) {
         .map(|&t| ChannelVec::from_bitstring(t))
         .collect();
     group.throughput(Throughput::Elements(faults.len() as u64));
-    group.bench_with_input(BenchmarkId::new("legacy_bitstring_w4", n), &n, |b, _| {
-        b.iter(|| {
-            detection_matrix_multi_on::<4>(
-                black_box(&net),
-                black_box(&faults),
-                black_box(&bit_tests),
-                Backend::active(),
-            )
-        })
-    });
     group.bench_with_input(BenchmarkId::new("packed_bitstring_w4", n), &n, |b, _| {
         b.iter(|| {
-            detection_matrix_multi_packed_on::<4, BitString>(
-                black_box(&net),
-                black_box(&faults),
-                black_box(&bit_tests),
-                Backend::active(),
-            )
+            matrix::<4, BitString>(black_box(&net), black_box(&faults), black_box(&bit_tests))
         })
     });
     group.bench_with_input(BenchmarkId::new("packed_channelvec_w4", n), &n, |b, _| {
         b.iter(|| {
-            detection_matrix_multi_packed_on::<4, ChannelVec>(
+            matrix::<4, ChannelVec>(
                 black_box(&net),
                 black_box(&faults),
                 black_box(&channel_tests),
-                Backend::active(),
             )
         })
     });

@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use sortnet_combinat::ChannelVec;
-use sortnet_faults::coverage::{coverage_of_universe_packed_with, RedundancyMode};
+use sortnet_faults::coverage::{try_coverage_of_universe_packed_with, RedundancyMode};
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_faults::FaultSimEngine;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
@@ -104,13 +104,14 @@ fn bench_relative_redundancy(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
             b.iter(|| {
-                coverage_of_universe_packed_with(
+                try_coverage_of_universe_packed_with(
                     black_box(&net),
                     &StandardUniverse::StuckLine,
                     black_box(&tests),
                     mode,
                     FaultSimEngine::BitParallelWide(LaneWidth::W4),
                 )
+                .unwrap()
             })
         });
     }

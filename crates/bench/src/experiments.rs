@@ -2,17 +2,16 @@
 //! [`Table`] whose rows juxtapose the paper's closed-form value with the
 //! value measured from the constructions in this workspace.
 
-// The experiment tables pin the legacy panicking wrappers' behaviour and
-// cost until stage 3 of the deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use sortnet_combinat::binomial::{
     merging_testset_size_binary, merging_testset_size_permutation, selector_testset_size_binary,
     selector_testset_size_permutation, sorting_testset_size_binary,
     sorting_testset_size_permutation,
 };
 use sortnet_combinat::{BitString, Permutation};
-use sortnet_faults::{coverage_of_universe_with, FaultSimEngine, FaultUniverse, StandardUniverse};
+use sortnet_faults::{
+    try_coverage_of_universe_packed_with, CoverageReport, FaultSimEngine, FaultUniverse,
+    RedundancyMode, StandardUniverse,
+};
 use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::builders::selection::pruned_selector;
@@ -22,7 +21,7 @@ use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::Network;
 use sortnet_testsets::adversary::{survey, AdversaryVariant};
-use sortnet_testsets::verify::{verify, Property, Strategy};
+use sortnet_testsets::verify::{try_verify, Property, Report, Strategy};
 use sortnet_testsets::{bnk, bounds, hitting, merging, primitive, selector, sorting};
 
 use crate::table::Table;
@@ -296,6 +295,30 @@ pub fn e8_primitive(max_n: usize) -> Table {
     t
 }
 
+/// Sorting verification of `net` by `strategy`.
+///
+/// # Panics
+/// Panics with the typed refusal's text on a network the strategy cannot
+/// verify; every network the tables build is verifiable.
+fn verify(net: &Network, strategy: Strategy) -> Report {
+    try_verify(net, Property::Sorter, strategy).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The exhaustively classified coverage grade of `tests` on `engine`.
+///
+/// # Panics
+/// Panics with the typed refusal's text on a grade that cannot run; every
+/// grade the tables run is admissible.
+fn grade(
+    net: &Network,
+    universe: &StandardUniverse,
+    tests: &[BitString],
+    engine: FaultSimEngine,
+) -> CoverageReport {
+    try_coverage_of_universe_packed_with(net, universe, tests, RedundancyMode::Exhaustive, engine)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// E9 — test counts per verification strategy on concrete networks (the
 /// wall-clock companion lives in `benches/bench_verification_cost.rs`).
 #[must_use]
@@ -320,9 +343,9 @@ pub fn e9_verification_cost(max_n: usize) -> Table {
                 odd_even_transposition(n, n.saturating_sub(2)),
             ),
         ] {
-            let ex = verify(&net, Property::Sorter, Strategy::Exhaustive);
-            let mb = verify(&net, Property::Sorter, Strategy::MinimalBinary);
-            let mp = verify(&net, Property::Sorter, Strategy::Permutation);
+            let ex = verify(&net, Strategy::Exhaustive);
+            let mb = verify(&net, Strategy::MinimalBinary);
+            let mp = verify(&net, Strategy::Permutation);
             let agree = ex.passed == mb.passed && mb.passed == mp.passed;
             t.push_row(vec![
                 n.to_string(),
@@ -399,15 +422,8 @@ pub fn e10_fault_coverage(n: usize) -> Table {
             ],
         };
         for (label, tests) in sequences {
-            let report = coverage_of_universe_with(
-                &net,
-                &universe,
-                tests,
-                true,
-                FaultSimEngine::BitParallel,
-            );
-            let oracle =
-                coverage_of_universe_with(&net, &universe, tests, true, FaultSimEngine::Scalar);
+            let report = grade(&net, &universe, tests, FaultSimEngine::BitParallel);
+            let oracle = grade(&net, &universe, tests, FaultSimEngine::Scalar);
             t.push_row(vec![
                 n.to_string(),
                 universe.name(),

@@ -38,7 +38,7 @@
 //! operations, where `c̄` is the mean fork site — the lane win and the
 //! suffix win compose multiplicatively, and widening `W` amortises each
 //! fork over `W × 64` vectors instead of 64.  The same forking drives the
-//! batch redundancy sweep ([`redundant_faults_multi_wide`]), which streams
+//! batch redundancy sweep ([`redundant_faults_multi_on`]), which streams
 //! the exhaustive `2^n` family once for the whole fault set instead of
 //! re-running the fault-free prefix per fault.
 //!
@@ -63,49 +63,67 @@
 //!
 //! All sweeps execute their word kernels on a pluggable lane-ops
 //! [`Backend`] (scalar / portable-chunked / AVX2, runtime-detected; see
-//! [`sortnet_network::lanes::backend`]).  Each entry point has a `*_on`
-//! form pinning the backend explicitly; the `*_wide` forms use
-//! [`Backend::active`].  Every backend produces bit-identical results —
-//! the differential suite sweeps backend × universe × width.
+//! [`sortnet_network::lanes::backend`]).  Every sweep entry point takes
+//! the backend explicitly, and every backend produces bit-identical
+//! results — the differential suite sweeps backend × universe × width.
+//!
+//! # One core per operation
+//!
+//! Two private drivers run every sweep, each over any [`BlockSource`] and
+//! each threading a [`BudgetMeter`]:
+//!
+//! * the **early-exit first-detection driver**, which drops each fault at
+//!   its first detecting block and indexes detections by cumulative
+//!   vector count; and
+//! * the **whole-block-commit matrix driver**, which records every
+//!   fault × vector bit and echoes the swept vectors.
+//!
+//! An operation is one driver call over one source.  An unbudgeted call
+//! passes [`BudgetMeter::unlimited`], whose per-block cost is one
+//! admission test:
+//!
+//! | operation | driver | source |
+//! |---|---|---|
+//! | first detections of a test list | early exit | [`SliceSource`] |
+//! | exhaustive redundancy | early exit | [`RangeSource::exhaustive`] |
+//! | relative redundancy (`crate::coverage`) | early exit | [`SliceSource`] over the collected family |
+//! | matrix of a test list | matrix | [`SliceSource`] |
+//! | candidate matrix of a family | matrix | any [`BlockSource`] |
 //!
 //! # Entry points
 //!
-//! Every entry point is width-generic (`*_wide::<W>`), with a convenience
-//! wrapper fixed at [`DEFAULT_WIDTH`]; the `W = 1` instantiation reproduces
-//! the original single-word engine bit for bit (the proptest suite holds
-//! all widths to exact agreement with the scalar simulator):
-//!
+//! * [`first_detections_multi_budgeted_packed_on`],
+//!   [`redundant_faults_multi_budgeted_on`] and
+//!   [`detection_matrix_from_source_budgeted_on`] — the typed, budgeted
+//!   forms: every precondition comes back as an
+//!   [`EngineError`], and a tripped budget degrades to an exact
+//!   [`Budgeted::Partial`];
+//! * [`first_detections_multi_packed_on`], [`redundant_faults_multi_on`]
+//!   and [`detection_matrix_from_source_packed_on`] — the same three
+//!   operations unbudgeted and unchecked (they panic on bad inputs).  They
+//!   stay because the repository benchmark's adapter names them;
 //! * [`faulty_run_block`] / [`multi_faulty_run_block`] — one fault over one
 //!   block (the oracle hooks the property tests cross-check against the
 //!   scalar simulator);
-//! * [`detection_matrix`] / [`detection_matrix_multi_wide`] — the full
-//!   faults × tests coverage bitmap (layout independent of `W`);
-//! * [`first_detections`] / [`first_detections_multi_wide`] — early-exit
-//!   variant driving [`coverage_of_tests`](crate::coverage::coverage_of_tests);
-//! * [`is_fault_redundant_bitparallel`] / [`is_fault_redundant_wide`] —
-//!   the *per-fault* blocked `2^n` redundancy sweep (kept as the reference
-//!   the batch path is regression-pinned against);
-//! * [`redundant_faults_multi_wide`] — the shared-prefix **batch**
-//!   redundancy sweep: one streamed `2^n` pass classifies a whole fault
-//!   set, forking each undecided fault per block.
+//! * [`is_fault_redundant_wide`] — the *per-fault* blocked `2^n`
+//!   redundancy sweep, kept as the reference the batch sweep is
+//!   regression-pinned against.
 //!
-//! Every faults × tests sweep (materialised, streamed and budgeted) also
-//! has a `*_packed` form generic over the
-//! [`crate::universe::TestVector`] packing of its test
-//! vectors: `P = BitString` **is** the monomorphised `n ≤ 64` fast path
-//! (the named entry points above delegate to it, so nothing changes for
-//! existing callers or codegen), while `P = ChannelVec`
+//! Every entry point is generic over the lane width `W` (the `W = 1`
+//! instantiation reproduces the original single-word engine bit for bit)
+//! and, where it takes test vectors, over their
+//! [`TestVector`] packing `P`: `P = BitString` is the monomorphised
+//! `n ≤ 64` fast path, while `P = ChannelVec`
 //! (`sortnet_combinat::ChannelVec`) runs the identical sweep past the
 //! 64-line wall.  The lane dimension of [`WideBlock`] is line-indexed —
 //! `n > 64` costs more lanes, not different kernels — so only the
 //! pack/extract boundary and the packability guard depend on `P` (see the
 //! *ChannelWords* section of [`sortnet_network::lanes`]).
 
-use sortnet_combinat::BitString;
 use sortnet_network::bitparallel;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{self, Backend, BlockSource, WideBlock, DEFAULT_WIDTH};
+use sortnet_network::lanes::{self, Backend, BlockSource, RangeSource, SliceSource, WideBlock};
 use sortnet_network::Network;
 
 use crate::model::{Fault, FaultKind};
@@ -506,100 +524,6 @@ fn sweep_block_multi<const W: usize>(
     true
 }
 
-/// Computes the full faults × tests [`DetectionMatrix`] for a slice of
-/// [`MultiFault`]s (drawn from any universe) at lane width `W`.
-///
-/// Evaluates every fault against every test (`W × 64` tests per pass,
-/// shared fault-free prefix per block).  The resulting matrix is identical
-/// for every `W`.  Use [`first_detections_multi_wide`] instead when only
-/// first-detection indices are needed — it stops simulating each fault at
-/// its first detecting block.
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-) -> DetectionMatrix {
-    detection_matrix_multi_on::<W>(network, faults, tests, Backend::active())
-}
-
-/// [`detection_matrix_multi_wide`] pinned to an explicit lane-ops
-/// [`Backend`] — the matrix is identical for every backend and width.
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_multi_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-) -> DetectionMatrix {
-    detection_matrix_multi_packed_on::<W, BitString>(network, faults, tests, backend)
-}
-
-/// [`detection_matrix_multi_packed_on`] on [`Backend::active`].
-#[must_use]
-pub fn detection_matrix_multi_packed<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-) -> DetectionMatrix {
-    detection_matrix_multi_packed_on::<W, P>(network, faults, tests, Backend::active())
-}
-
-/// The packing-generic matrix core: [`detection_matrix_multi_on`] over any
-/// [`TestVector`] representation.  With `P = BitString` this *is* the
-/// `n ≤ 64` fast path (the named entry points monomorphise to it); with
-/// `P = ChannelVec`(`sortnet_combinat::ChannelVec`) the same sweep crosses
-/// the 64-line wall — the lane dimension of [`WideBlock`] is line-indexed,
-/// so no kernel changes, only the pack/extract boundary differs.
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_multi_packed_on<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-) -> DetectionMatrix {
-    let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let words_per_fault = tests.len().div_ceil(64).max(1);
-    let mut bits = vec![0u64; faults.len() * words_per_fault];
-    let capacity = WideBlock::<W>::capacity() as usize;
-    for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
-        let block = WideBlock::<W>::from_strings(n, chunk);
-        let words_here = chunk.len().div_ceil(64);
-        sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |_| false,
-            |fault_idx, masks: [u64; W]| {
-                let base = fault_idx * words_per_fault + block_idx * W;
-                bits[base..base + words_here].copy_from_slice(&masks[..words_here]);
-            },
-            &mut BudgetMeter::unlimited(),
-        );
-    }
-    DetectionMatrix {
-        faults: faults.to_vec(),
-        test_count: tests.len(),
-        words_per_fault,
-        bits,
-    }
-}
-
 /// ORs the live bits of a per-word detection mask into a growing row
 /// bitmap at bit position `offset` (the number of tests already recorded).
 /// `count` is the number of live vectors in the mask; bits past it are
@@ -628,205 +552,48 @@ fn append_mask_bits<const W: usize>(
     }
 }
 
-/// [`detection_matrix_multi_wide`] over a **streamed** candidate family:
-/// one wide-lane pass pulls blocks from `source`, forks every fault per
-/// block (same two-level shared-prefix sweep), and returns the
-/// faults × candidates matrix **plus the candidates themselves** in stream
-/// order — so callers (the augmentation search) can map matrix columns back
-/// to concrete vectors without materialising the family twice.
-///
-/// Chained sources ([`ChainSource`](sortnet_network::lanes::ChainSource))
-/// may produce partial blocks mid-stream; columns are indexed by cumulative
-/// vector count, so the matrix is identical to materialising the family and
-/// calling [`detection_matrix_multi_wide`].
-///
-/// # Panics
-/// Panics if a fault does not fit the network or the source's line count
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_from_source<const W: usize, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-) -> (DetectionMatrix, Vec<BitString>) {
-    detection_matrix_from_source_on(network, faults, source, Backend::active())
-}
+// ---------------------------------------------------------------------------
+// The two drivers.
+//
+// Every operation of this module is one call of one of these over some
+// `BlockSource`, under a `BudgetMeter`: the caller's budget, or
+// `BudgetMeter::unlimited()`, which admits every block and fork.
+// ---------------------------------------------------------------------------
 
-/// [`detection_matrix_from_source`] pinned to an explicit lane-ops
-/// [`Backend`].
+/// The early-exit first-detection driver: streams `source`, sweeps every
+/// still-undetected fault over each block, and records for each fault the
+/// index of its first detecting vector in the stream.  Indices are
+/// cumulative vector counts, so a partial block mid-stream indexes
+/// correctly.  A fault leaves the sweep at its first detecting block, and
+/// the stream stops as soon as every fault is detected.
 ///
-/// # Panics
-/// Panics if a fault does not fit the network or the source's line count
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_from_source_on<const W: usize, S: BlockSource<W>>(
+/// The meter is asked once per block and once per fork.  A refusal ends
+/// the sweep and discards the in-flight block's detections, so a `Some`
+/// is always exact, and after a trip a `None` means *undecided over the
+/// committed prefix*.
+fn first_detections_driver<const W: usize, S: BlockSource<W>>(
     network: &Network,
-    faults: &[MultiFault],
-    source: S,
     backend: Backend,
-) -> (DetectionMatrix, Vec<BitString>) {
-    detection_matrix_from_source_packed_on::<W, BitString, S>(network, faults, source, backend)
-}
-
-/// [`detection_matrix_from_source_packed_on`] on [`Backend::active`].
-#[must_use]
-pub fn detection_matrix_from_source_packed<const W: usize, P: TestVector, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-) -> (DetectionMatrix, Vec<P>) {
-    detection_matrix_from_source_packed_on(network, faults, source, Backend::active())
-}
-
-/// The packing-generic streamed-matrix core: [`detection_matrix_from_source_on`]
-/// over any [`TestVector`] representation, so the candidate echo crosses
-/// the 64-line wall (`P = ChannelVec`) without a second extraction pass.
-///
-/// # Panics
-/// Panics if a fault does not fit the network or the source's line count
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_from_source_packed_on<const W: usize, P: TestVector, S: BlockSource<W>>(
-    network: &Network,
     faults: &[MultiFault],
     mut source: S,
-    backend: Backend,
-) -> (DetectionMatrix, Vec<P>) {
-    let n = network.lines();
-    assert_eq!(source.lines(), n, "source line count mismatch");
-    let plan = SweepPlan::new(network, faults);
-    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); faults.len()];
-    let mut candidates: Vec<P> = Vec::new();
-    let mut block = WideBlock::<W>::zeroed(n);
-    while source.next_block(&mut block) {
-        let count = block.count() as usize;
-        let offset = candidates.len();
-        candidates.extend((0..block.count()).map(|j| block.extract_packed::<P>(j)));
-        sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |_| false,
-            |fault_idx, masks: [u64; W]| {
-                append_mask_bits(&mut rows[fault_idx], offset, &masks, count);
-            },
-            &mut BudgetMeter::unlimited(),
-        );
-    }
-    let test_count = candidates.len();
-    let words_per_fault = test_count.div_ceil(64).max(1);
-    let mut bits = vec![0u64; faults.len() * words_per_fault];
-    for (f, row) in rows.iter().enumerate() {
-        bits[f * words_per_fault..f * words_per_fault + row.len()].copy_from_slice(row);
-    }
-    (
-        DetectionMatrix {
-            faults: faults.to_vec(),
-            test_count,
-            words_per_fault,
-            bits,
-        },
-        candidates,
-    )
-}
-
-/// Single-comparator convenience for [`detection_matrix_multi_wide`]: the
-/// pre-universe API, bit-identical to it on the corresponding
-/// [`MultiFault`] slice.
-///
-/// # Panics
-/// Panics if a fault's comparator index is out of range or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn detection_matrix_wide<const W: usize>(
-    network: &Network,
-    faults: &[Fault],
-    tests: &[BitString],
-) -> DetectionMatrix {
-    let multi: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
-    detection_matrix_multi_wide::<W>(network, &multi, tests)
-}
-
-/// [`detection_matrix_wide`] at the default lane width.
-#[must_use]
-pub fn detection_matrix(
-    network: &Network,
-    faults: &[Fault],
-    tests: &[BitString],
-) -> DetectionMatrix {
-    detection_matrix_wide::<DEFAULT_WIDTH>(network, faults, tests)
-}
-
-/// For each fault of a [`MultiFault`] slice (drawn from any universe), the
-/// 0-based index of the first test in `tests` that detects it (`None` when
-/// no test does), computed at lane width `W`.
-///
-/// Semantically identical to calling
-/// [`multi_first_detection_index`](crate::universe::multi_first_detection_index)
-/// per fault, but `W × 64` tests wide with shared-prefix forking, and each
-/// fault drops out of the sweep after its first detecting block.
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn first_detections_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
+    meter: &mut BudgetMeter,
 ) -> Vec<Option<usize>> {
-    first_detections_multi_on::<W>(network, faults, tests, Backend::active())
-}
-
-/// [`first_detections_multi_wide`] pinned to an explicit lane-ops
-/// [`Backend`].
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn first_detections_multi_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-) -> Vec<Option<usize>> {
-    first_detections_multi_packed_on::<W, BitString>(network, faults, tests, backend)
-}
-
-/// The packing-generic first-detection core: [`first_detections_multi_on`]
-/// over any [`TestVector`] representation (the `n > 64` entry takes
-/// `ChannelVec` tests).
-///
-/// # Panics
-/// Panics if a fault does not fit the network or a test's length
-/// mismatches the network.
-#[must_use]
-pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-) -> Vec<Option<usize>> {
-    let n = network.lines();
     let plan = SweepPlan::new(network, faults);
     let mut first: Vec<Option<usize>> = vec![None; faults.len()];
     let mut undetected = faults.len();
-    let capacity = WideBlock::<W>::capacity() as usize;
     // The borrow of `first` inside both sweep closures is disjoint in time
     // (skip reads before record writes per fault), but the compiler cannot
     // see that — collect each block's verdicts first, in a buffer reused
     // across blocks.
     let mut hits: Vec<(usize, u32)> = Vec::with_capacity(faults.len());
-    for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
-        if undetected == 0 {
+    let mut block = WideBlock::<W>::zeroed(network.lines());
+    let mut offset = 0usize;
+    while undetected > 0 && source.next_block(&mut block) {
+        if !meter.admit_block(u64::from(block.count())) {
             break;
         }
-        let block = WideBlock::<W>::from_strings(n, chunk);
         hits.clear();
-        sweep_block_multi(
+        let swept = sweep_block_multi(
             network,
             backend,
             &plan,
@@ -838,104 +605,194 @@ pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
                     hits.push((fault_idx, j));
                 }
             },
-            &mut BudgetMeter::unlimited(),
+            meter,
         );
+        if !swept {
+            break;
+        }
         for &(fault_idx, j) in &hits {
-            first[fault_idx] = Some(block_idx * capacity + j as usize);
+            first[fault_idx] = Some(offset + j as usize);
             undetected -= 1;
         }
+        offset += block.count() as usize;
     }
     first
 }
 
-/// Single-comparator convenience for [`first_detections_multi_wide`]: the
-/// pre-universe API, identical to it on the corresponding [`MultiFault`]
-/// slice.
+/// The whole-block-commit matrix driver: streams `source`, sweeps every
+/// fault over each block, and returns the faults × vectors
+/// [`DetectionMatrix`] together with the vectors themselves, extracted as
+/// `P` in stream order.  This *candidate echo* lets callers (the
+/// augmentation search) map columns back to vectors without materialising
+/// the family twice.
+///
+/// Columns are indexed by cumulative vector count.  A block's columns and
+/// its echoed vectors are committed together, and only once the whole
+/// block has swept within the meter.  A refused block or fork discards
+/// the in-flight block, so the result is always the full matrix
+/// restricted to its first [`DetectionMatrix::test_count`] columns, with
+/// no partially swept column observable.
 ///
 /// # Panics
-/// Panics if a fault's comparator index is out of range or a test's length
+/// Panics if the source's line count mismatches the network.
+fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
+    network: &Network,
+    backend: Backend,
+    faults: &[MultiFault],
+    mut source: S,
+    meter: &mut BudgetMeter,
+) -> (DetectionMatrix, Vec<P>) {
+    assert_eq!(
+        source.lines(),
+        network.lines(),
+        "source line count mismatch"
+    );
+    let plan = SweepPlan::new(network, faults);
+    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); faults.len()];
+    let mut vectors: Vec<P> = Vec::new();
+    let mut block = WideBlock::<W>::zeroed(network.lines());
+    // Per-block scratch: every fault is recorded each block (nothing is
+    // skipped), and the masks reach `rows` only once the block commits.
+    let mut scratch = vec![[0u64; W]; faults.len()];
+    while source.next_block(&mut block) {
+        let count = block.count() as usize;
+        if !meter.admit_block(count as u64) {
+            break;
+        }
+        let swept = sweep_block_multi(
+            network,
+            backend,
+            &plan,
+            faults,
+            &block,
+            |_| false,
+            |fault_idx, masks: [u64; W]| scratch[fault_idx] = masks,
+            meter,
+        );
+        if !swept {
+            break;
+        }
+        let offset = vectors.len();
+        vectors.extend((0..block.count()).map(|j| block.extract_packed::<P>(j)));
+        for (row, masks) in rows.iter_mut().zip(&scratch) {
+            append_mask_bits(row, offset, masks, count);
+        }
+    }
+    let test_count = vectors.len();
+    let words_per_fault = test_count.div_ceil(64).max(1);
+    let mut bits = vec![0u64; faults.len() * words_per_fault];
+    for (dst, row) in bits.chunks_exact_mut(words_per_fault).zip(&rows) {
+        dst[..row.len()].copy_from_slice(row);
+    }
+    let matrix = DetectionMatrix {
+        faults: faults.to_vec(),
+        test_count,
+        words_per_fault,
+        bits,
+    };
+    (matrix, vectors)
+}
+
+/// First detections over a test slice: the early-exit driver through a
+/// [`SliceSource`].  Inputs must already be validated.  `pub(crate)` so a
+/// coverage grade (`crate::coverage`) spans its first-detection and
+/// redundancy phases with one shared meter, and the budget bounds the
+/// whole grade rather than each phase.
+pub(crate) fn first_detections_metered<const W: usize, P: TestVector>(
+    network: &Network,
+    faults: &[MultiFault],
+    tests: &[P],
+    backend: Backend,
+    meter: &mut BudgetMeter,
+) -> Vec<Option<usize>> {
+    let source = SliceSource::new(network.lines(), tests);
+    first_detections_driver::<W, _>(network, backend, faults, source, meter)
+}
+
+/// Exhaustive redundancy verdicts: the early-exit driver over all `2^n`
+/// inputs ([`RangeSource::exhaustive`]).  `Some(false)` is a witnessed
+/// detection, `Some(true)` is issued only when the meter never tripped
+/// (the whole family was swept or every fault was decided), and `None`
+/// is a fault that survived the committed prefix of a tripped sweep.
+///
+/// An empty fault slice returns at once, so it is accepted for every `n`;
+/// otherwise inputs must already be validated (`n < 32`).  `pub(crate)`
+/// for the same shared-meter reason as [`first_detections_metered`].
+pub(crate) fn redundant_faults_metered<const W: usize>(
+    network: &Network,
+    faults: &[MultiFault],
+    backend: Backend,
+    meter: &mut BudgetMeter,
+) -> Vec<Option<bool>> {
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let source = RangeSource::exhaustive(network.lines());
+    let first = first_detections_driver::<W, _>(network, backend, faults, source, meter);
+    let swept = meter.tripped().is_none();
+    first
+        .into_iter()
+        .map(|detection| match detection {
+            Some(_) => Some(false),
+            None => swept.then_some(true),
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Entry points.
+// ---------------------------------------------------------------------------
+
+/// For each fault of a [`MultiFault`] slice (drawn from any universe), the
+/// 0-based index of the first test in `tests` detecting it (`None` when no
+/// test does), at lane width `W` on `backend`: the early-exit driver over
+/// the slice under [`BudgetMeter::unlimited`].
+///
+/// Semantically identical to calling
+/// [`multi_first_detection_index`](crate::universe::multi_first_detection_index)
+/// per fault, but `W × 64` tests wide with shared-prefix forking, and each
+/// fault drops out of the sweep after its first detecting block.
+///
+/// This panicking spelling stays because the repository benchmark's
+/// adapter (`perfbench/src/engine.rs`) names it as the timed
+/// first-detection step of a grade.  The typed, budgeted form is
+/// [`first_detections_multi_budgeted_packed_on`].
+///
+/// # Panics
+/// Panics if a fault does not fit the network or a test's length
 /// mismatches the network.
 #[must_use]
-pub fn first_detections_wide<const W: usize>(
+pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
     network: &Network,
-    faults: &[Fault],
-    tests: &[BitString],
+    faults: &[MultiFault],
+    tests: &[P],
+    backend: Backend,
 ) -> Vec<Option<usize>> {
-    let multi: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
-    first_detections_multi_wide::<W>(network, &multi, tests)
+    let source = SliceSource::new(network.lines(), tests);
+    first_detections_driver::<W, _>(
+        network,
+        backend,
+        faults,
+        source,
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
-/// [`first_detections_wide`] at the default lane width.
-#[must_use]
-pub fn first_detections(
-    network: &Network,
-    faults: &[Fault],
-    tests: &[BitString],
-) -> Vec<Option<usize>> {
-    first_detections_wide::<DEFAULT_WIDTH>(network, faults, tests)
-}
-
-/// Bit-parallel redundancy check at lane width `W`: `true` iff the faulty
-/// network still sorts all `2^n` binary inputs, swept `W × 64` vectors per
-/// block with counting-pattern generation
-/// ([`WideBlock::from_range`]).
+/// Shared-prefix **batch** redundancy sweep at lane width `W` on
+/// `backend`: `flags[i]` is `true` iff the faulty network of `faults[i]`
+/// still sorts all `2^n` binary inputs.
 ///
-/// Agrees with the scalar
-/// [`is_fault_redundant`](crate::simulate::is_fault_redundant) (the
-/// proptest suite checks this) while accepting the larger `n < 32` bound of
-/// the other exhaustive bit-parallel sweeps.
-///
-/// # Panics
-/// Panics if the fault's comparator index is out of range or `n ≥ 32`.
-#[must_use]
-pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &Fault) -> bool {
-    let n = network.lines();
-    assert!(
-        fault.comparator < network.size(),
-        "fault index out of range"
-    );
-    let backend = Backend::active();
-    (0..bitparallel::sweep_block_count_wide::<W>(n)).all(|b| {
-        let (start, count) = bitparallel::sweep_block_range_wide::<W>(n, b);
-        let mut block = WideBlock::<W>::from_range(n, start, count);
-        faulty_run_block(network, fault, &mut block);
-        !lanes::mask_any(&block.unsorted_masks_with(backend))
-    })
-}
-
-/// [`is_fault_redundant_wide`] at the default lane width.
-#[must_use]
-pub fn is_fault_redundant_bitparallel(network: &Network, fault: &Fault) -> bool {
-    is_fault_redundant_wide::<DEFAULT_WIDTH>(network, fault)
-}
-
-/// Shared-prefix **batch** redundancy sweep at lane width `W`: classifies a
-/// whole fault set in one streamed `2^n` pass.
-///
-/// `flags[i]` is `true` iff the faulty network of `faults[i]` still sorts
-/// all `2^n` binary inputs.  Unlike the per-fault
-/// [`is_fault_redundant_wide`] path (which re-runs the fault-free prefix
-/// for every fault in every block), each block's fault-free prefix is
-/// evaluated incrementally once and every still-undecided fault forks from
-/// it at its site; faults shown detectable drop out of later blocks, and
-/// the sweep stops early once every fault is decided.  Agrees with the
-/// per-fault path and the scalar
+/// One streamed `2^n` pass classifies the whole fault set: each block's
+/// fault-free prefix is evaluated once and every still-undecided fault
+/// forks from it at its site, faults shown detectable drop out of later
+/// blocks, and the sweep stops once every fault is decided.  Agrees with
+/// the per-fault [`is_fault_redundant_wide`] and the scalar
 /// [`is_multi_fault_redundant`](crate::universe::is_multi_fault_redundant)
 /// (regression-pinned by the differential suite).
 ///
-/// # Panics
-/// Panics if a fault does not fit the network or `n ≥ 32` (an empty fault
-/// slice never sweeps, so it is accepted for every `n`).
-#[must_use]
-pub fn redundant_faults_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-) -> Vec<bool> {
-    redundant_faults_multi_on::<W>(network, faults, Backend::active())
-}
-
-/// [`redundant_faults_multi_wide`] pinned to an explicit lane-ops
-/// [`Backend`].
+/// This panicking spelling stays because the repository benchmark's
+/// adapter names it as the timed redundancy step of a grade.  The typed,
+/// budgeted form is [`redundant_faults_multi_budgeted_on`].
 ///
 /// # Panics
 /// Panics if a fault does not fit the network or `n ≥ 32` (an empty fault
@@ -946,77 +803,47 @@ pub fn redundant_faults_multi_on<const W: usize>(
     faults: &[MultiFault],
     backend: Backend,
 ) -> Vec<bool> {
-    if faults.is_empty() {
-        return Vec::new();
-    }
-    let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let mut redundant = vec![true; faults.len()];
-    let mut undecided = faults.len();
-    let mut hits: Vec<usize> = Vec::with_capacity(faults.len());
-    for b in 0..bitparallel::sweep_block_count_wide::<W>(n) {
-        if undecided == 0 {
-            break;
-        }
-        let (start, count) = bitparallel::sweep_block_range_wide::<W>(n, b);
-        let block = WideBlock::<W>::from_range(n, start, count);
-        hits.clear();
-        sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |fault_idx| !redundant[fault_idx],
-            |fault_idx, masks| {
-                if lanes::mask_any(&masks) {
-                    hits.push(fault_idx);
-                }
-            },
-            &mut BudgetMeter::unlimited(),
-        );
-        for &fault_idx in &hits {
-            redundant[fault_idx] = false;
-            undecided -= 1;
-        }
-    }
-    redundant
+    redundant_faults_metered::<W>(network, faults, backend, &mut BudgetMeter::unlimited())
+        .into_iter()
+        .map(|verdict| verdict == Some(true))
+        .collect()
 }
 
-/// [`redundant_faults_multi_wide`] at the default lane width.
-#[must_use]
-pub fn redundant_faults_multi(network: &Network, faults: &[MultiFault]) -> Vec<bool> {
-    redundant_faults_multi_wide::<DEFAULT_WIDTH>(network, faults)
-}
-
-/// Batch redundancy verdict for a single [`MultiFault`] at lane width `W`
-/// (a one-element [`redundant_faults_multi_wide`] sweep).
+/// The faults × vectors [`DetectionMatrix`] of a streamed family, plus the
+/// vectors themselves in stream order: the matrix driver over `source`
+/// under [`BudgetMeter::unlimited`].  Over a [`SliceSource`] this is the
+/// matrix of an explicit test list; the matrix is identical for every
+/// width, backend and source that yields the same vectors.
+///
+/// This panicking spelling stays because the repository benchmark's
+/// adapter names it as the timed candidate-matrix step of an
+/// augmentation.  The typed, budgeted form is
+/// [`detection_matrix_from_source_budgeted_on`].
 ///
 /// # Panics
-/// Panics if the fault does not fit the network or `n ≥ 32`.
+/// Panics if a fault does not fit the network, the source's line count
+/// mismatches the network, or the vectors do not fit `P`.
 #[must_use]
-pub fn is_multi_fault_redundant_wide<const W: usize>(
+pub fn detection_matrix_from_source_packed_on<const W: usize, P: TestVector, S: BlockSource<W>>(
     network: &Network,
-    fault: &MultiFault,
-) -> bool {
-    redundant_faults_multi_wide::<W>(network, std::slice::from_ref(fault))[0]
+    faults: &[MultiFault],
+    source: S,
+    backend: Backend,
+) -> (DetectionMatrix, Vec<P>) {
+    matrix_driver(
+        network,
+        backend,
+        faults,
+        source,
+        &mut BudgetMeter::unlimited(),
+    )
 }
-
-// ---------------------------------------------------------------------------
-// Typed (`try_*`) and budgeted entry points.
-//
-// The `try_*` forms validate every precondition up front and return the
-// refusal as an `EngineError` instead of panicking; the `*_budgeted`
-// forms additionally thread a `BudgetMeter` through the sweep — checked
-// at every block boundary and every fork site — and degrade to a
-// `Budgeted::Partial` that is exact for the committed prefix of tests.
-// ---------------------------------------------------------------------------
 
 /// Validates the shared preconditions of the faults × tests entry
 /// points: the network fits the packing `P` (single-word for
-/// [`BitString`], the multi-word channel cap for `ChannelVec` — see
-/// [`TestVector::ensure_packable`]), every fault fits the network and
-/// every test vector has the network's length.
+/// [`BitString`](sortnet_combinat::BitString), the multi-word channel cap
+/// for `ChannelVec` — see [`TestVector::ensure_packable`]), every fault
+/// fits the network and every test vector has the network's length.
 fn check_matrix_inputs<P: TestVector>(
     network: &Network,
     faults: &[MultiFault],
@@ -1037,299 +864,19 @@ fn check_matrix_inputs<P: TestVector>(
     Ok(())
 }
 
-/// Validates the preconditions of the exhaustive `2^n` batch sweeps:
-/// the sweep is admissible (`n < 32`) and every fault fits the network.
-/// An empty fault slice never sweeps, so it passes for every `n` (the
-/// same escape hatch the panicking path grants).
-fn check_exhaustive_inputs(network: &Network, faults: &[MultiFault]) -> Result<(), EngineError> {
-    if faults.is_empty() {
-        return Ok(());
-    }
-    error::ensure_sweepable(network.lines())?;
-    for fault in faults {
-        fault.check_in_range(network)?;
-    }
-    Ok(())
-}
-
-/// [`detection_matrix_multi_on`] with typed validation instead of
-/// panics: oversized networks, out-of-range faults and mismatched test
-/// lengths come back as an [`EngineError`].
-pub fn try_detection_matrix_multi_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-) -> Result<DetectionMatrix, EngineError> {
-    try_detection_matrix_multi_packed_on::<W, BitString>(network, faults, tests, backend)
-}
-
-/// [`try_detection_matrix_multi_on`] on [`Backend::active`].
-pub fn try_detection_matrix_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-) -> Result<DetectionMatrix, EngineError> {
-    try_detection_matrix_multi_on::<W>(network, faults, tests, Backend::active())
-}
-
-/// [`detection_matrix_multi_packed_on`] with typed validation instead of
-/// panics.  The packability guard is `P`'s own: [`BitString`] keeps the
-/// single-word `n ≤ 64` refusal, `ChannelVec` admits any `n` up to the
-/// [channel-line cap](sortnet_network::error::max_channel_lines).
-pub fn try_detection_matrix_multi_packed_on<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-) -> Result<DetectionMatrix, EngineError> {
-    check_matrix_inputs(network, faults, tests)?;
-    Ok(detection_matrix_multi_packed_on::<W, P>(
-        network, faults, tests, backend,
-    ))
-}
-
-/// [`try_detection_matrix_multi_packed_on`] on [`Backend::active`].
-pub fn try_detection_matrix_multi_packed<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-) -> Result<DetectionMatrix, EngineError> {
-    try_detection_matrix_multi_packed_on::<W, P>(network, faults, tests, Backend::active())
-}
-
-/// [`detection_matrix_from_source_on`] with typed validation instead of
-/// panics.
-pub fn try_detection_matrix_from_source_on<const W: usize, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-    backend: Backend,
-) -> Result<(DetectionMatrix, Vec<BitString>), EngineError> {
-    try_detection_matrix_from_source_packed_on::<W, BitString, S>(network, faults, source, backend)
-}
-
-/// [`try_detection_matrix_from_source_on`] on [`Backend::active`].
-pub fn try_detection_matrix_from_source<const W: usize, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-) -> Result<(DetectionMatrix, Vec<BitString>), EngineError> {
-    try_detection_matrix_from_source_on(network, faults, source, Backend::active())
-}
-
-/// [`detection_matrix_from_source_packed_on`] with typed validation
-/// instead of panics.
-pub fn try_detection_matrix_from_source_packed_on<
-    const W: usize,
-    P: TestVector,
-    S: BlockSource<W>,
->(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-    backend: Backend,
-) -> Result<(DetectionMatrix, Vec<P>), EngineError> {
-    error::ensure_same_lines(network.lines(), source.lines())?;
-    for fault in faults {
-        fault.check_in_range(network)?;
-    }
-    Ok(detection_matrix_from_source_packed_on(
-        network, faults, source, backend,
-    ))
-}
-
-/// [`try_detection_matrix_from_source_packed_on`] on [`Backend::active`].
-pub fn try_detection_matrix_from_source_packed<const W: usize, P: TestVector, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-) -> Result<(DetectionMatrix, Vec<P>), EngineError> {
-    try_detection_matrix_from_source_packed_on(network, faults, source, Backend::active())
-}
-
-/// [`first_detections_multi_on`] with typed validation instead of
-/// panics.
-pub fn try_first_detections_multi_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-) -> Result<Vec<Option<usize>>, EngineError> {
-    try_first_detections_multi_packed_on::<W, BitString>(network, faults, tests, backend)
-}
-
-/// [`try_first_detections_multi_on`] on [`Backend::active`].
-pub fn try_first_detections_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-) -> Result<Vec<Option<usize>>, EngineError> {
-    try_first_detections_multi_on::<W>(network, faults, tests, Backend::active())
-}
-
-/// [`first_detections_multi_packed_on`] with typed validation instead of
-/// panics.
-pub fn try_first_detections_multi_packed_on<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-) -> Result<Vec<Option<usize>>, EngineError> {
-    check_matrix_inputs(network, faults, tests)?;
-    Ok(first_detections_multi_packed_on::<W, P>(
-        network, faults, tests, backend,
-    ))
-}
-
-/// [`redundant_faults_multi_on`] with typed validation instead of
-/// panics.
-pub fn try_redundant_faults_multi_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    backend: Backend,
-) -> Result<Vec<bool>, EngineError> {
-    check_exhaustive_inputs(network, faults)?;
-    Ok(redundant_faults_multi_on::<W>(network, faults, backend))
-}
-
-/// [`try_redundant_faults_multi_on`] on [`Backend::active`].
-pub fn try_redundant_faults_multi_wide<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-) -> Result<Vec<bool>, EngineError> {
-    try_redundant_faults_multi_on::<W>(network, faults, Backend::active())
-}
-
-/// [`detection_matrix_multi_on`] under a [`SweepBudget`]: validated
-/// like [`try_detection_matrix_multi_on`], metered at every block
-/// boundary and fork site.
-///
-/// On a trip, the [`Budgeted::Partial`] carries a matrix over the
-/// *committed prefix* of `tests` only — [`DetectionMatrix::test_count`]
-/// reports how many.  A mid-block trip (fork budget, cancellation,
-/// deadline) discards that block's masks entirely, so no
-/// partially-swept columns are observable: the partial matrix is
-/// bit-identical to the full matrix restricted to its first
-/// `test_count` columns, making every per-fault detection count an
-/// exact lower bound.
-pub fn detection_matrix_multi_budgeted_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<DetectionMatrix>, EngineError> {
-    detection_matrix_multi_budgeted_packed_on::<W, BitString>(
-        network, faults, tests, backend, budget,
-    )
-}
-
-/// The packing-generic budgeted-matrix core:
-/// [`detection_matrix_multi_budgeted_on`] over any [`TestVector`]
-/// representation, with the same whole-block-commit guarantee.
-pub fn detection_matrix_multi_budgeted_packed_on<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<DetectionMatrix>, EngineError> {
-    check_matrix_inputs(network, faults, tests)?;
-    let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let words_per_fault = tests.len().div_ceil(64).max(1);
-    let mut bits = vec![0u64; faults.len() * words_per_fault];
-    let capacity = WideBlock::<W>::capacity() as usize;
-    let mut meter = BudgetMeter::new(budget);
-    let mut committed = 0usize;
-    // Per-block scratch: masks move into `bits` only once the whole
-    // block has swept within budget (the no-partial-rows guarantee).
-    let mut scratch = vec![[0u64; W]; faults.len()];
-    for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
-        if !meter.admit_block(chunk.len() as u64) {
-            break;
-        }
-        let block = WideBlock::<W>::from_strings(n, chunk);
-        scratch.fill([0u64; W]);
-        let swept = sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |_| false,
-            |fault_idx, masks: [u64; W]| scratch[fault_idx] = masks,
-            &mut meter,
-        );
-        if !swept {
-            break;
-        }
-        let words_here = chunk.len().div_ceil(64);
-        for (fault_idx, masks) in scratch.iter().enumerate() {
-            let base = fault_idx * words_per_fault + block_idx * W;
-            bits[base..base + words_here].copy_from_slice(&masks[..words_here]);
-        }
-        committed += chunk.len();
-    }
-    let matrix = if meter.tripped().is_some() {
-        let wpf = committed.div_ceil(64).max(1);
-        let mut partial = vec![0u64; faults.len() * wpf];
-        for (dst, src) in partial
-            .chunks_exact_mut(wpf)
-            .zip(bits.chunks_exact(words_per_fault))
-        {
-            dst.copy_from_slice(&src[..wpf]);
-        }
-        DetectionMatrix {
-            faults: faults.to_vec(),
-            test_count: committed,
-            words_per_fault: wpf,
-            bits: partial,
-        }
-    } else {
-        DetectionMatrix {
-            faults: faults.to_vec(),
-            test_count: tests.len(),
-            words_per_fault,
-            bits,
-        }
-    };
-    Ok(meter.finish(matrix))
-}
-
-/// [`detection_matrix_multi_budgeted_on`] on [`Backend::active`].
-pub fn detection_matrix_multi_budgeted<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    budget: &SweepBudget,
-) -> Result<Budgeted<DetectionMatrix>, EngineError> {
-    detection_matrix_multi_budgeted_on::<W>(network, faults, tests, Backend::active(), budget)
-}
-
-/// [`first_detections_multi_on`] under a [`SweepBudget`].
+/// [`first_detections_multi_packed_on`] with typed validation and a
+/// [`SweepBudget`], metered at every block boundary and fork site.
 ///
 /// In a [`Budgeted::Partial`], a `Some` entry is exact (the same index
 /// the unbudgeted sweep returns) and a `None` entry means *undecided
-/// over the committed prefix* — a later test may still detect the
-/// fault.  In a [`Budgeted::Complete`], `None` means what it always
-/// meant: no test detects the fault.
-pub fn first_detections_multi_budgeted_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<Vec<Option<usize>>>, EngineError> {
-    first_detections_multi_budgeted_packed_on::<W, BitString>(
-        network, faults, tests, backend, budget,
-    )
-}
-
-/// The packing-generic budgeted first-detection core:
-/// [`first_detections_multi_budgeted_on`] over any [`TestVector`]
-/// representation.
+/// over the committed prefix*: a later test may still detect the fault.
+/// In a [`Budgeted::Complete`], `None` means no test detects the fault.
+///
+/// # Errors
+/// [`EngineError::OversizedNetwork`] when the network does not fit `P`,
+/// [`EngineError::IndexOutOfRange`] for a fault that does not fit the
+/// network, [`EngineError::InputLengthMismatch`] for a test of the wrong
+/// length.
 pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: TestVector>(
     network: &Network,
     faults: &[MultiFault],
@@ -1339,86 +886,60 @@ pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: TestVector>(
 ) -> Result<Budgeted<Vec<Option<usize>>>, EngineError> {
     check_matrix_inputs(network, faults, tests)?;
     let mut meter = BudgetMeter::new(budget);
-    let first = first_detections_multi_metered::<W, P>(network, faults, tests, backend, &mut meter);
+    let first = first_detections_metered::<W, P>(network, faults, tests, backend, &mut meter);
     Ok(meter.finish(first))
 }
 
-/// The meter-threading core of [`first_detections_multi_budgeted_on`]:
-/// inputs must already be validated.  `pub(crate)` so a coverage grade
-/// (`crate::coverage`) can span its first-detection and redundancy
-/// phases with one shared meter — the budget then bounds the whole
-/// grade, not each phase separately.
-pub(crate) fn first_detections_multi_metered<const W: usize, P: TestVector>(
+/// [`redundant_faults_multi_on`] with typed validation and a
+/// [`SweepBudget`], metered at every block boundary and fork site.
+///
+/// Verdicts are three-valued while the budget may trip: `Some(false)` is
+/// a witnessed detection (the fault is *not* redundant), `Some(true)` is
+/// issued only when the meter never tripped, and `None` in a
+/// [`Budgeted::Partial`] means the fault survived the committed prefix
+/// but later inputs were never tried.  A [`Budgeted::Complete`] outcome
+/// never contains `None`.
+///
+/// # Errors
+/// [`EngineError::SweepTooLarge`] for `n ≥ 32` and
+/// [`EngineError::IndexOutOfRange`] for a fault that does not fit the
+/// network.  An empty fault slice never sweeps, so it is accepted for
+/// every `n`.
+pub fn redundant_faults_multi_budgeted_on<const W: usize>(
     network: &Network,
     faults: &[MultiFault],
-    tests: &[P],
     backend: Backend,
-    meter: &mut BudgetMeter,
-) -> Vec<Option<usize>> {
-    let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let mut first: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut undetected = faults.len();
-    let capacity = WideBlock::<W>::capacity() as usize;
-    let mut hits: Vec<(usize, u32)> = Vec::with_capacity(faults.len());
-    for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
-        if undetected == 0 {
-            break;
-        }
-        if !meter.admit_block(chunk.len() as u64) {
-            break;
-        }
-        let block = WideBlock::<W>::from_strings(n, chunk);
-        hits.clear();
-        let swept = sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |fault_idx| first[fault_idx].is_some(),
-            |fault_idx, masks| {
-                if let Some(j) = lanes::mask_first(&masks) {
-                    hits.push((fault_idx, j));
-                }
-            },
-            meter,
-        );
-        if !swept {
-            break;
-        }
-        for &(fault_idx, j) in &hits {
-            first[fault_idx] = Some(block_idx * capacity + j as usize);
-            undetected -= 1;
+    budget: &SweepBudget,
+) -> Result<Budgeted<Vec<Option<bool>>>, EngineError> {
+    if !faults.is_empty() {
+        error::ensure_sweepable(network.lines())?;
+        for fault in faults {
+            fault.check_in_range(network)?;
         }
     }
-    first
+    let mut meter = BudgetMeter::new(budget);
+    let verdicts = redundant_faults_metered::<W>(network, faults, backend, &mut meter);
+    Ok(meter.finish(verdicts))
 }
 
-/// [`first_detections_multi_budgeted_on`] on [`Backend::active`].
-pub fn first_detections_multi_budgeted<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    budget: &SweepBudget,
-) -> Result<Budgeted<Vec<Option<usize>>>, EngineError> {
-    first_detections_multi_budgeted_on::<W>(network, faults, tests, Backend::active(), budget)
-}
-
-/// [`detection_matrix_from_source_packed_on`] under a [`SweepBudget`]:
-/// the streamed candidate-matrix sweep, metered at every block boundary
-/// and fork site — this is the engine behind budgeted augmentation
-/// candidate sweeps.
+/// [`detection_matrix_from_source_packed_on`] with typed validation and a
+/// [`SweepBudget`], metered at every block boundary and fork site: the
+/// engine behind budgeted augmentation candidate sweeps, and (over a
+/// [`SliceSource`]) the budgeted matrix of an explicit test list.
 ///
-/// The whole-block-commit invariant of the other budgeted sweeps holds
-/// here too: a block's columns and its echoed candidates are committed
-/// **together, only after the block sweeps to completion** within
-/// budget.  On a trip (block budget, fork budget, deadline or
-/// cancellation) the in-flight block is discarded entirely, so the
-/// [`Budgeted::Partial`] carries a matrix and candidate list truncated
-/// to the same whole-block prefix — bit-identical to the unbudgeted
-/// sweep restricted to its first `test_count` candidates, with no
-/// partially-swept columns observable.
+/// A block's columns and its echoed vectors commit together, only after
+/// the block sweeps to completion within budget.  On a trip (block
+/// budget, fork budget, deadline or cancellation) the in-flight block is
+/// discarded, so the [`Budgeted::Partial`] carries a matrix and vector
+/// list truncated to the same whole-block prefix: bit-identical to the
+/// unbudgeted sweep restricted to its first `test_count` vectors.
+///
+/// # Errors
+/// [`EngineError::OversizedNetwork`] when the network does not fit `P`
+/// (checked before any block is pulled from the source),
+/// [`EngineError::ChannelMismatch`] when the source's line count differs
+/// from the network's, and [`EngineError::IndexOutOfRange`] for a fault
+/// that does not fit the network.
 pub fn detection_matrix_from_source_budgeted_on<
     const W: usize,
     P: TestVector,
@@ -1426,161 +947,47 @@ pub fn detection_matrix_from_source_budgeted_on<
 >(
     network: &Network,
     faults: &[MultiFault],
-    mut source: S,
+    source: S,
     backend: Backend,
     budget: &SweepBudget,
 ) -> Result<Budgeted<(DetectionMatrix, Vec<P>)>, EngineError> {
+    P::ensure_packable(network.lines())?;
     error::ensure_same_lines(network.lines(), source.lines())?;
     for fault in faults {
         fault.check_in_range(network)?;
     }
-    let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); faults.len()];
-    let mut candidates: Vec<P> = Vec::new();
     let mut meter = BudgetMeter::new(budget);
-    let mut block = WideBlock::<W>::zeroed(n);
-    // Per-block scratch: masks and candidates reach `rows`/`candidates`
-    // only once the whole block has swept within budget.
-    let mut scratch = vec![[0u64; W]; faults.len()];
-    while source.next_block(&mut block) {
-        let count = block.count() as usize;
-        if !meter.admit_block(count as u64) {
-            break;
-        }
-        scratch.fill([0u64; W]);
-        let swept = sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |_| false,
-            |fault_idx, masks: [u64; W]| scratch[fault_idx] = masks,
-            &mut meter,
-        );
-        if !swept {
-            break;
-        }
-        let offset = candidates.len();
-        candidates.extend((0..block.count()).map(|j| block.extract_packed::<P>(j)));
-        for (fault_idx, masks) in scratch.iter().enumerate() {
-            append_mask_bits(&mut rows[fault_idx], offset, masks, count);
-        }
-    }
-    let test_count = candidates.len();
-    let words_per_fault = test_count.div_ceil(64).max(1);
-    let mut bits = vec![0u64; faults.len() * words_per_fault];
-    for (f, row) in rows.iter().enumerate() {
-        bits[f * words_per_fault..f * words_per_fault + row.len()].copy_from_slice(row);
-    }
-    let matrix = DetectionMatrix {
-        faults: faults.to_vec(),
-        test_count,
-        words_per_fault,
-        bits,
-    };
-    Ok(meter.finish((matrix, candidates)))
+    let swept = matrix_driver(network, backend, faults, source, &mut meter);
+    Ok(meter.finish(swept))
 }
 
-/// [`detection_matrix_from_source_budgeted_on`] on [`Backend::active`].
-pub fn detection_matrix_from_source_budgeted<const W: usize, P: TestVector, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-    budget: &SweepBudget,
-) -> Result<Budgeted<(DetectionMatrix, Vec<P>)>, EngineError> {
-    detection_matrix_from_source_budgeted_on(network, faults, source, Backend::active(), budget)
-}
-
-/// [`redundant_faults_multi_on`] under a [`SweepBudget`]: the streamed
-/// `2^n` batch redundancy sweep, metered at every block boundary and
-/// fork site.
+/// Bit-parallel per-fault redundancy check at lane width `W`: `true` iff
+/// the faulty network still sorts all `2^n` binary inputs, swept `W × 64`
+/// vectors per block with counting-pattern generation
+/// ([`WideBlock::from_range`]).
 ///
-/// Verdicts are three-valued while the budget may trip: `Some(false)`
-/// is a witnessed detection (exact — the fault is *not* redundant),
-/// `Some(true)` is issued only when the full `2^n` family has been
-/// swept, and `None` in a [`Budgeted::Partial`] means the fault
-/// survived the committed prefix but later inputs were never tried.
-/// A [`Budgeted::Complete`] outcome never contains `None`.
-pub fn redundant_faults_multi_budgeted_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<Vec<Option<bool>>>, EngineError> {
-    check_exhaustive_inputs(network, faults)?;
-    let mut meter = BudgetMeter::new(budget);
-    let verdicts = redundant_faults_multi_metered::<W>(network, faults, backend, &mut meter);
-    Ok(meter.finish(verdicts))
-}
-
-/// The meter-threading core of [`redundant_faults_multi_budgeted_on`]:
-/// inputs must already be validated.  `pub(crate)` for the same
-/// shared-meter reason as [`first_detections_multi_metered`].
-pub(crate) fn redundant_faults_multi_metered<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    backend: Backend,
-    meter: &mut BudgetMeter,
-) -> Vec<Option<bool>> {
-    if faults.is_empty() {
-        return Vec::new();
-    }
+/// The per-fault reference the batch sweep
+/// ([`redundant_faults_multi_on`]) is regression-pinned against: it
+/// re-runs the whole network for every block instead of forking.  Agrees
+/// with the scalar [`is_fault_redundant`](crate::simulate::is_fault_redundant)
+/// (the proptest suite checks this).
+///
+/// # Panics
+/// Panics if the fault's comparator index is out of range or `n ≥ 32`.
+#[must_use]
+pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &Fault) -> bool {
     let n = network.lines();
-    let plan = SweepPlan::new(network, faults);
-    let mut verdicts: Vec<Option<bool>> = vec![None; faults.len()];
-    let mut undecided = faults.len();
-    let mut hits: Vec<usize> = Vec::with_capacity(faults.len());
-    for b in 0..bitparallel::sweep_block_count_wide::<W>(n) {
-        if undecided == 0 {
-            break;
-        }
+    assert!(
+        fault.comparator < network.size(),
+        "fault index out of range"
+    );
+    let backend = Backend::active();
+    (0..bitparallel::sweep_block_count_wide::<W>(n)).all(|b| {
         let (start, count) = bitparallel::sweep_block_range_wide::<W>(n, b);
-        if !meter.admit_block(u64::from(count)) {
-            break;
-        }
-        let block = WideBlock::<W>::from_range(n, start, count);
-        hits.clear();
-        let swept = sweep_block_multi(
-            network,
-            backend,
-            &plan,
-            faults,
-            &block,
-            |fault_idx| verdicts[fault_idx].is_some(),
-            |fault_idx, masks| {
-                if lanes::mask_any(&masks) {
-                    hits.push(fault_idx);
-                }
-            },
-            meter,
-        );
-        if !swept {
-            break;
-        }
-        for &fault_idx in &hits {
-            verdicts[fault_idx] = Some(false);
-            undecided -= 1;
-        }
-    }
-    if meter.tripped().is_none() {
-        for verdict in &mut verdicts {
-            if verdict.is_none() {
-                *verdict = Some(true);
-            }
-        }
-    }
-    verdicts
-}
-
-/// [`redundant_faults_multi_budgeted_on`] on [`Backend::active`].
-pub fn redundant_faults_multi_budgeted<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    budget: &SweepBudget,
-) -> Result<Budgeted<Vec<Option<bool>>>, EngineError> {
-    redundant_faults_multi_budgeted_on::<W>(network, faults, Backend::active(), budget)
+        let mut block = WideBlock::<W>::from_range(n, start, count);
+        faulty_run_block(network, fault, &mut block);
+        !lanes::mask_any(&block.unsorted_masks_with(backend))
+    })
 }
 
 #[cfg(test)]
@@ -1588,8 +995,37 @@ mod tests {
     use super::*;
     use crate::model::enumerate_faults;
     use crate::simulate::{detects, faulty_apply_bits, first_detection_index, is_fault_redundant};
+    use sortnet_combinat::BitString;
     use sortnet_network::bitparallel::BitBlock;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
+
+    /// The single-comparator faults of `net` as one-lesion [`MultiFault`]s.
+    fn single_faults(net: &Network) -> Vec<MultiFault> {
+        enumerate_faults(net)
+            .into_iter()
+            .map(MultiFault::from)
+            .collect()
+    }
+
+    /// The matrix of an explicit test list: the matrix driver over a
+    /// [`SliceSource`], on the active backend.
+    fn matrix<const W: usize, P: TestVector>(
+        net: &Network,
+        faults: &[MultiFault],
+        tests: &[P],
+    ) -> DetectionMatrix {
+        let source = SliceSource::new(net.lines(), tests);
+        detection_matrix_from_source_packed_on::<W, P, _>(net, faults, source, Backend::active()).0
+    }
+
+    /// First detections of an explicit test list on the active backend.
+    fn firsts<const W: usize>(
+        net: &Network,
+        faults: &[MultiFault],
+        tests: &[BitString],
+    ) -> Vec<Option<usize>> {
+        first_detections_multi_packed_on::<W, BitString>(net, faults, tests, Backend::active())
+    }
 
     #[test]
     fn faulty_run_block_matches_scalar_simulation_exhaustively() {
@@ -1632,7 +1068,7 @@ mod tests {
         let net = odd_even_merge_sort(5);
         let faults = enumerate_faults(&net);
         let tests: Vec<BitString> = BitString::all(5).collect();
-        let matrix = detection_matrix(&net, &faults, &tests);
+        let matrix = matrix::<4, _>(&net, &single_faults(&net), &tests);
         assert_eq!(matrix.fault_count(), faults.len());
         assert_eq!(matrix.test_count(), tests.len());
         for (f, fault) in faults.iter().enumerate() {
@@ -1649,16 +1085,16 @@ mod tests {
     #[test]
     fn detection_matrix_is_identical_at_every_width() {
         let net = odd_even_merge_sort(6);
-        let faults = enumerate_faults(&net);
+        let faults = single_faults(&net);
         let tests: Vec<BitString> = BitString::all_unsorted(6).collect();
-        let w1 = detection_matrix_wide::<1>(&net, &faults, &tests);
-        let w2 = detection_matrix_wide::<2>(&net, &faults, &tests);
-        let w4 = detection_matrix_wide::<4>(&net, &faults, &tests);
+        let w1 = matrix::<1, _>(&net, &faults, &tests);
+        let w2 = matrix::<2, _>(&net, &faults, &tests);
+        let w4 = matrix::<4, _>(&net, &faults, &tests);
         assert_eq!(w1, w2);
         assert_eq!(w1, w4);
         assert_eq!(
-            first_detections_wide::<1>(&net, &faults, &tests),
-            first_detections_wide::<4>(&net, &faults, &tests)
+            firsts::<1>(&net, &faults, &tests),
+            firsts::<4>(&net, &faults, &tests)
         );
     }
 
@@ -1667,7 +1103,7 @@ mod tests {
         let net = odd_even_merge_sort(5);
         let faults = enumerate_faults(&net);
         let tests: Vec<BitString> = BitString::all(5).collect();
-        let matrix = detection_matrix(&net, &faults, &tests);
+        let matrix = matrix::<4, _>(&net, &single_faults(&net), &tests);
         for (f, fault) in faults.iter().enumerate() {
             assert_eq!(
                 matrix.first_detection(f),
@@ -1684,10 +1120,10 @@ mod tests {
     #[test]
     fn first_detections_early_exit_matches_the_full_matrix() {
         let net = odd_even_merge_sort(6);
-        let faults = enumerate_faults(&net);
+        let faults = single_faults(&net);
         let tests: Vec<BitString> = BitString::all_unsorted(6).collect();
-        let matrix = detection_matrix(&net, &faults, &tests);
-        let firsts = first_detections(&net, &faults, &tests);
+        let matrix = matrix::<4, _>(&net, &faults, &tests);
+        let firsts = firsts::<4>(&net, &faults, &tests);
         for f in 0..faults.len() {
             assert_eq!(
                 firsts[f],
@@ -1703,11 +1139,6 @@ mod tests {
         let net = odd_even_merge_sort(6);
         for fault in enumerate_faults(&net) {
             let scalar = is_fault_redundant(&net, &fault);
-            assert_eq!(
-                is_fault_redundant_bitparallel(&net, &fault),
-                scalar,
-                "fault {fault:?}"
-            );
             assert_eq!(
                 is_fault_redundant_wide::<1>(&net, &fault),
                 scalar,
@@ -1752,8 +1183,8 @@ mod tests {
             let net = odd_even_merge_sort(n);
             let faults = enumerate_faults(&net);
             let multi: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
-            let batch = redundant_faults_multi_wide::<4>(&net, &multi);
-            let batch_w1 = redundant_faults_multi_wide::<1>(&net, &multi);
+            let batch = redundant_faults_multi_on::<4>(&net, &multi, Backend::active());
+            let batch_w1 = redundant_faults_multi_on::<1>(&net, &multi, Backend::Scalar);
             assert_eq!(batch, batch_w1, "n={n}: width must not change verdicts");
             for (i, fault) in faults.iter().enumerate() {
                 assert_eq!(
@@ -1772,17 +1203,23 @@ mod tests {
 
     #[test]
     fn empty_batch_redundancy_sweep_is_accepted_even_beyond_the_sweep_bound() {
-        // coverage_of_universe_with(check_redundancy = true) calls the
-        // batch sweep with exactly the missed faults; when nothing was
-        // missed that slice is empty and must not trip the n < 32
-        // exhaustive-sweep assert (the old per-fault path short-circuited
-        // the same way).
+        // An exhaustive coverage grade calls the batch sweep with exactly
+        // the missed faults; when nothing was missed that slice is empty
+        // and must not trip the n < 32 exhaustive-sweep bound (the
+        // per-fault path short-circuited the same way).
         let net = odd_even_merge_sort(32);
         assert!(net.lines() >= 32);
         assert_eq!(
-            redundant_faults_multi_wide::<4>(&net, &[]),
+            redundant_faults_multi_on::<4>(&net, &[], Backend::active()),
             Vec::<bool>::new()
         );
+        let budgeted = redundant_faults_multi_budgeted_on::<4>(
+            &net,
+            &[],
+            Backend::Scalar,
+            &SweepBudget::unlimited(),
+        );
+        assert_eq!(budgeted.unwrap(), Budgeted::Complete(Vec::new()));
     }
 
     #[test]
@@ -1892,23 +1329,21 @@ mod tests {
 
     #[test]
     fn single_fault_wrappers_agree_with_the_multi_core() {
+        // The surviving single-`Fault` entry points (the block runner and
+        // the per-fault redundancy reference) agree with the multi-fault
+        // core on the corresponding one-lesion faults.
         let net = odd_even_merge_sort(6);
         let faults = enumerate_faults(&net);
-        let multi: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
-        let tests: Vec<BitString> = BitString::all_unsorted(6).collect();
-        assert_eq!(
-            detection_matrix_wide::<2>(&net, &faults, &tests),
-            detection_matrix_multi_wide::<2>(&net, &multi, &tests)
-        );
-        assert_eq!(
-            first_detections_wide::<2>(&net, &faults, &tests),
-            first_detections_multi_wide::<2>(&net, &multi, &tests)
-        );
-        for (i, fault) in multi.iter().enumerate() {
-            assert_eq!(
-                is_multi_fault_redundant_wide::<2>(&net, fault),
-                is_fault_redundant_wide::<2>(&net, &faults[i])
-            );
+        let multi = single_faults(&net);
+        let inputs: Vec<BitString> = BitString::all(6).collect();
+        let batch = redundant_faults_multi_on::<2>(&net, &multi, Backend::active());
+        for (i, fault) in faults.iter().enumerate() {
+            let mut single = WideBlock::<2>::from_strings(6, &inputs);
+            let mut lesioned = single.clone();
+            faulty_run_block(&net, fault, &mut single);
+            multi_faulty_run_block(&net, &multi[i], &mut lesioned);
+            assert_eq!(single, lesioned, "fault {fault:?}");
+            assert_eq!(batch[i], is_fault_redundant_wide::<2>(&net, fault));
         }
     }
 
@@ -1920,9 +1355,13 @@ mod tests {
         let tests: Vec<BitString> = BitString::all(6).collect();
         for universe in StandardUniverse::ALL {
             let faults: Vec<MultiFault> = universe.iter(&net).collect();
-            let expected = detection_matrix_multi_wide::<2>(&net, &faults, &tests);
-            let (streamed, candidates) =
-                detection_matrix_from_source::<2, _>(&net, &faults, RangeSource::exhaustive(6));
+            let expected = matrix::<2, _>(&net, &faults, &tests);
+            let (streamed, candidates) = detection_matrix_from_source_packed_on::<2, BitString, _>(
+                &net,
+                &faults,
+                RangeSource::exhaustive(6),
+                Backend::active(),
+            );
             assert_eq!(streamed, expected, "universe {}", universe.name());
             assert_eq!(candidates, tests, "universe {}", universe.name());
         }
@@ -1938,14 +1377,15 @@ mod tests {
             .copied()
             .chain(BitString::all_unsorted(6))
             .collect();
-        let expected = detection_matrix_multi_wide::<1>(&net, &faults, &chained);
-        let (streamed, candidates) = detection_matrix_from_source::<1, _>(
+        let expected = matrix::<1, _>(&net, &faults, &chained);
+        let (streamed, candidates) = detection_matrix_from_source_packed_on::<1, BitString, _>(
             &net,
             &faults,
             ChainSource::new(
                 IterSource::new(6, sorted),
                 IterSource::new(6, BitString::all_unsorted(6)),
             ),
+            Backend::active(),
         );
         assert_eq!(streamed, expected);
         assert_eq!(candidates, chained);
@@ -1954,9 +1394,9 @@ mod tests {
     #[test]
     fn row_words_expose_the_packed_detection_bitmap() {
         let net = odd_even_merge_sort(5);
-        let faults = enumerate_faults(&net);
+        let faults = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(5).collect();
-        let matrix = detection_matrix(&net, &faults, &tests);
+        let matrix = matrix::<4, _>(&net, &faults, &tests);
         for f in 0..faults.len() {
             let row = matrix.row_words(f);
             assert_eq!(row.len(), tests.len().div_ceil(64));
@@ -1972,32 +1412,36 @@ mod tests {
     #[test]
     fn empty_test_list_yields_an_all_clear_matrix() {
         let net = odd_even_merge_sort(4);
-        let faults = enumerate_faults(&net);
-        let matrix = detection_matrix(&net, &faults, &[]);
+        let faults = single_faults(&net);
+        let matrix = matrix::<4, BitString>(&net, &faults, &[]);
         assert_eq!(matrix.test_count(), 0);
         for f in 0..faults.len() {
             assert!(!matrix.detected(f));
             assert_eq!(matrix.first_detection(f), None);
         }
-        assert_eq!(
-            first_detections(&net, &faults, &[]),
-            vec![None; faults.len()]
-        );
+        assert_eq!(firsts::<4>(&net, &faults, &[]), vec![None; faults.len()]);
     }
 
     #[test]
     fn try_variants_reject_bad_inputs_and_match_the_panicking_engine() {
+        // The typed (budgeted) forms refuse bad inputs with typed errors,
+        // and on valid inputs match the unchecked, panicking spellings.
+        use sortnet_network::lanes::RangeSource;
         let net = odd_even_merge_sort(5);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all_unsorted(5).collect();
+        let unlimited = SweepBudget::unlimited();
         let bad = vec![BitString::from_word(0, 4)];
         assert_eq!(
-            try_detection_matrix_multi_wide::<2>(&net, &multi, &bad).unwrap_err(),
-            sortnet_network::EngineError::InputLengthMismatch {
+            first_detections_multi_budgeted_packed_on::<2, BitString>(
+                &net,
+                &multi,
+                &bad,
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap_err(),
+            EngineError::InputLengthMismatch {
                 expected: 5,
                 actual: 4
             }
@@ -2007,89 +1451,168 @@ mod tests {
             kind: FaultKind::StuckPass,
         });
         assert!(matches!(
-            try_first_detections_multi_wide::<1>(&net, &[rogue], &tests).unwrap_err(),
-            sortnet_network::EngineError::IndexOutOfRange { .. }
+            first_detections_multi_budgeted_packed_on::<1, BitString>(
+                &net,
+                &[rogue],
+                &tests,
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap_err(),
+            EngineError::IndexOutOfRange { .. }
         ));
-        assert_eq!(
-            try_detection_matrix_multi_wide::<2>(&net, &multi, &tests).unwrap(),
-            detection_matrix_multi_wide::<2>(&net, &multi, &tests)
-        );
-        assert_eq!(
-            try_first_detections_multi_wide::<2>(&net, &multi, &tests).unwrap(),
-            first_detections_multi_wide::<2>(&net, &multi, &tests)
-        );
-        assert_eq!(
-            try_redundant_faults_multi_wide::<2>(&net, &multi).unwrap(),
-            redundant_faults_multi_wide::<2>(&net, &multi)
-        );
-        // The empty-slice escape hatch of the panicking path survives.
+        assert!(matches!(
+            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+                &net,
+                &[rogue],
+                SliceSource::new(5, &tests),
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap_err(),
+            EngineError::IndexOutOfRange { .. }
+        ));
+        assert!(matches!(
+            redundant_faults_multi_budgeted_on::<1>(&net, &[rogue], Backend::Scalar, &unlimited)
+                .unwrap_err(),
+            EngineError::IndexOutOfRange { .. }
+        ));
+        // The exhaustive bound is typed, and the empty-slice escape hatch
+        // of the unchecked path survives.
         let huge = odd_even_merge_sort(32);
+        let huge_faults = single_faults(&huge);
         assert_eq!(
-            try_redundant_faults_multi_wide::<2>(&huge, &[]).unwrap(),
-            []
+            redundant_faults_multi_budgeted_on::<2>(
+                &huge,
+                &huge_faults[..1],
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap_err(),
+            EngineError::SweepTooLarge { lines: 32 }
+        );
+        assert_eq!(
+            redundant_faults_multi_budgeted_on::<2>(&huge, &[], Backend::Scalar, &unlimited)
+                .unwrap(),
+            Budgeted::Complete(Vec::new())
+        );
+        // Valid inputs reproduce the unchecked entry points.
+        assert_eq!(
+            first_detections_multi_budgeted_packed_on::<2, BitString>(
+                &net,
+                &multi,
+                &tests,
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap(),
+            Budgeted::Complete(firsts::<2>(&net, &multi, &tests))
+        );
+        let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::active());
+        assert_eq!(
+            redundant_faults_multi_budgeted_on::<2>(&net, &multi, Backend::Scalar, &unlimited)
+                .unwrap(),
+            Budgeted::Complete(full.into_iter().map(Some).collect())
         );
         // Streamed matrices validate the source's line count.
-        use sortnet_network::lanes::RangeSource;
         assert!(matches!(
-            try_detection_matrix_from_source::<1, _>(&net, &multi, RangeSource::exhaustive(6))
-                .unwrap_err(),
-            sortnet_network::EngineError::ChannelMismatch {
+            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+                &net,
+                &multi,
+                RangeSource::exhaustive(6),
+                Backend::Scalar,
+                &unlimited
+            )
+            .unwrap_err(),
+            EngineError::ChannelMismatch {
                 expected: 5,
                 actual: 6
             }
         ));
-        let (streamed, candidates) =
-            try_detection_matrix_from_source::<1, _>(&net, &multi, RangeSource::exhaustive(5))
-                .unwrap();
+        let (streamed, candidates) = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+            &net,
+            &multi,
+            RangeSource::exhaustive(5),
+            Backend::Scalar,
+            &unlimited,
+        )
+        .unwrap()
+        .into_value();
         let all: Vec<BitString> = BitString::all(5).collect();
         assert_eq!(candidates, all);
-        assert_eq!(
-            streamed,
-            detection_matrix_multi_wide::<1>(&net, &multi, &all)
+        assert_eq!(streamed, matrix::<1, _>(&net, &multi, &all));
+    }
+
+    #[test]
+    fn typed_matrix_refuses_bitstring_vectors_past_64_lines() {
+        // Echoing 96-line candidates as one-word `BitString`s cannot work;
+        // the budgeted matrix must refuse before pulling a block instead
+        // of panicking mid-sweep.
+        use crate::universe::{FaultUniverse, StuckLine};
+        use sortnet_combinat::ChannelVec;
+        use sortnet_network::lanes::IterSource;
+        let n = 96;
+        let net = odd_even_merge_sort(n);
+        let faults: Vec<MultiFault> = StuckLine.iter(&net).take(4).collect();
+        let sorted: Vec<ChannelVec> = (0..=n).map(|k| ChannelVec::sorted_of(n - k, k)).collect();
+        let refused = detection_matrix_from_source_budgeted_on::<4, BitString, _>(
+            &net,
+            &faults,
+            IterSource::new(n, sorted.clone()),
+            Backend::Scalar,
+            &SweepBudget::unlimited(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(refused, EngineError::OversizedNetwork { .. }),
+            "{refused:?}"
         );
+        // The same sweep echoing `ChannelVec`s runs.
+        let (matrix, echoed) = detection_matrix_from_source_budgeted_on::<4, ChannelVec, _>(
+            &net,
+            &faults,
+            IterSource::new(n, sorted.clone()),
+            Backend::Scalar,
+            &SweepBudget::unlimited(),
+        )
+        .unwrap()
+        .into_value();
+        assert_eq!(echoed, sorted);
+        assert_eq!(matrix.test_count(), n + 1);
     }
 
     #[test]
     fn budgeted_matrix_partial_is_an_exact_prefix_of_the_full_matrix() {
         use sortnet_network::budget::BudgetReason;
         let net = odd_even_merge_sort(7);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(7).collect(); // 128 = two W=1 blocks
-        let full = detection_matrix_multi_on::<1>(&net, &multi, &tests, Backend::Scalar);
-        let complete = detection_matrix_multi_budgeted_on::<1>(
-            &net,
-            &multi,
-            &tests,
-            Backend::Scalar,
-            &SweepBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(complete, Budgeted::Complete(full));
-        let partial = detection_matrix_multi_budgeted_on::<1>(
-            &net,
-            &multi,
-            &tests,
-            Backend::Scalar,
-            &SweepBudget::unlimited().with_max_blocks(1),
-        )
-        .unwrap();
-        match partial {
+        let budgeted = |budget: &SweepBudget| {
+            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+                &net,
+                &multi,
+                SliceSource::new(7, &tests),
+                Backend::Scalar,
+                budget,
+            )
+            .unwrap()
+        };
+        let full = matrix::<1, _>(&net, &multi, &tests);
+        assert_eq!(
+            budgeted(&SweepBudget::unlimited()),
+            Budgeted::Complete((full, tests.clone()))
+        );
+        match budgeted(&SweepBudget::unlimited().with_max_blocks(1)) {
             Budgeted::Partial {
                 progress,
                 reason,
-                best_so_far,
+                best_so_far: (matrix, echoed),
             } => {
                 assert_eq!(reason, BudgetReason::Blocks);
                 assert_eq!(progress.blocks, 1);
                 assert_eq!(progress.vectors, 64);
-                assert_eq!(
-                    best_so_far,
-                    detection_matrix_multi_on::<1>(&net, &multi, &tests[..64], Backend::Scalar)
-                );
+                assert_eq!(echoed, tests[..64]);
+                assert_eq!(matrix, self::matrix::<1, _>(&net, &multi, &tests[..64]));
             }
             Budgeted::Complete(_) => panic!("a one-block budget must trip on two blocks"),
         }
@@ -2099,17 +1622,13 @@ mod tests {
     fn a_fork_trip_discards_the_inflight_block_entirely() {
         use sortnet_network::budget::BudgetReason;
         let net = odd_even_merge_sort(6);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         assert!(multi.len() > 3);
         let tests: Vec<BitString> = BitString::all(6).collect();
-        let out = detection_matrix_multi_budgeted_on::<1>(
+        let out = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
             &net,
             &multi,
-            &tests,
+            SliceSource::new(6, &tests),
             Backend::Scalar,
             &SweepBudget::unlimited().with_max_forks(3),
         )
@@ -2117,13 +1636,14 @@ mod tests {
         match out {
             Budgeted::Partial {
                 reason,
-                best_so_far,
+                best_so_far: (best_so_far, echoed),
                 ..
             } => {
                 // The fork budget tripped inside the first block, so the
                 // partial matrix must not expose any of its columns.
                 assert_eq!(reason, BudgetReason::Forks);
                 assert_eq!(best_so_far.test_count(), 0);
+                assert!(echoed.is_empty());
                 assert!((0..multi.len()).all(|f| !best_so_far.detected(f)));
             }
             Budgeted::Complete(_) => panic!("a three-fork budget must trip"),
@@ -2133,14 +1653,10 @@ mod tests {
     #[test]
     fn budgeted_first_detections_are_exact_inside_the_committed_prefix() {
         let net = odd_even_merge_sort(7);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all_unsorted(7).collect();
-        let full = first_detections_multi_on::<1>(&net, &multi, &tests, Backend::Scalar);
-        let out = first_detections_multi_budgeted_on::<1>(
+        let full = firsts::<1>(&net, &multi, &tests);
+        let out = first_detections_multi_budgeted_packed_on::<1, BitString>(
             &net,
             &multi,
             &tests,
@@ -2163,11 +1679,7 @@ mod tests {
     #[test]
     fn budgeted_redundancy_degrades_to_three_valued_verdicts() {
         let net = odd_even_merge_sort(6);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let full = redundant_faults_multi_on::<1>(&net, &multi, Backend::Scalar);
         let complete = redundant_faults_multi_budgeted_on::<1>(
             &net,
@@ -2226,13 +1738,14 @@ mod tests {
             ChannelVec::from_fn(n, |i| i % 2 == 0),
             ChannelVec::from_fn(n, |i| (32..66).contains(&i)),
         ];
-        let w1 = detection_matrix_multi_packed_on::<1, ChannelVec>(
+        let w1 = detection_matrix_from_source_packed_on::<1, ChannelVec, _>(
             &net,
             &faults,
-            &tests,
+            SliceSource::new(n, &tests),
             Backend::Scalar,
-        );
-        let w4 = detection_matrix_multi_packed::<4, ChannelVec>(&net, &faults, &tests);
+        )
+        .0;
+        let w4 = matrix::<4, ChannelVec>(&net, &faults, &tests);
         assert_eq!(w1, w4, "channel matrix must be width-independent");
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
@@ -2244,8 +1757,15 @@ mod tests {
             }
         }
         assert_eq!(
-            try_detection_matrix_multi_packed::<1, ChannelVec>(&net, &faults, &tests).unwrap(),
-            w1
+            detection_matrix_from_source_budgeted_on::<1, ChannelVec, _>(
+                &net,
+                &faults,
+                SliceSource::new(n, &tests),
+                Backend::Scalar,
+                &SweepBudget::unlimited()
+            )
+            .unwrap(),
+            Budgeted::Complete((w1.clone(), tests.clone()))
         );
         assert_eq!(
             first_detections_multi_packed_on::<2, ChannelVec>(
@@ -2265,11 +1785,7 @@ mod tests {
         use sortnet_network::budget::BudgetReason;
         use sortnet_network::lanes::IterSource;
         let net = odd_even_merge_sort(7);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(7).collect(); // 128 = two W=1 blocks
         let (full, all) = detection_matrix_from_source_packed_on::<1, BitString, _>(
             &net,
@@ -2305,10 +1821,7 @@ mod tests {
                 // Whole-block commit: exactly one block of candidates, and
                 // the matrix is the full matrix restricted to that prefix.
                 assert_eq!(candidates, tests[..64]);
-                assert_eq!(
-                    matrix,
-                    detection_matrix_multi_on::<1>(&net, &multi, &tests[..64], Backend::Scalar)
-                );
+                assert_eq!(matrix, self::matrix::<1, _>(&net, &multi, &tests[..64]));
             }
             Budgeted::Complete(_) => panic!("a one-block budget must trip on two blocks"),
         }
@@ -2319,11 +1832,7 @@ mod tests {
         use sortnet_network::budget::{BudgetReason, CancelToken};
         use sortnet_network::lanes::IterSource;
         let net = odd_even_merge_sort(6);
-        let multi: Vec<MultiFault> = enumerate_faults(&net)
-            .iter()
-            .copied()
-            .map(MultiFault::from)
-            .collect();
+        let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(6).collect();
         // A pre-cancelled token: the very first admission poll must trip,
         // and the whole-block-commit rule then demands an empty matrix —

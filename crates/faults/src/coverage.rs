@@ -1,30 +1,41 @@
 //! Fault-coverage analysis: how well a sequence of test inputs detects a
 //! fault universe of a network (experiment E10).
 //!
-//! Coverage is universe-generic: [`coverage_of_universe_with`] grades a
-//! test sequence against any [`FaultUniverse`] (single-comparator faults,
-//! stuck-at lines, fault pairs), on either the scalar oracle engine or the
-//! bit-parallel engine at a chosen lane width.  The historical
-//! single-comparator entry points ([`coverage_of_tests`],
-//! [`coverage_of_tests_with`]) are thin wrappers over the
-//! [`SingleComparator`] universe.
+//! Coverage is universe-generic: a grade runs a test sequence against any
+//! [`FaultUniverse`] (single-comparator faults, stuck-at lines, fault
+//! pairs), on either the scalar oracle engine or the bit-parallel engine
+//! at a chosen lane width, and classifies the faults it misses under a
+//! [`RedundancyMode`].
+//!
+//! Every grade is one metered run: [`check_coverage_inputs`] admits or
+//! refuses it with a typed [`EngineError`], the first-detection and
+//! redundancy phases share one [`BudgetMeter`] (the caller's budget, or
+//! an unlimited one), and [`summarise_verdicts`] folds the per-fault
+//! verdicts into a [`CoverageReport`].  The bit-parallel phases are the
+//! early-exit sweeps of [`crate::bitsim`]; the redundancy phase is
+//! [`redundancy_verdicts_on`], which the oracle service shares across a
+//! shard of queries.
+//!
+//! * [`coverage_of_universe_budgeted_packed_with`] — the grade, under a
+//!   [`SweepBudget`] and on an explicit lane-ops [`Backend`];
+//! * [`try_coverage_of_universe_packed_with`] — the same grade unbudgeted,
+//!   on [`Backend::active`].
+//!
+//! Both are generic over the [`TestVector`] packing of the tests:
+//! `BitString` for `n ≤ 64`, `ChannelVec` past the 64-line wall.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use sortnet_combinat::BitString;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily, DEFAULT_WIDTH};
+use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily};
 use sortnet_network::Network;
 
-use crate::bitsim::{
-    first_detections_multi_metered, first_detections_multi_packed_on,
-    redundant_faults_multi_metered, redundant_faults_multi_on,
-};
+use crate::bitsim::{first_detections_metered, redundant_faults_metered};
 use crate::universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative,
-    multi_first_detection_index_packed, FaultUniverse, MultiFault, SingleComparator, TestVector,
+    multi_first_detection_index_packed, FaultUniverse, MultiFault, TestVector,
 };
 
 /// Which simulation engine evaluates the fault universe.
@@ -34,11 +45,13 @@ use crate::universe::{
 /// cross-check them; the bit-parallel report is independent of the lane
 /// width); [`FaultSimEngine::Scalar`] is retained as the oracle the
 /// bit-parallel paths are validated against.  All engines share one
-/// redundancy-sweep bound: with `check_redundancy` both the scalar
-/// per-fault sweep ([`is_multi_fault_redundant`]) and the bit-parallel
-/// batch sweep ([`redundant_faults_multi_wide`](crate::bitsim::redundant_faults_multi_wide)) guard through the
-/// canonical `ensure_sweepable` (`n < 32`) with one pinned error text,
-/// so the engines agree on exactly which inputs are sweepable.
+/// redundancy-sweep bound: under [`RedundancyMode::Exhaustive`] both the
+/// scalar per-fault sweep ([`is_multi_fault_redundant`]) and the
+/// bit-parallel batch sweep
+/// ([`redundant_faults_multi_on`](crate::bitsim::redundant_faults_multi_on))
+/// are admitted by the canonical `ensure_sweepable` (`n < 32`) with one
+/// pinned error text, so the engines agree on exactly which inputs are
+/// sweepable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FaultSimEngine {
     /// One fault × one test per call
@@ -46,7 +59,8 @@ pub enum FaultSimEngine {
     Scalar,
     /// `W × 64` tests per pass with shared-prefix forking
     /// ([`crate::bitsim`]), at the default lane width
-    /// ([`DEFAULT_WIDTH`]`× 64 = 256` vectors per fork).
+    /// (`DEFAULT_WIDTH × 64 = 256` vectors per fork) — the same engine as
+    /// `BitParallelWide(LaneWidth::W4)`.
     #[default]
     BitParallel,
     /// Bit-parallel with an explicit lane width — `LaneWidth::W1`
@@ -54,15 +68,22 @@ pub enum FaultSimEngine {
     BitParallelWide(LaneWidth),
 }
 
+impl FaultSimEngine {
+    /// The lane width of a bit-parallel engine; `None` for the scalar one.
+    fn lane_width(self) -> Option<LaneWidth> {
+        match self {
+            Self::Scalar => None,
+            Self::BitParallel => Some(LaneWidth::W4),
+            Self::BitParallelWide(width) => Some(width),
+        }
+    }
+}
+
 /// How undetected faults are classified by a coverage grade.
 ///
-/// The historical `check_redundancy: bool` flag survives on every
-/// `BitString`-typed entry point (and converts via [`From<bool>`]:
-/// `true` is [`RedundancyMode::Exhaustive`], `false` is
-/// [`RedundancyMode::Skip`]).  The packing-generic entry points take the
-/// mode directly, because past the 64-line wall the exhaustive `2^n`
-/// sweep is never admissible and the honest alternative is *relative*
-/// classification against a named structured family.
+/// Every grade takes the mode explicitly: past the 64-line wall the
+/// exhaustive `2^n` sweep is never admissible, and the honest alternative
+/// is *relative* classification against a named structured family.
 ///
 /// Admissibility is a typed, mode-specific check
 /// ([`RedundancyMode::ensure_admissible`]) applied up front by every
@@ -87,8 +108,7 @@ pub enum FaultSimEngine {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RedundancyMode {
     /// Classify every missed fault by the exhaustive `2^n` sweep —
-    /// refused (typed) when `n ≥ 32`.  The default, matching the legacy
-    /// `check_redundancy: true` reading.
+    /// refused (typed) when `n ≥ 32`.  The default.
     #[default]
     Exhaustive,
     /// Classify every missed fault against a named [`PackedFamily`]:
@@ -129,16 +149,6 @@ impl RedundancyMode {
     }
 }
 
-impl From<bool> for RedundancyMode {
-    fn from(check_redundancy: bool) -> Self {
-        if check_redundancy {
-            Self::Exhaustive
-        } else {
-            Self::Skip
-        }
-    }
-}
-
 /// Result of running a test sequence against a fault universe.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CoverageReport {
@@ -156,7 +166,7 @@ pub struct CoverageReport {
     /// Pinned edge-case semantics: the denominator counts the faults the
     /// sequence was *obliged* to catch, so `coverage` is `1.0` **only**
     /// when that obligation is empty — an empty universe, or one whose
-    /// every fault was proven redundant (`check_redundancy`).  An empty
+    /// every fault was proven redundant by the redundancy phase.  An empty
     /// test sequence over a universe with detectable (or merely
     /// not-shown-redundant) faults reads `0.0`, never `1.0`: undetected
     /// faults land in `missed` (the default) unless a redundancy sweep
@@ -169,11 +179,11 @@ pub struct CoverageReport {
     /// Worst-case first-detection index over detected faults (1-based).
     pub max_first_detection: usize,
     /// The faults counted in `missed`, in universe-enumeration order: the
-    /// detectable (or, without `check_redundancy`, not-shown-redundant)
+    /// detectable (or, under [`RedundancyMode::Skip`], not-shown-redundant)
     /// faults the whole sequence failed to catch.
     pub missed_faults: Vec<MultiFault>,
     /// The provably undetectable faults counted in `redundant_faults`, in
-    /// universe-enumeration order; empty unless `check_redundancy` ran.
+    /// universe-enumeration order; empty under [`RedundancyMode::Skip`].
     pub undetectable_faults: Vec<MultiFault>,
     /// Provenance of the redundancy classification —
     /// [`RedundancyMode::provenance`] of the mode the grade ran under
@@ -201,14 +211,20 @@ impl CoverageReport {
     }
 }
 
-/// The bit-parallel redundancy phase at lane width `W`: one pass over
-/// exactly the faults `missed` selects — the shared-prefix batch `2^n`
-/// sweep under [`RedundancyMode::Exhaustive`], or a first-detection
-/// sweep against the family materialised as `P` under
-/// [`RedundancyMode::RelativeTo`] (redundant iff no family vector
-/// detects the fault).  Returns one verdict per fault of `faults`;
-/// faults not selected, and every fault under [`RedundancyMode::Skip`],
-/// read `false`.
+/// The bit-parallel redundancy phase at lane width `W`, under `meter`: one
+/// pass over exactly the faults `missed` selects — the shared-prefix
+/// batch `2^n` sweep under [`RedundancyMode::Exhaustive`], or an
+/// early-exit sweep over the family materialised as `P` under
+/// [`RedundancyMode::RelativeTo`] (redundant iff no family vector detects
+/// the fault).  Returns one verdict per fault of `faults`; faults not
+/// selected, and every fault under [`RedundancyMode::Skip`], read `false`.
+///
+/// A tripped meter only ever leaves faults unclassified (`false`, so they
+/// summarise as missed).  An exhaustive verdict is `true` only when the
+/// sweep finished.  Relative verdicts commit as a whole phase: an
+/// undetected fault is ambiguous between "no family vector detects it"
+/// and "the budget ran out", so if the meter tripped during (or before)
+/// the family sweep every relative verdict is dropped.
 ///
 /// Public so external batching layers (the oracle service) classify the
 /// union of several queries' missed faults through the cold path's own
@@ -227,6 +243,7 @@ pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
     missed: impl Fn(usize) -> bool,
     mode: RedundancyMode,
     backend: Backend,
+    meter: &mut BudgetMeter,
 ) -> Vec<bool> {
     let mut redundant = vec![false; faults.len()];
     if mode == RedundancyMode::Skip {
@@ -238,13 +255,19 @@ pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
     }
     let missed: Vec<MultiFault> = missed_idx.iter().map(|&i| faults[i]).collect();
     let verdicts: Vec<bool> = match mode {
-        RedundancyMode::Exhaustive => redundant_faults_multi_on::<W>(network, &missed, backend),
+        RedundancyMode::Exhaustive => {
+            redundant_faults_metered::<W>(network, &missed, backend, meter)
+                .into_iter()
+                .map(|verdict| verdict == Some(true))
+                .collect()
+        }
         RedundancyMode::RelativeTo(family) => {
             let fam: Vec<P> = family.collect(network.lines());
-            first_detections_multi_packed_on::<W, P>(network, &missed, &fam, backend)
-                .into_iter()
-                .map(|detection| detection.is_none())
-                .collect()
+            let first = first_detections_metered::<W, P>(network, &missed, &fam, backend, meter);
+            if meter.tripped().is_some() {
+                return redundant;
+            }
+            first.iter().map(Option::is_none).collect()
         }
         RedundancyMode::Skip => unreachable!("skip mode classifies nothing"),
     };
@@ -254,179 +277,29 @@ pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
     redundant
 }
 
-/// The bit-parallel per-fault results at lane width `W`: first-detection
-/// indices with early exit, then [`redundancy_verdicts_on`] over exactly
-/// the faults the whole sequence missed (same engine, same width).
-fn bitparallel_results<const W: usize, P: TestVector>(
+/// The bit-parallel per-fault results at lane width `W`, under one shared
+/// meter: first-detection indices with early exit, then
+/// [`redundancy_verdicts_on`] over exactly the faults the whole sequence
+/// missed.  Undecided faults keep `first = None, redundant = false` and
+/// therefore fold into `missed` — the conservative reading.
+fn bitparallel_results_metered<const W: usize, P: TestVector>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
     mode: RedundancyMode,
+    backend: Backend,
+    meter: &mut BudgetMeter,
 ) -> (Vec<Option<usize>>, Vec<bool>) {
-    let backend = Backend::active();
-    let first = first_detections_multi_packed_on::<W, P>(network, faults, tests, backend);
-    let redundant =
-        redundancy_verdicts_on::<W, P>(network, faults, |i| first[i].is_none(), mode, backend);
-    (first, redundant)
-}
-
-/// Runs every fault of the `universe` against the test sequence `tests`
-/// and summarises detection, using the default
-/// [`FaultSimEngine::BitParallel`] engine.
-///
-/// Set `check_redundancy` to `true` to classify undetected faults as
-/// redundant (needs an exhaustive sweep, so it is only advisable for
-/// `n ≲ 24`); with `false`, undetected faults are counted as missed.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_coverage_of_universe` and match the typed error"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-#[must_use]
-pub fn coverage_of_universe(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-) -> CoverageReport {
-    coverage_of_universe_with(
-        network,
-        universe,
-        tests,
-        check_redundancy,
-        FaultSimEngine::default(),
-    )
-}
-
-/// [`coverage_of_universe`] with an explicit engine choice — the scalar
-/// path is the cross-check oracle for the bit-parallel one.
-///
-/// The universe is enumerated (lazily) exactly once; the report's fault
-/// lists are in enumeration order for every engine, so reports from
-/// different engines are comparable with `==`.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_coverage_of_universe_with` and match the typed error"
-)]
-#[must_use]
-pub fn coverage_of_universe_with(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-    engine: FaultSimEngine,
-) -> CoverageReport {
-    // Exact-size reservation: `len` is cheap for every universe (the pair
-    // universes count conflict classes instead of enumerating), and the
-    // quadratic universes are large enough for collect-and-double to show
-    // up in the sweep benches.
-    let mut faults: Vec<MultiFault> = Vec::with_capacity(universe.len(network));
-    faults.extend(universe.iter(network));
-    coverage_of_multifaults_with(network, &faults, tests, check_redundancy, engine)
-}
-
-/// [`coverage_of_universe_with`] over an explicit, already-enumerated fault
-/// slice.
-#[must_use]
-pub fn coverage_of_multifaults_with(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[BitString],
-    check_redundancy: bool,
-    engine: FaultSimEngine,
-) -> CoverageReport {
-    coverage_of_multifaults_packed_with::<BitString>(
+    let first = first_detections_metered::<W, P>(network, faults, tests, backend, meter);
+    let redundant = redundancy_verdicts_on::<W, P>(
         network,
         faults,
-        tests,
-        check_redundancy,
-        engine,
-    )
-}
-
-/// The packing-generic coverage core: [`coverage_of_multifaults_with`]
-/// over any [`TestVector`] representation.  `P = BitString` is the
-/// monomorphised `n ≤ 64` path the named entry points delegate to;
-/// `P = ChannelVec` grades networks past the 64-line wall (where the
-/// exhaustive redundancy sweep is inadmissible and
-/// [`RedundancyMode::RelativeTo`] a named packed family is the honest
-/// classification).  The mode parameter accepts the legacy
-/// `check_redundancy` bool via `impl Into<RedundancyMode>`.
-///
-/// # Panics
-/// When the mode is inadmissible for this network
-/// ([`RedundancyMode::ensure_admissible`] — e.g. an exhaustive sweep at
-/// `n ≥ 32`), the call panics immediately at this boundary with the
-/// pinned typed-error text: callers never pay a full first-detection
-/// sweep only to be refused deep inside the redundancy phase.  The
-/// typed siblings ([`try_coverage_of_universe_packed_with`]) return
-/// the same refusal as an [`EngineError`].
-#[must_use]
-pub fn coverage_of_multifaults_packed_with<P: TestVector + Sync>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    mode: impl Into<RedundancyMode>,
-    engine: FaultSimEngine,
-) -> CoverageReport {
-    let mode = mode.into();
-    if let Err(e) = mode.ensure_admissible(network.lines()) {
-        panic!("{e}");
-    }
-    let (first, redundant): (Vec<Option<usize>>, Vec<bool>) = match engine {
-        FaultSimEngine::Scalar => {
-            let relative: Option<Vec<P>> = match mode {
-                RedundancyMode::RelativeTo(family) => Some(family.collect(network.lines())),
-                _ => None,
-            };
-            faults
-                .par_iter()
-                .map(|fault: &MultiFault| {
-                    let first = multi_first_detection_index_packed(network, fault, tests);
-                    let redundant = first.is_none()
-                        && match (&relative, mode) {
-                            (Some(fam), _) => {
-                                is_multi_fault_redundant_relative(network, fault, fam)
-                            }
-                            (None, RedundancyMode::Exhaustive) => {
-                                is_multi_fault_redundant(network, fault)
-                            }
-                            (None, _) => false,
-                        };
-                    (first, redundant)
-                })
-                .collect::<Vec<(Option<usize>, bool)>>()
-                .into_iter()
-                .unzip()
-        }
-        FaultSimEngine::BitParallel => {
-            bitparallel_results::<DEFAULT_WIDTH, P>(network, faults, tests, mode)
-        }
-        FaultSimEngine::BitParallelWide(width) => match width {
-            LaneWidth::W1 => bitparallel_results::<1, P>(network, faults, tests, mode),
-            LaneWidth::W2 => bitparallel_results::<2, P>(network, faults, tests, mode),
-            LaneWidth::W4 => bitparallel_results::<4, P>(network, faults, tests, mode),
-            LaneWidth::W8 => bitparallel_results::<8, P>(network, faults, tests, mode),
-            LaneWidth::W16 => bitparallel_results::<16, P>(network, faults, tests, mode),
-        },
-    };
-    summarise_verdicts(faults, &first, &redundant, mode)
-}
-
-/// [`coverage_of_universe_with`] over any [`TestVector`] packing: the
-/// `n > 64` entry (take `ChannelVec` tests).  The universe is enumerated
-/// once, exactly like the `BitString` path.
-#[must_use]
-pub fn coverage_of_universe_packed_with<P: TestVector + Sync>(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[P],
-    mode: impl Into<RedundancyMode>,
-    engine: FaultSimEngine,
-) -> CoverageReport {
-    let mut faults: Vec<MultiFault> = Vec::with_capacity(universe.len(network));
-    faults.extend(universe.iter(network));
-    coverage_of_multifaults_packed_with(network, &faults, tests, mode.into(), engine)
+        |i| first[i].is_none(),
+        mode,
+        backend,
+        meter,
+    );
+    (first, redundant)
 }
 
 /// Folds per-fault verdicts into a [`CoverageReport`]: `first[i]` is the
@@ -440,7 +313,8 @@ pub fn coverage_of_universe_packed_with<P: TestVector + Sync>(
 /// fault enumeration and redundancy passes across queries fold their
 /// per-query verdicts through *this* function and stay bit-identical to
 /// the cold path — reimplementing the fold is how summary statistics
-/// drift.  `redundant[i]` is read only where `first[i]` is `None`, so a
+/// drift.  The repository benchmark's adapter replays a grade through it
+/// as well.  `redundant[i]` is read only where `first[i]` is `None`, so a
 /// verdict shared across queries can be passed as it is.
 ///
 /// The `mode` the verdicts were derived under is recorded verbatim as
@@ -455,7 +329,7 @@ pub fn summarise_verdicts(
     faults: &[MultiFault],
     first: &[Option<usize>],
     redundant: &[bool],
-    mode: impl Into<RedundancyMode>,
+    mode: RedundancyMode,
 ) -> CoverageReport {
     assert_eq!(first.len(), faults.len(), "one first-detection per fault");
     assert_eq!(
@@ -507,7 +381,7 @@ pub fn summarise_verdicts(
         max_first_detection,
         missed_faults,
         undetectable_faults,
-        redundancy: mode.into().provenance(),
+        redundancy: mode.provenance(),
     }
 }
 
@@ -516,19 +390,18 @@ pub fn summarise_verdicts(
 /// Typed refusals: the network must fit the chosen packing, every test
 /// must have the network's length, the universe must be non-empty for
 /// this network (grading nothing is a caller bug —
-/// [`EngineError::EmptyUniverse`]; note the *panicking* API instead
-/// reports an empty universe as vacuously complete), its size
-/// computation must not overflow, and the redundancy mode must be
-/// admissible for this network
+/// [`EngineError::EmptyUniverse`]), its size computation must not
+/// overflow, and the redundancy mode must be admissible for this network
 /// ([`RedundancyMode::ensure_admissible`] — for
 /// [`RedundancyMode::Exhaustive`] the `2^n` sweep bound `n < 32`, the
-/// engine-independent `ensure_sweepable`), even if it later turns out
-/// no fault is missed.
+/// engine-independent `ensure_sweepable`), even if it later turns out no
+/// fault is missed.
+///
 /// Public for external batching layers (the oracle service): a batched
-/// grade that shares work across queries must admit or
-/// refuse each query by *these* rules — the same ones the cold entry
-/// points apply — or batched and cold answers diverge on the error
-/// surface.
+/// grade that shares work across queries must admit or refuse each query
+/// by *these* rules — the same ones every grade applies — or batched and
+/// cold answers diverge on the error surface.  The repository benchmark's
+/// adapter replays a grade through it as well.
 ///
 /// # Errors
 /// As listed above.
@@ -536,7 +409,7 @@ pub fn check_coverage_inputs<P: TestVector>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
-    mode: impl Into<RedundancyMode>,
+    mode: RedundancyMode,
 ) -> Result<Vec<MultiFault>, EngineError> {
     P::ensure_packable(network.lines())?;
     for test in tests {
@@ -554,114 +427,10 @@ pub fn check_coverage_inputs<P: TestVector>(
     // One canonical bound per mode for every engine: the scalar per-fault
     // sweep and the bit-parallel batch sweep agree on which inputs are
     // sweepable (and refuse with the same pinned text).
-    mode.into().ensure_admissible(network.lines())?;
+    mode.ensure_admissible(network.lines())?;
     let mut faults = Vec::with_capacity(len);
     faults.extend(universe.iter(network));
     Ok(faults)
-}
-
-/// [`coverage_of_universe_with`] with typed validation instead of
-/// panics.  The contract is deliberately stricter than the panicking
-/// path: empty universes and redundancy sweeps that *could* be refused
-/// are rejected up front.
-pub fn try_coverage_of_universe_with(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-    engine: FaultSimEngine,
-) -> Result<CoverageReport, EngineError> {
-    try_coverage_of_universe_packed_with::<BitString>(
-        network,
-        universe,
-        tests,
-        check_redundancy,
-        engine,
-    )
-}
-
-/// [`try_coverage_of_universe_with`] over any [`TestVector`] packing.
-/// `P`'s own packability guard replaces the blanket `n ≤ 64` refusal:
-/// `ChannelVec` grades are admitted up to the
-/// [channel-line cap](sortnet_network::error::max_channel_lines), though
-/// [`RedundancyMode::Exhaustive`] keeps the exhaustive-sweep bound —
-/// past the wall, classify with [`RedundancyMode::RelativeTo`] a named
-/// packed family instead.
-pub fn try_coverage_of_universe_packed_with<P: TestVector + Sync>(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[P],
-    mode: impl Into<RedundancyMode>,
-    engine: FaultSimEngine,
-) -> Result<CoverageReport, EngineError> {
-    let mode = mode.into();
-    let faults = check_coverage_inputs(network, universe, tests, mode)?;
-    Ok(coverage_of_multifaults_packed_with(
-        network, &faults, tests, mode, engine,
-    ))
-}
-
-/// [`try_coverage_of_universe_with`] on the default engine.
-pub fn try_coverage_of_universe(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-) -> Result<CoverageReport, EngineError> {
-    try_coverage_of_universe_with(
-        network,
-        universe,
-        tests,
-        check_redundancy,
-        FaultSimEngine::default(),
-    )
-}
-
-/// [`bitparallel_results`] threading one shared [`BudgetMeter`] through
-/// both sweep phases, so the budget bounds the whole grade.  Undecided
-/// faults keep `first = None, redundant = false` and therefore fold
-/// into `missed` — the conservative reading.  Under
-/// [`RedundancyMode::RelativeTo`] the relative verdicts commit as a
-/// whole phase: a `None` from the metered family sweep is ambiguous
-/// between "no family vector detects it" and "budget ran out", so if
-/// the meter tripped during (or before) the family sweep every relative
-/// verdict is dropped and the affected faults stay conservatively
-/// missed.
-fn bitparallel_results_metered<const W: usize, P: TestVector>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    mode: RedundancyMode,
-    meter: &mut BudgetMeter,
-) -> (Vec<Option<usize>>, Vec<bool>) {
-    let backend = Backend::active();
-    let first = first_detections_multi_metered::<W, P>(network, faults, tests, backend, meter);
-    let mut redundant = vec![false; faults.len()];
-    if mode != RedundancyMode::Skip {
-        let missed_idx: Vec<usize> = (0..faults.len()).filter(|&i| first[i].is_none()).collect();
-        let missed: Vec<MultiFault> = missed_idx.iter().map(|&i| faults[i]).collect();
-        match mode {
-            RedundancyMode::Exhaustive => {
-                let verdicts =
-                    redundant_faults_multi_metered::<W>(network, &missed, backend, meter);
-                for (&i, verdict) in missed_idx.iter().zip(verdicts) {
-                    redundant[i] = verdict == Some(true);
-                }
-            }
-            RedundancyMode::RelativeTo(family) => {
-                let fam: Vec<P> = family.collect(network.lines());
-                let verdicts =
-                    first_detections_multi_metered::<W, P>(network, &missed, &fam, backend, meter);
-                if meter.tripped().is_none() {
-                    for (&i, verdict) in missed_idx.iter().zip(verdicts) {
-                        redundant[i] = verdict.is_none();
-                    }
-                }
-            }
-            RedundancyMode::Skip => unreachable!(),
-        }
-    }
-    (first, redundant)
 }
 
 /// One worker's slice of a pooled budgeted scalar grade, joined back
@@ -677,7 +446,7 @@ struct ScalarChunkOutcome {
     worker: std::thread::ThreadId,
 }
 
-/// The scalar engine's budgeted grade, fanned out on the rayon-shim
+/// The scalar engine's grade, fanned out on the rayon-shim
 /// pool: the fault list is split into one contiguous chunk per worker,
 /// each chunk runs the sequential metered scan under its own
 /// [`BudgetMeter`] holding a share of the caps
@@ -699,12 +468,11 @@ fn scalar_results_pooled<P: TestVector + Sync>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
-    mode: impl Into<RedundancyMode>,
+    mode: RedundancyMode,
     budget: &SweepBudget,
     meter: &mut BudgetMeter,
     workers: Option<usize>,
 ) -> (Vec<Option<usize>>, Vec<bool>, Vec<std::thread::ThreadId>) {
-    let mode = mode.into();
     // Relative classification grades missed faults against the named
     // family; materialised once, shared read-only across workers.  Its
     // per-fault sweep is one admitted block of `fam.len()` vectors, so
@@ -781,155 +549,126 @@ fn scalar_results_pooled<P: TestVector + Sync>(
     (first, redundant, worker_ids)
 }
 
-/// [`coverage_of_universe_with`] under a [`SweepBudget`]: one meter
-/// spans the first-detection sweep *and* the redundancy sweep, so the
-/// budget bounds the whole grade rather than each phase separately.
+/// Grades `tests` against `universe` under a [`SweepBudget`], with the
+/// bit-parallel sweeps on `backend`: one meter spans the first-detection
+/// phase *and* the redundancy phase, so the budget bounds the whole grade
+/// rather than each phase separately.
 ///
-/// On a trip the [`Budgeted::Partial`] report stays conservative and
+/// The universe is enumerated exactly once; the report's fault lists are
+/// in enumeration order for every engine, so reports from different
+/// engines are comparable with `==`.
+///
+/// An unlimited budget always comes back [`Budgeted::Complete`].  On a
+/// trip the [`Budgeted::Partial`] report stays conservative and
 /// internally consistent: faults whose verdict never committed count as
-/// `missed` (never as `detected` or `redundant_faults`), so `detected`
-/// is an exact lower bound, `missed` an exact upper bound, and
-/// `coverage` a lower bound on the true ratio.  The bit-parallel
-/// engines meter per test block and per fork; the scalar engine meters
-/// per fault (each fault's full test scan is one block, its redundancy
-/// sweep another) and fans out on the rayon-shim pool with the budget
-/// split into per-worker shares ([`SweepBudget::split_shares`]) that
-/// are merged back at the join — a budgeted scalar grade keeps both
-/// the fan-out and cancellability.
-pub fn coverage_of_universe_budgeted_with(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-    engine: FaultSimEngine,
-    budget: &SweepBudget,
-) -> Result<Budgeted<CoverageReport>, EngineError> {
-    coverage_of_universe_budgeted_packed_with::<BitString>(
-        network,
-        universe,
-        tests,
-        check_redundancy,
-        engine,
-        budget,
-    )
-}
-
-/// [`coverage_of_universe_budgeted_with`] over any [`TestVector`]
-/// packing, with the same shared-meter and conservative-partial
-/// semantics.  Under [`RedundancyMode::RelativeTo`] the scalar engine
-/// meters one block of family-size vectors per missed fault; the
-/// bit-parallel engines commit the relative phase as a whole — either
-/// way a tripped budget only ever moves faults into `missed`.
+/// `missed` (never as `detected` or `redundant_faults`), so `detected` is
+/// an exact lower bound, `missed` an exact upper bound, and `coverage` a
+/// lower bound on the true ratio.  The bit-parallel engines meter per
+/// test block and per fork; the scalar engine meters per fault (each
+/// fault's full test scan is one block, its redundancy sweep another) and
+/// fans out on the rayon-shim pool with the budget split into per-worker
+/// shares ([`SweepBudget::split_shares`]) that are merged back at the
+/// join.  `backend` does not apply to the scalar engine.
+///
+/// # Errors
+/// Every refusal of [`check_coverage_inputs`], before any sweep runs.
 pub fn coverage_of_universe_budgeted_packed_with<P: TestVector + Sync>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
-    mode: impl Into<RedundancyMode>,
+    mode: RedundancyMode,
     engine: FaultSimEngine,
+    backend: Backend,
     budget: &SweepBudget,
 ) -> Result<Budgeted<CoverageReport>, EngineError> {
-    let mode = mode.into();
     let faults = check_coverage_inputs(network, universe, tests, mode)?;
     let mut meter = BudgetMeter::new(budget);
-    let (first, redundant): (Vec<Option<usize>>, Vec<bool>) = match engine {
-        FaultSimEngine::Scalar => {
+    let (first, redundant) = match engine.lane_width() {
+        None => {
             let (first, redundant, _workers) =
                 scalar_results_pooled(network, &faults, tests, mode, budget, &mut meter, None);
             (first, redundant)
         }
-        FaultSimEngine::BitParallel => bitparallel_results_metered::<DEFAULT_WIDTH, P>(
-            network, &faults, tests, mode, &mut meter,
-        ),
-        FaultSimEngine::BitParallelWide(width) => match width {
-            LaneWidth::W1 => {
-                bitparallel_results_metered::<1, P>(network, &faults, tests, mode, &mut meter)
-            }
-            LaneWidth::W2 => {
-                bitparallel_results_metered::<2, P>(network, &faults, tests, mode, &mut meter)
-            }
-            LaneWidth::W4 => {
-                bitparallel_results_metered::<4, P>(network, &faults, tests, mode, &mut meter)
-            }
-            LaneWidth::W8 => {
-                bitparallel_results_metered::<8, P>(network, &faults, tests, mode, &mut meter)
-            }
-            LaneWidth::W16 => {
-                bitparallel_results_metered::<16, P>(network, &faults, tests, mode, &mut meter)
-            }
-        },
+        Some(width) => {
+            let run = match width {
+                LaneWidth::W1 => bitparallel_results_metered::<1, P>,
+                LaneWidth::W2 => bitparallel_results_metered::<2, P>,
+                LaneWidth::W4 => bitparallel_results_metered::<4, P>,
+                LaneWidth::W8 => bitparallel_results_metered::<8, P>,
+                LaneWidth::W16 => bitparallel_results_metered::<16, P>,
+            };
+            run(network, &faults, tests, mode, backend, &mut meter)
+        }
     };
     let report = summarise_verdicts(&faults, &first, &redundant, mode);
     Ok(meter.finish(report))
 }
 
-/// [`coverage_of_universe_budgeted_with`] on the default engine.
-pub fn coverage_of_universe_budgeted(
+/// [`coverage_of_universe_budgeted_packed_with`] unbudgeted, on
+/// [`Backend::active`]: the same grade under an unlimited budget, which
+/// always completes.
+///
+/// This spelling stays because the repository benchmark's adapter
+/// (`perfbench/src/engine.rs`) times it as a whole grade.
+///
+/// # Errors
+/// Every refusal of [`check_coverage_inputs`], before any sweep runs.
+pub fn try_coverage_of_universe_packed_with<P: TestVector + Sync>(
     network: &Network,
     universe: &dyn FaultUniverse,
-    tests: &[BitString],
-    check_redundancy: bool,
-    budget: &SweepBudget,
-) -> Result<Budgeted<CoverageReport>, EngineError> {
-    coverage_of_universe_budgeted_with(
+    tests: &[P],
+    mode: RedundancyMode,
+    engine: FaultSimEngine,
+) -> Result<CoverageReport, EngineError> {
+    coverage_of_universe_budgeted_packed_with(
         network,
         universe,
         tests,
-        check_redundancy,
-        FaultSimEngine::default(),
-        budget,
+        mode,
+        engine,
+        Backend::active(),
+        &SweepBudget::unlimited(),
     )
-}
-
-/// Runs every single-comparator fault of `network` against the test
-/// sequence `tests` and summarises detection, using the default
-/// [`FaultSimEngine::BitParallel`] engine — [`coverage_of_universe`] over
-/// [`SingleComparator`].
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_coverage_of_universe` over `SingleComparator`"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-#[must_use]
-pub fn coverage_of_tests(
-    network: &Network,
-    tests: &[BitString],
-    check_redundancy: bool,
-) -> CoverageReport {
-    coverage_of_tests_with(network, tests, check_redundancy, FaultSimEngine::default())
-}
-
-/// [`coverage_of_tests`] with an explicit engine choice — the scalar path
-/// is the cross-check oracle for the bit-parallel one.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_coverage_of_universe_with` over `SingleComparator`"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-#[must_use]
-pub fn coverage_of_tests_with(
-    network: &Network,
-    tests: &[BitString],
-    check_redundancy: bool,
-    engine: FaultSimEngine,
-) -> CoverageReport {
-    coverage_of_universe_with(network, &SingleComparator, tests, check_redundancy, engine)
+    .map(Budgeted::into_value)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests keep the legacy wrappers covered until stage 3
 mod tests {
+    use super::RedundancyMode::{Exhaustive, Skip};
     use super::*;
-    use crate::universe::{StandardUniverse, StuckLine};
-    use sortnet_combinat::Permutation;
+    use crate::universe::{SingleComparator, StandardUniverse, StuckLine};
+    use sortnet_combinat::{BitString, Permutation};
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::random::NetworkSampler;
     use sortnet_testsets::sorting;
+
+    /// The unbudgeted grade, unwrapped.
+    fn grade<P: TestVector + Sync>(
+        net: &Network,
+        universe: &dyn FaultUniverse,
+        tests: &[P],
+        mode: RedundancyMode,
+        engine: FaultSimEngine,
+    ) -> CoverageReport {
+        try_coverage_of_universe_packed_with(net, universe, tests, mode, engine).unwrap()
+    }
+
+    /// The single-comparator grade on the default engine.
+    fn single(net: &Network, tests: &[BitString], mode: RedundancyMode) -> CoverageReport {
+        grade(
+            net,
+            &SingleComparator,
+            tests,
+            mode,
+            FaultSimEngine::default(),
+        )
+    }
 
     #[test]
     fn minimal_testset_achieves_full_coverage_of_detectable_faults() {
         let net = odd_even_merge_sort(6);
         let tests = sorting::binary_testset(6);
-        let report = coverage_of_tests(&net, &tests, true);
+        let report = single(&net, &tests, Exhaustive);
         assert_eq!(report.missed, 0, "{report:?}");
         assert!(report.missed_faults.is_empty());
         assert!((report.coverage - 1.0).abs() < f64::EPSILON);
@@ -943,7 +682,7 @@ mod tests {
         let net = odd_even_merge_sort(6);
         let perms = sorting::permutation_testset(6);
         let tests: Vec<_> = perms.iter().flat_map(Permutation::cover).collect();
-        let report = coverage_of_tests(&net, &tests, true);
+        let report = single(&net, &tests, Exhaustive);
         assert_eq!(report.missed, 0);
     }
 
@@ -952,7 +691,7 @@ mod tests {
         let net = odd_even_merge_sort(8);
         let mut sampler = NetworkSampler::new(5);
         let tests: Vec<_> = (0..3).map(|_| sampler.random_input(8)).collect();
-        let report = coverage_of_tests(&net, &tests, false);
+        let report = single(&net, &tests, Skip);
         assert!(report.detected + report.missed == report.total_faults);
         assert!(
             report.missed > 0,
@@ -965,7 +704,7 @@ mod tests {
     #[test]
     fn empty_test_sequence_detects_nothing() {
         let net = odd_even_merge_sort(5);
-        let report = coverage_of_tests(&net, &[], false);
+        let report = single(&net, &[], Skip);
         assert_eq!(report.detected, 0);
         assert_eq!(report.missed, report.total_faults);
         assert_eq!(report.mean_first_detection, 0.0);
@@ -977,29 +716,14 @@ mod tests {
         // coverage whenever anything was detectable — with or without the
         // redundancy sweep classifying the misses.
         let net = odd_even_merge_sort(5);
-        for check_redundancy in [false, true] {
+        for mode in [Skip, Exhaustive] {
             for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
-                let report =
-                    coverage_of_universe_with(&net, &StuckLine, &[], check_redundancy, engine);
+                let report = grade::<BitString>(&net, &StuckLine, &[], mode, engine);
                 assert_eq!(report.detected, 0);
                 assert!(report.missed > 0, "stuck-line has detectable faults");
-                assert_eq!(report.coverage, 0.0, "redundancy={check_redundancy}");
+                assert_eq!(report.coverage, 0.0, "{mode:?}");
                 assert!(!report.is_complete());
             }
-        }
-    }
-
-    #[test]
-    fn empty_universe_is_vacuously_complete() {
-        // A network with no comparators has no single-comparator faults:
-        // total_faults = 0, and completeness holds vacuously — even for an
-        // empty test sequence, because nothing was detectable to miss.
-        let net = sortnet_network::Network::empty(3);
-        for tests in [Vec::new(), sorting::binary_testset(3)] {
-            let report = coverage_of_tests(&net, &tests, true);
-            assert_eq!(report.total_faults, 0);
-            assert_eq!(report.coverage, 1.0);
-            assert!(report.is_complete());
         }
     }
 
@@ -1011,7 +735,8 @@ mod tests {
         // the redundancy sweep *proved* it, not because the sequence was
         // empty (the companion test above pins the detectable case to 0.0).
         let net = sortnet_network::Network::empty(1);
-        let report = coverage_of_universe(&net, &StuckLine, &[], true);
+        let report =
+            grade::<BitString>(&net, &StuckLine, &[], Exhaustive, FaultSimEngine::default());
         assert_eq!(report.total_faults, 2);
         assert_eq!(report.redundant_faults, 2);
         assert_eq!(report.missed, 0);
@@ -1019,7 +744,7 @@ mod tests {
         assert!(report.is_complete());
         // Without the sweep the same faults count as missed: conservative,
         // and still not read as full coverage.
-        let unchecked = coverage_of_universe(&net, &StuckLine, &[], false);
+        let unchecked = grade::<BitString>(&net, &StuckLine, &[], Skip, FaultSimEngine::default());
         assert_eq!(unchecked.coverage, 0.0);
         assert!(!unchecked.is_complete());
     }
@@ -1030,16 +755,22 @@ mod tests {
         for _ in 0..5 {
             let net = sampler.network(7, 14);
             let tests: Vec<_> = (0..20).map(|_| sampler.random_input(7)).collect();
-            for check_redundancy in [false, true] {
-                let scalar =
-                    coverage_of_tests_with(&net, &tests, check_redundancy, FaultSimEngine::Scalar);
-                let bitpar = coverage_of_tests_with(
+            for mode in [Skip, Exhaustive] {
+                let scalar = grade(
                     &net,
+                    &SingleComparator,
                     &tests,
-                    check_redundancy,
+                    mode,
+                    FaultSimEngine::Scalar,
+                );
+                let bitpar = grade(
+                    &net,
+                    &SingleComparator,
+                    &tests,
+                    mode,
                     FaultSimEngine::BitParallel,
                 );
-                assert_eq!(scalar, bitpar, "net {net} redundancy={check_redundancy}");
+                assert_eq!(scalar, bitpar, "net {net} {mode:?}");
             }
         }
     }
@@ -1048,7 +779,7 @@ mod tests {
     fn report_counts_are_consistent() {
         let net = odd_even_merge_sort(6);
         let tests = sorting::binary_testset(6);
-        let report = coverage_of_tests(&net, &tests, true);
+        let report = single(&net, &tests, Exhaustive);
         assert_eq!(
             report.detected + report.missed + report.redundant_faults,
             report.total_faults
@@ -1063,9 +794,14 @@ mod tests {
     fn universe_coverage_agrees_across_engines_on_stuck_lines() {
         let net = odd_even_merge_sort(6);
         let tests = sorting::binary_testset(6);
-        let bitpar = coverage_of_universe(&net, &StuckLine, &tests, true);
-        let scalar =
-            coverage_of_universe_with(&net, &StuckLine, &tests, true, FaultSimEngine::Scalar);
+        let bitpar = grade(
+            &net,
+            &StuckLine,
+            &tests,
+            Exhaustive,
+            FaultSimEngine::default(),
+        );
+        let scalar = grade(&net, &StuckLine, &tests, Exhaustive, FaultSimEngine::Scalar);
         assert_eq!(bitpar, scalar);
         assert_eq!(bitpar.total_faults, StuckLine.len(&net));
         // The stuck-line universe on a correct sorter has undetectable
@@ -1079,7 +815,13 @@ mod tests {
         let net = odd_even_merge_sort(4);
         let tests = sorting::binary_testset(4);
         for universe in StandardUniverse::ALL {
-            let report = coverage_of_universe(&net, &universe, &tests, true);
+            let report = grade(
+                &net,
+                &universe,
+                &tests,
+                Exhaustive,
+                FaultSimEngine::default(),
+            );
             assert_eq!(
                 report.detected + report.missed + report.redundant_faults,
                 report.total_faults,
@@ -1094,22 +836,39 @@ mod tests {
     fn try_coverage_validates_up_front_and_agrees_otherwise() {
         let net = odd_even_merge_sort(6);
         let tests = sorting::binary_testset(6);
-        // Agreement with the panicking path on a valid grade.
+        // Agreement with the budgeted grade on a valid grade.
+        let engine = FaultSimEngine::default();
         assert_eq!(
-            try_coverage_of_universe(&net, &StuckLine, &tests, true).unwrap(),
-            coverage_of_universe(&net, &StuckLine, &tests, true)
+            coverage_of_universe_budgeted_packed_with(
+                &net,
+                &StuckLine,
+                &tests,
+                Exhaustive,
+                engine,
+                Backend::Scalar,
+                &SweepBudget::unlimited()
+            )
+            .unwrap(),
+            Budgeted::Complete(grade(&net, &StuckLine, &tests, Exhaustive, engine))
         );
-        // An empty universe is a typed refusal (the panicking path reads
-        // it as vacuously complete instead).
+        // An empty universe is a typed refusal.
         let empty = sortnet_network::Network::empty(3);
         assert_eq!(
-            try_coverage_of_universe(&empty, &SingleComparator, &[], false).unwrap_err(),
+            try_coverage_of_universe_packed_with::<BitString>(
+                &empty,
+                &SingleComparator,
+                &[],
+                Skip,
+                engine
+            )
+            .unwrap_err(),
             EngineError::EmptyUniverse
         );
         // Mismatched test vectors are refused before any sweeping.
         let short = vec![BitString::from_word(0, 5)];
         assert_eq!(
-            try_coverage_of_universe(&net, &StuckLine, &short, false).unwrap_err(),
+            try_coverage_of_universe_packed_with(&net, &StuckLine, &short, Skip, engine)
+                .unwrap_err(),
             EngineError::InputLengthMismatch {
                 expected: 6,
                 actual: 5
@@ -1121,7 +880,14 @@ mod tests {
         let wide = sortnet_network::Network::empty(33);
         for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
             assert_eq!(
-                try_coverage_of_universe_with(&wide, &StuckLine, &[], true, engine).unwrap_err(),
+                try_coverage_of_universe_packed_with::<BitString>(
+                    &wide,
+                    &StuckLine,
+                    &[],
+                    Exhaustive,
+                    engine
+                )
+                .unwrap_err(),
                 EngineError::SweepTooLarge { lines: 33 },
                 "{engine:?}"
             );
@@ -1130,20 +896,18 @@ mod tests {
         // every engine — the unified guard sits at n < 32.
         let tests24 = vec![BitString::from_word(0, 24)];
         let net24 = sortnet_network::Network::from_pairs(24, &[(0, 1)]);
-        assert!(try_coverage_of_universe_with(
+        assert!(try_coverage_of_universe_packed_with(
             &net24,
             &SingleComparator,
             &tests24,
-            false,
+            Skip,
             FaultSimEngine::Scalar
         )
         .is_ok());
     }
 
     #[test]
-    fn redundancy_mode_converts_from_the_legacy_bool_and_names_itself() {
-        assert_eq!(RedundancyMode::from(true), RedundancyMode::Exhaustive);
-        assert_eq!(RedundancyMode::from(false), RedundancyMode::Skip);
+    fn redundancy_mode_names_itself_and_checks_admissibility() {
         assert_eq!(RedundancyMode::Exhaustive.provenance(), "exhaustive");
         assert_eq!(RedundancyMode::Skip.provenance(), "skipped");
         assert_eq!(
@@ -1168,12 +932,9 @@ mod tests {
     fn reports_carry_their_redundancy_provenance() {
         let net = odd_even_merge_sort(6);
         let tests = sorting::binary_testset(6);
-        assert_eq!(
-            coverage_of_tests(&net, &tests, true).redundancy,
-            "exhaustive"
-        );
-        assert_eq!(coverage_of_tests(&net, &tests, false).redundancy, "skipped");
-        let relative = coverage_of_universe_packed_with(
+        assert_eq!(single(&net, &tests, Exhaustive).redundancy, "exhaustive");
+        assert_eq!(single(&net, &tests, Skip).redundancy, "skipped");
+        let relative = grade(
             &net,
             &StuckLine,
             &tests,
@@ -1192,8 +953,8 @@ mod tests {
         let net = odd_even_merge_sort(5);
         let tests = vec![BitString::from_word(1, 5)];
         for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
-            let exhaustive = coverage_of_universe_with(&net, &StuckLine, &tests, true, engine);
-            let relative = coverage_of_universe_packed_with(
+            let exhaustive = grade(&net, &StuckLine, &tests, Exhaustive, engine);
+            let relative = grade(
                 &net,
                 &StuckLine,
                 &tests,
@@ -1224,19 +985,13 @@ mod tests {
                 PackedFamily::NecessityWitnesses,
             ] {
                 let mode = RedundancyMode::RelativeTo(family);
-                let scalar = coverage_of_universe_packed_with(
-                    &net,
-                    &StuckLine,
-                    &tests,
-                    mode,
-                    FaultSimEngine::Scalar,
-                );
+                let scalar = grade(&net, &StuckLine, &tests, mode, FaultSimEngine::Scalar);
                 for engine in [
                     FaultSimEngine::BitParallel,
                     FaultSimEngine::BitParallelWide(LaneWidth::W1),
                 ] {
                     assert_eq!(
-                        coverage_of_universe_packed_with(&net, &StuckLine, &tests, mode, engine),
+                        grade(&net, &StuckLine, &tests, mode, engine),
                         scalar,
                         "net {net} family {family} {engine:?}"
                     );
@@ -1255,13 +1010,7 @@ mod tests {
         let net = Network::from_pairs(n, &[(0, 95), (31, 64), (0, 1)]);
         let tests = vec![ChannelVec::zeros(n)];
         let mode = RedundancyMode::RelativeTo(PackedFamily::SortedStrings);
-        let scalar = coverage_of_universe_packed_with(
-            &net,
-            &StuckLine,
-            &tests,
-            mode,
-            FaultSimEngine::Scalar,
-        );
+        let scalar = grade(&net, &StuckLine, &tests, mode, FaultSimEngine::Scalar);
         assert_eq!(scalar.redundancy, "relative:sorted-strings");
         assert_eq!(
             scalar.detected + scalar.missed + scalar.redundant_faults,
@@ -1279,7 +1028,7 @@ mod tests {
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
         ] {
             assert_eq!(
-                coverage_of_universe_packed_with(&net, &StuckLine, &tests, mode, engine),
+                grade(&net, &StuckLine, &tests, mode, engine),
                 scalar,
                 "{engine:?}"
             );
@@ -1302,6 +1051,7 @@ mod tests {
             &tests,
             mode,
             FaultSimEngine::BitParallel,
+            Backend::active(),
             &SweepBudget::unlimited(),
         )
         .unwrap();
@@ -1322,6 +1072,7 @@ mod tests {
                 &[],
                 mode,
                 engine,
+                Backend::Scalar,
                 &SweepBudget::unlimited().with_cancel(token.clone()),
             )
             .unwrap();
@@ -1333,22 +1084,92 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exhaustive 2^96 sweep refused")]
     fn packed_redundancy_grade_is_refused_up_front() {
-        // Before the up-front guard, this call paid the whole n = 96
+        // Before the up-front guard, this grade paid the whole n = 96
         // first-detection sweep and only then hit `SweepTooLarge` deep in
-        // the redundancy phase; now it panics at the boundary with the
-        // same pinned text.
+        // the redundancy phase.  Now it is refused before any sweep runs:
+        // even a pre-cancelled budget, which would trip at the first
+        // block, sees the refusal and not a partial report.
         use sortnet_combinat::ChannelVec;
+        use sortnet_network::budget::CancelToken;
         let net = Network::from_pairs(96, &[(0, 95)]);
         let tests = vec![ChannelVec::zeros(96)];
-        let _ = coverage_of_universe_packed_with(
-            &net,
-            &StuckLine,
-            &tests,
-            true,
-            FaultSimEngine::BitParallel,
+        let refused = EngineError::SweepTooLarge { lines: 96 };
+        assert_eq!(
+            try_coverage_of_universe_packed_with(
+                &net,
+                &StuckLine,
+                &tests,
+                Exhaustive,
+                FaultSimEngine::BitParallel
+            )
+            .unwrap_err(),
+            refused
         );
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            coverage_of_universe_budgeted_packed_with(
+                &net,
+                &StuckLine,
+                &tests,
+                Exhaustive,
+                FaultSimEngine::BitParallel,
+                Backend::Scalar,
+                &SweepBudget::unlimited().with_cancel(token)
+            )
+            .unwrap_err(),
+            refused
+        );
+        assert!(refused
+            .to_string()
+            .contains("exhaustive 2^96 sweep refused"));
+    }
+
+    #[test]
+    fn redundancy_verdicts_classify_nothing_once_the_shared_meter_trips() {
+        // The redundancy phase the service shares with the cold path, under
+        // a caller's meter: unlimited, it reproduces the scalar verdicts;
+        // tripped (a cancelled token), it leaves every fault unclassified.
+        use sortnet_network::budget::CancelToken;
+        let net = odd_even_merge_sort(6);
+        let faults: Vec<MultiFault> = StuckLine.iter(&net).collect();
+        let family: Vec<BitString> = PackedFamily::SortedStrings.collect(6);
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = SweepBudget::unlimited().with_cancel(token);
+        for mode in [
+            Exhaustive,
+            RedundancyMode::RelativeTo(PackedFamily::SortedStrings),
+        ] {
+            let verdicts = redundancy_verdicts_on::<4, BitString>(
+                &net,
+                &faults,
+                |_| true,
+                mode,
+                Backend::Scalar,
+                &mut BudgetMeter::unlimited(),
+            );
+            for (fault, &verdict) in faults.iter().zip(&verdicts) {
+                let expected = match mode {
+                    Exhaustive => is_multi_fault_redundant(&net, fault),
+                    _ => is_multi_fault_redundant_relative(&net, fault, &family),
+                };
+                assert_eq!(verdict, expected, "{mode:?} {fault}");
+            }
+            assert!(verdicts.iter().any(|&v| v), "{mode:?}");
+            let mut meter = BudgetMeter::new(&cancelled);
+            let starved = redundancy_verdicts_on::<4, BitString>(
+                &net,
+                &faults,
+                |_| true,
+                mode,
+                Backend::Scalar,
+                &mut meter,
+            );
+            assert!(starved.iter().all(|&v| !v), "{mode:?}");
+            assert!(meter.tripped().is_some(), "{mode:?}");
+        }
     }
 
     #[test]
@@ -1364,12 +1185,13 @@ mod tests {
         // redundancy sweep is budget-refused — the guard acceptance is
         // what's under test, not the exhaustive sweep itself.
         let budget = SweepBudget::unlimited().with_max_blocks(1);
-        let scalar = coverage_of_universe_budgeted_with(
+        let scalar = coverage_of_universe_budgeted_packed_with(
             &net,
             &SingleComparator,
             &tests,
-            true,
+            Exhaustive,
             FaultSimEngine::Scalar,
+            Backend::Scalar,
             &budget,
         )
         .unwrap();
@@ -1388,19 +1210,20 @@ mod tests {
             FaultSimEngine::BitParallel,
             FaultSimEngine::BitParallelWide(LaneWidth::W1),
         ] {
-            let budgeted = coverage_of_universe_budgeted_with(
+            let budgeted = coverage_of_universe_budgeted_packed_with(
                 &net,
                 &StuckLine,
                 &tests,
-                true,
+                Exhaustive,
                 engine,
+                Backend::Scalar,
                 &SweepBudget::unlimited(),
             )
             .unwrap();
             assert!(budgeted.is_complete(), "{engine:?}");
             assert_eq!(
                 budgeted.into_value(),
-                coverage_of_universe_with(&net, &StuckLine, &tests, true, engine),
+                grade(&net, &StuckLine, &tests, Exhaustive, engine),
                 "{engine:?}"
             );
         }
@@ -1411,15 +1234,17 @@ mod tests {
         use sortnet_network::budget::CancelToken;
         let net = odd_even_merge_sort(7);
         let tests = sorting::binary_testset(7);
-        let full = coverage_of_universe(&net, &StuckLine, &tests, false);
+        let full = grade(&net, &StuckLine, &tests, Skip, FaultSimEngine::default());
         // A pre-cancelled token: nothing commits, everything reads missed.
         let token = CancelToken::new();
         token.cancel();
-        let cancelled = coverage_of_universe_budgeted(
+        let cancelled = coverage_of_universe_budgeted_packed_with(
             &net,
             &StuckLine,
             &tests,
-            false,
+            Skip,
+            FaultSimEngine::default(),
+            Backend::active(),
             &SweepBudget::unlimited().with_cancel(token),
         )
         .unwrap();
@@ -1430,12 +1255,13 @@ mod tests {
         assert!(!report.is_complete());
         // A small fork budget on the scalar-metered engine: whatever was
         // decided is exact, the rest is conservatively missed.
-        let starved = coverage_of_universe_budgeted_with(
+        let starved = coverage_of_universe_budgeted_packed_with(
             &net,
             &StuckLine,
             &tests,
-            false,
+            Skip,
             FaultSimEngine::Scalar,
+            Backend::Scalar,
             &SweepBudget::unlimited().with_max_blocks(3),
         )
         .unwrap();
@@ -1465,11 +1291,11 @@ mod tests {
         assert!(faults.len() >= 4);
 
         // Unlimited budget: ≥ 2 distinct workers, and the joined verdicts
-        // are bit-identical to the unbudgeted scalar grade.
+        // are bit-identical to the bit-parallel grade.
         let budget = SweepBudget::unlimited();
         let mut meter = BudgetMeter::new(&budget);
         let (first, redundant, workers) =
-            scalar_results_pooled(&net, &faults, &tests, false, &budget, &mut meter, Some(4));
+            scalar_results_pooled(&net, &faults, &tests, Skip, &budget, &mut meter, Some(4));
         let distinct: std::collections::HashSet<_> = workers.into_iter().collect();
         assert!(
             distinct.len() >= 2,
@@ -1478,14 +1304,8 @@ mod tests {
         );
         assert_eq!(meter.tripped(), None);
         assert_eq!(
-            summarise_verdicts(&faults, &first, &redundant, false),
-            coverage_of_multifaults_packed_with(
-                &net,
-                &faults,
-                &tests,
-                false,
-                FaultSimEngine::Scalar
-            )
+            summarise_verdicts(&faults, &first, &redundant, Skip),
+            grade(&net, &StuckLine, &tests, Skip, FaultSimEngine::BitParallel)
         );
 
         // Capped budget: the whole-block-commit invariant holds across the
@@ -1497,7 +1317,7 @@ mod tests {
         let budget = SweepBudget::unlimited().with_max_blocks(cap);
         let mut meter = BudgetMeter::new(&budget);
         let (first, _, _) =
-            scalar_results_pooled(&net, &faults, &tests, false, &budget, &mut meter, Some(4));
+            scalar_results_pooled(&net, &faults, &tests, Skip, &budget, &mut meter, Some(4));
         assert_eq!(meter.tripped(), Some(BudgetReason::Blocks));
         let progress = meter.progress();
         assert!(progress.blocks <= cap, "{progress:?}");
@@ -1524,13 +1344,7 @@ mod tests {
             ChannelVec::from_fn(n, |i| i != 63),
             ChannelVec::from_fn(n, |i| i % 3 == 1),
         ];
-        let scalar = coverage_of_universe_packed_with(
-            &net,
-            &StuckLine,
-            &tests,
-            false,
-            FaultSimEngine::Scalar,
-        );
+        let scalar = grade(&net, &StuckLine, &tests, Skip, FaultSimEngine::Scalar);
         assert_eq!(scalar.total_faults, StuckLine.len(&net));
         assert!(scalar.detected > 0, "{scalar:?}");
         for engine in [
@@ -1539,29 +1353,19 @@ mod tests {
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
         ] {
             assert_eq!(
-                coverage_of_universe_packed_with(&net, &StuckLine, &tests, false, engine),
+                grade(&net, &StuckLine, &tests, Skip, engine),
                 scalar,
                 "{engine:?}"
             );
         }
-        assert_eq!(
-            try_coverage_of_universe_packed_with(
-                &net,
-                &StuckLine,
-                &tests,
-                false,
-                FaultSimEngine::BitParallel
-            )
-            .unwrap(),
-            scalar
-        );
         // The budgeted packed grade completes under an unlimited budget.
         let budgeted = coverage_of_universe_budgeted_packed_with(
             &net,
             &StuckLine,
             &tests,
-            false,
+            Skip,
             FaultSimEngine::BitParallelWide(LaneWidth::W1),
+            Backend::Scalar,
             &SweepBudget::unlimited(),
         )
         .unwrap();

@@ -34,8 +34,8 @@
 //! selected — including the lane width — via
 //! [`coverage::FaultSimEngine`].  The bit-parallel engine's word kernels
 //! run on a runtime-selected lane-ops backend (scalar / portable-chunked /
-//! AVX2; `sortnet_network::lanes::Backend`), pinnable per sweep through
-//! the `*_on` entry points.  The bit-parallel engine is the default hot
+//! AVX2; `sortnet_network::lanes::Backend`), which every sweep entry
+//! point takes explicitly.  The bit-parallel engine is the default hot
 //! path; the scalar one is kept as its cross-check oracle (the
 //! differential-universe suite holds every universe × engine × lane width
 //! × backend to bit-identical detection matrices).
@@ -50,34 +50,14 @@ pub mod simulate;
 pub mod universe;
 
 pub use bitsim::{
-    detection_matrix, detection_matrix_from_source, detection_matrix_from_source_budgeted,
-    detection_matrix_from_source_budgeted_on, detection_matrix_from_source_on,
-    detection_matrix_from_source_packed, detection_matrix_from_source_packed_on,
-    detection_matrix_multi_budgeted, detection_matrix_multi_budgeted_on,
-    detection_matrix_multi_budgeted_packed_on, detection_matrix_multi_on,
-    detection_matrix_multi_packed, detection_matrix_multi_packed_on, detection_matrix_multi_wide,
-    detection_matrix_wide, faulty_run_block, first_detections, first_detections_multi_budgeted,
-    first_detections_multi_budgeted_on, first_detections_multi_budgeted_packed_on,
-    first_detections_multi_on, first_detections_multi_packed_on, first_detections_multi_wide,
-    first_detections_wide, is_fault_redundant_bitparallel, is_fault_redundant_wide,
-    is_multi_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi,
-    redundant_faults_multi_budgeted, redundant_faults_multi_budgeted_on, redundant_faults_multi_on,
-    redundant_faults_multi_wide, try_detection_matrix_from_source,
-    try_detection_matrix_from_source_on, try_detection_matrix_from_source_packed,
-    try_detection_matrix_from_source_packed_on, try_detection_matrix_multi_on,
-    try_detection_matrix_multi_packed, try_detection_matrix_multi_packed_on,
-    try_detection_matrix_multi_wide, try_first_detections_multi_on,
-    try_first_detections_multi_packed_on, try_first_detections_multi_wide,
-    try_redundant_faults_multi_on, try_redundant_faults_multi_wide, DetectionMatrix,
+    detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
+    faulty_run_block, first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
+    is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_budgeted_on,
+    redundant_faults_multi_on, DetectionMatrix,
 };
-#[allow(deprecated)] // the legacy wrappers stay re-exported until stage 3 reclaims them
 pub use coverage::{
-    coverage_of_multifaults_packed_with, coverage_of_multifaults_with, coverage_of_tests,
-    coverage_of_tests_with, coverage_of_universe, coverage_of_universe_budgeted,
-    coverage_of_universe_budgeted_packed_with, coverage_of_universe_budgeted_with,
-    coverage_of_universe_packed_with, coverage_of_universe_with, try_coverage_of_universe,
-    try_coverage_of_universe_packed_with, try_coverage_of_universe_with, CoverageReport,
-    FaultSimEngine, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with,
+    CoverageReport, FaultSimEngine, RedundancyMode,
 };
 pub use model::{enumerate_faults, Fault, FaultKind};
 pub use simulate::{

@@ -584,7 +584,7 @@ pub fn multi_first_detection_index_packed<P: TestVector>(
 /// `true` iff the fault is *redundant* (undetectable): the faulty network
 /// still sorts all `2^n` binary inputs.  Scalar reference sweep; the
 /// bit-parallel engine's shared-prefix batch sweep
-/// ([`crate::bitsim::redundant_faults_multi_wide`]) must agree.
+/// ([`crate::bitsim::redundant_faults_multi_on`]) must agree.
 ///
 /// # Panics
 /// Panics when the exhaustive `2^n` sweep is inadmissible (`n ≥ 32` —

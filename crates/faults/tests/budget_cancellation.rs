@@ -10,15 +10,45 @@
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
-    detection_matrix_multi_budgeted_on, detection_matrix_multi_on,
-    first_detections_multi_budgeted_on,
+    detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
+    first_detections_multi_budgeted_packed_on,
 };
-use sortnet_faults::coverage::{coverage_of_universe_budgeted_with, FaultSimEngine};
+use sortnet_faults::coverage::{
+    coverage_of_universe_budgeted_packed_with, FaultSimEngine, RedundancyMode,
+};
 use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse};
-use sortnet_faults::{BudgetReason, Budgeted, CancelToken, DetectionMatrix, SweepBudget};
+use sortnet_faults::{
+    BudgetReason, Budgeted, CancelToken, DetectionMatrix, EngineError, SweepBudget,
+};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::Backend;
+use sortnet_network::lanes::{Backend, SliceSource};
 use sortnet_network::Network;
+
+/// The unbudgeted matrix of an explicit test list.
+fn matrix_on<const W: usize>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[BitString],
+    backend: Backend,
+) -> DetectionMatrix {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_packed_on::<W, BitString, _>(net, faults, source, backend).0
+}
+
+/// The budgeted matrix of an explicit test list, without the echo.
+fn matrix_budgeted_on<const W: usize>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[BitString],
+    backend: Backend,
+    budget: &SweepBudget,
+) -> Result<Budgeted<DetectionMatrix>, EngineError> {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_budgeted_on::<W, BitString, _>(
+        net, faults, source, backend, budget,
+    )
+    .map(|swept| swept.map(|(matrix, _)| matrix))
+}
 
 fn all_inputs(n: usize) -> Vec<BitString> {
     (0..1u32 << n)
@@ -67,15 +97,15 @@ fn assert_exact_prefix(partial: &DetectionMatrix, full: &DetectionMatrix) {
 
 fn cancelled_matrix_has_no_partial_rows<const W: usize>(backend: Backend) {
     let (net, faults, tests) = fixture();
-    let full = detection_matrix_multi_on::<W>(&net, &faults, &tests, backend);
+    let full = matrix_on::<W>(&net, &faults, &tests, backend);
 
     // Pre-tripped token: the very first block admission refuses, so the
     // partial matrix must be completely empty — not one row started.
     let token = CancelToken::new();
     token.cancel();
     let budget = SweepBudget::unlimited().with_cancel(token);
-    let outcome = detection_matrix_multi_budgeted_on::<W>(&net, &faults, &tests, backend, &budget)
-        .expect("inputs are valid");
+    let outcome =
+        matrix_budgeted_on::<W>(&net, &faults, &tests, backend, &budget).expect("inputs are valid");
     let Budgeted::Partial {
         progress,
         reason,
@@ -95,8 +125,8 @@ fn cancelled_matrix_has_no_partial_rows<const W: usize>(backend: Backend) {
     // Mid-stream trip (after one committed block): the surviving rows are
     // an exact whole-block prefix of the full matrix, never a torn block.
     let budget = SweepBudget::unlimited().with_max_blocks(1);
-    let outcome = detection_matrix_multi_budgeted_on::<W>(&net, &faults, &tests, backend, &budget)
-        .expect("inputs are valid");
+    let outcome =
+        matrix_budgeted_on::<W>(&net, &faults, &tests, backend, &budget).expect("inputs are valid");
     let Budgeted::Partial {
         progress,
         reason,
@@ -139,11 +169,16 @@ fn cancelled_matrices_have_no_partial_rows_on_the_forced_scalar_backend() {
 #[test]
 fn a_token_cancelled_between_blocks_leaves_first_detections_prefix_exact() {
     let (net, faults, tests) = fixture();
-    let full = detection_matrix_multi_on::<1>(&net, &faults, &tests, Backend::active());
+    let full = matrix_on::<1>(&net, &faults, &tests, Backend::active());
     let budget = SweepBudget::unlimited().with_max_blocks(1);
-    let firsts =
-        first_detections_multi_budgeted_on::<1>(&net, &faults, &tests, Backend::active(), &budget)
-            .expect("inputs are valid");
+    let firsts = first_detections_multi_budgeted_packed_on::<1, BitString>(
+        &net,
+        &faults,
+        &tests,
+        Backend::active(),
+        &budget,
+    )
+    .expect("inputs are valid");
     let Budgeted::Partial {
         progress,
         best_so_far,
@@ -183,12 +218,13 @@ fn a_cancelled_coverage_run_is_conservative_on_every_engine_and_width() {
         FaultSimEngine::BitParallelWide(sortnet_network::lanes::LaneWidth::W1),
         FaultSimEngine::BitParallelWide(sortnet_network::lanes::LaneWidth::W8),
     ] {
-        let outcome = coverage_of_universe_budgeted_with(
+        let outcome = coverage_of_universe_budgeted_packed_with(
             &net,
             &StandardUniverse::StuckLine,
             &tests,
-            false,
+            RedundancyMode::Skip,
             engine,
+            Backend::active(),
             &budget,
         )
         .expect("inputs are valid");

@@ -22,19 +22,16 @@
 //! The `n = 8` Batcher rows double as pins for the stuck-line and
 //! fault-pair results the PR's acceptance criteria name.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
-    detection_matrix_multi_on, detection_matrix_multi_wide, first_detections_multi_wide,
-    is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_on,
-    redundant_faults_multi_wide, DetectionMatrix,
+    detection_matrix_from_source_packed_on, first_detections_multi_packed_on,
+    is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_on, DetectionMatrix,
 };
-use sortnet_faults::coverage::{coverage_of_universe_with, FaultSimEngine};
+use sortnet_faults::coverage::{
+    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+};
 use sortnet_faults::universe::{
     is_multi_fault_redundant, multi_detects, multi_first_detection_index, FaultUniverse,
     MultiFault, StandardUniverse,
@@ -42,9 +39,20 @@ use sortnet_faults::universe::{
 use sortnet_faults::{Fault, Lesion};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
-use sortnet_network::lanes::{Backend, LaneWidth, WideBlock};
+use sortnet_network::lanes::{Backend, LaneWidth, SliceSource, WideBlock};
 use sortnet_network::{Comparator, Network};
 use sortnet_testsets::sorting;
+
+/// The matrix of an explicit test list on `backend`.
+fn matrix_on<const W: usize>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[BitString],
+    backend: Backend,
+) -> DetectionMatrix {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_packed_on::<W, BitString, _>(net, faults, source, backend).0
+}
 
 /// The networks the differential suite sweeps.
 fn networks(n: usize) -> Vec<(&'static str, Network)> {
@@ -61,9 +69,9 @@ fn detection_matrices_are_width_independent_and_match_the_scalar_oracle() {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let w1 = detection_matrix_multi_wide::<1>(&net, &faults, &tests);
-                let w2 = detection_matrix_multi_wide::<2>(&net, &faults, &tests);
-                let w4 = detection_matrix_multi_wide::<4>(&net, &faults, &tests);
+                let w1 = matrix_on::<1>(&net, &faults, &tests, Backend::active());
+                let w2 = matrix_on::<2>(&net, &faults, &tests, Backend::active());
+                let w4 = matrix_on::<4>(&net, &faults, &tests, Backend::active());
                 assert_eq!(w1, w2, "{label} n={n} {}", universe.name());
                 assert_eq!(w1, w4, "{label} n={n} {}", universe.name());
                 for (f, fault) in faults.iter().enumerate() {
@@ -93,8 +101,7 @@ fn detection_matrices_are_backend_independent_across_all_widths() {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let reference =
-                    detection_matrix_multi_on::<1>(&net, &faults, &tests, Backend::Scalar);
+                let reference = matrix_on::<1>(&net, &faults, &tests, Backend::Scalar);
                 for backend in Backend::runnable() {
                     let check = |matrix: DetectionMatrix, w: usize| {
                         assert_eq!(
@@ -105,26 +112,11 @@ fn detection_matrices_are_backend_independent_across_all_widths() {
                             backend.name()
                         );
                     };
-                    check(
-                        detection_matrix_multi_on::<1>(&net, &faults, &tests, backend),
-                        1,
-                    );
-                    check(
-                        detection_matrix_multi_on::<2>(&net, &faults, &tests, backend),
-                        2,
-                    );
-                    check(
-                        detection_matrix_multi_on::<4>(&net, &faults, &tests, backend),
-                        4,
-                    );
-                    check(
-                        detection_matrix_multi_on::<8>(&net, &faults, &tests, backend),
-                        8,
-                    );
-                    check(
-                        detection_matrix_multi_on::<16>(&net, &faults, &tests, backend),
-                        16,
-                    );
+                    check(matrix_on::<1>(&net, &faults, &tests, backend), 1);
+                    check(matrix_on::<2>(&net, &faults, &tests, backend), 2);
+                    check(matrix_on::<4>(&net, &faults, &tests, backend), 4);
+                    check(matrix_on::<8>(&net, &faults, &tests, backend), 8);
+                    check(matrix_on::<16>(&net, &faults, &tests, backend), 16);
                 }
             }
         }
@@ -166,9 +158,24 @@ fn first_detections_match_the_scalar_scan_in_every_universe() {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let w1 = first_detections_multi_wide::<1>(&net, &faults, &tests);
-                let w2 = first_detections_multi_wide::<2>(&net, &faults, &tests);
-                let w4 = first_detections_multi_wide::<4>(&net, &faults, &tests);
+                let w1 = first_detections_multi_packed_on::<1, BitString>(
+                    &net,
+                    &faults,
+                    &tests,
+                    Backend::active(),
+                );
+                let w2 = first_detections_multi_packed_on::<2, BitString>(
+                    &net,
+                    &faults,
+                    &tests,
+                    Backend::active(),
+                );
+                let w4 = first_detections_multi_packed_on::<4, BitString>(
+                    &net,
+                    &faults,
+                    &tests,
+                    Backend::active(),
+                );
                 assert_eq!(w1, w2, "{label} n={n} {}", universe.name());
                 assert_eq!(w1, w4, "{label} n={n} {}", universe.name());
                 for (f, fault) in faults.iter().enumerate() {
@@ -193,8 +200,8 @@ fn redundancy_classification_agrees_across_all_three_paths() {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let batch = redundant_faults_multi_wide::<4>(&net, &faults);
-                let batch_w1 = redundant_faults_multi_wide::<1>(&net, &faults);
+                let batch = redundant_faults_multi_on::<4>(&net, &faults, Backend::active());
+                let batch_w1 = redundant_faults_multi_on::<1>(&net, &faults, Backend::active());
                 assert_eq!(batch, batch_w1, "{label} n={n} {}", universe.name());
                 for (i, fault) in faults.iter().enumerate() {
                     assert_eq!(
@@ -237,10 +244,23 @@ fn coverage_reports_are_identical_across_every_engine() {
         let tests = sorting::binary_testset(n);
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
-                let reference =
-                    coverage_of_universe_with(&net, &universe, &tests, true, engines[0]);
+                let reference = try_coverage_of_universe_packed_with(
+                    &net,
+                    &universe,
+                    &tests,
+                    RedundancyMode::Exhaustive,
+                    engines[0],
+                )
+                .unwrap();
                 for engine in &engines[1..] {
-                    let report = coverage_of_universe_with(&net, &universe, &tests, true, *engine);
+                    let report = try_coverage_of_universe_packed_with(
+                        &net,
+                        &universe,
+                        &tests,
+                        RedundancyMode::Exhaustive,
+                        *engine,
+                    )
+                    .unwrap();
                     assert_eq!(
                         report,
                         reference,
@@ -272,8 +292,14 @@ fn batcher_n8_universe_results_are_pinned() {
         (StandardUniverse::StuckLinePairs, 4140, 3367, 118, 655),
     ];
     for (universe, total, detected, missed, undetectable) in expected {
-        let report =
-            coverage_of_universe_with(&net, &universe, &tests, true, FaultSimEngine::BitParallel);
+        let report = try_coverage_of_universe_packed_with(
+            &net,
+            &universe,
+            &tests,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::BitParallel,
+        )
+        .unwrap();
         assert_eq!(report.total_faults, total, "{}", universe.name());
         assert_eq!(report.detected, detected, "{}", universe.name());
         assert_eq!(report.missed, missed, "{}", universe.name());
@@ -325,7 +351,7 @@ proptest! {
             .collect();
         faults.extend(StandardUniverse::SingleComparator.iter(&net));
         for backend in Backend::runnable() {
-            let matrix = detection_matrix_multi_on::<2>(&net, &faults, &tests, backend);
+            let matrix = matrix_on::<2>(&net, &faults, &tests, backend);
             let capacity = WideBlock::<2>::capacity() as usize;
             for (f, fault) in faults.iter().enumerate() {
                 for (block_idx, chunk) in tests.chunks(capacity).enumerate() {

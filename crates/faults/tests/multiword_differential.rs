@@ -19,16 +19,28 @@
 
 use sortnet_combinat::{channel_words, ChannelPack, ChannelVec};
 use sortnet_faults::bitsim::{
-    detection_matrix_from_source_packed_on, detection_matrix_multi_packed_on,
-    first_detections_multi_packed_on,
+    detection_matrix_from_source_packed_on, first_detections_multi_packed_on, DetectionMatrix,
 };
-use sortnet_faults::coverage::{coverage_of_universe_packed_with, FaultSimEngine};
+use sortnet_faults::coverage::{
+    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+};
 use sortnet_faults::universe::{
     FaultUniverse, Lesion, MultiFault, StandardUniverse, StuckAt, TestVector,
 };
 use sortnet_faults::{Fault, FaultKind};
-use sortnet_network::lanes::{Backend, IterSource, LaneWidth};
+use sortnet_network::lanes::{Backend, IterSource, LaneWidth, SliceSource};
 use sortnet_network::Network;
+
+/// The slice-at-once matrix of an explicit test list on `backend`.
+fn matrix_on<const W: usize, P: TestVector>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[P],
+    backend: Backend,
+) -> DetectionMatrix {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_packed_on::<W, P, _>(net, faults, source, backend).0
+}
 
 /// Shift-free reference for a full lesion timeline: one `u8` per line.
 ///
@@ -148,12 +160,8 @@ fn multiword_matrices_match_the_byte_reference_on_every_backend_and_width() {
                 }
             }
             for backend in Backend::runnable() {
-                let w1 = detection_matrix_multi_packed_on::<1, ChannelVec>(
-                    &net, &faults, &tests, backend,
-                );
-                let w4 = detection_matrix_multi_packed_on::<4, ChannelVec>(
-                    &net, &faults, &tests, backend,
-                );
+                let w1 = matrix_on::<1, ChannelVec>(&net, &faults, &tests, backend);
+                let w4 = matrix_on::<4, ChannelVec>(&net, &faults, &tests, backend);
                 assert_eq!(w1, w4, "n={n} {} {}", universe.name(), backend.name());
                 for (f, fault) in faults.iter().enumerate() {
                     for (t, test) in tests.iter().enumerate() {
@@ -205,8 +213,7 @@ fn lesion_pairs_straddling_the_word_seam_match_the_byte_reference() {
             ),
         ];
         for backend in Backend::runnable() {
-            let w4 =
-                detection_matrix_multi_packed_on::<4, ChannelVec>(&net, &faults, &tests, backend);
+            let w4 = matrix_on::<4, ChannelVec>(&net, &faults, &tests, backend);
             for (f, fault) in faults.iter().enumerate() {
                 for (t, test) in tests.iter().enumerate() {
                     assert_eq!(
@@ -227,8 +234,7 @@ fn streamed_source_and_first_detections_agree_with_the_slice_matrix_past_64() {
     let net = seam_network(n);
     let tests = boundary_channel_inputs(n);
     let faults: Vec<MultiFault> = StandardUniverse::StuckLine.iter(&net).collect();
-    let reference =
-        detection_matrix_multi_packed_on::<1, ChannelVec>(&net, &faults, &tests, Backend::Scalar);
+    let reference = matrix_on::<1, ChannelVec>(&net, &faults, &tests, Backend::Scalar);
     for backend in Backend::runnable() {
         let (streamed, echoed) = detection_matrix_from_source_packed_on::<4, ChannelVec, _>(
             &net,
@@ -260,13 +266,14 @@ fn stuck_line_coverage_sweep_completes_on_a_96_channel_network() {
     pairs.extend((1..n - 1).step_by(2).map(|i| (i, i + 1)));
     let net = Network::from_pairs(n, &pairs);
     let tests = boundary_channel_inputs(n);
-    let reference = coverage_of_universe_packed_with(
+    let reference = try_coverage_of_universe_packed_with(
         &net,
         &StuckLineUniverse,
         &tests,
-        false,
+        RedundancyMode::Skip,
         FaultSimEngine::Scalar,
-    );
+    )
+    .unwrap();
     // StuckLine enumerates the 2n input segments plus both output
     // segments of every comparator at both values: 2n + 4·size lesions.
     assert_eq!(
@@ -280,8 +287,14 @@ fn stuck_line_coverage_sweep_completes_on_a_96_channel_network() {
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
     ] {
-        let report =
-            coverage_of_universe_packed_with(&net, &StuckLineUniverse, &tests, false, engine);
+        let report = try_coverage_of_universe_packed_with(
+            &net,
+            &StuckLineUniverse,
+            &tests,
+            RedundancyMode::Skip,
+            engine,
+        )
+        .unwrap();
         assert_eq!(report, reference, "engine {engine:?}");
     }
 }

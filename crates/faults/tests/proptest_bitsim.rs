@@ -6,16 +6,24 @@ use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
-    detection_matrix, faulty_run_block, first_detections, is_fault_redundant_bitparallel,
+    detection_matrix_from_source_packed_on, faulty_run_block, first_detections_multi_packed_on,
+    is_fault_redundant_wide,
 };
 use sortnet_faults::model::{enumerate_faults, Fault, FaultKind};
 use sortnet_faults::simulate::{
     detects, faulty_apply_bits, first_detection_index, is_fault_redundant,
 };
+use sortnet_faults::universe::MultiFault;
 use sortnet_network::bitparallel::BitBlock;
+use sortnet_network::lanes::{Backend, SliceSource};
 use sortnet_network::{Comparator, Network};
 
 const N: usize = 8;
+
+/// Single-comparator faults as one-lesion [`MultiFault`]s.
+fn multi(faults: &[Fault]) -> Vec<MultiFault> {
+    faults.iter().copied().map(MultiFault::from).collect()
+}
 
 /// Strategy: a random standard network on [`N`] lines with 1..=`max_size`
 /// comparators (non-empty, so a fault universe exists).
@@ -78,7 +86,7 @@ proptest! {
     #[test]
     fn detection_matrix_matches_scalar_detects(net in arb_network(16), tests in arb_tests()) {
         let faults = enumerate_faults(&net);
-        let matrix = detection_matrix(&net, &faults, &tests);
+        let matrix = detection_matrix_from_source_packed_on::<4, BitString, _>(&net, &multi(&faults), SliceSource::new(net.lines(), &tests), Backend::active()).0;
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 prop_assert_eq!(
@@ -96,7 +104,7 @@ proptest! {
     #[test]
     fn first_detections_match_scalar_scan(net in arb_network(16), tests in arb_tests()) {
         let faults = enumerate_faults(&net);
-        let bitpar = first_detections(&net, &faults, &tests);
+        let bitpar = first_detections_multi_packed_on::<4, BitString>(&net, &multi(&faults), &tests, Backend::active());
         for (f, fault) in faults.iter().enumerate() {
             prop_assert_eq!(bitpar[f], first_detection_index(&net, fault, &tests), "fault {:?}", fault);
         }
@@ -107,7 +115,7 @@ proptest! {
     fn redundancy_sweeps_agree(net in arb_network(12), selector in 0usize..1000) {
         let fault = pick_fault(&net, selector);
         prop_assert_eq!(
-            is_fault_redundant_bitparallel(&net, &fault),
+            is_fault_redundant_wide::<4>(&net, &fault),
             is_fault_redundant(&net, &fault),
             "fault {:?}", fault
         );

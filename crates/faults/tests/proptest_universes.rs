@@ -17,16 +17,29 @@ use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
-    detection_matrix_multi_wide, first_detections_multi_wide, redundant_faults_multi_wide,
+    detection_matrix_from_source_packed_on, first_detections_multi_packed_on,
+    redundant_faults_multi_on, DetectionMatrix,
 };
 use sortnet_faults::universe::{
     is_multi_fault_redundant, multi_detects, multi_faulty_apply_bits, FaultPairs, FaultUniverse,
     MultiFault, SingleComparator, StandardUniverse, StuckLine,
 };
 use sortnet_faults::{Fault, FaultKind, Lesion};
+use sortnet_network::lanes::{Backend, SliceSource};
 use sortnet_network::{Comparator, Network};
 
 const N: usize = 6;
+
+/// The matrix of an explicit test list on `backend`.
+fn matrix_on<const W: usize>(
+    net: &Network,
+    faults: &[MultiFault],
+    tests: &[BitString],
+    backend: Backend,
+) -> DetectionMatrix {
+    let source = SliceSource::new(net.lines(), tests);
+    detection_matrix_from_source_packed_on::<W, BitString, _>(net, faults, source, backend).0
+}
 
 /// Strategy: a random standard network on [`N`] lines with 1..=`max_size`
 /// comparators (non-empty, so every universe is inhabited).
@@ -130,7 +143,7 @@ proptest! {
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let matrix = detection_matrix_multi_wide::<2>(&net, &faults, &tests);
+        let matrix = matrix_on::<2>(&net, &faults, &tests, Backend::active());
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 let reference = reference_faulty_apply(&net, fault, test);
@@ -158,8 +171,8 @@ proptest! {
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let first = first_detections_multi_wide::<4>(&net, &faults, &tests);
-        let redundant = redundant_faults_multi_wide::<4>(&net, &faults);
+        let first = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, Backend::active());
+        let redundant = redundant_faults_multi_on::<4>(&net, &faults, Backend::active());
         for (i, fault) in faults.iter().enumerate() {
             prop_assert_eq!(
                 first[i],
@@ -207,9 +220,9 @@ proptest! {
         prop_assert_eq!(pairs.len(), expected);
         let sites: std::collections::HashSet<usize> =
             base.iter().map(MultiFault::fork_site).collect();
-        let redundant = redundant_faults_multi_wide::<4>(&net, &pairs);
+        let redundant = redundant_faults_multi_on::<4>(&net, &pairs, Backend::active());
         let all_inputs: Vec<BitString> = BitString::all(N).collect();
-        let detected = first_detections_multi_wide::<4>(&net, &pairs, &all_inputs);
+        let detected = first_detections_multi_packed_on::<4, BitString>(&net, &pairs, &all_inputs, Backend::active());
         for (i, pair) in pairs.iter().enumerate() {
             prop_assert!(pair.is_pair());
             prop_assert!(sites.contains(&pair.fork_site()), "pair {}", pair);
@@ -235,10 +248,10 @@ proptest! {
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let small = first_detections_multi_wide::<2>(&net, &faults, &tests);
+        let small = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &tests, Backend::active());
         let mut longer = tests.clone();
         longer.extend(extra);
-        let large = first_detections_multi_wide::<2>(&net, &faults, &longer);
+        let large = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &longer, Backend::active());
         for (i, fault) in faults.iter().enumerate() {
             if let Some(idx) = small[i] {
                 prop_assert_eq!(large[i], Some(idx), "fault {}", fault);
@@ -278,7 +291,10 @@ fn a_detectable_fault_can_be_masked_by_a_redundant_partner() {
         "the redundant partner must mask the detectable fault"
     );
     // The bit-parallel engine agrees.
-    assert_eq!(redundant_faults_multi_wide::<4>(&net, &[pair]), vec![true]);
+    assert_eq!(
+        redundant_faults_multi_on::<4>(&net, &[pair], Backend::active()),
+        vec![true]
+    );
 }
 
 /// The converse phenomenon: two individually redundant lesions whose pair

@@ -42,12 +42,15 @@ use std::fmt;
 use rand::prelude::*;
 
 use sortnet_combinat::{BitString, ChannelVec};
-use sortnet_faults::bitsim::try_detection_matrix_multi_packed_on;
-use sortnet_faults::coverage::{coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
+use sortnet_faults::bitsim::{detection_matrix_from_source_budgeted_on, DetectionMatrix};
+use sortnet_faults::coverage::{
+    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+};
 use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse, TestVector};
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, PackedFamily};
+use sortnet_network::error::EngineError;
+use sortnet_network::lanes::{Backend, PackedFamily, SliceSource};
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::{properties, Network};
 use sortnet_testsets::verify::{try_verify, Property, Strategy};
@@ -178,11 +181,11 @@ fn check_faults<P: TestVector + fmt::Display>(
         let matrices = [
             (
                 1usize,
-                try_detection_matrix_multi_packed_on::<1, P>(network, faults, tests, backend),
+                typed_matrix::<1, P>(network, faults, tests, backend),
             ),
             (
                 4usize,
-                try_detection_matrix_multi_packed_on::<4, P>(network, faults, tests, backend),
+                typed_matrix::<4, P>(network, faults, tests, backend),
             ),
         ];
         for (width, matrix) in matrices {
@@ -211,6 +214,25 @@ fn check_faults<P: TestVector + fmt::Display>(
     None
 }
 
+/// The faults × tests matrix of an explicit test list: the typed matrix
+/// sweep over the slice, under an unlimited budget.
+fn typed_matrix<const W: usize, P: TestVector>(
+    network: &Network,
+    faults: &[MultiFault],
+    tests: &[P],
+    backend: Backend,
+) -> Result<DetectionMatrix, EngineError> {
+    let source = SliceSource::new(network.lines(), tests);
+    detection_matrix_from_source_budgeted_on::<W, P, _>(
+        network,
+        faults,
+        source,
+        backend,
+        &SweepBudget::unlimited(),
+    )
+    .map(|swept| swept.into_value().0)
+}
+
 /// Full case check: matrix cross-check over the whole universe, then
 /// scalar-vs-bit-parallel coverage reports (skipped under corruption —
 /// the planted flip lives in the matrix comparison only).
@@ -225,18 +247,19 @@ fn check_case<P: TestVector + Sync + fmt::Display>(
         return Some(detail);
     }
     if corruption == Corruption::None {
-        let scalar = coverage_of_universe_packed_with(
+        // Both engines must also agree on a refusal (an empty universe).
+        let scalar = try_coverage_of_universe_packed_with(
             network,
             &universe,
             tests,
-            false,
+            RedundancyMode::Skip,
             FaultSimEngine::Scalar,
         );
-        let wide = coverage_of_universe_packed_with(
+        let wide = try_coverage_of_universe_packed_with(
             network,
             &universe,
             tests,
-            false,
+            RedundancyMode::Skip,
             FaultSimEngine::BitParallel,
         );
         if scalar != wide {

@@ -38,7 +38,10 @@
 //!   strings, low-weight subsets, half-sorted merge inputs) into sources
 //!   without intermediate storage.  Like [`WideBlock::from_strings`], it
 //!   packs 64 vectors at a time by a 64×64 bit-matrix transpose of each
-//!   channel word, not bit by bit.
+//!   channel word, not bit by bit;
+//! * [`SliceSource`] — the same transposed fill over a borrowed slice,
+//!   refilling the caller's block in place (the fault engine's view of a
+//!   test list).
 //!
 //! [`sweep_find`] is the streaming driver: it pulls blocks from a source,
 //! asks a caller-supplied closure for a violation mask per block, and
@@ -783,6 +786,45 @@ where
     }
 }
 
+/// A block source borrowing a slice of packed vectors: each block is the
+/// next up-to-`W×64` vectors of the slice, packed straight from it by the
+/// same word transpose as [`IterSource`], with no buffer and no clones.
+///
+/// Block `b` of a slice of length `L` holds vectors
+/// `b·W·64 .. min((b+1)·W·64, L)`, so only the last block is partial.
+#[derive(Clone, Debug)]
+pub struct SliceSource<'a, P> {
+    n: usize,
+    rest: &'a [P],
+}
+
+impl<'a, P: ChannelPack> SliceSource<'a, P> {
+    /// Streams `vectors`, which must all have length `n` (a mismatch
+    /// panics with `input length mismatch` when its block is filled).
+    #[must_use]
+    pub fn new(n: usize, vectors: &'a [P]) -> Self {
+        Self { n, rest: vectors }
+    }
+}
+
+impl<const W: usize, P: ChannelPack> BlockSource<W> for SliceSource<'_, P> {
+    fn lines(&self) -> usize {
+        self.n
+    }
+
+    fn next_block(&mut self, block: &mut WideBlock<W>) -> bool {
+        assert_eq!(block.lines(), self.n, "line count mismatch");
+        if self.rest.is_empty() {
+            return false;
+        }
+        let take = self.rest.len().min(WideBlock::<W>::capacity() as usize);
+        let (head, tail) = self.rest.split_at(take);
+        block.fill_from_strings(head);
+        self.rest = tail;
+        true
+    }
+}
+
 /// Concatenation of two block sources over the same line count: streams
 /// every block of `first`, then every block of `second` — the combinator
 /// candidate families are assembled from (the augmentation search in
@@ -1169,6 +1211,14 @@ mod tests {
         let collected = collect_strings::<2, _>(IterSource::new(6, BitString::all_unsorted(6)));
         let expected: Vec<BitString> = BitString::all_unsorted(6).collect();
         assert_eq!(collected, expected);
+    }
+
+    #[test]
+    fn slice_source_over_an_empty_slice_yields_no_block() {
+        let mut empty = SliceSource::<BitString>::new(6, &[]);
+        assert_eq!(BlockSource::<1>::lines(&empty), 6);
+        let mut block = WideBlock::<1>::zeroed(6);
+        assert!(!BlockSource::<1>::next_block(&mut empty, &mut block));
     }
 
     #[test]

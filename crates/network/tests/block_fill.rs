@@ -1,14 +1,14 @@
 //! Differential pin of the word-transposed block fill.
 //!
-//! `WideBlock::from_strings` and `IterSource` pack vectors into lanes by
-//! 64×64 bit-matrix transposes of their channel words.  This suite checks
-//! both against a per-bit reference (lane `i`, word `w`, bit `j` is line
+//! `WideBlock::from_strings`, `IterSource` and `SliceSource` pack vectors
+//! into lanes by 64×64 bit-matrix transposes of their channel words.  This
+//! suite checks all three against a per-bit reference (lane `i`, word `w`, bit `j` is line
 //! `i` of vector `64w + j`) across the seams that matter: line counts on
 //! either side of each channel word, every lane width, and vector counts
 //! on either side of each lane word and of a full block.
 
 use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
-use sortnet_network::lanes::{BlockSource, IterSource, WideBlock};
+use sortnet_network::lanes::{BlockSource, IterSource, SliceSource, WideBlock};
 
 const LINES: [usize; 8] = [1, 6, 63, 64, 65, 127, 128, 129];
 
@@ -75,19 +75,33 @@ fn check_width<const W: usize, P: ChannelPack>(n: usize) {
             let block = WideBlock::<W>::from_strings(n, &inputs);
             assert_block_matches(&block, n, &inputs, &label);
         }
-        // The streaming face: every block of the drain is the per-bit
+        // The streaming faces: every block of the drain is the per-bit
         // fill of its own slice of the stream, partial last block included.
         let stream: Vec<P> = vectors(n, count + 2 * cap + 5);
-        let mut source = IterSource::new(n, stream.clone());
-        let mut block = WideBlock::<W>::zeroed(n);
-        let mut offset = 0;
-        while BlockSource::<W>::next_block(&mut source, &mut block) {
-            let chunk = &stream[offset..offset + block.count() as usize];
-            assert_block_matches(&block, n, chunk, &format!("{label} drain@{offset}"));
-            offset += chunk.len();
-        }
-        assert_eq!(offset, stream.len(), "{label}");
+        check_drain::<W, P>(IterSource::new(n, stream.clone()), n, &stream, &label);
+        check_drain::<W, P>(SliceSource::new(n, &stream), n, &stream, &label);
+        // A slice of exactly `count` vectors: one block when it fits.
+        check_drain::<W, P>(SliceSource::new(n, &inputs), n, &inputs, &label);
     }
+}
+
+/// Drains `source` into one reused block and checks every block against
+/// the per-bit fill of its own slice of `stream`.
+fn check_drain<const W: usize, P: ChannelPack>(
+    mut source: impl BlockSource<W>,
+    n: usize,
+    stream: &[P],
+    label: &str,
+) {
+    assert_eq!(source.lines(), n, "{label}");
+    let mut block = WideBlock::<W>::zeroed(n);
+    let mut offset = 0;
+    while source.next_block(&mut block) {
+        let chunk = &stream[offset..offset + block.count() as usize];
+        assert_block_matches(&block, n, chunk, &format!("{label} drain@{offset}"));
+        offset += chunk.len();
+    }
+    assert_eq!(offset, stream.len(), "{label}");
 }
 
 fn check_all_widths<P: ChannelPack>(n: usize) {

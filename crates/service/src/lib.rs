@@ -78,7 +78,10 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Simulation engine for coverage grades and candidate matrices.
     pub engine: FaultSimEngine,
-    /// Lane-ops backend for every bit-parallel sweep.
+    /// Lane-ops backend for the bit-parallel sweeps of verification and
+    /// coverage (cold and sharded).  Augmentation does not take it yet:
+    /// its candidate matrix and base grade run on [`Backend::active`],
+    /// because `SearchOptions` has no backend field.
     pub backend: Backend,
     /// Answer-cache capacity in entries (0 = off).
     pub answer_cache: usize,

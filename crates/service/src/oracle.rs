@@ -39,11 +39,11 @@ use sortnet_combinat::ChannelVec;
 use sortnet_faults::bitsim::first_detections_multi_packed_on;
 use sortnet_faults::coverage::{
     check_coverage_inputs, coverage_of_universe_budgeted_packed_with, redundancy_verdicts_on,
-    summarise_verdicts, try_coverage_of_universe_packed_with, CoverageReport, RedundancyMode,
+    summarise_verdicts, CoverageReport, RedundancyMode,
 };
 use sortnet_faults::universe::{MultiFault, StandardUniverse};
 use sortnet_faults::FaultSimEngine;
-use sortnet_network::budget::{BudgetReason, Budgeted, SweepBudget, SweepProgress};
+use sortnet_network::budget::{BudgetMeter, BudgetReason, Budgeted, SweepBudget, SweepProgress};
 use sortnet_network::lanes::{Backend, LaneWidth, DEFAULT_WIDTH};
 use sortnet_network::Network;
 use sortnet_testsets::augment::{try_minimum_augmentation_packed, CandidatePool, SearchOptions};
@@ -362,11 +362,19 @@ fn shard_verdicts_on<const W: usize>(
 ) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
     let first: Vec<Vec<Option<usize>>> = lists
         .iter()
-        .map(|tests| first_detections_multi_packed_on::<W, _>(network, faults, tests, backend))
+        .map(|tests| {
+            first_detections_multi_packed_on::<W, ChannelVec>(network, faults, tests, backend)
+        })
         .collect();
     let missed = |f: usize| first.iter().any(|list| list[f].is_none());
-    let redundant =
-        redundancy_verdicts_on::<W, ChannelVec>(network, faults, missed, redundancy, backend);
+    let redundant = redundancy_verdicts_on::<W, ChannelVec>(
+        network,
+        faults,
+        missed,
+        redundancy,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    );
     (first, redundant)
 }
 
@@ -408,36 +416,22 @@ fn evaluate(
             universe,
             tests,
             redundancy,
-        } => {
-            if budget.is_unlimited() {
-                let report = try_coverage_of_universe_packed_with(
-                    network,
-                    universe,
-                    tests,
-                    *redundancy,
-                    config.engine,
-                );
-                (
-                    report.map(Answer::Coverage).map_err(ServiceError::from),
-                    Completion::Complete,
-                )
-            } else {
-                match coverage_of_universe_budgeted_packed_with(
-                    network,
-                    universe,
-                    tests,
-                    *redundancy,
-                    config.engine,
-                    budget,
-                ) {
-                    Ok(budgeted) => {
-                        let completion = completion_of(&budgeted);
-                        (Ok(Answer::Coverage(budgeted.into_value())), completion)
-                    }
-                    Err(e) => (Err(e.into()), Completion::Complete),
-                }
+        } => match coverage_of_universe_budgeted_packed_with(
+            network,
+            universe,
+            tests,
+            *redundancy,
+            config.engine,
+            config.backend,
+            budget,
+        ) {
+            // An unlimited budget always completes.
+            Ok(budgeted) => {
+                let completion = completion_of(&budgeted);
+                (Ok(Answer::Coverage(budgeted.into_value())), completion)
             }
-        }
+            Err(e) => (Err(e.into()), Completion::Complete),
+        },
         Query::Augment { universe, tests } => {
             let options = SearchOptions {
                 engine: config.engine,
@@ -654,13 +648,13 @@ mod tests {
             .collect()
     }
 
-    fn coverage_request(n: usize, redundancy: impl Into<RedundancyMode>) -> Request {
+    fn coverage_request(n: usize, redundancy: RedundancyMode) -> Request {
         Request {
             network: odd_even_merge_sort(n),
             query: Query::Coverage {
                 universe: StandardUniverse::StuckLine,
                 tests: sorted_tests(n),
-                redundancy: redundancy.into(),
+                redundancy,
             },
             budget: None,
             deadline: None,
@@ -671,7 +665,10 @@ mod tests {
     fn batched_coverage_is_bit_identical_to_cold_and_caches_repeats() {
         let config = ServiceConfig::default();
         let caches = OracleCaches::new(8);
-        let requests = vec![coverage_request(8, true), coverage_request(8, true)];
+        let requests = vec![
+            coverage_request(8, RedundancyMode::Exhaustive),
+            coverage_request(8, RedundancyMode::Exhaustive),
+        ];
         let batch = answer_batch(&config, &caches, &requests);
         let cold = answer_cold(&config, &requests[0]);
         // Both members miss the cache (the duplicate joins the same
@@ -726,7 +723,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let caches = OracleCaches::new(8);
-        let mut request = coverage_request(8, false);
+        let mut request = coverage_request(8, RedundancyMode::Skip);
         request.budget = Some(SweepBudget::unlimited().with_max_blocks(1));
         let batch = answer_batch(&config, &caches, std::slice::from_ref(&request));
         assert_eq!(batch[0].cache, CacheStatus::Bypass);
@@ -864,7 +861,7 @@ mod tests {
         // with the Deadline reason — on the cache-bypassing path.
         let config = ServiceConfig::default();
         let caches = OracleCaches::new(8);
-        let mut request = coverage_request(8, false);
+        let mut request = coverage_request(8, RedundancyMode::Skip);
         request.deadline = Some(Instant::now() - std::time::Duration::from_millis(5));
         let cold = answer_cold(&config, &request);
         assert!(matches!(
@@ -888,7 +885,7 @@ mod tests {
         let config = ServiceConfig::default();
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let near = Instant::now() + std::time::Duration::from_secs(60);
-        let mut request = coverage_request(8, false);
+        let mut request = coverage_request(8, RedundancyMode::Skip);
         request.budget = Some(SweepBudget::unlimited().with_deadline(far));
         request.deadline = Some(near);
         let budget = effective_budget(&config, &request);

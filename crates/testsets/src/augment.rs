@@ -12,12 +12,11 @@
 //! # Pipeline
 //!
 //! 1. **Missed faults.**  A coverage run with redundancy classification
-//!    ([`coverage_of_universe_with`]) names the detectable faults the base
-//!    set fails to catch (`CoverageReport::missed_faults`).
+//!    ([`try_coverage_of_universe_packed_with`]) names the detectable faults
+//!    the base set fails to catch (`CoverageReport::missed_faults`).
 //! 2. **Candidates × missed-faults matrix.**  One streamed wide-lane pass
-//!    ([`detection_matrix_from_source_packed`] — metered block by block via
-//!    [`detection_matrix_from_source_budgeted`] in the `try_*` entries)
-//!    grades a candidate family — all `2^n` vectors, a structured family,
+//!    ([`detection_matrix_from_source_budgeted_on`], metered block by
+//!    block) grades a candidate family — all `2^n` vectors, a structured family,
 //!    or an explicit list (see [`CandidatePool`]) — against exactly the
 //!    missed faults, without materialising the family ahead of the sweep.
 //!    The pass is generic over the vector packing, so candidate pools and
@@ -42,32 +41,33 @@
 //!
 //! # Entry points
 //!
-//! * [`minimum_augmentation`] — end to end: coverage run, matrix, search;
-//! * [`SuggestAugmentation::suggest_augmentation`] — the hook on an
-//!   already-computed [`CoverageReport`] (the crate dependency points
-//!   `testsets → faults`, so the method lives here as an extension trait);
-//! * [`augmentation_for_missed`] — the core, over an explicit missed-fault
-//!   slice.
+//! Both entry points are typed (every refusal is an [`EngineError`]),
+//! budgeted by [`SearchOptions::budget`], and generic over the vector
+//! packing `P`:
+//!
+//! * [`try_minimum_augmentation_packed`] — end to end: coverage run,
+//!   matrix, search;
+//! * [`try_augmentation_for_missed_packed`] — the core, over an explicit
+//!   missed-fault slice.
+//!
+//! [`SuggestAugmentation::try_suggest_augmentation`] is the hook on an
+//! already-computed [`CoverageReport`] (the crate dependency points
+//! `testsets → faults`, so the method lives here as an extension trait).
 
 use std::collections::HashSet;
-use std::fmt;
 
 use sortnet_combinat::{BitString, ChannelPack};
-use sortnet_faults::bitsim::{
-    detection_matrix_from_source_budgeted, detection_matrix_from_source_packed,
-};
-#[allow(deprecated)] // `minimum_augmentation` still grades through the legacy entry
+use sortnet_faults::bitsim::detection_matrix_from_source_budgeted_on;
 use sortnet_faults::coverage::{
-    coverage_of_universe_packed_with, coverage_of_universe_with,
-    try_coverage_of_universe_packed_with, try_coverage_of_universe_with, CoverageReport,
-    FaultSimEngine, RedundancyMode,
+    try_coverage_of_universe_packed_with, CoverageReport, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{FaultUniverse, MultiFault, TestVector};
 use sortnet_faults::DetectionMatrix;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{
-    BlockSource, ChainSource, FamilySource, IterSource, PackedFamily, RangeSource, DEFAULT_WIDTH,
+    Backend, BlockSource, ChainSource, FamilySource, IterSource, PackedFamily, RangeSource,
+    SliceSource, DEFAULT_WIDTH,
 };
 use sortnet_network::Network;
 
@@ -522,7 +522,7 @@ impl<P: ChannelPack> CandidatePool<P> {
                 ))
             }
             Self::Family(family) => Box::new(FamilySource::<P>::new(*family, n)),
-            Self::Explicit(vectors) => Box::new(IterSource::new(n, vectors.iter().cloned())),
+            Self::Explicit(vectors) => Box::new(SliceSource::new(n, vectors)),
         }
     }
 }
@@ -530,35 +530,31 @@ impl<P: ChannelPack> CandidatePool<P> {
 /// Knobs of the augmentation search.
 #[derive(Clone, Debug, Default)]
 pub struct SearchOptions {
-    /// Engine for the coverage run in [`minimum_augmentation`] (the
-    /// candidate matrix always uses the streamed bit-parallel pass; every
-    /// engine produces the identical report).
+    /// Engine for the coverage run in [`try_minimum_augmentation_packed`]
+    /// (the candidate matrix always uses the streamed bit-parallel pass;
+    /// every engine produces the identical report).
     pub engine: FaultSimEngine,
     /// How the coverage run classifies missed faults as redundant
     /// (undetectable) before the augmentation obligation is formed.  The
-    /// default, [`RedundancyMode::Exhaustive`], reproduces the legacy
-    /// `check_redundancy: true` grade and is refused for `n ≥ 32`; past
+    /// default, [`RedundancyMode::Exhaustive`], proves undetectability by
+    /// the `2^n` sweep and is refused for `n ≥ 32`; past
     /// the wall pick [`RedundancyMode::RelativeTo`] a [`PackedFamily`] —
     /// faults no family vector detects are then excluded from the
-    /// obligation *relative to that family*.  Only the packed entry
-    /// points ([`minimum_augmentation_packed`] and its `try_` sibling)
-    /// honour this knob; the deprecated [`BitString`] wrappers stay
-    /// pinned to the exhaustive grade.
+    /// obligation *relative to that family*.
     pub redundancy: RedundancyMode,
     /// Branch-and-bound node cap; `None` runs to certification.  The
     /// greedy cover is always available, so an exhausted budget degrades
     /// the result to "best found, uncertified", never to nothing.
     pub node_budget: Option<u64>,
-    /// Wall-clock / cancellation budget.  In the `try_*` entry points it
-    /// meters **both** expensive stages: the streamed candidate ×
+    /// Wall-clock / cancellation budget.  It meters **both** expensive
+    /// stages: the streamed candidate ×
     /// missed-fault matrix (admitted block by block; whole blocks commit
     /// or are discarded atomically) and the branch-and-bound set-cover
     /// search (one fork admission per expanded node).  The default is
     /// unlimited.  A trip degrades to [`Budgeted::Partial`]: the best
     /// cover found over the committed candidate prefix with
-    /// `certified = false` — never nothing.  The legacy panicking entries
-    /// keep the matrix sweep unmetered (they cannot express a partial
-    /// candidate pool) and meter only the search.
+    /// `certified = false` — never nothing.  The base coverage grade of
+    /// [`try_minimum_augmentation_packed`] is not metered.
     pub budget: SweepBudget,
 }
 
@@ -569,8 +565,8 @@ pub struct AugmentationReport<P = BitString> {
     /// elements the augmentation must cover.
     pub missed_faults: Vec<MultiFault>,
     /// Candidates streamed through the detection matrix (before empty and
-    /// duplicate detection columns were folded away).  When a `try_*`
-    /// budget tripped the matrix sweep, this counts only the committed
+    /// duplicate detection columns were folded away).  When the budget
+    /// tripped the matrix sweep, this counts only the committed
     /// whole-block prefix of the pool.
     pub candidates_considered: usize,
     /// The greedy augmentation (upper bound).
@@ -607,105 +603,6 @@ impl<P: Clone> AugmentationReport<P> {
             .chain(self.minimum.iter().cloned())
             .collect()
     }
-}
-
-/// Why an augmentation search produced no augmentation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AugmentError {
-    /// Some missed faults are detected by no candidate in the pool — either
-    /// the pool is too narrow (e.g. [`CandidatePool::SortedStrings`] for a
-    /// fault only unsorted inputs catch), or the "missed" list was built
-    /// without redundancy classification and contains undetectable faults.
-    Infeasible {
-        /// The faults no candidate detects.
-        uncoverable: Vec<MultiFault>,
-    },
-}
-
-impl fmt::Display for AugmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Infeasible { uncoverable } => write!(
-                f,
-                "no candidate in the pool detects {} of the missed faults (first: {})",
-                uncoverable.len(),
-                uncoverable
-                    .first()
-                    .map_or_else(String::new, ToString::to_string)
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AugmentError {}
-
-/// The core search: the smallest subset of `pool` covering an explicit
-/// slice of missed faults.
-///
-/// The callers guarantee (or the redundancy sweep proved) that every
-/// missed fault is detectable; a pool too narrow to cover one yields
-/// [`AugmentError::Infeasible`] rather than a silently partial answer.
-///
-/// # Errors
-/// [`AugmentError::Infeasible`] when some missed fault is detected by no
-/// candidate.
-///
-/// # Panics
-/// Panics if a fault does not fit the network, or the pool is
-/// [`CandidatePool::Exhaustive`]/[`CandidatePool::SortedFirst`] with
-/// `n ≥ 32`.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_augmentation_for_missed` and match the typed error"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-pub fn augmentation_for_missed(
-    network: &Network,
-    missed: &[MultiFault],
-    pool: &CandidatePool,
-    options: &SearchOptions,
-) -> Result<AugmentationReport, AugmentError> {
-    augmentation_for_missed_packed(network, missed, pool, options)
-}
-
-/// [`augmentation_for_missed`] generic over the vector packing: the
-/// single-word [`BitString`] case is exactly the legacy entry, and
-/// `P = ChannelVec` runs the identical search past the 64-line wall.
-///
-/// # Errors
-/// [`AugmentError::Infeasible`] when some missed fault is detected by no
-/// candidate.
-///
-/// # Panics
-/// As [`augmentation_for_missed`].
-pub fn augmentation_for_missed_packed<P: TestVector>(
-    network: &Network,
-    missed: &[MultiFault],
-    pool: &CandidatePool<P>,
-    options: &SearchOptions,
-) -> Result<AugmentationReport<P>, AugmentError> {
-    if missed.is_empty() {
-        return Ok(empty_report());
-    }
-    let (matrix, candidates) = detection_matrix_from_source_packed::<DEFAULT_WIDTH, P, _>(
-        network,
-        missed,
-        pool.source(network.lines()),
-    );
-    let (kept, sets) = candidate_sets(&matrix, missed.len(), candidates.len());
-
-    // A tripped `options.budget` already flows into `certified = false`
-    // through the solution, so flattening the Budgeted wrapper loses
-    // nothing the legacy report can express.
-    let solution = SetCoverInstance::new(missed.len(), sets)
-        .solve_budgeted(options.node_budget, &options.budget)
-        .into_value();
-    if !solution.uncoverable.is_empty() {
-        return Err(AugmentError::Infeasible {
-            uncoverable: solution.uncoverable.iter().map(|&e| missed[e]).collect(),
-        });
-    }
-    Ok(report_from_solution(missed, &candidates, &kept, &solution))
 }
 
 /// The trivial report for an already-complete base set.
@@ -782,21 +679,24 @@ fn report_from_solution<P: Clone>(
     }
 }
 
-/// Typed, budget-aware form of [`augmentation_for_missed`].
+/// The smallest subset of `pool` covering an explicit slice of missed
+/// faults, validated and budgeted.
 ///
-/// Validates up front instead of panicking: an exhaustive pool
-/// ([`CandidatePool::Exhaustive`]/[`CandidatePool::SortedFirst`]) over
-/// `n ≥ 32` lines is [`EngineError::SweepTooLarge`], and oversized
-/// networks or ill-fitting faults surface through the typed matrix sweep.
-/// An infeasible pool is [`EngineError::InfeasibleCover`] carrying the
-/// uncoverable-fault count (the legacy [`AugmentError::Infeasible`] keeps
-/// the fault list itself).
+/// Validates up front instead of panicking: a network the packing `P`
+/// cannot hold is [`EngineError::OversizedNetwork`], and an exhaustive
+/// pool ([`CandidatePool::Exhaustive`]/[`CandidatePool::SortedFirst`])
+/// over `n ≥ 32` lines is [`EngineError::SweepTooLarge`] — both checked
+/// before the pool's source is built.  Ill-fitting faults surface
+/// through the typed matrix sweep.  A pool that cannot cover some missed
+/// fault is [`EngineError::InfeasibleCover`] carrying the
+/// uncoverable-fault count.
 ///
 /// `options.budget` meters both expensive stages.  The streamed candidate
-/// matrix is admitted block by block ([`detection_matrix_from_source_budgeted`]),
-/// with whole blocks committed or discarded atomically; a trip there
-/// degrades to [`Budgeted::Partial`] whose report covers exactly the
-/// committed candidate prefix (`candidates_considered` counts it) with
+/// matrix is admitted block by block
+/// ([`detection_matrix_from_source_budgeted_on`]), with whole blocks
+/// committed or discarded atomically; a trip there degrades to
+/// [`Budgeted::Partial`] whose report covers exactly the committed
+/// candidate prefix (`candidates_considered` counts it) with
 /// `certified = false` — and is **never** [`EngineError::InfeasibleCover`],
 /// because a fault uncoverable by the streamed prefix may be covered by
 /// the unstreamed remainder.  The branch-and-bound set-cover search is
@@ -806,21 +706,6 @@ fn report_from_solution<P: Clone>(
 ///
 /// # Errors
 /// [`EngineError`] as described above.
-pub fn try_augmentation_for_missed(
-    network: &Network,
-    missed: &[MultiFault],
-    pool: &CandidatePool,
-    options: &SearchOptions,
-) -> Result<Budgeted<AugmentationReport>, EngineError> {
-    try_augmentation_for_missed_packed(network, missed, pool, options)
-}
-
-/// [`try_augmentation_for_missed`] generic over the vector packing —
-/// `P = ChannelVec` runs the identical validated, budgeted search past
-/// the 64-line wall.
-///
-/// # Errors
-/// [`EngineError`] as for [`try_augmentation_for_missed`].
 pub fn try_augmentation_for_missed_packed<P: TestVector>(
     network: &Network,
     missed: &[MultiFault],
@@ -830,13 +715,16 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
     if missed.is_empty() {
         return Ok(Budgeted::Complete(empty_report()));
     }
+    let n = network.lines();
+    P::ensure_packable(n)?;
     if matches!(pool, CandidatePool::Exhaustive | CandidatePool::SortedFirst) {
-        error::ensure_sweepable(network.lines())?;
+        error::ensure_sweepable(n)?;
     }
-    let swept = detection_matrix_from_source_budgeted::<DEFAULT_WIDTH, P, _>(
+    let swept = detection_matrix_from_source_budgeted_on::<DEFAULT_WIDTH, P, _>(
         network,
         missed,
-        pool.source(network.lines()),
+        pool.source(n),
+        Backend::active(),
         &options.budget,
     )?;
     match swept {
@@ -844,10 +732,7 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
             let (kept, sets) = candidate_sets(&matrix, missed.len(), candidates.len());
             let budgeted = SetCoverInstance::new(missed.len(), sets)
                 .solve_budgeted(options.node_budget, &options.budget);
-            let uncoverable = match &budgeted {
-                Budgeted::Complete(s) => s.uncoverable.len(),
-                Budgeted::Partial { best_so_far, .. } => best_so_far.uncoverable.len(),
-            };
+            let uncoverable = budgeted.value().uncoverable.len();
             if uncoverable != 0 {
                 return Err(EngineError::InfeasibleCover { uncoverable });
             }
@@ -878,97 +763,26 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
 }
 
 /// End-to-end minimum augmentation: grades `base_tests` against `universe`
-/// (with redundancy classification, so undetectable faults are excluded
-/// from the obligation), then finds the smallest set of extra vectors from
-/// `pool` completing the coverage.
+/// ([`try_coverage_of_universe_packed_with`], classifying missed faults
+/// per [`SearchOptions::redundancy`] so undetectable faults leave the
+/// obligation), then finds the smallest set of extra vectors from `pool`
+/// completing the coverage ([`try_augmentation_for_missed_packed`]).
 ///
-/// # Errors
-/// [`AugmentError::Infeasible`] when the pool cannot cover some missed
-/// fault (never with [`CandidatePool::Exhaustive`]: a detectable fault has
-/// a detecting vector by definition).
-///
-/// # Panics
-/// Panics if the redundancy sweep or an exhaustive pool is asked for
-/// `n ≥ 32`.
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_minimum_augmentation` and match the typed error"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-pub fn minimum_augmentation(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    base_tests: &[BitString],
-    pool: &CandidatePool,
-    options: &SearchOptions,
-) -> Result<AugmentationReport, AugmentError> {
-    let coverage = coverage_of_universe_with(network, universe, base_tests, true, options.engine);
-    augmentation_for_missed(network, &coverage.missed_faults, pool, options)
-}
-
-/// [`minimum_augmentation`] generic over the vector packing.
-///
-/// The coverage grade classifies redundancy per
-/// [`SearchOptions::redundancy`]: the default exhaustive sweep is refused
-/// for `n ≥ 32`, so past the wall pick
-/// [`RedundancyMode::RelativeTo`] a [`PackedFamily`] (or
+/// The default exhaustive classification is refused for `n ≥ 32`, so past
+/// the wall pick [`RedundancyMode::RelativeTo`] a [`PackedFamily`] (or
 /// [`RedundancyMode::Skip`] and accept undetectable faults in the
 /// obligation, which an incomplete pool then reports as infeasible).
 ///
-/// # Errors
-/// [`AugmentError::Infeasible`] as for [`minimum_augmentation`].
-///
-/// # Panics
-/// As [`minimum_augmentation`], under the mode's admissibility rule.
-pub fn minimum_augmentation_packed<P: TestVector + Sync>(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    base_tests: &[P],
-    pool: &CandidatePool<P>,
-    options: &SearchOptions,
-) -> Result<AugmentationReport<P>, AugmentError> {
-    let coverage = coverage_of_universe_packed_with(
-        network,
-        universe,
-        base_tests,
-        options.redundancy,
-        options.engine,
-    );
-    augmentation_for_missed_packed(network, &coverage.missed_faults, pool, options)
-}
-
-/// Typed, budget-aware form of [`minimum_augmentation`]: the coverage
-/// grade goes through
-/// [`try_coverage_of_universe_with`]
-/// (typed refusals for oversized networks, empty universes and
-/// mismatched tests) and the search through
-/// [`try_augmentation_for_missed`].
+/// The base coverage grade runs unbudgeted; `options.budget` meters only
+/// the candidate matrix and the cover search.  This spelling also stays
+/// because the repository benchmark's adapter (`perfbench/src/engine.rs`)
+/// times it as a whole augmentation.
 ///
 /// # Errors
 /// [`EngineError`] from either stage; an uncoverable missed fault is
 /// [`EngineError::InfeasibleCover`] (impossible with
 /// [`CandidatePool::Exhaustive`]: a detectable fault has a detecting
 /// vector by definition).
-pub fn try_minimum_augmentation(
-    network: &Network,
-    universe: &dyn FaultUniverse,
-    base_tests: &[BitString],
-    pool: &CandidatePool,
-    options: &SearchOptions,
-) -> Result<Budgeted<AugmentationReport>, EngineError> {
-    let coverage =
-        try_coverage_of_universe_with(network, universe, base_tests, true, options.engine)?;
-    try_augmentation_for_missed(network, &coverage.missed_faults, pool, options)
-}
-
-/// [`try_minimum_augmentation`] generic over the vector packing — see
-/// [`minimum_augmentation_packed`] for how [`SearchOptions::redundancy`]
-/// selects the missed-fault classification at multi-word widths (here
-/// an inadmissible mode surfaces as a typed [`EngineError`] instead of a
-/// panic).
-///
-/// # Errors
-/// [`EngineError`] as for [`try_minimum_augmentation`].
 pub fn try_minimum_augmentation_packed<P: TestVector + Sync>(
     network: &Network,
     universe: &dyn FaultUniverse,
@@ -987,34 +801,21 @@ pub fn try_minimum_augmentation_packed<P: TestVector + Sync>(
 }
 
 /// The augmentation hook on a coverage report — the
-/// `CoverageReport::suggest_augmentation` surface (an extension trait
+/// `CoverageReport::try_suggest_augmentation` surface (an extension trait
 /// because `sortnet-faults` cannot depend back on this crate).
 pub trait SuggestAugmentation {
     /// The smallest set of extra vectors from `pool` catching every fault
-    /// this report missed.
+    /// this report missed — [`try_augmentation_for_missed_packed`] over
+    /// [`CoverageReport::missed_faults`], with the same validation and
+    /// budget semantics.
     ///
     /// The report should have been produced with redundancy
     /// classification; otherwise undetectable faults sit in the missed
     /// list and the search reports them as
-    /// [`AugmentError::Infeasible`].
+    /// [`EngineError::InfeasibleCover`].
     ///
     /// # Errors
-    /// [`AugmentError::Infeasible`] when some missed fault is detected by
-    /// no candidate in the pool.
-    fn suggest_augmentation(
-        &self,
-        network: &Network,
-        pool: &CandidatePool,
-        options: &SearchOptions,
-    ) -> Result<AugmentationReport, AugmentError>;
-
-    /// Typed, budget-aware form of
-    /// [`suggest_augmentation`](Self::suggest_augmentation) — see
-    /// [`try_augmentation_for_missed`] for the validation and budget
-    /// semantics.
-    ///
-    /// # Errors
-    /// [`EngineError`] as for [`try_augmentation_for_missed`].
+    /// [`EngineError`] as for [`try_augmentation_for_missed_packed`].
     fn try_suggest_augmentation(
         &self,
         network: &Network,
@@ -1024,28 +825,17 @@ pub trait SuggestAugmentation {
 }
 
 impl SuggestAugmentation for CoverageReport {
-    #[allow(deprecated)] // the panicking hook mirrors the legacy wrapper until stage 3
-    fn suggest_augmentation(
-        &self,
-        network: &Network,
-        pool: &CandidatePool,
-        options: &SearchOptions,
-    ) -> Result<AugmentationReport, AugmentError> {
-        augmentation_for_missed(network, &self.missed_faults, pool, options)
-    }
-
     fn try_suggest_augmentation(
         &self,
         network: &Network,
         pool: &CandidatePool,
         options: &SearchOptions,
     ) -> Result<Budgeted<AugmentationReport>, EngineError> {
-        try_augmentation_for_missed(network, &self.missed_faults, pool, options)
+        try_augmentation_for_missed_packed(network, &self.missed_faults, pool, options)
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests keep the legacy wrappers covered until stage 3
 mod tests {
     use super::*;
     use sortnet_faults::universe::{StandardUniverse, StuckLine};
@@ -1124,37 +914,42 @@ mod tests {
         assert_eq!(solution.lower_bound, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "candidate pool refused")]
-    fn sorted_first_pool_refuses_oversized_sweeps_like_exhaustive() {
-        // The unsorted tail of SortedFirst spans 2^n candidates, so it
-        // must share Exhaustive's n < 32 budget instead of slipping
-        // through to an effective hang.
-        use sortnet_faults::universe::{Lesion, StuckAt};
-        let net = sortnet_network::Network::from_pairs(32, &[(0, 1)]);
-        let missed = [MultiFault::single(Lesion::Stuck(StuckAt {
-            line: 0,
-            cut: 0,
-            value: true,
-        }))];
-        let _ = augmentation_for_missed(
-            &net,
-            &missed,
-            &CandidatePool::SortedFirst,
-            &SearchOptions::default(),
-        );
+    /// The unbudgeted end-to-end search, which must complete.
+    fn minimum(
+        net: &Network,
+        universe: &dyn FaultUniverse,
+        base: &[BitString],
+        pool: &CandidatePool,
+    ) -> Result<AugmentationReport, EngineError> {
+        try_minimum_augmentation_packed(net, universe, base, pool, &SearchOptions::default()).map(
+            |budgeted| {
+                assert!(budgeted.is_complete());
+                budgeted.into_value()
+            },
+        )
+    }
+
+    /// The exhaustive stuck-line grade of `base` on `net`.
+    fn stuck_line_coverage(net: &Network, base: &[BitString]) -> CoverageReport {
+        try_coverage_of_universe_packed_with(
+            net,
+            &StuckLine,
+            base,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::BitParallel,
+        )
+        .unwrap()
     }
 
     #[test]
     fn complete_base_sets_get_the_empty_augmentation() {
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let report = minimum_augmentation(
+        let report = minimum(
             &net,
             &StandardUniverse::SingleComparator,
             &base,
             &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
         )
         .unwrap();
         assert!(report.is_already_complete());
@@ -1167,14 +962,7 @@ mod tests {
     fn stuck_line_augmentation_completes_coverage_and_orders_bounds() {
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let report = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
+        let report = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive).unwrap();
         assert!(!report.is_already_complete());
         assert!(report.certified);
         assert!(report.greedy.len() >= report.minimum.len());
@@ -1182,32 +970,38 @@ mod tests {
         assert!(report.lower_bound >= report.witness_faults.len());
         assert!(!report.minimum.is_empty());
         // The augmented set is complete.
-        let full = coverage_of_universe_with(
-            &net,
-            &StuckLine,
-            &report.augmented(&base),
-            true,
-            FaultSimEngine::BitParallel,
-        );
+        let full = stuck_line_coverage(&net, &report.augmented(&base));
         assert!(full.is_complete(), "{full:?}");
     }
 
     #[test]
     fn narrow_pools_report_infeasibility_with_the_blocking_faults() {
         // An unsorted-only pool cannot catch the sorted-input-only misses
-        // of the stuck-line universe.
+        // of the stuck-line universe; the typed error counts exactly the
+        // missed faults the lone candidate leaves uncovered.
+        use sortnet_faults::universe::multi_detects;
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let err = minimum_augmentation(
+        let missed = stuck_line_coverage(&net, &base).missed_faults;
+        let candidate = BitString::parse("101010").unwrap();
+        let blocking = missed
+            .iter()
+            .filter(|fault| !multi_detects(&net, fault, &candidate))
+            .count();
+        assert!(blocking > 0);
+        let err = try_augmentation_for_missed_packed(
             &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Explicit(vec![BitString::parse("101010").unwrap()]),
+            &missed,
+            &CandidatePool::Explicit(vec![candidate]),
             &SearchOptions::default(),
         )
         .unwrap_err();
-        let AugmentError::Infeasible { uncoverable } = err;
-        assert!(!uncoverable.is_empty());
+        assert_eq!(
+            err,
+            EngineError::InfeasibleCover {
+                uncoverable: blocking
+            }
+        );
     }
 
     #[test]
@@ -1217,45 +1011,11 @@ mod tests {
         // sorted prefix whenever ties allow.
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let exhaustive = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
-        let structured = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::SortedFirst,
-            &SearchOptions::default(),
-        )
-        .unwrap();
+        let exhaustive = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive).unwrap();
+        let structured = minimum(&net, &StuckLine, &base, &CandidatePool::SortedFirst).unwrap();
         assert!(exhaustive.certified && structured.certified);
         assert_eq!(structured.minimum.len(), exhaustive.minimum.len());
         assert_eq!(structured.candidates_considered, 1 << 6);
-    }
-
-    #[test]
-    fn suggest_augmentation_hook_matches_the_end_to_end_entry() {
-        let net = odd_even_merge_sort(6);
-        let base = crate::sorting::binary_testset(6);
-        let coverage =
-            coverage_of_universe_with(&net, &StuckLine, &base, true, FaultSimEngine::BitParallel);
-        let via_hook = coverage
-            .suggest_augmentation(&net, &CandidatePool::Exhaustive, &SearchOptions::default())
-            .unwrap();
-        let end_to_end = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(via_hook, end_to_end);
     }
 
     #[test]
@@ -1294,30 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn try_minimum_augmentation_agrees_with_the_panicking_entry() {
-        let net = odd_even_merge_sort(6);
-        let base = crate::sorting::binary_testset(6);
-        let typed = try_minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
-        let legacy = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
-        assert!(typed.is_complete());
-        assert_eq!(typed.into_value(), legacy);
-    }
-
-    #[test]
     fn try_augmentation_refuses_oversized_exhaustive_pools_with_a_typed_error() {
         use sortnet_faults::universe::{Lesion, StuckAt};
         let net = sortnet_network::Network::from_pairs(33, &[(0, 1)]);
@@ -1326,10 +1062,41 @@ mod tests {
             cut: 0,
             value: true,
         }))];
-        for pool in [CandidatePool::Exhaustive, CandidatePool::SortedFirst] {
-            let err = try_augmentation_for_missed(&net, &missed, &pool, &SearchOptions::default())
-                .unwrap_err();
+        for pool in [
+            CandidatePool::<BitString>::Exhaustive,
+            CandidatePool::SortedFirst,
+        ] {
+            let err =
+                try_augmentation_for_missed_packed(&net, &missed, &pool, &SearchOptions::default())
+                    .unwrap_err();
             assert_eq!(err, EngineError::SweepTooLarge { lines: 33 });
+        }
+    }
+
+    #[test]
+    fn typed_augmentation_refuses_bitstring_pools_past_64_lines() {
+        // One-word `BitString` candidates cannot hold 96 lines; the
+        // refusal must come before the pool's source is built (building
+        // the sorted-strings source already panics at n = 96).
+        use sortnet_faults::universe::FaultUniverse;
+        let net = odd_even_merge_sort(96);
+        let missed: Vec<MultiFault> = StuckLine.iter(&net).take(4).collect();
+        for pool in [
+            CandidatePool::SortedStrings,
+            CandidatePool::Family(PackedFamily::SortedStrings),
+            CandidatePool::Explicit(Vec::new()),
+        ] {
+            let err = try_augmentation_for_missed_packed::<BitString>(
+                &net,
+                &missed,
+                &pool,
+                &SearchOptions::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, EngineError::OversizedNetwork { .. }),
+                "{pool:?}: {err:?}"
+            );
         }
     }
 
@@ -1337,29 +1104,17 @@ mod tests {
     fn try_augmentation_maps_infeasibility_to_the_typed_cover_error() {
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let err = try_minimum_augmentation(
+        let err = minimum(
             &net,
             &StuckLine,
             &base,
             &CandidatePool::Explicit(vec![BitString::parse("101010").unwrap()]),
-            &SearchOptions::default(),
         )
         .unwrap_err();
         let EngineError::InfeasibleCover { uncoverable } = err else {
             panic!("expected InfeasibleCover, got {err:?}");
         };
-        let legacy = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Explicit(vec![BitString::parse("101010").unwrap()]),
-            &SearchOptions::default(),
-        )
-        .unwrap_err();
-        let AugmentError::Infeasible {
-            uncoverable: faults,
-        } = legacy;
-        assert_eq!(uncoverable, faults.len());
+        assert!(uncoverable > 0);
     }
 
     #[test]
@@ -1385,9 +1140,11 @@ mod tests {
             )
             .collect();
         let pool = CandidatePool::Explicit(vec![ChannelVec::zeros(n), ChannelVec::ones(n)]);
-        let report =
-            augmentation_for_missed_packed(&net, &missed, &pool, &SearchOptions::default())
+        let typed =
+            try_augmentation_for_missed_packed(&net, &missed, &pool, &SearchOptions::default())
                 .unwrap();
+        assert!(typed.is_complete());
+        let report = typed.into_value();
         // Zeros catches exactly the stuck-at-1 half, ones the stuck-at-0
         // half: the certified minimum is both vectors, and the counting
         // bound 8/4 is tight.
@@ -1404,34 +1161,30 @@ mod tests {
                 "augmentation fails to detect {fault}"
             );
         }
-        let typed =
-            try_augmentation_for_missed_packed(&net, &missed, &pool, &SearchOptions::default())
-                .unwrap();
-        assert!(typed.is_complete());
-        assert_eq!(typed.into_value(), report);
-        // A half-pool is genuinely infeasible, and says which faults block.
+        // A half-pool is genuinely infeasible, and counts the faults that
+        // block it.
         let narrow = CandidatePool::Explicit(vec![ChannelVec::zeros(n)]);
-        let AugmentError::Infeasible { uncoverable } =
-            augmentation_for_missed_packed(&net, &missed, &narrow, &SearchOptions::default())
-                .unwrap_err();
-        assert_eq!(uncoverable.len(), 4);
+        assert_eq!(
+            try_augmentation_for_missed_packed(&net, &missed, &narrow, &SearchOptions::default())
+                .unwrap_err(),
+            EngineError::InfeasibleCover { uncoverable: 4 }
+        );
     }
 
     #[test]
     fn family_pool_matches_the_sorted_strings_iterator_pool() {
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let coverage =
-            coverage_of_universe_with(&net, &StuckLine, &base, true, FaultSimEngine::BitParallel);
+        let coverage = stuck_line_coverage(&net, &base);
         let options = SearchOptions::default();
-        let from_iter = augmentation_for_missed_packed::<BitString>(
+        let from_iter = try_augmentation_for_missed_packed::<BitString>(
             &net,
             &coverage.missed_faults,
             &CandidatePool::SortedStrings,
             &options,
         )
         .unwrap();
-        let from_family = augmentation_for_missed_packed::<BitString>(
+        let from_family = try_augmentation_for_missed_packed::<BitString>(
             &net,
             &coverage.missed_faults,
             &CandidatePool::Family(PackedFamily::SortedStrings),
@@ -1441,6 +1194,7 @@ mod tests {
         // The family source fills lanes by whole-word writes instead of
         // pushing vectors one by one; the streamed candidates — and hence
         // the whole certified report — must be identical.
+        assert!(from_iter.is_complete());
         assert_eq!(from_iter, from_family);
     }
 
@@ -1459,7 +1213,10 @@ mod tests {
         // An empty base misses everything, the relative grade keeps only
         // the family-detectable faults, and the same family as pool covers
         // them by construction — so the search must certify a minimum.
-        let report = minimum_augmentation_packed(&net, &StuckLine, &base, &pool, &options).unwrap();
+        let typed =
+            try_minimum_augmentation_packed(&net, &StuckLine, &base, &pool, &options).unwrap();
+        assert!(typed.is_complete());
+        let report = typed.into_value();
         assert!(report.certified);
         assert!(!report.minimum.is_empty());
         assert_eq!(report.candidates_considered, n + 1);
@@ -1472,10 +1229,6 @@ mod tests {
                 "augmentation fails to detect {fault}"
             );
         }
-        let typed =
-            try_minimum_augmentation_packed(&net, &StuckLine, &base, &pool, &options).unwrap();
-        assert!(typed.is_complete());
-        assert_eq!(typed.into_value(), report);
         // The default exhaustive grade stays refused past the wall, typed.
         let refused = try_minimum_augmentation_packed(
             &net,
@@ -1493,8 +1246,7 @@ mod tests {
         use sortnet_network::{BudgetReason, Budgeted, SweepBudget};
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let coverage =
-            coverage_of_universe_with(&net, &StuckLine, &base, true, FaultSimEngine::BitParallel);
+        let coverage = stuck_line_coverage(&net, &base);
         let options = SearchOptions {
             budget: SweepBudget::unlimited().with_max_blocks(0),
             ..SearchOptions::default()
@@ -1502,7 +1254,7 @@ mod tests {
         // Zero admitted blocks: no candidate ever streams, so the missed
         // faults are uncovered — which must surface as an uncertified
         // Partial over the empty committed prefix, not as InfeasibleCover.
-        let budgeted = try_augmentation_for_missed(
+        let budgeted = try_augmentation_for_missed_packed::<BitString>(
             &net,
             &coverage.missed_faults,
             &CandidatePool::SortedStrings,
@@ -1521,9 +1273,9 @@ mod tests {
         assert!(!best_so_far.certified);
         assert_eq!(best_so_far.candidates_considered, 0);
         assert!(best_so_far.minimum.is_empty());
-        // The same pool unmetered completes the search (PR 3: the sorted
+        // The same pool unmetered completes the search (the sorted
         // strings restore stuck-line completeness).
-        let complete = try_augmentation_for_missed(
+        let complete = try_augmentation_for_missed_packed::<BitString>(
             &net,
             &coverage.missed_faults,
             &CandidatePool::SortedStrings,
@@ -1538,20 +1290,12 @@ mod tests {
     fn try_suggest_augmentation_hook_matches_the_typed_entry() {
         let net = odd_even_merge_sort(6);
         let base = crate::sorting::binary_testset(6);
-        let coverage =
-            coverage_of_universe_with(&net, &StuckLine, &base, true, FaultSimEngine::BitParallel);
+        let coverage = stuck_line_coverage(&net, &base);
         let via_hook = coverage
             .try_suggest_augmentation(&net, &CandidatePool::Exhaustive, &SearchOptions::default())
             .unwrap();
-        let end_to_end = try_minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
+        let end_to_end = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive).unwrap();
         assert!(via_hook.is_complete());
-        assert_eq!(via_hook.into_value(), end_to_end.into_value());
+        assert_eq!(via_hook.into_value(), end_to_end);
     }
 }

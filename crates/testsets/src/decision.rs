@@ -76,10 +76,15 @@ pub fn check_certificate(network: &Network, certificate: &Certificate) -> bool {
 /// Extracts a valid certificate from a verification failure, when the
 /// network indeed lacks the property.  Returns `None` for networks that have
 /// the property (no certificate exists).
+///
+/// # Panics
+/// Panics with the typed refusal's text when the minimal-binary
+/// verification cannot run (more than 64 lines, or a selector `k > n`).
 #[must_use]
 pub fn find_certificate(network: &Network, property: Property) -> Option<Certificate> {
-    #[allow(deprecated)] // certificate extraction shares the legacy panic contract
-    let report = crate::verify::verify(network, property, crate::verify::Strategy::MinimalBinary);
+    let report =
+        crate::verify::try_verify(network, property, crate::verify::Strategy::MinimalBinary)
+            .unwrap_or_else(|e| panic!("{e}"));
     if report.passed {
         return None;
     }

@@ -83,11 +83,8 @@ pub mod verify;
 pub mod zero_one;
 
 pub use adversary::{adversary_network, AdversaryVariant};
-#[allow(deprecated)] // the legacy wrappers stay re-exported until stage 3 reclaims them
 pub use augment::{
-    augmentation_for_missed, augmentation_for_missed_packed, minimum_augmentation,
-    minimum_augmentation_packed, try_augmentation_for_missed, try_augmentation_for_missed_packed,
-    try_minimum_augmentation, try_minimum_augmentation_packed, AugmentError, AugmentationReport,
+    try_augmentation_for_missed_packed, try_minimum_augmentation_packed, AugmentationReport,
     CandidatePool, SearchOptions, SuggestAugmentation,
 };
 pub use verify::{

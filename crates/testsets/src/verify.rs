@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use sortnet_combinat::{channel_words, BitString, ChannelPack};
 use sortnet_network::bitparallel::{self, ParallelismHint};
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{self, Backend, IterSource, SweepOutcome, DEFAULT_WIDTH};
+use sortnet_network::lanes::{self, Backend, SliceSource, SweepOutcome, DEFAULT_WIDTH};
 use sortnet_network::properties;
 use sortnet_network::Network;
 
@@ -69,41 +69,54 @@ pub struct Report {
 /// Verifies `property` for `network` with the chosen `strategy`, on the
 /// runtime-detected lane-ops backend ([`Backend::active`]).
 ///
-/// # Panics
-/// Panics on malformed parameters (odd `n` for merging, `k > n`, or sizes
-/// too large for exhaustive enumeration).
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_verify` and match the typed error"
-)]
-#[allow(deprecated)] // the wrappers delegate to each other until stage 3 reclaims them
-#[must_use]
-pub fn verify(network: &Network, property: Property, strategy: Strategy) -> Report {
-    verify_on(network, property, strategy, Backend::active())
+/// Checked up front: more than 64 lines is
+/// [`EngineError::OversizedNetwork`], the [`Strategy::Exhaustive`] `2^n`
+/// sweep is refused for `n ≥ 32` ([`EngineError::SweepTooLarge`] — use a
+/// minimal test set instead), and a selector `k > n` is
+/// [`EngineError::IndexOutOfRange`].  Merger shape constraints (even
+/// `n`, power-of-two layouts in some builders) stay panicking: they are
+/// construction-time contracts of the specific test-set generators, not
+/// sweep-capacity limits — see `docs/ERRORS.md`.
+///
+/// # Errors
+/// As listed above.
+pub fn try_verify(
+    network: &Network,
+    property: Property,
+    strategy: Strategy,
+) -> Result<Report, EngineError> {
+    try_verify_on(network, property, strategy, Backend::active())
 }
 
-/// [`verify`] pinned to an explicit lane-ops [`Backend`].
+/// [`try_verify`] pinned to an explicit lane-ops [`Backend`].
 ///
 /// The backend reaches every 0/1 sweep (exhaustive and minimal-binary for
 /// all three properties); the permutation strategies evaluate scalar
 /// permutations, so the backend does not apply to them.  Every backend
 /// produces an identical [`Report`].
 ///
-/// # Panics
-/// Panics on malformed parameters (odd `n` for merging, `k > n`, or sizes
-/// too large for exhaustive enumeration).
-#[deprecated(
-    since = "0.1.0",
-    note = "panics on refused sweeps; use `try_verify_on` and match the typed error"
-)]
-#[must_use]
-pub fn verify_on(
+/// # Errors
+/// As for [`try_verify`].
+pub fn try_verify_on(
     network: &Network,
     property: Property,
     strategy: Strategy,
     backend: Backend,
-) -> Report {
+) -> Result<Report, EngineError> {
     let n = network.lines();
+    error::ensure_word_packable(n)?;
+    if strategy == Strategy::Exhaustive && !matches!(property, Property::Merger) {
+        error::ensure_sweepable(n)?;
+    }
+    if let Property::Selector { k } = property {
+        if k > n {
+            return Err(EngineError::IndexOutOfRange {
+                what: "selector k",
+                index: k,
+                limit: n + 1,
+            });
+        }
+    }
     let (passed, tests_run, witness) = match (property, strategy) {
         (Property::Sorter, Strategy::Exhaustive) => {
             let witness = bitparallel::find_unsorted_input_backend::<DEFAULT_WIDTH>(
@@ -156,63 +169,13 @@ pub fn verify_on(
             (v.passed, v.tests_run, v.witness)
         }
     };
-    Report {
+    Ok(Report {
         property,
         strategy,
         passed,
         tests_run,
         witness,
-    }
-}
-
-/// Typed form of [`verify`]: validates the parameters that would make the
-/// sweep unrunnable and returns an [`EngineError`] instead of panicking.
-///
-/// Checked up front: the [`Strategy::Exhaustive`] `2^n` sweep is refused
-/// for `n ≥ 32` ([`EngineError::SweepTooLarge`] — use a minimal test set
-/// instead), and a selector `k > n` is
-/// [`EngineError::IndexOutOfRange`].  Merger shape constraints (even
-/// `n`, power-of-two layouts in some builders) stay panicking: they are
-/// construction-time contracts of the specific test-set generators, not
-/// sweep-capacity limits — see `docs/ERRORS.md`.
-///
-/// # Errors
-/// As listed above.
-pub fn try_verify(
-    network: &Network,
-    property: Property,
-    strategy: Strategy,
-) -> Result<Report, EngineError> {
-    try_verify_on(network, property, strategy, Backend::active())
-}
-
-/// [`try_verify`] pinned to an explicit lane-ops [`Backend`].
-///
-/// # Errors
-/// As for [`try_verify`].
-pub fn try_verify_on(
-    network: &Network,
-    property: Property,
-    strategy: Strategy,
-    backend: Backend,
-) -> Result<Report, EngineError> {
-    let n = network.lines();
-    error::ensure_word_packable(n)?;
-    if strategy == Strategy::Exhaustive && !matches!(property, Property::Merger) {
-        error::ensure_sweepable(n)?;
-    }
-    if let Property::Selector { k } = property {
-        if k > n {
-            return Err(EngineError::IndexOutOfRange {
-                what: "selector k",
-                index: k,
-                limit: n + 1,
-            });
-        }
-    }
-    #[allow(deprecated)] // the try_ entry is the sanctioned caller of the legacy core
-    let report = verify_on(network, property, strategy, backend);
-    Ok(report)
+    })
 }
 
 /// Spot-checks the sorting property over an explicitly supplied packed
@@ -248,7 +211,7 @@ pub fn try_spot_check_sorter_packed_on<P: ChannelPack>(
         }
     }
     Ok(lanes::sweep_network_packed_with::<DEFAULT_WIDTH, P, _>(
-        IterSource::new(n, tests.to_vec()),
+        SliceSource::new(n, tests),
         network,
         backend,
     ))
@@ -266,12 +229,16 @@ pub fn try_spot_check_sorter_packed<P: ChannelPack>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests keep the legacy wrappers covered until stage 3
 mod tests {
     use super::*;
     use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
     use sortnet_network::builders::selection::pruned_selector;
     use sortnet_network::random::NetworkSampler;
+
+    /// A well-formed verification, unwrapped.
+    fn verify(network: &Network, property: Property, strategy: Strategy) -> Report {
+        try_verify(network, property, strategy).unwrap()
+    }
 
     const STRATEGIES: [Strategy; 3] = [
         Strategy::Exhaustive,
@@ -357,6 +324,7 @@ mod tests {
 
     #[test]
     fn try_verify_agrees_with_verify_on_well_formed_inputs() {
+        // Every runnable backend produces the report of the active one.
         let net = odd_even_merge_sort(8);
         for strategy in STRATEGIES {
             for property in [
@@ -364,10 +332,14 @@ mod tests {
                 Property::Selector { k: 3 },
                 Property::Merger,
             ] {
-                assert_eq!(
-                    try_verify(&net, property, strategy).unwrap(),
-                    verify(&net, property, strategy)
-                );
+                let active = try_verify(&net, property, strategy).unwrap();
+                for backend in Backend::runnable() {
+                    assert_eq!(
+                        try_verify_on(&net, property, strategy, backend).unwrap(),
+                        active,
+                        "{backend:?}"
+                    );
+                }
             }
         }
     }

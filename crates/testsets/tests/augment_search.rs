@@ -9,23 +9,34 @@
 //! finding — "the n + 1 sorted strings restore completeness" — enters as
 //! an upper bound the exact search must meet or beat.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::universe::{
     multi_detects, FaultUniverse, MultiFault, StandardUniverse, StuckLine,
 };
-use sortnet_faults::{coverage_of_universe_with, FaultSimEngine};
+use sortnet_faults::{try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::{Comparator, Network};
 use sortnet_testsets::augment::{
-    minimum_augmentation, AugmentationReport, CandidatePool, SearchOptions, SuggestAugmentation,
+    try_minimum_augmentation_packed, AugmentationReport, CandidatePool, SearchOptions,
+    SuggestAugmentation,
 };
 use sortnet_testsets::sorting;
+
+/// The unbudgeted end-to-end search over `pool`, which must complete.
+fn minimum(
+    network: &Network,
+    universe: &dyn FaultUniverse,
+    base: &[BitString],
+    pool: &CandidatePool,
+) -> AugmentationReport {
+    let budgeted =
+        try_minimum_augmentation_packed(network, universe, base, pool, &SearchOptions::default())
+            .unwrap();
+    assert!(budgeted.is_complete());
+    budgeted.into_value()
+}
 
 /// `true` when every missed fault is caught by some chosen vector
 /// (scalar re-simulation, independent of the matrix pipeline).
@@ -86,13 +97,14 @@ fn assert_certified_minimum(
         "bound >= witness certificate"
     );
     // The augmentation really completes the coverage...
-    let full = coverage_of_universe_with(
+    let full = try_coverage_of_universe_packed_with(
         network,
         universe,
         &report.augmented(base),
-        true,
+        RedundancyMode::Exhaustive,
         FaultSimEngine::BitParallel,
-    );
+    )
+    .unwrap();
     assert!(
         full.is_complete(),
         "augmented set must be complete: {full:?}"
@@ -123,14 +135,7 @@ fn exact_augmentations_are_brute_force_minimal_on_small_batcher_sorters() {
         let net = odd_even_merge_sort(n);
         let base = sorting::binary_testset(n);
         for universe in StandardUniverse::ALL {
-            let report = minimum_augmentation(
-                &net,
-                &universe,
-                &base,
-                &CandidatePool::Exhaustive,
-                &SearchOptions::default(),
-            )
-            .unwrap();
+            let report = minimum(&net, &universe, &base, &CandidatePool::Exhaustive);
             assert_certified_minimum(&net, &base, &universe, &report);
             // Completeness landscape (pinned by the probe that built this
             // test): the single-comparator universe is complete from n = 4
@@ -172,26 +177,12 @@ fn batcher_8_stuck_line_minimum_is_certified_and_beats_the_pr3_upper_bound() {
     // completeness, so the optimum over that pool is well-defined and at
     // most n + 1 — and the exact search over all 2^n vectors must meet or
     // beat it.
-    let over_sorted = minimum_augmentation(
-        &net,
-        &StuckLine,
-        &base,
-        &CandidatePool::SortedStrings,
-        &SearchOptions::default(),
-    )
-    .unwrap();
+    let over_sorted = minimum(&net, &StuckLine, &base, &CandidatePool::SortedStrings);
     assert_certified_minimum(&net, &base, &StuckLine, &over_sorted);
     assert_eq!(over_sorted.missed_faults.len(), 8, "the PR 3 pin");
     assert!(over_sorted.minimum.len() <= n + 1);
 
-    let exact = minimum_augmentation(
-        &net,
-        &StuckLine,
-        &base,
-        &CandidatePool::Exhaustive,
-        &SearchOptions::default(),
-    )
-    .unwrap();
+    let exact = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive);
     assert_certified_minimum(&net, &base, &StuckLine, &exact);
     assert!(exact.minimum.len() <= over_sorted.minimum.len());
     // The base set already contains every unsorted string, so only sorted
@@ -218,14 +209,12 @@ fn batcher_8_stuck_line_pairs_minimum_is_certified() {
     let n = 8;
     let net = odd_even_merge_sort(n);
     let base = sorting::binary_testset(n);
-    let report = minimum_augmentation(
+    let report = minimum(
         &net,
         &StandardUniverse::StuckLinePairs,
         &base,
         &CandidatePool::Exhaustive,
-        &SearchOptions::default(),
-    )
-    .unwrap();
+    );
     assert_eq!(report.missed_faults.len(), 118, "the PR 3 pin");
     assert!(
         report.minimum.len() <= n + 1,
@@ -245,11 +234,18 @@ fn batcher_8_stuck_line_pairs_minimum_is_certified() {
 fn suggest_augmentation_consumes_a_prebuilt_coverage_report() {
     let net = odd_even_merge_sort(6);
     let base = sorting::binary_testset(6);
-    let coverage =
-        coverage_of_universe_with(&net, &StuckLine, &base, true, FaultSimEngine::BitParallel);
+    let coverage = try_coverage_of_universe_packed_with(
+        &net,
+        &StuckLine,
+        &base,
+        RedundancyMode::Exhaustive,
+        FaultSimEngine::BitParallel,
+    )
+    .unwrap();
     let report = coverage
-        .suggest_augmentation(&net, &CandidatePool::Exhaustive, &SearchOptions::default())
-        .unwrap();
+        .try_suggest_augmentation(&net, &CandidatePool::Exhaustive, &SearchOptions::default())
+        .unwrap()
+        .into_value();
     assert_eq!(report.missed_faults, coverage.missed_faults);
     assert_certified_minimum(&net, &base, &StuckLine, &report);
 }
@@ -275,25 +271,12 @@ proptest! {
             .into_iter()
             .map(|w| BitString::from_word(w, 6))
             .collect();
-        let report = minimum_augmentation(
-            &net,
-            &StuckLine,
-            &base,
-            &CandidatePool::Exhaustive,
-            &SearchOptions::default(),
-        )
-        .unwrap();
+        let report = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive);
         prop_assert!(report.certified);
         prop_assert!(report.greedy.len() >= report.minimum.len());
         prop_assert!(report.minimum.len() >= report.lower_bound);
         prop_assert!(report.lower_bound >= report.witness_faults.len());
-        let full = coverage_of_universe_with(
-            &net,
-            &StuckLine,
-            &report.augmented(&base),
-            true,
-            FaultSimEngine::BitParallel,
-        );
+        let full = try_coverage_of_universe_packed_with(&net, &StuckLine, &report.augmented(&base), RedundancyMode::Exhaustive, FaultSimEngine::BitParallel).unwrap();
         prop_assert!(full.is_complete());
     }
 }

@@ -23,14 +23,14 @@
 use sortnet_combinat::{BitString, ChannelVec};
 use sortnet_faults::universe::{Lesion, MultiFault, StuckAt};
 use sortnet_faults::{
-    coverage_of_universe_budgeted_with, coverage_of_universe_packed_with, try_coverage_of_universe,
-    Budgeted, FaultSimEngine, FaultUniverse, StandardUniverse, SweepBudget,
+    coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with, Budgeted,
+    FaultSimEngine, FaultUniverse, RedundancyMode, StandardUniverse, SweepBudget,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::LaneWidth;
+use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::random::NetworkSampler;
 use sortnet_testsets::augment::{
-    augmentation_for_missed_packed, CandidatePool, SearchOptions, SuggestAugmentation,
+    try_augmentation_for_missed_packed, CandidatePool, SearchOptions, SuggestAugmentation,
 };
 use sortnet_testsets::sorting;
 
@@ -67,8 +67,14 @@ fn main() {
         );
         for budget in [16usize, 64] {
             let random: Vec<BitString> = (0..budget).map(|_| sampler.random_input(n)).collect();
-            let r = try_coverage_of_universe(&net, &universe, &random, true)
-                .expect("n = 8 is well within the redundancy-sweep bound");
+            let r = try_coverage_of_universe_packed_with(
+                &net,
+                &universe,
+                &random,
+                RedundancyMode::Exhaustive,
+                FaultSimEngine::default(),
+            )
+            .expect("n = 8 is well within the redundancy-sweep bound");
             println!(
                 "  {:<34} {:>7} {:>9} {:>7} {:>13} {:>9.3}",
                 format!("{budget} random inputs"),
@@ -79,8 +85,14 @@ fn main() {
                 r.coverage
             );
         }
-        let r = try_coverage_of_universe(&net, &universe, &minimal, true)
-            .expect("n = 8 is well within the redundancy-sweep bound");
+        let r = try_coverage_of_universe_packed_with(
+            &net,
+            &universe,
+            &minimal,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::default(),
+        )
+        .expect("n = 8 is well within the redundancy-sweep bound");
         println!(
             "  {:<34} {:>7} {:>9} {:>7} {:>13} {:>9.3}",
             "minimal 0/1 test set (Thm 2.2 i)",
@@ -143,12 +155,13 @@ fn main() {
     // to a conservative partial report instead of hanging — undecided
     // faults count as missed, never as detected.
     let tiny = SweepBudget::unlimited().with_max_blocks(1);
-    match coverage_of_universe_budgeted_with(
+    match coverage_of_universe_budgeted_packed_with(
         &net,
         &StandardUniverse::StuckLine,
         &minimal,
-        false,
+        RedundancyMode::Skip,
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
+        Backend::active(),
         &tiny,
     )
     .expect("inputs are valid")
@@ -182,13 +195,14 @@ fn main() {
         ChannelVec::from_fn(wall_n, |i| i == 63),
         ChannelVec::from_fn(wall_n, |i| i >= 64),
     ]);
-    let wide = coverage_of_universe_packed_with(
+    let wide = try_coverage_of_universe_packed_with(
         &big,
         &StandardUniverse::StuckLine,
         &probes,
-        false,
+        RedundancyMode::Skip,
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
-    );
+    )
+    .expect("stuck-line grading without redundancy is admissible at n = 96");
     println!(
         "\nPast the 64-line wall: Batcher n={wall_n} ({} comparators), stuck-line\n\
          universe of {} faults, {} probes ({} channel words each):\n\
@@ -232,7 +246,9 @@ fn main() {
         ChannelVec::ones(wall_n),
         ChannelVec::from_fn(wall_n, |i| i % 2 == 0),
     ]);
-    match augmentation_for_missed_packed(&big, &seam_targets, &pool, &SearchOptions::default()) {
+    match try_augmentation_for_missed_packed(&big, &seam_targets, &pool, &SearchOptions::default())
+        .map(Budgeted::into_value)
+    {
         Ok(fix) => println!(
             "  seam-straddling stuck lesions: smallest detecting set = {} vector(s) \
              ({}, lower bound {})",

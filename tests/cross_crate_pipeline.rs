@@ -2,15 +2,11 @@
 //! test-set generation → verification → rendering/serialisation, as a user
 //! of the workspace would chain them.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use sortnet_combinat::{BitString, Permutation, SymmetricChainDecomposition};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::render::{ascii_diagram, dot};
 use sortnet_network::Network;
-use sortnet_testsets::verify::{verify, Property, Strategy};
+use sortnet_testsets::verify::{try_verify, Property, Strategy};
 use sortnet_testsets::{bnk, sorting};
 
 #[test]
@@ -28,7 +24,7 @@ fn full_pipeline_from_chains_to_certified_sorter() {
     // 3. A Batcher sorter passes it; the certificate transfers to arbitrary
     //    values via the zero-one principle.
     let sorter = odd_even_merge_sort(n);
-    let report = verify(&sorter, Property::Sorter, Strategy::Permutation);
+    let report = try_verify(&sorter, Property::Sorter, Strategy::Permutation).unwrap();
     assert!(report.passed);
     assert_eq!(report.tests_run, 69);
     let mut values = vec![17u32, 3, 99, 3, 0, 250, 8, 41];
@@ -39,7 +35,7 @@ fn full_pipeline_from_chains_to_certified_sorter() {
     // 4. Corrupt the sorter; the same test set catches it and reports a
     //    binary witness consistent with the network's behaviour.
     let corrupted = sorter.without_comparator(10);
-    let report = verify(&corrupted, Property::Sorter, Strategy::Permutation);
+    let report = try_verify(&corrupted, Property::Sorter, Strategy::Permutation).unwrap();
     assert!(!report.passed);
     let witness = report
         .witness
@@ -78,8 +74,12 @@ fn paper_fig1_walkthrough() {
     assert_eq!(fig1.size(), 4);
     assert_eq!(fig1.apply_vec(&[4, 1, 3, 2]), vec![1, 3, 2, 4]);
 
-    let verdict = verify(&fig1, Property::Sorter, Strategy::MinimalBinary);
+    let verdict = try_verify(&fig1, Property::Sorter, Strategy::MinimalBinary).unwrap();
     assert!(!verdict.passed);
     // The exhaustive and minimal strategies agree on the verdict.
-    assert!(!verify(&fig1, Property::Sorter, Strategy::Exhaustive).passed);
+    assert!(
+        !try_verify(&fig1, Property::Sorter, Strategy::Exhaustive)
+            .unwrap()
+            .passed
+    );
 }

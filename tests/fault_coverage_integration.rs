@@ -2,14 +2,15 @@
 //! the paper's minimal sorting test set achieves full single-fault coverage
 //! on classical sorters, while small random samples do not.
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use sortnet_combinat::BitString;
-use sortnet_faults::simulate::{detects, faulty_apply_bits, is_fault_redundant};
-use sortnet_faults::universe::{FaultUniverse, SingleComparator};
-use sortnet_faults::{coverage_of_tests, coverage_of_universe, enumerate_faults, Fault, FaultKind};
+use sortnet_faults::simulate::{
+    detects, faulty_apply_bits, first_detection_index, is_fault_redundant,
+};
+use sortnet_faults::universe::{FaultUniverse, MultiFault, SingleComparator};
+use sortnet_faults::{
+    enumerate_faults, try_coverage_of_universe_packed_with, Fault, FaultKind, FaultSimEngine,
+    RedundancyMode,
+};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::random::NetworkSampler;
@@ -30,8 +31,22 @@ fn minimal_testset_catches_every_fault_that_breaks_sorting_of_unsorted_inputs() 
         let unsorted_tests = sorting::binary_testset(7);
         let all_inputs: Vec<BitString> = BitString::all(7).collect();
 
-        let with_unsorted_only = coverage_of_tests(&net, &unsorted_tests, true);
-        let with_everything = coverage_of_tests(&net, &all_inputs, true);
+        let with_unsorted_only = try_coverage_of_universe_packed_with(
+            &net,
+            &SingleComparator,
+            &unsorted_tests,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::default(),
+        )
+        .unwrap();
+        let with_everything = try_coverage_of_universe_packed_with(
+            &net,
+            &SingleComparator,
+            &all_inputs,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::default(),
+        )
+        .unwrap();
 
         // The complete input set misses nothing.
         assert_eq!(with_everything.missed, 0, "{label}: {with_everything:?}");
@@ -60,8 +75,22 @@ fn small_random_samples_are_strictly_weaker() {
     let mut sampler = NetworkSampler::new(0xFA17);
     let random8: Vec<BitString> = (0..8).map(|_| sampler.random_input(8)).collect();
 
-    let full = coverage_of_tests(&net, &minimal, true);
-    let sampled = coverage_of_tests(&net, &random8, true);
+    let full = try_coverage_of_universe_packed_with(
+        &net,
+        &SingleComparator,
+        &minimal,
+        RedundancyMode::Exhaustive,
+        FaultSimEngine::default(),
+    )
+    .unwrap();
+    let sampled = try_coverage_of_universe_packed_with(
+        &net,
+        &SingleComparator,
+        &random8,
+        RedundancyMode::Exhaustive,
+        FaultSimEngine::default(),
+    )
+    .unwrap();
     assert_eq!(full.missed, 0);
     assert!(sampled.detected < full.detected || sampled.missed > 0);
 }
@@ -89,17 +118,41 @@ fn fault_detection_is_consistent_with_the_faulty_simulator() {
 
 #[test]
 fn legacy_single_fault_coverage_is_the_single_comparator_universe() {
-    // The historical `coverage_of_tests` API is now a wrapper over the
-    // `FaultUniverse` machinery; the two must agree field for field
-    // (including the named missed/undetectable fault lists) and the
-    // universe must enumerate the same faults as `enumerate_faults`.
+    // The single-comparator universe enumerates exactly the legacy
+    // `enumerate_faults` list, in order, and its report follows fault for
+    // fault from the legacy single-fault scalar simulator.
     let net = odd_even_merge_sort(7);
     let tests = sorting::binary_testset(7);
-    let legacy = coverage_of_tests(&net, &tests, true);
-    let universe = coverage_of_universe(&net, &SingleComparator, &tests, true);
-    assert_eq!(legacy, universe);
-    assert_eq!(legacy.total_faults, enumerate_faults(&net).len());
-    assert_eq!(legacy.total_faults, SingleComparator.len(&net));
+    let report = try_coverage_of_universe_packed_with(
+        &net,
+        &SingleComparator,
+        &tests,
+        RedundancyMode::Exhaustive,
+        FaultSimEngine::default(),
+    )
+    .unwrap();
+    let faults = enumerate_faults(&net);
+    assert_eq!(report.total_faults, faults.len());
+    assert_eq!(report.total_faults, SingleComparator.len(&net));
+    let universe: Vec<MultiFault> = SingleComparator.iter(&net).collect();
+    let legacy: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
+    assert_eq!(universe, legacy);
+    let firsts: Vec<Option<usize>> = faults
+        .iter()
+        .map(|fault| first_detection_index(&net, fault, &tests))
+        .collect();
+    let undetectable: Vec<MultiFault> = faults
+        .iter()
+        .zip(&firsts)
+        .filter(|(fault, first)| first.is_none() && is_fault_redundant(&net, fault))
+        .map(|(fault, _)| MultiFault::from(*fault))
+        .collect();
+    assert_eq!(report.detected, firsts.iter().flatten().count());
+    assert_eq!(report.undetectable_faults, undetectable);
+    assert_eq!(
+        report.max_first_detection,
+        firsts.iter().flatten().max().map_or(0, |i| i + 1)
+    );
 }
 
 #[test]

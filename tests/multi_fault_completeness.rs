@@ -11,15 +11,11 @@
 //! that are already sorted, and the Theorem 2.2 set deliberately contains
 //! no sorted strings).
 
-// The legacy panicking wrappers stay exercised here until stage 3 of the
-// deprecation path (docs/ERRORS.md) reclaims them.
-#![allow(deprecated)]
-
 use std::collections::BTreeSet;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::universe::{multi_detects, FaultUniverse, MultiFault, StuckLine};
-use sortnet_faults::{coverage_of_universe_with, FaultSimEngine};
+use sortnet_faults::{try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_testsets::sorting;
 
@@ -61,7 +57,14 @@ fn coverage_report_names_exactly_the_undetectable_stuck_line_faults() {
         let (undetectable, by_unsorted, sorted_only, net) = brute_force_partition(n);
         let minimal = sorting::binary_testset(n);
         for engine in [FaultSimEngine::BitParallel, FaultSimEngine::Scalar] {
-            let report = coverage_of_universe_with(&net, &StuckLine, &minimal, true, engine);
+            let report = try_coverage_of_universe_packed_with(
+                &net,
+                &StuckLine,
+                &minimal,
+                RedundancyMode::Exhaustive,
+                engine,
+            )
+            .unwrap();
 
             // The report names exactly the brute-force undetectable faults
             // — same faults, nothing extra, nothing missing.
@@ -105,13 +108,14 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
     for (n, total, undetectable, missed) in expected {
         let net = odd_even_merge_sort(n);
         let minimal = sorting::binary_testset(n);
-        let report = coverage_of_universe_with(
+        let report = try_coverage_of_universe_packed_with(
             &net,
             &StuckLine,
             &minimal,
-            true,
+            RedundancyMode::Exhaustive,
             FaultSimEngine::BitParallel,
-        );
+        )
+        .unwrap();
         assert_eq!(report.total_faults, total, "n={n}");
         assert_eq!(report.redundant_faults, undetectable, "n={n}");
         assert_eq!(report.missed, missed, "n={n}");
@@ -121,13 +125,14 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
         // stuck-line faults.
         let mut with_sorted = minimal.clone();
         with_sorted.extend(BitString::all(n).filter(BitString::is_sorted));
-        let full = coverage_of_universe_with(
+        let full = try_coverage_of_universe_packed_with(
             &net,
             &StuckLine,
             &with_sorted,
-            true,
+            RedundancyMode::Exhaustive,
             FaultSimEngine::BitParallel,
-        );
+        )
+        .unwrap();
         assert_eq!(full.missed, 0, "n={n}: sorted inputs must close the gap");
         assert_eq!(full.redundant_faults, undetectable, "n={n}");
         assert_eq!(full.detected, total - undetectable, "n={n}");
@@ -142,13 +147,14 @@ fn every_stuck_input_segment_is_reported_undetectable() {
     let n = 8;
     let net = odd_even_merge_sort(n);
     let minimal = sorting::binary_testset(n);
-    let report = coverage_of_universe_with(
+    let report = try_coverage_of_universe_packed_with(
         &net,
         &StuckLine,
         &minimal,
-        true,
+        RedundancyMode::Exhaustive,
         FaultSimEngine::BitParallel,
-    );
+    )
+    .unwrap();
     let names: BTreeSet<String> = report
         .undetectable_faults
         .iter()
