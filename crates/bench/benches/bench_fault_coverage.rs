@@ -31,13 +31,11 @@ use sortnet_faults::{
     redundant_faults_multi_on, try_coverage_of_universe_packed_with, CoverageReport,
     FaultSimEngine, MultiFault, RedundancyMode, StandardUniverse,
 };
-use sortnet_network::bitparallel::{
-    is_sorter_exhaustive_backend, is_sorter_exhaustive_wide, ParallelismHint,
-};
+use sortnet_network::bitparallel::find_unsorted_input;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, LaneWidth};
+use sortnet_network::lanes::{Backend, LaneWidth, Sweep};
 use sortnet_network::random::NetworkSampler;
-use sortnet_network::Network;
+use sortnet_network::{Network, SweepBudget};
 use sortnet_testsets::augment::{
     try_minimum_augmentation_packed, CandidatePool, SearchOptions, SuggestAugmentation,
 };
@@ -52,6 +50,16 @@ fn single_comparator_grade(
 ) -> CoverageReport {
     try_coverage_of_universe_packed_with(net, &SingleComparator, tests, mode, engine)
         .expect("the E10 grades are admissible")
+}
+
+/// An exhaustive sweep at `width` on `backend`, pinned to the calling
+/// thread by a block cap that never trips.
+fn sequential(width: LaneWidth, backend: Backend) -> Sweep {
+    Sweep {
+        backend,
+        width,
+        budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
+    }
 }
 
 fn bench_fault_coverage(c: &mut Criterion) {
@@ -100,7 +108,10 @@ fn bench_engine_comparison(c: &mut Criterion) {
         let minimal = sorting::binary_testset(n);
         for (label, engine) in [
             ("scalar", FaultSimEngine::Scalar),
-            ("bitparallel", FaultSimEngine::BitParallel),
+            (
+                "bitparallel",
+                FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            ),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
@@ -129,7 +140,10 @@ fn bench_engine_comparison_no_redundancy(c: &mut Criterion) {
         let minimal = sorting::binary_testset(n);
         for (label, engine) in [
             ("scalar", FaultSimEngine::Scalar),
-            ("bitparallel", FaultSimEngine::BitParallel),
+            (
+                "bitparallel",
+                FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            ),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
                 b.iter(|| {
@@ -184,27 +198,13 @@ fn bench_lane_width_sweep(c: &mut Criterion) {
 
     for vn in [16usize, 20] {
         let vnet = odd_even_merge_sort(vn);
-        group.bench_with_input(BenchmarkId::new("verify_exhaustive_w1", vn), &vn, |b, _| {
-            b.iter(|| is_sorter_exhaustive_wide::<1>(black_box(&vnet), ParallelismHint::Sequential))
-        });
-        group.bench_with_input(BenchmarkId::new("verify_exhaustive_w2", vn), &vn, |b, _| {
-            b.iter(|| is_sorter_exhaustive_wide::<2>(black_box(&vnet), ParallelismHint::Sequential))
-        });
-        group.bench_with_input(BenchmarkId::new("verify_exhaustive_w4", vn), &vn, |b, _| {
-            b.iter(|| is_sorter_exhaustive_wide::<4>(black_box(&vnet), ParallelismHint::Sequential))
-        });
-        group.bench_with_input(BenchmarkId::new("verify_exhaustive_w8", vn), &vn, |b, _| {
-            b.iter(|| is_sorter_exhaustive_wide::<8>(black_box(&vnet), ParallelismHint::Sequential))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("verify_exhaustive_w16", vn),
-            &vn,
-            |b, _| {
-                b.iter(|| {
-                    is_sorter_exhaustive_wide::<16>(black_box(&vnet), ParallelismHint::Sequential)
-                })
-            },
-        );
+        for width in LaneWidth::ALL {
+            let sweep = sequential(width, Backend::active());
+            let label = format!("verify_exhaustive_w{}", width.words());
+            group.bench_with_input(BenchmarkId::new(label, vn), &vn, |b, _| {
+                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
+            });
+        }
     }
     group.finish();
 }
@@ -232,26 +232,16 @@ fn bench_simd_backend(c: &mut Criterion) {
             BenchmarkId::new(format!("verify_n20_w4_{}", backend.name()), 20),
             &backend,
             |b, &backend| {
-                b.iter(|| {
-                    is_sorter_exhaustive_backend::<4>(
-                        black_box(&vnet),
-                        ParallelismHint::Sequential,
-                        backend,
-                    )
-                })
+                let sweep = sequential(LaneWidth::W4, backend);
+                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
             },
         );
         group.bench_with_input(
             BenchmarkId::new(format!("verify_n20_w8_{}", backend.name()), 20),
             &backend,
             |b, &backend| {
-                b.iter(|| {
-                    is_sorter_exhaustive_backend::<8>(
-                        black_box(&vnet),
-                        ParallelismHint::Sequential,
-                        backend,
-                    )
-                })
+                let sweep = sequential(LaneWidth::W8, backend);
+                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
             },
         );
     }
@@ -305,7 +295,7 @@ fn bench_universe_sweep(c: &mut Criterion) {
                     &universe,
                     black_box(&minimal),
                     RedundancyMode::Exhaustive,
-                    FaultSimEngine::BitParallel,
+                    FaultSimEngine::BitParallelWide(LaneWidth::W4),
                 )
                 .unwrap()
             })
@@ -359,7 +349,7 @@ fn bench_augmentation_search(c: &mut Criterion) {
             &universe,
             &minimal,
             RedundancyMode::Exhaustive,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         )
         .unwrap();
         group.throughput(Throughput::Elements(report.missed_faults.len() as u64));

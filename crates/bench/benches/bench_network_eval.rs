@@ -8,15 +8,23 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use sortnet_combinat::BitString;
-use sortnet_network::bitparallel::{count_unsorted_outputs, is_sorter_exhaustive, ParallelismHint};
+use sortnet_network::bitparallel::{count_unsorted_outputs, find_unsorted_input};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
+use sortnet_network::lanes::Sweep;
+use sortnet_network::SweepBudget;
 
 fn bench_exhaustive_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_exhaustive_sweep");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
+    // A block cap that never trips pins the sweep to the calling thread.
+    let sequential = Sweep {
+        budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
+        ..Sweep::default()
+    };
+    let rayon = Sweep::default();
     for n in [12usize, 16, 20] {
         let net = odd_even_merge_sort(n);
         group.throughput(Throughput::Elements(1u64 << n));
@@ -28,10 +36,10 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("bitparallel_sequential", n), &n, |b, _| {
-            b.iter(|| is_sorter_exhaustive(black_box(&net), ParallelismHint::Sequential))
+            b.iter(|| find_unsorted_input(black_box(&net), &sequential))
         });
         group.bench_with_input(BenchmarkId::new("bitparallel_rayon", n), &n, |b, _| {
-            b.iter(|| is_sorter_exhaustive(black_box(&net), ParallelismHint::Rayon))
+            b.iter(|| find_unsorted_input(black_box(&net), &rayon))
         });
     }
     group.finish();
@@ -45,7 +53,7 @@ fn bench_failure_counting(c: &mut Criterion) {
     for n in [12usize, 16] {
         let nearly = bubble_sort_network(n).without_comparator(0);
         group.bench_with_input(BenchmarkId::new("count_unsorted_rayon", n), &n, |b, _| {
-            b.iter(|| count_unsorted_outputs(black_box(&nearly), ParallelismHint::Rayon))
+            b.iter(|| count_unsorted_outputs(black_box(&nearly), &Sweep::default()))
         });
     }
     group.finish();

@@ -16,6 +16,7 @@ use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::builders::selection::pruned_selector;
 use sortnet_network::builders::transposition::odd_even_transposition;
+use sortnet_network::lanes::LaneWidth;
 use sortnet_network::primitive::for_each_network;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
@@ -366,7 +367,7 @@ pub fn e9_verification_cost(max_n: usize) -> Table {
 /// sorter.
 ///
 /// Runs on the bit-parallel fault-simulation engine
-/// ([`FaultSimEngine::BitParallel`]); the last column re-runs each row on
+/// ([`FaultSimEngine::BitParallelWide`] at `LaneWidth::W4`); the last column re-runs each row on
 /// the scalar oracle and records that the two reports agree bit-for-bit.
 /// The `undetectable` column is the universe's redundant-fault count — on
 /// the richer universes (stuck lines, pairs) a nonzero value is expected
@@ -422,7 +423,12 @@ pub fn e10_fault_coverage(n: usize) -> Table {
             ],
         };
         for (label, tests) in sequences {
-            let report = grade(&net, &universe, tests, FaultSimEngine::BitParallel);
+            let report = grade(
+                &net,
+                &universe,
+                tests,
+                FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            );
             let oracle = grade(&net, &universe, tests, FaultSimEngine::Scalar);
             t.push_row(vec![
                 n.to_string(),

@@ -20,7 +20,7 @@
 //! | [`FaultKind::Misrouted`] | comparator between `top` and `new_bottom` |
 //!
 //! A test vector *detects* a fault when the faulty network leaves it
-//! unsorted, so one `unsorted_masks()` per fault per block yields `W × 64`
+//! unsorted, so one sortedness scan per fault per block yields `W × 64`
 //! detection verdicts at once.
 //!
 //! # Shared-prefix forking, in two levels
@@ -146,7 +146,7 @@ fn apply_faulty_comparator<const W: usize>(
         FaultKind::Inverted => block.apply_comparator_with(backend, c.max_line(), c.min_line()),
         // A misroute onto the comparator's own top line degenerates to a
         // no-op in the scalar simulator's word arithmetic; mirror that
-        // instead of tripping `apply_comparator`'s distinct-lines assert.
+        // instead of tripping `apply_comparator_with`'s distinct-lines assert.
         // (`enumerate_faults` never emits this shape, but the fault type
         // admits it.)
         FaultKind::Misrouted { new_bottom } => {
@@ -982,8 +982,8 @@ pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &Fault)
         "fault index out of range"
     );
     let backend = Backend::active();
-    (0..bitparallel::sweep_block_count_wide::<W>(n)).all(|b| {
-        let (start, count) = bitparallel::sweep_block_range_wide::<W>(n, b);
+    (0..bitparallel::sweep_block_count::<W>(n)).all(|b| {
+        let (start, count) = bitparallel::sweep_block_range::<W>(n, b);
         let mut block = WideBlock::<W>::from_range(n, start, count);
         faulty_run_block(network, fault, &mut block);
         !lanes::mask_any(&block.unsorted_masks_with(backend))

@@ -52,20 +52,23 @@ use crate::universe::{
 /// are admitted by the canonical `ensure_sweepable` (`n < 32`) with one
 /// pinned error text, so the engines agree on exactly which inputs are
 /// sweepable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSimEngine {
     /// One fault × one test per call
     /// ([`crate::simulate`] / [`crate::universe`]).
     Scalar,
     /// `W × 64` tests per pass with shared-prefix forking
-    /// ([`crate::bitsim`]), at the default lane width
-    /// (`DEFAULT_WIDTH × 64 = 256` vectors per fork) — the same engine as
-    /// `BitParallelWide(LaneWidth::W4)`.
-    #[default]
-    BitParallel,
-    /// Bit-parallel with an explicit lane width — `LaneWidth::W1`
-    /// reproduces the original single-word engine exactly.
+    /// ([`crate::bitsim`]) at an explicit lane width — `LaneWidth::W1`
+    /// reproduces the original single-word engine exactly, and the default
+    /// `LaneWidth::W4` runs 256 vectors per fork.
     BitParallelWide(LaneWidth),
+}
+
+impl Default for FaultSimEngine {
+    /// Bit-parallel at [`LaneWidth::W4`].
+    fn default() -> Self {
+        Self::BitParallelWide(LaneWidth::W4)
+    }
 }
 
 impl FaultSimEngine {
@@ -73,7 +76,6 @@ impl FaultSimEngine {
     fn lane_width(self) -> Option<LaneWidth> {
         match self {
             Self::Scalar => None,
-            Self::BitParallel => Some(LaneWidth::W4),
             Self::BitParallelWide(width) => Some(width),
         }
     }
@@ -717,7 +719,10 @@ mod tests {
         // redundancy sweep classifying the misses.
         let net = odd_even_merge_sort(5);
         for mode in [Skip, Exhaustive] {
-            for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
+            for engine in [
+                FaultSimEngine::Scalar,
+                FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            ] {
                 let report = grade::<BitString>(&net, &StuckLine, &[], mode, engine);
                 assert_eq!(report.detected, 0);
                 assert!(report.missed > 0, "stuck-line has detectable faults");
@@ -768,7 +773,7 @@ mod tests {
                     &SingleComparator,
                     &tests,
                     mode,
-                    FaultSimEngine::BitParallel,
+                    FaultSimEngine::BitParallelWide(LaneWidth::W4),
                 );
                 assert_eq!(scalar, bitpar, "net {net} {mode:?}");
             }
@@ -878,7 +883,10 @@ mod tests {
         // every engine shares the one canonical `ensure_sweepable` bound
         // with a single pinned error text.
         let wide = sortnet_network::Network::empty(33);
-        for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
+        for engine in [
+            FaultSimEngine::Scalar,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        ] {
             assert_eq!(
                 try_coverage_of_universe_packed_with::<BitString>(
                     &wide,
@@ -939,7 +947,7 @@ mod tests {
             &StuckLine,
             &tests,
             RedundancyMode::RelativeTo(PackedFamily::SortedStrings),
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         );
         assert_eq!(relative.redundancy, "relative:sorted-strings");
     }
@@ -952,7 +960,10 @@ mod tests {
         // the full binary family it is *exactly* the exhaustive verdict.
         let net = odd_even_merge_sort(5);
         let tests = vec![BitString::from_word(1, 5)];
-        for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
+        for engine in [
+            FaultSimEngine::Scalar,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        ] {
             let exhaustive = grade(&net, &StuckLine, &tests, Exhaustive, engine);
             let relative = grade(
                 &net,
@@ -987,7 +998,7 @@ mod tests {
                 let mode = RedundancyMode::RelativeTo(family);
                 let scalar = grade(&net, &StuckLine, &tests, mode, FaultSimEngine::Scalar);
                 for engine in [
-                    FaultSimEngine::BitParallel,
+                    FaultSimEngine::BitParallelWide(LaneWidth::W4),
                     FaultSimEngine::BitParallelWide(LaneWidth::W1),
                 ] {
                     assert_eq!(
@@ -1023,7 +1034,6 @@ mod tests {
         assert!(scalar.redundant_faults > 0, "{scalar:?}");
         assert!(scalar.missed > 0, "{scalar:?}");
         for engine in [
-            FaultSimEngine::BitParallel,
             FaultSimEngine::BitParallelWide(LaneWidth::W1),
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
         ] {
@@ -1040,7 +1050,7 @@ mod tests {
                 &StuckLine,
                 &tests,
                 mode,
-                FaultSimEngine::BitParallel
+                FaultSimEngine::BitParallelWide(LaneWidth::W4)
             )
             .unwrap(),
             scalar
@@ -1050,7 +1060,7 @@ mod tests {
             &StuckLine,
             &tests,
             mode,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
             Backend::active(),
             &SweepBudget::unlimited(),
         )
@@ -1065,7 +1075,10 @@ mod tests {
         let mode = RedundancyMode::RelativeTo(PackedFamily::SortedStrings);
         let token = CancelToken::new();
         token.cancel();
-        for engine in [FaultSimEngine::Scalar, FaultSimEngine::BitParallel] {
+        for engine in [
+            FaultSimEngine::Scalar,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        ] {
             let cancelled = coverage_of_universe_budgeted_packed_with::<BitString>(
                 &net,
                 &StuckLine,
@@ -1101,7 +1114,7 @@ mod tests {
                 &StuckLine,
                 &tests,
                 Exhaustive,
-                FaultSimEngine::BitParallel
+                FaultSimEngine::BitParallelWide(LaneWidth::W4)
             )
             .unwrap_err(),
             refused
@@ -1114,7 +1127,7 @@ mod tests {
                 &StuckLine,
                 &tests,
                 Exhaustive,
-                FaultSimEngine::BitParallel,
+                FaultSimEngine::BitParallelWide(LaneWidth::W4),
                 Backend::Scalar,
                 &SweepBudget::unlimited().with_cancel(token)
             )
@@ -1207,7 +1220,7 @@ mod tests {
         let tests = sorting::binary_testset(6);
         for engine in [
             FaultSimEngine::Scalar,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
             FaultSimEngine::BitParallelWide(LaneWidth::W1),
         ] {
             let budgeted = coverage_of_universe_budgeted_packed_with(
@@ -1305,7 +1318,13 @@ mod tests {
         assert_eq!(meter.tripped(), None);
         assert_eq!(
             summarise_verdicts(&faults, &first, &redundant, Skip),
-            grade(&net, &StuckLine, &tests, Skip, FaultSimEngine::BitParallel)
+            grade(
+                &net,
+                &StuckLine,
+                &tests,
+                Skip,
+                FaultSimEngine::BitParallelWide(LaneWidth::W4)
+            )
         );
 
         // Capped budget: the whole-block-commit invariant holds across the
@@ -1348,7 +1367,6 @@ mod tests {
         assert_eq!(scalar.total_faults, StuckLine.len(&net));
         assert!(scalar.detected > 0, "{scalar:?}");
         for engine in [
-            FaultSimEngine::BitParallel,
             FaultSimEngine::BitParallelWide(LaneWidth::W1),
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
         ] {

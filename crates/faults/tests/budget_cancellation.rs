@@ -21,7 +21,7 @@ use sortnet_faults::{
     BudgetReason, Budgeted, CancelToken, DetectionMatrix, EngineError, SweepBudget,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, SliceSource};
+use sortnet_network::lanes::{Backend, LaneWidth, SliceSource};
 use sortnet_network::Network;
 
 /// The unbudgeted matrix of an explicit test list.
@@ -214,9 +214,9 @@ fn a_cancelled_coverage_run_is_conservative_on_every_engine_and_width() {
     let budget = SweepBudget::unlimited().with_cancel(token);
     for engine in [
         FaultSimEngine::Scalar,
-        FaultSimEngine::BitParallel,
-        FaultSimEngine::BitParallelWide(sortnet_network::lanes::LaneWidth::W1),
-        FaultSimEngine::BitParallelWide(sortnet_network::lanes::LaneWidth::W8),
+        FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        FaultSimEngine::BitParallelWide(LaneWidth::W1),
+        FaultSimEngine::BitParallelWide(LaneWidth::W8),
     ] {
         let outcome = coverage_of_universe_budgeted_packed_with(
             &net,

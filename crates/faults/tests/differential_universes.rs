@@ -233,7 +233,6 @@ fn redundancy_classification_agrees_across_all_three_paths() {
 fn coverage_reports_are_identical_across_every_engine() {
     let engines = [
         FaultSimEngine::Scalar,
-        FaultSimEngine::BitParallel,
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
         FaultSimEngine::BitParallelWide(LaneWidth::W2),
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
@@ -297,7 +296,7 @@ fn batcher_n8_universe_results_are_pinned() {
             &universe,
             &tests,
             RedundancyMode::Exhaustive,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         )
         .unwrap();
         assert_eq!(report.total_faults, total, "{}", universe.name());
@@ -357,7 +356,7 @@ proptest! {
                 for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
                     let mut block = WideBlock::<2>::from_strings(7, chunk);
                     multi_faulty_run_block(&net, fault, &mut block);
-                    let masks = block.unsorted_masks();
+                    let masks = block.unsorted_masks_with(Backend::Scalar);
                     for (j, _) in chunk.iter().enumerate() {
                         let expected = (masks[j / 64] >> (j % 64)) & 1 == 1;
                         prop_assert_eq!(

@@ -283,7 +283,6 @@ fn stuck_line_coverage_sweep_completes_on_a_96_channel_network() {
     );
     assert!(reference.detected > 0, "the sweep must detect something");
     for engine in [
-        FaultSimEngine::BitParallel,
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
     ] {

@@ -50,7 +50,7 @@ use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse, Test
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::EngineError;
-use sortnet_network::lanes::{Backend, PackedFamily, SliceSource};
+use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily, SliceSource};
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::{properties, Network};
 use sortnet_testsets::verify::{try_verify, Property, Strategy};
@@ -260,7 +260,7 @@ fn check_case<P: TestVector + Sync + fmt::Display>(
             &universe,
             tests,
             RedundancyMode::Skip,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         );
         if scalar != wide {
             return Some(format!(
@@ -605,7 +605,6 @@ pub struct CacheGrindReport {
 /// grind actually exercised the cache, not just the cold path.
 #[must_use]
 pub fn grind_service_cache(seed: u64, queries_per_leg: u64) -> CacheGrindReport {
-    use sortnet_network::lanes::LaneWidth;
     use sortnet_service::{CacheStatus, Query, Request, Service, ServiceConfig};
 
     let mut report = CacheGrindReport::default();

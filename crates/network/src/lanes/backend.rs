@@ -392,8 +392,8 @@ fn assert_avx2() {
 ///
 /// [`Backend::detect`] picks the best backend for the running process
 /// (honouring `SORTNET_FORCE_SCALAR=1`); [`Backend::active`] caches that
-/// choice process-wide, and is what every sweep uses unless an explicit
-/// backend is threaded in.  All backends produce bit-identical results.
+/// choice process-wide, and is the backend of a default
+/// [`Sweep`](super::Sweep).  All backends produce bit-identical results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// [`ScalarOps`]: one word at a time (the reference, and the
@@ -500,7 +500,7 @@ impl Backend {
 
     /// ORs into `unsorted` the mask of vectors whose lane values are not
     /// nondecreasing down the lane array (the raw form of
-    /// [`WideBlock::unsorted_masks`](super::WideBlock::unsorted_masks),
+    /// [`WideBlock::unsorted_masks_with`](super::WideBlock::unsorted_masks_with),
     /// before live-mask intersection).
     #[inline]
     pub fn sorted_scan<const W: usize>(self, lanes: &[[u64; W]], unsorted: &mut [u64; W]) {

@@ -20,7 +20,7 @@
 //! over the comparators (and one *shared-prefix fork* in the fault engine)
 //! is amortised over `W × 64` vectors instead of 64.  `W = 1` recovers the
 //! original one-word [`BitBlock`](crate::bitparallel::BitBlock) exactly;
-//! [`DEFAULT_WIDTH`] is the width the convenience wrappers use.
+//! [`DEFAULT_WIDTH`] is the width a default [`Sweep`] uses.
 //!
 //! # `BlockSource`: test-vector families generated in block form
 //!
@@ -43,9 +43,11 @@
 //!   refilling the caller's block in place (the fault engine's view of a
 //!   test list).
 //!
-//! [`sweep_find`] is the streaming driver: it pulls blocks from a source,
-//! asks a caller-supplied closure for a violation mask per block, and
-//! extracts the first violating *input* vector as a witness.
+//! [`sweep_find`] is the streaming driver: it pulls blocks from a source
+//! under a [`BudgetMeter`], asks a caller-supplied closure for a violation
+//! mask per block, and extracts the first violating *input* vector as a
+//! witness.  [`sweep_network`] is its "run the network, flag unsorted
+//! outputs" instance.
 //!
 //! # `ChannelWords`: networks past 64 lines
 //!
@@ -70,17 +72,20 @@
 //! portable chunked shape the autovectorizer handles on any target, and an
 //! explicit AVX2 `core::arch` path on `x86_64` — all bit-identical, with
 //! the best one detected at runtime ([`Backend::active`], overridable with
-//! `SORTNET_FORCE_SCALAR=1`).  Every [`WideBlock`] operation has a `*_with`
-//! form taking an explicit backend (the plain form uses the active one), so
-//! whole sweeps — exhaustive, minimal-test-set, detection-matrix,
-//! redundancy — can be pinned to a backend for differential testing and
-//! benchmarking.  See [`backend`] for the kernel contract.
+//! `SORTNET_FORCE_SCALAR=1`).  Every [`WideBlock`] kernel and every sweep
+//! takes its backend explicitly, so whole sweeps — exhaustive,
+//! minimal-test-set, detection-matrix, redundancy — can be pinned to a
+//! backend for differential testing and benchmarking.  A [`Sweep`] bundles
+//! the backend with the lane width and the budget of an exhaustive sweep;
+//! its [`Default`] is the one place the network layer reads the
+//! process-wide backend.  See [`backend`] for the kernel contract.
 //!
 //! # The fork invariant: shared prefixes must advance in site order
 //!
-//! [`WideBlock::copy_from`] + [`WideBlock::run_range`] implement *forking*:
-//! a sweep evaluates a shared state incrementally and snapshots it where
-//! derived evaluations (faulty networks, in `sortnet-faults`) branch off.
+//! [`WideBlock::copy_from`] + [`WideBlock::run_range_with`] implement
+//! *forking*: a sweep evaluates a shared state incrementally and snapshots
+//! it where derived evaluations (faulty networks, in `sortnet-faults`)
+//! branch off.
 //! Correctness of any such scheme rests on one invariant: **a shared state
 //! that has been advanced through comparators `0..p` may only serve forks
 //! whose branch site is `≥ p`**, so fork sites must be visited in
@@ -92,7 +97,7 @@
 
 use sortnet_combinat::{BitString, ChannelPack};
 
-use crate::budget::{BudgetMeter, Budgeted, SweepBudget};
+use crate::budget::{BudgetMeter, SweepBudget};
 use crate::error::{self, EngineError};
 use crate::network::Network;
 
@@ -102,10 +107,11 @@ mod family;
 pub use backend::{Backend, LaneOps, PortableOps, ScalarOps};
 pub use family::{FamilySource, PackedFamily};
 
-/// The lane width (in 64-bit words) the non-generic convenience entry
-/// points use: [`DEFAULT_WIDTH`]`×64 = 256` vectors per block, which keeps
-/// the working set of one block (`n` lanes) inside L1 for every `n ≤ 64`
-/// while amortising per-block work 4× better than single-word lanes.
+/// The lane width (in 64-bit words) a default [`Sweep`] and the test-set
+/// verifiers use: [`DEFAULT_WIDTH`]`×64 = 256` vectors per block, which
+/// keeps the working set of one block (`n` lanes) inside L1 for every
+/// `n ≤ 64` while amortising per-block work 4× better than single-word
+/// lanes.
 pub const DEFAULT_WIDTH: usize = 4;
 
 /// Runtime-selectable lane width, for APIs (engine enums, benches) that
@@ -145,6 +151,36 @@ impl LaneWidth {
     #[must_use]
     pub const fn vectors_per_block(self) -> u32 {
         (self.words() * 64) as u32
+    }
+}
+
+/// How an exhaustive network-layer sweep runs: which lane-ops backend
+/// executes the kernels, how many words wide each block's lanes are, and
+/// how much work it may do.
+///
+/// The verdict never depends on `backend` or `width`.  An unlimited
+/// `budget` lets a large sweep fan out over the rayon pool; a bounded one
+/// runs on the calling thread and may come back
+/// [`Budgeted::Partial`](crate::Budgeted::Partial).
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// Which [`LaneOps`] implementation executes the word kernels.
+    pub backend: Backend,
+    /// Lane width of each block.
+    pub width: LaneWidth,
+    /// Resource bounds, checked once per block.
+    pub budget: SweepBudget,
+}
+
+impl Default for Sweep {
+    /// The runtime-detected [`Backend::active`], [`LaneWidth::W4`] and an
+    /// unlimited budget.
+    fn default() -> Self {
+        Self {
+            backend: Backend::active(),
+            width: LaneWidth::W4,
+            budget: SweepBudget::unlimited(),
+        }
     }
 }
 
@@ -191,7 +227,6 @@ fn transpose_64x64(rows: &mut [u64; 64]) {
 /// See the [module docs](self) for the lane encoding.  `WideBlock<1>` is
 /// re-exported as [`BitBlock`](crate::bitparallel::BitBlock) and carries a
 /// single-word convenience API ([`lane`](WideBlock::<1>::lane),
-/// [`unsorted_mask`](WideBlock::<1>::unsorted_mask),
 /// [`live_mask`](WideBlock::<1>::live_mask)); generic code uses the
 /// `*_words`/`*_masks` plural forms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -384,20 +419,10 @@ impl<const W: usize> WideBlock<W> {
         self.count = other.count;
     }
 
-    /// Applies one comparator across all lanes: the AND of the two lanes
-    /// (the minima) is routed to `min_to`, the OR (the maxima) to `max_to`.
-    /// The lines need not be ordered, so this also evaluates non-standard
-    /// (inverted) comparators.  Runs on the [active](Backend::active)
-    /// backend; see [`WideBlock::apply_comparator_with`].
-    ///
-    /// # Panics
-    /// Panics if either line is out of range or the lines coincide.
-    #[inline]
-    pub fn apply_comparator(&mut self, min_to: usize, max_to: usize) {
-        self.apply_comparator_with(Backend::active(), min_to, max_to);
-    }
-
-    /// [`WideBlock::apply_comparator`] on an explicit [`Backend`].
+    /// Applies one comparator across all lanes on `backend`: the AND of
+    /// the two lanes (the minima) is routed to `min_to`, the OR (the
+    /// maxima) to `max_to`.  The lines need not be ordered, so this also
+    /// evaluates non-standard (inverted) comparators.
     ///
     /// # Panics
     /// Panics if either line is out of range or the lines coincide.
@@ -425,7 +450,7 @@ impl<const W: usize> WideBlock<W> {
     /// fault-free prefix state, overwrite one lane, run the suffix.
     ///
     /// Bits beyond [`WideBlock::count`] are forced too; every mask consumer
-    /// (`unsorted_masks`, `selector_violation_masks`) intersects with
+    /// (`unsorted_masks_with`, `selector_violation_masks`) intersects with
     /// [`WideBlock::live_masks`], so dead vectors stay invisible.
     ///
     /// # Panics
@@ -452,30 +477,15 @@ impl<const W: usize> WideBlock<W> {
         }
     }
 
-    /// Runs `network` over the block in place, on the
-    /// [active](Backend::active) backend.
-    pub fn run(&mut self, network: &Network) {
-        self.run_range(network, 0, network.size());
-    }
-
-    /// [`WideBlock::run`] on an explicit [`Backend`].
+    /// Runs `network` over the block in place, on `backend`.
     pub fn run_with(&mut self, backend: Backend, network: &Network) {
         self.run_range_with(backend, network, 0, network.size());
     }
 
     /// Runs only comparators `start..end` of `network` over the block — the
     /// suffix-evaluation primitive behind shared-prefix fault forking.
-    /// Runs on the [active](Backend::active) backend.
-    ///
-    /// # Panics
-    /// Panics if `start > end` or `end` exceeds the network size.
-    pub fn run_range(&mut self, network: &Network, start: usize, end: usize) {
-        self.run_range_with(Backend::active(), network, start, end);
-    }
-
-    /// [`WideBlock::run_range`] on an explicit [`Backend`]: dispatches once
-    /// and evaluates the whole comparator range inside the selected
-    /// implementation.
+    /// Dispatches once and evaluates the whole comparator range inside
+    /// `backend`'s implementation.
     ///
     /// # Panics
     /// Panics if `start > end` or `end` exceeds the network size.
@@ -493,15 +503,9 @@ impl<const W: usize> WideBlock<W> {
         backend.run_comparators(&mut self.lanes, &network.comparators()[start..end]);
     }
 
-    /// Per-word bitmasks over the block's vectors: bit `j` of word `w` is
-    /// set when the output for vector `w·64 + j` is **not** sorted.
-    /// Computed on the [active](Backend::active) backend.
-    #[must_use]
-    pub fn unsorted_masks(&self) -> [u64; W] {
-        self.unsorted_masks_with(Backend::active())
-    }
-
-    /// [`WideBlock::unsorted_masks`] on an explicit [`Backend`].
+    /// Per-word bitmasks over the block's vectors, computed on `backend`:
+    /// bit `j` of word `w` is set when the output for vector `w·64 + j` is
+    /// **not** sorted.
     #[must_use]
     pub fn unsorted_masks_with(&self, backend: Backend) -> [u64; W] {
         let mut unsorted = self.unsorted_masks_raw(backend);
@@ -593,13 +597,6 @@ impl WideBlock<1> {
     #[must_use]
     pub fn live_mask(&self) -> u64 {
         self.live_masks()[0]
-    }
-
-    /// Returns a bitmask over the block's vectors: bit `j` is set when the
-    /// output for vector `j` is **not** sorted.
-    #[must_use]
-    pub fn unsorted_mask(&self) -> u64 {
-        self.unsorted_masks()[0]
     }
 
     /// Returns, for output line `i`, the 64 output bits of the block.
@@ -878,11 +875,8 @@ impl<const W: usize, A: BlockSource<W>, B: BlockSource<W>> BlockSource<W> for Ch
     }
 }
 
-/// Outcome of a [`sweep_find`] run.
-///
-/// Generic over the witness packing `P` (default [`BitString`]); the
-/// multi-word drivers ([`sweep_find_packed`] and friends) return
-/// `SweepOutcome<ChannelVec>`-style outcomes for `n > 64`.
+/// Outcome of a [`sweep_find`] run, with the witness in packing `P`
+/// (default [`BitString`]; [`sortnet_combinat::ChannelVec`] past 64 lines).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepOutcome<P = BitString> {
     /// Number of vectors evaluated before the sweep stopped (all of them on
@@ -892,28 +886,31 @@ pub struct SweepOutcome<P = BitString> {
     pub witness: Option<P>,
 }
 
-/// Streams `source` block by block, asking `violation` for a per-word mask
-/// of failing vectors, and stops at the first violating block.
+/// Streams `source` block by block under `meter`, asking `violation` for a
+/// per-word mask of failing vectors, and stops at the first violating
+/// block.  The witness is extracted into any [`ChannelPack`] packing `P`.
 ///
 /// `violation` receives the pristine *input* block (it typically copies it
 /// into a scratch block, runs a network, and masks the outputs), so the
 /// witness can be extracted from the inputs without re-generating them.
-pub fn sweep_find<const W: usize, S: BlockSource<W>>(
-    source: S,
-    violation: impl FnMut(&WideBlock<W>) -> [u64; W],
-) -> SweepOutcome {
-    sweep_find_packed(source, violation)
-}
-
-/// [`sweep_find`] with the witness extracted into any [`ChannelPack`]
-/// packing — the entry point for sweeps over more than 64 lines.
-pub fn sweep_find_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(
+///
+/// The meter is consulted once per block.  A trip abandons the stream; the
+/// outcome then covers exactly the committed blocks (no witness was found
+/// in them — had one been found, the sweep would have returned it already),
+/// and [`BudgetMeter::finish`] turns it into
+/// [`Budgeted::Partial`](crate::Budgeted::Partial).  Unbudgeted callers
+/// pass [`BudgetMeter::unlimited`].
+pub fn sweep_find<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     mut source: S,
+    meter: &mut BudgetMeter,
     mut violation: impl FnMut(&WideBlock<W>) -> [u64; W],
 ) -> SweepOutcome<P> {
     let mut block = WideBlock::<W>::zeroed(source.lines());
     let mut tests_run = 0u64;
     while source.next_block(&mut block) {
+        if !meter.admit_block(u64::from(block.count())) {
+            break;
+        }
         tests_run += u64::from(block.count());
         let mask = violation(&block);
         if let Some(j) = mask_first(&mask) {
@@ -929,148 +926,23 @@ pub fn sweep_find_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     }
 }
 
-/// [`sweep_find`] under a [`SweepBudget`]: the budget is consulted once
-/// per block, and a trip abandons the stream, returning
-/// [`Budgeted::Partial`] whose `best_so_far` outcome covers exactly the
-/// committed blocks (no witness was found in them — had one been found,
-/// the sweep would have returned it already).
-pub fn sweep_find_budgeted<const W: usize, S: BlockSource<W>>(
-    source: S,
-    budget: &SweepBudget,
-    violation: impl FnMut(&WideBlock<W>) -> [u64; W],
-) -> Budgeted<SweepOutcome> {
-    sweep_find_budgeted_packed(source, budget, violation)
-}
-
-/// [`sweep_find_budgeted`] with the witness extracted into any
-/// [`ChannelPack`] packing.
-pub fn sweep_find_budgeted_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(
-    mut source: S,
-    budget: &SweepBudget,
-    mut violation: impl FnMut(&WideBlock<W>) -> [u64; W],
-) -> Budgeted<SweepOutcome<P>> {
-    let mut meter = BudgetMeter::new(budget);
-    let mut block = WideBlock::<W>::zeroed(source.lines());
-    let mut tests_run = 0u64;
-    while source.next_block(&mut block) {
-        if !meter.admit_block(u64::from(block.count())) {
-            break;
-        }
-        tests_run += u64::from(block.count());
-        let mask = violation(&block);
-        if let Some(j) = mask_first(&mask) {
-            return meter.finish(SweepOutcome {
-                tests_run,
-                witness: Some(block.extract_packed(j)),
-            });
-        }
-    }
-    meter.finish(SweepOutcome {
-        tests_run,
-        witness: None,
-    })
-}
-
-/// Streams `source` through `network` and reports the first input whose
-/// output is **not sorted** — the shared "copy block, run, mask" sweep the
-/// sorting/merging verifiers and oracles build on.  Runs on the
-/// [active](Backend::active) backend.
-pub fn sweep_network<const W: usize, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-) -> SweepOutcome {
-    sweep_network_with(source, network, Backend::active())
-}
-
-/// [`sweep_network`] on an explicit [`Backend`].
-pub fn sweep_network_with<const W: usize, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-    backend: Backend,
-) -> SweepOutcome {
-    sweep_network_packed_with(source, network, backend)
-}
-
-/// [`sweep_network`] with the witness extracted into any [`ChannelPack`]
-/// packing — the sortedness sweep for networks past 64 lines.
-pub fn sweep_network_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-) -> SweepOutcome<P> {
-    sweep_network_packed_with(source, network, Backend::active())
-}
-
-/// [`sweep_network_packed`] on an explicit [`Backend`].
-pub fn sweep_network_packed_with<const W: usize, P: ChannelPack, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-    backend: Backend,
-) -> SweepOutcome<P> {
-    let mut work = WideBlock::<W>::zeroed(source.lines());
-    sweep_find_packed(source, |block| {
-        work.copy_from(block);
-        work.run_with(backend, network);
-        work.unsorted_masks_with(backend)
-    })
-}
-
-/// [`sweep_network`] with the source/network agreement checked up front,
-/// returning a typed error instead of an engine-internal panic.
+/// Streams `source` through `network` on `backend` under `meter` and
+/// reports the first input whose output is **not sorted** — the shared
+/// "copy block, run, mask" sweep the sorting/merging verifiers and oracles
+/// build on.  Budget semantics as for [`sweep_find`].
 ///
 /// # Errors
 /// [`EngineError::ChannelMismatch`] when `source` and `network` disagree
-/// on the line count.
-pub fn try_sweep_network<const W: usize, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-) -> Result<SweepOutcome, EngineError> {
-    try_sweep_network_with(source, network, Backend::active())
-}
-
-/// [`try_sweep_network`] on an explicit [`Backend`].
-///
-/// # Errors
-/// [`EngineError::ChannelMismatch`] when `source` and `network` disagree
-/// on the line count.
-pub fn try_sweep_network_with<const W: usize, S: BlockSource<W>>(
+/// on the line count, in either direction.
+pub fn sweep_network<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     source: S,
     network: &Network,
     backend: Backend,
-) -> Result<SweepOutcome, EngineError> {
-    error::ensure_same_lines(network.lines(), source.lines())?;
-    Ok(sweep_network_with(source, network, backend))
-}
-
-/// [`sweep_network`] under a [`SweepBudget`]: checked and budgeted.  A
-/// [`Budgeted::Partial`] outcome means no violation was found in the
-/// committed prefix of the family (the property may still fail on the
-/// unswept remainder).
-///
-/// # Errors
-/// [`EngineError::ChannelMismatch`] when `source` and `network` disagree
-/// on the line count.
-pub fn sweep_network_budgeted<const W: usize, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-    budget: &SweepBudget,
-) -> Result<Budgeted<SweepOutcome>, EngineError> {
-    sweep_network_budgeted_with(source, network, budget, Backend::active())
-}
-
-/// [`sweep_network_budgeted`] on an explicit [`Backend`].
-///
-/// # Errors
-/// [`EngineError::ChannelMismatch`] when `source` and `network` disagree
-/// on the line count.
-pub fn sweep_network_budgeted_with<const W: usize, S: BlockSource<W>>(
-    source: S,
-    network: &Network,
-    budget: &SweepBudget,
-    backend: Backend,
-) -> Result<Budgeted<SweepOutcome>, EngineError> {
+    meter: &mut BudgetMeter,
+) -> Result<SweepOutcome<P>, EngineError> {
     error::ensure_same_lines(network.lines(), source.lines())?;
     let mut work = WideBlock::<W>::zeroed(source.lines());
-    Ok(sweep_find_budgeted(source, budget, |block| {
+    Ok(sweep_find(source, meter, |block| {
         work.copy_from(block);
         work.run_with(backend, network);
         work.unsorted_masks_with(backend)
@@ -1080,26 +952,12 @@ pub fn sweep_network_budgeted_with<const W: usize, S: BlockSource<W>>(
 /// Per-word masks of vectors whose first `k` output lanes differ between a
 /// candidate's evaluated block and a reference sorter's evaluated block
 /// over the same inputs — the `(k, n)`-selection violation test shared by
-/// the exhaustive sweep and the test-set verifier.  Computed on the
-/// [active](Backend::active) backend.
+/// the exhaustive sweep and the test-set verifier, computed on `backend`.
 ///
 /// # Panics
 /// Panics if `k` exceeds the line count or the blocks disagree on lines.
 #[must_use]
 pub fn selector_violation_masks<const W: usize>(
-    out: &WideBlock<W>,
-    sorted: &WideBlock<W>,
-    k: usize,
-) -> [u64; W] {
-    selector_violation_masks_with(out, sorted, k, Backend::active())
-}
-
-/// [`selector_violation_masks`] on an explicit [`Backend`].
-///
-/// # Panics
-/// Panics if `k` exceeds the line count or the blocks disagree on lines.
-#[must_use]
-pub fn selector_violation_masks_with<const W: usize>(
     out: &WideBlock<W>,
     sorted: &WideBlock<W>,
     k: usize,
@@ -1116,15 +974,9 @@ pub fn selector_violation_masks_with<const W: usize>(
     wrong
 }
 
-/// Drains a source into the materialised `Vec<BitString>` form — the thin
-/// adapter the `Vec`-returning test-set constructors delegate to.
-#[must_use]
-pub fn collect_strings<const W: usize, S: BlockSource<W>>(source: S) -> Vec<BitString> {
-    collect_packed(source)
-}
-
 /// Drains a source into a materialised `Vec` of any [`ChannelPack`]
-/// packing — the multi-word form of [`collect_strings`].
+/// packing — the adapter the `Vec`-returning test-set constructors
+/// delegate to.
 #[must_use]
 pub fn collect_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(mut source: S) -> Vec<P> {
     let mut block = WideBlock::<W>::zeroed(source.lines());
@@ -1138,6 +990,7 @@ pub fn collect_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(mut sou
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budgeted;
     use crate::builders::batcher::odd_even_merge_sort;
 
     #[test]
@@ -1165,11 +1018,11 @@ mod tests {
         let inputs: Vec<BitString> = BitString::all(5).collect();
         fn check<const W: usize>(net: &Network, inputs: &[BitString]) {
             let mut block = WideBlock::<W>::from_strings(5, inputs);
-            block.run(net);
+            block.run_with(Backend::active(), net);
             for (j, input) in inputs.iter().enumerate() {
                 assert_eq!(block.extract(j as u32), net.apply_bits(input), "W={W}");
             }
-            assert_eq!(mask_count(&block.unsorted_masks()), 0);
+            assert_eq!(mask_count(&block.unsorted_masks_with(Backend::active())), 0);
         }
         check::<1>(&net, &inputs[..20]);
         check::<1>(&net, &inputs);
@@ -1181,8 +1034,8 @@ mod tests {
     fn unsorted_masks_span_word_boundaries() {
         let net = Network::empty(7);
         let mut block = WideBlock::<2>::from_range(7, 0, 128);
-        block.run(&net);
-        let masks = block.unsorted_masks();
+        block.run_with(Backend::active(), &net);
+        let masks = block.unsorted_masks_with(Backend::active());
         let expected: u32 = BitString::all(7)
             .take(128)
             .map(|s| u32::from(!s.is_sorted()))
@@ -1208,7 +1061,8 @@ mod tests {
 
     #[test]
     fn iter_source_agrees_with_its_iterator() {
-        let collected = collect_strings::<2, _>(IterSource::new(6, BitString::all_unsorted(6)));
+        let collected =
+            collect_packed::<2, BitString, _>(IterSource::new(6, BitString::all_unsorted(6)));
         let expected: Vec<BitString> = BitString::all_unsorted(6).collect();
         assert_eq!(collected, expected);
     }
@@ -1232,7 +1086,7 @@ mod tests {
             IterSource::new(n, sorted.clone()),
             IterSource::new(n, BitString::all_unsorted(n)),
         );
-        let collected = collect_strings::<1, _>(chain);
+        let collected = collect_packed::<1, BitString, _>(chain);
         let expected: Vec<BitString> = sorted.chain(BitString::all_unsorted(n)).collect();
         assert_eq!(collected, expected);
         // The first family ends mid-block (7 < 64), so the chained stream
@@ -1263,13 +1117,15 @@ mod tests {
     #[test]
     fn sweep_find_reports_the_first_violation_in_source_order() {
         let net = Network::empty(6);
+        let backend = Backend::active();
         let mut work = WideBlock::<2>::zeroed(6);
-        let outcome = sweep_find(
+        let outcome: SweepOutcome = sweep_find(
             IterSource::new(6, BitString::all(6)),
+            &mut BudgetMeter::unlimited(),
             |block: &WideBlock<2>| {
                 work.copy_from(block);
-                work.run(&net);
-                work.unsorted_masks()
+                work.run_with(backend, &net);
+                work.unsorted_masks_with(backend)
             },
         );
         let scalar_first = BitString::all(6).find(|s| !s.is_sorted()).unwrap();
@@ -1277,11 +1133,15 @@ mod tests {
         // The sorter passes the same sweep and counts every vector.
         let sorter = odd_even_merge_sort(6);
         let mut work = WideBlock::<2>::zeroed(6);
-        let outcome = sweep_find(RangeSource::exhaustive(6), |block: &WideBlock<2>| {
-            work.copy_from(block);
-            work.run(&sorter);
-            work.unsorted_masks()
-        });
+        let outcome: SweepOutcome = sweep_find(
+            RangeSource::exhaustive(6),
+            &mut BudgetMeter::unlimited(),
+            |block: &WideBlock<2>| {
+                work.copy_from(block);
+                work.run_with(backend, &sorter);
+                work.unsorted_masks_with(backend)
+            },
+        );
         assert_eq!(outcome.witness, None);
         assert_eq!(outcome.tests_run, 64);
     }
@@ -1295,20 +1155,44 @@ mod tests {
         );
     }
 
+    /// `sweep_network` over `n`-line exhaustive inputs through a 4-line
+    /// Batcher sorter, on the scalar backend.
+    fn sweep_sorter4(n: usize) -> Result<SweepOutcome, EngineError> {
+        sweep_network::<4, BitString, _>(
+            RangeSource::exhaustive(n),
+            &odd_even_merge_sort(4),
+            Backend::Scalar,
+            &mut BudgetMeter::unlimited(),
+        )
+    }
+
     #[test]
-    fn try_sweep_network_rejects_line_count_mismatch() {
-        let net = odd_even_merge_sort(6);
-        let err = try_sweep_network::<1, _>(RangeSource::exhaustive(5), &net).unwrap_err();
+    fn sweep_network_rejects_a_source_wider_than_the_network() {
+        // Without the check, the sorter sees only the low 4 lines of each
+        // 5-line input and rejects a correct network with witness 10000.
         assert_eq!(
-            err,
+            sweep_sorter4(5).unwrap_err(),
             EngineError::ChannelMismatch {
-                expected: 6,
+                expected: 4,
                 actual: 5
             }
         );
-        let ok = try_sweep_network::<1, _>(RangeSource::exhaustive(6), &net).unwrap();
+    }
+
+    #[test]
+    fn sweep_network_rejects_a_source_narrower_than_the_network() {
+        // Without the check, the kernel indexes lane 3 of a 3-lane block
+        // and panics.
+        assert_eq!(
+            sweep_sorter4(3).unwrap_err(),
+            EngineError::ChannelMismatch {
+                expected: 4,
+                actual: 3
+            }
+        );
+        let ok = sweep_sorter4(4).unwrap();
         assert_eq!(ok.witness, None);
-        assert_eq!(ok.tests_run, 64);
+        assert_eq!(ok.tests_run, 16);
     }
 
     #[test]
@@ -1316,10 +1200,18 @@ mod tests {
         // 2^9 inputs at W = 1 is 8 blocks; a 3-block budget must commit
         // exactly 192 vectors and report Partial.
         let sorter = odd_even_merge_sort(9);
-        let budget = SweepBudget::unlimited().with_max_blocks(3);
-        let outcome =
-            sweep_network_budgeted::<1, _>(RangeSource::exhaustive(9), &sorter, &budget).unwrap();
-        match outcome {
+        let sweep = |budget: &SweepBudget| {
+            let mut meter = BudgetMeter::new(budget);
+            let outcome: SweepOutcome = sweep_network::<1, _, _>(
+                RangeSource::exhaustive(9),
+                &sorter,
+                Backend::active(),
+                &mut meter,
+            )
+            .unwrap();
+            meter.finish(outcome)
+        };
+        match sweep(&SweepBudget::unlimited().with_max_blocks(3)) {
             Budgeted::Partial {
                 progress,
                 best_so_far,
@@ -1333,12 +1225,7 @@ mod tests {
             Budgeted::Complete(_) => panic!("a 3-block budget cannot cover 8 blocks"),
         }
         // An unlimited budget is the unbudgeted sweep.
-        let full = sweep_network_budgeted::<1, _>(
-            RangeSource::exhaustive(9),
-            &sorter,
-            &SweepBudget::unlimited(),
-        )
-        .unwrap();
+        let full = sweep(&SweepBudget::unlimited());
         assert!(full.is_complete());
         assert_eq!(full.value().tests_run, 512);
     }
@@ -1346,10 +1233,15 @@ mod tests {
     #[test]
     fn budgeted_sweep_still_reports_witnesses_inside_the_budget() {
         let non_sorter = Network::empty(6);
-        let budget = SweepBudget::unlimited().with_max_blocks(1);
-        let outcome =
-            sweep_network_budgeted::<1, _>(RangeSource::exhaustive(6), &non_sorter, &budget)
-                .unwrap();
+        let mut meter = BudgetMeter::new(&SweepBudget::unlimited().with_max_blocks(1));
+        let outcome: SweepOutcome = sweep_network::<1, _, _>(
+            RangeSource::exhaustive(6),
+            &non_sorter,
+            Backend::active(),
+            &mut meter,
+        )
+        .unwrap();
+        let outcome = meter.finish(outcome);
         // The first violation sits in block 0, inside the budget: the
         // sweep completes early with the witness.
         assert!(outcome.is_complete());
@@ -1372,7 +1264,10 @@ mod tests {
         // Forced bits beyond count stay invisible to the mask consumers.
         let mut partial = WideBlock::<1>::from_range(3, 0, 4);
         partial.fill_lane(0, true);
-        assert_eq!(partial.unsorted_masks()[0] & !partial.live_mask(), 0);
+        assert_eq!(
+            partial.unsorted_masks_with(Backend::Scalar)[0] & !partial.live_mask(),
+            0
+        );
     }
 
     #[test]
@@ -1537,15 +1432,26 @@ mod tests {
         let sorted: Vec<ChannelVec> = (0..=n)
             .map(|ones| ChannelVec::sorted_of(n - ones, ones))
             .collect();
-        let outcome: SweepOutcome<ChannelVec> =
-            sweep_network_packed::<4, _, _>(IterSource::new(n, sorted.iter().cloned()), &net);
+        fn sweep<const W: usize>(
+            net: &Network,
+            family: Vec<ChannelVec>,
+        ) -> SweepOutcome<ChannelVec> {
+            let source = IterSource::new(net.lines(), family);
+            sweep_network::<W, ChannelVec, _>(
+                source,
+                net,
+                Backend::active(),
+                &mut BudgetMeter::unlimited(),
+            )
+            .unwrap()
+        }
+        let outcome = sweep::<4>(&net, sorted.clone());
         assert_eq!(outcome.tests_run, (n + 1) as u64);
         assert_eq!(outcome.witness, None, "sorted inputs pass the identity");
         let mut unsorted = ChannelVec::zeros(n);
         unsorted.set(64, true); // 1 at line 64, 0 at line 65: unsorted
         let family: Vec<ChannelVec> = sorted.iter().cloned().chain([unsorted.clone()]).collect();
-        let outcome: SweepOutcome<ChannelVec> =
-            sweep_network_packed::<2, _, _>(IterSource::new(n, family), &net);
+        let outcome = sweep::<2>(&net, family);
         assert_eq!(outcome.witness, Some(unsorted));
         // And a real sorter on 96 lines leaves the same family violation-free.
         let sorter = odd_even_merge_sort(n);
@@ -1556,8 +1462,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcome: SweepOutcome<ChannelVec> =
-            sweep_network_packed::<1, _, _>(IterSource::new(n, mixed), &sorter);
+        let outcome = sweep::<1>(&sorter, mixed);
         assert_eq!(outcome.witness, None, "a Batcher sorter sorts all samples");
         assert_eq!(outcome.tests_run, 64);
     }

@@ -6,20 +6,29 @@
 //! inputs (justified by the zero–one principle and its refinements), so they
 //! are exponential but exact.
 
-use rayon::prelude::*;
-
 use sortnet_combinat::{BitString, Permutation};
 
-use crate::bitparallel::{self, ParallelismHint};
-use crate::lanes::{self, Backend, WideBlock, DEFAULT_WIDTH};
+use crate::bitparallel;
+use crate::budget::{BudgetMeter, Budgeted};
+use crate::error::EngineError;
+use crate::lanes::{self, Backend, Sweep, DEFAULT_WIDTH};
 use crate::network::Network;
 
+/// The answer of an unbudgeted sweep, panicking with the typed refusal's
+/// text.
+fn unwrap_sweep<T>(outcome: Result<Budgeted<T>, EngineError>) -> T {
+    outcome.unwrap_or_else(|e| panic!("{e}")).into_value()
+}
+
 /// `true` iff the network sorts every input (checked over all `2^n` binary
-/// vectors; the zero–one principle extends the conclusion to arbitrary
-/// inputs).
+/// vectors by [`bitparallel::find_unsorted_input`]; the zero–one principle
+/// extends the conclusion to arbitrary inputs).
+///
+/// # Panics
+/// Panics if `n ≥ 32`.
 #[must_use]
 pub fn is_sorter(network: &Network) -> bool {
-    bitparallel::is_sorter_exhaustive(network, ParallelismHint::Rayon)
+    unwrap_sweep(bitparallel::find_unsorted_input(network, &Sweep::default())).is_none()
 }
 
 /// Exhaustively checks the sorter property by enumerating all `n!`
@@ -41,14 +50,19 @@ pub fn is_sorter_by_permutations(network: &Network) -> bool {
 ///
 /// For a 0/1 input `σ`, output `i` (0-based, `i < k`) must equal the `i`-th
 /// smallest bit of `σ`, i.e. outputs `0..|σ|₀` must be 0 and outputs
-/// `|σ|₀..k` must be 1.  The sweep runs 64 vectors per pass through
-/// [`bitparallel::find_selector_violation`].
+/// `|σ|₀..k` must be 1.  The sweep runs [`DEFAULT_WIDTH`]` × 64` vectors
+/// per pass through [`bitparallel::find_selector_violation`].
 ///
 /// # Panics
 /// Panics if `k > n` or `n ≥ 32`.
 #[must_use]
 pub fn is_selector(network: &Network, k: usize) -> bool {
-    bitparallel::is_selector_exhaustive(network, k, ParallelismHint::Rayon)
+    unwrap_sweep(bitparallel::find_selector_violation(
+        network,
+        k,
+        &Sweep::default(),
+    ))
+    .is_none()
 }
 
 /// `true` iff `output` carries the correct `k` smallest bits of `input` on
@@ -68,36 +82,29 @@ pub fn selects_correctly(input: &BitString, output: &BitString, k: usize) -> boo
 /// Panics if `n` is odd.
 #[must_use]
 pub fn is_merger(network: &Network) -> bool {
-    find_merger_violation(network).is_none()
+    find_merger_violation(network, Sweep::default().backend).is_none()
 }
 
 /// The first (in `(z₁, z₂)` order) pair of sorted halves the network fails
-/// to merge, or `None` for a valid `(n/2, n/2)`-merging network.
+/// to merge on `backend`, or `None` for a valid `(n/2, n/2)`-merging
+/// network.
 ///
 /// # Panics
 /// Panics if `n` is odd.
 #[must_use]
-pub fn find_merger_violation(network: &Network) -> Option<BitString> {
-    find_merger_violation_on(network, Backend::active())
-}
-
-/// [`find_merger_violation`] pinned to an explicit lane-ops [`Backend`]
-/// (the plain form uses the runtime-detected one).
-///
-/// # Panics
-/// Panics if `n` is odd.
-#[must_use]
-pub fn find_merger_violation_on(network: &Network, backend: Backend) -> Option<BitString> {
+pub fn find_merger_violation(network: &Network, backend: Backend) -> Option<BitString> {
     let n = network.lines();
     assert!(
         n.is_multiple_of(2),
         "merging networks need an even number of lines"
     );
-    lanes::sweep_network_with::<DEFAULT_WIDTH, _>(
+    lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
         lanes::IterSource::new(n, BitString::all_half_sorted(n)),
         network,
         backend,
+        &mut BudgetMeter::unlimited(),
     )
+    .expect("the half-sorted family has the network's line count")
     .witness
 }
 
@@ -126,33 +133,6 @@ pub fn is_merger_by_permutations(network: &Network) -> bool {
         let p = Permutation::from_values(&first).expect("valid permutation");
         network.apply_permutation(&p).is_identity()
     })
-}
-
-/// The multiset of inputs (as packed words) that the network fails to sort.
-/// Exhaustive (swept in `W × 64`-vector blocks); used by the experiments on
-/// small networks.
-///
-/// # Panics
-/// Panics if `n ≥ 26`.
-#[must_use]
-pub fn failure_set(network: &Network) -> Vec<BitString> {
-    let n = network.lines();
-    assert!(n < 26, "exhaustive 2^{n} sweep refused");
-    let block_count = bitparallel::sweep_block_count_wide::<DEFAULT_WIDTH>(n);
-    // Resolve the lane backend once; the per-block closures inherit it.
-    let backend = Backend::active();
-    (0..block_count)
-        .into_par_iter()
-        .flat_map_iter(move |b| {
-            let (start, count) = bitparallel::sweep_block_range_wide::<DEFAULT_WIDTH>(n, b);
-            let mut block = WideBlock::<DEFAULT_WIDTH>::from_range(n, start, count);
-            block.run_with(backend, network);
-            let mask = block.unsorted_masks_with(backend);
-            (0..count)
-                .filter(move |j| (mask[(j / 64) as usize] >> (j % 64)) & 1 == 1)
-                .map(move |j| BitString::from_word(start + u64::from(j), n))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -212,16 +192,6 @@ mod tests {
             assert_eq!(is_merger(&empty), is_merger_by_permutations(&empty));
             let fig1like = Network::from_pairs(n, &[(0, n - 1)]);
             assert_eq!(is_merger(&fig1like), is_merger_by_permutations(&fig1like));
-        }
-    }
-
-    #[test]
-    fn failure_set_of_empty_network_is_all_unsorted_strings() {
-        let empty = Network::empty(5);
-        let failures = failure_set(&empty);
-        assert_eq!(failures.len() as u64, (1 << 5) - 5 - 1);
-        for f in failures {
-            assert!(!f.is_sorted());
         }
     }
 

@@ -14,10 +14,8 @@
 //!    backend × W ∈ {1, 4}, against a `Vec<u8>` comparator simulation.
 
 use sortnet_combinat::{ChannelPack, ChannelVec};
-use sortnet_network::lanes::{
-    collect_packed, sweep_network_packed_with, Backend, FamilySource, PackedFamily,
-};
-use sortnet_network::Network;
+use sortnet_network::lanes::{collect_packed, sweep_network, Backend, FamilySource, PackedFamily};
+use sortnet_network::{BudgetMeter, Network};
 
 const WIDTHS_N: [usize; 6] = [63, 64, 65, 96, 127, 128];
 
@@ -202,19 +200,23 @@ fn family_sweeps_agree_with_the_reference_on_every_backend() {
                 let outcomes = [
                     (
                         1usize,
-                        sweep_network_packed_with::<1, ChannelVec, _>(
+                        sweep_network::<1, ChannelVec, _>(
                             FamilySource::<ChannelVec>::new(family, n),
                             &network,
                             backend,
-                        ),
+                            &mut BudgetMeter::unlimited(),
+                        )
+                        .unwrap(),
                     ),
                     (
                         4usize,
-                        sweep_network_packed_with::<4, ChannelVec, _>(
+                        sweep_network::<4, ChannelVec, _>(
                             FamilySource::<ChannelVec>::new(family, n),
                             &network,
                             backend,
-                        ),
+                            &mut BudgetMeter::unlimited(),
+                        )
+                        .unwrap(),
                     ),
                 ];
                 for (width, outcome) in outcomes {

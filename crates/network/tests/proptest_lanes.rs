@@ -1,17 +1,19 @@
-//! Property-based cross-check: width-generic [`WideBlock`] sweeps must
-//! agree exactly with scalar evaluation on random networks, for every lane
-//! width, and the streaming block sources must reproduce their families
-//! bit for bit.
+//! Property-based cross-check: width-generic [`WideBlock`] sweeps and the
+//! three exhaustive operations must agree exactly with scalar evaluation
+//! on random networks, for every lane width and backend, and the streaming
+//! block sources must reproduce their families bit for bit.
 
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_network::bitparallel::{
-    count_unsorted_outputs_backend, count_unsorted_outputs_wide, find_unsorted_input_backend,
-    find_unsorted_input_wide, ParallelismHint,
+    count_unsorted_outputs, find_selector_violation, find_unsorted_input,
 };
-use sortnet_network::lanes::{self, Backend, BlockSource, IterSource, RangeSource, WideBlock};
-use sortnet_network::{Comparator, Network};
+use sortnet_network::lanes::{
+    self, Backend, BlockSource, IterSource, LaneWidth, RangeSource, Sweep, WideBlock,
+};
+use sortnet_network::properties::selects_correctly;
+use sortnet_network::{Budgeted, Comparator, Network, SweepBudget};
 
 const N: usize = 9;
 
@@ -70,6 +72,58 @@ fn check_width<const W: usize>(net: &Network, tests: &[BitString]) {
     }
 }
 
+/// Checks the three exhaustive operations under `sweep` against scalar
+/// [`Network::apply_bits`] over the inputs the sweep commits: all `2^N`
+/// when unbudgeted, the first `max_blocks × W × 64` (in word order) when
+/// capped.  A witness inside the committed prefix completes the sweep; a
+/// cap short of the whole sweep otherwise leaves it partial.
+fn check_exhaustive(net: &Network, k: usize, sweep: &Sweep) {
+    let total = 1u64 << N;
+    let per_block = u64::from(sweep.width.vectors_per_block());
+    let blocks = total.div_ceil(per_block);
+    let capped = sweep.budget.max_blocks.is_some_and(|max| max < blocks);
+    let committed = sweep
+        .budget
+        .max_blocks
+        .map_or(total, |max| (max.saturating_mul(per_block)).min(total));
+    let prefix = || BitString::all(N).take(committed as usize);
+    let label = format!(
+        "{} {:?} k={k} {:?}",
+        sweep.backend.name(),
+        sweep.width,
+        sweep.budget.max_blocks
+    );
+    // (complete, value) of a first-violation search whose scalar answer
+    // over the committed prefix is `first`.
+    let expected = |first: Option<BitString>| (first.is_some() || !capped, first);
+    let observed =
+        |outcome: Budgeted<Option<BitString>>| (outcome.is_complete(), outcome.into_value());
+
+    let first_unsorted = prefix().find(|s| !net.apply_bits(s).is_sorted());
+    assert_eq!(
+        observed(find_unsorted_input(net, sweep).unwrap()),
+        expected(first_unsorted),
+        "find {label}"
+    );
+
+    // k = 0 asks nothing of the outputs, so it is decided without a sweep.
+    let misselected = prefix().find(|s| !selects_correctly(s, &net.apply_bits(s), k));
+    assert_eq!(
+        observed(find_selector_violation(net, k, sweep).unwrap()),
+        if k == 0 {
+            (true, None)
+        } else {
+            expected(misselected)
+        },
+        "selector {label}"
+    );
+
+    let count = count_unsorted_outputs(net, sweep).unwrap();
+    assert_eq!(count.is_complete(), !capped, "count {label}");
+    let unsorted = prefix().filter(|s| !net.apply_bits(s).is_sorted()).count() as u64;
+    assert_eq!(count.into_value(), unsorted, "count {label}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -88,62 +142,33 @@ proptest! {
         check_width::<16>(&net, &tests);
     }
 
-    /// The exhaustive sweeps return identical verdicts, witnesses and
-    /// counts on every runnable backend (scalar, portable, AVX2 where
-    /// available), at narrow and wide lane widths.
+    /// The three exhaustive operations — first unsorted input, unsorted
+    /// count, first selector violation — match the scalar definition on
+    /// every runnable backend (scalar, portable, AVX2 where available) at
+    /// every lane width, both on the unlimited path and on the metered
+    /// sequential one.
     #[test]
-    fn exhaustive_sweeps_are_backend_independent(net in arb_network(14)) {
-        let reference =
-            find_unsorted_input_backend::<1>(&net, ParallelismHint::Sequential, Backend::Scalar);
-        let count_reference =
-            count_unsorted_outputs_backend::<1>(&net, ParallelismHint::Sequential, Backend::Scalar);
+    fn exhaustive_sweeps_are_backend_independent(net in arb_network(14), k in 0..=N) {
         for backend in Backend::runnable() {
-            prop_assert_eq!(
-                find_unsorted_input_backend::<4>(&net, ParallelismHint::Sequential, backend),
-                reference.clone(),
-                "backend {}", backend.name()
-            );
-            prop_assert_eq!(
-                find_unsorted_input_backend::<16>(&net, ParallelismHint::Rayon, backend),
-                reference.clone(),
-                "backend {}", backend.name()
-            );
-            prop_assert_eq!(
-                count_unsorted_outputs_backend::<8>(&net, ParallelismHint::Sequential, backend),
-                count_reference,
-                "backend {}", backend.name()
-            );
+            for width in LaneWidth::ALL {
+                for budget in [SweepBudget::unlimited(), SweepBudget::unlimited().with_max_blocks(u64::MAX)] {
+                    check_exhaustive(&net, k, &Sweep { backend, width, budget });
+                }
+            }
         }
     }
 
-    /// The exhaustive sweeps return identical verdicts, witnesses and
-    /// counts at every width (and equal to the scalar definition).
+    /// Under a capped block budget every width and backend commits an
+    /// exact prefix: the partial answers are the scalar answers over the
+    /// first `max_blocks × W × 64` inputs.
     #[test]
-    fn exhaustive_sweeps_are_width_independent(net in arb_network(14)) {
-        let scalar_first = BitString::all(N).find(|s| !net.apply_bits(s).is_sorted());
-        let scalar_count = BitString::all(N)
-            .filter(|s| !net.apply_bits(s).is_sorted())
-            .count() as u64;
-        prop_assert_eq!(
-            find_unsorted_input_wide::<1>(&net, ParallelismHint::Sequential),
-            scalar_first
-        );
-        prop_assert_eq!(
-            find_unsorted_input_wide::<2>(&net, ParallelismHint::Rayon),
-            scalar_first
-        );
-        prop_assert_eq!(
-            find_unsorted_input_wide::<4>(&net, ParallelismHint::Sequential),
-            scalar_first
-        );
-        prop_assert_eq!(
-            count_unsorted_outputs_wide::<1>(&net, ParallelismHint::Sequential),
-            scalar_count
-        );
-        prop_assert_eq!(
-            count_unsorted_outputs_wide::<4>(&net, ParallelismHint::Rayon),
-            scalar_count
-        );
+    fn exhaustive_sweeps_are_width_independent(net in arb_network(14), k in 0..=N, max_blocks in 0u64..9) {
+        for backend in Backend::runnable() {
+            for width in LaneWidth::ALL {
+                let budget = SweepBudget::unlimited().with_max_blocks(max_blocks);
+                check_exhaustive(&net, k, &Sweep { backend, width, budget });
+            }
+        }
     }
 
     /// `RangeSource` yields bit-for-bit the same vector sequence as the
@@ -152,15 +177,15 @@ proptest! {
     fn range_source_matches_scalar_enumeration(n in 1usize..11) {
         let expected: Vec<BitString> = BitString::all(n).collect();
         prop_assert_eq!(
-            lanes::collect_strings::<1, _>(RangeSource::exhaustive(n)),
+            lanes::collect_packed::<1, BitString, _>(RangeSource::exhaustive(n)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<2, _>(RangeSource::exhaustive(n)),
+            lanes::collect_packed::<2, BitString, _>(RangeSource::exhaustive(n)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<4, _>(RangeSource::exhaustive(n)),
+            lanes::collect_packed::<4, BitString, _>(RangeSource::exhaustive(n)),
             expected
         );
     }
@@ -171,11 +196,11 @@ proptest! {
     #[test]
     fn iter_source_round_trips_random_batches(tests in arb_tests()) {
         prop_assert_eq!(
-            lanes::collect_strings::<1, _>(IterSource::new(N, tests.clone())),
+            lanes::collect_packed::<1, BitString, _>(IterSource::new(N, tests.clone())),
             tests.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<4, _>(IterSource::new(N, tests.clone())),
+            lanes::collect_packed::<4, BitString, _>(IterSource::new(N, tests.clone())),
             tests.clone()
         );
         // Block counts respect the width's capacity.

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
-use sortnet_network::bitparallel::{count_unsorted_outputs, BitBlock, ParallelismHint};
+use sortnet_network::bitparallel::{count_unsorted_outputs, BitBlock};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::{Comparator, Network};
+use sortnet_network::lanes::{Backend, Sweep};
+use sortnet_network::{Comparator, Network, SweepBudget};
 
 fn arb_network(n: usize, max_size: usize) -> impl Strategy<Value = Network> {
     prop::collection::vec((0..n, 0..n), 0..=max_size).prop_map(move |pairs| {
@@ -39,8 +40,8 @@ proptest! {
     #[test]
     fn bitblock_matches_scalar(net in arb_network(9, 24), start in 0u64..((1u64 << 9) - 64)) {
         let mut block = BitBlock::from_range(9, start, 64);
-        block.run(&net);
-        let mask = block.unsorted_mask();
+        block.run_with(Backend::active(), &net);
+        let mask = block.unsorted_masks_with(Backend::active())[0];
         for j in 0..64u32 {
             let input = BitString::from_word(start + u64::from(j), 9);
             let scalar = net.apply_bits(&input);
@@ -65,8 +66,8 @@ proptest! {
     }
 
     /// The greedy layering never places two comparators sharing a line in
-    /// the same layer, and the sequential count of unsorted outputs matches
-    /// the rayon count.
+    /// the same layer, and the metered count of unsorted outputs matches
+    /// the unlimited one.
     #[test]
     fn layers_are_conflict_free_and_counters_agree(net in arb_network(8, 24)) {
         for layer in net.layers() {
@@ -76,9 +77,13 @@ proptest! {
                 }
             }
         }
+        let metered = Sweep {
+            budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
+            ..Sweep::default()
+        };
         prop_assert_eq!(
-            count_unsorted_outputs(&net, ParallelismHint::Sequential),
-            count_unsorted_outputs(&net, ParallelismHint::Rayon)
+            count_unsorted_outputs(&net, &metered).unwrap(),
+            count_unsorted_outputs(&net, &Sweep::default()).unwrap()
         );
     }
 

@@ -44,7 +44,7 @@ use sortnet_faults::coverage::{
 use sortnet_faults::universe::{MultiFault, StandardUniverse};
 use sortnet_faults::FaultSimEngine;
 use sortnet_network::budget::{BudgetMeter, BudgetReason, Budgeted, SweepBudget, SweepProgress};
-use sortnet_network::lanes::{Backend, LaneWidth, DEFAULT_WIDTH};
+use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::Network;
 use sortnet_testsets::augment::{try_minimum_augmentation_packed, CandidatePool, SearchOptions};
 use sortnet_testsets::verify::{self, try_verify_on, Property, Strategy};
@@ -340,7 +340,6 @@ fn shard_verdicts(
         FaultSimEngine::Scalar | FaultSimEngine::BitParallelWide(LaneWidth::W1) => {
             shard_verdicts_on::<1>
         }
-        FaultSimEngine::BitParallel => shard_verdicts_on::<DEFAULT_WIDTH>,
         FaultSimEngine::BitParallelWide(LaneWidth::W2) => shard_verdicts_on::<2>,
         FaultSimEngine::BitParallelWide(LaneWidth::W4) => shard_verdicts_on::<4>,
         FaultSimEngine::BitParallelWide(LaneWidth::W8) => shard_verdicts_on::<8>,

@@ -840,6 +840,7 @@ mod tests {
     use super::*;
     use sortnet_faults::universe::{StandardUniverse, StuckLine};
     use sortnet_network::builders::batcher::odd_even_merge_sort;
+    use sortnet_network::lanes::LaneWidth;
 
     fn masks(elements: usize, sets: &[&[usize]]) -> Vec<Mask> {
         sets.iter()
@@ -936,7 +937,7 @@ mod tests {
             &StuckLine,
             base,
             RedundancyMode::Exhaustive,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         )
         .unwrap()
     }

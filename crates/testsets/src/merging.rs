@@ -15,7 +15,7 @@
 use sortnet_combinat::binomial::{merging_testset_size_binary, merging_testset_size_permutation};
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_network::lanes::{self, Backend, IterSource, DEFAULT_WIDTH};
-use sortnet_network::Network;
+use sortnet_network::{BudgetMeter, Network};
 
 use crate::criteria;
 use crate::verify::Property;
@@ -41,7 +41,7 @@ pub fn binary_source(n: usize) -> IterSource<Box<dyn Iterator<Item = BitString>>
 /// Panics if `n` is odd.
 #[must_use]
 pub fn binary_testset(n: usize) -> Vec<BitString> {
-    lanes::collect_strings::<DEFAULT_WIDTH, _>(binary_source(n))
+    lanes::collect_packed::<DEFAULT_WIDTH, BitString, _>(binary_source(n))
 }
 
 /// The optimal permutation test set for merging: the `n/2` permutations
@@ -133,7 +133,13 @@ pub fn verify_merger_binary(network: &Network) -> MergerVerdict {
 pub fn verify_merger_binary_on(network: &Network, backend: Backend) -> MergerVerdict {
     let n = network.lines();
     let tests_run = merging_testset_size_binary(n as u64) as usize;
-    let outcome = lanes::sweep_network_with::<DEFAULT_WIDTH, _>(binary_source(n), network, backend);
+    let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
+        binary_source(n),
+        network,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    )
+    .expect("the minimal test set has the network's line count");
     MergerVerdict {
         passed: outcome.witness.is_none(),
         tests_run,

@@ -12,7 +12,7 @@ use sortnet_combinat::binomial::{selector_testset_size_binary, selector_testset_
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_network::lanes::{self, Backend, IterSource, WideBlock, DEFAULT_WIDTH};
 use sortnet_network::properties::selects_correctly;
-use sortnet_network::Network;
+use sortnet_network::{BudgetMeter, Network};
 
 use crate::bnk;
 use crate::criteria;
@@ -38,7 +38,7 @@ pub fn binary_source(n: usize, k: usize) -> IterSource<Box<dyn Iterator<Item = B
 /// Panics if `k > n` or `n ≥ 26`.
 #[must_use]
 pub fn binary_testset(n: usize, k: usize) -> Vec<BitString> {
-    lanes::collect_strings::<DEFAULT_WIDTH, _>(binary_source(n, k))
+    lanes::collect_packed::<DEFAULT_WIDTH, BitString, _>(binary_source(n, k))
 }
 
 /// An optimal permutation test set for the `(k, n)`-selector property, of
@@ -100,13 +100,17 @@ pub fn verify_selector_binary_on(network: &Network, k: usize, backend: Backend) 
     let reference = sortnet_network::builders::batcher::odd_even_merge_sort(n);
     let mut out = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
     let mut sorted = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
-    let outcome = lanes::sweep_find(binary_source(n, k), |block| {
-        out.copy_from(block);
-        out.run_with(backend, network);
-        sorted.copy_from(block);
-        sorted.run_with(backend, &reference);
-        lanes::selector_violation_masks_with(&out, &sorted, k, backend)
-    });
+    let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
+        binary_source(n, k),
+        &mut BudgetMeter::unlimited(),
+        |block| {
+            out.copy_from(block);
+            out.run_with(backend, network);
+            sorted.copy_from(block);
+            sorted.run_with(backend, &reference);
+            lanes::selector_violation_masks(&out, &sorted, k, backend)
+        },
+    );
     SelectorVerdict {
         passed: outcome.witness.is_none(),
         tests_run,

@@ -12,7 +12,7 @@
 
 use sortnet_combinat::{BitString, ChannelPack, Permutation};
 use sortnet_network::lanes::{self, Backend, IterSource, PackedFamily, DEFAULT_WIDTH};
-use sortnet_network::Network;
+use sortnet_network::{BudgetMeter, Network};
 
 use crate::adversary;
 use crate::bnk;
@@ -39,7 +39,7 @@ pub fn binary_source(n: usize) -> IterSource<Box<dyn Iterator<Item = BitString>>
 /// Panics if `n ≥ 26`.
 #[must_use]
 pub fn binary_testset(n: usize) -> Vec<BitString> {
-    lanes::collect_strings::<DEFAULT_WIDTH, _>(binary_source(n))
+    lanes::collect_packed::<DEFAULT_WIDTH, BitString, _>(binary_source(n))
 }
 
 /// An optimal permutation test set for sorting: `C(n, ⌊n/2⌋) − 1`
@@ -97,7 +97,13 @@ pub fn verify_sorter_binary(network: &Network) -> Verdict {
 #[must_use]
 pub fn verify_sorter_binary_on(network: &Network, backend: Backend) -> Verdict {
     let n = network.lines();
-    let outcome = lanes::sweep_network_with::<DEFAULT_WIDTH, _>(binary_source(n), network, backend);
+    let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
+        binary_source(n),
+        network,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    )
+    .expect("the minimal test set has the network's line count");
     Verdict {
         passed: outcome.witness.is_none(),
         tests_run: sortnet_combinat::binomial::sorting_testset_size_binary(n as u64) as usize,
@@ -248,7 +254,7 @@ mod tests {
             assert!(!is_binary_testset(&reduced, n));
             // And here is the adversary that would slip through:
             let h = necessity_witness(&sigma);
-            let verdict_on_reduced = failing_inputs_from(&h, &reduced);
+            let verdict_on_reduced = failing_inputs_from(&h, &reduced).unwrap();
             assert!(
                 verdict_on_reduced.is_empty(),
                 "H_σ must pass the reduced set"

@@ -17,11 +17,11 @@
 use serde::{Deserialize, Serialize};
 
 use sortnet_combinat::{channel_words, BitString, ChannelPack};
-use sortnet_network::bitparallel::{self, ParallelismHint};
+use sortnet_network::bitparallel;
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{self, Backend, SliceSource, SweepOutcome, DEFAULT_WIDTH};
+use sortnet_network::lanes::{self, Backend, SliceSource, Sweep, SweepOutcome, DEFAULT_WIDTH};
 use sortnet_network::properties;
-use sortnet_network::Network;
+use sortnet_network::{BudgetMeter, Network};
 
 use crate::{merging, selector, sorting};
 
@@ -117,13 +117,13 @@ pub fn try_verify_on(
             });
         }
     }
+    let sweep = Sweep {
+        backend,
+        ..Sweep::default()
+    };
     let (passed, tests_run, witness) = match (property, strategy) {
         (Property::Sorter, Strategy::Exhaustive) => {
-            let witness = bitparallel::find_unsorted_input_backend::<DEFAULT_WIDTH>(
-                network,
-                ParallelismHint::Rayon,
-                backend,
-            );
+            let witness = bitparallel::find_unsorted_input(network, &sweep)?.into_value();
             (witness.is_none(), 1usize << n, witness)
         }
         (Property::Sorter, Strategy::MinimalBinary) => {
@@ -135,14 +135,9 @@ pub fn try_verify_on(
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Selector { k }, Strategy::Exhaustive) => {
-            // Bit-parallel 64-lane sweep; its witness is the lowest failing
+            // Bit-parallel block sweep; its witness is the lowest failing
             // word, matching what a scalar scan would report first.
-            let witness = bitparallel::find_selector_violation_backend::<DEFAULT_WIDTH>(
-                network,
-                k,
-                ParallelismHint::Rayon,
-                backend,
-            );
+            let witness = bitparallel::find_selector_violation(network, k, &sweep)?.into_value();
             (witness.is_none(), 1usize << n, witness)
         }
         (Property::Selector { k }, Strategy::MinimalBinary) => {
@@ -156,7 +151,7 @@ pub fn try_verify_on(
         (Property::Merger, Strategy::Exhaustive) => {
             // One streamed block sweep over all (half+1)² merge inputs —
             // verdict and witness in the same pass, nothing materialised.
-            let witness = properties::find_merger_violation_on(network, backend);
+            let witness = properties::find_merger_violation(network, backend);
             let half = n / 2;
             (witness.is_none(), (half + 1) * (half + 1), witness)
         }
@@ -210,11 +205,12 @@ pub fn try_spot_check_sorter_packed_on<P: ChannelPack>(
             });
         }
     }
-    Ok(lanes::sweep_network_packed_with::<DEFAULT_WIDTH, P, _>(
+    lanes::sweep_network::<DEFAULT_WIDTH, P, _>(
         SliceSource::new(n, tests),
         network,
         backend,
-    ))
+        &mut BudgetMeter::unlimited(),
+    )
 }
 
 /// [`try_spot_check_sorter_packed_on`] on [`Backend::active`].
@@ -387,7 +383,7 @@ mod tests {
         let outcome = try_spot_check_sorter_packed(&broken, &tests).unwrap();
         let witness = outcome.witness.expect("a non-sorter must yield a witness");
         let mut block = WideBlock::<1>::from_strings(n, std::slice::from_ref(&witness));
-        block.run(&broken);
+        block.run_with(Backend::active(), &broken);
         assert!(!block.extract_packed::<ChannelVec>(0).is_sorted());
         // Guards: wrong-length tests and over-cap networks refuse cleanly.
         assert_eq!(

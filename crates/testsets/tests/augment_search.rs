@@ -17,6 +17,7 @@ use sortnet_faults::universe::{
 };
 use sortnet_faults::{try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
+use sortnet_network::lanes::LaneWidth;
 use sortnet_network::{Comparator, Network};
 use sortnet_testsets::augment::{
     try_minimum_augmentation_packed, AugmentationReport, CandidatePool, SearchOptions,
@@ -102,7 +103,7 @@ fn assert_certified_minimum(
         universe,
         &report.augmented(base),
         RedundancyMode::Exhaustive,
-        FaultSimEngine::BitParallel,
+        FaultSimEngine::BitParallelWide(LaneWidth::W4),
     )
     .unwrap();
     assert!(
@@ -239,7 +240,7 @@ fn suggest_augmentation_consumes_a_prebuilt_coverage_report() {
         &StuckLine,
         &base,
         RedundancyMode::Exhaustive,
-        FaultSimEngine::BitParallel,
+        FaultSimEngine::BitParallelWide(LaneWidth::W4),
     )
     .unwrap();
     let report = coverage
@@ -276,7 +277,7 @@ proptest! {
         prop_assert!(report.greedy.len() >= report.minimum.len());
         prop_assert!(report.minimum.len() >= report.lower_bound);
         prop_assert!(report.lower_bound >= report.witness_faults.len());
-        let full = try_coverage_of_universe_packed_with(&net, &StuckLine, &report.augmented(&base), RedundancyMode::Exhaustive, FaultSimEngine::BitParallel).unwrap();
+        let full = try_coverage_of_universe_packed_with(&net, &StuckLine, &report.augmented(&base), RedundancyMode::Exhaustive, FaultSimEngine::BitParallelWide(LaneWidth::W4)).unwrap();
         prop_assert!(full.is_complete());
     }
 }

@@ -57,15 +57,15 @@ proptest! {
         let expected = scalar_sorting_family(n);
         prop_assert_eq!(sorting::binary_testset(n), expected.clone());
         prop_assert_eq!(
-            lanes::collect_strings::<1, _>(sorting::binary_source(n)),
+            lanes::collect_packed::<1, BitString, _>(sorting::binary_source(n)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<2, _>(sorting::binary_source(n)),
+            lanes::collect_packed::<2, BitString, _>(sorting::binary_source(n)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<4, _>(sorting::binary_source(n)),
+            lanes::collect_packed::<4, BitString, _>(sorting::binary_source(n)),
             expected
         );
     }
@@ -78,11 +78,11 @@ proptest! {
         let expected = scalar_selector_family(n, k);
         prop_assert_eq!(selector::binary_testset(n, k), expected.clone());
         prop_assert_eq!(
-            lanes::collect_strings::<1, _>(selector::binary_source(n, k)),
+            lanes::collect_packed::<1, BitString, _>(selector::binary_source(n, k)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<4, _>(selector::binary_source(n, k)),
+            lanes::collect_packed::<4, BitString, _>(selector::binary_source(n, k)),
             expected
         );
     }
@@ -94,11 +94,11 @@ proptest! {
         let expected = scalar_merging_family(n);
         prop_assert_eq!(merging::binary_testset(n), expected.clone());
         prop_assert_eq!(
-            lanes::collect_strings::<1, _>(merging::binary_source(n)),
+            lanes::collect_packed::<1, BitString, _>(merging::binary_source(n)),
             expected.clone()
         );
         prop_assert_eq!(
-            lanes::collect_strings::<4, _>(merging::binary_source(n)),
+            lanes::collect_packed::<4, BitString, _>(merging::binary_source(n)),
             expected
         );
     }

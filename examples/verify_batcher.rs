@@ -7,13 +7,13 @@
 //! cargo run -p sortnet-cli --example verify_batcher --release
 //! ```
 
-use sortnet_combinat::ChannelVec;
+use sortnet_combinat::{BitString, ChannelVec};
 use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sort_recursive};
 use sortnet_network::builders::bitonic::{bitonic_sorter, bitonic_sorter_standardised};
 use sortnet_network::builders::bubble::{bubble_sort_network, insertion_sort_network};
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_network::lanes::{self, RangeSource, WideBlock};
-use sortnet_network::Network;
+use sortnet_network::lanes::{self, RangeSource, Sweep, WideBlock};
+use sortnet_network::{BudgetMeter, Network};
 use sortnet_testsets::sorting;
 use sortnet_testsets::verify::{try_spot_check_sorter_packed, try_verify, Property, Strategy};
 
@@ -85,14 +85,17 @@ fn main() {
             Box::new(sorting::binary_source(wide_n)),
         ),
     ];
+    let backend = Sweep::default().backend;
     for (family, source) in families {
         // Spelled out to show the sweep protocol; production code calls
-        // the one-liner `lanes::sweep_network(source, &network)` instead.
+        // `lanes::sweep_network(source, &network, backend, &mut meter)`,
+        // which also checks that source and network agree on the lines.
         let mut work = WideBlock::<4>::zeroed(wide_n);
-        let outcome = lanes::sweep_find(source, |block| {
+        let mut meter = BudgetMeter::unlimited();
+        let outcome = lanes::sweep_find::<4, BitString, _>(source, &mut meter, |block| {
             work.copy_from(block);
-            work.run(&sorter16);
-            work.unsorted_masks()
+            work.run_with(backend, &sorter16);
+            work.unsorted_masks_with(backend)
         });
         println!(
             "\nstreamed {:>6} vectors of {family}: sorter verdict = {}",

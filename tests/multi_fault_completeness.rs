@@ -17,6 +17,7 @@ use sortnet_combinat::BitString;
 use sortnet_faults::universe::{multi_detects, FaultUniverse, MultiFault, StuckLine};
 use sortnet_faults::{try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
+use sortnet_network::lanes::LaneWidth;
 use sortnet_testsets::sorting;
 
 /// Brute-force partition of the stuck-line universe by scalar simulation
@@ -56,7 +57,10 @@ fn coverage_report_names_exactly_the_undetectable_stuck_line_faults() {
     for n in [4usize, 8] {
         let (undetectable, by_unsorted, sorted_only, net) = brute_force_partition(n);
         let minimal = sorting::binary_testset(n);
-        for engine in [FaultSimEngine::BitParallel, FaultSimEngine::Scalar] {
+        for engine in [
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            FaultSimEngine::Scalar,
+        ] {
             let report = try_coverage_of_universe_packed_with(
                 &net,
                 &StuckLine,
@@ -113,7 +117,7 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
             &StuckLine,
             &minimal,
             RedundancyMode::Exhaustive,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         )
         .unwrap();
         assert_eq!(report.total_faults, total, "n={n}");
@@ -130,7 +134,7 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
             &StuckLine,
             &with_sorted,
             RedundancyMode::Exhaustive,
-            FaultSimEngine::BitParallel,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
         )
         .unwrap();
         assert_eq!(full.missed, 0, "n={n}: sorted inputs must close the gap");
@@ -152,7 +156,7 @@ fn every_stuck_input_segment_is_reported_undetectable() {
         &StuckLine,
         &minimal,
         RedundancyMode::Exhaustive,
-        FaultSimEngine::BitParallel,
+        FaultSimEngine::BitParallelWide(LaneWidth::W4),
     )
     .unwrap();
     let names: BTreeSet<String> = report
