@@ -39,24 +39,49 @@ pub const fn channel_words(n: usize) -> usize {
 /// A 0/1 string of arbitrary length `n`, packed into `ceil(n/64)` channel
 /// words.
 ///
-/// Bit `i` (line `i`) is stored in `words[i / 64]` at bit position
+/// Bit `i` (line `i`) is stored in word `i / 64` at bit position
 /// `i % 64`; bits above `n` in the top word are always zero.  This is the
 /// multi-word sibling of [`BitString`] and the payload type for `n > 64`
-/// fault sweeps.
+/// fault sweeps.  A vector of at most 64 lines keeps its one word inline,
+/// so cloning or dropping it allocates and frees nothing.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ChannelVec {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
 }
 
+/// Canonical word storage: `One` exactly when `channel_words(len) == 1`,
+/// so the derived `Eq` and `Hash` stay content-based.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    One(u64),
+    Many(Box<[u64]>),
+}
+
 impl ChannelVec {
+    /// The `n`-line string whose channel word `w` is `word(w)`.  Callers
+    /// keep the bits above `n` zero.
+    fn with_words(n: usize, mut word: impl FnMut(usize) -> u64) -> Self {
+        let need = channel_words(n);
+        let words = if need == 1 {
+            Words::One(word(0))
+        } else {
+            Words::Many((0..need).map(word).collect())
+        };
+        ChannelVec { words, len: n }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::One(word) => std::slice::from_mut(word),
+            Words::Many(words) => words,
+        }
+    }
+
     /// The all-zeros string of length `n`.
     #[must_use]
     pub fn zeros(n: usize) -> Self {
-        ChannelVec {
-            words: vec![0; channel_words(n)],
-            len: n,
-        }
+        Self::with_words(n, |_| 0)
     }
 
     /// The all-ones string of length `n`.
@@ -64,10 +89,7 @@ impl ChannelVec {
     pub fn ones(n: usize) -> Self {
         // Whole-word fill: every word is the live mask for its position
         // (all-ones below the top word, the partial mask on it).
-        let words: Vec<u64> = (0..channel_words(n))
-            .map(|w| live_word_mask(n, w))
-            .collect();
-        ChannelVec { words, len: n }
+        Self::with_words(n, |w| live_word_mask(n, w))
     }
 
     /// Builds a string from raw channel words, masking any bits above `n`.
@@ -82,14 +104,7 @@ impl ChannelVec {
             "{} channel words cannot hold {n} lines (need {need})",
             words.len()
         );
-        let mut words: Vec<u64> = words[..need].to_vec();
-        let top_bits = n % 64;
-        if n == 0 {
-            words[0] = 0;
-        } else if top_bits != 0 {
-            words[need - 1] &= (1u64 << top_bits) - 1;
-        }
-        ChannelVec { words, len: n }
+        Self::with_words(n, |w| words[w] & live_word_mask(n, w))
     }
 
     /// Builds a string of length `bits.len()` from explicit bit values.
@@ -139,7 +154,7 @@ impl ChannelVec {
     #[must_use]
     pub fn to_bitstring(&self) -> Option<BitString> {
         if self.len <= 64 {
-            Some(BitString::from_word(self.words[0], self.len))
+            Some(BitString::from_word(self.words()[0], self.len))
         } else {
             None
         }
@@ -169,14 +184,17 @@ impl ChannelVec {
     #[inline]
     #[must_use]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.words {
+            Words::One(word) => std::slice::from_ref(word),
+            Words::Many(words) => words,
+        }
     }
 
     /// Number of channel words (`ceil(n/64)`, minimum 1).
     #[inline]
     #[must_use]
     pub fn word_count(&self) -> usize {
-        self.words.len()
+        self.words().len()
     }
 
     /// The bit on line `i`.
@@ -187,7 +205,7 @@ impl ChannelVec {
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "line {i} out of range for {} lines", self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+        (self.words()[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Sets the bit on line `i`.
@@ -198,10 +216,11 @@ impl ChannelVec {
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "line {i} out of range for {} lines", self.len);
         let mask = 1u64 << (i % 64);
+        let word = &mut self.words_mut()[i / 64];
         if value {
-            self.words[i / 64] |= mask;
+            *word |= mask;
         } else {
-            self.words[i / 64] &= !mask;
+            *word &= !mask;
         }
     }
 
@@ -216,7 +235,7 @@ impl ChannelVec {
     /// Number of ones.
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of zeros.
@@ -231,7 +250,7 @@ impl ChannelVec {
         // Sorted iff no 1 is followed (in line order) by a 0: scan words
         // low to high carrying "have we seen a 1 yet".
         let mut seen_one = false;
-        for (w, &word) in self.words.iter().enumerate() {
+        for (w, &word) in self.words().iter().enumerate() {
             let live = live_word_mask(self.len, w);
             let word = word & live;
             if seen_one {
@@ -391,7 +410,7 @@ impl ChannelPack for ChannelVec {
 
     #[inline]
     fn word(&self, k: usize) -> u64 {
-        self.words[k]
+        self.words()[k]
     }
 
     fn assemble(n: usize, f: impl FnMut(usize) -> bool) -> Self {
@@ -546,6 +565,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_word_vectors_are_stored_inline() {
+        assert!(std::mem::size_of::<ChannelVec>() <= 24);
+    }
+
+    fn hash_of(v: &ChannelVec) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn constructors_agree_on_content_eq_and_hash_at_the_seams() {
+        for n in [0usize, 1, 63, 64, 65, 128] {
+            let need = channel_words(n);
+            let pattern = |i: usize| (i * 5 + i / 7).is_multiple_of(3);
+            let reference = ChannelVec::from_fn(n, pattern);
+            // Extra words and junk above line n are masked away.
+            let mut junk: Vec<u64> = reference.words().to_vec();
+            junk[need - 1] |= !live_word_mask(n, need - 1);
+            junk.push(u64::MAX);
+            let parsed = ChannelVec::parse(&reference.to_string());
+            let by_bit = (0..n).fold(ChannelVec::zeros(n), |v, i| v.with_bit(i, pattern(i)));
+            let same_pattern = [
+                ChannelVec::from_words(&junk, n),
+                parsed,
+                by_bit,
+                ChannelVec::from_bits(&(0..n).map(pattern).collect::<Vec<_>>()),
+            ];
+            for v in &same_pattern {
+                assert_eq!(v, &reference, "n={n}");
+                assert_eq!(hash_of(v), hash_of(&reference), "n={n}");
+            }
+            let zeros = ChannelVec::from_words(&vec![0; need + 1], n);
+            let ones = ChannelVec::from_words(&vec![u64::MAX; need], n);
+            for (a, b) in [
+                (ChannelVec::zeros(n), zeros),
+                (ChannelVec::ones(n), ones),
+                (
+                    ChannelVec::sorted_of(n / 2, n - n / 2),
+                    ChannelVec::from_fn(n, |i| i >= n / 2),
+                ),
+            ] {
+                assert_eq!(a, b, "n={n}");
+                assert_eq!(hash_of(&a), hash_of(&b), "n={n}");
+            }
+            for v in same_pattern
+                .iter()
+                .chain([&ChannelVec::ones(n), &ChannelVec::zeros(n)])
+            {
+                assert_eq!(v.words().len(), channel_words(n), "n={n}");
+                assert_eq!(v.word_count(), channel_words(n), "n={n}");
+            }
+            if n <= 64 {
+                let s = reference.to_bitstring().expect("n <= 64 narrows");
+                let widened = ChannelVec::from_bitstring(s);
+                assert_eq!(widened, reference, "n={n}");
+                assert_eq!(hash_of(&widened), hash_of(&reference), "n={n}");
+                assert_eq!(widened.to_bitstring(), Some(s), "n={n}");
+            } else {
+                assert_eq!(reference.to_bitstring(), None, "n={n}");
+            }
+        }
+        // Different lengths with the same words are different strings.
+        assert_ne!(ChannelVec::zeros(63), ChannelVec::zeros(64));
+        assert_ne!(
+            hash_of(&ChannelVec::zeros(63)),
+            hash_of(&ChannelVec::zeros(64))
+        );
     }
 
     #[test]

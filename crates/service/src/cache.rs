@@ -209,8 +209,9 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
 }
 
 /// Hashes one value with the std sip hasher's fixed keys — deterministic
-/// within and across processes, which keeps cache keys and the wire
-/// protocol stable.
+/// within and across processes of one build.  Fingerprints only ever key
+/// in-process maps (the answer cache, shards, the quarantine ledger); no
+/// wire frame carries one.
 #[must_use]
 pub fn fingerprint<T: Hash>(value: &T) -> u64 {
     let mut h = DefaultHasher::new();

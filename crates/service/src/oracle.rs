@@ -2,7 +2,8 @@
 //!
 //! [`answer_cold`] is the reference path: one request, straight through
 //! the engine's typed entry points, no cache.  [`answer_batch`] is the
-//! serving path the worker pool drives: it looks finished answers up in
+//! serving path (the worker pool drives its keyed core with the one
+//! [`AnswerKey`] per job it already holds): it looks finished answers up in
 //! the LRU and shards the remaining coverage queries by (network,
 //! universe, redundancy mode).  A shard shares what its members really
 //! have in common: the admitted fault list and **one** batched
@@ -32,6 +33,7 @@
 //! without touching the engine) lives in [`crate::pool`].
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -98,6 +100,12 @@ impl Query {
     /// answers depend on the submitted set (first-detection indices are
     /// positions *in that set*), so two queries differing only in tests
     /// must never share a cache line.
+    ///
+    /// A test list is fed to the SipHash hasher in bulk: its length, then
+    /// each vector's line count and channel words, packed into a stack
+    /// buffer that is written a chunk at a time.  The word count follows
+    /// from the line count, so the stream is injective: distinct lists
+    /// (including `0`,`1` against `01`) hash distinct byte streams.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         match self {
@@ -118,10 +126,39 @@ impl Query {
                 universe,
                 tests,
                 redundancy,
-            } => fingerprint(&(1u8, universe, redundancy, tests)),
-            Query::Augment { universe, tests } => fingerprint(&(2u8, universe, tests)),
+            } => tests_fingerprint(&(1u8, universe, redundancy), tests),
+            Query::Augment { universe, tests } => tests_fingerprint(&(2u8, universe), tests),
         }
     }
+}
+
+/// Bytes of test-list stream buffered per hasher `write`.
+const FINGERPRINT_CHUNK: usize = 512;
+
+/// [`fingerprint`] of `head` followed by the bulk encoding of `tests`
+/// described on [`Query::fingerprint`].
+fn tests_fingerprint<T: Hash>(head: &T, tests: &[ChannelVec]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    head.hash(&mut hasher);
+    let mut buf = [0u8; FINGERPRINT_CHUNK];
+    let mut filled = 0;
+    let mut push = |hasher: &mut DefaultHasher, word: u64| {
+        if filled == FINGERPRINT_CHUNK {
+            hasher.write(&buf);
+            filled = 0;
+        }
+        buf[filled..filled + 8].copy_from_slice(&word.to_le_bytes());
+        filled += 8;
+    };
+    push(&mut hasher, tests.len() as u64);
+    for test in tests {
+        push(&mut hasher, test.len() as u64);
+        for &word in test.words() {
+            push(&mut hasher, word);
+        }
+    }
+    hasher.write(&buf[..filled]);
+    hasher.finish()
 }
 
 /// A queued unit of work: a network, a question, an optional budget,
@@ -479,17 +516,32 @@ struct Shard {
 
 /// The serving path: answers a drained batch of requests with cache
 /// lookups and coverage sharding.  Responses come back in request order.
+/// Computes each request's [`AnswerKey`] and runs the keyed core that the
+/// worker pool drives with the keys it already holds.
 #[must_use]
 pub fn answer_batch(
     config: &ServiceConfig,
     caches: &OracleCaches,
     requests: &[Request],
 ) -> Vec<Response> {
+    let keys: Vec<AnswerKey> = requests.iter().map(AnswerKey::of).collect();
+    answer_keyed(config, caches, requests, &keys)
+}
+
+/// [`answer_batch`] with `keys[i] == AnswerKey::of(&requests[i])` given,
+/// so each test list is hashed once per job.
+pub(crate) fn answer_keyed(
+    config: &ServiceConfig,
+    caches: &OracleCaches,
+    requests: &[Request],
+    keys: &[AnswerKey],
+) -> Vec<Response> {
+    assert_eq!(requests.len(), keys.len(), "one key per request");
     let start = Instant::now();
     let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
     let mut shards: HashMap<(u64, usize, StandardUniverse, RedundancyMode), Shard> = HashMap::new();
 
-    for (i, request) in requests.iter().enumerate() {
+    for (i, (request, &key)) in requests.iter().zip(keys).enumerate() {
         // Chaos site: a per-request injected panic, caught and
         // supervised by the worker pool like any real evaluation panic.
         // Deliberately placed before any cache lock is taken.
@@ -507,7 +559,6 @@ pub fn answer_batch(
             });
             continue;
         }
-        let key = AnswerKey::of(request);
         if let Some(answer) = unpoisoned(&caches.answers).get(&key) {
             responses[i] = Some(Response {
                 outcome: Ok(answer.clone()),
@@ -877,6 +928,159 @@ mod tests {
         assert_eq!(batch[0].completion, cold.completion);
         let (answers, _) = caches.counters();
         assert_eq!(answers.hits + answers.misses, 0, "deadline requests bypass");
+    }
+
+    fn coverage_of(tests: Vec<ChannelVec>) -> Query {
+        Query::Coverage {
+            universe: StandardUniverse::StuckLine,
+            tests,
+            redundancy: RedundancyMode::Skip,
+        }
+    }
+
+    #[test]
+    fn query_fingerprints_separate_near_collisions() {
+        let bit = |s: &str| ChannelVec::parse(s);
+        let distinct = |a: Query, b: Query| assert_ne!(a.fingerprint(), b.fingerprint());
+        // Two 1-line vectors against one 2-line vector with the same bits.
+        distinct(
+            coverage_of(vec![bit("0"), bit("1")]),
+            coverage_of(vec![bit("01")]),
+        );
+        // The line count is part of each vector.
+        distinct(
+            coverage_of(vec![ChannelVec::zeros(63)]),
+            coverage_of(vec![ChannelVec::zeros(64)]),
+        );
+        // Order matters: first detections index into the list.
+        distinct(
+            coverage_of(vec![bit("0011"), bit("0111")]),
+            coverage_of(vec![bit("0111"), bit("0011")]),
+        );
+        // The query kind is part of the key.
+        let tests = sorted_tests(6);
+        distinct(
+            coverage_of(tests.clone()),
+            Query::Augment {
+                universe: StandardUniverse::StuckLine,
+                tests,
+            },
+        );
+        // A list long enough to cross many chunk flushes, against the
+        // same list with its very last bit flipped.
+        let long: Vec<ChannelVec> = (0..1000)
+            .map(|i| ChannelVec::from_fn(128, |j| (i * 7 + j).is_multiple_of(5)))
+            .collect();
+        let mut flipped = long.clone();
+        let last = flipped.last_mut().expect("non-empty");
+        last.set(127, !last.get(127));
+        distinct(coverage_of(long), coverage_of(flipped));
+    }
+
+    #[test]
+    fn equal_content_from_different_constructors_keys_equal() {
+        for n in [5usize, 64, 65, 128] {
+            let by_fn: Vec<ChannelVec> = (0..=n)
+                .map(|ones| ChannelVec::from_fn(n, |i| i >= n - ones))
+                .collect();
+            let by_words: Vec<ChannelVec> = sorted_tests(n)
+                .iter()
+                .map(|v| {
+                    let mut junk = v.words().to_vec();
+                    junk.push(u64::MAX);
+                    ChannelVec::from_words(&junk, n)
+                })
+                .collect();
+            let by_parse: Vec<ChannelVec> = sorted_tests(n)
+                .iter()
+                .map(|v| ChannelVec::parse(&v.to_string()))
+                .collect();
+            let request = |tests| Request {
+                network: odd_even_merge_sort(n.next_power_of_two()),
+                query: coverage_of(tests),
+                budget: None,
+                deadline: None,
+            };
+            let key = AnswerKey::of(&request(sorted_tests(n)));
+            for tests in [by_fn, by_words, by_parse] {
+                assert_eq!(AnswerKey::of(&request(tests)), key, "n={n}");
+            }
+        }
+        let narrow = sortnet_testsets::sorting::binary_testset(6);
+        let widened: Vec<ChannelVec> = narrow
+            .iter()
+            .map(|&s| ChannelVec::from_bitstring(s))
+            .collect();
+        let rebuilt: Vec<ChannelVec> = narrow
+            .iter()
+            .map(|s| ChannelVec::from_fn(6, |i| s.get(i)))
+            .collect();
+        assert_eq!(
+            coverage_of(widened).fingerprint(),
+            coverage_of(rebuilt).fingerprint()
+        );
+    }
+
+    #[test]
+    fn the_pool_answers_a_mixed_wave_as_answer_batch_does() {
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let network = odd_even_merge_sort(6);
+        let verify = Request {
+            network: network.clone(),
+            query: Query::Verify {
+                property: Property::Sorter,
+                strategy: Strategy::MinimalBinary,
+            },
+            budget: None,
+            deadline: None,
+        };
+        let augment = Request {
+            network: network.clone(),
+            query: Query::Augment {
+                universe: StandardUniverse::StuckLine,
+                tests: sortnet_testsets::sorting::binary_testset(6)
+                    .into_iter()
+                    .map(ChannelVec::from_bitstring)
+                    .collect(),
+            },
+            budget: None,
+            deadline: None,
+        };
+        let mut budgeted = coverage_request(8, RedundancyMode::Skip);
+        budgeted.budget = Some(SweepBudget::unlimited().with_max_blocks(1));
+        let wave = vec![
+            coverage_request(8, RedundancyMode::Exhaustive),
+            verify.clone(),
+            coverage_request(6, RedundancyMode::Skip),
+            coverage_request(8, RedundancyMode::Exhaustive),
+            augment,
+            budgeted,
+            verify,
+            coverage_request(6, RedundancyMode::Exhaustive),
+        ];
+        assert!(wave.len() <= config.max_batch, "one gulp holds the wave");
+        let caches = OracleCaches::new(config.answer_cache);
+        let service = crate::Service::start(config.clone());
+        // The second pass serves the repeats from the cache.
+        for pass in 0..2 {
+            let direct = answer_batch(&config, &caches, &wave);
+            let pooled = service.submit_batch(wave.clone());
+            for (i, (d, p)) in direct.iter().zip(&pooled).enumerate() {
+                assert_eq!(p.outcome, d.outcome, "pass {pass} request {i}");
+                assert_eq!(p.completion, d.completion, "pass {pass} request {i}");
+                assert_eq!(p.cache, d.cache, "pass {pass} request {i}");
+            }
+            if pass == 1 {
+                let hits = pooled
+                    .iter()
+                    .filter(|r| r.cache == CacheStatus::Hit)
+                    .count();
+                assert_eq!(hits, wave.len() - 1, "all but the budgeted request hit");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`Service::start`] spawns `config.workers` plain `std::thread`
 //! workers over one shared FIFO.  A worker wakes, drains up to
-//! `config.max_batch` queued jobs in one gulp and hands them to
-//! [`answer_batch`] — so batching emerges
+//! `config.max_batch` queued jobs in one gulp and hands them, with one
+//! [`AnswerKey`] per job, to the keyed core of
+//! [`answer_batch`](crate::oracle::answer_batch) — so batching emerges
 //! from queue pressure: an idle service answers each request alone,
 //! a loaded one shards whole gulps so coverage queries on one network
 //! share fault enumeration and redundancy passes.  Replies
@@ -48,11 +49,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::cache::{fingerprint, CacheCounters};
+use crate::cache::CacheCounters;
 use crate::error::ServiceError;
 use crate::failpoint;
 use crate::oracle::{
-    answer_batch, AnswerKey, CacheStatus, Completion, OracleCaches, Request, Response,
+    answer_keyed, AnswerKey, CacheStatus, Completion, OracleCaches, Request, Response,
 };
 use crate::ServiceConfig;
 
@@ -91,8 +92,11 @@ struct Inner {
     queue: Mutex<QueueState>,
     available: Condvar,
     caches: OracleCaches,
-    /// fingerprint(request identity) → panicking attempts so far.
-    quarantine: Mutex<HashMap<u64, u32>>,
+    /// Request identity → panicking attempts so far.  The identity is the
+    /// job's [`AnswerKey`], which leaves out the budget, so a poison
+    /// request cannot dodge its ledger entry by resubmitting with a fresh
+    /// budget.
+    quarantine: Mutex<HashMap<AnswerKey, u32>>,
     answered: AtomicU64,
     partials: AtomicU64,
     shed_rejected: AtomicU64,
@@ -311,15 +315,6 @@ fn overloaded(inner: &Inner, queue_depth: usize) -> Response {
     }
 }
 
-/// The identity under which panicking requests are quarantined: the
-/// answer key's fields (network fingerprint, line count, query
-/// fingerprint — covers the tests), not the budget, so a poison request
-/// cannot dodge its ledger entry by resubmitting with a fresh budget.
-fn quarantine_key(request: &Request) -> u64 {
-    let key = AnswerKey::of(request);
-    fingerprint(&(key.network, key.lines, key.query))
-}
-
 fn quarantined_response(attempts: u32) -> Response {
     Response {
         outcome: Err(ServiceError::WorkerPanicked { attempts }),
@@ -329,14 +324,14 @@ fn quarantined_response(attempts: u32) -> Response {
     }
 }
 
-fn reply_and_count(inner: &Inner, job: &Job, response: Response) {
+fn reply_and_count(inner: &Inner, reply: &SyncSender<Response>, response: Response) {
     inner.answered.fetch_add(1, Ordering::Relaxed);
     if !matches!(response.completion, Completion::Complete) {
         inner.partials.fetch_add(1, Ordering::Relaxed);
     }
     // A submitter that gave up (disconnected receiver) is not an error
     // for the pool.
-    let _ = job.reply.send(response);
+    let _ = reply.send(response);
 }
 
 /// Folds one response's service time into the moving average feeding
@@ -376,15 +371,24 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// Panicking attempts recorded so far for `key`.
+fn ledger_attempts(inner: &Inner, key: &AnswerKey) -> u32 {
+    unpoisoned(&inner.quarantine).get(key).copied().unwrap_or(0)
+}
+
 /// Triages one gulp (deadlines, quarantine), evaluates the survivors as
 /// a batch under `catch_unwind`, and falls back to per-request
-/// supervision when the batch panics.  Every job gets exactly one reply
-/// on every path.
+/// supervision when the batch panics.  Each job's key is computed once
+/// and serves the ledger, the cache and the fallback; its request moves
+/// into the batch slice, with its reply channel at the same index.
+/// Every job gets exactly one reply on every path.
 fn process_gulp(inner: &Inner, jobs: Vec<Job>) {
     let now = Instant::now();
-    let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        if let Some(deadline) = job.request.deadline {
+    let mut requests: Vec<Request> = Vec::with_capacity(jobs.len());
+    let mut keys: Vec<AnswerKey> = Vec::with_capacity(jobs.len());
+    let mut replies: Vec<SyncSender<Response>> = Vec::with_capacity(jobs.len());
+    for Job { request, reply } in jobs {
+        if let Some(deadline) = request.deadline {
             if deadline <= now {
                 inner.expired.fetch_add(1, Ordering::Relaxed);
                 let response = Response {
@@ -395,71 +399,78 @@ fn process_gulp(inner: &Inner, jobs: Vec<Job>) {
                     cache: CacheStatus::Bypass,
                     micros: 0,
                 };
-                reply_and_count(inner, &job, response);
+                reply_and_count(inner, &reply, response);
                 continue;
             }
         }
-        let attempts = unpoisoned(&inner.quarantine)
-            .get(&quarantine_key(&job.request))
-            .copied()
-            .unwrap_or(0);
+        // Hash before taking the ledger lock: the key covers the whole
+        // test list, and the other worker's triage waits on that lock.
+        let key = AnswerKey::of(&request);
+        let attempts = ledger_attempts(inner, &key);
         if attempts >= inner.config.panic_attempts {
             inner.quarantined.fetch_add(1, Ordering::Relaxed);
-            reply_and_count(inner, &job, quarantined_response(attempts));
+            reply_and_count(inner, &reply, quarantined_response(attempts));
             continue;
         }
-        live.push(job);
+        requests.push(request);
+        keys.push(key);
+        replies.push(reply);
     }
-    if live.is_empty() {
+    if requests.is_empty() {
         return;
     }
-    let requests: Vec<Request> = live.iter().map(|j| j.request.clone()).collect();
     match catch_unwind(AssertUnwindSafe(|| {
-        answer_batch(&inner.config, &inner.caches, &requests)
+        answer_keyed(&inner.config, &inner.caches, &requests, &keys)
     })) {
         Ok(responses) => {
-            for (job, response) in live.into_iter().zip(responses) {
+            for (reply, response) in replies.iter().zip(responses) {
                 observe_latency(inner, &response);
-                reply_and_count(inner, &job, response);
+                reply_and_count(inner, reply, response);
             }
         }
         Err(_) => {
             // The batch died and the culprit is unknown: isolate each
             // member and let the quarantine ledger find it.
             inner.panics.fetch_add(1, Ordering::Relaxed);
-            for job in live {
-                answer_solo_supervised(inner, job);
+            for ((request, key), reply) in requests.iter().zip(keys).zip(&replies) {
+                answer_solo_supervised(inner, request, key, reply);
             }
         }
     }
 }
 
-/// Evaluates one job alone under `catch_unwind`, retrying up to the
+/// Evaluates one request alone under `catch_unwind`, retrying up to the
 /// quarantine limit.  A success forgives the ledger entry (transient
 /// flakes recover); hitting the limit answers the typed quarantine
-/// refusal — this job *and* every future resubmission of the same
+/// refusal — this request *and* every future resubmission of the same
 /// request identity.
-fn answer_solo_supervised(inner: &Inner, job: Job) {
-    let key = quarantine_key(&job.request);
-    let single = std::slice::from_ref(&job.request);
+fn answer_solo_supervised(
+    inner: &Inner,
+    request: &Request,
+    key: AnswerKey,
+    reply: &SyncSender<Response>,
+) {
+    let single = std::slice::from_ref(request);
     loop {
-        let attempts = unpoisoned(&inner.quarantine)
-            .get(&key)
-            .copied()
-            .unwrap_or(0);
+        let attempts = ledger_attempts(inner, &key);
         if attempts >= inner.config.panic_attempts {
             inner.quarantined.fetch_add(1, Ordering::Relaxed);
-            reply_and_count(inner, &job, quarantined_response(attempts));
+            reply_and_count(inner, reply, quarantined_response(attempts));
             return;
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            answer_batch(&inner.config, &inner.caches, single)
+            answer_keyed(
+                &inner.config,
+                &inner.caches,
+                single,
+                std::slice::from_ref(&key),
+            )
         })) {
             Ok(mut responses) => {
                 unpoisoned(&inner.quarantine).remove(&key);
                 let response = responses.pop().expect("one request yields one response");
                 observe_latency(inner, &response);
-                reply_and_count(inner, &job, response);
+                reply_and_count(inner, reply, response);
                 return;
             }
             Err(_) => {
@@ -659,8 +670,8 @@ mod tests {
         let mut a = coverage_request(6);
         let b = a.clone();
         a.budget = Some(sortnet_network::budget::SweepBudget::unlimited().with_max_blocks(1));
-        assert_eq!(quarantine_key(&a), quarantine_key(&b));
+        assert_eq!(AnswerKey::of(&a), AnswerKey::of(&b));
         let c = coverage_request(8);
-        assert_ne!(quarantine_key(&a), quarantine_key(&c));
+        assert_ne!(AnswerKey::of(&a), AnswerKey::of(&c));
     }
 }
