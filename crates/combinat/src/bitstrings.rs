@@ -175,25 +175,9 @@ impl BitString {
     }
 
     /// `true` when the string is non-decreasing (of the form `0^a 1^b`).
-    ///
-    /// With the position-`i`-is-bit-`i` packing, a sorted string is exactly a
-    /// word of the form `1…10…0` shifted left, i.e. `word + lowest_one`
-    /// must be a power of two (or the word is zero).
     #[must_use]
     pub fn is_sorted(&self) -> bool {
-        let w = self.word;
-        // w has its ones forming one contiguous block ending at the top
-        // (position len-1), or w == 0.
-        if w == 0 {
-            return true;
-        }
-        // Ones must be contiguous and include position len-1.
-        let contiguous = (w | (w - (w & w.wrapping_neg()))) == w && {
-            // After removing the trailing zeros the remainder must be all ones.
-            let shifted = w >> w.trailing_zeros();
-            (shifted & (shifted + 1)) == 0
-        };
-        contiguous && self.get(self.len() - 1)
+        is_sorted_word(self.word, self.len())
     }
 
     /// The sorted rearrangement of this string: `0^{|σ|₀} 1^{|σ|₁}`.
@@ -319,34 +303,53 @@ impl BitString {
     }
 
     /// Iterator over all strings of length `n` with exactly `ones` ones, in
-    /// increasing word order (Gosper's hack).
+    /// increasing word order ([`weight_words`]).
     pub fn all_with_weight(n: usize, ones: usize) -> impl Iterator<Item = Self> {
-        check_n(n);
-        assert!(n < 64, "n must be < 64 for weight enumeration");
-        assert!(ones <= n, "weight {ones} exceeds length {n}");
-        let mut current: u64 = if ones == 0 { 0 } else { (1u64 << ones) - 1 };
-        let limit: u64 = 1u64 << n;
-        let mut done = false;
-        std::iter::from_fn(move || {
-            if done || current >= limit {
-                return None;
-            }
-            let result = Self::from_word(current, n);
-            if ones == 0 {
-                done = true;
-            } else {
-                // Gosper's hack: next integer with the same popcount.
-                let c = current & current.wrapping_neg();
-                let r = current + c;
-                if r >= limit || c == 0 {
-                    done = true;
-                } else {
-                    current = (((r ^ current) >> 2) / c) | r;
-                }
-            }
-            Some(result)
-        })
+        weight_words(n, ones).map(move |w| Self::from_word(w, n))
     }
+}
+
+/// The word with the low `n` bits set (`n ≤ 64`).
+#[must_use]
+pub const fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// `true` when the `n`-bit word (bits at or past `n` clear) is sorted,
+/// `0^{n−t} 1^t`: its `t` ones are the top `t` positions.
+#[must_use]
+pub fn is_sorted_word(word: u64, n: usize) -> bool {
+    let t = word.count_ones() as usize;
+    t <= n && word == low_mask(n) ^ low_mask(n - t)
+}
+
+/// All `n`-bit words with exactly `ones` ones, in increasing order
+/// (Gosper's hack) — the word form of [`BitString::all_with_weight`],
+/// with no allocation.
+///
+/// # Panics
+/// Panics if `n ≥ 64` or `ones > n`.
+pub fn weight_words(n: usize, ones: usize) -> impl Iterator<Item = u64> {
+    assert!(n < 64, "n must be < 64 for weight enumeration");
+    assert!(ones <= n, "weight {ones} exceeds length {n}");
+    let limit: u64 = 1u64 << n;
+    let mut next = Some(low_mask(ones));
+    std::iter::from_fn(move || {
+        let current = next?;
+        next = if ones == 0 {
+            None
+        } else {
+            // Gosper's hack: next integer with the same popcount.
+            let c = current & current.wrapping_neg();
+            let r = current + c;
+            (r < limit).then(|| (((r ^ current) >> 2) / c) | r)
+        };
+        Some(current)
+    })
 }
 
 impl fmt::Debug for BitString {

@@ -110,31 +110,37 @@ impl SymmetricChain {
     }
 }
 
+/// The Greene–Kleitman bracket matching of the subset `mask` of
+/// `{0, …, n−1}`, at word level: the mask of matched positions.
+///
+/// Element `i` present reads `)`, absent reads `(`, left to right; each
+/// `)` matches the nearest unmatched `(` before it.  The unmatched `(`
+/// positions always form a stack in increasing order, so the stack is a
+/// word and a pop clears its highest bit.
+#[must_use]
+pub fn bracket_matched(mask: u64, n: usize) -> u64 {
+    check_n(n);
+    let (mut open, mut matched) = (0u64, 0u64);
+    for i in 0..n {
+        if (mask >> i) & 1 == 0 {
+            open |= 1 << i;
+        } else if open != 0 {
+            let j = 63 - open.leading_zeros();
+            open &= !(1 << j);
+            matched |= (1 << i) | (1 << j);
+        }
+    }
+    matched
+}
+
 /// Returns the symmetric chain containing `subset` under the
 /// Greene–Kleitman bracketing rule.
 #[must_use]
 pub fn chain_of(subset: &Subset) -> SymmetricChain {
     let n = subset.universe();
-    // Bracket matching: present (1) = ')', absent (0) = '('.
-    let mut stack: Vec<usize> = Vec::new();
-    let mut matched = vec![false; n];
-    for i in 0..n {
-        if subset.contains(i) {
-            // ')': match with most recent unmatched '('.
-            if let Some(j) = stack.pop() {
-                matched[i] = true;
-                matched[j] = true;
-            }
-        } else {
-            // '(': wait for a closer.
-            stack.push(i);
-        }
-    }
-    let unmatched: Vec<usize> = (0..n).filter(|&i| !matched[i]).collect();
-    let frozen_elements: Vec<usize> = (0..n)
-        .filter(|&i| matched[i] && subset.contains(i))
-        .collect();
-    let frozen = Subset::from_elements(&frozen_elements, n);
+    let matched = bracket_matched(subset.mask(), n);
+    let unmatched: Vec<usize> = (0..n).filter(|&i| (matched >> i) & 1 == 0).collect();
+    let frozen = Subset::from_mask(matched & subset.mask(), n);
 
     // Chain member at unmatched-level t: frozen 1s + first t unmatched
     // positions set to 1.

@@ -27,7 +27,8 @@
 //! * [`EmptyUniverse`](EngineError::EmptyUniverse) — a coverage grade
 //!   was requested against a universe with no faults;
 //! * [`TooLarge`](EngineError::TooLarge) — a universe size computation
-//!   overflowed `usize` (degenerate huge inputs);
+//!   overflowed `usize` (degenerate huge inputs), or a test-set family
+//!   is past the line count its generator enumerates;
 //! * [`InfeasibleCover`](EngineError::InfeasibleCover) — a test-set
 //!   augmentation has no solution in the candidate pool.
 //!
@@ -91,9 +92,11 @@ pub enum EngineError {
     },
     /// A coverage grade was requested against an empty fault universe.
     EmptyUniverse,
-    /// A size computation overflowed (degenerate huge input).
+    /// A size computation overflowed (degenerate huge input), or an
+    /// enumerated test-set family is past its generator's line limit.
     TooLarge {
-        /// What overflowed (e.g. `"fault-pair universe"`).
+        /// What is too large (e.g. `"fault-pair universe"`,
+        /// `"permutation test set"`).
         what: &'static str,
     },
     /// A test-set augmentation is infeasible: no candidate in the pool
@@ -127,7 +130,7 @@ impl fmt::Display for EngineError {
             }
             Self::EmptyUniverse => write!(f, "the fault universe is empty for this network"),
             Self::TooLarge { what } => {
-                write!(f, "{what} is too large: the size computation overflows")
+                write!(f, "{what} is too large to enumerate")
             }
             Self::InfeasibleCover { uncoverable } => write!(
                 f,

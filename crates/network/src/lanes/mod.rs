@@ -34,11 +34,14 @@
 //!   constant; higher lanes are broadcasts of the block-start bit), so block
 //!   generation is O(`n·W`) words with no per-vector work;
 //! * [`IterSource`] — a block-filling adapter over any iterator of packed
-//!   vectors, which turns the `sortnet-combinat` generators (unsorted
-//!   strings, low-weight subsets, half-sorted merge inputs) into sources
-//!   without intermediate storage.  Like [`WideBlock::from_strings`], it
-//!   packs 64 vectors at a time by a 64×64 bit-matrix transpose of each
-//!   channel word, not bit by bit;
+//!   vectors ([`BitString`], [`sortnet_combinat::ChannelVec`]).  Like
+//!   [`WideBlock::from_strings`], it packs 64 vectors at a time by a 64×64
+//!   bit-matrix transpose of each channel word, not bit by bit;
+//! * [`WordSource`] — the same transpose fed by an iterator of raw `u64`
+//!   words (`n ≤ 64`): the paper's test sets (unsorted strings, low-weight
+//!   strings, half-sorted merge inputs, permutation covers) are generated
+//!   as words in `sortnet-testsets` and reach the lanes with no vector
+//!   type and no buffer;
 //! * [`SliceSource`] — the same transposed fill over a borrowed slice,
 //!   refilling the caller's block in place (the fault engine's view of a
 //!   test list).
@@ -307,6 +310,38 @@ impl<const W: usize> WideBlock<W> {
             }
         }
         self.count = inputs.len() as u32;
+    }
+
+    /// Overwrites the block with the next up-to-`W × 64` one-word vectors
+    /// of `words` and returns how many it took.  Each group of 64 words is
+    /// already the row set of the 64×64 transpose, so no vector is built;
+    /// bits at or past the line count fall on rows that are not lanes.
+    fn fill_from_words(&mut self, words: &mut impl Iterator<Item = u64>) -> u32 {
+        let mut rows = [0u64; 64];
+        let mut count = 0u32;
+        for w in 0..W {
+            let mut taken = 0;
+            if count as usize == w * 64 {
+                for (row, word) in rows.iter_mut().zip(words.by_ref()) {
+                    *row = word;
+                    taken += 1;
+                }
+            }
+            if taken == 0 {
+                for lane in &mut self.lanes {
+                    lane[w] = 0;
+                }
+                continue;
+            }
+            rows[taken..].fill(0);
+            transpose_64x64(&mut rows);
+            for (lane, &row) in self.lanes.iter_mut().zip(&rows) {
+                lane[w] = row;
+            }
+            count += taken as u32;
+        }
+        self.count = count;
+        count
     }
 
     /// Builds the block containing the `count` consecutive binary vectors
@@ -780,6 +815,43 @@ where
         }
         block.fill_from_strings(&self.buf);
         true
+    }
+}
+
+/// A block source over raw one-word vectors: each `u64` is one vector of
+/// `n ≤ 64` lines, bit `i` holding line `i` (the [`BitString::word`]
+/// packing).  Each group of 64 words goes straight into the word
+/// transpose as its rows, so a generator of packed words reaches the
+/// lanes with no `BitString`, no buffer and no boxed iterator.
+#[derive(Clone, Debug)]
+pub struct WordSource<I> {
+    n: usize,
+    words: I,
+}
+
+impl<I: Iterator<Item = u64>> WordSource<I> {
+    /// Streams `words`, each a vector of `n` lines (bits at or past `n`
+    /// are ignored).
+    ///
+    /// # Panics
+    /// Panics if `n > 64`.
+    pub fn new(n: usize, words: impl IntoIterator<IntoIter = I>) -> Self {
+        sortnet_combinat::check_n(n);
+        Self {
+            n,
+            words: words.into_iter(),
+        }
+    }
+}
+
+impl<const W: usize, I: Iterator<Item = u64>> BlockSource<W> for WordSource<I> {
+    fn lines(&self) -> usize {
+        self.n
+    }
+
+    fn next_block(&mut self, block: &mut WideBlock<W>) -> bool {
+        assert_eq!(block.lines(), self.n, "line count mismatch");
+        block.fill_from_words(&mut self.words) > 0
     }
 }
 

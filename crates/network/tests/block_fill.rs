@@ -1,14 +1,15 @@
 //! Differential pin of the word-transposed block fill.
 //!
-//! `WideBlock::from_strings`, `IterSource` and `SliceSource` pack vectors
-//! into lanes by 64×64 bit-matrix transposes of their channel words.  This
-//! suite checks all three against a per-bit reference (lane `i`, word `w`, bit `j` is line
+//! `WideBlock::from_strings`, `IterSource`, `SliceSource` and `WordSource`
+//! pack vectors into lanes by 64×64 bit-matrix transposes of their channel
+//! words.  This suite checks them against a per-bit reference (lane `i`, word `w`, bit `j` is line
 //! `i` of vector `64w + j`) across the seams that matter: line counts on
 //! either side of each channel word, every lane width, and vector counts
 //! on either side of each lane word and of a full block.
 
+use sortnet_combinat::bitstrings::low_mask;
 use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
-use sortnet_network::lanes::{BlockSource, IterSource, SliceSource, WideBlock};
+use sortnet_network::lanes::{BlockSource, IterSource, SliceSource, WideBlock, WordSource};
 
 const LINES: [usize; 8] = [1, 6, 63, 64, 65, 127, 128, 129];
 
@@ -123,6 +124,46 @@ fn bitstring_fill_matches_the_per_bit_reference() {
 fn channel_vec_fill_matches_the_per_bit_reference() {
     for n in LINES {
         check_all_widths::<ChannelVec>(n);
+    }
+}
+
+/// `WordSource` fills exactly the blocks `IterSource<BitString>` fills
+/// from the same vectors, with stray bits past the line count ignored.
+fn check_word_source<const W: usize>(n: usize) {
+    let cap = W * 64;
+    for count in [0]
+        .into_iter()
+        .chain(counts::<W>())
+        .chain([cap + 1, 2 * cap + 5])
+    {
+        let stream: Vec<BitString> = vectors(n, count);
+        let label = format!("words n={n} W={W} count={count}");
+        let stray = !low_mask(n);
+        let mut from_words = WordSource::new(n, stream.iter().map(|s| s.word() | stray));
+        let mut from_strings = IterSource::new(n, stream.iter().copied());
+        let mut a = WideBlock::<W>::zeroed(n);
+        let mut b = WideBlock::<W>::zeroed(n);
+        loop {
+            let more = from_words.next_block(&mut a);
+            assert_eq!(more, from_strings.next_block(&mut b), "{label}");
+            if !more {
+                break;
+            }
+            assert_eq!(a, b, "{label}");
+        }
+        let words = WordSource::new(n, stream.iter().map(BitString::word));
+        check_drain::<W, BitString>(words, n, &stream, &label);
+    }
+}
+
+#[test]
+fn word_source_fill_matches_the_bitstring_iter_source() {
+    for n in [1, 6, 63, 64] {
+        check_word_source::<1>(n);
+        check_word_source::<2>(n);
+        check_word_source::<4>(n);
+        check_word_source::<8>(n);
+        check_word_source::<16>(n);
     }
 }
 

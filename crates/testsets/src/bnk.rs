@@ -18,9 +18,16 @@
 //! `B(n, k)`, minus the identity permutation (which only covers sorted
 //! strings and therefore tests nothing); its size is `C(n, k) − 1`.
 
-use sortnet_combinat::chains::chain_of;
+use sortnet_combinat::bitstrings::{low_mask, weight_words};
+use sortnet_combinat::chains::{bracket_matched, chain_of};
 use sortnet_combinat::subsets::Subset;
 use sortnet_combinat::{binomial_u128, BitString, Permutation};
+
+use crate::cover::CoverWords;
+
+/// The largest line count whose `B(n, k)` family is enumerated: past it,
+/// `C(n, ⌊n/2⌋)` members are never needed by the experiments.
+pub(crate) const MAX_LINES: usize = 20;
 
 /// The `B(n, k)` family: one permutation per `k`-subset of `{0, …, n−1}`,
 /// whose length-`t` prefixes (for every `t` the subset's chain passes
@@ -32,7 +39,10 @@ use sortnet_combinat::{binomial_u128, BitString, Permutation};
 #[must_use]
 pub fn bnk_family(n: usize, k: usize) -> Vec<Permutation> {
     assert!(k <= n, "k = {k} exceeds n = {n}");
-    assert!(n <= 20, "materialising C({n}, {k}) permutations refused");
+    assert!(
+        n <= MAX_LINES,
+        "materialising C({n}, {k}) permutations refused"
+    );
     let mut out = Vec::new();
     for subset in Subset::all_with_len(n, k) {
         let chain = chain_of(&subset);
@@ -82,6 +92,38 @@ pub fn permutation_testset(n: usize, k: usize) -> Vec<Permutation> {
         .map(|p| p.inverse())
         .filter(|p| !p.is_identity())
         .collect()
+}
+
+/// The cover of [`permutation_testset`]`(n, k)` as packed words, streamed:
+/// for each member in order, its threshold strings `t = 1..n−1` in
+/// increasing `t` (the constant strings `t = 0` and `t = n` are left out;
+/// no network fails them).
+///
+/// No permutation is built.  Member `S` (a `k`-subset, in increasing-mask
+/// order) is the inverse of the chain permutation through `S`, so its
+/// threshold string `t` is the set of the last `t` elements of the chain's
+/// insertion order: the absent matched positions, then the unmatched
+/// ones, then the present matched ones, each run from its highest
+/// element down.  The chain with no matched bracket, through
+/// `{0, …, k−1}`, is the identity and is skipped, as in
+/// [`permutation_testset`].
+///
+/// # Panics
+/// Panics if `n > 20`, as [`bnk_family`] does.
+pub(crate) fn cover_words(n: usize, k: usize) -> impl Iterator<Item = u64> {
+    assert!(
+        n <= MAX_LINES,
+        "materialising C({n}, {k}) permutations refused"
+    );
+    weight_words(n, k.min(n / 2)).flat_map(move |mask| {
+        let matched = bracket_matched(mask, n);
+        let runs = if matched == 0 {
+            [0; 3]
+        } else {
+            [matched & !mask, low_mask(n) & !matched, matched & mask]
+        };
+        CoverWords::new(runs)
+    })
 }
 
 /// `true` iff the cover of `perms` contains every string in `targets`.
@@ -181,6 +223,22 @@ mod tests {
                     .filter(|s| s.count_zeros() <= k)
                     .collect();
                 assert!(covers_all(&ts, &targets), "n = {n}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn cover_words_are_the_flattened_non_constant_covers_of_the_testset() {
+        for n in 1..=10usize {
+            for k in 0..=n {
+                let expected: Vec<u64> = permutation_testset(n, k)
+                    .iter()
+                    .flat_map(|p| (1..n).map(move |t| p.cover_at(t).word()))
+                    .collect();
+                let words: Vec<u64> = cover_words(n, k).collect();
+                assert_eq!(words, expected, "n = {n}, k = {k}");
+                let members = binomial_u128(n as u64, k.min(n / 2) as u64) - 1;
+                assert_eq!(words.len() as u128, members * (n as u128 - 1));
             }
         }
     }

@@ -106,6 +106,40 @@ pub fn covering_permutation_packed<P: ChannelPack>(sigma: &P) -> Permutation {
     Permutation::from_values_wide(&values).expect("construction yields a permutation")
 }
 
+/// The non-constant threshold strings (`t = 1..n−1`) of one permutation,
+/// as packed words, in increasing `t` — the permutation's cover with the
+/// all-zero and all-one strings, which no network can fail, left out.
+///
+/// The permutation is given by its lines in decreasing value order: the
+/// set bits of `runs[0]` from the highest down, then those of `runs[1]`,
+/// then those of `runs[2]` (the runs partition `0..n`).  Threshold string
+/// `t` is the first `t` of those lines, so each word is the previous one
+/// plus one bit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CoverWords {
+    runs: [u64; 3],
+    word: u64,
+}
+
+impl CoverWords {
+    pub(crate) fn new(runs: [u64; 3]) -> Self {
+        Self { runs, word: 0 }
+    }
+}
+
+impl Iterator for CoverWords {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let run = self.runs.iter_mut().find(|r| **r != 0)?;
+        let line = 63 - run.leading_zeros();
+        *run &= !(1 << line);
+        self.word |= 1 << line;
+        // The word that took the last line is the all-one string.
+        (self.runs != [0; 3]).then_some(self.word)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

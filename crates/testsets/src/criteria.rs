@@ -28,6 +28,10 @@ use sortnet_combinat::{BitString, ChannelPack, Permutation};
 
 use crate::verify::Property;
 
+/// The largest line count whose sorting and selection families are
+/// enumerated: both walk up to `2^n` strings.
+pub(crate) const MAX_ENUMERATED_LINES: usize = 25;
+
 /// The required family of 0/1 strings for `property`, streamed in the
 /// canonical enumeration order of the corresponding theorem.
 ///
@@ -37,12 +41,18 @@ use crate::verify::Property;
 pub fn required_strings(property: Property, n: usize) -> Box<dyn Iterator<Item = BitString>> {
     match property {
         Property::Sorter => {
-            assert!(n < 26, "enumerating 2^{n} strings refused");
+            assert!(
+                n <= MAX_ENUMERATED_LINES,
+                "enumerating 2^{n} strings refused"
+            );
             Box::new(BitString::all_unsorted(n))
         }
         Property::Selector { k } => {
             assert!(k <= n, "k = {k} exceeds n = {n}");
-            assert!(n < 26, "enumerating 2^{n} strings refused");
+            assert!(
+                n <= MAX_ENUMERATED_LINES,
+                "enumerating 2^{n} strings refused"
+            );
             Box::new(
                 (0..=k)
                     .flat_map(move |zeros| BitString::all_with_weight(n, n - zeros))
@@ -166,6 +176,31 @@ mod tests {
                 assert_eq!(
                     required_strings(Property::Merger, n).count() as u128,
                     merging_testset_size_binary(n as u64)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_sources_stream_the_required_families_in_order() {
+        use crate::{merging, selector, sorting};
+        use sortnet_network::lanes::collect_packed;
+        for n in 1..=12usize {
+            let drained = collect_packed::<1, BitString, _>(sorting::binary_source(n));
+            assert_eq!(
+                drained,
+                required_strings(Property::Sorter, n).collect::<Vec<_>>()
+            );
+            for k in 0..=n {
+                let property = Property::Selector { k };
+                let drained = collect_packed::<4, BitString, _>(selector::binary_source(n, k));
+                assert_eq!(drained, required_strings(property, n).collect::<Vec<_>>());
+            }
+            if n.is_multiple_of(2) {
+                let drained = collect_packed::<2, BitString, _>(merging::binary_source(n));
+                assert_eq!(
+                    drained,
+                    required_strings(Property::Merger, n).collect::<Vec<_>>()
                 );
             }
         }

@@ -13,24 +13,41 @@
 //!   form `0^i 1^{n/2−i} 0^j 1^{n/2−j}`.
 
 use sortnet_combinat::binomial::{merging_testset_size_binary, merging_testset_size_permutation};
+use sortnet_combinat::bitstrings::{is_sorted_word, low_mask};
 use sortnet_combinat::{BitString, Permutation};
-use sortnet_network::lanes::{self, Backend, IterSource, DEFAULT_WIDTH};
-use sortnet_network::{BudgetMeter, Network};
+use sortnet_network::lanes::{self, Backend, WordSource, DEFAULT_WIDTH};
+use sortnet_network::Network;
 
+use crate::cover::CoverWords;
 use crate::criteria;
+use crate::sorting::sweep_sorted;
 use crate::verify::Property;
 
 /// The minimum 0/1 test set for `(n/2, n/2)`-merging, as a streaming block
 /// source: all concatenations of two sorted halves that are not already
-/// sorted (Theorem 2.5(i)), enumerated by [`BitString::all_half_sorted`]
-/// and packed into transposed blocks by the 64×64 word transpose of
-/// [`IterSource`].
+/// sorted (Theorem 2.5(i)), in the `(z₁, z₂)` order of
+/// [`BitString::all_half_sorted`], generated as words for the lanes' word
+/// transpose ([`WordSource`]).
 ///
 /// # Panics
-/// Panics if `n` is odd.
+/// Panics if `n` is odd or `n > 64`.
 #[must_use]
-pub fn binary_source(n: usize) -> IterSource<Box<dyn Iterator<Item = BitString>>> {
-    IterSource::new(n, criteria::required_strings(Property::Merger, n))
+pub fn binary_source(n: usize) -> WordSource<impl Iterator<Item = u64>> {
+    let half = even_half(n);
+    let sorted_half = move |zeros: usize| low_mask(half) ^ low_mask(zeros);
+    let words = (0..=half)
+        .flat_map(move |z1| (0..=half).map(move |z2| sorted_half(z1) | sorted_half(z2) << half))
+        .filter(move |&w| !is_sorted_word(w, n));
+    WordSource::new(n, words)
+}
+
+/// `n / 2`, for the even `n` merging is defined on.
+fn even_half(n: usize) -> usize {
+    assert!(
+        n.is_multiple_of(2),
+        "merging networks need an even number of lines"
+    );
+    n / 2
 }
 
 /// The minimum 0/1 test set for `(n/2, n/2)`-merging, materialised:
@@ -56,11 +73,7 @@ pub fn binary_testset(n: usize) -> Vec<BitString> {
 /// Panics if `n` is odd.
 #[must_use]
 pub fn permutation_testset(n: usize) -> Vec<Permutation> {
-    assert!(
-        n.is_multiple_of(2),
-        "merging networks need an even number of lines"
-    );
-    let half = n / 2;
+    let half = even_half(n);
     let mut out = Vec::new();
     for i in 0..half {
         let mut one_based: Vec<u8> = Vec::with_capacity(n);
@@ -77,11 +90,7 @@ pub fn permutation_testset(n: usize) -> Vec<Permutation> {
 /// so no permutation covers two of them, and each must be covered.
 #[must_use]
 pub fn permutation_lower_bound_witnesses(n: usize) -> Vec<BitString> {
-    assert!(
-        n.is_multiple_of(2),
-        "merging networks need an even number of lines"
-    );
-    let half = n / 2;
+    let half = even_half(n);
     (0..half)
         .map(|i| BitString::sorted_with(i, half - i).concat(&BitString::sorted_with(half - i, i)))
         .collect()
@@ -106,15 +115,7 @@ pub fn is_permutation_testset(candidate: &[Permutation], n: usize) -> bool {
 }
 
 /// Verdict of a merging verification run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MergerVerdict {
-    /// `true` when the network merged every test input.
-    pub passed: bool,
-    /// Number of test inputs evaluated.
-    pub tests_run: usize,
-    /// A failing merge input, if any.
-    pub witness: Option<BitString>,
-}
+pub type MergerVerdict = crate::sorting::Verdict;
 
 /// Decides whether `network` is an `(n/2, n/2)`-merging network using the
 /// minimum 0/1 test set, streamed through transposed blocks
@@ -133,44 +134,39 @@ pub fn verify_merger_binary(network: &Network) -> MergerVerdict {
 pub fn verify_merger_binary_on(network: &Network, backend: Backend) -> MergerVerdict {
     let n = network.lines();
     let tests_run = merging_testset_size_binary(n as u64) as usize;
-    let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-        binary_source(n),
-        network,
-        backend,
-        &mut BudgetMeter::unlimited(),
-    )
-    .expect("the minimal test set has the network's line count");
-    MergerVerdict {
-        passed: outcome.witness.is_none(),
-        tests_run,
-        witness: outcome.witness,
-    }
+    sweep_sorted(network, binary_source(n), tests_run, backend)
 }
 
 /// Decides whether `network` is an `(n/2, n/2)`-merging network using the
 /// `n/2` permutations of Theorem 2.5(ii).  Sound and complete.
 #[must_use]
 pub fn verify_merger_permutations(network: &Network) -> MergerVerdict {
-    let tests = permutation_testset(network.lines());
-    let tests_run = tests.len();
-    for p in &tests {
-        if !network.apply_permutation(p).is_identity() {
-            let witness = p
-                .cover()
-                .into_iter()
-                .find(|s| !network.apply_bits(s).is_sorted());
-            return MergerVerdict {
-                passed: false,
-                tests_run,
-                witness,
-            };
-        }
-    }
-    MergerVerdict {
-        passed: true,
-        tests_run,
-        witness: None,
-    }
+    verify_merger_permutations_on(network, Backend::active())
+}
+
+/// [`verify_merger_permutations`] pinned to an explicit lane-ops
+/// [`Backend`].  As for sorting, each `τ_i` is swept as its threshold
+/// strings `t = 1..n−1` (the constant ones cannot fail): `tests_run`
+/// counts permutations, and the witness is the first failing threshold
+/// string of the first failing `τ_i`.
+///
+/// # Panics
+/// Panics if `n` is odd.
+#[must_use]
+pub fn verify_merger_permutations_on(network: &Network, backend: Backend) -> MergerVerdict {
+    let n = network.lines();
+    let half = even_half(n);
+    // τ_i's lines by decreasing value: the top half's lines i..half, then
+    // the bottom half, then the lines 0..i (values n−1 down to 0).
+    let covers = (0..half).flat_map(move |i| {
+        CoverWords::new([
+            low_mask(half) ^ low_mask(i),
+            low_mask(n) ^ low_mask(half),
+            low_mask(i),
+        ])
+    });
+    let tests_run = merging_testset_size_permutation(n as u64) as usize;
+    sweep_sorted(network, WordSource::new(n, covers), tests_run, backend)
 }
 
 /// The Theorem 2.5 closed forms for the experiment tables.

@@ -9,9 +9,9 @@
 //! has size `C(n, min(⌊n/2⌋, k)) − 1`.
 
 use sortnet_combinat::binomial::{selector_testset_size_binary, selector_testset_size_permutation};
+use sortnet_combinat::bitstrings::{is_sorted_word, weight_words};
 use sortnet_combinat::{BitString, Permutation};
-use sortnet_network::lanes::{self, Backend, IterSource, WideBlock, DEFAULT_WIDTH};
-use sortnet_network::properties::selects_correctly;
+use sortnet_network::lanes::{self, Backend, BlockSource, WideBlock, WordSource, DEFAULT_WIDTH};
 use sortnet_network::{BudgetMeter, Network};
 
 use crate::bnk;
@@ -20,15 +20,23 @@ use crate::verify::Property;
 
 /// The minimum 0/1 test set `T_k^n` for the `(k, n)`-selector property, as
 /// a streaming block source: every non-sorted string with at most `k` zeros
-/// (Theorem 2.4(i)), enumerated low-weight-subset by low-weight-subset as
-/// iterator items and packed into transposed blocks by the 64×64 word
-/// transpose of [`IterSource`].
+/// (Theorem 2.4(i)), weight class by weight class (no zeros first), each
+/// class in increasing word order, generated as words for the lanes' word
+/// transpose ([`WordSource`]).
 ///
 /// # Panics
 /// Panics if `k > n` or `n ≥ 26`.
 #[must_use]
-pub fn binary_source(n: usize, k: usize) -> IterSource<Box<dyn Iterator<Item = BitString>>> {
-    IterSource::new(n, criteria::required_strings(Property::Selector { k }, n))
+pub fn binary_source(n: usize, k: usize) -> WordSource<impl Iterator<Item = u64>> {
+    assert!(k <= n, "k = {k} exceeds n = {n}");
+    assert!(
+        n <= criteria::MAX_ENUMERATED_LINES,
+        "enumerating 2^{n} strings refused"
+    );
+    let words = (0..=k)
+        .flat_map(move |zeros| weight_words(n, n - zeros))
+        .filter(move |&w| !is_sorted_word(w, n));
+    WordSource::new(n, words)
 }
 
 /// The minimum 0/1 test set `T_k^n`, materialised.  A thin adapter draining
@@ -66,23 +74,11 @@ pub fn is_permutation_testset(candidate: &[Permutation], n: usize, k: usize) -> 
 }
 
 /// Verdict of a selector verification run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SelectorVerdict {
-    /// `true` when the network `(k, n)`-selected every test input correctly.
-    pub passed: bool,
-    /// Number of test inputs evaluated.
-    pub tests_run: usize,
-    /// A failing input, if any.
-    pub witness: Option<BitString>,
-}
+pub type SelectorVerdict = crate::sorting::Verdict;
 
 /// Decides whether `network` is a `(k, n)`-selector using the minimum 0/1
 /// test set `T_k^n`, streamed through transposed blocks
 /// ([`binary_source`]).  Sound and complete.
-///
-/// Per block, the candidate's first `k` output lanes are compared against
-/// the outputs of a known-good reference sorter on the same inputs — the
-/// block-parallel formulation of [`selects_correctly`].
 #[must_use]
 pub fn verify_selector_binary(network: &Network, k: usize) -> SelectorVerdict {
     verify_selector_binary_on(network, k, Backend::active())
@@ -97,11 +93,58 @@ pub fn verify_selector_binary(network: &Network, k: usize) -> SelectorVerdict {
 pub fn verify_selector_binary_on(network: &Network, k: usize, backend: Backend) -> SelectorVerdict {
     let n = network.lines();
     let tests_run = selector_testset_size_binary(n as u64, k as u64) as usize;
+    sweep_selected(network, k, binary_source(n, k), tests_run, backend)
+}
+
+/// Decides whether `network` is a `(k, n)`-selector using the optimal
+/// permutation test set.  A permutation is `(k, n)`-selected correctly when
+/// the first `k` output lines hold the values `0..k` in order.
+#[must_use]
+pub fn verify_selector_permutations(network: &Network, k: usize) -> SelectorVerdict {
+    verify_selector_permutations_on(network, k, Backend::active())
+}
+
+/// [`verify_selector_permutations`] pinned to an explicit lane-ops
+/// [`Backend`].
+///
+/// The first `k` outputs of a permutation are `0..k` iff, at every
+/// threshold, the first `k` outputs match the sorted string, so the sweep
+/// runs the cover words of the test set ([`bnk::permutation_testset`]), as
+/// the sorter verifier does.  `tests_run` counts permutations, and the
+/// witness is the first mis-selected threshold string of the first failing
+/// permutation.
+///
+/// # Panics
+/// Panics if `n > 20`.
+#[must_use]
+pub fn verify_selector_permutations_on(
+    network: &Network,
+    k: usize,
+    backend: Backend,
+) -> SelectorVerdict {
+    let n = network.lines();
+    let tests_run = selector_testset_size_permutation(n as u64, k as u64) as usize;
+    let source = WordSource::new(n, bnk::cover_words(n, k));
+    sweep_selected(network, k, source, tests_run, backend)
+}
+
+/// Sweeps `source` through `network` and reports the first input whose
+/// first `k` outputs differ from a known-good reference sorter's on the
+/// same block — the block-parallel form of
+/// [`selects_correctly`](sortnet_network::properties::selects_correctly).
+fn sweep_selected(
+    network: &Network,
+    k: usize,
+    source: impl BlockSource<DEFAULT_WIDTH>,
+    tests_run: usize,
+    backend: Backend,
+) -> SelectorVerdict {
+    let n = network.lines();
     let reference = sortnet_network::builders::batcher::odd_even_merge_sort(n);
     let mut out = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
     let mut sorted = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
     let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
-        binary_source(n, k),
+        source,
         &mut BudgetMeter::unlimited(),
         |block| {
             out.copy_from(block);
@@ -115,36 +158,6 @@ pub fn verify_selector_binary_on(network: &Network, k: usize, backend: Backend) 
         passed: outcome.witness.is_none(),
         tests_run,
         witness: outcome.witness,
-    }
-}
-
-/// Decides whether `network` is a `(k, n)`-selector using the optimal
-/// permutation test set.  A permutation is `(k, n)`-selected correctly when
-/// the first `k` output lines hold the values `0..k` in order.
-#[must_use]
-pub fn verify_selector_permutations(network: &Network, k: usize) -> SelectorVerdict {
-    let n = network.lines();
-    let tests = permutation_testset(n, k);
-    let tests_run = tests.len();
-    for p in &tests {
-        let out = network.apply_permutation(p);
-        let ok = (0..k).all(|i| usize::from(out.get(i)) == i);
-        if !ok {
-            let witness = p.cover().into_iter().find(|s| {
-                let o = network.apply_bits(s);
-                !selects_correctly(s, &o, k)
-            });
-            return SelectorVerdict {
-                passed: false,
-                tests_run,
-                witness,
-            };
-        }
-    }
-    SelectorVerdict {
-        passed: true,
-        tests_run,
-        witness: None,
     }
 }
 
@@ -177,7 +190,7 @@ mod tests {
     use super::*;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::builders::selection::{chain_selector, pruned_selector};
-    use sortnet_network::properties::is_selector;
+    use sortnet_network::properties::{is_selector, selects_correctly};
 
     #[test]
     fn binary_testset_size_matches_theorem_2_4() {

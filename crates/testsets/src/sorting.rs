@@ -10,8 +10,10 @@
 //! necessary-and-sufficient criteria for *being* a test set (via Lemma 2.1),
 //! and test-set–driven verification of candidate networks.
 
+use sortnet_combinat::binomial::{sorting_testset_size_binary, sorting_testset_size_permutation};
+use sortnet_combinat::bitstrings::is_sorted_word;
 use sortnet_combinat::{BitString, ChannelPack, Permutation};
-use sortnet_network::lanes::{self, Backend, IterSource, PackedFamily, DEFAULT_WIDTH};
+use sortnet_network::lanes::{self, Backend, BlockSource, PackedFamily, WordSource, DEFAULT_WIDTH};
 use sortnet_network::{BudgetMeter, Network};
 
 use crate::adversary;
@@ -20,15 +22,19 @@ use crate::criteria;
 use crate::verify::Property;
 
 /// The minimum 0/1 test set for sorting, as a streaming block source: every
-/// non-sorted string of length `n` (Theorem 2.2(i)).  The strings are
-/// iterator items, packed into transposed `W × 64`-vector blocks by the
-/// 64×64 word transpose of [`IterSource`].
+/// non-sorted string of length `n` (Theorem 2.2(i)), in increasing word
+/// order.  The words `0..2^n` minus the `n + 1` sorted ones go straight
+/// into the lanes' word transpose ([`WordSource`]).
 ///
 /// # Panics
 /// Panics if `n ≥ 26`.
 #[must_use]
-pub fn binary_source(n: usize) -> IterSource<Box<dyn Iterator<Item = BitString>>> {
-    IterSource::new(n, criteria::required_strings(Property::Sorter, n))
+pub fn binary_source(n: usize) -> WordSource<impl Iterator<Item = u64>> {
+    assert!(
+        n <= criteria::MAX_ENUMERATED_LINES,
+        "enumerating 2^{n} strings refused"
+    );
+    WordSource::new(n, (0..1u64 << n).filter(move |&w| !is_sorted_word(w, n)))
 }
 
 /// The minimum 0/1 test set for sorting, materialised: `2^n − n − 1`
@@ -94,50 +100,62 @@ pub fn verify_sorter_binary(network: &Network) -> Verdict {
 
 /// [`verify_sorter_binary`] pinned to an explicit lane-ops [`Backend`]
 /// (the plain form uses the runtime-detected one).
+///
+/// # Panics
+/// Panics if `n ≥ 26`.
 #[must_use]
 pub fn verify_sorter_binary_on(network: &Network, backend: Backend) -> Verdict {
     let n = network.lines();
-    let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-        binary_source(n),
-        network,
-        backend,
-        &mut BudgetMeter::unlimited(),
-    )
-    .expect("the minimal test set has the network's line count");
-    Verdict {
-        passed: outcome.witness.is_none(),
-        tests_run: sortnet_combinat::binomial::sorting_testset_size_binary(n as u64) as usize,
-        witness: outcome.witness,
-    }
+    let tests_run = sorting_testset_size_binary(n as u64) as usize;
+    sweep_sorted(network, binary_source(n), tests_run, backend)
 }
 
 /// Decides whether `network` is a sorter using the optimal permutation test
 /// set (Theorem 2.2(ii)).  Sound and complete for standard networks.
 #[must_use]
 pub fn verify_sorter_permutations(network: &Network) -> Verdict {
+    verify_sorter_permutations_on(network, Backend::active())
+}
+
+/// [`verify_sorter_permutations`] pinned to an explicit lane-ops
+/// [`Backend`].
+///
+/// A network sorts a permutation iff it sorts every threshold string of
+/// the permutation's cover (thresholding commutes with every comparator),
+/// so the sweep runs the cover words of the test set
+/// ([`bnk::permutation_testset`]) through the lanes, permutation by
+/// permutation.  `tests_run` counts permutations, and the witness is the
+/// first failing threshold string of the first failing permutation.
+///
+/// # Panics
+/// Panics if `n > 20`.
+#[must_use]
+pub fn verify_sorter_permutations_on(network: &Network, backend: Backend) -> Verdict {
     let n = network.lines();
-    let tests = permutation_testset(n);
-    let tests_run = tests.len();
-    for p in &tests {
-        let out = network.apply_permutation(p);
-        if !out.is_identity() {
-            // Report the lowest threshold of the cover that is not sorted,
-            // as a binary witness comparable with the 0/1 verifier.
-            let witness = p
-                .cover()
-                .into_iter()
-                .find(|s| !network.apply_bits(s).is_sorted());
-            return Verdict {
-                passed: false,
-                tests_run,
-                witness,
-            };
-        }
-    }
+    let tests_run = sorting_testset_size_permutation(n as u64) as usize;
+    let source = WordSource::new(n, bnk::cover_words(n, n / 2));
+    sweep_sorted(network, source, tests_run, backend)
+}
+
+/// Sweeps `source` through `network` and reports the first input whose
+/// output is not sorted, as a verdict over `tests_run` tests.
+pub(crate) fn sweep_sorted(
+    network: &Network,
+    source: impl BlockSource<DEFAULT_WIDTH>,
+    tests_run: usize,
+    backend: Backend,
+) -> Verdict {
+    let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
+        source,
+        network,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    )
+    .expect("the test set has the network's line count");
     Verdict {
-        passed: true,
+        passed: outcome.witness.is_none(),
         tests_run,
-        witness: None,
+        witness: outcome.witness,
     }
 }
 
@@ -170,8 +188,8 @@ pub struct SortingBounds {
 pub fn bounds(n: u64) -> SortingBounds {
     SortingBounds {
         n,
-        binary: sortnet_combinat::binomial::sorting_testset_size_binary(n),
-        permutation: sortnet_combinat::binomial::sorting_testset_size_permutation(n),
+        binary: sorting_testset_size_binary(n),
+        permutation: sorting_testset_size_permutation(n),
         exhaustive_permutations: sortnet_combinat::factorial(n),
     }
 }

@@ -23,7 +23,7 @@ use sortnet_network::lanes::{self, Backend, SliceSource, Sweep, SweepOutcome, DE
 use sortnet_network::properties;
 use sortnet_network::{BudgetMeter, Network};
 
-use crate::{merging, selector, sorting};
+use crate::{bnk, criteria, merging, selector, sorting};
 
 /// Which property to verify.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,7 +73,10 @@ pub struct Report {
 /// [`EngineError::OversizedNetwork`], the [`Strategy::Exhaustive`] `2^n`
 /// sweep is refused for `n ≥ 32` ([`EngineError::SweepTooLarge`] — use a
 /// minimal test set instead), and a selector `k > n` is
-/// [`EngineError::IndexOutOfRange`].  Merger shape constraints (even
+/// [`EngineError::IndexOutOfRange`].  The sorting and selection test sets
+/// are enumerated only so far: [`Strategy::MinimalBinary`] for `n ≥ 26`
+/// and [`Strategy::Permutation`] for `n > 20` are
+/// [`EngineError::TooLarge`].  Merger shape constraints (even
 /// `n`, power-of-two layouts in some builders) stay panicking: they are
 /// construction-time contracts of the specific test-set generators, not
 /// sweep-capacity limits — see `docs/ERRORS.md`.
@@ -90,10 +93,9 @@ pub fn try_verify(
 
 /// [`try_verify`] pinned to an explicit lane-ops [`Backend`].
 ///
-/// The backend reaches every 0/1 sweep (exhaustive and minimal-binary for
-/// all three properties); the permutation strategies evaluate scalar
-/// permutations, so the backend does not apply to them.  Every backend
-/// produces an identical [`Report`].
+/// The backend reaches every sweep: every strategy runs 0/1 words through
+/// the lanes, the permutation strategies as the threshold strings of their
+/// permutations.  Every backend produces an identical [`Report`].
 ///
 /// # Errors
 /// As for [`try_verify`].
@@ -117,6 +119,21 @@ pub fn try_verify_on(
             });
         }
     }
+    if property != Property::Merger {
+        match strategy {
+            Strategy::MinimalBinary if n > criteria::MAX_ENUMERATED_LINES => {
+                return Err(EngineError::TooLarge {
+                    what: "minimal 0/1 test set",
+                });
+            }
+            Strategy::Permutation if n > bnk::MAX_LINES => {
+                return Err(EngineError::TooLarge {
+                    what: "permutation test set",
+                });
+            }
+            _ => {}
+        }
+    }
     let sweep = Sweep {
         backend,
         ..Sweep::default()
@@ -131,7 +148,7 @@ pub fn try_verify_on(
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Sorter, Strategy::Permutation) => {
-            let v = sorting::verify_sorter_permutations(network);
+            let v = sorting::verify_sorter_permutations_on(network, backend);
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Selector { k }, Strategy::Exhaustive) => {
@@ -145,7 +162,7 @@ pub fn try_verify_on(
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Selector { k }, Strategy::Permutation) => {
-            let v = selector::verify_selector_permutations(network, k);
+            let v = selector::verify_selector_permutations_on(network, k, backend);
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Merger, Strategy::Exhaustive) => {
@@ -160,7 +177,7 @@ pub fn try_verify_on(
             (v.passed, v.tests_run, v.witness)
         }
         (Property::Merger, Strategy::Permutation) => {
-            let v = merging::verify_merger_permutations(network);
+            let v = merging::verify_merger_permutations_on(network, backend);
             (v.passed, v.tests_run, v.witness)
         }
     };
@@ -360,6 +377,52 @@ mod tests {
                 limit: 9,
             }
         );
+        // The test sets past their enumeration limits refuse instead of
+        // panicking; the merger's sets are polynomial and stay admitted.
+        let refusals = [
+            (
+                21,
+                Property::Sorter,
+                Strategy::Permutation,
+                "permutation test set",
+            ),
+            (
+                21,
+                Property::Selector { k: 2 },
+                Strategy::Permutation,
+                "permutation test set",
+            ),
+            (
+                26,
+                Property::Sorter,
+                Strategy::MinimalBinary,
+                "minimal 0/1 test set",
+            ),
+            (
+                30,
+                Property::Selector { k: 2 },
+                Strategy::MinimalBinary,
+                "minimal 0/1 test set",
+            ),
+        ];
+        for (n, property, strategy, what) in refusals {
+            assert_eq!(
+                try_verify(&Network::empty(n), property, strategy).unwrap_err(),
+                EngineError::TooLarge { what },
+                "n = {n} {property:?} {strategy:?}"
+            );
+        }
+        for (n, strategy) in [(20, Strategy::Permutation), (25, Strategy::MinimalBinary)] {
+            assert!(
+                !try_verify(&Network::empty(n), Property::Selector { k: 1 }, strategy)
+                    .unwrap()
+                    .passed
+            );
+        }
+        for strategy in [Strategy::MinimalBinary, Strategy::Permutation] {
+            let report = try_verify(&Network::empty(64), Property::Merger, strategy).unwrap();
+            assert!(!report.passed);
+        }
     }
 
     #[test]
