@@ -80,15 +80,19 @@
 //!
 //! An operation is one driver call over one source.  An unbudgeted call
 //! passes [`BudgetMeter::unlimited`], whose per-block cost is one
-//! admission test:
+//! admission test.  The early-exit driver sweeps its first block at the
+//! caller's `W`; under an unlimited meter the faults still undetected
+//! continue over the same source at `W = 16`, while a budgeted sweep
+//! keeps `W` for every block (so its trip points are a width-`W`
+//! sweep's):
 //!
-//! | operation | driver | source |
-//! |---|---|---|
-//! | first detections of a test list | early exit | [`SliceSource`] |
-//! | exhaustive redundancy | early exit | [`RangeSource::exhaustive`] |
-//! | relative redundancy (`crate::coverage`) | early exit | [`SliceSource`] over the collected family |
-//! | matrix of a test list | matrix | [`SliceSource`] |
-//! | candidate matrix of a family | matrix | any [`BlockSource`] |
+//! | operation | driver | source | block widths |
+//! |---|---|---|---|
+//! | first detections of a test list | early exit | [`SliceSource`] | `W`, then an unbudgeted tail at `W16` |
+//! | exhaustive redundancy | early exit | [`RangeSource::exhaustive`] | `W`, then an unbudgeted tail at `W16` |
+//! | relative redundancy (`crate::coverage`) | early exit | [`SliceSource`] over the collected family | `W`, then an unbudgeted tail at `W16` |
+//! | matrix of a test list | matrix | [`SliceSource`] | `W` |
+//! | candidate matrix of a family | matrix | any [`BlockSource`] | `W` |
 //!
 //! # Entry points
 //!
@@ -102,6 +106,9 @@
 //!   and [`detection_matrix_from_source_packed_on`] — the same three
 //!   operations unbudgeted and unchecked (they panic on bad inputs).  They
 //!   stay because the repository benchmark's adapter names them;
+//! * [`first_detections_of_lists`] — unbudgeted first detections of
+//!   several test lists over one fault slice, sweeping a prefix the lists
+//!   share once (the service's coverage shards);
 //! * [`faulty_run_block`] / [`multi_faulty_run_block`] — one fault over one
 //!   block (the oracle hooks the property tests cross-check against the
 //!   scalar simulator);
@@ -560,6 +567,10 @@ fn append_mask_bits<const W: usize>(
 // `BudgetMeter::unlimited()`, which admits every block and fork.
 // ---------------------------------------------------------------------------
 
+/// Lane width of the tail of an unbudgeted early-exit sweep: every block
+/// after the first.
+const TAIL_WIDTH: usize = 16;
+
 /// The early-exit first-detection driver: streams `source`, sweeps every
 /// still-undetected fault over each block, and records for each fault the
 /// index of its first detecting vector in the stream.  Indices are
@@ -567,56 +578,137 @@ fn append_mask_bits<const W: usize>(
 /// correctly.  A fault leaves the sweep at its first detecting block, and
 /// the stream stops as soon as every fault is detected.
 ///
+/// The first block is swept at the caller's `W`.  Under an unlimited meter
+/// ([`BudgetMeter::is_unlimited`]) the faults still undetected after it
+/// continue over the same source at `W = 16`: a list whose faults all
+/// fall in block 0 pays no wide fork, while the hard tail (the faults
+/// that sweep the whole list, or the whole `2^n` family) pays one fork
+/// per 1024 vectors.  A budgeted sweep keeps `W` for every block, so its
+/// trip points and committed prefixes are those of a width-`W` sweep.
+///
 /// The meter is asked once per block and once per fork.  A refusal ends
 /// the sweep and discards the in-flight block's detections, so a `Some`
 /// is always exact, and after a trip a `None` means *undecided over the
 /// committed prefix*.
-fn first_detections_driver<const W: usize, S: BlockSource<W>>(
+fn first_detections_driver<const W: usize, S>(
     network: &Network,
     backend: Backend,
     faults: &[MultiFault],
-    mut source: S,
+    source: S,
     meter: &mut BudgetMeter,
-) -> Vec<Option<usize>> {
+) -> Vec<Option<usize>>
+where
+    S: BlockSource<W> + BlockSource<TAIL_WIDTH>,
+{
     let plan = SweepPlan::new(network, faults);
-    let mut first: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut undetected = faults.len();
-    // The borrow of `first` inside both sweep closures is disjoint in time
-    // (skip reads before record writes per fault), but the compiler cannot
-    // see that — collect each block's verdicts first, in a buffer reused
-    // across blocks.
-    let mut hits: Vec<(usize, u32)> = Vec::with_capacity(faults.len());
-    let mut block = WideBlock::<W>::zeroed(network.lines());
-    let mut offset = 0usize;
-    while undetected > 0 && source.next_block(&mut block) {
-        if !meter.admit_block(u64::from(block.count())) {
-            break;
-        }
-        hits.clear();
-        let swept = sweep_block_multi(
+    EarlyExit::new(network, backend, &plan, faults, vec![None; faults.len()], 0)
+        .run::<W, S>(source, meter)
+}
+
+/// One early-exit sweep in progress: each fault's first detection so far
+/// and the stream index of the next vector.  A sweep may start part-way
+/// into a stream (see [`first_detections_of_lists`]): faults already
+/// holding a detection are skipped from the first block on.
+struct EarlyExit<'a> {
+    network: &'a Network,
+    backend: Backend,
+    plan: &'a SweepPlan,
+    faults: &'a [MultiFault],
+    first: Vec<Option<usize>>,
+    undetected: usize,
+    offset: usize,
+    /// Each block's verdicts, collected before they reach `first`: the
+    /// sweep's skip closure reads `first` while its record closure runs.
+    hits: Vec<(usize, u32)>,
+}
+
+impl<'a> EarlyExit<'a> {
+    /// A sweep whose next vector has stream index `offset`, starting from
+    /// the detections `first`.
+    fn new(
+        network: &'a Network,
+        backend: Backend,
+        plan: &'a SweepPlan,
+        faults: &'a [MultiFault],
+        first: Vec<Option<usize>>,
+        offset: usize,
+    ) -> Self {
+        let undetected = first.iter().filter(|f| f.is_none()).count();
+        Self {
             network,
             backend,
-            &plan,
+            plan,
             faults,
-            &block,
-            |fault_idx| first[fault_idx].is_some(),
-            |fault_idx, masks| {
-                if let Some(j) = lanes::mask_first(&masks) {
-                    hits.push((fault_idx, j));
-                }
-            },
-            meter,
-        );
-        if !swept {
-            break;
+            first,
+            undetected,
+            offset,
+            hits: Vec::with_capacity(faults.len()),
         }
-        for &(fault_idx, j) in &hits {
-            first[fault_idx] = Some(offset + j as usize);
-            undetected -= 1;
-        }
-        offset += block.count() as usize;
     }
-    first
+
+    /// Streams `source` to its end, or until every fault is detected or
+    /// the meter refuses: the first block at `W`, and an unbudgeted tail
+    /// at [`TAIL_WIDTH`].
+    fn run<const W: usize, S>(
+        mut self,
+        mut source: S,
+        meter: &mut BudgetMeter,
+    ) -> Vec<Option<usize>>
+    where
+        S: BlockSource<W> + BlockSource<TAIL_WIDTH>,
+    {
+        let widen = W < TAIL_WIDTH && meter.is_unlimited();
+        let head = if widen { 1 } else { usize::MAX };
+        if self.blocks::<W, S>(&mut source, meter, head) && widen {
+            self.blocks::<TAIL_WIDTH, S>(&mut source, meter, usize::MAX);
+        }
+        self.first
+    }
+
+    /// Sweeps up to `max_blocks` blocks of `source` at width `V`.  Returns
+    /// `false` once the sweep is over: the source ran dry, every fault is
+    /// detected, or the meter refused.
+    fn blocks<const V: usize, S: BlockSource<V>>(
+        &mut self,
+        source: &mut S,
+        meter: &mut BudgetMeter,
+        max_blocks: usize,
+    ) -> bool {
+        let mut block = WideBlock::<V>::zeroed(self.network.lines());
+        for _ in 0..max_blocks {
+            if self.undetected == 0 || !source.next_block(&mut block) {
+                return false;
+            }
+            if !meter.admit_block(u64::from(block.count())) {
+                return false;
+            }
+            self.hits.clear();
+            let (first, hits) = (&self.first, &mut self.hits);
+            let swept = sweep_block_multi(
+                self.network,
+                self.backend,
+                self.plan,
+                self.faults,
+                &block,
+                |fault_idx| first[fault_idx].is_some(),
+                |fault_idx, masks| {
+                    if let Some(j) = lanes::mask_first(&masks) {
+                        hits.push((fault_idx, j));
+                    }
+                },
+                meter,
+            );
+            if !swept {
+                return false;
+            }
+            for &(fault_idx, j) in &self.hits {
+                self.first[fault_idx] = Some(self.offset + j as usize);
+                self.undetected -= 1;
+            }
+            self.offset += block.count() as usize;
+        }
+        true
+    }
 }
 
 /// The whole-block-commit matrix driver: streams `source`, sweeps every
@@ -778,6 +870,62 @@ pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
     )
 }
 
+/// [`first_detections_multi_packed_on`] for several test lists over one
+/// fault slice: entry `i` of the result equals
+/// `first_detections_multi_packed_on::<W, P>(network, faults, lists[i], backend)`.
+///
+/// Lists are swept longest first, under one sweep plan.  Each later
+/// list finds the already-swept list it shares the longest prefix with
+/// (the scan stops at the first differing vector), copies that list's
+/// detections below the shared length `ℓ` — the same vectors detect the
+/// same faults first — and resumes the early-exit sweep over
+/// `tests[ℓ..]` at offset `ℓ` for the faults still undetected.  A list
+/// that is a prefix of a swept one sweeps nothing.  This is how a batch
+/// of truncations of one test set (a coverage shard) pays for its common
+/// prefix once.
+///
+/// # Panics
+/// Panics if a fault does not fit the network or a swept test's length
+/// mismatches the network.
+#[must_use]
+pub fn first_detections_of_lists<const W: usize, P: TestVector>(
+    network: &Network,
+    faults: &[MultiFault],
+    lists: &[&[P]],
+    backend: Backend,
+) -> Vec<Vec<Option<usize>>> {
+    let plan = SweepPlan::new(network, faults);
+    let mut order: Vec<usize> = (0..lists.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(lists[i].len()));
+    // Filled in `order`, so every list a later one copies from is done.
+    let mut done: Vec<Vec<Option<usize>>> = vec![Vec::new(); lists.len()];
+    for (rank, &i) in order.iter().enumerate() {
+        let tests = lists[i];
+        let mut shared = 0;
+        let mut first = vec![None; faults.len()];
+        for &j in &order[..rank] {
+            if shared == tests.len() {
+                break;
+            }
+            let common = lists[j]
+                .iter()
+                .zip(tests)
+                .take_while(|(a, b)| a == b)
+                .count();
+            if common > shared {
+                shared = common;
+                for (dst, &src) in first.iter_mut().zip(&done[j]) {
+                    *dst = src.filter(|&t| t < shared);
+                }
+            }
+        }
+        let source = SliceSource::new(network.lines(), &tests[shared..]);
+        let sweep = EarlyExit::new(network, backend, &plan, faults, first, shared);
+        done[i] = sweep.run::<W, _>(source, &mut BudgetMeter::unlimited());
+    }
+    done
+}
+
 /// Shared-prefix **batch** redundancy sweep at lane width `W` on
 /// `backend`: `flags[i]` is `true` iff the faulty network of `faults[i]`
 /// still sorts all `2^n` binary inputs.
@@ -853,15 +1001,7 @@ fn check_matrix_inputs<P: TestVector>(
     for fault in faults {
         fault.check_in_range(network)?;
     }
-    for test in tests {
-        if test.len() != network.lines() {
-            return Err(EngineError::InputLengthMismatch {
-                expected: network.lines(),
-                actual: test.len(),
-            });
-        }
-    }
-    Ok(())
+    crate::coverage::check_test_lengths(network, tests)
 }
 
 /// [`first_detections_multi_packed_on`] with typed validation and a
@@ -1860,5 +2000,267 @@ mod tests {
             }
             Budgeted::Complete(_) => panic!("a cancelled sweep must come back partial"),
         }
+    }
+
+    /// A deterministic 8-line list of `len` vectors whose detections
+    /// spread over many blocks: 700 sorted strings (which miss every
+    /// stuck-pass fault and detect little else), then every seventh vector
+    /// a pseudo-random one among the sorted strings.
+    fn spread_list(len: usize) -> Vec<BitString> {
+        (0..len)
+            .map(|i| {
+                if i >= 700 && i % 7 == 0 {
+                    let word = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+                    BitString::from_word(word, 8)
+                } else {
+                    BitString::sorted_with(8 - i % 9, i % 9)
+                }
+            })
+            .collect()
+    }
+
+    /// The list lengths the width grid sweeps at lane width `W`: empty,
+    /// one vector, either side of one block, and past the first wide tail
+    /// block.
+    fn grid_lengths<const W: usize>() -> [usize; 6] {
+        let block = W * 64;
+        [0, 1, block - 1, block, block + 1, block + 1024 + 5]
+    }
+
+    /// At most 400 faults of `universe` on `net`, evenly spaced in
+    /// enumeration order: every fault of a linear universe, a sample of a
+    /// quadratic one (keeping the scalar references cheap).
+    fn sampled_faults(
+        net: &Network,
+        universe: crate::universe::StandardUniverse,
+    ) -> Vec<MultiFault> {
+        use crate::universe::FaultUniverse;
+        let all: Vec<MultiFault> = universe.iter(net).collect();
+        let step = all.len().div_ceil(400).max(1);
+        all.into_iter().step_by(step).collect()
+    }
+
+    /// Every universe on Batcher n = 8, every runnable backend, lane
+    /// width `W`: the unbudgeted sweep (first block at `W`, tail at `W16`)
+    /// equals a budgeted sweep with an unreachable block cap (every block
+    /// at `W`) and the scalar `multi_first_detection_index`.  The
+    /// quadratic universes are sampled.
+    fn wide_tail_first_detections_agree<const W: usize>() {
+        use crate::universe::{multi_first_detection_index, FaultUniverse, StandardUniverse};
+        let net = odd_even_merge_sort(8);
+        let longest = spread_list(grid_lengths::<W>()[5]);
+        let capped = SweepBudget::unlimited().with_max_blocks(u64::MAX);
+        for universe in StandardUniverse::ALL {
+            let faults = sampled_faults(&net, universe);
+            let scalar: Vec<Option<usize>> = faults
+                .iter()
+                .map(|f| multi_first_detection_index(&net, f, &longest))
+                .collect();
+            for len in grid_lengths::<W>() {
+                let tests = &longest[..len];
+                let expected: Vec<Option<usize>> =
+                    scalar.iter().map(|d| d.filter(|&t| t < len)).collect();
+                for backend in Backend::runnable() {
+                    let label = format!("{} W={W} len={len} {}", universe.name(), backend.name());
+                    let wide = first_detections_multi_packed_on::<W, BitString>(
+                        &net, &faults, tests, backend,
+                    );
+                    assert_eq!(wide, expected, "unbudgeted: {label}");
+                    let narrow = first_detections_multi_budgeted_packed_on::<W, BitString>(
+                        &net, &faults, tests, backend, &capped,
+                    )
+                    .unwrap();
+                    assert!(narrow.is_complete(), "capped: {label}");
+                    assert_eq!(narrow.into_value(), expected, "capped: {label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_tail_first_detections_agree_at_every_width() {
+        wide_tail_first_detections_agree::<1>();
+        wide_tail_first_detections_agree::<2>();
+        wide_tail_first_detections_agree::<4>();
+        wide_tail_first_detections_agree::<8>();
+        wide_tail_first_detections_agree::<16>();
+    }
+
+    /// Batcher n = 10 with a redundant comparator appended: its exhaustive
+    /// sweep (1024 inputs, sixteen W1 blocks down to one W16 block) runs
+    /// to the end for the faults no input detects.
+    fn redundant_batcher_10() -> Network {
+        let mut net = odd_even_merge_sort(10);
+        net.push_pair(0, 9);
+        net
+    }
+
+    /// The exhaustive redundancy verdicts of every universe on
+    /// [`redundant_batcher_10`]: unbudgeted (tail at `W16`), capped (every
+    /// block at `W`) and the scalar `is_multi_fault_redundant` agree.  The
+    /// quadratic universes are sampled.
+    fn wide_tail_redundancy_agrees<const W: usize>() {
+        use crate::universe::{is_multi_fault_redundant, FaultUniverse, StandardUniverse};
+        let net = redundant_batcher_10();
+        let capped = SweepBudget::unlimited().with_max_blocks(u64::MAX);
+        let mut redundant = 0;
+        for universe in StandardUniverse::ALL {
+            let faults = sampled_faults(&net, universe);
+            let scalar: Vec<bool> = faults
+                .iter()
+                .map(|f| is_multi_fault_redundant(&net, f))
+                .collect();
+            redundant += scalar.iter().filter(|&&r| r).count();
+            for backend in Backend::runnable() {
+                let label = format!("{} W={W} {}", universe.name(), backend.name());
+                let wide = redundant_faults_multi_on::<W>(&net, &faults, backend);
+                assert_eq!(wide, scalar, "unbudgeted: {label}");
+                let narrow =
+                    redundant_faults_multi_budgeted_on::<W>(&net, &faults, backend, &capped)
+                        .unwrap();
+                assert!(narrow.is_complete(), "capped: {label}");
+                let expected: Vec<Option<bool>> = scalar.iter().map(|&r| Some(r)).collect();
+                assert_eq!(narrow.into_value(), expected, "capped: {label}");
+            }
+        }
+        assert!(redundant > 0, "no sweep ran to the end of the family");
+    }
+
+    #[test]
+    fn wide_tail_redundancy_agrees_at_every_width() {
+        wide_tail_redundancy_agrees::<1>();
+        wide_tail_redundancy_agrees::<2>();
+        wide_tail_redundancy_agrees::<4>();
+        wide_tail_redundancy_agrees::<8>();
+        wide_tail_redundancy_agrees::<16>();
+    }
+
+    /// The blocks a sweep commits: a budgeted meter that never trips
+    /// still commits `⌈len / (W·64)⌉` width-`W` blocks, so a budget never
+    /// widens; an unlimited meter commits one `W` block and then
+    /// `⌈rest / 1024⌉` tail blocks.
+    fn committed_blocks_follow_the_meter<const W: usize>() {
+        let net = odd_even_merge_sort(8);
+        let faults = single_faults(&net);
+        let capped = SweepBudget::unlimited().with_max_blocks(u64::MAX);
+        for len in grid_lengths::<W>() {
+            // Sorted strings never detect a stuck-pass fault, so every
+            // sweep runs to the end of the list.
+            let tests: Vec<BitString> = (0..len)
+                .map(|i| BitString::sorted_with(8 - i % 9, i % 9))
+                .collect();
+            let mut budgeted = BudgetMeter::new(&capped);
+            let narrow = first_detections_metered::<W, BitString>(
+                &net,
+                &faults,
+                &tests,
+                Backend::Scalar,
+                &mut budgeted,
+            );
+            assert!(narrow.iter().any(Option::is_none), "W={W} len={len}");
+            assert_eq!(budgeted.tripped(), None);
+            assert_eq!(
+                budgeted.progress().blocks,
+                len.div_ceil(W * 64) as u64,
+                "budgeted W={W} len={len}"
+            );
+            assert_eq!(budgeted.progress().vectors, len as u64);
+            let mut unlimited = BudgetMeter::unlimited();
+            let wide = first_detections_metered::<W, BitString>(
+                &net,
+                &faults,
+                &tests,
+                Backend::Scalar,
+                &mut unlimited,
+            );
+            assert_eq!(wide, narrow, "W={W} len={len}");
+            let tail = len.saturating_sub(W * 64).div_ceil(TAIL_WIDTH * 64);
+            assert_eq!(
+                unlimited.progress().blocks,
+                (len.min(1) + tail) as u64,
+                "unlimited W={W} len={len}"
+            );
+        }
+        // The exhaustive sweep misses the redundant faults, so it streams
+        // all 1024 inputs.
+        let net = redundant_batcher_10();
+        let faults = single_faults(&net);
+        let mut budgeted = BudgetMeter::new(&capped);
+        let verdicts = redundant_faults_metered::<W>(&net, &faults, Backend::Scalar, &mut budgeted);
+        assert!(verdicts.contains(&Some(true)));
+        assert_eq!(budgeted.progress().blocks, (1024 / (W * 64)) as u64);
+    }
+
+    #[test]
+    fn budgeted_sweeps_commit_width_w_blocks_and_only_unbudgeted_tails_widen() {
+        committed_blocks_follow_the_meter::<1>();
+        committed_blocks_follow_the_meter::<2>();
+        committed_blocks_follow_the_meter::<4>();
+        committed_blocks_follow_the_meter::<8>();
+        committed_blocks_follow_the_meter::<16>();
+    }
+
+    #[test]
+    fn first_detections_of_lists_equal_per_list_sweeps() {
+        use crate::universe::{FaultUniverse, StandardUniverse};
+        let net = odd_even_merge_sort(8);
+        // Five W4 blocks and a partial one.
+        let base = spread_list(256 * 5 + 77);
+        // One of the base's pseudo-random vectors, which first detects
+        // stuck-pass faults at index 714, planted where the base holds a
+        // sorted string.
+        let probe = base[714];
+        let diverged_at = |i: usize| {
+            let mut list = base.clone();
+            assert_ne!(list[i], probe);
+            list[i] = probe;
+            list
+        };
+        let mut extended = base.clone();
+        extended.extend(spread_list(40).into_iter().rev());
+        let lists: Vec<Vec<BitString>> = vec![
+            base.clone(),
+            Vec::new(),
+            base.clone(),
+            base[..300].to_vec(),
+            base[..256].to_vec(),
+            diverged_at(0),
+            diverged_at(100),
+            diverged_at(500),
+            diverged_at(300)[..400].to_vec(),
+            extended,
+        ];
+        let borrowed: Vec<&[BitString]> = lists.iter().map(Vec::as_slice).collect();
+        // Sorted strings detect no stuck-pass fault, so these universes
+        // keep faults undetected deep into the base list.
+        for universe in [
+            StandardUniverse::SingleComparator,
+            StandardUniverse::SingleComparatorPairs,
+        ] {
+            let faults: Vec<MultiFault> = universe.iter(&net).collect();
+            for backend in Backend::runnable() {
+                let batched = first_detections_of_lists::<4, _>(&net, &faults, &borrowed, backend);
+                let one_word = first_detections_of_lists::<1, _>(&net, &faults, &borrowed, backend);
+                assert_eq!(batched.len(), lists.len());
+                for (i, tests) in lists.iter().enumerate() {
+                    let alone =
+                        first_detections_multi_packed_on::<4, _>(&net, &faults, tests, backend);
+                    let label = format!("{} {} list {i}", universe.name(), backend.name());
+                    assert_eq!(batched[i], alone, "{label}");
+                    assert_eq!(one_word[i], alone, "W=1 {label}");
+                }
+                // The planted probe moves first detections forward.
+                for at in [5, 6, 7] {
+                    assert_ne!(batched[at], batched[0], "{}", universe.name());
+                }
+            }
+        }
+        assert!(first_detections_of_lists::<4, BitString>(
+            &net,
+            &single_faults(&net),
+            &[],
+            Backend::Scalar
+        )
+        .is_empty());
     }
 }

@@ -61,6 +61,11 @@ pub enum FaultSimEngine {
     /// ([`crate::bitsim`]) at an explicit lane width — `LaneWidth::W1`
     /// reproduces the original single-word engine exactly, and the default
     /// `LaneWidth::W4` runs 256 vectors per fork.
+    ///
+    /// The width sets the first block of an unbudgeted early-exit sweep
+    /// (first detections, redundancy), whose undetected tail continues at
+    /// `W = 16`, and every block of a budgeted sweep and of a detection
+    /// matrix.
     BitParallelWide(LaneWidth),
 }
 
@@ -414,14 +419,7 @@ pub fn check_coverage_inputs<P: TestVector>(
     mode: RedundancyMode,
 ) -> Result<Vec<MultiFault>, EngineError> {
     P::ensure_packable(network.lines())?;
-    for test in tests {
-        if test.len() != network.lines() {
-            return Err(EngineError::InputLengthMismatch {
-                expected: network.lines(),
-                actual: test.len(),
-            });
-        }
-    }
+    check_test_lengths(network, tests)?;
     let len = universe.try_len(network)?;
     if len == 0 {
         return Err(EngineError::EmptyUniverse);
@@ -433,6 +431,30 @@ pub fn check_coverage_inputs<P: TestVector>(
     let mut faults = Vec::with_capacity(len);
     faults.extend(universe.iter(network));
     Ok(faults)
+}
+
+/// The per-test half of [`check_coverage_inputs`]: every test vector has
+/// the network's length.
+///
+/// Public so a batching layer that admitted one query on a network with
+/// the full check can admit further queries on the same network,
+/// universe and mode with this check alone: the rest of
+/// [`check_coverage_inputs`] does not depend on the test list.
+///
+/// # Errors
+/// [`EngineError::InputLengthMismatch`] for the first test of the wrong
+/// length.
+pub fn check_test_lengths<P: TestVector>(
+    network: &Network,
+    tests: &[P],
+) -> Result<(), EngineError> {
+    match tests.iter().find(|test| test.len() != network.lines()) {
+        Some(test) => Err(EngineError::InputLengthMismatch {
+            expected: network.lines(),
+            actual: test.len(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// One worker's slice of a pooled budgeted scalar grade, joined back

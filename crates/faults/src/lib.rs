@@ -52,8 +52,8 @@ pub mod universe;
 pub use bitsim::{
     detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
     faulty_run_block, first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
-    is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_budgeted_on,
-    redundant_faults_multi_on, DetectionMatrix,
+    first_detections_of_lists, is_fault_redundant_wide, multi_faulty_run_block,
+    redundant_faults_multi_budgeted_on, redundant_faults_multi_on, DetectionMatrix,
 };
 pub use coverage::{
     coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with,

@@ -213,6 +213,15 @@ impl BudgetMeter {
         Self::new(&SweepBudget::default())
     }
 
+    /// `true` when the meter's budget bounds no axis
+    /// ([`SweepBudget::is_unlimited`]): it will admit every block and
+    /// fork, so a sweep may pick its block size freely without changing
+    /// any trip point.
+    #[must_use]
+    pub fn is_unlimited(&self) -> bool {
+        self.budget.is_unlimited()
+    }
+
     fn check_cancel_and_deadline(&mut self) -> bool {
         if let Some(token) = &self.budget.cancel {
             if token.is_cancelled() {

@@ -72,11 +72,15 @@ pub struct ServiceConfig {
     /// Worker threads draining the queue.
     pub workers: usize,
     /// Most queued requests one worker drains into a single batch —
-    /// the sharding window.  Larger batches amortise fault enumeration
-    /// and redundancy passes across more queries; smaller ones bound
-    /// per-answer latency.
+    /// the sharding window.  Larger batches amortise fault enumeration,
+    /// redundancy passes and the sweep of test-list prefixes members share
+    /// across more queries; smaller ones bound per-answer latency.
     pub max_batch: usize,
-    /// Simulation engine for coverage grades and candidate matrices.
+    /// Simulation engine for coverage grades and candidate matrices.  A
+    /// bit-parallel engine's lane width sets the first block of each
+    /// unbudgeted first-detection and redundancy sweep (the tail runs at
+    /// `W = 16`) and every block of a budgeted one; it never changes an
+    /// answer.
     pub engine: FaultSimEngine,
     /// Lane-ops backend for the bit-parallel sweeps of verification and
     /// coverage (cold and sharded).  Augmentation does not take it yet:

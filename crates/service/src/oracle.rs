@@ -6,10 +6,12 @@
 //! [`AnswerKey`] per job it already holds): it looks finished answers up in
 //! the LRU and shards the remaining coverage queries by (network,
 //! universe, redundancy mode).  A shard shares what its members really
-//! have in common: the admitted fault list and **one** batched
+//! have in common: one admitted fault list, one early-exit sweep over
+//! each test-list prefix several members share, and **one** batched
 //! redundancy pass over the union of the members' missed faults.  Each
-//! member's first detections come from the cold path's own early-exit
-//! sweep over its own test list, the redundancy pass is the cold path's
+//! member's first detections are indices into its own test list (the
+//! cold path's early-exit driver, resumed where the member leaves a
+//! shared prefix), the redundancy pass is the cold path's
 //! own [`redundancy_verdicts_on`], and the verdicts are folded through
 //! the engine's own
 //! [`summarise_verdicts`], so a batched answer is bit-identical to the
@@ -38,10 +40,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sortnet_combinat::ChannelVec;
-use sortnet_faults::bitsim::first_detections_multi_packed_on;
+use sortnet_faults::bitsim::first_detections_of_lists;
 use sortnet_faults::coverage::{
-    check_coverage_inputs, coverage_of_universe_budgeted_packed_with, redundancy_verdicts_on,
-    summarise_verdicts, CoverageReport, RedundancyMode,
+    check_coverage_inputs, check_test_lengths, coverage_of_universe_budgeted_packed_with,
+    redundancy_verdicts_on, summarise_verdicts, CoverageReport, RedundancyMode,
 };
 use sortnet_faults::universe::{MultiFault, StandardUniverse};
 use sortnet_faults::FaultSimEngine;
@@ -101,11 +103,18 @@ impl Query {
     /// positions *in that set*), so two queries differing only in tests
     /// must never share a cache line.
     ///
-    /// A test list is fed to the SipHash hasher in bulk: its length, then
-    /// each vector's line count and channel words, packed into a stack
-    /// buffer that is written a chunk at a time.  The word count follows
-    /// from the line count, so the stream is injective: distinct lists
-    /// (including `0`,`1` against `01`) hash distinct byte streams.
+    /// A test list is fed to the SipHash hasher in bulk, packed into a
+    /// stack buffer that is written a chunk at a time: its length, then a
+    /// tag.  When every vector has the same line count `n` (tag 0) the
+    /// line count follows once, then the vectors: for `1 ≤ n ≤ 32`,
+    /// `⌊64 / n⌋` of them to a word (a vector's bits at and above `n` are
+    /// zero), otherwise every vector's channel words.  A list of mixed
+    /// line counts (tag 1) gives each vector's line count before its
+    /// words.  The list length and the line count fix where every vector
+    /// sits in the stream, so the stream is injective: distinct lists
+    /// (including `0`,`1` against `01`, a uniform list against a mixed one
+    /// with the same words, and a list against itself plus trailing zero
+    /// vectors) hash distinct byte streams.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         match self {
@@ -151,10 +160,30 @@ fn tests_fingerprint<T: Hash>(head: &T, tests: &[ChannelVec]) -> u64 {
         filled += 8;
     };
     push(&mut hasher, tests.len() as u64);
-    for test in tests {
-        push(&mut hasher, test.len() as u64);
-        for &word in test.words() {
+    let lines = tests.first().map_or(0, ChannelVec::len);
+    let uniform = tests.iter().all(|test| test.len() == lines);
+    push(&mut hasher, u64::from(!uniform));
+    if uniform {
+        push(&mut hasher, lines as u64);
+    }
+    if uniform && (1..=32).contains(&lines) {
+        // A vector's bits at and above its line count are zero, so
+        // ⌊64 / n⌋ vectors share a word, the first in the low bits.
+        for chunk in tests.chunks(64 / lines) {
+            let word = chunk
+                .iter()
+                .rev()
+                .fold(0, |word, test| word << lines | test.words()[0]);
             push(&mut hasher, word);
+        }
+    } else {
+        for test in tests {
+            if !uniform {
+                push(&mut hasher, test.len() as u64);
+            }
+            for &word in test.words() {
+                push(&mut hasher, word);
+            }
         }
     }
     hasher.write(&buf[..filled]);
@@ -385,10 +414,12 @@ fn shard_verdicts(
     run(network, faults, lists, redundancy, backend)
 }
 
-/// The cold path's two phases, shared across the shard: each member's
-/// list gets the early-exit first-detection sweep (indices in that
-/// list's order), then the faults any member missed are classified in
-/// **one** [`redundancy_verdicts_on`] pass.
+/// The cold path's two phases, shared across the shard: every member
+/// gets its early-exit first detections (indices in that list's order)
+/// from one [`first_detections_of_lists`] call, which sweeps a prefix the
+/// members share once and resumes each member where it diverges; then
+/// the faults any member missed are classified in **one**
+/// [`redundancy_verdicts_on`] pass.
 fn shard_verdicts_on<const W: usize>(
     network: &Network,
     faults: &[MultiFault],
@@ -396,12 +427,7 @@ fn shard_verdicts_on<const W: usize>(
     redundancy: RedundancyMode,
     backend: Backend,
 ) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
-    let first: Vec<Vec<Option<usize>>> = lists
-        .iter()
-        .map(|tests| {
-            first_detections_multi_packed_on::<W, ChannelVec>(network, faults, tests, backend)
-        })
-        .collect();
+    let first = first_detections_of_lists::<W, ChannelVec>(network, faults, lists, backend);
     let missed = |f: usize| first.iter().any(|list| list[f].is_none());
     let redundant = redundancy_verdicts_on::<W, ChannelVec>(
         network,
@@ -645,15 +671,21 @@ fn answer_coverage_shard(
     responses: &mut [Option<Response>],
     start: Instant,
 ) {
-    // Admission per member, by the cold path's own rules.
+    // Admission per member, by the cold path's own rules.  Only the test
+    // lengths differ between members, so once one member has passed the
+    // full check (and enumerated the faults) the rest get the length
+    // check alone: one fault enumeration per shard.
     let mut faults: Option<Vec<MultiFault>> = None;
     let mut valid: Vec<(usize, AnswerKey)> = Vec::with_capacity(members.len());
     for &(i, key) in members {
-        match check_coverage_inputs(network, &universe, shard_tests(requests, i), redundancy) {
-            Ok(f) => {
-                faults.get_or_insert(f);
-                valid.push((i, key));
-            }
+        let tests = shard_tests(requests, i);
+        let admitted = match &faults {
+            Some(_) => check_test_lengths(network, tests),
+            None => check_coverage_inputs(network, &universe, tests, redundancy)
+                .map(|f| faults = Some(f)),
+        };
+        match admitted {
+            Ok(()) => valid.push((i, key)),
             Err(e) => {
                 responses[i] = Some(Response {
                     outcome: Err(e.into()),
@@ -870,6 +902,44 @@ mod tests {
     }
 
     #[test]
+    fn a_member_of_the_wrong_length_is_refused_in_any_shard_position() {
+        // Only the first admitted member enumerates faults; a later one
+        // is admitted by its test lengths alone.  A mismatched member
+        // gets the cold path's refusal wherever it sits in the shard, and
+        // the valid members are still answered as cold.
+        let config = ServiceConfig::default();
+        let network = odd_even_merge_sort(6);
+        let good = sorted_tests(6);
+        let mut bad = sorted_tests(6);
+        bad.push(ChannelVec::zeros(5));
+        let request = |tests: &Vec<ChannelVec>| Request {
+            network: network.clone(),
+            query: Query::Coverage {
+                universe: StandardUniverse::StuckLine,
+                tests: tests.clone(),
+                redundancy: RedundancyMode::Exhaustive,
+            },
+            budget: None,
+            deadline: None,
+        };
+        for order in [[&bad, &good, &good], [&good, &bad, &good]] {
+            let requests: Vec<Request> = order.iter().map(|tests| request(tests)).collect();
+            let batch = answer_batch(&config, &OracleCaches::new(8), &requests);
+            for (response, request) in batch.iter().zip(&requests) {
+                assert_eq!(response.outcome, answer_cold(&config, request).outcome);
+            }
+            let refused = order.iter().position(|tests| *tests == &bad).unwrap();
+            assert_eq!(
+                batch[refused].outcome,
+                Err(ServiceError::Engine(EngineError::InputLengthMismatch {
+                    expected: 6,
+                    actual: 5
+                }))
+            );
+        }
+    }
+
+    #[test]
     fn relative_redundancy_coverage_serves_past_the_64_line_wall() {
         use sortnet_network::lanes::PackedFamily;
         // The headline regime: n = 96, redundancy graded relative to the
@@ -952,6 +1022,43 @@ mod tests {
             coverage_of(vec![ChannelVec::zeros(63)]),
             coverage_of(vec![ChannelVec::zeros(64)]),
         );
+        // A uniform list against a mixed list with the same words: the
+        // uniform stream states its line count once, the mixed one per
+        // vector, and the tag keeps the two encodings apart.
+        distinct(
+            coverage_of(vec![ChannelVec::zeros(3), ChannelVec::zeros(3)]),
+            coverage_of(vec![ChannelVec::zeros(3), ChannelVec::zeros(5)]),
+        );
+        distinct(
+            coverage_of(vec![bit("01"), bit("01")]),
+            coverage_of(vec![bit("01"), bit("010")]),
+        );
+        distinct(
+            coverage_of(vec![ChannelVec::zeros(65), ChannelVec::zeros(65)]),
+            coverage_of(vec![ChannelVec::zeros(65), ChannelVec::zeros(128)]),
+        );
+        distinct(
+            coverage_of(vec![ChannelVec::zeros(64); 3]),
+            coverage_of(vec![
+                ChannelVec::zeros(64),
+                ChannelVec::zeros(64),
+                ChannelVec::zeros(1),
+            ]),
+        );
+        // Packed words: a trailing zero vector is not padding, and the
+        // packing boundary at 32 lines keeps the line count.
+        distinct(
+            coverage_of(vec![ChannelVec::ones(16)]),
+            coverage_of(vec![ChannelVec::ones(16), ChannelVec::zeros(16)]),
+        );
+        distinct(
+            coverage_of(vec![ChannelVec::zeros(32); 2]),
+            coverage_of(vec![ChannelVec::zeros(33); 2]),
+        );
+        distinct(
+            coverage_of(vec![bit("0001"), bit("0000")]),
+            coverage_of(vec![bit("0000"), bit("0001")]),
+        );
         // Order matters: first detections index into the list.
         distinct(
             coverage_of(vec![bit("0011"), bit("0111")]),
@@ -975,6 +1082,14 @@ mod tests {
         let last = flipped.last_mut().expect("non-empty");
         last.set(127, !last.get(127));
         distinct(coverage_of(long), coverage_of(flipped));
+        // The same for a packed list: four 16-line vectors to a word.
+        let packed: Vec<ChannelVec> = (0..1000)
+            .map(|i| ChannelVec::from_fn(16, |j| (i * 7 + j).is_multiple_of(5)))
+            .collect();
+        let mut flipped = packed.clone();
+        let last = flipped.last_mut().expect("non-empty");
+        last.set(15, !last.get(15));
+        distinct(coverage_of(packed), coverage_of(flipped));
     }
 
     #[test]

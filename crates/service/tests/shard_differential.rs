@@ -10,6 +10,12 @@
 //! members' missed faults gives each member the cold path's verdicts.
 //! Engines: scalar, one-word and four-word bit-parallel; the lane-ops
 //! backend comes from the environment (`SORTNET_FORCE_SCALAR`).
+//!
+//! A second suite grades members long enough to reach past the first
+//! block into the wide tail of the early-exit sweep, and to resume a
+//! member where it leaves a prefix it shares with a longer one.  Its
+//! reference is the scalar engine's cold path, which shares no sweep code
+//! with the batched one.
 
 use sortnet_combinat::ChannelVec;
 use sortnet_faults::coverage::RedundancyMode;
@@ -254,4 +260,109 @@ fn skip_shards_match_cold() {
     assert_eq!(tally.redundant, 0, "skip mode classifies nothing");
     assert!(tally.missed > 0);
     assert!(tally.order_sensitive > 0);
+}
+
+/// A list of `len` vectors on `n` lines whose first detections spread
+/// over many four-word blocks: sorted strings (which detect no
+/// stuck-pass fault), with a random vector at every fifth position from
+/// 600 on.
+fn long_list(rng: &mut SplitMix64, n: usize, len: usize) -> Vec<ChannelVec> {
+    (0..len)
+        .map(|i| {
+            if i >= 600 && i % 5 == 0 {
+                let words: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
+                ChannelVec::from_words(&words, n)
+            } else {
+                let ones = i % (n + 1);
+                ChannelVec::sorted_of(n - ones, ones)
+            }
+        })
+        .collect()
+}
+
+/// Members that reach the tail and the resume: a base of more than five
+/// W4 blocks, truncations on and off block boundaries, a member that
+/// shares a prefix of the base and then diverges, and a member that
+/// extends the base.
+fn long_member_lists(rng: &mut SplitMix64, n: usize) -> Vec<Vec<ChannelVec>> {
+    let base = long_list(rng, n, 5 * 256 + 131);
+    let mut diverged = base[..700].to_vec();
+    diverged.extend(long_list(rng, n, 900).into_iter().rev());
+    let mut extended = base.clone();
+    extended.extend(long_list(rng, n, 700).into_iter().skip(600));
+    vec![
+        base[..1024].to_vec(),
+        base.clone(),
+        base[..700].to_vec(),
+        diverged,
+        base[..256].to_vec(),
+        extended,
+        base[..1300].to_vec(),
+    ]
+}
+
+#[test]
+fn long_members_resume_shared_prefixes_and_match_the_scalar_cold_path() {
+    let mut rng = SplitMix64::new(SEED ^ 3);
+    let scalar = ServiceConfig {
+        engine: FaultSimEngine::Scalar,
+        ..ServiceConfig::default()
+    };
+    let mut late = 0;
+    for (n, redundancy) in [
+        (8, RedundancyMode::Exhaustive),
+        (10, RedundancyMode::Skip),
+        (96, RedundancyMode::RelativeTo(PackedFamily::SortedStrings)),
+    ] {
+        for network in networks(&mut rng, n) {
+            let lists = long_member_lists(&mut rng, n);
+            for universe in [
+                StandardUniverse::StuckLine,
+                StandardUniverse::SingleComparator,
+            ] {
+                let requests: Vec<Request> = lists
+                    .iter()
+                    .map(|tests| Request {
+                        network: network.clone(),
+                        query: Query::Coverage {
+                            universe,
+                            tests: tests.clone(),
+                            redundancy,
+                        },
+                        budget: None,
+                        deadline: None,
+                    })
+                    .collect();
+                let cold: Vec<_> = requests
+                    .iter()
+                    .map(|request| answer_cold(&scalar, request).outcome)
+                    .collect();
+                for engine in ENGINES {
+                    let config = ServiceConfig {
+                        engine,
+                        ..ServiceConfig::default()
+                    };
+                    let batch = answer_batch(&config, &OracleCaches::new(16), &requests);
+                    for (slot, (response, expected)) in batch.iter().zip(&cold).enumerate() {
+                        assert_eq!(
+                            &response.outcome, expected,
+                            "{engine:?} n={n} {universe:?} {redundancy:?} member {slot}"
+                        );
+                    }
+                }
+                for outcome in &cold {
+                    let Ok(Answer::Coverage(report)) = outcome else {
+                        panic!("expected a coverage answer, got {outcome:?}");
+                    };
+                    if report.max_first_detection > 256 {
+                        late += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        late > 0,
+        "no member detected a fault past its first W4 block"
+    );
 }
