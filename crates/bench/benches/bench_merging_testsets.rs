@@ -8,21 +8,28 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sortnet_network::builders::batcher::half_half_merger;
+use sortnet_network::lanes::Backend;
 use sortnet_testsets::merging;
+use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
 
 fn bench_merger_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_merger_verification");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
+    let backend = Backend::active();
     for n in [8usize, 16, 32] {
         let merger = half_half_merger(n);
-        group.bench_with_input(BenchmarkId::new("binary_n2_over_4", n), &n, |b, _| {
-            b.iter(|| merging::verify_merger_binary(black_box(&merger)))
-        });
-        group.bench_with_input(BenchmarkId::new("permutation_n_over_2", n), &n, |b, _| {
-            b.iter(|| merging::verify_merger_permutations(black_box(&merger)))
-        });
+        for (label, strategy) in [
+            ("binary_n2_over_4", Strategy::MinimalBinary),
+            ("permutation_n_over_2", Strategy::Permutation),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
+                b.iter(|| {
+                    try_verify_on(black_box(&merger), Property::Merger, strategy, backend).unwrap()
+                })
+            });
+        }
     }
     group.finish();
 }

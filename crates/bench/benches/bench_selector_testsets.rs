@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sortnet_network::builders::selection::pruned_selector;
+use sortnet_network::lanes::Backend;
 use sortnet_testsets::selector;
+use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
 
 fn bench_selector_testset_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_selector_testset_construction");
@@ -29,14 +31,20 @@ fn bench_selector_verification(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     let n = 12;
+    let backend = Backend::active();
     for k in [2usize, 4, 6] {
         let net = pruned_selector(n, k);
-        group.bench_with_input(BenchmarkId::new("binary_testset", k), &k, |b, &k| {
-            b.iter(|| selector::verify_selector_binary(black_box(&net), k))
-        });
-        group.bench_with_input(BenchmarkId::new("permutation_testset", k), &k, |b, &k| {
-            b.iter(|| selector::verify_selector_permutations(black_box(&net), k))
-        });
+        for (label, strategy) in [
+            ("binary_testset", Strategy::MinimalBinary),
+            ("permutation_testset", Strategy::Permutation),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, k), &k, |b, &k| {
+                b.iter(|| {
+                    let property = Property::Selector { k };
+                    try_verify_on(black_box(&net), property, strategy, backend).unwrap()
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -7,7 +7,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use sortnet_testsets::criteria::is_permutation_testset;
 use sortnet_testsets::sorting;
+use sortnet_testsets::verify::Property;
 
 fn bench_binary_testset_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_binary_testset_construction");
@@ -43,7 +45,7 @@ fn bench_testset_validity_check(c: &mut Criterion) {
     for n in [8usize, 10] {
         let ts = sorting::permutation_testset(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| sorting::is_permutation_testset(black_box(&ts), n))
+            b.iter(|| is_permutation_testset(black_box(&ts), n, Property::Sorter))
         });
     }
     group.finish();

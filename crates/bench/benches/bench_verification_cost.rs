@@ -14,7 +14,14 @@ use std::hint::black_box;
 
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_testsets::verify::{try_verify, Property, Strategy};
+use sortnet_network::lanes::Backend;
+use sortnet_network::Network;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+
+/// Sorting verification of `net` by `strategy` on the detected backend.
+fn sorter_report(net: &Network, strategy: Strategy) -> Report {
+    try_verify_on(net, Property::Sorter, strategy, Backend::active()).unwrap()
+}
 
 fn bench_sorter_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_sorter_verification");
@@ -29,7 +36,7 @@ fn bench_sorter_verification(c: &mut Criterion) {
             ("permutation", Strategy::Permutation),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| try_verify(black_box(&sorter), Property::Sorter, strategy).unwrap())
+                b.iter(|| sorter_report(black_box(&sorter), strategy))
             });
         }
     }
@@ -51,7 +58,7 @@ fn bench_rejecting_a_non_sorter(c: &mut Criterion) {
             ("permutation", Strategy::Permutation),
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| try_verify(black_box(&almost), Property::Sorter, strategy).unwrap())
+                b.iter(|| sorter_report(black_box(&almost), strategy))
             });
         }
     }

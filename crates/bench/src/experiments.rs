@@ -16,13 +16,14 @@ use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::builders::selection::pruned_selector;
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_network::lanes::LaneWidth;
+use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::primitive::for_each_network;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::Network;
 use sortnet_testsets::adversary::{survey, AdversaryVariant};
-use sortnet_testsets::verify::{try_verify, Property, Report, Strategy};
+use sortnet_testsets::criteria::is_permutation_testset;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
 use sortnet_testsets::{bnk, bounds, hitting, merging, primitive, selector, sorting};
 
 use crate::table::Table;
@@ -82,7 +83,7 @@ pub fn e2_sorting_permutation(max_n: usize) -> Table {
     for n in 2..=max_n {
         let testset = sorting::permutation_testset(n);
         let formula = sorting_testset_size_permutation(n as u64);
-        let covers = sorting::is_permutation_testset(&testset, n);
+        let covers = is_permutation_testset(&testset, n, Property::Sorter);
         let searched = if n <= 4 {
             hitting::minimum_permutation_testset_size(n).to_string()
         } else {
@@ -144,8 +145,13 @@ pub fn e4_selector_binary(n: usize) -> Table {
         let testset = selector::binary_testset(n, k);
         let formula = selector_testset_size_binary(n as u64, k as u64);
         let sel = pruned_selector(n, k);
-        let good = selector::verify_selector_binary(&sel, k).passed;
-        let bad = selector::verify_selector_binary(&Network::empty(n), k).passed;
+        let good = verify(&sel, Property::Selector { k }, Strategy::MinimalBinary).passed;
+        let bad = verify(
+            &Network::empty(n),
+            Property::Selector { k },
+            Strategy::MinimalBinary,
+        )
+        .passed;
         t.push_row(vec![
             n.to_string(),
             k.to_string(),
@@ -174,7 +180,7 @@ pub fn e5_selector_permutation(n: usize) -> Table {
     for k in 1..=n {
         let testset = selector::permutation_testset(n, k);
         let formula = selector_testset_size_permutation(n as u64, k as u64);
-        let covers = selector::is_permutation_testset(&testset, n, k);
+        let covers = is_permutation_testset(&testset, n, Property::Selector { k });
         t.push_row(vec![
             n.to_string(),
             k.to_string(),
@@ -211,12 +217,16 @@ pub fn e6_merging(max_n: usize) -> Table {
             merging_testset_size_binary(n as u64).to_string(),
             perms.len().to_string(),
             merging_testset_size_permutation(n as u64).to_string(),
-            merging::verify_merger_permutations(&merger)
+            verify(&merger, Property::Merger, Strategy::Permutation)
                 .passed
                 .to_string(),
-            merging::verify_merger_binary(&Network::empty(n))
-                .passed
-                .to_string(),
+            verify(
+                &Network::empty(n),
+                Property::Merger,
+                Strategy::MinimalBinary,
+            )
+            .passed
+            .to_string(),
         ]);
     }
     t
@@ -296,13 +306,14 @@ pub fn e8_primitive(max_n: usize) -> Table {
     t
 }
 
-/// Sorting verification of `net` by `strategy`.
+/// Verification of `property` for `net` by `strategy` on the detected
+/// lane-ops backend.
 ///
 /// # Panics
 /// Panics with the typed refusal's text on a network the strategy cannot
 /// verify; every network the tables build is verifiable.
-fn verify(net: &Network, strategy: Strategy) -> Report {
-    try_verify(net, Property::Sorter, strategy).unwrap_or_else(|e| panic!("{e}"))
+fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(net, property, strategy, Backend::active()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The exhaustively classified coverage grade of `tests` on `engine`.
@@ -344,9 +355,9 @@ pub fn e9_verification_cost(max_n: usize) -> Table {
                 odd_even_transposition(n, n.saturating_sub(2)),
             ),
         ] {
-            let ex = verify(&net, Strategy::Exhaustive);
-            let mb = verify(&net, Strategy::MinimalBinary);
-            let mp = verify(&net, Strategy::Permutation);
+            let ex = verify(&net, Property::Sorter, Strategy::Exhaustive);
+            let mb = verify(&net, Property::Sorter, Strategy::MinimalBinary);
+            let mp = verify(&net, Property::Sorter, Strategy::Permutation);
             let agree = ex.passed == mb.passed && mb.passed == mp.passed;
             t.push_row(vec![
                 n.to_string(),

@@ -292,14 +292,7 @@ impl BitString {
     /// # Panics
     /// Panics if `n` is odd.
     pub fn all_half_sorted(n: usize) -> impl Iterator<Item = Self> {
-        check_n(n);
-        assert!(n.is_multiple_of(2), "merge inputs need an even length");
-        let half = n / 2;
-        (0..=half).flat_map(move |z1| {
-            (0..=half).map(move |z2| {
-                Self::sorted_with(z1, half - z1).concat(&Self::sorted_with(z2, half - z2))
-            })
-        })
+        half_sorted_words(n).map(move |w| Self::from_word(w, n))
     }
 
     /// Iterator over all strings of length `n` with exactly `ones` ones, in
@@ -325,6 +318,22 @@ pub const fn low_mask(n: usize) -> u64 {
 pub fn is_sorted_word(word: u64, n: usize) -> bool {
     let t = word.count_ones() as usize;
     t <= n && word == low_mask(n) ^ low_mask(n - t)
+}
+
+/// All `n`-bit words whose two halves are each sorted, in the `(z₁, z₂)`
+/// order of [`BitString::all_half_sorted`] (its word form, with no
+/// allocation): `σ₁ = 0^{z₁} 1^{half − z₁}` on the low half and
+/// `σ₂ = 0^{z₂} 1^{half − z₂}` on the high half, `z₂` varying fastest.
+///
+/// # Panics
+/// Panics if `n` is odd or `n > 64`.
+pub fn half_sorted_words(n: usize) -> impl Iterator<Item = u64> {
+    check_n(n);
+    assert!(n.is_multiple_of(2), "merge inputs need an even length");
+    let half = n / 2;
+    let sorted_half = move |zeros: usize| low_mask(half) ^ low_mask(zeros);
+    (0..=half)
+        .flat_map(move |z1| (0..=half).map(move |z2| sorted_half(z1) | sorted_half(z2) << half))
 }
 
 /// All `n`-bit words with exactly `ones` ones, in increasing order
@@ -442,6 +451,16 @@ mod tests {
                 .filter(|s| s.slice(0, half).is_sorted() && s.slice(half, n).is_sorted())
                 .count();
             assert_eq!(all.len(), scalar);
+            // Order: (z₁, z₂), z₂ fastest, each half built from its zeros.
+            let ordered: Vec<BitString> = (0..=half)
+                .flat_map(|z1| {
+                    (0..=half).map(move |z2| {
+                        BitString::sorted_with(z1, half - z1)
+                            .concat(&BitString::sorted_with(z2, half - z2))
+                    })
+                })
+                .collect();
+            assert_eq!(all, ordered);
         }
     }
 

@@ -117,7 +117,7 @@ pub fn faulty_apply_channels(network: &Network, fault: &Fault, input: &ChannelVe
 /// # Errors
 /// [`EngineError::IndexOutOfRange`] for an out-of-range fault index;
 /// [`EngineError::OversizedNetwork`] past the
-/// [`max_channel_lines`](sortnet_network::error::max_channel_lines) cap;
+/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap;
 /// [`EngineError::InputLengthMismatch`] otherwise.
 pub fn try_faulty_apply_channels(
     network: &Network,

@@ -458,7 +458,7 @@ pub fn multi_faulty_apply_channels(
 /// # Errors
 /// [`EngineError::IndexOutOfRange`] when a lesion does not fit the
 /// network; [`EngineError::OversizedNetwork`] past the
-/// [`max_channel_lines`](sortnet_network::error::max_channel_lines) cap;
+/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap;
 /// [`EngineError::InputLengthMismatch`] otherwise.
 pub fn try_multi_faulty_apply_channels(
     network: &Network,
@@ -494,7 +494,7 @@ pub fn multi_detects_channels(network: &Network, fault: &MultiFault, input: &Cha
 /// `ChannelVec` to the multi-word channel simulator.  `ensure_packable`
 /// is the packing's own size guard: the 64-line wall for `BitString`
 /// (with its pinned `"n <= 64"` text), the
-/// [`max_channel_lines`](sortnet_network::error::max_channel_lines) cap
+/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap
 /// for `ChannelVec`.
 pub trait TestVector: ChannelPack {
     /// Faulty scalar evaluation of `fault` on `input`.

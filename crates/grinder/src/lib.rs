@@ -53,7 +53,9 @@ use sortnet_network::error::EngineError;
 use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily, SliceSource};
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::{properties, Network};
-use sortnet_testsets::verify::{try_verify, Property, Strategy};
+use sortnet_testsets::verify::{
+    try_spot_check_sorter_packed_on, try_verify_on, Property, Strategy,
+};
 
 /// Per-case seed derivation: SplitMix64's golden-ratio increment keeps
 /// neighbouring case indices decorrelated.
@@ -468,7 +470,7 @@ impl fmt::Display for VerifyMismatch {
 /// packed spot-check engine.  Returns the first disagreement.
 fn check_verify_case(network: &Network, truth: bool) -> Option<String> {
     for strategy in [Strategy::MinimalBinary, Strategy::Permutation] {
-        match try_verify(network, Property::Sorter, strategy) {
+        match try_verify_on(network, Property::Sorter, strategy, Backend::active()) {
             Ok(report) => {
                 if report.passed != truth {
                     return Some(format!(
@@ -491,7 +493,7 @@ fn check_verify_case(network: &Network, truth: bool) -> Option<String> {
     let n = network.lines();
     let tests: Vec<ChannelVec> =
         sortnet_testsets::criteria::required_strings_packed(Property::Sorter, n).collect();
-    match sortnet_testsets::try_spot_check_sorter_packed(network, &tests) {
+    match try_spot_check_sorter_packed_on(network, &tests, Backend::active()) {
         Ok(outcome) => {
             let passed = outcome.witness.is_none();
             if passed != truth {

@@ -156,30 +156,15 @@ pub fn ensure_word_packable(lines: usize) -> Result<(), EngineError> {
     }
 }
 
-/// The default inclusive line-count cap for the multi-word (channel-lane)
-/// engines when `SORTNET_MAX_LINES` is unset.
-pub const DEFAULT_MAX_CHANNEL_LINES: usize = 4096;
-
 /// The inclusive line-count cap for the multi-word (channel-lane) engines.
 ///
 /// The multi-word representation has no hard 64-line wall — a vector's
 /// payload is simply `ceil(n/64)` channel words — so the cap exists only
-/// to keep hostile inputs from allocating absurd lane tables.  It defaults
-/// to [`DEFAULT_MAX_CHANNEL_LINES`] and can be raised (or lowered) with
-/// the `SORTNET_MAX_LINES` environment variable, read once per process.
-pub fn max_channel_lines() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SORTNET_MAX_LINES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(DEFAULT_MAX_CHANNEL_LINES)
-    })
-}
+/// to keep hostile inputs from allocating absurd lane tables.
+pub const MAX_CHANNEL_LINES: usize = 4096;
 
 /// Guard: the network fits the multi-word channel-lane engines
-/// (`n <= max_channel_lines()`), and — when the caller already packed its
+/// (`n <= MAX_CHANNEL_LINES`), and — when the caller already packed its
 /// vectors — the supplied channel-word count matches `ceil(n/64)`.
 ///
 /// This is the `ChannelWords ≥ 1` generalisation of
@@ -187,9 +172,11 @@ pub fn max_channel_lines() -> usize {
 /// funnel through here, while the legacy `BitString`-typed entry points
 /// keep the historical 64-line guard (and its pinned `"n <= 64"` text).
 pub fn ensure_channel_packable(lines: usize, words: usize) -> Result<(), EngineError> {
-    let cap = max_channel_lines();
-    if lines > cap {
-        return Err(EngineError::OversizedNetwork { lines, max: cap });
+    if lines > MAX_CHANNEL_LINES {
+        return Err(EngineError::OversizedNetwork {
+            lines,
+            max: MAX_CHANNEL_LINES,
+        });
     }
     let expected = if lines == 0 { 1 } else { lines.div_ceil(64) };
     if words != expected {
@@ -277,7 +264,8 @@ mod tests {
         assert!(ensure_channel_packable(65, 2).is_ok());
         assert!(ensure_channel_packable(128, 2).is_ok());
         assert!(ensure_channel_packable(0, 1).is_ok());
-        let cap = max_channel_lines();
+        let cap = MAX_CHANNEL_LINES;
+        assert_eq!(cap, 4096);
         assert!(ensure_channel_packable(cap, cap.div_ceil(64)).is_ok());
         assert_eq!(
             ensure_channel_packable(cap + 1, (cap + 1).div_ceil(64)),

@@ -64,7 +64,7 @@
 //! [`ChannelPack`]: instantiated at [`BitString`] they monomorphise to
 //! the exact single-word code the `n ≤ 64` benches have always measured,
 //! and instantiated at [`sortnet_combinat::ChannelVec`] they thread any
-//! `n` up to [`crate::error::max_channel_lines`] through the identical
+//! `n` up to [`crate::error::MAX_CHANNEL_LINES`] through the identical
 //! kernels.  See `docs/LANES.md` for the full layout story.
 //!
 //! # Backend selection: how the lane words are executed

@@ -6,6 +6,7 @@
 //! inputs (justified by the zero–one principle and its refinements), so they
 //! are exponential but exact.
 
+use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{BitString, Permutation};
 
 use crate::bitparallel;
@@ -75,8 +76,8 @@ pub fn selects_correctly(input: &BitString, output: &BitString, k: usize) -> boo
 
 /// `true` iff the network merges every pair of sorted halves (the paper's
 /// `(n/2, n/2)`-merging network), checked over all pairs of sorted binary
-/// half-inputs, streamed through transposed blocks
-/// ([`BitString::all_half_sorted`] → [`lanes::IterSource`]).
+/// half-inputs, streamed as packed words through the lanes' word transpose
+/// ([`half_sorted_words`] → [`lanes::WordSource`]).
 ///
 /// # Panics
 /// Panics if `n` is odd.
@@ -94,12 +95,8 @@ pub fn is_merger(network: &Network) -> bool {
 #[must_use]
 pub fn find_merger_violation(network: &Network, backend: Backend) -> Option<BitString> {
     let n = network.lines();
-    assert!(
-        n.is_multiple_of(2),
-        "merging networks need an even number of lines"
-    );
     lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-        lanes::IterSource::new(n, BitString::all_half_sorted(n)),
+        lanes::WordSource::new(n, half_sorted_words(n)),
         network,
         backend,
         &mut BudgetMeter::unlimited(),

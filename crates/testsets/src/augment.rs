@@ -12,8 +12,8 @@
 //! # Pipeline
 //!
 //! 1. **Missed faults.**  A coverage run with redundancy classification
-//!    ([`try_coverage_of_universe_packed_with`]) names the detectable faults
-//!    the base set fails to catch (`CoverageReport::missed_faults`).
+//!    ([`coverage_of_universe_budgeted_packed_with`]) names the detectable
+//!    faults the base set fails to catch (`CoverageReport::missed_faults`).
 //! 2. **Candidates × missed-faults matrix.**  One streamed wide-lane pass
 //!    ([`detection_matrix_from_source_budgeted_on`], metered block by
 //!    block) grades a candidate family — all `2^n` vectors, a structured family,
@@ -59,7 +59,7 @@ use std::collections::HashSet;
 use sortnet_combinat::{BitString, ChannelPack};
 use sortnet_faults::bitsim::detection_matrix_from_source_budgeted_on;
 use sortnet_faults::coverage::{
-    try_coverage_of_universe_packed_with, CoverageReport, FaultSimEngine, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, CoverageReport, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{FaultUniverse, MultiFault, TestVector};
 use sortnet_faults::DetectionMatrix;
@@ -546,15 +546,15 @@ pub struct SearchOptions {
     /// greedy cover is always available, so an exhausted budget degrades
     /// the result to "best found, uncertified", never to nothing.
     pub node_budget: Option<u64>,
-    /// Wall-clock / cancellation budget.  It meters **both** expensive
-    /// stages: the streamed candidate ×
-    /// missed-fault matrix (admitted block by block; whole blocks commit
-    /// or are discarded atomically) and the branch-and-bound set-cover
-    /// search (one fork admission per expanded node).  The default is
-    /// unlimited.  A trip degrades to [`Budgeted::Partial`]: the best
-    /// cover found over the committed candidate prefix with
-    /// `certified = false` — never nothing.  The base coverage grade of
-    /// [`try_minimum_augmentation_packed`] is not metered.
+    /// Wall-clock / cancellation budget.  It meters every expensive stage,
+    /// each on its own meter: the base coverage grade of
+    /// [`try_minimum_augmentation_packed`], the streamed candidate ×
+    /// missed-fault matrix (admitted block by block; whole blocks commit or
+    /// are discarded atomically) and the branch-and-bound set-cover search
+    /// (one fork admission per expanded node).  The default is unlimited.
+    /// A trip degrades to [`Budgeted::Partial`]: the best cover found over
+    /// the committed candidate prefix with `certified = false` (none when
+    /// the base grade tripped) — never nothing.
     pub budget: SweepBudget,
 }
 
@@ -763,9 +763,8 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
 }
 
 /// End-to-end minimum augmentation: grades `base_tests` against `universe`
-/// ([`try_coverage_of_universe_packed_with`], classifying missed faults
-/// per [`SearchOptions::redundancy`] so undetectable faults leave the
-/// obligation), then finds the smallest set of extra vectors from `pool`
+/// (classifying missed faults per [`SearchOptions::redundancy`] so
+/// undetectable faults leave the obligation), then finds the smallest set of extra vectors from `pool`
 /// completing the coverage ([`try_augmentation_for_missed_packed`]).
 ///
 /// The default exhaustive classification is refused for `n ≥ 32`, so past
@@ -773,10 +772,15 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
 /// [`RedundancyMode::Skip`] and accept undetectable faults in the
 /// obligation, which an incomplete pool then reports as infeasible).
 ///
-/// The base coverage grade runs unbudgeted; `options.budget` meters only
-/// the candidate matrix and the cover search.  This spelling also stays
-/// because the repository benchmark's adapter (`perfbench/src/engine.rs`)
-/// times it as a whole augmentation.
+/// `options.budget` meters the base coverage grade
+/// ([`coverage_of_universe_budgeted_packed_with`] on [`Backend::active`]),
+/// the candidate matrix and the cover search.  A grade the budget cuts
+/// short comes back [`Budgeted::Partial`] with the grade's progress and
+/// reason; its report carries the grade's conservative missed list (faults
+/// whose verdict never committed count as missed), no candidates and
+/// `certified = false`.  An unlimited budget takes the unbudgeted path.
+/// This spelling also stays because the repository benchmark's adapter
+/// (`perfbench/src/engine.rs`) times it as a whole augmentation.
 ///
 /// # Errors
 /// [`EngineError`] from either stage; an uncoverable missed fault is
@@ -790,14 +794,32 @@ pub fn try_minimum_augmentation_packed<P: TestVector + Sync>(
     pool: &CandidatePool<P>,
     options: &SearchOptions,
 ) -> Result<Budgeted<AugmentationReport<P>>, EngineError> {
-    let coverage = try_coverage_of_universe_packed_with(
+    match coverage_of_universe_budgeted_packed_with(
         network,
         universe,
         base_tests,
         options.redundancy,
         options.engine,
-    )?;
-    try_augmentation_for_missed_packed(network, &coverage.missed_faults, pool, options)
+        Backend::active(),
+        &options.budget,
+    )? {
+        Budgeted::Complete(coverage) => {
+            try_augmentation_for_missed_packed(network, &coverage.missed_faults, pool, options)
+        }
+        Budgeted::Partial {
+            progress,
+            reason,
+            best_so_far,
+        } => Ok(Budgeted::Partial {
+            progress,
+            reason,
+            best_so_far: AugmentationReport {
+                missed_faults: best_so_far.missed_faults,
+                certified: false,
+                ..empty_report()
+            },
+        }),
+    }
 }
 
 /// The augmentation hook on a coverage report — the
@@ -838,6 +860,7 @@ impl SuggestAugmentation for CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet_faults::coverage::try_coverage_of_universe_packed_with;
     use sortnet_faults::universe::{StandardUniverse, StuckLine};
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::lanes::LaneWidth;
@@ -1285,6 +1308,61 @@ mod tests {
         .unwrap();
         assert!(complete.is_complete());
         assert!(complete.into_value().certified);
+    }
+
+    #[test]
+    fn a_starved_budget_cuts_the_base_grade_short() {
+        use sortnet_network::{BudgetReason, SweepBudget};
+        let net = odd_even_merge_sort(12);
+        let base = crate::sorting::binary_testset(12);
+        let pool = CandidatePool::SortedStrings;
+        let starved = SearchOptions {
+            budget: SweepBudget::unlimited().with_max_blocks(1),
+            ..SearchOptions::default()
+        };
+        // The grade's first-detection and redundancy sweeps are metered,
+        // so one admitted block ends the run inside the grade.
+        let budgeted =
+            try_minimum_augmentation_packed(&net, &StuckLine, &base, &pool, &starved).unwrap();
+        let Budgeted::Partial {
+            progress,
+            reason,
+            best_so_far,
+        } = budgeted
+        else {
+            panic!("a one-block budget must cut the base grade short");
+        };
+        assert!(progress.blocks <= 1, "{progress:?}");
+        assert_eq!(reason, BudgetReason::Blocks);
+        assert!(!best_so_far.certified);
+        assert_eq!(best_so_far.candidates_considered, 0);
+        assert!(best_so_far.minimum.is_empty() && best_so_far.greedy.is_empty());
+        // Conservative: every fault the grade left uncommitted counts as
+        // missed, so the partial list contains the true one.
+        let graded = stuck_line_coverage(&net, &base);
+        assert!(graded
+            .missed_faults
+            .iter()
+            .all(|f| best_so_far.missed_faults.contains(f)));
+        // Unlimited, the answer is the two-stage one: the unbudgeted grade,
+        // then the search over its missed faults.
+        let complete = try_minimum_augmentation_packed(
+            &net,
+            &StuckLine,
+            &base,
+            &pool,
+            &SearchOptions::default(),
+        )
+        .unwrap();
+        let two_stage = try_augmentation_for_missed_packed(
+            &net,
+            &graded.missed_faults,
+            &pool,
+            &SearchOptions::default(),
+        )
+        .unwrap();
+        assert!(complete.is_complete());
+        assert_eq!(complete, two_stage);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! string — for merging, legal means both halves increasing, since only
 //! those permutations are valid merge inputs).
 //!
-//! The per-module `is_binary_testset` / `is_permutation_testset` functions
-//! in [`sorting`](crate::sorting), [`selector`](crate::selector) and
-//! [`merging`](crate::merging) are thin wrappers over this module.
+//! These are the only criteria: the theorem modules
+//! [`sorting`](crate::sorting), [`selector`](crate::selector) and
+//! [`merging`](crate::merging) hold the test sets, and callers pass the
+//! [`Property`] here.
 
 use std::collections::HashSet;
-use std::hash::Hash;
 
 use sortnet_combinat::{BitString, ChannelPack, Permutation};
 
@@ -81,26 +81,16 @@ pub fn required_strings_packed<P: ChannelPack>(
 }
 
 /// Exact criterion: a set of binary strings is a test set for `property`
-/// **iff** it contains every string of the required family.
-#[must_use]
-pub fn is_binary_testset(candidate: &[BitString], n: usize, property: Property) -> bool {
-    is_binary_testset_packed(candidate, n, property)
-}
-
-/// [`is_binary_testset`] generic over the vector packing: candidates of a
-/// length other than `n` are ignored (they cannot account for anything),
-/// exactly as in the [`BitString`] original.
+/// **iff** it contains every string of the required family.  Candidates
+/// of a length other than `n` are ignored (they cannot account for
+/// anything).
 ///
 /// # Panics
 /// As [`required_strings`].
 #[must_use]
-pub fn is_binary_testset_packed<P: ChannelPack + Eq + Hash>(
-    candidate: &[P],
-    n: usize,
-    property: Property,
-) -> bool {
-    let have: HashSet<P> = candidate.iter().filter(|s| s.len() == n).cloned().collect();
-    required_strings_packed::<P>(property, n).all(|s| have.contains(&s))
+pub fn is_binary_testset(candidate: &[BitString], n: usize, property: Property) -> bool {
+    let have: HashSet<BitString> = candidate.iter().filter(|s| s.len() == n).copied().collect();
+    required_strings(property, n).all(|s| have.contains(&s))
 }
 
 /// Exact criterion for permutations: every string of the required family
@@ -110,25 +100,11 @@ pub fn is_binary_testset_packed<P: ChannelPack + Eq + Hash>(
 /// single wrong-length candidate disqualifies the set); for merging, only
 /// candidates whose two halves are increasing are legal merge inputs, and
 /// others are simply ignored.
-#[must_use]
-pub fn is_permutation_testset(candidate: &[Permutation], n: usize, property: Property) -> bool {
-    is_permutation_testset_packed::<BitString>(candidate, n, property)
-}
-
-/// [`is_permutation_testset`] with the required family carried in packing
-/// `P` and coverage decided by
-/// [`Permutation::covers_packed`] — the same
-/// criterion, exercised through the width-generic cover surface (wide
-/// permutations included, up to the family-enumeration guards).
 ///
 /// # Panics
 /// As [`required_strings`].
 #[must_use]
-pub fn is_permutation_testset_packed<P: ChannelPack>(
-    candidate: &[Permutation],
-    n: usize,
-    property: Property,
-) -> bool {
+pub fn is_permutation_testset(candidate: &[Permutation], n: usize, property: Property) -> bool {
     let legal: Vec<&Permutation> = match property {
         Property::Sorter | Property::Selector { .. } => {
             if !candidate.iter().all(|p| p.len() == n) {
@@ -148,7 +124,7 @@ pub fn is_permutation_testset_packed<P: ChannelPack>(
                 .collect()
         }
     };
-    required_strings_packed::<P>(property, n).all(|s| legal.iter().any(|p| p.covers_packed(&s)))
+    required_strings(property, n).all(|s| legal.iter().any(|p| p.covers(&s)))
 }
 
 #[cfg(test)]
@@ -216,32 +192,28 @@ mod tests {
             Property::Merger,
         ] {
             let full: Vec<BitString> = required_strings(property, n).collect();
-            let packed: Vec<ChannelVec> = full
+            let packed: Vec<ChannelVec> = required_strings_packed(property, n).collect();
+            let assembled: Vec<ChannelVec> = full
                 .iter()
                 .map(|s| ChannelVec::assemble(n, |i| s.get(i)))
                 .collect();
+            assert_eq!(packed, assembled, "{property:?}");
             assert!(is_binary_testset(&full, n, property), "{property:?}");
-            assert!(
-                is_binary_testset_packed(&packed, n, property),
-                "{property:?}"
-            );
-            assert!(!is_binary_testset_packed(&packed[1..], n, property));
+            assert!(!is_binary_testset(&full[1..], n, property));
             let perms = match property {
                 Property::Sorter => crate::sorting::permutation_testset(n),
                 Property::Selector { k } => crate::bnk::permutation_testset(n, k),
                 Property::Merger => crate::merging::permutation_testset(n),
             };
             assert!(is_permutation_testset(&perms, n, property));
-            assert!(is_permutation_testset_packed::<ChannelVec>(
-                &perms, n, property
-            ));
-            // A weakened candidate set must read the same in both packings.
-            let fewer = perms[1..].to_vec();
-            assert_eq!(
-                is_permutation_testset(&fewer, n, property),
-                is_permutation_testset_packed::<ChannelVec>(&fewer, n, property),
-                "{property:?}"
-            );
+            // Each required string is covered exactly as the packed cover
+            // criterion reads it.
+            for (s, wide) in full.iter().zip(&packed) {
+                for p in &perms {
+                    assert_eq!(p.covers(s), p.covers_packed(wide), "{property:?} {p:?} {s}");
+                }
+            }
+            assert!(!is_permutation_testset(&perms[1..], n, property));
         }
     }
 

@@ -22,6 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use sortnet_combinat::BitString;
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::selects_correctly;
 use sortnet_network::Network;
 
@@ -82,9 +83,13 @@ pub fn check_certificate(network: &Network, certificate: &Certificate) -> bool {
 /// verification cannot run (more than 64 lines, or a selector `k > n`).
 #[must_use]
 pub fn find_certificate(network: &Network, property: Property) -> Option<Certificate> {
-    let report =
-        crate::verify::try_verify(network, property, crate::verify::Strategy::MinimalBinary)
-            .unwrap_or_else(|e| panic!("{e}"));
+    let report = crate::verify::try_verify_on(
+        network,
+        property,
+        crate::verify::Strategy::MinimalBinary,
+        Backend::active(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     if report.passed {
         return None;
     }

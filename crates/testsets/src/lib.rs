@@ -14,7 +14,7 @@
 //! | height-1 sorter (§3) | `n − 1` | `1` |
 //!
 //! The crate provides, for each property: the optimal test sets themselves,
-//! exact *is-a-test-set* criteria, test-set-driven verifiers with failure
+//! exact *is-a-test-set* criteria, one test-set-driven verifier with failure
 //! witnesses, the adversary networks of Lemma 2.1 that make every test
 //! necessary, and brute-force searches that re-derive the bounds at small
 //! `n` without using the theory.
@@ -31,9 +31,9 @@
 //!   symmetric chain decompositions) and the optimal permutation test sets;
 //! * [`sorting`], [`selector`], [`merging`] — Theorems 2.2, 2.4, 2.5:
 //!   test sets (as streaming block sources *and* materialised vectors),
-//!   exact criteria, verifiers, closed-form bounds;
-//! * [`criteria`] — the shared is-a-test-set criterion the three theorem
-//!   modules delegate to, parameterised by [`verify::Property`];
+//!   lower-bound witnesses, closed-form bounds;
+//! * [`criteria`] — the exact is-a-test-set criteria of all three
+//!   theorems, parameterised by [`verify::Property`];
 //! * [`primitive`] — §3: the single-test criterion for height-1 networks;
 //! * [`hitting`] — brute-force minimum-test-set search (independent
 //!   confirmation at small `n`), solved by the exact set-cover engine in
@@ -43,25 +43,31 @@
 //!   (greedy upper bound + branch-and-bound with hitting-set/counting
 //!   lower bounds over the `sortnet-faults` detection matrix);
 //! * [`bounds`] — the closed forms and the Yao comparison table;
-//! * [`verify`] — a unified verification front end used by the examples and
-//!   benchmarks.
+//! * [`verify`] — the one verifier, [`try_verify_on`]: every property ×
+//!   strategy (exhaustive, minimal 0/1, permutation) on any lane-ops
+//!   backend.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use sortnet_combinat::BitString;
 //! use sortnet_network::builders::batcher::odd_even_merge_sort;
-//! use sortnet_testsets::{adversary, sorting};
+//! use sortnet_network::lanes::Backend;
+//! use sortnet_testsets::{adversary, try_verify_on, Property, Strategy};
 //!
 //! // Batcher's 8-line sorter passes the minimal permutation test set…
 //! let batcher = odd_even_merge_sort(8);
-//! assert!(sorting::verify_sorter_permutations(&batcher).passed);
+//! let report =
+//!     try_verify_on(&batcher, Property::Sorter, Strategy::Permutation, Backend::active())?;
+//! assert!(report.passed);
+//! assert_eq!(report.tests_run, 69); // C(8, 4) − 1
 //!
 //! // …and every unsorted string is genuinely needed: the Lemma 2.1
 //! // adversary for σ sorts everything except σ.
 //! let sigma = BitString::parse("10100110").unwrap();
 //! let h = adversary::adversary(&sigma);
 //! assert!(adversary::fails_exactly_on(&h, &sigma));
+//! # Ok::<(), sortnet_testsets::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,10 +93,7 @@ pub use augment::{
     try_augmentation_for_missed_packed, try_minimum_augmentation_packed, AugmentationReport,
     CandidatePool, SearchOptions, SuggestAugmentation,
 };
-pub use verify::{
-    try_spot_check_sorter_packed, try_spot_check_sorter_packed_on, try_verify, try_verify_on,
-    Property, Report, Strategy,
-};
+pub use verify::{try_spot_check_sorter_packed_on, try_verify_on, Property, Report, Strategy};
 
 // The redundancy-mode and packed-family vocabulary referenced by
 // `SearchOptions`/`CandidatePool` lives downstream; re-exported here so
@@ -106,13 +109,16 @@ pub use sortnet_network::{
 
 #[cfg(test)]
 mod tests {
+    use crate::verify::{verified, Property, Strategy};
     use sortnet_combinat::BitString;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
 
     #[test]
     fn doc_example_holds() {
         let batcher = odd_even_merge_sort(8);
-        assert!(crate::sorting::verify_sorter_permutations(&batcher).passed);
+        let report = verified(&batcher, Property::Sorter, Strategy::Permutation);
+        assert!(report.passed);
+        assert_eq!(report.tests_run, 69);
         let sigma = BitString::parse("10100110").unwrap();
         let h = crate::adversary::adversary(&sigma);
         assert!(crate::adversary::fails_exactly_on(&h, &sigma));

@@ -11,34 +11,32 @@
 //!   permutations `τ_i = (1 … i, i+1+n/2 … n, i+1, … , i+n/2)` for
 //!   `0 ≤ i < n/2`, whose covers sweep all the binary merge inputs of the
 //!   form `0^i 1^{n/2−i} 0^j 1^{n/2−j}`.
+//!
+//! The exact criteria for *being* a test set are [`crate::criteria`] at
+//! [`Property::Merger`](crate::verify::Property::Merger), and verification
+//! is [`crate::verify::try_verify_on`].
 
 use sortnet_combinat::binomial::{merging_testset_size_binary, merging_testset_size_permutation};
-use sortnet_combinat::bitstrings::{is_sorted_word, low_mask};
+use sortnet_combinat::bitstrings::{half_sorted_words, is_sorted_word, low_mask};
 use sortnet_combinat::{BitString, Permutation};
-use sortnet_network::lanes::{self, Backend, WordSource, DEFAULT_WIDTH};
-use sortnet_network::Network;
+use sortnet_network::lanes::{self, WordSource, DEFAULT_WIDTH};
 
 use crate::cover::CoverWords;
-use crate::criteria;
-use crate::sorting::sweep_sorted;
-use crate::verify::Property;
 
 /// The minimum 0/1 test set for `(n/2, n/2)`-merging, as a streaming block
 /// source: all concatenations of two sorted halves that are not already
 /// sorted (Theorem 2.5(i)), in the `(z₁, z₂)` order of
-/// [`BitString::all_half_sorted`], generated as words for the lanes' word
+/// [`half_sorted_words`], generated as words for the lanes' word
 /// transpose ([`WordSource`]).
 ///
 /// # Panics
 /// Panics if `n` is odd or `n > 64`.
 #[must_use]
 pub fn binary_source(n: usize) -> WordSource<impl Iterator<Item = u64>> {
-    let half = even_half(n);
-    let sorted_half = move |zeros: usize| low_mask(half) ^ low_mask(zeros);
-    let words = (0..=half)
-        .flat_map(move |z1| (0..=half).map(move |z2| sorted_half(z1) | sorted_half(z2) << half))
-        .filter(move |&w| !is_sorted_word(w, n));
-    WordSource::new(n, words)
+    WordSource::new(
+        n,
+        half_sorted_words(n).filter(move |&w| !is_sorted_word(w, n)),
+    )
 }
 
 /// `n / 2`, for the even `n` merging is defined on.
@@ -85,6 +83,25 @@ pub fn permutation_testset(n: usize) -> Vec<Permutation> {
     out
 }
 
+/// The non-constant threshold strings of every `τ_i` of
+/// [`permutation_testset`], as packed words: `τ_0`'s first, each in
+/// increasing threshold `t = 1..n−1` (the constant strings cannot fail).
+///
+/// # Panics
+/// Panics if `n` is odd.
+pub(crate) fn cover_words(n: usize) -> impl Iterator<Item = u64> {
+    let half = even_half(n);
+    // τ_i's lines by decreasing value: the top half's lines i..half, then
+    // the bottom half, then the lines 0..i (values n−1 down to 0).
+    (0..half).flat_map(move |i| {
+        CoverWords::new([
+            low_mask(half) ^ low_mask(i),
+            low_mask(n) ^ low_mask(half),
+            low_mask(i),
+        ])
+    })
+}
+
 /// The lower-bound witness family `T′` of Theorem 2.5(ii): the merge inputs
 /// `0^i 1^{n/2−i} 0^{n/2−i} 1^i` for `0 ≤ i < n/2`.  All have weight `n/2`,
 /// so no permutation covers two of them, and each must be covered.
@@ -94,79 +111,6 @@ pub fn permutation_lower_bound_witnesses(n: usize) -> Vec<BitString> {
     (0..half)
         .map(|i| BitString::sorted_with(i, half - i).concat(&BitString::sorted_with(half - i, i)))
         .collect()
-}
-
-/// Exact criterion: a set of binary strings is a test set for merging **iff**
-/// it contains every element of [`binary_testset`] (necessity by Lemma 2.1
-/// restricted to merge inputs, sufficiency by definition of merging).
-/// Delegates to the shared [`criteria`] helper.
-#[must_use]
-pub fn is_binary_testset(candidate: &[BitString], n: usize) -> bool {
-    criteria::is_binary_testset(candidate, n, Property::Merger)
-}
-
-/// Exact criterion for permutations: every string of the binary test set
-/// must be covered by some candidate permutation *whose halves are sorted*
-/// (only such permutations are legal merge inputs).  Delegates to the
-/// shared [`criteria`] helper.
-#[must_use]
-pub fn is_permutation_testset(candidate: &[Permutation], n: usize) -> bool {
-    criteria::is_permutation_testset(candidate, n, Property::Merger)
-}
-
-/// Verdict of a merging verification run.
-pub type MergerVerdict = crate::sorting::Verdict;
-
-/// Decides whether `network` is an `(n/2, n/2)`-merging network using the
-/// minimum 0/1 test set, streamed through transposed blocks
-/// ([`binary_source`]).  Sound and complete.
-#[must_use]
-pub fn verify_merger_binary(network: &Network) -> MergerVerdict {
-    verify_merger_binary_on(network, Backend::active())
-}
-
-/// [`verify_merger_binary`] pinned to an explicit lane-ops [`Backend`]
-/// (the plain form uses the runtime-detected one).
-///
-/// # Panics
-/// Panics if `n` is odd.
-#[must_use]
-pub fn verify_merger_binary_on(network: &Network, backend: Backend) -> MergerVerdict {
-    let n = network.lines();
-    let tests_run = merging_testset_size_binary(n as u64) as usize;
-    sweep_sorted(network, binary_source(n), tests_run, backend)
-}
-
-/// Decides whether `network` is an `(n/2, n/2)`-merging network using the
-/// `n/2` permutations of Theorem 2.5(ii).  Sound and complete.
-#[must_use]
-pub fn verify_merger_permutations(network: &Network) -> MergerVerdict {
-    verify_merger_permutations_on(network, Backend::active())
-}
-
-/// [`verify_merger_permutations`] pinned to an explicit lane-ops
-/// [`Backend`].  As for sorting, each `τ_i` is swept as its threshold
-/// strings `t = 1..n−1` (the constant ones cannot fail): `tests_run`
-/// counts permutations, and the witness is the first failing threshold
-/// string of the first failing `τ_i`.
-///
-/// # Panics
-/// Panics if `n` is odd.
-#[must_use]
-pub fn verify_merger_permutations_on(network: &Network, backend: Backend) -> MergerVerdict {
-    let n = network.lines();
-    let half = even_half(n);
-    // τ_i's lines by decreasing value: the top half's lines i..half, then
-    // the bottom half, then the lines 0..i (values n−1 down to 0).
-    let covers = (0..half).flat_map(move |i| {
-        CoverWords::new([
-            low_mask(half) ^ low_mask(i),
-            low_mask(n) ^ low_mask(half),
-            low_mask(i),
-        ])
-    });
-    let tests_run = merging_testset_size_permutation(n as u64) as usize;
-    sweep_sorted(network, WordSource::new(n, covers), tests_run, backend)
 }
 
 /// The Theorem 2.5 closed forms for the experiment tables.
@@ -193,8 +137,11 @@ pub fn bounds(n: u64) -> MergingBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::criteria::{is_binary_testset, is_permutation_testset};
+    use crate::verify::{verified, Property, Strategy};
     use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
     use sortnet_network::properties::is_merger;
+    use sortnet_network::Network;
 
     #[test]
     fn binary_testset_size_is_n_squared_over_4() {
@@ -224,7 +171,7 @@ mod tests {
     fn tau_permutations_cover_all_binary_merge_tests() {
         for n in (2..=12usize).step_by(2) {
             assert!(
-                is_permutation_testset(&permutation_testset(n), n),
+                is_permutation_testset(&permutation_testset(n), n, Property::Merger),
                 "n = {n}"
             );
         }
@@ -234,10 +181,10 @@ mod tests {
     fn binary_testset_satisfies_its_criterion_and_is_tight() {
         for n in (2..=10usize).step_by(2) {
             let full = binary_testset(n);
-            assert!(is_binary_testset(&full, n));
+            assert!(is_binary_testset(&full, n, Property::Merger));
             let mut reduced = full.clone();
             reduced.pop();
-            assert!(!is_binary_testset(&reduced, n));
+            assert!(!is_binary_testset(&reduced, n, Property::Merger));
         }
     }
 
@@ -270,12 +217,12 @@ mod tests {
             for net in candidates {
                 let oracle = is_merger(&net);
                 assert_eq!(
-                    verify_merger_binary(&net).passed,
+                    verified(&net, Property::Merger, Strategy::MinimalBinary).passed,
                     oracle,
                     "binary, n={n}, {net}"
                 );
                 assert_eq!(
-                    verify_merger_permutations(&net).passed,
+                    verified(&net, Property::Merger, Strategy::Permutation).passed,
                     oracle,
                     "permutation, n={n}, {net}"
                 );
@@ -286,7 +233,7 @@ mod tests {
     #[test]
     fn merger_witnesses_are_genuine_merge_inputs() {
         let net = Network::empty(8);
-        let v = verify_merger_binary(&net);
+        let v = verified(&net, Property::Merger, Strategy::MinimalBinary);
         assert!(!v.passed);
         let w = v.witness.unwrap();
         assert!(w.slice(0, 4).is_sorted() && w.slice(4, 8).is_sorted());

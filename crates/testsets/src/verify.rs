@@ -1,4 +1,4 @@
-//! A unified, test-set-driven verification front end.
+//! The one test-set-driven verifier, [`try_verify_on`].
 //!
 //! The decision problems of the paper's introduction — "is this network a
 //! sorter / a (k, n)-selector / a merging network?" — are answered here by
@@ -11,16 +11,38 @@
 //! | [`Strategy::MinimalBinary`] | `2^n − n − 1` | `Σ_{i≤k}C(n,i) − k − 1` | `n²/4` |
 //! | [`Strategy::Permutation`] | `C(n,⌊n/2⌋) − 1` | `C(n,min(k,⌊n/2⌋)) − 1` | `n/2` |
 //!
-//! All three are sound and complete for standard networks; the experiment
-//! harness (E9) measures their relative cost.
+//! Each cell of this table is a stream of packed 0/1 words and the closed
+//! form above, fed to one of two sweeps: "every output sorted" (sorting and
+//! merging) or "the first `k` outputs match a reference sorter's"
+//! (selection).  The exhaustive sorting and selection cells run
+//! [`bitparallel`]'s range sweeps; the minimal 0/1 cells stream
+//! [`sorting::binary_source`], [`selector::binary_source`] and
+//! [`merging::binary_source`].  A permutation cell streams the threshold
+//! strings of its test set's permutations: a network handles a
+//! permutation iff it handles every threshold string of its cover
+//! (thresholding commutes with every comparator), so `tests_run` counts
+//! permutations and the witness is the first failing threshold string of
+//! the first failing permutation.
+//!
+//! All three strategies are sound and complete for standard networks; the
+//! experiment harness (E9) measures their relative cost.
 
 use serde::{Deserialize, Serialize};
 
+use sortnet_combinat::binomial::{
+    merging_testset_size_binary, merging_testset_size_permutation, selector_testset_size_binary,
+    selector_testset_size_permutation, sorting_testset_size_binary,
+    sorting_testset_size_permutation,
+};
+use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{channel_words, BitString, ChannelPack};
 use sortnet_network::bitparallel;
+use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{self, Backend, SliceSource, Sweep, SweepOutcome, DEFAULT_WIDTH};
-use sortnet_network::properties;
+use sortnet_network::lanes::{
+    self, Backend, BlockSource, SliceSource, Sweep, SweepOutcome, WideBlock, WordSource,
+    DEFAULT_WIDTH,
+};
 use sortnet_network::{BudgetMeter, Network};
 
 use crate::{bnk, criteria, merging, selector, sorting};
@@ -66,8 +88,8 @@ pub struct Report {
     pub witness: Option<BitString>,
 }
 
-/// Verifies `property` for `network` with the chosen `strategy`, on the
-/// runtime-detected lane-ops backend ([`Backend::active`]).
+/// Verifies `property` for `network` with the chosen `strategy` on the
+/// lane-ops `backend`.  Every backend produces an identical [`Report`].
 ///
 /// Checked up front: more than 64 lines is
 /// [`EngineError::OversizedNetwork`], the [`Strategy::Exhaustive`] `2^n`
@@ -83,22 +105,6 @@ pub struct Report {
 ///
 /// # Errors
 /// As listed above.
-pub fn try_verify(
-    network: &Network,
-    property: Property,
-    strategy: Strategy,
-) -> Result<Report, EngineError> {
-    try_verify_on(network, property, strategy, Backend::active())
-}
-
-/// [`try_verify`] pinned to an explicit lane-ops [`Backend`].
-///
-/// The backend reaches every sweep: every strategy runs 0/1 words through
-/// the lanes, the permutation strategies as the threshold strings of their
-/// permutations.  Every backend produces an identical [`Report`].
-///
-/// # Errors
-/// As for [`try_verify`].
 pub fn try_verify_on(
     network: &Network,
     property: Property,
@@ -138,56 +144,115 @@ pub fn try_verify_on(
         backend,
         ..Sweep::default()
     };
-    let (passed, tests_run, witness) = match (property, strategy) {
-        (Property::Sorter, Strategy::Exhaustive) => {
-            let witness = bitparallel::find_unsorted_input(network, &sweep)?.into_value();
-            (witness.is_none(), 1usize << n, witness)
-        }
-        (Property::Sorter, Strategy::MinimalBinary) => {
-            let v = sorting::verify_sorter_binary_on(network, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
-        (Property::Sorter, Strategy::Permutation) => {
-            let v = sorting::verify_sorter_permutations_on(network, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
-        (Property::Selector { k }, Strategy::Exhaustive) => {
-            // Bit-parallel block sweep; its witness is the lowest failing
-            // word, matching what a scalar scan would report first.
-            let witness = bitparallel::find_selector_violation(network, k, &sweep)?.into_value();
-            (witness.is_none(), 1usize << n, witness)
-        }
-        (Property::Selector { k }, Strategy::MinimalBinary) => {
-            let v = selector::verify_selector_binary_on(network, k, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
-        (Property::Selector { k }, Strategy::Permutation) => {
-            let v = selector::verify_selector_permutations_on(network, k, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
-        (Property::Merger, Strategy::Exhaustive) => {
-            // One streamed block sweep over all (half+1)² merge inputs —
-            // verdict and witness in the same pass, nothing materialised.
-            let witness = properties::find_merger_violation(network, backend);
-            let half = n / 2;
-            (witness.is_none(), (half + 1) * (half + 1), witness)
-        }
-        (Property::Merger, Strategy::MinimalBinary) => {
-            let v = merging::verify_merger_binary_on(network, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
-        (Property::Merger, Strategy::Permutation) => {
-            let v = merging::verify_merger_permutations_on(network, backend);
-            (v.passed, v.tests_run, v.witness)
-        }
+    let m = n as u64;
+    let (witness, tests_run) = match (property, strategy) {
+        (Property::Sorter, Strategy::Exhaustive) => (
+            bitparallel::find_unsorted_input(network, &sweep)?.into_value(),
+            1 << n,
+        ),
+        (Property::Sorter, Strategy::MinimalBinary) => (
+            sweep_sorted(network, sorting::binary_source(n), backend),
+            sorting_testset_size_binary(m),
+        ),
+        (Property::Sorter, Strategy::Permutation) => (
+            sweep_sorted(
+                network,
+                WordSource::new(n, bnk::cover_words(n, n / 2)),
+                backend,
+            ),
+            sorting_testset_size_permutation(m),
+        ),
+        (Property::Selector { k }, Strategy::Exhaustive) => (
+            bitparallel::find_selector_violation(network, k, &sweep)?.into_value(),
+            1 << n,
+        ),
+        (Property::Selector { k }, Strategy::MinimalBinary) => (
+            sweep_selected(network, k, selector::binary_source(n, k), backend),
+            selector_testset_size_binary(m, k as u64),
+        ),
+        (Property::Selector { k }, Strategy::Permutation) => (
+            sweep_selected(
+                network,
+                k,
+                WordSource::new(n, bnk::cover_words(n, k)),
+                backend,
+            ),
+            selector_testset_size_permutation(m, k as u64),
+        ),
+        (Property::Merger, Strategy::Exhaustive) => (
+            sweep_sorted(network, WordSource::new(n, half_sorted_words(n)), backend),
+            u128::from((m / 2 + 1).pow(2)),
+        ),
+        (Property::Merger, Strategy::MinimalBinary) => (
+            sweep_sorted(network, merging::binary_source(n), backend),
+            merging_testset_size_binary(m),
+        ),
+        (Property::Merger, Strategy::Permutation) => (
+            sweep_sorted(
+                network,
+                WordSource::new(n, merging::cover_words(n)),
+                backend,
+            ),
+            merging_testset_size_permutation(m),
+        ),
     };
     Ok(Report {
         property,
         strategy,
-        passed,
-        tests_run,
+        passed: witness.is_none(),
+        tests_run: tests_run as usize,
         witness,
     })
+}
+
+/// The first input of `source` whose output `network` leaves unsorted.
+fn sweep_sorted(
+    network: &Network,
+    source: impl BlockSource<DEFAULT_WIDTH>,
+    backend: Backend,
+) -> Option<BitString> {
+    lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
+        source,
+        network,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    )
+    .expect("the test set has the network's line count")
+    .witness
+}
+
+/// The first input of `source` whose first `k` outputs differ from a
+/// known-good reference sorter's on the same block — the block-parallel
+/// form of
+/// [`selects_correctly`](sortnet_network::properties::selects_correctly).
+fn sweep_selected(
+    network: &Network,
+    k: usize,
+    source: impl BlockSource<DEFAULT_WIDTH>,
+    backend: Backend,
+) -> Option<BitString> {
+    let n = network.lines();
+    let reference = odd_even_merge_sort(n);
+    let mut out = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
+    let mut sorted = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
+    lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
+        source,
+        &mut BudgetMeter::unlimited(),
+        |block| {
+            out.copy_from(block);
+            out.run_with(backend, network);
+            sorted.copy_from(block);
+            sorted.run_with(backend, &reference);
+            lanes::selector_violation_masks(&out, &sorted, k, backend)
+        },
+    )
+    .witness
+}
+
+/// [`try_verify_on`] on [`Backend::active`], unwrapped.
+#[cfg(test)]
+pub(crate) fn verified(network: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(network, property, strategy, Backend::active()).unwrap()
 }
 
 /// Spot-checks the sorting property over an explicitly supplied packed
@@ -200,7 +265,7 @@ pub fn try_verify_on(
 /// unsorted output — the zero–one principle still applies to each test)
 /// but not complete.  The sweep runs on the multi-word channel-lane
 /// engine, so any `n` up to the
-/// [channel-line cap](sortnet_network::error::max_channel_lines) is
+/// [channel-line cap](sortnet_network::error::MAX_CHANNEL_LINES) is
 /// admitted; with `P = BitString` it spot-checks `n ≤ 64` networks with
 /// the identical engine.
 ///
@@ -230,28 +295,12 @@ pub fn try_spot_check_sorter_packed_on<P: ChannelPack>(
     )
 }
 
-/// [`try_spot_check_sorter_packed_on`] on [`Backend::active`].
-///
-/// # Errors
-/// As for [`try_spot_check_sorter_packed_on`].
-pub fn try_spot_check_sorter_packed<P: ChannelPack>(
-    network: &Network,
-    tests: &[P],
-) -> Result<SweepOutcome<P>, EngineError> {
-    try_spot_check_sorter_packed_on(network, tests, Backend::active())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
     use sortnet_network::builders::selection::pruned_selector;
     use sortnet_network::random::NetworkSampler;
-
-    /// A well-formed verification, unwrapped.
-    fn verify(network: &Network, property: Property, strategy: Strategy) -> Report {
-        try_verify(network, property, strategy).unwrap()
-    }
 
     const STRATEGIES: [Strategy; 3] = [
         Strategy::Exhaustive,
@@ -266,13 +315,13 @@ mod tests {
         let merger = half_half_merger(n);
         let selector3 = pruned_selector(n, 3);
         for strategy in STRATEGIES {
-            assert!(verify(&sorter, Property::Sorter, strategy).passed);
-            assert!(verify(&sorter, Property::Merger, strategy).passed);
-            assert!(verify(&sorter, Property::Selector { k: 3 }, strategy).passed);
-            assert!(verify(&merger, Property::Merger, strategy).passed);
-            assert!(!verify(&merger, Property::Sorter, strategy).passed);
-            assert!(verify(&selector3, Property::Selector { k: 3 }, strategy).passed);
-            assert!(!verify(&selector3, Property::Sorter, strategy).passed);
+            assert!(verified(&sorter, Property::Sorter, strategy).passed);
+            assert!(verified(&sorter, Property::Merger, strategy).passed);
+            assert!(verified(&sorter, Property::Selector { k: 3 }, strategy).passed);
+            assert!(verified(&merger, Property::Merger, strategy).passed);
+            assert!(!verified(&merger, Property::Sorter, strategy).passed);
+            assert!(verified(&selector3, Property::Selector { k: 3 }, strategy).passed);
+            assert!(!verified(&selector3, Property::Sorter, strategy).passed);
         }
     }
 
@@ -288,7 +337,7 @@ mod tests {
             ] {
                 let verdicts: Vec<bool> = STRATEGIES
                     .iter()
-                    .map(|&s| verify(&net, property, s).passed)
+                    .map(|&s| verified(&net, property, s).passed)
                     .collect();
                 assert!(
                     verdicts.windows(2).all(|w| w[0] == w[1]),
@@ -303,23 +352,23 @@ mod tests {
         let n = 8u64;
         let net = odd_even_merge_sort(n as usize);
         assert_eq!(
-            verify(&net, Property::Sorter, Strategy::MinimalBinary).tests_run as u128,
+            verified(&net, Property::Sorter, Strategy::MinimalBinary).tests_run as u128,
             sortnet_combinat::binomial::sorting_testset_size_binary(n)
         );
         assert_eq!(
-            verify(&net, Property::Sorter, Strategy::Permutation).tests_run as u128,
+            verified(&net, Property::Sorter, Strategy::Permutation).tests_run as u128,
             sortnet_combinat::binomial::sorting_testset_size_permutation(n)
         );
         assert_eq!(
-            verify(&net, Property::Selector { k: 2 }, Strategy::MinimalBinary).tests_run as u128,
+            verified(&net, Property::Selector { k: 2 }, Strategy::MinimalBinary).tests_run as u128,
             sortnet_combinat::binomial::selector_testset_size_binary(n, 2)
         );
         assert_eq!(
-            verify(&net, Property::Merger, Strategy::MinimalBinary).tests_run as u128,
+            verified(&net, Property::Merger, Strategy::MinimalBinary).tests_run as u128,
             sortnet_combinat::binomial::merging_testset_size_binary(n)
         );
         assert_eq!(
-            verify(&net, Property::Merger, Strategy::Permutation).tests_run as u128,
+            verified(&net, Property::Merger, Strategy::Permutation).tests_run as u128,
             sortnet_combinat::binomial::merging_testset_size_permutation(n)
         );
     }
@@ -328,7 +377,7 @@ mod tests {
     fn witnesses_are_reported_and_genuine() {
         let bad = Network::empty(6);
         for strategy in STRATEGIES {
-            let report = verify(&bad, Property::Sorter, strategy);
+            let report = verified(&bad, Property::Sorter, strategy);
             assert!(!report.passed);
             let w = report.witness.expect("failure must carry a witness");
             assert!(!bad.apply_bits(&w).is_sorted());
@@ -337,7 +386,7 @@ mod tests {
 
     #[test]
     fn try_verify_agrees_with_verify_on_well_formed_inputs() {
-        // Every runnable backend produces the report of the active one.
+        // Every runnable backend produces the report of the scalar one.
         let net = odd_even_merge_sort(8);
         for strategy in STRATEGIES {
             for property in [
@@ -345,11 +394,11 @@ mod tests {
                 Property::Selector { k: 3 },
                 Property::Merger,
             ] {
-                let active = try_verify(&net, property, strategy).unwrap();
+                let scalar = try_verify_on(&net, property, strategy, Backend::Scalar).unwrap();
                 for backend in Backend::runnable() {
                     assert_eq!(
                         try_verify_on(&net, property, strategy, backend).unwrap(),
-                        active,
+                        scalar,
                         "{backend:?}"
                     );
                 }
@@ -361,16 +410,34 @@ mod tests {
     fn try_verify_refuses_unrunnable_parameters_with_typed_errors() {
         let wide = Network::empty(33);
         assert_eq!(
-            try_verify(&wide, Property::Sorter, Strategy::Exhaustive).unwrap_err(),
+            try_verify_on(
+                &wide,
+                Property::Sorter,
+                Strategy::Exhaustive,
+                Backend::active()
+            )
+            .unwrap_err(),
             EngineError::SweepTooLarge { lines: 33 }
         );
         assert_eq!(
-            try_verify(&wide, Property::Selector { k: 2 }, Strategy::Exhaustive).unwrap_err(),
+            try_verify_on(
+                &wide,
+                Property::Selector { k: 2 },
+                Strategy::Exhaustive,
+                Backend::active()
+            )
+            .unwrap_err(),
             EngineError::SweepTooLarge { lines: 33 }
         );
         let net = odd_even_merge_sort(8);
         assert_eq!(
-            try_verify(&net, Property::Selector { k: 9 }, Strategy::MinimalBinary).unwrap_err(),
+            try_verify_on(
+                &net,
+                Property::Selector { k: 9 },
+                Strategy::MinimalBinary,
+                Backend::active()
+            )
+            .unwrap_err(),
             EngineError::IndexOutOfRange {
                 what: "selector k",
                 index: 9,
@@ -407,20 +474,32 @@ mod tests {
         ];
         for (n, property, strategy, what) in refusals {
             assert_eq!(
-                try_verify(&Network::empty(n), property, strategy).unwrap_err(),
+                try_verify_on(&Network::empty(n), property, strategy, Backend::active())
+                    .unwrap_err(),
                 EngineError::TooLarge { what },
                 "n = {n} {property:?} {strategy:?}"
             );
         }
         for (n, strategy) in [(20, Strategy::Permutation), (25, Strategy::MinimalBinary)] {
             assert!(
-                !try_verify(&Network::empty(n), Property::Selector { k: 1 }, strategy)
-                    .unwrap()
-                    .passed
+                !try_verify_on(
+                    &Network::empty(n),
+                    Property::Selector { k: 1 },
+                    strategy,
+                    Backend::active()
+                )
+                .unwrap()
+                .passed
             );
         }
         for strategy in [Strategy::MinimalBinary, Strategy::Permutation] {
-            let report = try_verify(&Network::empty(64), Property::Merger, strategy).unwrap();
+            let report = try_verify_on(
+                &Network::empty(64),
+                Property::Merger,
+                strategy,
+                Backend::active(),
+            )
+            .unwrap();
             assert!(!report.passed);
         }
     }
@@ -437,20 +516,21 @@ mod tests {
             ChannelVec::from_fn(n, |i| i < 70),
             ChannelVec::ones(n),
         ];
-        let outcome = try_spot_check_sorter_packed(&sorter, &tests).unwrap();
+        let outcome = try_spot_check_sorter_packed_on(&sorter, &tests, Backend::active()).unwrap();
         assert_eq!(outcome.tests_run, tests.len() as u64);
         assert!(outcome.witness.is_none(), "{:?}", outcome.witness);
         // A single comparator over 96 lines is nowhere near a sorter; the
         // witness must be genuine (its fault-free output is unsorted).
         let broken = Network::from_pairs(n, &[(0, 1)]);
-        let outcome = try_spot_check_sorter_packed(&broken, &tests).unwrap();
+        let outcome = try_spot_check_sorter_packed_on(&broken, &tests, Backend::active()).unwrap();
         let witness = outcome.witness.expect("a non-sorter must yield a witness");
         let mut block = WideBlock::<1>::from_strings(n, std::slice::from_ref(&witness));
         block.run_with(Backend::active(), &broken);
         assert!(!block.extract_packed::<ChannelVec>(0).is_sorted());
         // Guards: wrong-length tests and over-cap networks refuse cleanly.
         assert_eq!(
-            try_spot_check_sorter_packed(&sorter, &[ChannelVec::zeros(65)]).unwrap_err(),
+            try_spot_check_sorter_packed_on(&sorter, &[ChannelVec::zeros(65)], Backend::active())
+                .unwrap_err(),
             EngineError::InputLengthMismatch {
                 expected: 96,
                 actual: 65

@@ -7,10 +7,17 @@
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
-use sortnet_network::lanes;
+use sortnet_network::lanes::{self, Backend};
 use sortnet_network::properties::selects_correctly;
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
 use sortnet_testsets::{merging, selector, sorting};
+
+/// The minimal-binary verification of `property` on the detected backend.
+fn verify_minimal(net: &Network, property: Property) -> Report {
+    try_verify_on(net, property, Strategy::MinimalBinary, Backend::active()).unwrap()
+}
 
 /// The Theorem 2.2 family, enumerated scalar-style (independent of the
 /// block pipeline under test).
@@ -111,7 +118,7 @@ proptest! {
         let mut sampler = NetworkSampler::new(seed);
         let net = sampler.network(n, 9);
 
-        let v = sorting::verify_sorter_binary(&net);
+        let v = verify_minimal(&net, Property::Sorter);
         let scalar_witness = scalar_sorting_family(n)
             .into_iter()
             .find(|t| !net.apply_bits(t).is_sorted());
@@ -119,7 +126,7 @@ proptest! {
         prop_assert_eq!(v.witness, scalar_witness);
 
         for k in 0..=n {
-            let v = selector::verify_selector_binary(&net, k);
+            let v = verify_minimal(&net, Property::Selector { k });
             let scalar_witness = scalar_selector_family(n, k)
                 .into_iter()
                 .find(|t| !selects_correctly(t, &net.apply_bits(t), k));
@@ -127,7 +134,7 @@ proptest! {
             prop_assert_eq!(v.witness, scalar_witness, "k = {}", k);
         }
 
-        let v = merging::verify_merger_binary(&net);
+        let v = verify_minimal(&net, Property::Merger);
         let scalar_witness = scalar_merging_family(n)
             .into_iter()
             .find(|t| !net.apply_bits(t).is_sorted());

@@ -1,12 +1,15 @@
 //! Differential pin of the word-fed verifiers.
 //!
-//! Every minimal-binary and permutation verification now sweeps packed
-//! words through the lanes: the minimal 0/1 sets come from word
-//! generators, and a permutation test set is swept as the threshold
-//! strings of its permutations.  This suite checks every
-//! `Report` (verdict, `tests_run` and witness) against two references
-//! kept only here:
+//! Every verification sweeps packed words through the lanes: the
+//! exhaustive sets as word ranges and the half-sorted word generator, the
+//! minimal 0/1 sets from word generators, and a permutation test set as
+//! the threshold strings of its permutations.  This suite checks every
+//! `Report` (verdict, `tests_run` and witness) of all nine property ×
+//! strategy cells against three references kept only here:
 //!
+//! * exhaustive: the first input the network handles wrongly, scanned
+//!   scalar-style over `0..2ⁿ` (sorting, selection) or over the
+//!   half-sorted strings in `(z₁, z₂)` order (merging);
 //! * permutations: the per-permutation scalar loops (apply the network to
 //!   each permutation of the materialised test set; on the first one not
 //!   handled, report the first failing threshold string of its cover);
@@ -21,6 +24,7 @@
 use sortnet_combinat::binomial::{
     merging_testset_size_binary, selector_testset_size_binary, sorting_testset_size_binary,
 };
+use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::lanes::{self, Backend, IterSource, WideBlock, DEFAULT_WIDTH};
@@ -37,6 +41,42 @@ fn handles(network: &Network, property: Property, s: &BitString) -> bool {
     match property {
         Property::Selector { k } => selects_correctly(s, &out, k),
         Property::Sorter | Property::Merger => out.is_sorted(),
+    }
+}
+
+/// The half-sorted strings `0^{z₁} 1^{half−z₁} · 0^{z₂} 1^{half−z₂}` in
+/// `(z₁, z₂)` order, `z₂` fastest, built string by string.
+fn scalar_half_sorted(n: usize) -> Vec<BitString> {
+    let half = n / 2;
+    let mut out = Vec::new();
+    for z1 in 0..=half {
+        for z2 in 0..=half {
+            let low = BitString::sorted_with(z1, half - z1);
+            out.push(low.concat(&BitString::sorted_with(z2, half - z2)));
+        }
+    }
+    out
+}
+
+/// The scalar exhaustive verifier: the first input of `0..2ⁿ` (sorting,
+/// selection) or of [`scalar_half_sorted`] (merging) the network handles
+/// wrongly, over `2ⁿ` or `(n/2 + 1)²` tests.
+fn scalar_exhaustive_report(network: &Network, property: Property) -> Report {
+    let n = network.lines();
+    let inputs: Vec<BitString> = match property {
+        Property::Merger => scalar_half_sorted(n),
+        Property::Sorter | Property::Selector { .. } => BitString::all(n).collect(),
+    };
+    let witness = inputs
+        .iter()
+        .copied()
+        .find(|s| !handles(network, property, s));
+    Report {
+        property,
+        strategy: Strategy::Exhaustive,
+        passed: witness.is_none(),
+        tests_run: inputs.len(),
+        witness,
     }
 }
 
@@ -163,6 +203,16 @@ fn properties(n: usize) -> Vec<Property> {
 fn word_fed_reports_equal_the_scalar_and_boxed_references() {
     let backends = Backend::runnable();
     for n in 2..=12usize {
+        // The merger's exhaustive stream is the half-sorted word
+        // generator; pin it word for word, so that even an input no
+        // network can fail (the first, all-one string) is neither dropped
+        // nor moved.
+        if n.is_multiple_of(2) {
+            let words: Vec<BitString> = half_sorted_words(n)
+                .map(|w| BitString::from_word(w, n))
+                .collect();
+            assert_eq!(words, scalar_half_sorted(n), "n={n}");
+        }
         let nets = networks(n);
         for property in properties(n) {
             let perms = match property {
@@ -171,8 +221,11 @@ fn word_fed_reports_equal_the_scalar_and_boxed_references() {
                 Property::Merger => merging::permutation_testset(n),
             };
             for net in &nets {
+                let exhaustive = scalar_exhaustive_report(net, property);
                 let expected = scalar_permutation_report(net, property, &perms);
                 for &backend in &backends {
+                    let got = try_verify_on(net, property, Strategy::Exhaustive, backend).unwrap();
+                    assert_eq!(got, exhaustive, "n={n} {property:?} {backend:?} {net}");
                     let got = try_verify_on(net, property, Strategy::Permutation, backend).unwrap();
                     assert_eq!(got, expected, "n={n} {property:?} {backend:?} {net}");
                     let got =

@@ -7,9 +7,10 @@
 
 use sortnet_combinat::BitString;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
+use sortnet_network::lanes::Backend;
 use sortnet_network::render::ascii_diagram;
 use sortnet_testsets::adversary;
-use sortnet_testsets::verify::{try_verify, Property, Strategy};
+use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
 
 fn main() {
     let n = 8;
@@ -30,7 +31,7 @@ fn main() {
         Strategy::MinimalBinary,
         Strategy::Permutation,
     ] {
-        let report = try_verify(&sorter, Property::Sorter, strategy)
+        let report = try_verify_on(&sorter, Property::Sorter, strategy, Backend::active())
             .expect("n = 8 is well within every sweep bound");
         println!(
             "verify(sorter) with {:?}: passed = {}, tests run = {}",

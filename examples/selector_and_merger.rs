@@ -8,8 +8,15 @@
 
 use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
 use sortnet_network::builders::selection::{chain_selector, pruned_selector};
-use sortnet_testsets::verify::{try_verify, Property, Strategy};
-use sortnet_testsets::{merging, selector};
+use sortnet_network::lanes::Backend;
+use sortnet_network::Network;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+
+/// `property` verified with `strategy` on the detected lane-ops backend.
+fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(net, property, strategy, Backend::active())
+        .expect("the demo sizes have no size refusal")
+}
 
 fn main() {
     let n = 12;
@@ -23,8 +30,8 @@ fn main() {
             ("pruned Batcher", pruned_selector(n, k)),
             ("min-extraction chains", chain_selector(n, k)),
         ] {
-            let b = selector::verify_selector_binary(&net, k);
-            let p = selector::verify_selector_permutations(&net, k);
+            let b = verify(&net, Property::Selector { k }, Strategy::MinimalBinary);
+            let p = verify(&net, Property::Selector { k }, Strategy::Permutation);
             assert_eq!(b.passed, p.passed);
             println!(
                 "{k:>3} {label:>22} {:>12} {:>10} {:>16} {:>16}",
@@ -46,8 +53,8 @@ fn main() {
             ("Batcher odd-even merge", half_half_merger(m)),
             ("full sorter", odd_even_merge_sort(m)),
         ] {
-            let b = merging::verify_merger_binary(&net);
-            let p = merging::verify_merger_permutations(&net);
+            let b = verify(&net, Property::Merger, Strategy::MinimalBinary);
+            let p = verify(&net, Property::Merger, Strategy::Permutation);
             assert_eq!(b.passed, p.passed);
             println!(
                 "{m:>4} {label:>22} {:>12} {:>8} {:>14} {:>14}",
@@ -61,10 +68,8 @@ fn main() {
 
     println!("\n== A merger is not a sorter (and the test sets know it) ==\n");
     let merger = half_half_merger(8);
-    let as_sorter = try_verify(&merger, Property::Sorter, Strategy::MinimalBinary)
-        .expect("minimal-binary sweeps have no size refusal at n = 8");
-    let as_merger = try_verify(&merger, Property::Merger, Strategy::Permutation)
-        .expect("permutation sweeps have no size refusal at n = 8");
+    let as_sorter = verify(&merger, Property::Sorter, Strategy::MinimalBinary);
+    let as_merger = verify(&merger, Property::Merger, Strategy::Permutation);
     println!(
         "odd-even merger (8 lines): merger = {}, sorter = {}",
         as_merger.passed, as_sorter.passed

@@ -12,17 +12,25 @@ use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sor
 use sortnet_network::builders::bitonic::{bitonic_sorter, bitonic_sorter_standardised};
 use sortnet_network::builders::bubble::{bubble_sort_network, insertion_sort_network};
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_network::lanes::{self, RangeSource, Sweep, WideBlock};
+use sortnet_network::lanes::{self, Backend, RangeSource, Sweep, WideBlock};
 use sortnet_network::{BudgetMeter, Network};
 use sortnet_testsets::sorting;
-use sortnet_testsets::verify::{try_spot_check_sorter_packed, try_verify, Property, Strategy};
+use sortnet_testsets::verify::{
+    try_spot_check_sorter_packed_on, try_verify_on, Property, Report, Strategy,
+};
+use sortnet_testsets::EngineError;
+
+/// Sorting verification of `net` by `strategy` on the detected backend.
+fn sorter_report(net: &Network, strategy: Strategy) -> Result<Report, EngineError> {
+    try_verify_on(net, Property::Sorter, strategy, Backend::active())
+}
 
 fn check(label: &str, net: &Network) {
-    let exhaustive = try_verify(net, Property::Sorter, Strategy::Exhaustive)
+    let exhaustive = sorter_report(net, Strategy::Exhaustive)
         .expect("the demo sizes stay below the exhaustive-sweep refusal");
-    let minimal = try_verify(net, Property::Sorter, Strategy::MinimalBinary)
+    let minimal = sorter_report(net, Strategy::MinimalBinary)
         .expect("minimal-binary sweeps have no size refusal at demo sizes");
-    let permutation = try_verify(net, Property::Sorter, Strategy::Permutation)
+    let permutation = sorter_report(net, Strategy::Permutation)
         .expect("permutation sweeps have no size refusal at demo sizes");
     assert_eq!(exhaustive.passed, minimal.passed);
     assert_eq!(exhaustive.passed, permutation.passed);
@@ -111,7 +119,7 @@ fn main() {
     println!(
         "bitonic sorter: standard = {}, sorter (exhaustive oracle) = {}",
         bitonic.is_standard(),
-        try_verify(&bitonic, Property::Sorter, Strategy::Exhaustive)
+        sorter_report(&bitonic, Strategy::Exhaustive)
             .expect("n = 8 is below the exhaustive-sweep refusal")
             .passed
     );
@@ -124,18 +132,14 @@ fn main() {
     // requests come back as an `EngineError` value instead of a panic —
     // here the 2^40 exhaustive sweep a 40-line network would need, where
     // the right move is a minimal test set, not a hang.
-    println!("\nTyped refusals (try_verify):");
+    println!("\nTyped refusals (try_verify_on):");
     let big = Network::empty(40);
-    match try_verify(&big, Property::Sorter, Strategy::Exhaustive) {
+    match sorter_report(&big, Strategy::Exhaustive) {
         Ok(report) => println!("unexpectedly ran: {report:?}"),
         Err(e) => println!("  40-line exhaustive sweep refused: {e}"),
     }
-    let minimal_ok = try_verify(
-        &odd_even_merge_sort(n_pow2),
-        Property::Sorter,
-        Strategy::MinimalBinary,
-    )
-    .expect("minimal-set verification needs no exhaustive sweep");
+    let minimal_ok = sorter_report(&odd_even_merge_sort(n_pow2), Strategy::MinimalBinary)
+        .expect("minimal-set verification needs no exhaustive sweep");
     println!(
         "  the same decision through the Theorem 2.2 set: sorter={} in {} tests",
         minimal_ok.passed, minimal_ok.tests_run
@@ -159,7 +163,7 @@ fn main() {
         ChannelVec::from_fn(wall_n, |i| i >= 64),
         ChannelVec::from_fn(wall_n, |i| (i / 3) % 2 == 0),
     ]);
-    let spot = try_spot_check_sorter_packed(&big_batcher, &probes)
+    let spot = try_spot_check_sorter_packed_on(&big_batcher, &probes, Backend::active())
         .expect("n = 96 fits the channel-line cap");
     println!(
         "\nPast the 64-line wall: Batcher n={wall_n} ({} comparators) spot-checked on {} \
@@ -173,7 +177,8 @@ fn main() {
     // soundly: removing a comparator these probes do exercise yields a
     // concrete unsorted witness.
     let broken = big_batcher.without_comparator(95);
-    let caught = try_spot_check_sorter_packed(&broken, &probes).expect("same cap");
+    let caught =
+        try_spot_check_sorter_packed_on(&broken, &probes, Backend::active()).expect("same cap");
     println!(
         "  minus comparator 95 it is rejected with witness {}",
         caught

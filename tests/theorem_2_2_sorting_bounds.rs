@@ -7,9 +7,17 @@ use sortnet_combinat::BitString;
 use sortnet_network::bitparallel::failing_inputs_from;
 use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sort_recursive};
 use sortnet_network::builders::bubble::bubble_sort_network;
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
 use sortnet_testsets::{adversary, sorting};
+
+/// `property` verified with `strategy` on the detected lane-ops backend.
+fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(net, property, strategy, Backend::active()).unwrap()
+}
 
 #[test]
 fn testset_sizes_match_the_paper_formulas() {
@@ -46,12 +54,12 @@ fn testset_verdicts_agree_with_the_exhaustive_oracle_on_many_networks() {
         for net in candidates {
             let oracle = is_sorter(&net);
             assert_eq!(
-                sorting::verify_sorter_binary(&net).passed,
+                verify(&net, Property::Sorter, Strategy::MinimalBinary).passed,
                 oracle,
                 "binary, {net}"
             );
             assert_eq!(
-                sorting::verify_sorter_permutations(&net).passed,
+                verify(&net, Property::Sorter, Strategy::Permutation).passed,
                 oracle,
                 "permutation, {net}"
             );
@@ -110,8 +118,8 @@ fn zero_one_principle_bridges_the_two_alphabets() {
         for idx in 0..base.size() {
             let mutated = base.without_comparator(idx);
             assert_eq!(
-                sorting::verify_sorter_binary(&mutated).passed,
-                sorting::verify_sorter_permutations(&mutated).passed,
+                verify(&mutated, Property::Sorter, Strategy::MinimalBinary).passed,
+                verify(&mutated, Property::Sorter, Strategy::Permutation).passed,
                 "n = {n}, dropped comparator {idx}"
             );
         }

@@ -4,9 +4,17 @@
 use sortnet_combinat::binomial::{selector_testset_size_binary, selector_testset_size_permutation};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::selection::{chain_selector, pruned_selector};
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_selector;
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
 use sortnet_testsets::selector;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+
+/// `property` verified with `strategy` on the detected lane-ops backend.
+fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(net, property, strategy, Backend::active()).unwrap()
+}
 
 #[test]
 fn testset_sizes_match_the_paper_formulas() {
@@ -47,12 +55,12 @@ fn verifier_verdicts_agree_with_the_exhaustive_oracle() {
             for net in candidates {
                 let oracle = is_selector(&net, k);
                 assert_eq!(
-                    selector::verify_selector_binary(&net, k).passed,
+                    verify(&net, Property::Selector { k }, Strategy::MinimalBinary).passed,
                     oracle,
                     "binary verdict, n = {n}, k = {k}, {net}"
                 );
                 assert_eq!(
-                    selector::verify_selector_permutations(&net, k).passed,
+                    verify(&net, Property::Selector { k }, Strategy::Permutation).passed,
                     oracle,
                     "permutation verdict, n = {n}, k = {k}, {net}"
                 );
@@ -82,7 +90,7 @@ fn pruned_selectors_pass_with_far_fewer_tests_than_exhaustive() {
     let n = 12;
     for k in [1usize, 2, 3] {
         let net = pruned_selector(n, k);
-        let verdict = selector::verify_selector_binary(&net, k);
+        let verdict = verify(&net, Property::Selector { k }, Strategy::MinimalBinary);
         assert!(verdict.passed);
         assert!(
             (verdict.tests_run as u64) < (1u64 << n) / 8,

@@ -4,9 +4,18 @@
 
 use sortnet_combinat::binomial::{merging_testset_size_binary, merging_testset_size_permutation};
 use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::{is_merger, is_merger_by_permutations};
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
+use sortnet_testsets::criteria::is_permutation_testset;
 use sortnet_testsets::merging;
+use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+
+/// `property` verified with `strategy` on the detected lane-ops backend.
+fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
+    try_verify_on(net, property, strategy, Backend::active()).unwrap()
+}
 
 #[test]
 fn testset_sizes_match_the_paper_formulas() {
@@ -46,12 +55,12 @@ fn verifier_verdicts_agree_with_both_exhaustive_oracles() {
                 "oracles disagree on {net}"
             );
             assert_eq!(
-                merging::verify_merger_binary(&net).passed,
+                verify(&net, Property::Merger, Strategy::MinimalBinary).passed,
                 oracle,
                 "binary, {net}"
             );
             assert_eq!(
-                merging::verify_merger_permutations(&net).passed,
+                verify(&net, Property::Merger, Strategy::Permutation).passed,
                 oracle,
                 "permutation, {net}"
             );
@@ -66,11 +75,11 @@ fn dropping_any_comparator_from_batchers_merger_is_caught_by_both_testsets() {
         for idx in 0..merger.size() {
             let broken = merger.without_comparator(idx);
             assert!(
-                !merging::verify_merger_binary(&broken).passed,
+                !verify(&broken, Property::Merger, Strategy::MinimalBinary).passed,
                 "n = {n}: dropping comparator {idx} went unnoticed (0/1 tests)"
             );
             assert!(
-                !merging::verify_merger_permutations(&broken).passed,
+                !verify(&broken, Property::Merger, Strategy::Permutation).passed,
                 "n = {n}: dropping comparator {idx} went unnoticed (n/2 permutations)"
             );
         }
@@ -80,9 +89,10 @@ fn dropping_any_comparator_from_batchers_merger_is_caught_by_both_testsets() {
 #[test]
 fn the_n_over_2_permutations_are_legal_merge_inputs_and_cover_everything() {
     for n in (2..=14usize).step_by(2) {
-        assert!(merging::is_permutation_testset(
+        assert!(is_permutation_testset(
             &merging::permutation_testset(n),
-            n
+            n,
+            Property::Merger
         ));
     }
 }
