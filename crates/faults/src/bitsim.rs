@@ -59,6 +59,32 @@
 //! sorts groups by first-lesion timeline key (whose leading component is
 //! the fork site) and partners within a group by second-lesion site.
 //!
+//! # Stuck-at segments: one fork per pair, none for a null lesion
+//!
+//! The stuck-line universes hold two faults per wire segment `(line ℓ,
+//! cut p)`, stuck-at-0 and stuck-at-1, and the plan visits them as
+//! adjacent singleton groups.  Let `x` be lane `ℓ` of the fault-free
+//! prefix state at `p`.  Comparator networks act on each vector bit
+//! independently (every lane operation is bitwise), so for one vector:
+//!
+//! * if the vector's bit of `x` already equals `v`, forcing `ℓ` to `v`
+//!   changes nothing, and stuck-at-`v` leaves that vector sorted or
+//!   unsorted exactly as the fault-free network does;
+//! * otherwise forcing `ℓ` to `v` *is* complementing that bit.
+//!
+//! So one fork with lane `ℓ` complemented, run through the suffix, gives
+//! mask `F`, and with the fault-free mask `G` of the block,
+//! `detect(stuck-at-v) = (F ∧ [x ≠ v]) ∨ (G ∧ [x = v])` — bit-identical to
+//! two forks, for any network (`G` is zero for a sorter).  When both
+//! faults of a segment are still live the sweep makes that one fork; `G`
+//! costs one suffix run per block, computed on first use.  A lone live
+//! stuck-at-`v` fault whose line already holds `v` on every live vector of
+//! the block is a **null lesion**: its mask is `G` and it forks nothing.
+//! Every input stuck-at fault of a sorter is undetectable and sweeps the
+//! whole list, so these two rules are most of what an early-exit tail
+//! saves.  The meter still admits one fork per live fault per block, so a
+//! `max_forks` budget trips where it did before either rule existed.
+//!
 //! # Lane backends
 //!
 //! All sweeps execute their word kernels on a pluggable lane-ops
@@ -102,6 +128,9 @@
 //!   forms: every precondition comes back as an
 //!   [`EngineError`], and a tripped budget degrades to an exact
 //!   [`Budgeted::Partial`];
+//! * [`detection_matrix_from_source_metered_on`] — the budgeted matrix on
+//!   a caller's [`BudgetMeter`], for runs whose stages share one budget
+//!   (the augmentation search);
 //! * [`first_detections_multi_packed_on`], [`redundant_faults_multi_on`]
 //!   and [`detection_matrix_from_source_packed_on`] — the same three
 //!   operations unbudgeted and unchecked (they panic on bad inputs).  They
@@ -352,11 +381,20 @@ impl DetectionMatrix {
 /// second-lesion sites are nondecreasing within each group.  The
 /// enumeration order of the fault slice itself stays the row/result
 /// order — a plan only changes the *visit* order.
+///
+/// The plan also marks **stuck-at segment pairs**: a singleton group
+/// holding the one-lesion stuck-at-0 fault of a `(line, cut)` segment,
+/// directly followed by the singleton group of its stuck-at-1 partner
+/// (the timeline key orders value 0 first).  [`sweep_block_multi`]
+/// evaluates such a pair with one fork.
 struct SweepPlan {
     /// Fault indices in visit order; groups are contiguous runs.
     members: Vec<usize>,
     /// Exclusive end offset of each group in `members`.
     group_ends: Vec<usize>,
+    /// Per group: `true` when it and the next group are a stuck-at
+    /// segment pair.
+    pairs_next: Vec<bool>,
 }
 
 /// Sort key of one planned fault: `(first-lesion timeline key,
@@ -394,21 +432,120 @@ impl SweepPlan {
         if !members.is_empty() {
             group_ends.push(members.len());
         }
-        Self {
+        let mut plan = Self {
             members,
             group_ends,
+            pairs_next: Vec::new(),
+        };
+        // Each group's lone one-lesion stuck-at fault, if it is one.
+        let lone: Vec<_> = (0..plan.group_count())
+            .map(|g| match *plan.group(g) {
+                [idx] => match faults[idx].lesions() {
+                    [Lesion::Stuck(s)] => Some(*s),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        plan.pairs_next = (0..lone.len())
+            .map(|g| match (lone[g], lone.get(g + 1).copied().flatten()) {
+                (Some(a), Some(b)) => {
+                    (a.line, a.cut, a.value, b.value) == (b.line, b.cut, false, true)
+                }
+                _ => false,
+            })
+            .collect();
+        plan
+    }
+
+    /// Number of groups.
+    fn group_count(&self) -> usize {
+        self.group_ends.len()
+    }
+
+    /// Group `g` in visit order: a slice of fault indices sharing one
+    /// first lesion.
+    fn group(&self, g: usize) -> &[usize] {
+        let start = if g == 0 { 0 } else { self.group_ends[g - 1] };
+        &self.members[start..self.group_ends[g]]
+    }
+
+    /// The groups, in visit order.
+    #[cfg(test)]
+    fn groups(&self) -> impl Iterator<Item = &[usize]> {
+        (0..self.group_count()).map(|g| self.group(g))
+    }
+}
+
+/// The scratch blocks of [`sweep_block_multi`], allocated once per sweep
+/// and reused for every block of it.
+struct ForkScratch<const W: usize> {
+    /// The fault-free prefix state, advanced across the block's groups.
+    prefix: WideBlock<W>,
+    /// A two-level group's state after its shared first lesion.
+    checkpoint: WideBlock<W>,
+    /// The state one fork runs its suffix in.
+    fork: WideBlock<W>,
+    /// The fault-free run to the end of the network.
+    free: WideBlock<W>,
+    /// The block's fault-free detection masks once computed in `free`
+    /// (cleared per block).
+    free_masks: Option<[u64; W]>,
+}
+
+impl<const W: usize> ForkScratch<W> {
+    fn new(lines: usize) -> Self {
+        Self {
+            prefix: WideBlock::zeroed(lines),
+            checkpoint: WideBlock::zeroed(lines),
+            fork: WideBlock::zeroed(lines),
+            free: WideBlock::zeroed(lines),
+            free_masks: None,
         }
     }
 
-    /// The groups, in visit order: each is a slice of fault indices
-    /// sharing one first lesion.
-    fn groups(&self) -> impl Iterator<Item = &[usize]> {
-        self.group_ends.iter().scan(0usize, |start, &end| {
-            let group = &self.members[*start..end];
-            *start = end;
-            Some(group)
-        })
+    /// The block's fault-free detection masks, restricted to `live`: the
+    /// prefix state at `pos` run to the end of the network and scanned,
+    /// at most once per block.  Zero for a sorter; a non-sorter's
+    /// unsorted outputs otherwise.
+    fn fault_free_masks(
+        &mut self,
+        network: &Network,
+        backend: Backend,
+        pos: usize,
+        live: &[u64; W],
+    ) -> [u64; W] {
+        if let Some(masks) = self.free_masks {
+            return masks;
+        }
+        self.free.copy_from(&self.prefix);
+        let mut masks = self
+            .free
+            .run_range_scan_with(backend, network, pos, network.size());
+        for w in 0..W {
+            masks[w] &= live[w];
+        }
+        self.free_masks = Some(masks);
+        masks
     }
+}
+
+/// The detection masks of stuck-at-`value` on a segment whose prefix lane
+/// is `lane`, from the segment's one flipped fork: a live vector whose
+/// line differs from `value` sees exactly the flip, so it takes the
+/// flipped fork's verdict, and any other vector is untouched by the
+/// fault, so it takes the fault-free verdict.
+fn stuck_masks<const W: usize>(
+    value: bool,
+    lane: &[u64; W],
+    flipped: &[u64; W],
+    free: &[u64; W],
+    live: &[u64; W],
+) -> [u64; W] {
+    std::array::from_fn(|w| {
+        let differs = if value { !lane[w] } else { lane[w] };
+        ((flipped[w] & differs) | (free[w] & !differs)) & live[w]
+    })
 }
 
 /// Sweeps one block of tests over every fault via **two-level**
@@ -424,13 +561,31 @@ impl SweepPlan {
 /// Singleton groups fork straight off the prefix — identical to the
 /// single-level engine, with no checkpoint copy.
 ///
+/// Two shortcuts apply to lone one-lesion stuck-at faults, each exact
+/// because lane bits never mix across vectors:
+///
+/// * a **segment pair** ([`SweepPlan`]) whose two faults are both live
+///   forks once: the prefix with the segment's lane complemented runs the
+///   suffix, and each value takes that fork's verdict on the vectors
+///   whose line differs from it and the fault-free verdict on the rest
+///   ([`stuck_masks`]);
+/// * a **null lesion**, a live fault whose value the line already holds
+///   on every live vector, changes nothing: it records the fault-free
+///   verdict and forks nothing.
+///
+/// The fault-free verdict is computed at most once per block, in
+/// `scratch`.
+///
 /// `plan` is the [`SweepPlan`] of `faults`; `skip` filters faults out of
 /// the sweep (used for early exit once a fault has been detected in an
 /// earlier block) — a fully-skipped group costs nothing beyond the
 /// shared prefix advance.
 ///
 /// Every fork (level-1 checkpoint copies and level-2 partner copies
-/// alike) asks `meter` for admission first.  Returns `false` when the
+/// alike) asks `meter` for admission first, and so does every live fault
+/// of a segment pair or null lesion: the meter admits one fork per live
+/// fault per block whether or not a copy is made, so trip points and
+/// progress do not depend on the shortcuts.  Returns `false` when the
 /// meter refuses mid-block — the caller must then discard everything
 /// `record` received for this block (the no-partial-rows guarantee);
 /// unbudgeted callers pass [`BudgetMeter::unlimited`] and always get
@@ -442,38 +597,82 @@ fn sweep_block_multi<const W: usize>(
     plan: &SweepPlan,
     faults: &[MultiFault],
     block: &WideBlock<W>,
+    scratch: &mut ForkScratch<W>,
     skip: impl Fn(usize) -> bool,
     mut record: impl FnMut(usize, [u64; W]),
     meter: &mut BudgetMeter,
 ) -> bool {
-    let mut prefix = block.clone();
-    let mut checkpoint = block.clone();
-    let mut fork = block.clone();
+    scratch.prefix.copy_from(block);
+    scratch.free_masks = None;
     // The live mask depends only on the block's count — hoist it and
     // intersect the raw fused run-and-scan masks per fault.
     let live = block.live_masks();
     let size = network.size();
     let mut pos = 0usize;
-    for group in plan.groups() {
+    let mut g = 0;
+    while g < plan.group_count() {
+        let group = plan.group(g);
+        let paired = plan.pairs_next[g];
+        g += 1;
         let first = faults[group[0]].lesions()[0];
         let site = first.fork_site();
         debug_assert!(site >= pos, "group sites must be nondecreasing");
         if site > pos {
-            prefix.run_range_with(backend, network, pos, site);
+            scratch.prefix.run_range_with(backend, network, pos, site);
             pos = site;
         }
         if let [fault_idx] = *group {
             // Singleton group: single-level fork off the fault-free prefix.
-            if skip(fault_idx) {
-                continue;
+            let mut lone = Some(fault_idx).filter(|&i| !skip(i));
+            if paired {
+                // The next group is the segment's stuck-at-1 fault.
+                let partner = plan.group(g)[0];
+                g += 1;
+                if skip(partner) {
+                    // At most the stuck-at-0 fault is live.
+                } else if lone.is_none() {
+                    lone = Some(partner);
+                } else {
+                    // Both live: one complemented fork serves the pair.
+                    if !meter.admit_fork() || !meter.admit_fork() {
+                        return false;
+                    }
+                    let Lesion::Stuck(stuck) = first else {
+                        unreachable!("a segment pair is stuck-at")
+                    };
+                    let lane = scratch.prefix.lane_words(stuck.line);
+                    scratch.fork.copy_from(&scratch.prefix);
+                    scratch.fork.invert_lane(stuck.line);
+                    let flipped = scratch
+                        .fork
+                        .run_range_scan_with(backend, network, pos, size);
+                    let free = scratch.fault_free_masks(network, backend, pos, &live);
+                    record(fault_idx, stuck_masks(false, &lane, &flipped, &free, &live));
+                    record(partner, stuck_masks(true, &lane, &flipped, &free, &live));
+                    continue;
+                }
             }
+            let Some(fault_idx) = lone else {
+                continue;
+            };
             if !meter.admit_fork() {
                 return false;
             }
-            fork.copy_from(&prefix);
+            if let [Lesion::Stuck(stuck)] = faults[fault_idx].lesions() {
+                // A null lesion: the line already holds the stuck value.
+                let lane = scratch.prefix.lane_words(stuck.line);
+                let held = if stuck.value { [u64::MAX; W] } else { [0; W] };
+                if (0..W).all(|w| (lane[w] ^ held[w]) & live[w] == 0) {
+                    let free = scratch.fault_free_masks(network, backend, pos, &live);
+                    record(fault_idx, free);
+                    continue;
+                }
+            }
+            let fork = &mut scratch.fork;
+            fork.copy_from(&scratch.prefix);
             let mut p = pos;
             for lesion in faults[fault_idx].lesions() {
-                p = apply_lesion_from(network, backend, lesion, &mut fork, p);
+                p = apply_lesion_from(network, backend, lesion, fork, p);
             }
             let mut masks = fork.run_range_scan_with(backend, network, p, size);
             for w in 0..W {
@@ -489,8 +688,9 @@ fn sweep_block_multi<const W: usize>(
         if !meter.admit_fork() {
             return false;
         }
-        checkpoint.copy_from(&prefix);
-        let mut cpos = apply_lesion_from(network, backend, &first, &mut checkpoint, pos);
+        let (checkpoint, fork) = (&mut scratch.checkpoint, &mut scratch.fork);
+        checkpoint.copy_from(&scratch.prefix);
+        let mut cpos = apply_lesion_from(network, backend, &first, checkpoint, pos);
         for &fault_idx in group {
             if skip(fault_idx) {
                 continue;
@@ -503,7 +703,7 @@ fn sweep_block_multi<const W: usize>(
                 // checkpoint (first lesion + fault-free continuation to
                 // `cpos`) is already its evaluation up to `cpos`.
                 [_] => {
-                    fork.copy_from(&checkpoint);
+                    fork.copy_from(checkpoint);
                     cpos
                 }
                 // Level-2 fork: advance the checkpoint fault-free to the
@@ -515,8 +715,8 @@ fn sweep_block_multi<const W: usize>(
                         checkpoint.run_range_with(backend, network, cpos, second_site);
                         cpos = second_site;
                     }
-                    fork.copy_from(&checkpoint);
-                    apply_lesion_from(network, backend, second, &mut fork, cpos)
+                    fork.copy_from(checkpoint);
+                    apply_lesion_from(network, backend, second, fork, cpos)
                 }
                 _ => unreachable!("a MultiFault holds 1 or 2 lesions"),
             };
@@ -675,6 +875,7 @@ impl<'a> EarlyExit<'a> {
         max_blocks: usize,
     ) -> bool {
         let mut block = WideBlock::<V>::zeroed(self.network.lines());
+        let mut scratch = ForkScratch::new(self.network.lines());
         for _ in 0..max_blocks {
             if self.undetected == 0 || !source.next_block(&mut block) {
                 return false;
@@ -690,6 +891,7 @@ impl<'a> EarlyExit<'a> {
                 self.plan,
                 self.faults,
                 &block,
+                &mut scratch,
                 |fault_idx| first[fault_idx].is_some(),
                 |fault_idx, masks| {
                     if let Some(j) = lanes::mask_first(&masks) {
@@ -743,6 +945,7 @@ fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
     let mut rows: Vec<Vec<u64>> = vec![Vec::new(); faults.len()];
     let mut vectors: Vec<P> = Vec::new();
     let mut block = WideBlock::<W>::zeroed(network.lines());
+    let mut forks = ForkScratch::new(network.lines());
     // Per-block scratch: every fault is recorded each block (nothing is
     // skipped), and the masks reach `rows` only once the block commits.
     let mut scratch = vec![[0u64; W]; faults.len()];
@@ -757,6 +960,7 @@ fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
             &plan,
             faults,
             &block,
+            &mut forks,
             |_| false,
             |fault_idx, masks: [u64; W]| scratch[fault_idx] = masks,
             meter,
@@ -1091,14 +1295,34 @@ pub fn detection_matrix_from_source_budgeted_on<
     backend: Backend,
     budget: &SweepBudget,
 ) -> Result<Budgeted<(DetectionMatrix, Vec<P>)>, EngineError> {
+    let mut meter = BudgetMeter::new(budget);
+    let swept =
+        detection_matrix_from_source_metered_on(network, faults, source, backend, &mut meter)?;
+    Ok(meter.finish(swept))
+}
+
+/// [`detection_matrix_from_source_budgeted_on`] on a caller's meter, so
+/// the matrix can be one stage of a longer run under one budget (the
+/// augmentation search grades, sweeps candidates and searches a cover on
+/// one meter).  The matrix and vectors are a whole-block prefix exactly
+/// when the meter trips ([`BudgetMeter::tripped`]).
+///
+/// # Errors
+/// As [`detection_matrix_from_source_budgeted_on`], before any block is
+/// pulled from the source.
+pub fn detection_matrix_from_source_metered_on<const W: usize, P: TestVector, S: BlockSource<W>>(
+    network: &Network,
+    faults: &[MultiFault],
+    source: S,
+    backend: Backend,
+    meter: &mut BudgetMeter,
+) -> Result<(DetectionMatrix, Vec<P>), EngineError> {
     P::ensure_packable(network.lines())?;
     error::ensure_same_lines(network.lines(), source.lines())?;
     for fault in faults {
         fault.check_in_range(network)?;
     }
-    let mut meter = BudgetMeter::new(budget);
-    let swept = matrix_driver(network, backend, faults, source, &mut meter);
-    Ok(meter.finish(swept))
+    Ok(matrix_driver(network, backend, faults, source, meter))
 }
 
 /// Bit-parallel per-fault redundancy check at lane width `W`: `true` iff
@@ -2262,5 +2486,248 @@ mod tests {
             Backend::Scalar
         )
         .is_empty());
+    }
+
+    /// The stuck-line segment-pair and null-lesion test networks on 8
+    /// lines: Batcher's sorter, and two non-sorters (Batcher less one
+    /// comparator, a random network) whose fault-free verdicts are not
+    /// all clear.
+    fn segment_fork_networks() -> Vec<(&'static str, Network)> {
+        use sortnet_network::properties::is_sorter;
+        use sortnet_network::random::NetworkSampler;
+        let batcher = odd_even_merge_sort(8);
+        let mut sampler = NetworkSampler::new(0x5E6_F04C);
+        let nets = vec![
+            ("batcher", batcher.clone()),
+            (
+                "batcher-1",
+                sampler.drop_random_comparator(&batcher).unwrap(),
+            ),
+            ("random", sampler.network(8, 24)),
+        ];
+        assert!(is_sorter(&nets[0].1));
+        assert!(nets[1..].iter().all(|(_, net)| !is_sorter(net)));
+        nets
+    }
+
+    /// Test lists over 8 lines whose detections start in block 0 and
+    /// spread over later blocks at every width.  The last one is built
+    /// for blocks of `block` vectors.
+    fn segment_fork_lists(block: usize) -> Vec<Vec<BitString>> {
+        let unsorted: Vec<BitString> = BitString::all_unsorted(8).collect();
+        let weight = |k: usize| BitString::sorted_with(8 - k, k);
+        // On a sorter, output line 3 holds 1 exactly on inputs of weight
+        // at least 5; stuck-at-0 there is caught by weight 6 and up, and
+        // stuck-at-1 by weight 3 and down.  Block 0 catches stuck-at-0
+        // only; in block 1 the line holds 1 on every vector of lane word
+        // 0, and stuck-at-1 is caught in word 1, so that fault is live
+        // and not a null lesion.
+        let mut split_words = vec![weight(6)];
+        split_words.resize(block, weight(4));
+        split_words.extend(std::iter::repeat_n(weight(5), 64 + 7));
+        split_words.push(weight(2));
+        split_words.extend(std::iter::repeat_n(weight(5), 100));
+        vec![
+            // No all-zero and no all-ones vector: on a sorter, stuck-at-1
+            // of the last output and stuck-at-0 of the first are never
+            // detected while their partners fall in block 0, and then
+            // are null lesions in every later block.
+            unsorted.iter().cycle().take(1024 + 300).copied().collect(),
+            spread_list(256 * 5 + 77),
+            BitString::all(8).collect(),
+            split_words,
+        ]
+    }
+
+    /// Segment pairs and null lesions against the scalar references, for
+    /// the three sweeps, at lane width `W` on every runnable backend.
+    fn segment_forks_agree<const W: usize>() {
+        use crate::universe::{
+            is_multi_fault_redundant, multi_detects, multi_first_detection_index, FaultUniverse,
+            StuckLine,
+        };
+        let capped = SweepBudget::unlimited().with_max_blocks(u64::MAX);
+        for (name, net) in segment_fork_networks() {
+            let faults: Vec<MultiFault> = StuckLine.iter(&net).collect();
+            let plan = SweepPlan::new(&net, &faults);
+            assert_eq!(
+                plan.pairs_next.iter().filter(|&&p| p).count() * 2,
+                faults.len(),
+                "{name}: every stuck-line segment is a planned pair"
+            );
+            let redundant: Vec<bool> = faults
+                .iter()
+                .map(|f| is_multi_fault_redundant(&net, f))
+                .collect();
+            for (l, tests) in segment_fork_lists(W * 64).iter().enumerate() {
+                let scalar: Vec<Option<usize>> = faults
+                    .iter()
+                    .map(|f| multi_first_detection_index(&net, f, tests))
+                    .collect();
+                if name == "batcher" && l == 0 {
+                    // One fault of a segment caught in block 0, its
+                    // partner never.
+                    let split = plan.members.chunks(2).any(|pair| {
+                        let [a, b] = [scalar[pair[0]], scalar[pair[1]]];
+                        matches!((a, b), (Some(t), None) | (None, Some(t)) if t < W * 64)
+                    });
+                    assert!(split, "W={W}: no split segment");
+                }
+                for backend in Backend::runnable() {
+                    let label = format!("{name} list {l} W={W} {}", backend.name());
+                    let wide = first_detections_multi_packed_on::<W, BitString>(
+                        &net, &faults, tests, backend,
+                    );
+                    assert_eq!(wide, scalar, "first detections: {label}");
+                    let narrow = first_detections_multi_budgeted_packed_on::<W, BitString>(
+                        &net, &faults, tests, backend, &capped,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        narrow,
+                        Budgeted::Complete(scalar.clone()),
+                        "capped: {label}"
+                    );
+                }
+            }
+            let all: Vec<BitString> = BitString::all(8).collect();
+            for backend in Backend::runnable() {
+                let label = format!("{name} W={W} {}", backend.name());
+                assert_eq!(
+                    redundant_faults_multi_on::<W>(&net, &faults, backend),
+                    redundant,
+                    "redundancy: {label}"
+                );
+                let (matrix, _) = detection_matrix_from_source_packed_on::<W, BitString, _>(
+                    &net,
+                    &faults,
+                    SliceSource::new(8, &all),
+                    backend,
+                );
+                for (f, fault) in faults.iter().enumerate() {
+                    for (t, test) in all.iter().enumerate() {
+                        assert_eq!(
+                            matrix.is_detected_by(f, t),
+                            multi_detects(&net, fault, test),
+                            "matrix: {label} fault {fault} test {test}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_pair_and_null_lesion_forks_match_the_scalar_references() {
+        segment_forks_agree::<1>();
+        segment_forks_agree::<2>();
+        segment_forks_agree::<4>();
+        segment_forks_agree::<8>();
+        segment_forks_agree::<16>();
+    }
+
+    /// Where a `max_forks` budget trips, from the scalar first detections
+    /// alone: block `b` admits one fork per fault still undetected before
+    /// it, so the sweep trips in the first block whose running total
+    /// passes the cap, having committed every block before it.
+    fn expected_fork_trip(
+        scalar: &[Option<usize>],
+        len: usize,
+        block: usize,
+        cap: u64,
+    ) -> Option<(u64, u64)> {
+        let mut forks = 0u64;
+        for b in 0..len.div_ceil(block) {
+            let start = b * block;
+            forks += scalar
+                .iter()
+                .filter(|d| d.is_none_or(|t| t >= start))
+                .count() as u64;
+            if forks > cap {
+                let vectors = len.min(start + block) as u64;
+                return Some((b as u64 + 1, vectors));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn fork_budgets_trip_at_one_admission_per_live_fault_per_block() {
+        use crate::universe::{multi_first_detection_index, FaultUniverse, StuckLine};
+        use sortnet_network::budget::BudgetReason;
+        fn check<const W: usize>(net: &Network, faults: &[MultiFault], tests: &[BitString]) {
+            let block = W * 64;
+            let scalar: Vec<Option<usize>> = faults
+                .iter()
+                .map(|f| multi_first_detection_index(net, f, tests))
+                .collect();
+            for cap in [0u64, 1, 91, 92, 93, 150, 400, 1000, 5000] {
+                let budget = SweepBudget::unlimited().with_max_forks(cap);
+                let label = format!("W={W} cap={cap}");
+                let out = first_detections_multi_budgeted_packed_on::<W, BitString>(
+                    net,
+                    faults,
+                    tests,
+                    Backend::Scalar,
+                    &budget,
+                )
+                .unwrap();
+                match (expected_fork_trip(&scalar, tests.len(), block, cap), out) {
+                    (None, Budgeted::Complete(first)) => assert_eq!(first, scalar, "{label}"),
+                    (
+                        Some((blocks, vectors)),
+                        Budgeted::Partial {
+                            progress,
+                            reason,
+                            best_so_far,
+                        },
+                    ) => {
+                        assert_eq!(reason, BudgetReason::Forks, "{label}");
+                        assert_eq!(progress.blocks, blocks, "{label}");
+                        assert_eq!(progress.vectors, vectors, "{label}");
+                        assert_eq!(progress.forks, cap, "{label}");
+                        let committed = (blocks as usize - 1) * block;
+                        let expected: Vec<Option<usize>> = scalar
+                            .iter()
+                            .map(|d| d.filter(|&t| t < committed))
+                            .collect();
+                        assert_eq!(best_so_far, expected, "{label}");
+                    }
+                    (expected, out) => panic!("{label}: expected {expected:?}, got {out:?}"),
+                }
+                // The matrix admits every fault in every block.
+                let matrix = detection_matrix_from_source_budgeted_on::<W, BitString, _>(
+                    net,
+                    faults,
+                    SliceSource::new(net.lines(), tests),
+                    Backend::Scalar,
+                    &budget,
+                )
+                .unwrap();
+                let per_block = faults.len() as u64;
+                let blocks = tests.len().div_ceil(block) as u64;
+                if cap >= per_block * blocks {
+                    assert!(matrix.is_complete(), "matrix {label}");
+                } else if let Budgeted::Partial {
+                    progress,
+                    best_so_far: (partial, _),
+                    ..
+                } = matrix
+                {
+                    assert_eq!(progress.blocks, cap / per_block + 1, "matrix {label}");
+                    assert_eq!(progress.forks, cap, "matrix {label}");
+                    let committed = (cap / per_block) as usize * block;
+                    assert_eq!(partial.test_count(), committed.min(tests.len()), "{label}");
+                } else {
+                    panic!("matrix {label}: a {cap}-fork budget must trip");
+                }
+            }
+        }
+        let net = odd_even_merge_sort(8);
+        let faults: Vec<MultiFault> = StuckLine.iter(&net).collect();
+        assert_eq!(faults.len(), 92);
+        let tests = &segment_fork_lists(64)[0];
+        check::<1>(&net, &faults, tests);
+        check::<4>(&net, &faults, tests);
     }
 }

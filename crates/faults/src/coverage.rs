@@ -493,7 +493,6 @@ fn scalar_results_pooled<P: TestVector + Sync>(
     faults: &[MultiFault],
     tests: &[P],
     mode: RedundancyMode,
-    budget: &SweepBudget,
     meter: &mut BudgetMeter,
     workers: Option<usize>,
 ) -> (Vec<Option<usize>>, Vec<bool>, Vec<std::thread::ThreadId>) {
@@ -508,7 +507,7 @@ fn scalar_results_pooled<P: TestVector + Sync>(
     let workers = workers
         .unwrap_or_else(rayon::current_num_threads)
         .clamp(1, faults.len().max(1));
-    let shares = budget.split_shares(workers);
+    let shares = meter.remaining().split_shares(workers);
     // Chunk bounds à la slice::chunks: the first `len % workers` chunks
     // take one extra fault.
     let base = faults.len() / workers;
@@ -605,12 +604,35 @@ pub fn coverage_of_universe_budgeted_packed_with<P: TestVector + Sync>(
     backend: Backend,
     budget: &SweepBudget,
 ) -> Result<Budgeted<CoverageReport>, EngineError> {
-    let faults = check_coverage_inputs(network, universe, tests, mode)?;
     let mut meter = BudgetMeter::new(budget);
+    let report =
+        coverage_of_universe_metered(network, universe, tests, mode, engine, backend, &mut meter)?;
+    Ok(meter.finish(report))
+}
+
+/// [`coverage_of_universe_budgeted_packed_with`] on a caller's meter, so a
+/// grade can be the first stage of a longer run (the augmentation search
+/// in `sortnet-testsets`) and the one budget bounds every stage.  The
+/// report is conservative exactly when the meter trips
+/// ([`BudgetMeter::tripped`]); a meter that has already spent part of its
+/// budget admits only the rest ([`BudgetMeter::remaining`]).
+///
+/// # Errors
+/// Every refusal of [`check_coverage_inputs`], before any sweep runs.
+pub fn coverage_of_universe_metered<P: TestVector + Sync>(
+    network: &Network,
+    universe: &dyn FaultUniverse,
+    tests: &[P],
+    mode: RedundancyMode,
+    engine: FaultSimEngine,
+    backend: Backend,
+    meter: &mut BudgetMeter,
+) -> Result<CoverageReport, EngineError> {
+    let faults = check_coverage_inputs(network, universe, tests, mode)?;
     let (first, redundant) = match engine.lane_width() {
         None => {
             let (first, redundant, _workers) =
-                scalar_results_pooled(network, &faults, tests, mode, budget, &mut meter, None);
+                scalar_results_pooled(network, &faults, tests, mode, meter, None);
             (first, redundant)
         }
         Some(width) => {
@@ -621,11 +643,10 @@ pub fn coverage_of_universe_budgeted_packed_with<P: TestVector + Sync>(
                 LaneWidth::W8 => bitparallel_results_metered::<8, P>,
                 LaneWidth::W16 => bitparallel_results_metered::<16, P>,
             };
-            run(network, &faults, tests, mode, backend, &mut meter)
+            run(network, &faults, tests, mode, backend, meter)
         }
     };
-    let report = summarise_verdicts(&faults, &first, &redundant, mode);
-    Ok(meter.finish(report))
+    Ok(summarise_verdicts(&faults, &first, &redundant, mode))
 }
 
 /// [`coverage_of_universe_budgeted_packed_with`] unbudgeted, on
@@ -1330,7 +1351,7 @@ mod tests {
         let budget = SweepBudget::unlimited();
         let mut meter = BudgetMeter::new(&budget);
         let (first, redundant, workers) =
-            scalar_results_pooled(&net, &faults, &tests, Skip, &budget, &mut meter, Some(4));
+            scalar_results_pooled(&net, &faults, &tests, Skip, &mut meter, Some(4));
         let distinct: std::collections::HashSet<_> = workers.into_iter().collect();
         assert!(
             distinct.len() >= 2,
@@ -1357,8 +1378,7 @@ mod tests {
         let cap = 5u64;
         let budget = SweepBudget::unlimited().with_max_blocks(cap);
         let mut meter = BudgetMeter::new(&budget);
-        let (first, _, _) =
-            scalar_results_pooled(&net, &faults, &tests, Skip, &budget, &mut meter, Some(4));
+        let (first, _, _) = scalar_results_pooled(&net, &faults, &tests, Skip, &mut meter, Some(4));
         assert_eq!(meter.tripped(), Some(BudgetReason::Blocks));
         let progress = meter.progress();
         assert!(progress.blocks <= cap, "{progress:?}");

@@ -311,6 +311,27 @@ impl BudgetMeter {
         }
     }
 
+    /// What is left of the budget: each counted axis less the work
+    /// already committed (floored at zero), with the same deadline and
+    /// cancel token.  A run that hands a later phase to per-worker
+    /// meters splits this ([`SweepBudget::split_shares`]), so the phases
+    /// together stay within the one budget.
+    #[must_use]
+    pub fn remaining(&self) -> SweepBudget {
+        SweepBudget {
+            max_blocks: self
+                .budget
+                .max_blocks
+                .map(|max| max.saturating_sub(self.progress.blocks)),
+            max_forks: self
+                .budget
+                .max_forks
+                .map(|max| max.saturating_sub(self.progress.forks)),
+            deadline: self.budget.deadline,
+            cancel: self.budget.cancel.clone(),
+        }
+    }
+
     /// The axis that tripped, if any.
     #[must_use]
     pub fn tripped(&self) -> Option<BudgetReason> {

@@ -200,27 +200,72 @@ const COUNT_PATTERNS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Transposes a 64×64 bit matrix in place: bit `c` of row `r` moves to
-/// bit `r` of row `c`.  Six rounds of masked swaps, each exchanging the
-/// off-diagonal `j×j` sub-blocks of every `2j×2j` diagonal block
-/// (`j = 32, 16, …, 1`).
-fn transpose_64x64(rows: &mut [u64; 64]) {
-    const ROUNDS: [(usize, u64); 6] = [
-        (32, 0x0000_0000_FFFF_FFFF),
-        (16, 0x0000_FFFF_0000_FFFF),
-        (8, 0x00FF_00FF_00FF_00FF),
-        (4, 0x0F0F_0F0F_0F0F_0F0F),
-        (2, 0x3333_3333_3333_3333),
-        (1, 0x5555_5555_5555_5555),
-    ];
-    for (j, mask) in ROUNDS {
-        for base in (0..64).step_by(2 * j) {
-            for r in base..base + j {
-                let t = ((rows[r] >> j) ^ rows[r + j]) & mask;
-                rows[r + j] ^= t;
-                rows[r] ^= t << j;
-            }
+/// One masked-swap round of the 64×64 transpose over rows `0..ROWS`:
+/// exchanges the off-diagonal `J×J` sub-blocks of every `2J×2J` diagonal
+/// block, i.e. swaps bit `log2 J` of each bit's row and column index.
+#[inline(always)]
+fn swap_round<const J: usize, const ROWS: usize>(rows: &mut [u64; 64], mask: u64) {
+    for base in (0..ROWS).step_by(2 * J) {
+        for r in base..base + J {
+            let t = ((rows[r] >> J) ^ rows[r + J]) & mask;
+            rows[r + J] ^= t;
+            rows[r] ^= t << J;
         }
+    }
+}
+
+/// A swap round whose upper output rows are never read: when every
+/// column `≥ J` is zero, row `r < J` keeps its own bits and takes row
+/// `r + J`'s shifted up by `J`, and rows `J..2J` are left stale.
+#[inline(always)]
+fn fold_round<const J: usize>(rows: &mut [u64; 64]) {
+    for r in 0..J {
+        rows[r] |= rows[r + J] << J;
+    }
+}
+
+/// Transposes a 64×64 bit matrix whose columns `LIVE..64` are zero (bit
+/// `c` of row `r` moves to bit `r` of row `c`) and leaves the result in
+/// rows `0..LIVE`; rows past it hold garbage.
+///
+/// Six rounds (`J = 32, 16, …, 1`) each swap bit `log2 J` of every bit's
+/// row and column index.  A round with `J ≥ LIVE` meets only zero column
+/// bits `log2 J`, so after it every set bit sits in rows `0..J`: it is a
+/// [`fold_round`] over `J` rows, and later rounds run over `LIVE` rows.
+/// `LIVE = 64` is the full transpose; `LIVE = 16` costs 32 + 16 row
+/// folds and four 8-pair swap rounds instead of six 32-pair ones.
+#[inline(always)]
+fn transpose_live<const LIVE: usize>(rows: &mut [u64; 64]) {
+    if LIVE <= 32 {
+        fold_round::<32>(rows);
+    } else {
+        swap_round::<32, 64>(rows, 0x0000_0000_FFFF_FFFF);
+    }
+    if LIVE <= 16 {
+        fold_round::<16>(rows);
+    } else {
+        swap_round::<16, LIVE>(rows, 0x0000_FFFF_0000_FFFF);
+    }
+    if LIVE <= 8 {
+        fold_round::<8>(rows);
+    } else {
+        swap_round::<8, LIVE>(rows, 0x00FF_00FF_00FF_00FF);
+    }
+    swap_round::<4, LIVE>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_round::<2, LIVE>(rows, 0x3333_3333_3333_3333);
+    swap_round::<1, LIVE>(rows, 0x5555_5555_5555_5555);
+}
+
+/// Transposes the 64 rows of one channel word whose bits `lines..64` are
+/// zero, leaving lane rows `0..lines` (`1 ≤ lines ≤ 64`) in `rows`: the
+/// live-lane transpose for the smallest of 8, 16, 32 or 64 lanes that
+/// covers `lines`.
+fn transpose_rows(rows: &mut [u64; 64], lines: usize) {
+    match lines {
+        0..=8 => transpose_live::<8>(rows),
+        9..=16 => transpose_live::<16>(rows),
+        17..=32 => transpose_live::<32>(rows),
+        _ => transpose_live::<64>(rows),
     }
 }
 
@@ -287,8 +332,11 @@ impl<const W: usize> WideBlock<W> {
     /// Word-level packing: for each group of 64 vectors (lane word `w`)
     /// and each channel word `k`, the 64 vectors' words `k` form a 64×64
     /// bit matrix whose transpose is exactly lane rows `64k..64k + 64` of
-    /// word `w`.  Missing vectors are zero rows, so every lane bit past
-    /// `inputs.len()` is zero.
+    /// word `w`.  A chunk of at most 32, 16 or 8 lines transposes only
+    /// those lanes ([`transpose_rows`]); `ChannelPack::word` keeps bits
+    /// past the length zero, as the live-lane rounds need.  Missing
+    /// vectors are zero rows, so every lane bit past `inputs.len()` is
+    /// zero.
     fn fill_from_strings<P: ChannelPack>(&mut self, inputs: &[P]) {
         let n = self.lanes.len();
         for s in inputs {
@@ -303,7 +351,7 @@ impl<const W: usize> WideBlock<W> {
                     *row = s.word(k);
                 }
                 rows[group.len()..].fill(0);
-                transpose_64x64(&mut rows);
+                transpose_rows(&mut rows, lanes.len());
                 for (lane, &row) in lanes.iter_mut().zip(&rows) {
                     lane[w] = row;
                 }
@@ -314,16 +362,20 @@ impl<const W: usize> WideBlock<W> {
 
     /// Overwrites the block with the next up-to-`W × 64` one-word vectors
     /// of `words` and returns how many it took.  Each group of 64 words is
-    /// already the row set of the 64×64 transpose, so no vector is built;
-    /// bits at or past the line count fall on rows that are not lanes.
+    /// already the row set of the 64×64 transpose, so no vector is built.
+    /// Each word is masked to its `n` line bits first: a stray bit past
+    /// the line count would otherwise be folded into a live lane by the
+    /// live-lane rounds of [`transpose_rows`].
     fn fill_from_words(&mut self, words: &mut impl Iterator<Item = u64>) -> u32 {
+        let n = self.lanes.len();
+        let line_bits = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
         let mut rows = [0u64; 64];
         let mut count = 0u32;
         for w in 0..W {
             let mut taken = 0;
             if count as usize == w * 64 {
                 for (row, word) in rows.iter_mut().zip(words.by_ref()) {
-                    *row = word;
+                    *row = word & line_bits;
                     taken += 1;
                 }
             }
@@ -334,7 +386,7 @@ impl<const W: usize> WideBlock<W> {
                 continue;
             }
             rows[taken..].fill(0);
-            transpose_64x64(&mut rows);
+            transpose_rows(&mut rows, n);
             for (lane, &row) in self.lanes.iter_mut().zip(&rows) {
                 lane[w] = row;
             }
@@ -493,6 +545,20 @@ impl<const W: usize> WideBlock<W> {
     #[inline]
     pub fn fill_lane(&mut self, line: usize, value: bool) {
         self.lanes[line] = if value { [u64::MAX; W] } else { [0u64; W] };
+    }
+
+    /// Complements line `line` in every vector of the block: the one fork
+    /// that evaluates both stuck-at values of a wire segment at once (a
+    /// vector whose line already holds `v` is unchanged by stuck-at-`v`,
+    /// and every other vector sees exactly this flip).
+    ///
+    /// # Panics
+    /// Panics if `line` is out of range.
+    #[inline]
+    pub fn invert_lane(&mut self, line: usize) {
+        for word in &mut self.lanes[line] {
+            *word = !*word;
+        }
     }
 
     /// Rewrites the pair of lanes `(i, j)` through an arbitrary 64-lane
@@ -1064,6 +1130,47 @@ mod tests {
     use super::*;
     use crate::budget::Budgeted;
     use crate::builders::batcher::odd_even_merge_sort;
+
+    #[test]
+    fn live_lane_transpose_matches_the_per_bit_reference_at_every_row_width() {
+        // Rows of `lines` bits (every column past it zero), including all
+        // zeros, all ones and a SplitMix64 stream: output row `c < lines`
+        // must hold bit `c` of every input row, whichever round shape the
+        // width selects.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for lines in 1..=64usize {
+            let line_bits = if lines == 64 {
+                u64::MAX
+            } else {
+                (1u64 << lines) - 1
+            };
+            for fill in 0..4 {
+                let input: [u64; 64] = std::array::from_fn(|r| match fill {
+                    0 => 0,
+                    1 => line_bits,
+                    // A ragged last group: rows past 37 are missing vectors.
+                    2 if r >= 37 => 0,
+                    _ => next() & line_bits,
+                });
+                let mut rows = input;
+                transpose_rows(&mut rows, lines);
+                for (c, &row) in rows.iter().enumerate().take(lines) {
+                    let expected = input
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |acc, (r, &word)| acc | (((word >> c) & 1) << r));
+                    assert_eq!(row, expected, "lines={lines} fill={fill} row {c}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn from_range_counting_patterns_match_from_strings() {

@@ -4,14 +4,20 @@
 //! pack vectors into lanes by 64×64 bit-matrix transposes of their channel
 //! words.  This suite checks them against a per-bit reference (lane `i`, word `w`, bit `j` is line
 //! `i` of vector `64w + j`) across the seams that matter: line counts on
-//! either side of each channel word, every lane width, and vector counts
-//! on either side of each lane word and of a full block.
+//! either side of each live-lane round shape (8, 16, 32 lines) and of each
+//! channel word, every lane width, and vector counts on either side of
+//! each lane word and of a full block.
 
 use sortnet_combinat::bitstrings::low_mask;
 use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
 use sortnet_network::lanes::{BlockSource, IterSource, SliceSource, WideBlock, WordSource};
 
-const LINES: [usize; 8] = [1, 6, 63, 64, 65, 127, 128, 129];
+/// Line counts on either side of the transpose's round shapes (a chunk of
+/// at most 8, 16 or 32 lines computes only those lanes) and of the
+/// channel words.
+const LINES: [usize; 17] = [
+    1, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+];
 
 /// The per-bit fill: one test per line per vector.
 fn reference_lanes<const W: usize, P: ChannelPack>(n: usize, inputs: &[P]) -> Vec<[u64; W]> {
@@ -128,7 +134,9 @@ fn channel_vec_fill_matches_the_per_bit_reference() {
 }
 
 /// `WordSource` fills exactly the blocks `IterSource<BitString>` fills
-/// from the same vectors, with stray bits past the line count ignored.
+/// from the same vectors, with stray bits past the line count ignored
+/// (the live-lane rounds would fold them into live lanes if they were
+/// not masked off).
 fn check_word_source<const W: usize>(n: usize) {
     let cap = W * 64;
     for count in [0]
@@ -158,7 +166,7 @@ fn check_word_source<const W: usize>(n: usize) {
 
 #[test]
 fn word_source_fill_matches_the_bitstring_iter_source() {
-    for n in [1, 6, 63, 64] {
+    for n in LINES.into_iter().filter(|&n| n <= 64) {
         check_word_source::<1>(n);
         check_word_source::<2>(n);
         check_word_source::<4>(n);

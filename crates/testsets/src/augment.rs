@@ -12,10 +12,10 @@
 //! # Pipeline
 //!
 //! 1. **Missed faults.**  A coverage run with redundancy classification
-//!    ([`coverage_of_universe_budgeted_packed_with`]) names the detectable
+//!    ([`coverage_of_universe_metered`]) names the detectable
 //!    faults the base set fails to catch (`CoverageReport::missed_faults`).
 //! 2. **Candidates × missed-faults matrix.**  One streamed wide-lane pass
-//!    ([`detection_matrix_from_source_budgeted_on`], metered block by
+//!    ([`detection_matrix_from_source_metered_on`], metered block by
 //!    block) grades a candidate family — all `2^n` vectors, a structured family,
 //!    or an explicit list (see [`CandidatePool`]) — against exactly the
 //!    missed faults, without materialising the family ahead of the sweep.
@@ -43,7 +43,8 @@
 //!
 //! Both entry points are typed (every refusal is an [`EngineError`]),
 //! budgeted by [`SearchOptions::budget`], and generic over the vector
-//! packing `P`:
+//! packing `P`.  One [`BudgetMeter`] spans every stage of a call, so a
+//! counted budget bounds the whole search, not each stage:
 //!
 //! * [`try_minimum_augmentation_packed`] — end to end: coverage run,
 //!   matrix, search;
@@ -57,9 +58,9 @@
 use std::collections::HashSet;
 
 use sortnet_combinat::{BitString, ChannelPack};
-use sortnet_faults::bitsim::detection_matrix_from_source_budgeted_on;
+use sortnet_faults::bitsim::detection_matrix_from_source_metered_on;
 use sortnet_faults::coverage::{
-    coverage_of_universe_budgeted_packed_with, CoverageReport, FaultSimEngine, RedundancyMode,
+    coverage_of_universe_metered, CoverageReport, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{FaultUniverse, MultiFault, TestVector};
 use sortnet_faults::DetectionMatrix;
@@ -232,6 +233,15 @@ impl SetCoverInstance {
         budget: &SweepBudget,
     ) -> Budgeted<SetCoverSolution> {
         let mut meter = BudgetMeter::new(budget);
+        let solution = self.solve_metered(node_budget, &mut meter);
+        meter.finish(solution)
+    }
+
+    /// [`Self::solve_budgeted`] on a caller's meter: the last stage of an
+    /// augmentation, admitted against what the grade and the candidate
+    /// matrix left of the budget.  A meter that has already tripped
+    /// expands no node, so the greedy cover comes back uncertified.
+    fn solve_metered(&self, node_budget: Option<u64>, meter: &mut BudgetMeter) -> SetCoverSolution {
         let words = mask_words(self.elements);
         let mut target = vec![0u64; words];
         for e in 0..self.elements {
@@ -279,7 +289,7 @@ impl SetCoverInstance {
                 best: greedy.clone(),
                 nodes: 0,
                 budget: node_budget,
-                meter: &mut meter,
+                meter,
                 aborted: false,
             };
             if lower_bound < search.best.len() {
@@ -288,7 +298,7 @@ impl SetCoverInstance {
             }
             (search.best, search.nodes, search.aborted)
         };
-        let solution = SetCoverSolution {
+        SetCoverSolution {
             greedy,
             minimum: best,
             lower_bound,
@@ -296,8 +306,7 @@ impl SetCoverInstance {
             nodes,
             uncoverable,
             witness,
-        };
-        meter.finish(solution)
+        }
     }
 
     /// Greedy cover of `target`: repeatedly the set with the largest
@@ -546,8 +555,9 @@ pub struct SearchOptions {
     /// greedy cover is always available, so an exhausted budget degrades
     /// the result to "best found, uncertified", never to nothing.
     pub node_budget: Option<u64>,
-    /// Wall-clock / cancellation budget.  It meters every expensive stage,
-    /// each on its own meter: the base coverage grade of
+    /// Wall-clock / cancellation budget.  It meters every expensive stage
+    /// of one call on one meter, so the counted axes bound the whole call:
+    /// the base coverage grade of
     /// [`try_minimum_augmentation_packed`], the streamed candidate ×
     /// missed-fault matrix (admitted block by block; whole blocks commit or
     /// are discarded atomically) and the branch-and-bound set-cover search
@@ -691,18 +701,19 @@ fn report_from_solution<P: Clone>(
 /// fault is [`EngineError::InfeasibleCover`] carrying the
 /// uncoverable-fault count.
 ///
-/// `options.budget` meters both expensive stages.  The streamed candidate
-/// matrix is admitted block by block
-/// ([`detection_matrix_from_source_budgeted_on`]), with whole blocks
+/// `options.budget` meters both expensive stages on one meter.  The
+/// streamed candidate matrix is admitted block by block
+/// ([`detection_matrix_from_source_metered_on`]), with whole blocks
 /// committed or discarded atomically; a trip there degrades to
 /// [`Budgeted::Partial`] whose report covers exactly the committed
 /// candidate prefix (`candidates_considered` counts it) with
 /// `certified = false` — and is **never** [`EngineError::InfeasibleCover`],
 /// because a fault uncoverable by the streamed prefix may be covered by
 /// the unstreamed remainder.  The branch-and-bound set-cover search is
-/// metered one fork admission per expanded node; a trip there degrades
-/// the same way, still carrying the greedy cover and the valid root
-/// `lower_bound` certificate.
+/// metered one fork admission per expanded node against what the matrix
+/// left; a trip there degrades the same way, still carrying the greedy
+/// cover and the valid root `lower_bound` certificate.  After a matrix
+/// trip the search expands no node.
 ///
 /// # Errors
 /// [`EngineError`] as described above.
@@ -712,54 +723,50 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
     pool: &CandidatePool<P>,
     options: &SearchOptions,
 ) -> Result<Budgeted<AugmentationReport<P>>, EngineError> {
+    let mut meter = BudgetMeter::new(&options.budget);
+    let report = augmentation_for_missed_metered(network, missed, pool, options, &mut meter)?;
+    Ok(meter.finish(report))
+}
+
+/// [`try_augmentation_for_missed_packed`] on a caller's meter: the
+/// candidate matrix and the cover search admit their blocks and nodes
+/// against one budget, whatever stage spent part of it before.
+fn augmentation_for_missed_metered<P: TestVector>(
+    network: &Network,
+    missed: &[MultiFault],
+    pool: &CandidatePool<P>,
+    options: &SearchOptions,
+    meter: &mut BudgetMeter,
+) -> Result<AugmentationReport<P>, EngineError> {
     if missed.is_empty() {
-        return Ok(Budgeted::Complete(empty_report()));
+        return Ok(empty_report());
     }
     let n = network.lines();
     P::ensure_packable(n)?;
     if matches!(pool, CandidatePool::Exhaustive | CandidatePool::SortedFirst) {
         error::ensure_sweepable(n)?;
     }
-    let swept = detection_matrix_from_source_budgeted_on::<DEFAULT_WIDTH, P, _>(
+    let (matrix, candidates) = detection_matrix_from_source_metered_on::<DEFAULT_WIDTH, P, _>(
         network,
         missed,
         pool.source(n),
         Backend::active(),
-        &options.budget,
+        meter,
     )?;
-    match swept {
-        Budgeted::Complete((matrix, candidates)) => {
-            let (kept, sets) = candidate_sets(&matrix, missed.len(), candidates.len());
-            let budgeted = SetCoverInstance::new(missed.len(), sets)
-                .solve_budgeted(options.node_budget, &options.budget);
-            let uncoverable = budgeted.value().uncoverable.len();
-            if uncoverable != 0 {
-                return Err(EngineError::InfeasibleCover { uncoverable });
-            }
-            Ok(budgeted.map(|s| report_from_solution(missed, &candidates, &kept, &s)))
-        }
-        Budgeted::Partial {
-            progress,
-            reason,
-            best_so_far: (matrix, candidates),
-        } => {
-            // Whole-block commit means the candidates are exact for the
-            // committed prefix, so the cover search still runs — but a
-            // fault the prefix cannot cover is *unknown*, not infeasible,
-            // and the report is pinned uncertified even when the search
-            // itself closed its bound over the prefix.
-            let (kept, sets) = candidate_sets(&matrix, missed.len(), candidates.len());
-            let mut solution = SetCoverInstance::new(missed.len(), sets)
-                .solve_budgeted(options.node_budget, &options.budget)
-                .into_value();
-            solution.certified = false;
-            Ok(Budgeted::Partial {
-                progress,
-                reason,
-                best_so_far: report_from_solution(missed, &candidates, &kept, &solution),
-            })
-        }
+    // A tripped matrix is exact for its committed whole-block prefix, so
+    // the cover search still runs over it (on the tripped meter it keeps
+    // the greedy cover, uncertified) — but a fault the prefix cannot
+    // cover is *unknown*, not infeasible.
+    let swept = meter.tripped().is_none();
+    let (kept, sets) = candidate_sets(&matrix, missed.len(), candidates.len());
+    let solution =
+        SetCoverInstance::new(missed.len(), sets).solve_metered(options.node_budget, meter);
+    if swept && !solution.uncoverable.is_empty() {
+        return Err(EngineError::InfeasibleCover {
+            uncoverable: solution.uncoverable.len(),
+        });
     }
+    Ok(report_from_solution(missed, &candidates, &kept, &solution))
 }
 
 /// End-to-end minimum augmentation: grades `base_tests` against `universe`
@@ -773,8 +780,11 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
 /// obligation, which an incomplete pool then reports as infeasible).
 ///
 /// `options.budget` meters the base coverage grade
-/// ([`coverage_of_universe_budgeted_packed_with`] on [`Backend::active`]),
-/// the candidate matrix and the cover search.  A grade the budget cuts
+/// ([`coverage_of_universe_metered`] on [`Backend::active`]), the
+/// candidate matrix and the cover search on **one** meter: blocks, forks
+/// and nodes admitted by an earlier stage count against the later ones,
+/// so a `max_blocks` of 2 admits 2 blocks across all three stages.  A
+/// grade the budget cuts
 /// short comes back [`Budgeted::Partial`] with the grade's progress and
 /// reason; its report carries the grade's conservative missed list (faults
 /// whose verdict never committed count as missed), no candidates and
@@ -794,32 +804,32 @@ pub fn try_minimum_augmentation_packed<P: TestVector + Sync>(
     pool: &CandidatePool<P>,
     options: &SearchOptions,
 ) -> Result<Budgeted<AugmentationReport<P>>, EngineError> {
-    match coverage_of_universe_budgeted_packed_with(
+    let mut meter = BudgetMeter::new(&options.budget);
+    let coverage = coverage_of_universe_metered(
         network,
         universe,
         base_tests,
         options.redundancy,
         options.engine,
         Backend::active(),
-        &options.budget,
-    )? {
-        Budgeted::Complete(coverage) => {
-            try_augmentation_for_missed_packed(network, &coverage.missed_faults, pool, options)
+        &mut meter,
+    )?;
+    let report = if meter.tripped().is_none() {
+        augmentation_for_missed_metered(
+            network,
+            &coverage.missed_faults,
+            pool,
+            options,
+            &mut meter,
+        )?
+    } else {
+        AugmentationReport {
+            missed_faults: coverage.missed_faults,
+            certified: false,
+            ..empty_report()
         }
-        Budgeted::Partial {
-            progress,
-            reason,
-            best_so_far,
-        } => Ok(Budgeted::Partial {
-            progress,
-            reason,
-            best_so_far: AugmentationReport {
-                missed_faults: best_so_far.missed_faults,
-                certified: false,
-                ..empty_report()
-            },
-        }),
-    }
+    };
+    Ok(meter.finish(report))
 }
 
 /// The augmentation hook on a coverage report — the
@@ -1363,6 +1373,62 @@ mod tests {
         .unwrap();
         assert!(complete.is_complete());
         assert_eq!(complete, two_stage);
+    }
+
+    #[test]
+    fn one_counted_budget_spans_the_grade_the_matrix_and_the_search() {
+        use sortnet_faults::coverage::coverage_of_universe_budgeted_packed_with;
+        use sortnet_network::{BudgetReason, SweepBudget};
+        let net = odd_even_merge_sort(8);
+        let base = &crate::sorting::binary_testset(8)[..40];
+        let pool = CandidatePool::Exhaustive;
+        let two_blocks = SweepBudget::unlimited().with_max_blocks(2);
+        // The grade alone fits two blocks (its first detections and its
+        // exhaustive redundancy sweep), and leaves faults missed, so the
+        // candidate matrix needs a third.
+        let grade = coverage_of_universe_budgeted_packed_with(
+            &net,
+            &StuckLine,
+            base,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::default(),
+            Backend::active(),
+            &two_blocks,
+        )
+        .unwrap();
+        assert!(grade.is_complete());
+        assert!(!grade.value().missed_faults.is_empty());
+        let options = SearchOptions {
+            budget: two_blocks,
+            ..SearchOptions::default()
+        };
+        let budgeted =
+            try_minimum_augmentation_packed(&net, &StuckLine, base, &pool, &options).unwrap();
+        let Budgeted::Partial {
+            progress,
+            reason,
+            best_so_far,
+        } = budgeted
+        else {
+            panic!("three blocks of work must not complete under a two-block budget");
+        };
+        assert_eq!(reason, BudgetReason::Blocks);
+        assert_eq!(progress.blocks, 2, "{progress:?}");
+        assert!(!best_so_far.certified);
+        assert_eq!(best_so_far.candidates_considered, 0);
+        assert_eq!(best_so_far.missed_faults, grade.value().missed_faults);
+        // Three blocks are enough for the whole search.
+        let options = SearchOptions {
+            budget: SweepBudget::unlimited().with_max_blocks(3),
+            ..SearchOptions::default()
+        };
+        let complete =
+            try_minimum_augmentation_packed(&net, &StuckLine, base, &pool, &options).unwrap();
+        assert!(complete.is_complete());
+        assert_eq!(
+            complete.into_value(),
+            minimum(&net, &StuckLine, base, &pool).unwrap()
+        );
     }
 
     #[test]
