@@ -138,9 +138,8 @@
 //! * [`first_detections_of_lists`] — unbudgeted first detections of
 //!   several test lists over one fault slice, sweeping a prefix the lists
 //!   share once (the service's coverage shards);
-//! * [`faulty_run_block`] / [`multi_faulty_run_block`] — one fault over one
-//!   block (the oracle hooks the property tests cross-check against the
-//!   scalar simulator);
+//! * [`multi_faulty_run_block`] — one fault over one block (the oracle
+//!   hook the property tests cross-check against the scalar simulator);
 //! * [`is_fault_redundant_wide`] — the *per-fault* blocked `2^n`
 //!   redundancy sweep, kept as the reference the batch sweep is
 //!   regression-pinned against.
@@ -166,8 +165,8 @@ use crate::model::{Fault, FaultKind};
 use crate::universe::{Lesion, MultiFault, TestVector};
 
 /// Applies the faulty version of comparator `fault.comparator` to a block:
-/// the lane-level counterpart of one faulty step of
-/// [`faulty_apply_bits`](crate::simulate::faulty_apply_bits).
+/// the lane-level counterpart of one faulty step of the scalar simulator
+/// in [`crate::simulate`].
 #[inline]
 fn apply_faulty_comparator<const W: usize>(
     network: &Network,
@@ -181,8 +180,8 @@ fn apply_faulty_comparator<const W: usize>(
         FaultKind::StuckSwap => block.swap_lanes(c.min_line(), c.max_line()),
         FaultKind::Inverted => block.apply_comparator_with(backend, c.max_line(), c.min_line()),
         // A misroute onto the comparator's own top line degenerates to a
-        // no-op in the scalar simulator's word arithmetic; mirror that
-        // instead of tripping `apply_comparator_with`'s distinct-lines assert.
+        // no-op in the scalar simulator; mirror that instead of tripping
+        // `apply_comparator_with`'s distinct-lines assert.
         // (`enumerate_faults` never emits this shape, but the fault type
         // admits it.)
         FaultKind::Misrouted { new_bottom } => {
@@ -191,31 +190,6 @@ fn apply_faulty_comparator<const W: usize>(
             }
         }
     }
-}
-
-/// Runs the faulty network over one block of up to `W × 64` test vectors,
-/// in place.
-///
-/// Equivalent to `W × 64` scalar
-/// [`faulty_apply_bits`](crate::simulate::faulty_apply_bits) calls; the
-/// proptest suite (`tests/proptest_bitsim.rs`) holds the two to exact
-/// agreement on all four [`FaultKind`]s.
-///
-/// # Panics
-/// Panics if the fault's comparator index is out of range.
-pub fn faulty_run_block<const W: usize>(
-    network: &Network,
-    fault: &Fault,
-    block: &mut WideBlock<W>,
-) {
-    assert!(
-        fault.comparator < network.size(),
-        "fault index out of range"
-    );
-    let backend = Backend::active();
-    block.run_range_with(backend, network, 0, fault.comparator);
-    apply_faulty_comparator(network, backend, fault, block);
-    block.run_range_with(backend, network, fault.comparator + 1, network.size());
 }
 
 /// Applies one lesion to a block whose comparators `0..pos` have already
@@ -263,10 +237,12 @@ fn run_multi_from<const W: usize>(
     block.run_range_with(backend, network, pos, network.size());
 }
 
-/// Runs the multi-fault network over one block of up to `W × 64` test
-/// vectors, in place — the lane-level counterpart of
-/// [`multi_faulty_apply_bits`](crate::universe::multi_faulty_apply_bits),
-/// for faults of **any** universe.
+/// Runs the faulty network over one block of up to `W × 64` test vectors,
+/// in place: the lane-level counterpart of `W × 64`
+/// [`multi_faulty_apply`](crate::universe::multi_faulty_apply) calls, for
+/// faults of **any** universe (a single-comparator [`Fault`] is
+/// `MultiFault::from(fault)`).  The proptest suites hold the two to exact
+/// agreement.
 ///
 /// # Panics
 /// Panics if a lesion of the fault does not fit the network.
@@ -1333,23 +1309,21 @@ pub fn detection_matrix_from_source_metered_on<const W: usize, P: TestVector, S:
 /// The per-fault reference the batch sweep
 /// ([`redundant_faults_multi_on`]) is regression-pinned against: it
 /// re-runs the whole network for every block instead of forking.  Agrees
-/// with the scalar [`is_fault_redundant`](crate::simulate::is_fault_redundant)
+/// with the scalar
+/// [`is_multi_fault_redundant`](crate::universe::is_multi_fault_redundant)
 /// (the proptest suite checks this).
 ///
 /// # Panics
-/// Panics if the fault's comparator index is out of range or `n ≥ 32`.
+/// Panics if a lesion of the fault does not fit the network or `n ≥ 32`.
 #[must_use]
-pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &Fault) -> bool {
+pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &MultiFault) -> bool {
     let n = network.lines();
-    assert!(
-        fault.comparator < network.size(),
-        "fault index out of range"
-    );
+    fault.assert_in_range(network);
     let backend = Backend::active();
     (0..bitparallel::sweep_block_count::<W>(n)).all(|b| {
         let (start, count) = bitparallel::sweep_block_range::<W>(n, b);
         let mut block = WideBlock::<W>::from_range(n, start, count);
-        faulty_run_block(network, fault, &mut block);
+        run_multi_from(network, backend, fault, &mut block, 0);
         !lanes::mask_any(&block.unsorted_masks_with(backend))
     })
 }
@@ -1358,7 +1332,10 @@ pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &Fault)
 mod tests {
     use super::*;
     use crate::model::enumerate_faults;
-    use crate::simulate::{detects, faulty_apply_bits, first_detection_index, is_fault_redundant};
+    use crate::simulate::apply_fault;
+    use crate::universe::{
+        is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
+    };
     use sortnet_combinat::BitString;
     use sortnet_network::bitparallel::BitBlock;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
@@ -1395,15 +1372,15 @@ mod tests {
     fn faulty_run_block_matches_scalar_simulation_exhaustively() {
         let net = odd_even_merge_sort(6);
         let inputs: Vec<BitString> = BitString::all(6).collect();
-        for fault in enumerate_faults(&net) {
+        for fault in single_faults(&net) {
             for chunk in inputs.chunks(64) {
                 let mut block = BitBlock::from_strings(6, chunk);
-                faulty_run_block(&net, &fault, &mut block);
+                multi_faulty_run_block(&net, &fault, &mut block);
                 for (j, input) in chunk.iter().enumerate() {
                     assert_eq!(
                         block.extract(j as u32),
-                        faulty_apply_bits(&net, &fault, input),
-                        "fault {fault:?} input {input}"
+                        multi_faulty_apply(&net, &fault, input),
+                        "fault {fault} input {input}"
                     );
                 }
             }
@@ -1414,14 +1391,14 @@ mod tests {
     fn faulty_run_block_is_width_independent() {
         let net = odd_even_merge_sort(5);
         let inputs: Vec<BitString> = BitString::all(5).collect();
-        for fault in enumerate_faults(&net) {
+        for fault in single_faults(&net) {
             let mut wide = WideBlock::<2>::from_strings(5, &inputs);
-            faulty_run_block(&net, &fault, &mut wide);
+            multi_faulty_run_block(&net, &fault, &mut wide);
             for (j, input) in inputs.iter().enumerate() {
                 assert_eq!(
                     wide.extract(j as u32),
-                    faulty_apply_bits(&net, &fault, input),
-                    "fault {fault:?} input {input}"
+                    multi_faulty_apply(&net, &fault, input),
+                    "fault {fault} input {input}"
                 );
             }
         }
@@ -1430,17 +1407,17 @@ mod tests {
     #[test]
     fn detection_matrix_agrees_with_scalar_detects() {
         let net = odd_even_merge_sort(5);
-        let faults = enumerate_faults(&net);
+        let faults = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(5).collect();
-        let matrix = matrix::<4, _>(&net, &single_faults(&net), &tests);
+        let matrix = matrix::<4, _>(&net, &faults, &tests);
         assert_eq!(matrix.fault_count(), faults.len());
         assert_eq!(matrix.test_count(), tests.len());
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 assert_eq!(
                     matrix.is_detected_by(f, t),
-                    detects(&net, fault, test),
-                    "fault {fault:?} test {test}"
+                    multi_detects(&net, fault, test),
+                    "fault {fault} test {test}"
                 );
             }
         }
@@ -1465,18 +1442,21 @@ mod tests {
     #[test]
     fn matrix_summaries_match_their_bitwise_definitions() {
         let net = odd_even_merge_sort(5);
-        let faults = enumerate_faults(&net);
+        let faults = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(5).collect();
-        let matrix = matrix::<4, _>(&net, &single_faults(&net), &tests);
+        let matrix = matrix::<4, _>(&net, &faults, &tests);
         for (f, fault) in faults.iter().enumerate() {
             assert_eq!(
                 matrix.first_detection(f),
-                first_detection_index(&net, fault, &tests)
+                multi_first_detection_index(&net, fault, &tests)
             );
             assert_eq!(matrix.detected(f), matrix.first_detection(f).is_some());
             assert_eq!(
                 matrix.detection_count(f),
-                tests.iter().filter(|t| detects(&net, fault, t)).count()
+                tests
+                    .iter()
+                    .filter(|t| multi_detects(&net, fault, *t))
+                    .count()
             );
         }
     }
@@ -1501,17 +1481,17 @@ mod tests {
     #[test]
     fn bitparallel_redundancy_agrees_with_scalar_at_every_width() {
         let net = odd_even_merge_sort(6);
-        for fault in enumerate_faults(&net) {
-            let scalar = is_fault_redundant(&net, &fault);
+        for fault in single_faults(&net) {
+            let scalar = is_multi_fault_redundant(&net, &fault);
             assert_eq!(
                 is_fault_redundant_wide::<1>(&net, &fault),
                 scalar,
-                "fault {fault:?} (W = 1)"
+                "fault {fault} (W = 1)"
             );
             assert_eq!(
                 is_fault_redundant_wide::<8>(&net, &fault),
                 scalar,
-                "fault {fault:?} (W = 8)"
+                "fault {fault} (W = 8)"
             );
         }
     }
@@ -1521,20 +1501,22 @@ mod tests {
         // enumerate_faults never emits this shape, but the Fault type
         // admits it; the scalar simulator treats it as a no-op.
         let net = odd_even_merge_sort(5);
-        let fault = Fault {
+        let fault = MultiFault::from(Fault {
             comparator: 2,
             kind: crate::model::FaultKind::Misrouted {
                 new_bottom: net.comparators()[2].top(),
             },
-        };
+        });
         let inputs: Vec<BitString> = BitString::all(5).collect();
         let mut block = BitBlock::from_strings(5, &inputs[..32]);
-        faulty_run_block(&net, &fault, &mut block);
+        multi_faulty_run_block(&net, &fault, &mut block);
+        let skipped = net.without_comparator(2);
         for (j, input) in inputs[..32].iter().enumerate() {
             assert_eq!(
                 block.extract(j as u32),
-                faulty_apply_bits(&net, &fault, input)
+                multi_faulty_apply(&net, &fault, input)
             );
+            assert_eq!(block.extract(j as u32), skipped.apply_bits(input));
         }
     }
 
@@ -1545,21 +1527,20 @@ mod tests {
         // scalar oracle) on every single-comparator fault.
         for n in [4usize, 6, 8] {
             let net = odd_even_merge_sort(n);
-            let faults = enumerate_faults(&net);
-            let multi: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
+            let multi = single_faults(&net);
             let batch = redundant_faults_multi_on::<4>(&net, &multi, Backend::active());
             let batch_w1 = redundant_faults_multi_on::<1>(&net, &multi, Backend::Scalar);
             assert_eq!(batch, batch_w1, "n={n}: width must not change verdicts");
-            for (i, fault) in faults.iter().enumerate() {
+            for (i, fault) in multi.iter().enumerate() {
                 assert_eq!(
                     batch[i],
                     is_fault_redundant_wide::<4>(&net, fault),
-                    "n={n} fault {fault:?}"
+                    "n={n} fault {fault}"
                 );
                 assert_eq!(
                     batch[i],
-                    is_fault_redundant(&net, fault),
-                    "n={n} fault {fault:?} (scalar)"
+                    is_multi_fault_redundant(&net, fault),
+                    "n={n} fault {fault} (scalar)"
                 );
             }
         }
@@ -1640,7 +1621,7 @@ mod tests {
 
     #[test]
     fn multi_run_block_matches_the_scalar_lesion_timeline() {
-        use crate::universe::{multi_faulty_apply_bits, FaultUniverse, StandardUniverse};
+        use crate::universe::{FaultUniverse, StandardUniverse};
         let net = odd_even_merge_sort(5);
         let inputs: Vec<BitString> = BitString::all(5).collect();
         for universe in StandardUniverse::ALL {
@@ -1650,7 +1631,7 @@ mod tests {
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
                         block.extract(j as u32),
-                        multi_faulty_apply_bits(&net, &mf, input),
+                        multi_faulty_apply(&net, &mf, input),
                         "universe {} fault {mf} input {input}",
                         universe.name()
                     );
@@ -1661,10 +1642,10 @@ mod tests {
 
     #[test]
     fn bitparallel_engine_matches_scalar_at_the_word_boundary() {
-        // n ∈ {63, 64}: the lane engine indexes lanes (no word shifts by
-        // line), but its verdicts must still agree with the scalar word
-        // engine whose stuck injection shifts `1u64 << line` at bit 62/63.
-        use crate::universe::{multi_faulty_apply_bits, FaultUniverse, StuckLine};
+        // n ∈ {63, 64}: the lane engine indexes lanes, the scalar
+        // simulator bits 62/63 of one channel word; the two must agree on
+        // every stuck lesion of the top lines.
+        use crate::universe::{FaultUniverse, StuckLine};
         for n in [63usize, 64] {
             let net = Network::from_pairs(n, &[(0, n - 1), (n - 2, n - 1), (0, 1)]);
             let inputs: Vec<BitString> = [
@@ -1683,7 +1664,7 @@ mod tests {
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
                         block.extract(j as u32),
-                        multi_faulty_apply_bits(&net, &mf, input),
+                        multi_faulty_apply(&net, &mf, input),
                         "n={n} fault {mf} input {input}"
                     );
                 }
@@ -1693,21 +1674,24 @@ mod tests {
 
     #[test]
     fn single_fault_wrappers_agree_with_the_multi_core() {
-        // The surviving single-`Fault` entry points (the block runner and
-        // the per-fault redundancy reference) agree with the multi-fault
-        // core on the corresponding one-lesion faults.
+        // A single `Fault` runs as its one-lesion `MultiFault`: the block
+        // runner agrees with the materialised faulty network wherever
+        // `apply_fault` can build one, and the per-fault redundancy
+        // reference with the batch sweep.
         let net = odd_even_merge_sort(6);
         let faults = enumerate_faults(&net);
         let multi = single_faults(&net);
         let inputs: Vec<BitString> = BitString::all(6).collect();
         let batch = redundant_faults_multi_on::<2>(&net, &multi, Backend::active());
         for (i, fault) in faults.iter().enumerate() {
-            let mut single = WideBlock::<2>::from_strings(6, &inputs);
-            let mut lesioned = single.clone();
-            faulty_run_block(&net, fault, &mut single);
+            let mut lesioned = WideBlock::<2>::from_strings(6, &inputs);
             multi_faulty_run_block(&net, &multi[i], &mut lesioned);
-            assert_eq!(single, lesioned, "fault {fault:?}");
-            assert_eq!(batch[i], is_fault_redundant_wide::<2>(&net, fault));
+            if let Some(materialised) = apply_fault(&net, fault) {
+                let mut rerun = WideBlock::<2>::from_strings(6, &inputs);
+                rerun.run_range_with(Backend::Scalar, &materialised, 0, materialised.size());
+                assert_eq!(rerun, lesioned, "fault {fault:?}");
+            }
+            assert_eq!(batch[i], is_fault_redundant_wide::<2>(&net, &multi[i]));
         }
     }
 
@@ -2115,7 +2099,7 @@ mod tests {
             for (t, test) in tests.iter().enumerate() {
                 assert_eq!(
                     w1.is_detected_by(f, t),
-                    crate::universe::multi_detects_channels(&net, fault, test),
+                    multi_detects(&net, fault, test),
                     "fault {fault} test {test}"
                 );
             }

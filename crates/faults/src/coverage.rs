@@ -14,7 +14,8 @@
 //! verdicts into a [`CoverageReport`].  The bit-parallel phases are the
 //! early-exit sweeps of [`crate::bitsim`]; the redundancy phase is
 //! [`redundancy_verdicts_on`], which the oracle service shares across a
-//! shard of queries.
+//! shard of queries.  The scalar engine grades one fault at a time, in
+//! enumeration order, on the same meter.
 //!
 //! * [`coverage_of_universe_budgeted_packed_with`] — the grade, under a
 //!   [`SweepBudget`] and on an explicit lane-ops [`Backend`];
@@ -24,7 +25,6 @@
 //! Both are generic over the [`TestVector`] packing of the tests:
 //! `BitString` for `n ≤ 64`, `ChannelVec` past the 64-line wall.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
@@ -34,8 +34,8 @@ use sortnet_network::Network;
 
 use crate::bitsim::{first_detections_metered, redundant_faults_metered};
 use crate::universe::{
-    is_multi_fault_redundant, is_multi_fault_redundant_relative,
-    multi_first_detection_index_packed, FaultUniverse, MultiFault, TestVector,
+    is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_first_detection_index,
+    FaultUniverse, MultiFault, TestVector,
 };
 
 /// Which simulation engine evaluates the fault universe.
@@ -54,8 +54,8 @@ use crate::universe::{
 /// sweepable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSimEngine {
-    /// One fault × one test per call
-    /// ([`crate::simulate`] / [`crate::universe`]).
+    /// One fault × one test per call ([`crate::universe`]), the faults
+    /// graded one by one in enumeration order on the caller's thread.
     Scalar,
     /// `W × 64` tests per pass with shared-prefix forking
     /// ([`crate::bitsim`]) at an explicit lane width — `LaneWidth::W1`
@@ -457,119 +457,48 @@ pub fn check_test_lengths<P: TestVector>(
     }
 }
 
-/// One worker's slice of a pooled budgeted scalar grade, joined back
-/// into the caller's verdict arrays and meter by
-/// [`scalar_results_pooled`].
-struct ScalarChunkOutcome {
-    /// Index of the chunk's first fault in the undivided fault list.
-    start: usize,
-    first: Vec<Option<usize>>,
-    redundant: Vec<bool>,
-    progress: sortnet_network::budget::SweepProgress,
-    tripped: Option<sortnet_network::budget::BudgetReason>,
-    worker: std::thread::ThreadId,
-}
-
-/// The scalar engine's grade, fanned out on the rayon-shim
-/// pool: the fault list is split into one contiguous chunk per worker,
-/// each chunk runs the sequential metered scan under its own
-/// [`BudgetMeter`] holding a share of the caps
-/// ([`SweepBudget::split_shares`] — deadline and cancel token shared),
-/// and the per-chunk meters are merged into `meter` at the join
-/// ([`BudgetMeter::absorb`]).  Within a chunk the whole-block-commit
-/// invariant is untouched: a fault's verdict lands in the output only
-/// when its block (full test scan, or `2^n` redundancy sweep) was
-/// admitted, so undecided faults stay `None`/`false` and summarise as
-/// conservative misses.
-///
-/// `workers` caps the fan-out (`None` = the pool's
-/// [`rayon::current_num_threads`], i.e. `RAYON_NUM_THREADS` or the
-/// machine width); it is injectable so tests can pin the worker count
-/// without mutating the process environment.  The returned thread ids
-/// (one per chunk) exist for those tests.
-#[allow(clippy::too_many_arguments)]
-fn scalar_results_pooled<P: TestVector + Sync>(
+/// The scalar engine's per-fault results, on the caller's meter: faults
+/// in enumeration order, each admitted as one block for its full test
+/// scan and, when the scan misses it and `mode` classifies, one more block
+/// for its redundancy sweep (`2^n` vectors exhaustive, the family's size
+/// relative).  The first refused block stops the grade, so the decided
+/// faults are a prefix in enumeration order; the rest keep `first = None,
+/// redundant = false` and therefore fold into `missed`.
+fn scalar_results_metered<P: TestVector>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
     mode: RedundancyMode,
     meter: &mut BudgetMeter,
-    workers: Option<usize>,
-) -> (Vec<Option<usize>>, Vec<bool>, Vec<std::thread::ThreadId>) {
-    // Relative classification grades missed faults against the named
-    // family; materialised once, shared read-only across workers.  Its
-    // per-fault sweep is one admitted block of `fam.len()` vectors, so
-    // the whole-block-commit invariant carries over unchanged.
-    let relative: Option<Vec<P>> = match mode {
-        RedundancyMode::RelativeTo(family) => Some(family.collect(network.lines())),
-        _ => None,
+) -> (Vec<Option<usize>>, Vec<bool>) {
+    let family: Vec<P> = match mode {
+        RedundancyMode::RelativeTo(family) => family.collect(network.lines()),
+        _ => Vec::new(),
     };
-    let workers = workers
-        .unwrap_or_else(rayon::current_num_threads)
-        .clamp(1, faults.len().max(1));
-    let shares = meter.remaining().split_shares(workers);
-    // Chunk bounds à la slice::chunks: the first `len % workers` chunks
-    // take one extra fault.
-    let base = faults.len() / workers;
-    let extra = faults.len() % workers;
-    let mut chunks: Vec<(usize, usize, SweepBudget)> = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    for (i, share) in shares.into_iter().enumerate() {
-        let end = start + base + usize::from(i < extra);
-        chunks.push((start, end, share));
-        start = end;
-    }
-    let outcomes: Vec<ScalarChunkOutcome> = chunks
-        .into_par_iter()
-        .with_max_threads(workers)
-        .map(|(start, end, share)| {
-            let mut chunk_meter = BudgetMeter::new(&share);
-            let mut first = vec![None; end - start];
-            let mut redundant = vec![false; end - start];
-            for (j, fault) in faults[start..end].iter().enumerate() {
-                if !chunk_meter.admit_block(tests.len() as u64) {
-                    break;
-                }
-                first[j] = multi_first_detection_index_packed(network, fault, tests);
-                if first[j].is_none() {
-                    match (&relative, mode) {
-                        (Some(fam), _) => {
-                            if !chunk_meter.admit_block(fam.len() as u64) {
-                                break;
-                            }
-                            redundant[j] = is_multi_fault_redundant_relative(network, fault, fam);
-                        }
-                        (None, RedundancyMode::Exhaustive) => {
-                            if !chunk_meter.admit_block(1u64 << network.lines()) {
-                                break;
-                            }
-                            redundant[j] = is_multi_fault_redundant(network, fault);
-                        }
-                        (None, _) => {}
-                    }
-                }
-            }
-            ScalarChunkOutcome {
-                start,
-                first,
-                redundant,
-                progress: chunk_meter.progress(),
-                tripped: chunk_meter.tripped(),
-                worker: std::thread::current().id(),
-            }
-        })
-        .collect();
+    let sweep_vectors = match mode {
+        RedundancyMode::Exhaustive => Some(1u64 << network.lines()),
+        RedundancyMode::RelativeTo(_) => Some(family.len() as u64),
+        RedundancyMode::Skip => None,
+    };
     let mut first = vec![None; faults.len()];
     let mut redundant = vec![false; faults.len()];
-    let mut worker_ids = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        let end = outcome.start + outcome.first.len();
-        first[outcome.start..end].clone_from_slice(&outcome.first);
-        redundant[outcome.start..end].clone_from_slice(&outcome.redundant);
-        meter.absorb(outcome.progress, outcome.tripped);
-        worker_ids.push(outcome.worker);
+    for (i, fault) in faults.iter().enumerate() {
+        if !meter.admit_block(tests.len() as u64) {
+            break;
+        }
+        first[i] = multi_first_detection_index(network, fault, tests);
+        let Some(vectors) = sweep_vectors.filter(|_| first[i].is_none()) else {
+            continue;
+        };
+        if !meter.admit_block(vectors) {
+            break;
+        }
+        redundant[i] = match mode {
+            RedundancyMode::Exhaustive => is_multi_fault_redundant(network, fault),
+            _ => is_multi_fault_redundant_relative(network, fault, &family),
+        };
     }
-    (first, redundant, worker_ids)
+    (first, redundant)
 }
 
 /// Grades `tests` against `universe` under a [`SweepBudget`], with the
@@ -587,15 +516,15 @@ fn scalar_results_pooled<P: TestVector + Sync>(
 /// `missed` (never as `detected` or `redundant_faults`), so `detected` is
 /// an exact lower bound, `missed` an exact upper bound, and `coverage` a
 /// lower bound on the true ratio.  The bit-parallel engines meter per
-/// test block and per fork; the scalar engine meters per fault (each
-/// fault's full test scan is one block, its redundancy sweep another) and
-/// fans out on the rayon-shim pool with the budget split into per-worker
-/// shares ([`SweepBudget::split_shares`]) that are merged back at the
-/// join.  `backend` does not apply to the scalar engine.
+/// test block and per fork; the scalar engine meters per fault, in
+/// enumeration order on the one meter (each fault's full test scan is one
+/// block, its redundancy sweep another), so its partial report has
+/// decided a prefix of the faults.  `backend` does not apply to the
+/// scalar engine.
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn coverage_of_universe_budgeted_packed_with<P: TestVector + Sync>(
+pub fn coverage_of_universe_budgeted_packed_with<P: TestVector>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -615,11 +544,11 @@ pub fn coverage_of_universe_budgeted_packed_with<P: TestVector + Sync>(
 /// in `sortnet-testsets`) and the one budget bounds every stage.  The
 /// report is conservative exactly when the meter trips
 /// ([`BudgetMeter::tripped`]); a meter that has already spent part of its
-/// budget admits only the rest ([`BudgetMeter::remaining`]).
+/// budget admits only the rest.
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn coverage_of_universe_metered<P: TestVector + Sync>(
+pub fn coverage_of_universe_metered<P: TestVector>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -630,11 +559,7 @@ pub fn coverage_of_universe_metered<P: TestVector + Sync>(
 ) -> Result<CoverageReport, EngineError> {
     let faults = check_coverage_inputs(network, universe, tests, mode)?;
     let (first, redundant) = match engine.lane_width() {
-        None => {
-            let (first, redundant, _workers) =
-                scalar_results_pooled(network, &faults, tests, mode, meter, None);
-            (first, redundant)
-        }
+        None => scalar_results_metered(network, &faults, tests, mode, meter),
         Some(width) => {
             let run = match width {
                 LaneWidth::W1 => bitparallel_results_metered::<1, P>,
@@ -658,7 +583,7 @@ pub fn coverage_of_universe_metered<P: TestVector + Sync>(
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn try_coverage_of_universe_packed_with<P: TestVector + Sync>(
+pub fn try_coverage_of_universe_packed_with<P: TestVector>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -688,7 +613,7 @@ mod tests {
     use sortnet_testsets::sorting;
 
     /// The unbudgeted grade, unwrapped.
-    fn grade<P: TestVector + Sync>(
+    fn grade<P: TestVector>(
         net: &Network,
         universe: &dyn FaultUniverse,
         tests: &[P],
@@ -1333,61 +1258,61 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_scalar_grade_fans_out_on_the_pool_and_commits_whole_blocks() {
+    fn budgeted_scalar_grade_decides_a_prefix_of_the_faults_in_order() {
+        // The scalar engine grades faults one by one on the caller's meter:
+        // under `with_max_blocks(k)` and `Skip`, exactly the first k faults
+        // in enumeration order are scanned (one block of |tests| vectors
+        // each), and the rest stay undecided and count as missed.
         use sortnet_network::budget::BudgetReason;
-        // The budgeted scalar path used to drop to a sequential loop; pin
-        // that it now runs on the rayon-shim pool.  The worker count is
-        // injected (the `RAYON_NUM_THREADS=4` environment knob maps onto
-        // the same cap via `rayon::current_num_threads`, but mutating the
-        // environment from a test is unsound in Rust 2024, and this
-        // container may expose a single CPU).
         let net = odd_even_merge_sort(7);
         let tests = sorting::binary_testset(7);
         let faults: Vec<MultiFault> = StuckLine.iter(&net).collect();
-        assert!(faults.len() >= 4);
-
-        // Unlimited budget: ≥ 2 distinct workers, and the joined verdicts
-        // are bit-identical to the bit-parallel grade.
-        let budget = SweepBudget::unlimited();
-        let mut meter = BudgetMeter::new(&budget);
-        let (first, redundant, workers) =
-            scalar_results_pooled(&net, &faults, &tests, Skip, &mut meter, Some(4));
-        let distinct: std::collections::HashSet<_> = workers.into_iter().collect();
-        assert!(
-            distinct.len() >= 2,
-            "budgeted scalar grade ran on {} worker(s) under a 4-thread pool",
-            distinct.len()
-        );
-        assert_eq!(meter.tripped(), None);
+        let firsts: Vec<Option<usize>> = faults
+            .iter()
+            .map(|f| multi_first_detection_index(&net, f, &tests))
+            .collect();
+        let scalar = |budget: &SweepBudget| {
+            coverage_of_universe_budgeted_packed_with(
+                &net,
+                &StuckLine,
+                &tests,
+                Skip,
+                FaultSimEngine::Scalar,
+                Backend::Scalar,
+                budget,
+            )
+            .unwrap()
+        };
+        for k in [0usize, 1, 5, faults.len() / 2, faults.len() - 1] {
+            let Budgeted::Partial {
+                progress,
+                reason,
+                best_so_far,
+            } = scalar(&SweepBudget::unlimited().with_max_blocks(k as u64))
+            else {
+                panic!("a cap of {k} blocks must trip");
+            };
+            assert_eq!(reason, BudgetReason::Blocks);
+            assert_eq!(progress.blocks, k as u64);
+            assert_eq!(progress.vectors, (k * tests.len()) as u64);
+            let mut first = firsts.clone();
+            first[k..].fill(None);
+            let expected = summarise_verdicts(&faults, &first, &vec![false; faults.len()], Skip);
+            assert_eq!(best_so_far, expected, "k = {k}");
+            assert!(best_so_far.missed_faults.ends_with(&faults[k..]));
+        }
+        // A cap of one block per fault is exactly enough, and the complete
+        // scalar grade equals the bit-parallel one.
+        let whole = scalar(&SweepBudget::unlimited().with_max_blocks(faults.len() as u64));
         assert_eq!(
-            summarise_verdicts(&faults, &first, &redundant, Skip),
-            grade(
+            whole,
+            Budgeted::Complete(grade(
                 &net,
                 &StuckLine,
                 &tests,
                 Skip,
                 FaultSimEngine::BitParallelWide(LaneWidth::W4)
-            )
-        );
-
-        // Capped budget: the whole-block-commit invariant holds across the
-        // join — every committed block is one whole fault × all-tests scan
-        // (so vectors = blocks × |tests| exactly), the merged progress
-        // never exceeds the undivided cap, and only committed faults carry
-        // verdicts.
-        let cap = 5u64;
-        let budget = SweepBudget::unlimited().with_max_blocks(cap);
-        let mut meter = BudgetMeter::new(&budget);
-        let (first, _, _) = scalar_results_pooled(&net, &faults, &tests, Skip, &mut meter, Some(4));
-        assert_eq!(meter.tripped(), Some(BudgetReason::Blocks));
-        let progress = meter.progress();
-        assert!(progress.blocks <= cap, "{progress:?}");
-        assert_eq!(progress.vectors, progress.blocks * tests.len() as u64);
-        let decided = first.iter().filter(|f| f.is_some()).count() as u64;
-        assert!(
-            decided <= progress.blocks,
-            "{decided} > {}",
-            progress.blocks
+            ))
         );
     }
 

@@ -26,19 +26,22 @@
 //! (fault masking).
 //!
 //! Fault simulation runs through two engines: the scalar reference in
-//! [`simulate`] / [`universe`] (one fault × one test per call) and the
-//! width-generic bit-parallel engine in [`bitsim`] (`W × 64` tests per
-//! pass with shared-prefix forking on
+//! [`universe`] (one fault × one test per call, over channel words, with a
+//! single-comparator [`Fault`] evaluated as its one-lesion
+//! [`MultiFault`]) and the width-generic bit-parallel engine in [`bitsim`]
+//! (`W × 64` tests per pass with shared-prefix forking on
 //! `sortnet_network::lanes::WideBlock<W>` — nested two-level forking for
 //! pair universes, sharing the post-first-lesion state across partners),
 //! selected — including the lane width — via
-//! [`coverage::FaultSimEngine`].  The bit-parallel engine's word kernels
-//! run on a runtime-selected lane-ops backend (scalar / portable-chunked /
-//! AVX2; `sortnet_network::lanes::Backend`), which every sweep entry
-//! point takes explicitly.  The bit-parallel engine is the default hot
-//! path; the scalar one is kept as its cross-check oracle (the
-//! differential-universe suite holds every universe × engine × lane width
-//! × backend to bit-identical detection matrices).
+//! [`coverage::FaultSimEngine`].  The scalar engine grades faults one by
+//! one, in enumeration order, on the caller's thread.  The bit-parallel
+//! engine's word kernels run on a runtime-selected lane-ops backend
+//! (scalar / portable-chunked / AVX2; `sortnet_network::lanes::Backend`),
+//! which every sweep entry point takes explicitly.  The bit-parallel
+//! engine is the default hot path; the scalar one is kept as its
+//! cross-check oracle (the differential-universe suite holds every
+//! universe × engine × lane width × backend to bit-identical detection
+//! matrices).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +54,7 @@ pub mod universe;
 
 pub use bitsim::{
     detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
-    faulty_run_block, first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
+    first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
     first_detections_of_lists, is_fault_redundant_wide, multi_faulty_run_block,
     redundant_faults_multi_budgeted_on, redundant_faults_multi_on, DetectionMatrix,
 };
@@ -60,18 +63,11 @@ pub use coverage::{
     CoverageReport, FaultSimEngine, RedundancyMode,
 };
 pub use model::{enumerate_faults, Fault, FaultKind};
-pub use simulate::{
-    apply_fault, detects, faulty_apply_channels, first_detection_index, is_fault_redundant,
-    try_detects, try_faulty_apply_bits, try_faulty_apply_channels, try_first_detection_index,
-    try_is_fault_redundant,
-};
+pub use simulate::apply_fault;
 pub use universe::{
-    is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_detects,
-    multi_detects_channels, multi_faulty_apply_bits, multi_faulty_apply_channels,
-    multi_first_detection_index, multi_first_detection_index_packed, try_is_multi_fault_redundant,
-    try_multi_detects, try_multi_faulty_apply_bits, try_multi_faulty_apply_channels, FaultPairs,
-    FaultUniverse, Lesion, MultiFault, SingleComparator, StandardUniverse, StuckAt, StuckLine,
-    TestVector,
+    is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_detects, multi_faulty_apply,
+    multi_first_detection_index, FaultPairs, FaultUniverse, Lesion, MultiFault, SingleComparator,
+    StandardUniverse, StuckAt, StuckLine, TestVector,
 };
 
 // The budget/cancellation/error vocabulary lives in `sortnet-network`;

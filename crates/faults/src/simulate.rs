@@ -1,56 +1,25 @@
-//! Fault injection and simulation.
+//! The scalar comparator steps and the materialised faulty network.
+//!
+//! A scalar evaluation state is a slice of channel words: line `i` at
+//! word `i / 64`, bit `i % 64`, so a `BitString` is the one-word case and
+//! lines past 63 index the next word instead of wrapping a shift.  The
+//! lesion timeline of [`crate::universe`] runs these steps for every fault
+//! of every universe; a single [`Fault`] is a one-lesion
+//! [`MultiFault`](crate::universe::MultiFault) (`MultiFault::from`).
+//! [`apply_fault`] is the independent reference: the faulty network built
+//! as a plain [`Network`] where a comparator replacement expresses it.
 
-use sortnet_combinat::{channel_words, BitString, ChannelVec};
-use sortnet_network::error::{self, EngineError};
 use sortnet_network::{Comparator, Network};
 
 use crate::model::{Fault, FaultKind};
 
-/// One fault-free comparator step on a word-packed 0/1 state: the minimum
-/// of the two line bits to `min_line`, the maximum to `max_line`.
-#[inline]
-pub(crate) fn step_word(c: &Comparator, w: u64) -> u64 {
-    let (i, j) = (c.min_line(), c.max_line());
-    let bi = (w >> i) & 1;
-    let bj = (w >> j) & 1;
-    (w & !((1u64 << i) | (1u64 << j))) | ((bi & bj) << i) | ((bi | bj) << j)
-}
-
-/// One *faulty* comparator step on a word-packed 0/1 state — the scalar
-/// semantics of each [`FaultKind`], shared by the single-fault simulator
-/// below and the multi-lesion simulator in [`crate::universe`].
-#[inline]
-pub(crate) fn step_word_faulty(c: &Comparator, kind: FaultKind, w: u64) -> u64 {
-    let (i, j) = (c.min_line(), c.max_line());
-    let bi = (w >> i) & 1;
-    let bj = (w >> j) & 1;
-    let (new_i, new_j) = match kind {
-        FaultKind::StuckPass => (bi, bj),
-        FaultKind::StuckSwap => (bj, bi),
-        FaultKind::Inverted => (bi | bj, bi & bj),
-        FaultKind::Misrouted { new_bottom } => {
-            // Re-route: comparator acts between `top` and `new_bottom`
-            // (minimum to the top line).  `new_bottom == top` degenerates
-            // to a no-op, matching the lane engine.
-            let top = c.top();
-            let bt = (w >> top) & 1;
-            let bb = (w >> new_bottom) & 1;
-            return (w & !((1u64 << top) | (1u64 << new_bottom)))
-                | ((bt & bb) << top)
-                | ((bt | bb) << new_bottom);
-        }
-    };
-    (w & !((1u64 << i) | (1u64 << j))) | (new_i << i) | (new_j << j)
-}
-
-/// Reads the bit of line `line` from a multi-word channel state
-/// (`ceil(n/64)` words, line `i` at word `i / 64`, bit `i % 64`).
+/// Reads the bit of line `line` from a channel-word state.
 #[inline]
 pub(crate) fn channel_bit(w: &[u64], line: usize) -> u64 {
     (w[line / 64] >> (line % 64)) & 1
 }
 
-/// Writes the bit of line `line` in a multi-word channel state.
+/// Writes the bit of line `line` in a channel-word state.
 #[inline]
 pub(crate) fn set_channel_bit(w: &mut [u64], line: usize, value: u64) {
     let mask = 1u64 << (line % 64);
@@ -61,10 +30,8 @@ pub(crate) fn set_channel_bit(w: &mut [u64], line: usize, value: u64) {
     }
 }
 
-/// One fault-free comparator step on a multi-word channel state — the
-/// `ChannelWords ≥ 1` sibling of [`step_word`], with per-line word
-/// indexing instead of a `1 << line` shift (so lines past 63 are exact,
-/// not wrapped).
+/// One fault-free comparator step: the minimum of the two line bits to
+/// `min_line`, the maximum to `max_line`.
 #[inline]
 pub(crate) fn step_channels(c: &Comparator, w: &mut [u64]) {
     let (i, j) = (c.min_line(), c.max_line());
@@ -74,8 +41,8 @@ pub(crate) fn step_channels(c: &Comparator, w: &mut [u64]) {
     set_channel_bit(w, j, bi | bj);
 }
 
-/// One *faulty* comparator step on a multi-word channel state — the
-/// `ChannelWords ≥ 1` sibling of [`step_word_faulty`], kind by kind.
+/// One *faulty* comparator step: the scalar semantics of each
+/// [`FaultKind`].
 #[inline]
 pub(crate) fn step_channels_faulty(c: &Comparator, kind: FaultKind, w: &mut [u64]) {
     let (i, j) = (c.min_line(), c.max_line());
@@ -99,106 +66,6 @@ pub(crate) fn step_channels_faulty(c: &Comparator, kind: FaultKind, w: &mut [u64
     };
     set_channel_bit(w, i, new_i);
     set_channel_bit(w, j, new_j);
-}
-
-/// A faulty evaluation of a network on a multi-word channel input — the
-/// arbitrary-`n` form of [`faulty_apply_bits`].
-///
-/// # Panics
-/// The panicking wrapper over [`try_faulty_apply_channels`].
-#[must_use]
-pub fn faulty_apply_channels(network: &Network, fault: &Fault, input: &ChannelVec) -> ChannelVec {
-    try_faulty_apply_channels(network, fault, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`faulty_apply_channels`] with every precondition reported as a typed
-/// [`EngineError`] instead of a panic.
-///
-/// # Errors
-/// [`EngineError::IndexOutOfRange`] for an out-of-range fault index;
-/// [`EngineError::OversizedNetwork`] past the
-/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap;
-/// [`EngineError::InputLengthMismatch`] otherwise.
-pub fn try_faulty_apply_channels(
-    network: &Network,
-    fault: &Fault,
-    input: &ChannelVec,
-) -> Result<ChannelVec, EngineError> {
-    if fault.comparator >= network.size() {
-        return Err(EngineError::IndexOutOfRange {
-            what: "fault",
-            index: fault.comparator,
-            limit: network.size(),
-        });
-    }
-    let n = network.lines();
-    error::ensure_channel_packable(n, channel_words(n))?;
-    if input.len() != n {
-        return Err(EngineError::InputLengthMismatch {
-            expected: n,
-            actual: input.len(),
-        });
-    }
-    let mut w = input.words().to_vec();
-    for (idx, c) in network.comparators().iter().enumerate() {
-        if idx == fault.comparator {
-            step_channels_faulty(c, fault.kind, &mut w);
-        } else {
-            step_channels(c, &mut w);
-        }
-    }
-    Ok(ChannelVec::from_words(&w, n))
-}
-
-/// A faulty evaluation of a network on a 0/1 input: comparator
-/// `fault.comparator` misbehaves according to `fault.kind`.
-///
-/// # Panics
-/// Panics if the fault's comparator index is out of range, the network
-/// has more than 64 lines, or the input length mismatches the network —
-/// the panicking wrapper over [`try_faulty_apply_bits`].
-#[must_use]
-pub fn faulty_apply_bits(network: &Network, fault: &Fault, input: &BitString) -> BitString {
-    try_faulty_apply_bits(network, fault, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`faulty_apply_bits`] with every precondition reported as a typed
-/// [`EngineError`] instead of a panic.
-///
-/// # Errors
-/// [`EngineError::IndexOutOfRange`] for an out-of-range fault index;
-/// [`EngineError::OversizedNetwork`] when `n > 64` (the evaluation is
-/// word-packed — checked before the input-length comparison so an
-/// oversized network is rejected for what it is, not as a length
-/// mismatch); [`EngineError::InputLengthMismatch`] otherwise.
-pub fn try_faulty_apply_bits(
-    network: &Network,
-    fault: &Fault,
-    input: &BitString,
-) -> Result<BitString, EngineError> {
-    if fault.comparator >= network.size() {
-        return Err(EngineError::IndexOutOfRange {
-            what: "fault",
-            index: fault.comparator,
-            limit: network.size(),
-        });
-    }
-    error::ensure_word_packable(network.lines())?;
-    if input.len() != network.lines() {
-        return Err(EngineError::InputLengthMismatch {
-            expected: network.lines(),
-            actual: input.len(),
-        });
-    }
-    let mut w = input.word();
-    for (idx, c) in network.comparators().iter().enumerate() {
-        w = if idx == fault.comparator {
-            step_word_faulty(c, fault.kind, w)
-        } else {
-            step_word(c, w)
-        };
-    }
-    Ok(BitString::from_word(w, network.lines()))
 }
 
 /// Materialises the faulty network as a [`Network`] when the fault is
@@ -225,96 +92,22 @@ pub fn apply_fault(network: &Network, fault: &Fault) -> Option<Network> {
     }
 }
 
-/// `true` iff the test input `input` detects the fault: the faulty network
-/// fails to sort it.
-#[must_use]
-pub fn detects(network: &Network, fault: &Fault, input: &BitString) -> bool {
-    !faulty_apply_bits(network, fault, input).is_sorted()
-}
-
-/// [`detects`] with preconditions reported as a typed [`EngineError`].
-///
-/// # Errors
-/// As [`try_faulty_apply_bits`].
-pub fn try_detects(
-    network: &Network,
-    fault: &Fault,
-    input: &BitString,
-) -> Result<bool, EngineError> {
-    Ok(!try_faulty_apply_bits(network, fault, input)?.is_sorted())
-}
-
-/// `true` iff the fault is *redundant* for the sorting property: the faulty
-/// network still sorts all `2^n` inputs (so no test can — or needs to —
-/// detect it).
-///
-/// # Panics
-/// Panics when the exhaustive `2^n` sweep is inadmissible (`n ≥ 32` —
-/// the canonical [`error::ensure_sweepable`] bound, shared with the
-/// bit-parallel engine).
-#[must_use]
-pub fn is_fault_redundant(network: &Network, fault: &Fault) -> bool {
-    let n = network.lines();
-    if let Err(e) = error::ensure_sweepable(n) {
-        panic!("{e}");
-    }
-    BitString::all(n).all(|s| faulty_apply_bits(network, fault, &s).is_sorted())
-}
-
-/// [`is_fault_redundant`] with the size guard reported as a typed
-/// [`EngineError`] (the exhaustive check is refused for `n ≥ 32`,
-/// exactly as in the bit-parallel sweep).
-///
-/// # Errors
-/// [`EngineError::SweepTooLarge`] when `n ≥ 32`;
-/// [`EngineError::IndexOutOfRange`] for an out-of-range fault index.
-pub fn try_is_fault_redundant(network: &Network, fault: &Fault) -> Result<bool, EngineError> {
-    error::ensure_sweepable(network.lines())?;
-    if fault.comparator >= network.size() {
-        return Err(EngineError::IndexOutOfRange {
-            what: "fault",
-            index: fault.comparator,
-            limit: network.size(),
-        });
-    }
-    Ok(is_fault_redundant(network, fault))
-}
-
-/// Index (0-based) of the first test in `tests` that detects the fault, or
-/// `None` if none does.
-#[must_use]
-pub fn first_detection_index(
-    network: &Network,
-    fault: &Fault,
-    tests: &[BitString],
-) -> Option<usize> {
-    tests.iter().position(|t| detects(network, fault, t))
-}
-
-/// [`first_detection_index`] with preconditions reported as a typed
-/// [`EngineError`].
-///
-/// # Errors
-/// As [`try_faulty_apply_bits`], for any test in the list.
-pub fn try_first_detection_index(
-    network: &Network,
-    fault: &Fault,
-    tests: &[BitString],
-) -> Result<Option<usize>, EngineError> {
-    for (i, t) in tests.iter().enumerate() {
-        if try_detects(network, fault, t)? {
-            return Ok(Some(i));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::enumerate_faults;
+    use crate::universe::{
+        is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
+        MultiFault,
+    };
+    use sortnet_combinat::{BitString, ChannelVec};
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::properties::is_sorter;
+
+    /// The scalar simulator's output for a single-comparator fault.
+    fn faulty<P: crate::universe::TestVector>(net: &Network, fault: &Fault, input: &P) -> P {
+        multi_faulty_apply(net, &MultiFault::from(*fault), input)
+    }
 
     #[test]
     fn faulty_evaluation_matches_materialised_network_when_available() {
@@ -323,7 +116,7 @@ mod tests {
             if let Some(faulty_net) = apply_fault(&net, &fault) {
                 for input in BitString::all(6) {
                     assert_eq!(
-                        faulty_apply_bits(&net, &fault, &input),
+                        faulty(&net, &fault, &input),
                         faulty_net.apply_bits(&input),
                         "fault {fault:?} input {input}"
                     );
@@ -334,15 +127,12 @@ mod tests {
 
     #[test]
     fn fault_free_simulation_matches_normal_evaluation() {
-        // A StuckPass fault on a comparator that never fires behaves like the
-        // original network on inputs that never exercise it; more simply,
-        // simulate with a fault and verify only the faulted comparator can
-        // deviate — here we check the trivial invariant that output weight is
-        // preserved (faults permute, never create or destroy values).
+        // Comparator faults permute the line values and never create or
+        // destroy one, so the output weight equals the input weight.
         let net = odd_even_merge_sort(7);
         for fault in enumerate_faults(&net) {
             for input in BitString::all(7).take(32) {
-                let out = faulty_apply_bits(&net, &fault, &input);
+                let out = faulty(&net, &fault, &input);
                 assert_eq!(out.count_ones(), input.count_ones(), "fault {fault:?}");
             }
         }
@@ -359,7 +149,11 @@ mod tests {
                     comparator: idx,
                     kind: FaultKind::StuckPass,
                 };
-                assert!(!is_fault_redundant(&net, &fault), "n={n} comparator {idx}");
+                assert!(
+                    !is_multi_fault_redundant(&net, &fault.into()),
+                    "n={n} comparator {idx}"
+                );
+                assert!(!is_sorter(&apply_fault(&net, &fault).unwrap()));
             }
         }
     }
@@ -379,26 +173,27 @@ mod tests {
 
     #[test]
     fn detection_uses_unsorted_outputs_only() {
+        // A StuckSwap can mis-sort a sorted input, which is why such faults
+        // are graded by fault testing but not by the paper's sorting test
+        // set.  `apply_fault` cannot express a StuckSwap, so detection is
+        // checked against the shift-free reference's sortedness.
         let net = odd_even_merge_sort(5);
         let fault = Fault {
             comparator: 0,
             kind: FaultKind::StuckSwap,
         };
-        // Sorted inputs can never detect anything on... actually a StuckSwap
-        // CAN mis-sort a sorted input, which is exactly why they are included
-        // in fault testing but not in the paper's sorting test set.  Just
-        // check detects() is consistent with the simulator.
         for input in BitString::all(5) {
             assert_eq!(
-                detects(&net, &fault, &input),
-                !faulty_apply_bits(&net, &fault, &input).is_sorted()
+                multi_detects(&net, &fault.into(), &input),
+                !reference_faulty(&net, &fault, &input).is_sorted(),
+                "input {input}"
             );
         }
     }
 
     /// Independent reference: the faulty step semantics re-coded over a
-    /// `Vec<u8>` state (no word shifts), so the word-packed engine's
-    /// `1u64 << line` arithmetic is cross-checked at the top of the word.
+    /// `Vec<u8>` state (no word shifts), so the channel-word simulator's
+    /// bit arithmetic is cross-checked at the top of the word.
     fn reference_faulty(network: &Network, fault: &Fault, input: &BitString) -> BitString {
         let mut v: Vec<u8> = input.to_vec();
         for (idx, c) in network.comparators().iter().enumerate() {
@@ -451,15 +246,14 @@ mod tests {
     #[test]
     fn word_boundary_networks_simulate_every_fault_kind_exactly() {
         // n ∈ {63, 64}: lines 62/63 sit at the top bits of the packed u64,
-        // where a wrong shift would wrap (the hazard class PR 1 fixed in
-        // the enumeration paths).  Every FaultKind on comparators touching
-        // the top lines must match a shift-free Vec<u8> reference.
+        // where a wrong shift would wrap.  Every FaultKind on comparators
+        // touching the top lines must match a shift-free Vec<u8> reference.
         for n in [63usize, 64] {
             let net = Network::from_pairs(n, &[(0, n - 1), (n - 2, n - 1), (0, 1), (1, n - 2)]);
             for fault in enumerate_faults(&net) {
                 for input in boundary_inputs(n) {
                     assert_eq!(
-                        faulty_apply_bits(&net, &fault, &input),
+                        faulty(&net, &fault, &input),
                         reference_faulty(&net, &fault, &input),
                         "n={n} fault {fault:?} input {input}"
                     );
@@ -470,16 +264,18 @@ mod tests {
 
     #[test]
     fn channel_simulator_agrees_with_the_word_engine_up_to_64_lines() {
-        // The multi-word scalar path must be bit-identical to the packed
-        // u64 path wherever both run — including the top-of-word lines.
+        // `BitString` and `ChannelVec` inputs run the same channel-word
+        // simulator; both packings must give the shift-free reference's
+        // output wherever both run, including the top-of-word lines.
         for n in [5usize, 63, 64] {
             let net = Network::from_pairs(n, &[(0, n - 1), (n - 2, n - 1), (0, 1), (1, n - 2)]);
             for fault in enumerate_faults(&net) {
                 for input in boundary_inputs(n) {
-                    let wide = ChannelVec::from_bitstring(input);
+                    let expected = reference_faulty(&net, &fault, &input);
+                    assert_eq!(faulty(&net, &fault, &input), expected);
                     assert_eq!(
-                        faulty_apply_channels(&net, &fault, &wide),
-                        ChannelVec::from_bitstring(faulty_apply_bits(&net, &fault, &input)),
+                        faulty(&net, &fault, &ChannelVec::from_bitstring(input)),
+                        ChannelVec::from_bitstring(expected),
                         "n={n} fault {fault:?} input {input}"
                     );
                 }
@@ -501,20 +297,17 @@ mod tests {
         let mut input = ChannelVec::zeros(n);
         input.set(63, true); // 1 on line 63, 0 on line 64: the comparator swaps
         let sorted = input.with_bit(63, false).with_bit(64, true);
+        let pass = Fault {
+            comparator: 0,
+            kind: FaultKind::StuckPass,
+        };
         assert_eq!(
-            faulty_apply_channels(
-                &net,
-                &Fault {
-                    comparator: 0,
-                    kind: FaultKind::StuckPass
-                },
-                &input
-            ),
+            faulty(&net, &pass, &input),
             input,
             "StuckPass leaves the seam untouched"
         );
         assert_eq!(
-            faulty_apply_channels(&net, &fault, &input),
+            faulty(&net, &fault, &input),
             sorted,
             "StuckSwap on an inverted pair sorts it"
         );
@@ -531,7 +324,7 @@ mod tests {
         // BitString itself caps at 64, so drive the assert with a 64-long
         // input: the n <= 64 guard must fire (before the length check, so
         // the oversized network is rejected for what it is).
-        let _ = faulty_apply_bits(&net, &fault, &BitString::zeros(64));
+        let _ = faulty(&net, &fault, &BitString::zeros(64));
     }
 
     #[test]
@@ -539,13 +332,14 @@ mod tests {
         let net = odd_even_merge_sort(5);
         let tests: Vec<BitString> = BitString::all(5).collect();
         for fault in enumerate_faults(&net) {
-            if let Some(idx) = first_detection_index(&net, &fault, &tests) {
-                assert!(detects(&net, &fault, &tests[idx]));
+            let fault = MultiFault::from(fault);
+            if let Some(idx) = multi_first_detection_index(&net, &fault, &tests) {
+                assert!(multi_detects(&net, &fault, &tests[idx]));
                 for t in &tests[..idx] {
-                    assert!(!detects(&net, &fault, t));
+                    assert!(!multi_detects(&net, &fault, t));
                 }
             } else {
-                assert!(is_fault_redundant(&net, &fault));
+                assert!(is_multi_fault_redundant(&net, &fault));
             }
         }
     }

@@ -71,9 +71,7 @@ use sortnet_network::error::{self, EngineError};
 use sortnet_network::Network;
 
 use crate::model::{enumerate_faults, Fault, FaultKind};
-use crate::simulate::{
-    set_channel_bit, step_channels, step_channels_faulty, step_word, step_word_faulty,
-};
+use crate::simulate::{channel_bit, set_channel_bit, step_channels, step_channels_faulty};
 
 /// A stuck-at-0/1 fault on one wire segment.
 ///
@@ -328,90 +326,10 @@ impl fmt::Display for MultiFault {
     }
 }
 
-/// Evaluates the faulty network on a word-packed 0/1 state: fault-free
+/// Runs the lesion timeline on a channel-word state in place: fault-free
 /// ranges between lesion cut positions, each lesion applied in timeline
 /// order.
-fn multi_faulty_apply_word(network: &Network, lesions: &[Lesion], mut w: u64) -> u64 {
-    let comparators = network.comparators();
-    let mut pos = 0usize;
-    for lesion in lesions {
-        match lesion {
-            Lesion::Comparator(fault) => {
-                for c in &comparators[pos..fault.comparator] {
-                    w = step_word(c, w);
-                }
-                w = step_word_faulty(&comparators[fault.comparator], fault.kind, w);
-                pos = fault.comparator + 1;
-            }
-            Lesion::Stuck(s) => {
-                for c in &comparators[pos..s.cut] {
-                    w = step_word(c, w);
-                }
-                w = if s.value {
-                    w | (1u64 << s.line)
-                } else {
-                    w & !(1u64 << s.line)
-                };
-                pos = s.cut;
-            }
-        }
-    }
-    for c in &comparators[pos..] {
-        w = step_word(c, w);
-    }
-    w
-}
-
-/// Scalar faulty evaluation of a [`MultiFault`] on a 0/1 input — the
-/// oracle the bit-parallel multi-fault engine is cross-checked against.
-///
-/// For single-comparator faults this agrees bit for bit with
-/// [`faulty_apply_bits`](crate::simulate::faulty_apply_bits).
-///
-/// # Panics
-/// Panics if a lesion is out of range, the input length mismatches, or the
-/// network has more than 64 lines.
-#[must_use]
-pub fn multi_faulty_apply_bits(
-    network: &Network,
-    fault: &MultiFault,
-    input: &BitString,
-) -> BitString {
-    try_multi_faulty_apply_bits(network, fault, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multi_faulty_apply_bits`] with every precondition reported as a
-/// typed [`EngineError`] instead of a panic.
-///
-/// # Errors
-/// [`EngineError::IndexOutOfRange`] when a lesion does not fit the
-/// network; [`EngineError::OversizedNetwork`] when `n > 64` (rejected
-/// before the input-length comparison so an oversized network is
-/// reported for what it is — the stuck-at injection shifts
-/// `1u64 << line`, which needs every line index < 64);
-/// [`EngineError::InputLengthMismatch`] otherwise.
-pub fn try_multi_faulty_apply_bits(
-    network: &Network,
-    fault: &MultiFault,
-    input: &BitString,
-) -> Result<BitString, EngineError> {
-    fault.check_in_range(network)?;
-    error::ensure_word_packable(network.lines())?;
-    if input.len() != network.lines() {
-        return Err(EngineError::InputLengthMismatch {
-            expected: network.lines(),
-            actual: input.len(),
-        });
-    }
-    let w = multi_faulty_apply_word(network, fault.lesions(), input.word());
-    Ok(BitString::from_word(w, network.lines()))
-}
-
-/// Evaluates the faulty network on a multi-word channel state in place —
-/// the `ChannelWords ≥ 1` sibling of [`multi_faulty_apply_word`], with the
-/// stuck-at injection indexing word `line / 64` instead of shifting
-/// `1u64 << line`.
-fn multi_faulty_apply_channel_state(network: &Network, lesions: &[Lesion], w: &mut [u64]) {
+fn run_lesion_timeline(network: &Network, lesions: &[Lesion], w: &mut [u64]) {
     let comparators = network.comparators();
     let mut pos = 0usize;
     for lesion in lesions {
@@ -437,75 +355,12 @@ fn multi_faulty_apply_channel_state(network: &Network, lesions: &[Lesion], w: &m
     }
 }
 
-/// Scalar faulty evaluation of a [`MultiFault`] on a multi-word channel
-/// input — the arbitrary-`n` form of [`multi_faulty_apply_bits`] and the
-/// oracle the multi-word bit-parallel sweeps are cross-checked against.
-///
-/// # Panics
-/// The panicking wrapper over [`try_multi_faulty_apply_channels`].
-#[must_use]
-pub fn multi_faulty_apply_channels(
-    network: &Network,
-    fault: &MultiFault,
-    input: &ChannelVec,
-) -> ChannelVec {
-    try_multi_faulty_apply_channels(network, fault, input).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multi_faulty_apply_channels`] with every precondition reported as a
-/// typed [`EngineError`] instead of a panic.
-///
-/// # Errors
-/// [`EngineError::IndexOutOfRange`] when a lesion does not fit the
-/// network; [`EngineError::OversizedNetwork`] past the
-/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap;
-/// [`EngineError::InputLengthMismatch`] otherwise.
-pub fn try_multi_faulty_apply_channels(
-    network: &Network,
-    fault: &MultiFault,
-    input: &ChannelVec,
-) -> Result<ChannelVec, EngineError> {
-    fault.check_in_range(network)?;
-    let n = network.lines();
-    error::ensure_channel_packable(n, channel_words(n))?;
-    if input.len() != n {
-        return Err(EngineError::InputLengthMismatch {
-            expected: n,
-            actual: input.len(),
-        });
-    }
-    let mut w = input.words().to_vec();
-    multi_faulty_apply_channel_state(network, fault.lesions(), &mut w);
-    Ok(ChannelVec::from_words(&w, n))
-}
-
-/// `true` iff the multi-word channel input detects the fault.
-#[must_use]
-pub fn multi_detects_channels(network: &Network, fault: &MultiFault, input: &ChannelVec) -> bool {
-    !multi_faulty_apply_channels(network, fault, input).is_sorted()
-}
-
-/// A packed test vector the scalar fault engines can evaluate directly:
-/// the hook that lets the coverage/augmentation layers stay generic over
-/// the vector packing without losing the single-word fast path.
-///
-/// `BitString` routes to the historical word-packed scalar simulator
-/// (so the `n ≤ 64` scalar engine is byte-identical to before), and
-/// `ChannelVec` to the multi-word channel simulator.  `ensure_packable`
-/// is the packing's own size guard: the 64-line wall for `BitString`
-/// (with its pinned `"n <= 64"` text), the
-/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap
-/// for `ChannelVec`.
+/// A packed test vector the scalar fault simulator can evaluate: a
+/// [`ChannelPack`] with its packing's own size guard.  `BitString` is the
+/// one-channel-word case, with the 64-line wall (and its pinned
+/// `"n <= 64"` text); `ChannelVec` runs to the
+/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap.
 pub trait TestVector: ChannelPack {
-    /// Faulty scalar evaluation of `fault` on `input`.
-    ///
-    /// # Panics
-    /// Panics on out-of-range lesions or mismatched input lengths —
-    /// callers validate with [`TestVector::ensure_packable`] and a length
-    /// check first, as the engines do.
-    #[must_use]
-    fn multi_apply(network: &Network, fault: &MultiFault, input: &Self) -> Self;
-
     /// The packing's size guard for an `lines`-line network.
     ///
     /// # Errors
@@ -515,11 +370,6 @@ pub trait TestVector: ChannelPack {
 
 impl TestVector for BitString {
     #[inline]
-    fn multi_apply(network: &Network, fault: &MultiFault, input: &Self) -> Self {
-        multi_faulty_apply_bits(network, fault, input)
-    }
-
-    #[inline]
     fn ensure_packable(lines: usize) -> Result<(), EngineError> {
         error::ensure_word_packable(lines)
     }
@@ -527,58 +377,62 @@ impl TestVector for BitString {
 
 impl TestVector for ChannelVec {
     #[inline]
-    fn multi_apply(network: &Network, fault: &MultiFault, input: &Self) -> Self {
-        multi_faulty_apply_channels(network, fault, input)
-    }
-
-    #[inline]
     fn ensure_packable(lines: usize) -> Result<(), EngineError> {
         error::ensure_channel_packable(lines, channel_words(lines))
     }
 }
 
-/// `true` iff `input` detects the fault: the faulty network fails to sort
-/// it.
+/// Scalar faulty evaluation of a fault of any universe on one test
+/// vector: the reference every bit-parallel engine is checked against.
+/// A single-comparator [`Fault`] is evaluated as `MultiFault::from(fault)`.
+///
+/// # Panics
+/// Panics, in this order, if a lesion does not fit the network
+/// ([`EngineError::IndexOutOfRange`]), the network is past the packing's
+/// cap ([`TestVector::ensure_packable`]: `n <= 64` for `BitString`,
+/// checked before the length so an oversized network is refused for what
+/// it is), or the input length differs from the network's.
 #[must_use]
-pub fn multi_detects(network: &Network, fault: &MultiFault, input: &BitString) -> bool {
-    !multi_faulty_apply_bits(network, fault, input).is_sorted()
+pub fn multi_faulty_apply<P: TestVector>(network: &Network, fault: &MultiFault, input: &P) -> P {
+    fault.assert_in_range(network);
+    let n = network.lines();
+    if let Err(e) = P::ensure_packable(n) {
+        panic!("{e}");
+    }
+    if input.len() != n {
+        let e = EngineError::InputLengthMismatch {
+            expected: n,
+            actual: input.len(),
+        };
+        panic!("{e}");
+    }
+    let mut w: Vec<u64> = (0..channel_words(n)).map(|k| input.word(k)).collect();
+    run_lesion_timeline(network, fault.lesions(), &mut w);
+    P::assemble(n, |line| channel_bit(&w, line) == 1)
 }
 
-/// [`multi_detects`] with preconditions reported as a typed
-/// [`EngineError`].
+/// `true` iff `input` detects the fault: the faulty network fails to sort
+/// it.
 ///
-/// # Errors
-/// As [`try_multi_faulty_apply_bits`].
-pub fn try_multi_detects(
-    network: &Network,
-    fault: &MultiFault,
-    input: &BitString,
-) -> Result<bool, EngineError> {
-    Ok(!try_multi_faulty_apply_bits(network, fault, input)?.is_sorted())
+/// # Panics
+/// As [`multi_faulty_apply`].
+#[must_use]
+pub fn multi_detects<P: TestVector>(network: &Network, fault: &MultiFault, input: &P) -> bool {
+    !multi_faulty_apply(network, fault, input).is_sorted()
 }
 
 /// Index (0-based) of the first test in `tests` detecting the fault, or
-/// `None` — the scalar reference for the bit-parallel early-exit sweep.
+/// `None`: the scalar reference for the bit-parallel early-exit sweep.
+///
+/// # Panics
+/// As [`multi_faulty_apply`], for any test scanned.
 #[must_use]
-pub fn multi_first_detection_index(
-    network: &Network,
-    fault: &MultiFault,
-    tests: &[BitString],
-) -> Option<usize> {
-    tests.iter().position(|t| multi_detects(network, fault, t))
-}
-
-/// [`multi_first_detection_index`] generic over the vector packing — the
-/// scalar reference the multi-word engines are graded against.
-#[must_use]
-pub fn multi_first_detection_index_packed<P: TestVector>(
+pub fn multi_first_detection_index<P: TestVector>(
     network: &Network,
     fault: &MultiFault,
     tests: &[P],
 ) -> Option<usize> {
-    tests
-        .iter()
-        .position(|t| !P::multi_apply(network, fault, t).is_sorted())
+    tests.iter().position(|t| multi_detects(network, fault, t))
 }
 
 /// `true` iff the fault is *redundant* (undetectable): the faulty network
@@ -589,30 +443,15 @@ pub fn multi_first_detection_index_packed<P: TestVector>(
 /// # Panics
 /// Panics when the exhaustive `2^n` sweep is inadmissible (`n ≥ 32` —
 /// the canonical [`error::ensure_sweepable`] bound, shared with the
-/// bit-parallel engine so the two agree on which inputs are sweepable).
+/// bit-parallel engine so the two agree on which inputs are sweepable),
+/// or as [`multi_faulty_apply`].
 #[must_use]
 pub fn is_multi_fault_redundant(network: &Network, fault: &MultiFault) -> bool {
     let n = network.lines();
     if let Err(e) = error::ensure_sweepable(n) {
         panic!("{e}");
     }
-    BitString::all(n).all(|s| multi_faulty_apply_bits(network, fault, &s).is_sorted())
-}
-
-/// [`is_multi_fault_redundant`] with the size guard reported as a typed
-/// [`EngineError`].
-///
-/// # Errors
-/// [`EngineError::SweepTooLarge`] when `n ≥ 32` (the canonical
-/// [`error::ensure_sweepable`] bound, shared with the bit-parallel
-/// engine); [`EngineError::IndexOutOfRange`] when a lesion does not fit.
-pub fn try_is_multi_fault_redundant(
-    network: &Network,
-    fault: &MultiFault,
-) -> Result<bool, EngineError> {
-    error::ensure_sweepable(network.lines())?;
-    fault.check_in_range(network)?;
-    Ok(is_multi_fault_redundant(network, fault))
+    BitString::all(n).all(|s| !multi_detects(network, fault, &s))
 }
 
 /// `true` iff the fault is redundant *relative to* the given vector
@@ -620,17 +459,21 @@ pub fn try_is_multi_fault_redundant(
 /// to [`is_multi_fault_redundant`] for networks past the sweepable
 /// bound — sound (an exhaustively redundant fault is relatively
 /// redundant against any family) but not complete (a fault the family
-/// misses may still be detectable by vectors outside it).  Batched
-/// layers that classify redundancy under
-/// [`RedundancyMode::RelativeTo`](crate::coverage::RedundancyMode) must
-/// route through this predicate so batched and cold verdicts agree.
+/// misses may still be detectable by vectors outside it).  The scalar
+/// engine's [`RedundancyMode::RelativeTo`](crate::coverage::RedundancyMode)
+/// verdict, which the bit-parallel
+/// [`redundancy_verdicts_on`](crate::coverage::redundancy_verdicts_on)
+/// must reproduce.
+///
+/// # Panics
+/// As [`multi_faulty_apply`], for any family member scanned.
 #[must_use]
 pub fn is_multi_fault_redundant_relative<P: TestVector>(
     network: &Network,
     fault: &MultiFault,
     family: &[P],
 ) -> bool {
-    multi_first_detection_index_packed(network, fault, family).is_none()
+    multi_first_detection_index(network, fault, family).is_none()
 }
 
 /// A streaming enumeration of a fault space.
@@ -934,7 +777,7 @@ impl FaultUniverse for StandardUniverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate::faulty_apply_bits;
+    use crate::simulate::apply_fault;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
 
     #[test]
@@ -946,11 +789,14 @@ mod tests {
         assert_eq!(universe.len(), legacy.len());
         for (mf, fault) in universe.iter().zip(&legacy) {
             assert_eq!(mf.lesions(), &[Lesion::Comparator(*fault)]);
+            assert_eq!(*mf, MultiFault::from(*fault));
+            let materialised = apply_fault(&net, fault);
             for input in BitString::all(6).take(16) {
-                assert_eq!(
-                    multi_faulty_apply_bits(&net, mf, &input),
-                    faulty_apply_bits(&net, fault, &input)
-                );
+                let out = multi_faulty_apply(&net, mf, &input);
+                assert_eq!(out, reference_multi_apply(&net, mf, &input), "{mf} {input}");
+                if let Some(faulty_net) = &materialised {
+                    assert_eq!(out, faulty_net.apply_bits(&input), "{mf} {input}");
+                }
             }
         }
     }
@@ -984,7 +830,7 @@ mod tests {
             value: true,
         }));
         for input in BitString::all(4) {
-            let out = multi_faulty_apply_bits(&net, &fault, &input);
+            let out = multi_faulty_apply(&net, &fault, &input);
             assert!(out.get(0), "input {input}");
         }
         // Detected by any input whose sorted form has ≥ 2 zeros.
@@ -1089,7 +935,7 @@ mod tests {
             for mf in StuckLine.iter(&net) {
                 for input in &inputs {
                     assert_eq!(
-                        multi_faulty_apply_bits(&net, &mf, input),
+                        multi_faulty_apply(&net, &mf, input),
                         reference_multi_apply(&net, &mf, input),
                         "n={n} fault {mf} input {input}"
                     );
@@ -1110,7 +956,7 @@ mod tests {
             );
             for input in &inputs {
                 assert_eq!(
-                    multi_faulty_apply_bits(&net, &pair, input),
+                    multi_faulty_apply(&net, &pair, input),
                     reference_multi_apply(&net, &pair, input),
                     "n={n} input {input}"
                 );
@@ -1127,7 +973,7 @@ mod tests {
             cut: 0,
             value: true,
         }));
-        let _ = multi_faulty_apply_bits(&net, &fault, &BitString::zeros(64));
+        let _ = multi_faulty_apply(&net, &fault, &BitString::zeros(64));
     }
 
     #[test]
@@ -1215,7 +1061,7 @@ mod tests {
                 kind: FaultKind::StuckPass,
             }),
         );
-        let out = multi_faulty_apply_bits(&net, &pair, &BitString::from_word(0b00, 2));
+        let out = multi_faulty_apply(&net, &pair, &BitString::from_word(0b00, 2));
         assert_eq!(out, BitString::from_word(0b01, 2));
         assert!(multi_detects(&net, &pair, &BitString::from_word(0b00, 2)));
     }

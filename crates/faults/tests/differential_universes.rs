@@ -36,7 +36,6 @@ use sortnet_faults::universe::{
     is_multi_fault_redundant, multi_detects, multi_first_detection_index, FaultUniverse,
     MultiFault, StandardUniverse,
 };
-use sortnet_faults::{Fault, Lesion};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::lanes::{Backend, LaneWidth, SliceSource, WideBlock};
@@ -193,9 +192,9 @@ fn first_detections_match_the_scalar_scan_in_every_universe() {
 
 #[test]
 fn redundancy_classification_agrees_across_all_three_paths() {
-    // Scalar exhaustive sweep vs the shared-prefix batch sweep, plus — for
-    // the single-comparator universe — the old per-fault re-run path the
-    // batch sweep replaced (the ROADMAP prefix-fork fix regression pin).
+    // Scalar exhaustive sweep vs the shared-prefix batch sweep vs the
+    // per-fault re-run path the batch sweep replaced (the ROADMAP
+    // prefix-fork fix regression pin), on every universe.
     for n in [4usize, 6] {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
@@ -210,19 +209,12 @@ fn redundancy_classification_agrees_across_all_three_paths() {
                         "{label} n={n} {} fault {fault}",
                         universe.name()
                     );
-                }
-                if universe == StandardUniverse::SingleComparator {
-                    for (i, fault) in faults.iter().enumerate() {
-                        let [Lesion::Comparator(single)] = fault.lesions() else {
-                            panic!("single-comparator universe must yield comparator lesions")
-                        };
-                        let legacy: Fault = *single;
-                        assert_eq!(
-                            batch[i],
-                            is_fault_redundant_wide::<4>(&net, &legacy),
-                            "{label} n={n} per-fault path fault {fault}"
-                        );
-                    }
+                    assert_eq!(
+                        batch[i],
+                        is_fault_redundant_wide::<4>(&net, fault),
+                        "{label} n={n} {} per-fault path fault {fault}",
+                        universe.name()
+                    );
                 }
             }
         }

@@ -14,10 +14,14 @@
 //! * single-comparator and stuck-line universes, plus hand-built lesion
 //!   *pairs* straddling the word seam;
 //! * every runnable lane-ops backend × lane widths `W ∈ {1, 4}`;
+//! * the scalar simulator itself: `BitString` and `ChannelVec` inputs
+//!   agree at `n ∈ {1, 2, 63, 64}`, and `ChannelVec` matches the byte
+//!   reference at `n ∈ {65, 128}`, on comparator and stuck lesions, singles
+//!   and pairs;
 //! * the streamed-source matrix against the slice-at-once matrix, and
 //!   scalar vs bit-parallel coverage reports on a 96-line network.
 
-use sortnet_combinat::{channel_words, ChannelPack, ChannelVec};
+use sortnet_combinat::{channel_words, BitString, ChannelPack, ChannelVec};
 use sortnet_faults::bitsim::{
     detection_matrix_from_source_packed_on, first_detections_multi_packed_on, DetectionMatrix,
 };
@@ -25,7 +29,8 @@ use sortnet_faults::coverage::{
     try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{
-    FaultUniverse, Lesion, MultiFault, StandardUniverse, StuckAt, TestVector,
+    multi_detects, multi_faulty_apply, FaultUniverse, Lesion, MultiFault, StandardUniverse,
+    StuckAt, TestVector,
 };
 use sortnet_faults::{Fault, FaultKind};
 use sortnet_network::lanes::{Backend, IterSource, LaneWidth, SliceSource};
@@ -180,7 +185,7 @@ fn multiword_matrices_match_the_byte_reference_on_every_backend_and_width() {
             for (f, fault) in faults.iter().enumerate().step_by(17) {
                 for (t, test) in tests.iter().enumerate() {
                     assert_eq!(
-                        !ChannelVec::multi_apply(&net, fault, test).is_sorted(),
+                        multi_detects(&net, fault, test),
                         expected[f * tests.len() + t],
                         "scalar channel oracle n={n} fault {fault} test {test}"
                     );
@@ -223,6 +228,77 @@ fn lesion_pairs_straddling_the_word_seam_match_the_byte_reference() {
                         backend.name()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Every single comparator and stuck lesion of `net`, and every
+/// `stride`-th conflict-free pair drawn from both kinds together.
+fn singles_and_pairs(net: &Network, stride: usize) -> Vec<MultiFault> {
+    let singles: Vec<MultiFault> = [
+        StandardUniverse::SingleComparator,
+        StandardUniverse::StuckLine,
+    ]
+    .iter()
+    .flat_map(|universe| universe.iter(net))
+    .collect();
+    let lesions: Vec<Lesion> = singles.iter().map(|f| f.lesions()[0]).collect();
+    let mut pairs = Vec::new();
+    for (i, a) in lesions.iter().enumerate() {
+        for b in &lesions[i + 1..] {
+            if !a.conflicts_with(b) {
+                pairs.push(MultiFault::pair(*a, *b));
+            }
+        }
+    }
+    singles
+        .into_iter()
+        .chain(pairs.into_iter().step_by(stride))
+        .collect()
+}
+
+#[test]
+fn scalar_simulator_agrees_across_packings_and_with_the_byte_reference_at_word_boundaries() {
+    // One channel-word simulator serves both packings: a `BitString` is
+    // its one-word case.  At n ∈ {1, 2, 63, 64} the two packings must give
+    // the same output (and the byte reference's); past the wall the
+    // `ChannelVec` output must match the byte reference across the seams.
+    for n in [1usize, 2, 63, 64] {
+        let pairs: Vec<(usize, usize)> = match n {
+            1 => Vec::new(),
+            2 => vec![(0, 1), (0, 1)],
+            _ => vec![(0, n - 1), (n - 2, n - 1), (0, 1), (1, n - 2)],
+        };
+        let net = Network::from_pairs(n, &pairs);
+        let faults = singles_and_pairs(&net, 3);
+        assert!(faults.iter().any(MultiFault::is_pair) || n == 1, "n={n}");
+        for fault in &faults {
+            for input in boundary_channel_inputs(n) {
+                let bits = BitString::from_bits(&(0..n).map(|i| input.bit(i)).collect::<Vec<_>>());
+                let expected = reference_multi(&net, fault, &input);
+                let wide = multi_faulty_apply(&net, fault, &input);
+                let narrow = multi_faulty_apply(&net, fault, &bits);
+                assert_eq!(wide, expected, "n={n} fault {fault} input {input}");
+                assert_eq!(
+                    ChannelVec::from_bitstring(narrow),
+                    expected,
+                    "n={n} fault {fault} input {input}"
+                );
+            }
+        }
+    }
+    for n in [65usize, 128] {
+        let net = seam_network(n);
+        let faults = singles_and_pairs(&net, 7);
+        assert!(faults.iter().any(MultiFault::is_pair), "n={n}");
+        for fault in &faults {
+            for input in boundary_channel_inputs(n) {
+                assert_eq!(
+                    multi_faulty_apply(&net, fault, &input),
+                    reference_multi(&net, fault, &input),
+                    "n={n} fault {fault} input {input}"
+                );
             }
         }
     }

@@ -1,19 +1,23 @@
 //! Property-based cross-check: the bit-parallel fault engine (`bitsim`)
-//! must agree with the scalar simulator (`simulate`) on random networks,
-//! random faults of all four kinds, and random test blocks.
+//! must agree with the scalar simulator (`universe::multi_faulty_apply`,
+//! a single fault run as its one-lesion `MultiFault`) and, where the
+//! faulty network can be built, with the materialised network
+//! (`simulate::apply_fault`), on random networks, random faults of all
+//! four kinds, and random test blocks.
 
 use proptest::prelude::*;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
-    detection_matrix_from_source_packed_on, faulty_run_block, first_detections_multi_packed_on,
-    is_fault_redundant_wide,
+    detection_matrix_from_source_packed_on, first_detections_multi_packed_on,
+    is_fault_redundant_wide, multi_faulty_run_block,
 };
 use sortnet_faults::model::{enumerate_faults, Fault, FaultKind};
-use sortnet_faults::simulate::{
-    detects, faulty_apply_bits, first_detection_index, is_fault_redundant,
+use sortnet_faults::simulate::apply_fault;
+use sortnet_faults::universe::{
+    is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
+    MultiFault,
 };
-use sortnet_faults::universe::MultiFault;
 use sortnet_network::bitparallel::BitBlock;
 use sortnet_network::lanes::{Backend, SliceSource};
 use sortnet_network::{Comparator, Network};
@@ -64,7 +68,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Lane-for-lane agreement: running a faulty network over a block
-    /// equals 64 scalar faulty evaluations, for every fault kind.
+    /// equals 64 scalar faulty evaluations, for every fault kind, and the
+    /// materialised faulty network's outputs wherever it exists.
     #[test]
     fn faulty_block_run_matches_scalar_evaluation(
         net in arb_network(20),
@@ -72,11 +77,16 @@ proptest! {
         tests in arb_tests(),
     ) {
         let fault = pick_fault(&net, selector);
+        let lesioned = MultiFault::from(fault);
+        let materialised = apply_fault(&net, &fault);
         let mut block = BitBlock::from_strings(N, &tests);
-        faulty_run_block(&net, &fault, &mut block);
+        multi_faulty_run_block(&net, &lesioned, &mut block);
         for (j, input) in tests.iter().enumerate() {
-            let scalar = faulty_apply_bits(&net, &fault, input);
+            let scalar = multi_faulty_apply(&net, &lesioned, input);
             prop_assert_eq!(block.extract(j as u32), scalar, "fault {:?} input {}", fault, input);
+            if let Some(faulty_net) = &materialised {
+                prop_assert_eq!(scalar, faulty_net.apply_bits(input), "fault {:?} input {}", fault, input);
+            }
         }
     }
 
@@ -85,17 +95,17 @@ proptest! {
     /// equal the scalar first-detection scan.
     #[test]
     fn detection_matrix_matches_scalar_detects(net in arb_network(16), tests in arb_tests()) {
-        let faults = enumerate_faults(&net);
-        let matrix = detection_matrix_from_source_packed_on::<4, BitString, _>(&net, &multi(&faults), SliceSource::new(net.lines(), &tests), Backend::active()).0;
+        let faults = multi(&enumerate_faults(&net));
+        let matrix = detection_matrix_from_source_packed_on::<4, BitString, _>(&net, &faults, SliceSource::new(net.lines(), &tests), Backend::active()).0;
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 prop_assert_eq!(
                     matrix.is_detected_by(f, t),
-                    detects(&net, fault, test),
-                    "fault {:?} test {}", fault, test
+                    multi_detects(&net, fault, test),
+                    "fault {} test {}", fault, test
                 );
             }
-            prop_assert_eq!(matrix.first_detection(f), first_detection_index(&net, fault, &tests));
+            prop_assert_eq!(matrix.first_detection(f), multi_first_detection_index(&net, fault, &tests));
         }
     }
 
@@ -103,21 +113,21 @@ proptest! {
     /// per-fault scan over the whole universe.
     #[test]
     fn first_detections_match_scalar_scan(net in arb_network(16), tests in arb_tests()) {
-        let faults = enumerate_faults(&net);
-        let bitpar = first_detections_multi_packed_on::<4, BitString>(&net, &multi(&faults), &tests, Backend::active());
+        let faults = multi(&enumerate_faults(&net));
+        let bitpar = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, Backend::active());
         for (f, fault) in faults.iter().enumerate() {
-            prop_assert_eq!(bitpar[f], first_detection_index(&net, fault, &tests), "fault {:?}", fault);
+            prop_assert_eq!(bitpar[f], multi_first_detection_index(&net, fault, &tests), "fault {}", fault);
         }
     }
 
     /// The blocked 2^n redundancy sweep agrees with the scalar one.
     #[test]
     fn redundancy_sweeps_agree(net in arb_network(12), selector in 0usize..1000) {
-        let fault = pick_fault(&net, selector);
+        let fault = MultiFault::from(pick_fault(&net, selector));
         prop_assert_eq!(
             is_fault_redundant_wide::<4>(&net, &fault),
-            is_fault_redundant(&net, &fault),
-            "fault {:?}", fault
+            is_multi_fault_redundant(&net, &fault),
+            "fault {}", fault
         );
     }
 

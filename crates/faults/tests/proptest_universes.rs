@@ -21,7 +21,7 @@ use sortnet_faults::bitsim::{
     redundant_faults_multi_on, DetectionMatrix,
 };
 use sortnet_faults::universe::{
-    is_multi_fault_redundant, multi_detects, multi_faulty_apply_bits, FaultPairs, FaultUniverse,
+    is_multi_fault_redundant, multi_detects, multi_faulty_apply, FaultPairs, FaultUniverse,
     MultiFault, SingleComparator, StandardUniverse, StuckLine,
 };
 use sortnet_faults::{Fault, FaultKind, Lesion};
@@ -73,7 +73,7 @@ fn pick_universe(selector: usize) -> StandardUniverse {
 }
 
 /// An independent scalar re-implementation of the lesion timeline, coded
-/// differently from `universe::multi_faulty_apply_bits` (per-comparator
+/// differently from `universe::multi_faulty_apply` (per-comparator
 /// event scan over a `Vec<u8>` state instead of word arithmetic) so the
 /// two can serve as oracles for each other.
 fn reference_faulty_apply(network: &Network, fault: &MultiFault, input: &BitString) -> BitString {
@@ -148,7 +148,7 @@ proptest! {
             for (t, test) in tests.iter().enumerate() {
                 let reference = reference_faulty_apply(&net, fault, test);
                 prop_assert_eq!(
-                    multi_faulty_apply_bits(&net, fault, test),
+                    multi_faulty_apply(&net, fault, test),
                     reference.clone(),
                     "fault {} test {}", fault, test
                 );

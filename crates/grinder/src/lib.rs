@@ -46,7 +46,9 @@ use sortnet_faults::bitsim::{detection_matrix_from_source_budgeted_on, Detection
 use sortnet_faults::coverage::{
     try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
 };
-use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse, TestVector};
+use sortnet_faults::universe::{
+    multi_detects, FaultUniverse, MultiFault, StandardUniverse, TestVector,
+};
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::EngineError;
@@ -154,12 +156,6 @@ impl fmt::Display for Mismatch {
     }
 }
 
-/// Scalar-oracle detection verdict in any packing: the faulty network
-/// mis-sorts the test.
-fn detects_packed<P: TestVector>(network: &Network, fault: &MultiFault, test: &P) -> bool {
-    !P::multi_apply(network, fault, test).is_sorted()
-}
-
 /// Scalar-oracle cross-check of the bit-parallel matrices over an explicit
 /// fault list.  Returns a description of the first disagreement, `None`
 /// when every engine agrees.
@@ -172,7 +168,7 @@ fn check_faults<P: TestVector + fmt::Display>(
     let mut expected = Vec::with_capacity(faults.len() * tests.len());
     for fault in faults {
         for test in tests {
-            expected.push(detects_packed(network, fault, test));
+            expected.push(multi_detects(network, fault, test));
         }
     }
     if corruption == Corruption::FlipLastFault && !faults.is_empty() && !tests.is_empty() {
@@ -238,7 +234,7 @@ fn typed_matrix<const W: usize, P: TestVector>(
 /// Full case check: matrix cross-check over the whole universe, then
 /// scalar-vs-bit-parallel coverage reports (skipped under corruption —
 /// the planted flip lives in the matrix comparison only).
-fn check_case<P: TestVector + Sync + fmt::Display>(
+fn check_case<P: TestVector + fmt::Display>(
     network: &Network,
     universe: StandardUniverse,
     tests: &[P],
@@ -306,7 +302,7 @@ fn shrink_list<T: Clone>(
 /// Shrinks a failing case to a minimal-ish reproducer: comparators first
 /// (the fault universe follows the network automatically), then the fault
 /// list, then the test list.
-fn shrink<P: TestVector + Sync + fmt::Display>(
+fn shrink<P: TestVector + fmt::Display>(
     seed: u64,
     case_index: u64,
     universe: StandardUniverse,

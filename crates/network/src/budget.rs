@@ -125,37 +125,6 @@ impl SweepBudget {
             && self.deadline.is_none()
             && self.cancel.is_none()
     }
-
-    /// Splits this budget into `parts` per-worker shares for a
-    /// fork/join run: each counted axis (`max_blocks`, `max_forks`) is
-    /// divided so the shares sum *exactly* to the original cap (share
-    /// `i` gets `cap / parts`, plus one while `i < cap % parts`), and
-    /// the deadline and cancel token are cloned into every share.
-    ///
-    /// Chunks consuming their shares independently therefore never
-    /// commit more blocks or forks in total than the undivided budget
-    /// would have admitted.  A chunk may trip on its share while
-    /// another chunk's share goes unused — that under-utilisation is
-    /// conservative (less work done than a sequential run), never a
-    /// budget overrun.
-    ///
-    /// # Panics
-    /// Panics if `parts` is zero.
-    #[must_use]
-    pub fn split_shares(&self, parts: usize) -> Vec<SweepBudget> {
-        assert!(parts > 0, "cannot split a budget into zero shares");
-        let split_axis = |cap: Option<u64>, i: u64| {
-            cap.map(|max| max / parts as u64 + u64::from(i < max % parts as u64))
-        };
-        (0..parts as u64)
-            .map(|i| SweepBudget {
-                max_blocks: split_axis(self.max_blocks, i),
-                max_forks: split_axis(self.max_forks, i),
-                deadline: self.deadline,
-                cancel: self.cancel.clone(),
-            })
-            .collect()
-    }
 }
 
 /// Which budget axis stopped a [`Partial`](Budgeted::Partial) run.
@@ -295,41 +264,6 @@ impl BudgetMeter {
         }
         self.progress.forks += 1;
         true
-    }
-
-    /// Merges a finished per-chunk meter's outcome into this one at a
-    /// fork/join boundary: progress sums across chunks, and the first
-    /// observed trip reason (in absorption order) is adopted, so a
-    /// parallel run whose chunks ran under [`SweepBudget::split_shares`]
-    /// finishes [`Budgeted::Partial`] whenever *any* chunk tripped.
-    pub fn absorb(&mut self, progress: SweepProgress, tripped: Option<BudgetReason>) {
-        self.progress.blocks += progress.blocks;
-        self.progress.vectors += progress.vectors;
-        self.progress.forks += progress.forks;
-        if self.tripped.is_none() {
-            self.tripped = tripped;
-        }
-    }
-
-    /// What is left of the budget: each counted axis less the work
-    /// already committed (floored at zero), with the same deadline and
-    /// cancel token.  A run that hands a later phase to per-worker
-    /// meters splits this ([`SweepBudget::split_shares`]), so the phases
-    /// together stay within the one budget.
-    #[must_use]
-    pub fn remaining(&self) -> SweepBudget {
-        SweepBudget {
-            max_blocks: self
-                .budget
-                .max_blocks
-                .map(|max| max.saturating_sub(self.progress.blocks)),
-            max_forks: self
-                .budget
-                .max_forks
-                .map(|max| max.saturating_sub(self.progress.forks)),
-            deadline: self.budget.deadline,
-            cancel: self.budget.cancel.clone(),
-        }
     }
 
     /// The axis that tripped, if any.
@@ -511,58 +445,5 @@ mod tests {
     fn default_budget_is_unlimited() {
         assert!(SweepBudget::default().is_unlimited());
         assert!(!SweepBudget::default().with_max_blocks(1).is_unlimited());
-    }
-
-    #[test]
-    fn split_shares_partitions_counted_axes_exactly_and_shares_the_token() {
-        let token = CancelToken::new();
-        let budget = SweepBudget::unlimited()
-            .with_max_blocks(7)
-            .with_max_forks(2)
-            .with_cancel(token.clone());
-        let shares = budget.split_shares(3);
-        assert_eq!(shares.len(), 3);
-        let blocks: Vec<u64> = shares.iter().map(|s| s.max_blocks.unwrap()).collect();
-        let forks: Vec<u64> = shares.iter().map(|s| s.max_forks.unwrap()).collect();
-        assert_eq!(blocks, vec![3, 2, 2]);
-        assert_eq!(forks, vec![1, 1, 0]);
-        assert_eq!(blocks.iter().sum::<u64>(), 7);
-        assert_eq!(forks.iter().sum::<u64>(), 2);
-        // Every share observes the one shared token.
-        token.cancel();
-        for share in &shares {
-            assert!(share.cancel.as_ref().unwrap().is_cancelled());
-        }
-        // Unlimited axes stay unlimited in every share.
-        let open = SweepBudget::unlimited().split_shares(4);
-        assert!(open.iter().all(SweepBudget::is_unlimited));
-    }
-
-    #[test]
-    fn absorb_sums_progress_and_adopts_the_first_trip() {
-        let mut joined = BudgetMeter::unlimited();
-        joined.absorb(
-            SweepProgress {
-                blocks: 2,
-                vectors: 128,
-                forks: 1,
-            },
-            None,
-        );
-        joined.absorb(
-            SweepProgress {
-                blocks: 1,
-                vectors: 64,
-                forks: 0,
-            },
-            Some(BudgetReason::Blocks),
-        );
-        // A later chunk's different reason does not displace the first.
-        joined.absorb(SweepProgress::default(), Some(BudgetReason::Deadline));
-        assert_eq!(joined.progress().blocks, 3);
-        assert_eq!(joined.progress().vectors, 192);
-        assert_eq!(joined.progress().forks, 1);
-        assert_eq!(joined.tripped(), Some(BudgetReason::Blocks));
-        assert!(!joined.finish(()).is_complete());
     }
 }

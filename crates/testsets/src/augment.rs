@@ -797,7 +797,7 @@ fn augmentation_for_missed_metered<P: TestVector>(
 /// [`EngineError::InfeasibleCover`] (impossible with
 /// [`CandidatePool::Exhaustive`]: a detectable fault has a detecting
 /// vector by definition).
-pub fn try_minimum_augmentation_packed<P: TestVector + Sync>(
+pub fn try_minimum_augmentation_packed<P: TestVector>(
     network: &Network,
     universe: &dyn FaultUniverse,
     base_tests: &[P],
@@ -1154,7 +1154,7 @@ mod tests {
     #[test]
     fn packed_augmentation_certifies_past_the_64_line_wall() {
         use sortnet_combinat::ChannelVec;
-        use sortnet_faults::universe::{multi_detects_channels, Lesion, StuckAt};
+        use sortnet_faults::universe::{multi_detects, Lesion, StuckAt};
         let n = 96;
         let net = odd_even_merge_sort(n);
         let cut = net.size();
@@ -1188,10 +1188,7 @@ mod tests {
         assert_eq!(report.candidates_considered, 2);
         for fault in &report.missed_faults {
             assert!(
-                report
-                    .minimum
-                    .iter()
-                    .any(|t| multi_detects_channels(&net, fault, t)),
+                report.minimum.iter().any(|t| multi_detects(&net, fault, t)),
                 "augmentation fails to detect {fault}"
             );
         }
@@ -1235,7 +1232,7 @@ mod tests {
     #[test]
     fn relative_redundancy_runs_packed_augmentation_end_to_end_at_96_lines() {
         use sortnet_combinat::ChannelVec;
-        use sortnet_faults::universe::multi_detects_channels;
+        use sortnet_faults::universe::multi_detects;
         let n = 96;
         let net = Network::from_pairs(n, &[(0, 95), (31, 64), (0, 1)]);
         let options = SearchOptions {
@@ -1256,10 +1253,7 @@ mod tests {
         assert_eq!(report.candidates_considered, n + 1);
         for fault in &report.missed_faults {
             assert!(
-                report
-                    .minimum
-                    .iter()
-                    .any(|t| multi_detects_channels(&net, fault, t)),
+                report.minimum.iter().any(|t| multi_detects(&net, fault, t)),
                 "augmentation fails to detect {fault}"
             );
         }

@@ -205,6 +205,58 @@ fn batcher_8_stuck_line_minimum_is_certified_and_beats_the_pr3_upper_bound() {
     assert_eq!(chosen, vec![BitString::zeros(n), BitString::ones(n)]);
 }
 
+/// Bert Dobbelaere's proven size-optimal sorting networks for n = 4
+/// (5 comparators, depth 3) and n = 8 (19 comparators, depth 6), written
+/// out independently of the workspace's builders.
+fn dobbelaere(n: usize) -> Network {
+    let pairs: &[(usize, usize)] = match n {
+        4 => &[(0, 2), (1, 3), (0, 1), (2, 3), (1, 2)],
+        8 => &[
+            (0, 2),
+            (1, 3),
+            (4, 6),
+            (5, 7),
+            (0, 4),
+            (1, 5),
+            (2, 6),
+            (3, 7),
+            (0, 1),
+            (2, 3),
+            (4, 5),
+            (6, 7),
+            (2, 4),
+            (3, 5),
+            (1, 4),
+            (3, 6),
+            (1, 2),
+            (3, 4),
+            (5, 6),
+        ],
+        _ => panic!("no Dobbelaere fixture for n = {n}"),
+    };
+    Network::from_pairs(n, pairs)
+}
+
+#[test]
+fn optimal_sorters_need_exactly_the_constant_strings_for_stuck_lines() {
+    // The Batcher n = 8 answer above, {0ⁿ, 1ⁿ}, holds on networks built
+    // independently of Batcher's construction too: the proven
+    // size-optimal sorters for n ∈ {4, 8}.
+    for n in [4usize, 8] {
+        let net = dobbelaere(n);
+        let base = sorting::binary_testset(n);
+        let exact = minimum(&net, &StuckLine, &base, &CandidatePool::Exhaustive);
+        assert_certified_minimum(&net, &base, &StuckLine, &exact);
+        let mut chosen = exact.minimum.clone();
+        chosen.sort();
+        assert_eq!(
+            chosen,
+            vec![BitString::zeros(n), BitString::ones(n)],
+            "n = {n}"
+        );
+    }
+}
+
 #[test]
 fn batcher_8_stuck_line_pairs_minimum_is_certified() {
     let n = 8;

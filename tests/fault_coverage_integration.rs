@@ -3,16 +3,18 @@
 //! on classical sorters, while small random samples do not.
 
 use sortnet_combinat::BitString;
-use sortnet_faults::simulate::{
-    detects, faulty_apply_bits, first_detection_index, is_fault_redundant,
+use sortnet_faults::simulate::apply_fault;
+use sortnet_faults::universe::{
+    is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
+    FaultUniverse, MultiFault, SingleComparator,
 };
-use sortnet_faults::universe::{FaultUniverse, MultiFault, SingleComparator};
 use sortnet_faults::{
     enumerate_faults, try_coverage_of_universe_packed_with, Fault, FaultKind, FaultSimEngine,
     RedundancyMode,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
+use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
 use sortnet_testsets::sorting;
 
@@ -100,8 +102,21 @@ fn fault_detection_is_consistent_with_the_faulty_simulator() {
     let net = odd_even_merge_sort(6);
     let tests = sorting::binary_testset(6);
     for fault in enumerate_faults(&net) {
-        let detected_by_some = tests.iter().any(|t| detects(&net, &fault, t));
-        let redundant = is_fault_redundant(&net, &fault);
+        let lesioned = MultiFault::from(fault);
+        let detected_by_some = tests.iter().any(|t| multi_detects(&net, &lesioned, t));
+        let redundant = is_multi_fault_redundant(&net, &lesioned);
+        // Where the faulty network can be built, it is the independent
+        // reference for both verdicts.
+        if let Some(materialised) = apply_fault(&net, &fault) {
+            assert_eq!(redundant, is_sorter(&materialised), "fault {fault:?}");
+            assert_eq!(
+                detected_by_some,
+                tests
+                    .iter()
+                    .any(|t| !materialised.apply_bits(t).is_sorted()),
+                "fault {fault:?}"
+            );
+        }
         assert!(
             detected_by_some || redundant,
             "fault {fault:?} is neither detected nor redundant"
@@ -120,7 +135,7 @@ fn fault_detection_is_consistent_with_the_faulty_simulator() {
 fn legacy_single_fault_coverage_is_the_single_comparator_universe() {
     // The single-comparator universe enumerates exactly the legacy
     // `enumerate_faults` list, in order, and its report follows fault for
-    // fault from the legacy single-fault scalar simulator.
+    // fault from the scalar simulator run on each fault's one-lesion form.
     let net = odd_even_merge_sort(7);
     let tests = sorting::binary_testset(7);
     let report = try_coverage_of_universe_packed_with(
@@ -137,15 +152,15 @@ fn legacy_single_fault_coverage_is_the_single_comparator_universe() {
     let universe: Vec<MultiFault> = SingleComparator.iter(&net).collect();
     let legacy: Vec<MultiFault> = faults.iter().copied().map(MultiFault::from).collect();
     assert_eq!(universe, legacy);
-    let firsts: Vec<Option<usize>> = faults
+    let firsts: Vec<Option<usize>> = legacy
         .iter()
-        .map(|fault| first_detection_index(&net, fault, &tests))
+        .map(|fault| multi_first_detection_index(&net, fault, &tests))
         .collect();
-    let undetectable: Vec<MultiFault> = faults
+    let undetectable: Vec<MultiFault> = legacy
         .iter()
         .zip(&firsts)
-        .filter(|(fault, first)| first.is_none() && is_fault_redundant(&net, fault))
-        .map(|(fault, _)| MultiFault::from(*fault))
+        .filter(|(fault, first)| first.is_none() && is_multi_fault_redundant(&net, fault))
+        .map(|(fault, _)| *fault)
         .collect();
     assert_eq!(report.detected, firsts.iter().flatten().count());
     assert_eq!(report.undetectable_faults, undetectable);
@@ -163,12 +178,12 @@ fn stuck_swap_faults_can_corrupt_sorted_inputs_too() {
     let net = odd_even_merge_sort(6);
     let mut found = false;
     for idx in 0..net.size() {
-        let fault = Fault {
+        let fault = MultiFault::from(Fault {
             comparator: idx,
             kind: FaultKind::StuckSwap,
-        };
+        });
         for s in BitString::all(6).filter(BitString::is_sorted) {
-            if !faulty_apply_bits(&net, &fault, &s).is_sorted() {
+            if !multi_faulty_apply(&net, &fault, &s).is_sorted() {
                 found = true;
             }
         }

@@ -39,7 +39,7 @@ fn brute_force_partition(
     for fault in StuckLine.iter(&net) {
         let detecting: Vec<&BitString> = inputs
             .iter()
-            .filter(|t| multi_detects(&net, &fault, t))
+            .filter(|t| multi_detects(&net, &fault, *t))
             .collect();
         if detecting.is_empty() {
             undetectable.push(fault);
