@@ -238,7 +238,7 @@ fn run_multi_from<const W: usize>(
 }
 
 /// Runs the faulty network over one block of up to `W × 64` test vectors,
-/// in place: the lane-level counterpart of `W × 64`
+/// in place on `backend`: the lane-level counterpart of `W × 64`
 /// [`multi_faulty_apply`](crate::universe::multi_faulty_apply) calls, for
 /// faults of **any** universe (a single-comparator [`Fault`] is
 /// `MultiFault::from(fault)`).  The proptest suites hold the two to exact
@@ -250,9 +250,10 @@ pub fn multi_faulty_run_block<const W: usize>(
     network: &Network,
     fault: &MultiFault,
     block: &mut WideBlock<W>,
+    backend: Backend,
 ) {
     fault.assert_in_range(network);
-    run_multi_from(network, Backend::active(), fault, block, 0);
+    run_multi_from(network, backend, fault, block, 0);
 }
 
 /// A faults × tests detection bitmap: bit `t` of row `f` is set when test
@@ -1301,9 +1302,9 @@ pub fn detection_matrix_from_source_metered_on<const W: usize, P: TestVector, S:
     Ok(matrix_driver(network, backend, faults, source, meter))
 }
 
-/// Bit-parallel per-fault redundancy check at lane width `W`: `true` iff
-/// the faulty network still sorts all `2^n` binary inputs, swept `W × 64`
-/// vectors per block with counting-pattern generation
+/// Bit-parallel per-fault redundancy check at lane width `W` on `backend`:
+/// `true` iff the faulty network still sorts all `2^n` binary inputs,
+/// swept `W × 64` vectors per block with counting-pattern generation
 /// ([`WideBlock::from_range`]).
 ///
 /// The per-fault reference the batch sweep
@@ -1316,10 +1317,13 @@ pub fn detection_matrix_from_source_metered_on<const W: usize, P: TestVector, S:
 /// # Panics
 /// Panics if a lesion of the fault does not fit the network or `n ≥ 32`.
 #[must_use]
-pub fn is_fault_redundant_wide<const W: usize>(network: &Network, fault: &MultiFault) -> bool {
+pub fn is_fault_redundant_wide<const W: usize>(
+    network: &Network,
+    fault: &MultiFault,
+    backend: Backend,
+) -> bool {
     let n = network.lines();
     fault.assert_in_range(network);
-    let backend = Backend::active();
     (0..bitparallel::sweep_block_count::<W>(n)).all(|b| {
         let (start, count) = bitparallel::sweep_block_range::<W>(n, b);
         let mut block = WideBlock::<W>::from_range(n, start, count);
@@ -1348,39 +1352,56 @@ mod tests {
             .collect()
     }
 
+    /// `run` on every runnable backend, which must all agree; returns the
+    /// common answer.
+    fn on_every_backend<T: PartialEq + std::fmt::Debug>(run: impl Fn(Backend) -> T) -> T {
+        let backends = Backend::runnable();
+        let answer = run(backends[0]);
+        for &backend in &backends[1..] {
+            assert_eq!(run(backend), answer, "backend {}", backend.name());
+        }
+        answer
+    }
+
     /// The matrix of an explicit test list: the matrix driver over a
-    /// [`SliceSource`], on the active backend.
+    /// [`SliceSource`], the same on every runnable backend.
     fn matrix<const W: usize, P: TestVector>(
         net: &Network,
         faults: &[MultiFault],
         tests: &[P],
     ) -> DetectionMatrix {
-        let source = SliceSource::new(net.lines(), tests);
-        detection_matrix_from_source_packed_on::<W, P, _>(net, faults, source, Backend::active()).0
+        on_every_backend(|backend| {
+            let source = SliceSource::new(net.lines(), tests);
+            detection_matrix_from_source_packed_on::<W, P, _>(net, faults, source, backend).0
+        })
     }
 
-    /// First detections of an explicit test list on the active backend.
+    /// First detections of an explicit test list, the same on every
+    /// runnable backend.
     fn firsts<const W: usize>(
         net: &Network,
         faults: &[MultiFault],
         tests: &[BitString],
     ) -> Vec<Option<usize>> {
-        first_detections_multi_packed_on::<W, BitString>(net, faults, tests, Backend::active())
+        on_every_backend(|backend| {
+            first_detections_multi_packed_on::<W, BitString>(net, faults, tests, backend)
+        })
     }
 
     #[test]
     fn faulty_run_block_matches_scalar_simulation_exhaustively() {
         let net = odd_even_merge_sort(6);
         let inputs: Vec<BitString> = BitString::all(6).collect();
-        for fault in single_faults(&net) {
-            for chunk in inputs.chunks(64) {
-                let mut block = BitBlock::from_strings(6, chunk);
-                multi_faulty_run_block(&net, &fault, &mut block);
-                for (j, input) in chunk.iter().enumerate() {
+        for backend in Backend::runnable() {
+            for fault in single_faults(&net) {
+                let mut block = BitBlock::from_strings(6, &inputs);
+                multi_faulty_run_block(&net, &fault, &mut block, backend);
+                for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
                         block.extract(j as u32),
                         multi_faulty_apply(&net, &fault, input),
-                        "fault {fault} input {input}"
+                        "fault {fault} input {input} backend {}",
+                        backend.name()
                     );
                 }
             }
@@ -1391,15 +1412,18 @@ mod tests {
     fn faulty_run_block_is_width_independent() {
         let net = odd_even_merge_sort(5);
         let inputs: Vec<BitString> = BitString::all(5).collect();
-        for fault in single_faults(&net) {
-            let mut wide = WideBlock::<2>::from_strings(5, &inputs);
-            multi_faulty_run_block(&net, &fault, &mut wide);
-            for (j, input) in inputs.iter().enumerate() {
-                assert_eq!(
-                    wide.extract(j as u32),
-                    multi_faulty_apply(&net, &fault, input),
-                    "fault {fault} input {input}"
-                );
+        for backend in Backend::runnable() {
+            for fault in single_faults(&net) {
+                let mut wide = WideBlock::<2>::from_strings(5, &inputs);
+                multi_faulty_run_block(&net, &fault, &mut wide, backend);
+                for (j, input) in inputs.iter().enumerate() {
+                    assert_eq!(
+                        wide.extract(j as u32),
+                        multi_faulty_apply(&net, &fault, input),
+                        "fault {fault} input {input} backend {}",
+                        backend.name()
+                    );
+                }
             }
         }
     }
@@ -1481,18 +1505,22 @@ mod tests {
     #[test]
     fn bitparallel_redundancy_agrees_with_scalar_at_every_width() {
         let net = odd_even_merge_sort(6);
-        for fault in single_faults(&net) {
-            let scalar = is_multi_fault_redundant(&net, &fault);
-            assert_eq!(
-                is_fault_redundant_wide::<1>(&net, &fault),
-                scalar,
-                "fault {fault} (W = 1)"
-            );
-            assert_eq!(
-                is_fault_redundant_wide::<8>(&net, &fault),
-                scalar,
-                "fault {fault} (W = 8)"
-            );
+        for backend in Backend::runnable() {
+            for fault in single_faults(&net) {
+                let scalar = is_multi_fault_redundant(&net, &fault);
+                assert_eq!(
+                    is_fault_redundant_wide::<1>(&net, &fault, backend),
+                    scalar,
+                    "fault {fault} (W = 1) backend {}",
+                    backend.name()
+                );
+                assert_eq!(
+                    is_fault_redundant_wide::<8>(&net, &fault, backend),
+                    scalar,
+                    "fault {fault} (W = 8) backend {}",
+                    backend.name()
+                );
+            }
         }
     }
 
@@ -1508,15 +1536,17 @@ mod tests {
             },
         });
         let inputs: Vec<BitString> = BitString::all(5).collect();
-        let mut block = BitBlock::from_strings(5, &inputs[..32]);
-        multi_faulty_run_block(&net, &fault, &mut block);
         let skipped = net.without_comparator(2);
-        for (j, input) in inputs[..32].iter().enumerate() {
-            assert_eq!(
-                block.extract(j as u32),
-                multi_faulty_apply(&net, &fault, input)
-            );
-            assert_eq!(block.extract(j as u32), skipped.apply_bits(input));
+        for backend in Backend::runnable() {
+            let mut block = BitBlock::from_strings(5, &inputs[..32]);
+            multi_faulty_run_block(&net, &fault, &mut block, backend);
+            for (j, input) in inputs[..32].iter().enumerate() {
+                assert_eq!(
+                    block.extract(j as u32),
+                    multi_faulty_apply(&net, &fault, input)
+                );
+                assert_eq!(block.extract(j as u32), skipped.apply_bits(input));
+            }
         }
     }
 
@@ -1525,17 +1555,19 @@ mod tests {
         // The ROADMAP fix: one streamed 2^n pass with shared-prefix forking
         // must classify exactly like the old per-fault re-run path (and the
         // scalar oracle) on every single-comparator fault.
-        for n in [4usize, 6, 8] {
+        let backends = Backend::runnable();
+        for (n, &backend) in [4usize, 6, 8].into_iter().zip(backends.iter().cycle()) {
             let net = odd_even_merge_sort(n);
             let multi = single_faults(&net);
-            let batch = redundant_faults_multi_on::<4>(&net, &multi, Backend::active());
+            let batch = redundant_faults_multi_on::<4>(&net, &multi, backend);
             let batch_w1 = redundant_faults_multi_on::<1>(&net, &multi, Backend::Scalar);
             assert_eq!(batch, batch_w1, "n={n}: width must not change verdicts");
             for (i, fault) in multi.iter().enumerate() {
                 assert_eq!(
                     batch[i],
-                    is_fault_redundant_wide::<4>(&net, fault),
-                    "n={n} fault {fault}"
+                    is_fault_redundant_wide::<4>(&net, fault, backend),
+                    "n={n} fault {fault} backend {}",
+                    backend.name()
                 );
                 assert_eq!(
                     batch[i],
@@ -1555,7 +1587,7 @@ mod tests {
         let net = odd_even_merge_sort(32);
         assert!(net.lines() >= 32);
         assert_eq!(
-            redundant_faults_multi_on::<4>(&net, &[], Backend::active()),
+            redundant_faults_multi_on::<4>(&net, &[], Backend::Scalar),
             Vec::<bool>::new()
         );
         let budgeted = redundant_faults_multi_budgeted_on::<4>(
@@ -1624,16 +1656,21 @@ mod tests {
         use crate::universe::{FaultUniverse, StandardUniverse};
         let net = odd_even_merge_sort(5);
         let inputs: Vec<BitString> = BitString::all(5).collect();
-        for universe in StandardUniverse::ALL {
+        let backends = Backend::runnable();
+        for (universe, &backend) in StandardUniverse::ALL
+            .into_iter()
+            .zip(backends.iter().cycle())
+        {
             for mf in universe.iter(&net) {
                 let mut block = WideBlock::<2>::from_strings(5, &inputs);
-                multi_faulty_run_block(&net, &mf, &mut block);
+                multi_faulty_run_block(&net, &mf, &mut block, backend);
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
                         block.extract(j as u32),
                         multi_faulty_apply(&net, &mf, input),
-                        "universe {} fault {mf} input {input}",
-                        universe.name()
+                        "universe {} fault {mf} input {input} backend {}",
+                        universe.name(),
+                        backend.name()
                     );
                 }
             }
@@ -1658,15 +1695,18 @@ mod tests {
             .into_iter()
             .map(|w| BitString::from_word(w, n))
             .collect();
-            for mf in StuckLine.iter(&net) {
-                let mut block = WideBlock::<1>::from_strings(n, &inputs);
-                multi_faulty_run_block(&net, &mf, &mut block);
-                for (j, input) in inputs.iter().enumerate() {
-                    assert_eq!(
-                        block.extract(j as u32),
-                        multi_faulty_apply(&net, &mf, input),
-                        "n={n} fault {mf} input {input}"
-                    );
+            for backend in Backend::runnable() {
+                for mf in StuckLine.iter(&net) {
+                    let mut block = WideBlock::<1>::from_strings(n, &inputs);
+                    multi_faulty_run_block(&net, &mf, &mut block, backend);
+                    for (j, input) in inputs.iter().enumerate() {
+                        assert_eq!(
+                            block.extract(j as u32),
+                            multi_faulty_apply(&net, &mf, input),
+                            "n={n} fault {mf} input {input} backend {}",
+                            backend.name()
+                        );
+                    }
                 }
             }
         }
@@ -1682,16 +1722,26 @@ mod tests {
         let faults = enumerate_faults(&net);
         let multi = single_faults(&net);
         let inputs: Vec<BitString> = BitString::all(6).collect();
-        let batch = redundant_faults_multi_on::<2>(&net, &multi, Backend::active());
-        for (i, fault) in faults.iter().enumerate() {
-            let mut lesioned = WideBlock::<2>::from_strings(6, &inputs);
-            multi_faulty_run_block(&net, &multi[i], &mut lesioned);
-            if let Some(materialised) = apply_fault(&net, fault) {
-                let mut rerun = WideBlock::<2>::from_strings(6, &inputs);
-                rerun.run_range_with(Backend::Scalar, &materialised, 0, materialised.size());
-                assert_eq!(rerun, lesioned, "fault {fault:?}");
+        for backend in Backend::runnable() {
+            let batch = redundant_faults_multi_on::<2>(&net, &multi, backend);
+            for (i, fault) in faults.iter().enumerate() {
+                let mut lesioned = WideBlock::<2>::from_strings(6, &inputs);
+                multi_faulty_run_block(&net, &multi[i], &mut lesioned, backend);
+                if let Some(materialised) = apply_fault(&net, fault) {
+                    let mut rerun = WideBlock::<2>::from_strings(6, &inputs);
+                    rerun.run_range_with(Backend::Scalar, &materialised, 0, materialised.size());
+                    assert_eq!(
+                        rerun,
+                        lesioned,
+                        "fault {fault:?} backend {}",
+                        backend.name()
+                    );
+                }
+                assert_eq!(
+                    batch[i],
+                    is_fault_redundant_wide::<2>(&net, &multi[i], backend)
+                );
             }
-            assert_eq!(batch[i], is_fault_redundant_wide::<2>(&net, &multi[i]));
         }
     }
 
@@ -1701,16 +1751,26 @@ mod tests {
         use sortnet_network::lanes::{ChainSource, IterSource, RangeSource};
         let net = odd_even_merge_sort(6);
         let tests: Vec<BitString> = BitString::all(6).collect();
-        for universe in StandardUniverse::ALL {
+        let backends = Backend::runnable();
+        for (universe, &backend) in StandardUniverse::ALL
+            .into_iter()
+            .zip(backends.iter().cycle())
+        {
             let faults: Vec<MultiFault> = universe.iter(&net).collect();
             let expected = matrix::<2, _>(&net, &faults, &tests);
             let (streamed, candidates) = detection_matrix_from_source_packed_on::<2, BitString, _>(
                 &net,
                 &faults,
                 RangeSource::exhaustive(6),
-                Backend::active(),
+                backend,
             );
-            assert_eq!(streamed, expected, "universe {}", universe.name());
+            assert_eq!(
+                streamed,
+                expected,
+                "universe {} backend {}",
+                universe.name(),
+                backend.name()
+            );
             assert_eq!(candidates, tests, "universe {}", universe.name());
         }
         // A chained source with a partial block mid-stream (the 7 sorted
@@ -1733,7 +1793,7 @@ mod tests {
                 IterSource::new(6, sorted),
                 IterSource::new(6, BitString::all_unsorted(6)),
             ),
-            Backend::active(),
+            Backend::Scalar,
         );
         assert_eq!(streamed, expected);
         assert_eq!(candidates, chained);
@@ -1856,7 +1916,7 @@ mod tests {
             .unwrap(),
             Budgeted::Complete(firsts::<2>(&net, &multi, &tests))
         );
-        let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::active());
+        let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::Portable);
         assert_eq!(
             redundant_faults_multi_budgeted_on::<2>(&net, &multi, Backend::Scalar, &unlimited)
                 .unwrap(),

@@ -612,7 +612,8 @@ mod tests {
     use sortnet_network::random::NetworkSampler;
     use sortnet_testsets::sorting;
 
-    /// The unbudgeted grade, unwrapped.
+    /// The unbudgeted grade, unwrapped: the same report on every runnable
+    /// backend (the scalar engine runs on none).
     fn grade<P: TestVector>(
         net: &Network,
         universe: &dyn FaultUniverse,
@@ -620,7 +621,27 @@ mod tests {
         mode: RedundancyMode,
         engine: FaultSimEngine,
     ) -> CoverageReport {
-        try_coverage_of_universe_packed_with(net, universe, tests, mode, engine).unwrap()
+        let on = |backend| {
+            coverage_of_universe_budgeted_packed_with(
+                net,
+                universe,
+                tests,
+                mode,
+                engine,
+                backend,
+                &SweepBudget::unlimited(),
+            )
+            .unwrap()
+            .into_value()
+        };
+        let backends = Backend::runnable();
+        let report = on(backends[0]);
+        if engine != FaultSimEngine::Scalar {
+            for &backend in &backends[1..] {
+                assert_eq!(on(backend), report, "backend {}", backend.name());
+            }
+        }
+        report
     }
 
     /// The single-comparator grade on the default engine.
@@ -1029,7 +1050,7 @@ mod tests {
             &tests,
             mode,
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
-            Backend::active(),
+            Backend::Scalar,
             &SweepBudget::unlimited(),
         )
         .unwrap();
@@ -1225,7 +1246,7 @@ mod tests {
             &tests,
             Skip,
             FaultSimEngine::default(),
-            Backend::active(),
+            Backend::Scalar,
             &SweepBudget::unlimited().with_cancel(token),
         )
         .unwrap();

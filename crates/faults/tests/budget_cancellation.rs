@@ -5,8 +5,8 @@
 //! partially-built rows** — a block's contribution is either committed
 //! whole or discarded whole, so everything observable is an exact prefix
 //! of the unbudgeted answer.  Exercised at lane widths 1, 4 and 8 and on
-//! the pinned scalar lane-ops backend, since the commit/discard points
-//! sit in width- and backend-generic code.
+//! every runnable lane-ops backend, since the commit/discard points sit in
+//! width- and backend-generic code.
 
 use sortnet_combinat::BitString;
 use sortnet_faults::bitsim::{
@@ -95,9 +95,11 @@ fn assert_exact_prefix(partial: &DetectionMatrix, full: &DetectionMatrix) {
     }
 }
 
+/// Cuts a `W`-wide matrix sweep on `backend` short and checks what is
+/// left against the scalar backend's full matrix.
 fn cancelled_matrix_has_no_partial_rows<const W: usize>(backend: Backend) {
     let (net, faults, tests) = fixture();
-    let full = matrix_on::<W>(&net, &faults, &tests, backend);
+    let full = matrix_on::<W>(&net, &faults, &tests, Backend::Scalar);
 
     // Pre-tripped token: the very first block admission refuses, so the
     // partial matrix must be completely empty — not one row started.
@@ -161,45 +163,45 @@ fn cancelled_matrices_have_no_partial_rows_at_w8() {
 }
 
 #[test]
-fn cancelled_matrices_have_no_partial_rows_on_the_forced_scalar_backend() {
-    cancelled_matrix_has_no_partial_rows::<1>(Backend::Scalar);
-    cancelled_matrix_has_no_partial_rows::<4>(Backend::Scalar);
+fn cancelled_matrices_have_no_partial_rows_on_every_runnable_backend() {
+    for backend in Backend::runnable() {
+        cancelled_matrix_has_no_partial_rows::<1>(backend);
+        cancelled_matrix_has_no_partial_rows::<4>(backend);
+    }
 }
 
 #[test]
 fn a_token_cancelled_between_blocks_leaves_first_detections_prefix_exact() {
     let (net, faults, tests) = fixture();
-    let full = matrix_on::<1>(&net, &faults, &tests, Backend::active());
+    let full = matrix_on::<1>(&net, &faults, &tests, Backend::Scalar);
     let budget = SweepBudget::unlimited().with_max_blocks(1);
-    let firsts = first_detections_multi_budgeted_packed_on::<1, BitString>(
-        &net,
-        &faults,
-        &tests,
-        Backend::active(),
-        &budget,
-    )
-    .expect("inputs are valid");
-    let Budgeted::Partial {
-        progress,
-        best_so_far,
-        ..
-    } = firsts
-    else {
-        panic!("576 tests exceed one 64-vector W1 block");
-    };
-    let committed = progress.vectors as usize;
-    assert_eq!(committed % 64, 0);
-    for (f, first) in best_so_far.iter().enumerate() {
-        match first {
-            Some(t) => {
-                assert!(*t < committed, "a reported hit must lie in the prefix");
-                assert_eq!(full.first_detection(f), Some(*t));
-            }
-            None => {
-                // Undecided within the prefix: the full answer, if any,
-                // must lie past the committed cut.
-                if let Some(t) = full.first_detection(f) {
-                    assert!(t >= committed, "a prefix hit must not be dropped");
+    for backend in Backend::runnable() {
+        let firsts = first_detections_multi_budgeted_packed_on::<1, BitString>(
+            &net, &faults, &tests, backend, &budget,
+        )
+        .expect("inputs are valid");
+        let Budgeted::Partial {
+            progress,
+            best_so_far,
+            ..
+        } = firsts
+        else {
+            panic!("576 tests exceed one 64-vector W1 block");
+        };
+        let committed = progress.vectors as usize;
+        assert_eq!(committed % 64, 0);
+        for (f, first) in best_so_far.iter().enumerate() {
+            match first {
+                Some(t) => {
+                    assert!(*t < committed, "a reported hit must lie in the prefix");
+                    assert_eq!(full.first_detection(f), Some(*t));
+                }
+                None => {
+                    // Undecided within the prefix: the full answer, if any,
+                    // must lie past the committed cut.
+                    if let Some(t) = full.first_detection(f) {
+                        assert!(t >= committed, "a prefix hit must not be dropped");
+                    }
                 }
             }
         }
@@ -212,19 +214,22 @@ fn a_cancelled_coverage_run_is_conservative_on_every_engine_and_width() {
     let token = CancelToken::new();
     token.cancel();
     let budget = SweepBudget::unlimited().with_cancel(token);
-    for engine in [
+    for (engine, backend) in [
         FaultSimEngine::Scalar,
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
         FaultSimEngine::BitParallelWide(LaneWidth::W8),
-    ] {
+    ]
+    .into_iter()
+    .zip(Backend::runnable().into_iter().cycle())
+    {
         let outcome = coverage_of_universe_budgeted_packed_with(
             &net,
             &StandardUniverse::StuckLine,
             &tests,
             RedundancyMode::Skip,
             engine,
-            Backend::active(),
+            backend,
             &budget,
         )
         .expect("inputs are valid");

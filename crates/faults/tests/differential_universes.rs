@@ -30,12 +30,13 @@ use sortnet_faults::bitsim::{
     is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_on, DetectionMatrix,
 };
 use sortnet_faults::coverage::{
-    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{
     is_multi_fault_redundant, multi_detects, multi_first_detection_index, FaultUniverse,
     MultiFault, StandardUniverse,
 };
+use sortnet_faults::SweepBudget;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
 use sortnet_network::lanes::{Backend, LaneWidth, SliceSource, WideBlock};
@@ -53,6 +54,12 @@ fn matrix_on<const W: usize>(
     detection_matrix_from_source_packed_on::<W, BitString, _>(net, faults, source, backend).0
 }
 
+/// The runnable backends, round-robin: each case of a deterministic table
+/// takes the next one, so every backend runs a share of every table.
+fn backend_cycle() -> impl Iterator<Item = Backend> {
+    Backend::runnable().into_iter().cycle()
+}
+
 /// The networks the differential suite sweeps.
 fn networks(n: usize) -> Vec<(&'static str, Network)> {
     vec![
@@ -63,23 +70,25 @@ fn networks(n: usize) -> Vec<(&'static str, Network)> {
 
 #[test]
 fn detection_matrices_are_width_independent_and_match_the_scalar_oracle() {
+    let mut backends = backend_cycle();
     for n in [4usize, 6] {
         let tests = sorting::binary_testset(n);
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
+                let backend = backends.next().unwrap();
+                let case = format!("{label} n={n} {} {}", universe.name(), backend.name());
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let w1 = matrix_on::<1>(&net, &faults, &tests, Backend::active());
-                let w2 = matrix_on::<2>(&net, &faults, &tests, Backend::active());
-                let w4 = matrix_on::<4>(&net, &faults, &tests, Backend::active());
-                assert_eq!(w1, w2, "{label} n={n} {}", universe.name());
-                assert_eq!(w1, w4, "{label} n={n} {}", universe.name());
+                let w1 = matrix_on::<1>(&net, &faults, &tests, backend);
+                let w2 = matrix_on::<2>(&net, &faults, &tests, backend);
+                let w4 = matrix_on::<4>(&net, &faults, &tests, backend);
+                assert_eq!(w1, w2, "{case}");
+                assert_eq!(w1, w4, "{case}");
                 for (f, fault) in faults.iter().enumerate() {
                     for (t, test) in tests.iter().enumerate() {
                         assert_eq!(
                             w1.is_detected_by(f, t),
                             multi_detects(&net, fault, test),
-                            "{label} n={n} {} fault {fault} test {test}",
-                            universe.name()
+                            "{case} fault {fault} test {test}"
                         );
                     }
                 }
@@ -152,37 +161,30 @@ fn batch_redundancy_is_backend_independent() {
 
 #[test]
 fn first_detections_match_the_scalar_scan_in_every_universe() {
+    let mut backends = backend_cycle();
     for n in [4usize, 6, 8] {
         let tests = sorting::binary_testset(n);
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
+                let backend = backends.next().unwrap();
+                let case = format!("{label} n={n} {} {}", universe.name(), backend.name());
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
                 let w1 = first_detections_multi_packed_on::<1, BitString>(
-                    &net,
-                    &faults,
-                    &tests,
-                    Backend::active(),
+                    &net, &faults, &tests, backend,
                 );
                 let w2 = first_detections_multi_packed_on::<2, BitString>(
-                    &net,
-                    &faults,
-                    &tests,
-                    Backend::active(),
+                    &net, &faults, &tests, backend,
                 );
                 let w4 = first_detections_multi_packed_on::<4, BitString>(
-                    &net,
-                    &faults,
-                    &tests,
-                    Backend::active(),
+                    &net, &faults, &tests, backend,
                 );
-                assert_eq!(w1, w2, "{label} n={n} {}", universe.name());
-                assert_eq!(w1, w4, "{label} n={n} {}", universe.name());
+                assert_eq!(w1, w2, "{case}");
+                assert_eq!(w1, w4, "{case}");
                 for (f, fault) in faults.iter().enumerate() {
                     assert_eq!(
                         w1[f],
                         multi_first_detection_index(&net, fault, &tests),
-                        "{label} n={n} {} fault {fault}",
-                        universe.name()
+                        "{case} fault {fault}"
                     );
                 }
             }
@@ -195,25 +197,26 @@ fn redundancy_classification_agrees_across_all_three_paths() {
     // Scalar exhaustive sweep vs the shared-prefix batch sweep vs the
     // per-fault re-run path the batch sweep replaced (the ROADMAP
     // prefix-fork fix regression pin), on every universe.
+    let mut backends = backend_cycle();
     for n in [4usize, 6] {
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
+                let backend = backends.next().unwrap();
+                let case = format!("{label} n={n} {} {}", universe.name(), backend.name());
                 let faults: Vec<MultiFault> = universe.iter(&net).collect();
-                let batch = redundant_faults_multi_on::<4>(&net, &faults, Backend::active());
-                let batch_w1 = redundant_faults_multi_on::<1>(&net, &faults, Backend::active());
-                assert_eq!(batch, batch_w1, "{label} n={n} {}", universe.name());
+                let batch = redundant_faults_multi_on::<4>(&net, &faults, backend);
+                let batch_w1 = redundant_faults_multi_on::<1>(&net, &faults, backend);
+                assert_eq!(batch, batch_w1, "{case}");
                 for (i, fault) in faults.iter().enumerate() {
                     assert_eq!(
                         batch[i],
                         is_multi_fault_redundant(&net, fault),
-                        "{label} n={n} {} fault {fault}",
-                        universe.name()
+                        "{case} fault {fault}"
                     );
                     assert_eq!(
                         batch[i],
-                        is_fault_redundant_wide::<4>(&net, fault),
-                        "{label} n={n} {} per-fault path fault {fault}",
-                        universe.name()
+                        is_fault_redundant_wide::<4>(&net, fault, backend),
+                        "{case} per-fault path fault {fault}"
                     );
                 }
             }
@@ -231,32 +234,35 @@ fn coverage_reports_are_identical_across_every_engine() {
         FaultSimEngine::BitParallelWide(LaneWidth::W8),
         FaultSimEngine::BitParallelWide(LaneWidth::W16),
     ];
+    // Five bit-parallel engines per case against a cycle of the runnable
+    // backends: over the table every engine meets every backend.
+    let mut backends = backend_cycle();
     for n in [4usize, 6, 8] {
         let tests = sorting::binary_testset(n);
         for (label, net) in networks(n) {
             for universe in StandardUniverse::ALL {
-                let reference = try_coverage_of_universe_packed_with(
-                    &net,
-                    &universe,
-                    &tests,
-                    RedundancyMode::Exhaustive,
-                    engines[0],
-                )
-                .unwrap();
-                for engine in &engines[1..] {
-                    let report = try_coverage_of_universe_packed_with(
+                let grade = |engine, backend| {
+                    coverage_of_universe_budgeted_packed_with(
                         &net,
                         &universe,
                         &tests,
                         RedundancyMode::Exhaustive,
-                        *engine,
+                        engine,
+                        backend,
+                        &SweepBudget::unlimited(),
                     )
-                    .unwrap();
+                    .unwrap()
+                    .into_value()
+                };
+                let reference = grade(engines[0], Backend::Scalar);
+                for &engine in &engines[1..] {
+                    let backend = backends.next().unwrap();
                     assert_eq!(
-                        report,
+                        grade(engine, backend),
                         reference,
-                        "{label} n={n} {} engine {engine:?}",
-                        universe.name()
+                        "{label} n={n} {} engine {engine:?} backend {}",
+                        universe.name(),
+                        backend.name()
                     );
                 }
             }
@@ -282,19 +288,25 @@ fn batcher_n8_universe_results_are_pinned() {
         (StandardUniverse::SingleComparatorPairs, 3419, 3419, 0, 0),
         (StandardUniverse::StuckLinePairs, 4140, 3367, 118, 655),
     ];
-    for (universe, total, detected, missed, undetectable) in expected {
-        let report = try_coverage_of_universe_packed_with(
+    for ((universe, total, detected, missed, undetectable), backend) in
+        expected.into_iter().zip(backend_cycle())
+    {
+        let report = coverage_of_universe_budgeted_packed_with(
             &net,
             &universe,
             &tests,
             RedundancyMode::Exhaustive,
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
+            backend,
+            &SweepBudget::unlimited(),
         )
-        .unwrap();
-        assert_eq!(report.total_faults, total, "{}", universe.name());
-        assert_eq!(report.detected, detected, "{}", universe.name());
-        assert_eq!(report.missed, missed, "{}", universe.name());
-        assert_eq!(report.redundant_faults, undetectable, "{}", universe.name());
+        .unwrap()
+        .into_value();
+        let case = format!("{} {}", universe.name(), backend.name());
+        assert_eq!(report.total_faults, total, "{case}");
+        assert_eq!(report.detected, detected, "{case}");
+        assert_eq!(report.missed, missed, "{case}");
+        assert_eq!(report.redundant_faults, undetectable, "{case}");
     }
 }
 
@@ -347,7 +359,7 @@ proptest! {
             for (f, fault) in faults.iter().enumerate() {
                 for (block_idx, chunk) in tests.chunks(capacity).enumerate() {
                     let mut block = WideBlock::<2>::from_strings(7, chunk);
-                    multi_faulty_run_block(&net, fault, &mut block);
+                    multi_faulty_run_block(&net, fault, &mut block, Backend::Scalar);
                     let masks = block.unsorted_masks_with(Backend::Scalar);
                     for (j, _) in chunk.iter().enumerate() {
                         let expected = (masks[j / 64] >> (j % 64)) & 1 == 1;

@@ -26,12 +26,14 @@ use sortnet_faults::bitsim::{
     detection_matrix_from_source_packed_on, first_detections_multi_packed_on, DetectionMatrix,
 };
 use sortnet_faults::coverage::{
-    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with,
+    FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{
     multi_detects, multi_faulty_apply, FaultUniverse, Lesion, MultiFault, StandardUniverse,
     StuckAt, TestVector,
 };
+use sortnet_faults::SweepBudget;
 use sortnet_faults::{Fault, FaultKind};
 use sortnet_network::lanes::{Backend, IterSource, LaneWidth, SliceSource};
 use sortnet_network::Network;
@@ -358,19 +360,29 @@ fn stuck_line_coverage_sweep_completes_on_a_96_channel_network() {
         "stuck-line universe size"
     );
     assert!(reference.detected > 0, "the sweep must detect something");
-    for engine in [
-        FaultSimEngine::BitParallelWide(LaneWidth::W1),
-        FaultSimEngine::BitParallelWide(LaneWidth::W4),
-    ] {
-        let report = try_coverage_of_universe_packed_with(
-            &net,
-            &StuckLineUniverse,
-            &tests,
-            RedundancyMode::Skip,
-            engine,
-        )
-        .unwrap();
-        assert_eq!(report, reference, "engine {engine:?}");
+    for backend in Backend::runnable() {
+        for engine in [
+            FaultSimEngine::BitParallelWide(LaneWidth::W1),
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        ] {
+            let report = coverage_of_universe_budgeted_packed_with(
+                &net,
+                &StuckLineUniverse,
+                &tests,
+                RedundancyMode::Skip,
+                engine,
+                backend,
+                &SweepBudget::unlimited(),
+            )
+            .unwrap()
+            .into_value();
+            assert_eq!(
+                report,
+                reference,
+                "engine {engine:?} backend {}",
+                backend.name()
+            );
+        }
     }
 }
 

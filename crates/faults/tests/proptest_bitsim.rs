@@ -54,6 +54,13 @@ fn pick_fault(network: &Network, selector: usize) -> Fault {
     universe[selector % universe.len()]
 }
 
+/// Strategy: one of the backends this CPU runs, so every case names the
+/// backend it checks.
+fn arb_backend() -> impl Strategy<Value = Backend> {
+    let backends = Backend::runnable();
+    (0..backends.len()).prop_map(move |i| backends[i])
+}
+
 /// Strategy: a block of 1..=64 random test vectors on [`N`] lines.
 fn arb_tests() -> impl Strategy<Value = Vec<BitString>> {
     prop::collection::vec(0u64..(1u64 << N), 1..=64).prop_map(|words| {
@@ -75,15 +82,16 @@ proptest! {
         net in arb_network(20),
         selector in 0usize..1000,
         tests in arb_tests(),
+        backend in arb_backend(),
     ) {
         let fault = pick_fault(&net, selector);
         let lesioned = MultiFault::from(fault);
         let materialised = apply_fault(&net, &fault);
         let mut block = BitBlock::from_strings(N, &tests);
-        multi_faulty_run_block(&net, &lesioned, &mut block);
+        multi_faulty_run_block(&net, &lesioned, &mut block, backend);
         for (j, input) in tests.iter().enumerate() {
             let scalar = multi_faulty_apply(&net, &lesioned, input);
-            prop_assert_eq!(block.extract(j as u32), scalar, "fault {:?} input {}", fault, input);
+            prop_assert_eq!(block.extract(j as u32), scalar, "fault {:?} input {} backend {}", fault, input, backend.name());
             if let Some(faulty_net) = &materialised {
                 prop_assert_eq!(scalar, faulty_net.apply_bits(input), "fault {:?} input {}", fault, input);
             }
@@ -94,15 +102,19 @@ proptest! {
     /// verdict on every (fault, test) cell, and its word-level summaries
     /// equal the scalar first-detection scan.
     #[test]
-    fn detection_matrix_matches_scalar_detects(net in arb_network(16), tests in arb_tests()) {
+    fn detection_matrix_matches_scalar_detects(
+        net in arb_network(16),
+        tests in arb_tests(),
+        backend in arb_backend(),
+    ) {
         let faults = multi(&enumerate_faults(&net));
-        let matrix = detection_matrix_from_source_packed_on::<4, BitString, _>(&net, &faults, SliceSource::new(net.lines(), &tests), Backend::active()).0;
+        let matrix = detection_matrix_from_source_packed_on::<4, BitString, _>(&net, &faults, SliceSource::new(net.lines(), &tests), backend).0;
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 prop_assert_eq!(
                     matrix.is_detected_by(f, t),
                     multi_detects(&net, fault, test),
-                    "fault {} test {}", fault, test
+                    "fault {} test {} backend {}", fault, test, backend.name()
                 );
             }
             prop_assert_eq!(matrix.first_detection(f), multi_first_detection_index(&net, fault, &tests));
@@ -112,22 +124,30 @@ proptest! {
     /// The early-exit first-detection sweep agrees with the scalar
     /// per-fault scan over the whole universe.
     #[test]
-    fn first_detections_match_scalar_scan(net in arb_network(16), tests in arb_tests()) {
+    fn first_detections_match_scalar_scan(
+        net in arb_network(16),
+        tests in arb_tests(),
+        backend in arb_backend(),
+    ) {
         let faults = multi(&enumerate_faults(&net));
-        let bitpar = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, Backend::active());
+        let bitpar = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, backend);
         for (f, fault) in faults.iter().enumerate() {
-            prop_assert_eq!(bitpar[f], multi_first_detection_index(&net, fault, &tests), "fault {}", fault);
+            prop_assert_eq!(bitpar[f], multi_first_detection_index(&net, fault, &tests), "fault {} backend {}", fault, backend.name());
         }
     }
 
     /// The blocked 2^n redundancy sweep agrees with the scalar one.
     #[test]
-    fn redundancy_sweeps_agree(net in arb_network(12), selector in 0usize..1000) {
+    fn redundancy_sweeps_agree(
+        net in arb_network(12),
+        selector in 0usize..1000,
+        backend in arb_backend(),
+    ) {
         let fault = MultiFault::from(pick_fault(&net, selector));
         prop_assert_eq!(
-            is_fault_redundant_wide::<4>(&net, &fault),
+            is_fault_redundant_wide::<4>(&net, &fault, backend),
             is_multi_fault_redundant(&net, &fault),
-            "fault {}", fault
+            "fault {} backend {}", fault, backend.name()
         );
     }
 

@@ -57,6 +57,13 @@ fn arb_network(max_size: usize) -> impl Strategy<Value = Network> {
     })
 }
 
+/// Strategy: one of the backends this CPU runs, so every case names the
+/// backend it checks.
+fn arb_backend() -> impl Strategy<Value = Backend> {
+    let backends = Backend::runnable();
+    (0..backends.len()).prop_map(move |i| backends[i])
+}
+
 /// Strategy: 1..=32 random test vectors on [`N`] lines.
 fn arb_tests() -> impl Strategy<Value = Vec<BitString>> {
     prop::collection::vec(0u64..(1u64 << N), 1..=32).prop_map(|words| {
@@ -140,10 +147,11 @@ proptest! {
         net in arb_network(8),
         selector in 0usize..4,
         tests in arb_tests(),
+        backend in arb_backend(),
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let matrix = matrix_on::<2>(&net, &faults, &tests, Backend::active());
+        let matrix = matrix_on::<2>(&net, &faults, &tests, backend);
         for (f, fault) in faults.iter().enumerate() {
             for (t, test) in tests.iter().enumerate() {
                 let reference = reference_faulty_apply(&net, fault, test);
@@ -155,7 +163,7 @@ proptest! {
                 prop_assert_eq!(
                     matrix.is_detected_by(f, t),
                     !reference.is_sorted(),
-                    "fault {} test {}", fault, test
+                    "fault {} test {} backend {}", fault, test, backend.name()
                 );
             }
         }
@@ -168,21 +176,22 @@ proptest! {
         net in arb_network(8),
         selector in 0usize..4,
         tests in arb_tests(),
+        backend in arb_backend(),
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let first = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, Backend::active());
-        let redundant = redundant_faults_multi_on::<4>(&net, &faults, Backend::active());
+        let first = first_detections_multi_packed_on::<4, BitString>(&net, &faults, &tests, backend);
+        let redundant = redundant_faults_multi_on::<4>(&net, &faults, backend);
         for (i, fault) in faults.iter().enumerate() {
             prop_assert_eq!(
                 first[i],
                 tests.iter().position(|t| multi_detects(&net, fault, t)),
-                "fault {}", fault
+                "fault {} backend {}", fault, backend.name()
             );
             prop_assert_eq!(
                 redundant[i],
                 is_multi_fault_redundant(&net, fault),
-                "fault {}", fault
+                "fault {} backend {}", fault, backend.name()
             );
             // Redundant means exactly "no input detects": a redundant fault
             // can never be detected by any test sample.
@@ -198,7 +207,11 @@ proptest! {
     /// it (its faulty output is unsorted) — which the exhaustive sweep
     /// reduces to "detectable iff not redundant".
     #[test]
-    fn pairs_are_consistent_with_their_base(net in arb_network(8), stuck in 0usize..2) {
+    fn pairs_are_consistent_with_their_base(
+        net in arb_network(8),
+        stuck in 0usize..2,
+        backend in arb_backend(),
+    ) {
         let base: Vec<MultiFault> = if stuck == 0 {
             SingleComparator.iter(&net).collect()
         } else {
@@ -220,9 +233,9 @@ proptest! {
         prop_assert_eq!(pairs.len(), expected);
         let sites: std::collections::HashSet<usize> =
             base.iter().map(MultiFault::fork_site).collect();
-        let redundant = redundant_faults_multi_on::<4>(&net, &pairs, Backend::active());
+        let redundant = redundant_faults_multi_on::<4>(&net, &pairs, backend);
         let all_inputs: Vec<BitString> = BitString::all(N).collect();
-        let detected = first_detections_multi_packed_on::<4, BitString>(&net, &pairs, &all_inputs, Backend::active());
+        let detected = first_detections_multi_packed_on::<4, BitString>(&net, &pairs, &all_inputs, backend);
         for (i, pair) in pairs.iter().enumerate() {
             prop_assert!(pair.is_pair());
             prop_assert!(sites.contains(&pair.fork_site()), "pair {}", pair);
@@ -232,7 +245,7 @@ proptest! {
                 "pair {}", pair
             );
             // Detected by the exhaustive test set iff not redundant.
-            prop_assert_eq!(detected[i].is_some(), !redundant[i], "pair {}", pair);
+            prop_assert_eq!(detected[i].is_some(), !redundant[i], "pair {} backend {}", pair, backend.name());
         }
     }
 
@@ -245,16 +258,17 @@ proptest! {
         selector in 0usize..4,
         tests in arb_tests(),
         extra in arb_tests(),
+        backend in arb_backend(),
     ) {
         let universe = pick_universe(selector);
         let faults: Vec<MultiFault> = universe.iter(&net).collect();
-        let small = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &tests, Backend::active());
+        let small = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &tests, backend);
         let mut longer = tests.clone();
         longer.extend(extra);
-        let large = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &longer, Backend::active());
+        let large = first_detections_multi_packed_on::<2, BitString>(&net, &faults, &longer, backend);
         for (i, fault) in faults.iter().enumerate() {
             if let Some(idx) = small[i] {
-                prop_assert_eq!(large[i], Some(idx), "fault {}", fault);
+                prop_assert_eq!(large[i], Some(idx), "fault {} backend {}", fault, backend.name());
             }
         }
     }
@@ -290,11 +304,15 @@ fn a_detectable_fault_can_be_masked_by_a_redundant_partner() {
         is_multi_fault_redundant(&net, &pair),
         "the redundant partner must mask the detectable fault"
     );
-    // The bit-parallel engine agrees.
-    assert_eq!(
-        redundant_faults_multi_on::<4>(&net, &[pair], Backend::active()),
-        vec![true]
-    );
+    // The bit-parallel engine agrees on every backend.
+    for backend in Backend::runnable() {
+        assert_eq!(
+            redundant_faults_multi_on::<4>(&net, &[pair], backend),
+            vec![true],
+            "{}",
+            backend.name()
+        );
+    }
 }
 
 /// The converse phenomenon: two individually redundant lesions whose pair

@@ -463,21 +463,25 @@ impl fmt::Display for VerifyMismatch {
 /// exhaustive `2^n` oracle (`truth`): the paper's minimal binary test
 /// set, its optimal permutation test set, and the same binary test set
 /// packed into multi-word [`ChannelVec`] vectors and swept through the
-/// packed spot-check engine.  Returns the first disagreement.
-fn check_verify_case(network: &Network, truth: bool) -> Option<String> {
+/// packed spot-check engine, all on `backend`.  Returns the first
+/// disagreement.
+fn check_verify_case(network: &Network, truth: bool, backend: Backend) -> Option<String> {
+    let on = backend.name();
     for strategy in [Strategy::MinimalBinary, Strategy::Permutation] {
-        match try_verify_on(network, Property::Sorter, strategy, Backend::active()) {
+        match try_verify_on(network, Property::Sorter, strategy, backend) {
             Ok(report) => {
                 if report.passed != truth {
                     return Some(format!(
-                        "exhaustive oracle says sorter={truth}, {strategy:?} test set says {}",
+                        "exhaustive oracle says sorter={truth}, {strategy:?} test set on {on} \
+                         says {}",
                         report.passed
                     ));
                 }
             }
             Err(e) => {
                 return Some(format!(
-                    "typed refusal at a size the exhaustive oracle accepted ({strategy:?}): {e}"
+                    "typed refusal at a size the exhaustive oracle accepted ({strategy:?} on \
+                     {on}): {e}"
                 ))
             }
         }
@@ -489,18 +493,19 @@ fn check_verify_case(network: &Network, truth: bool) -> Option<String> {
     let n = network.lines();
     let tests: Vec<ChannelVec> =
         sortnet_testsets::criteria::required_strings_packed(Property::Sorter, n).collect();
-    match try_spot_check_sorter_packed_on(network, &tests, Backend::active()) {
+    match try_spot_check_sorter_packed_on(network, &tests, backend) {
         Ok(outcome) => {
             let passed = outcome.witness.is_none();
             if passed != truth {
                 return Some(format!(
-                    "exhaustive oracle says sorter={truth}, packed-family spot check says {passed}"
+                    "exhaustive oracle says sorter={truth}, packed-family spot check on {on} \
+                     says {passed}"
                 ));
             }
         }
         Err(e) => {
             return Some(format!(
-                "typed refusal from the packed-family spot check: {e}"
+                "typed refusal from the packed-family spot check on {on}: {e}"
             ))
         }
     }
@@ -511,7 +516,9 @@ fn check_verify_case(network: &Network, truth: bool) -> Option<String> {
 /// a Batcher sorter, a wounded Batcher sorter (one comparator removed),
 /// or a random network — every test-set strategy is cross-checked
 /// against the exhaustive sorter oracle, and any disagreement is
-/// comparator-shrunk before it is reported.
+/// comparator-shrunk before it is reported.  Case `index` runs on runnable
+/// backend `index` (round-robin), so the case stream does not depend on
+/// the backend and a replay of the same index reuses it.
 #[must_use]
 pub fn run_verify_case(seed: u64, index: u64) -> Option<VerifyMismatch> {
     let mut rng =
@@ -533,8 +540,10 @@ pub fn run_verify_case(seed: u64, index: u64) -> Option<VerifyMismatch> {
             NetworkSampler::new(rng.next_u64()).network(n, size)
         }
     };
+    let backends = Backend::runnable();
+    let backend = backends[index as usize % backends.len()];
     let truth = properties::is_sorter(&network);
-    let detail = check_verify_case(&network, truth)?;
+    let detail = check_verify_case(&network, truth, backend)?;
     // Shrink comparators while the *disagreement* persists; the truth
     // is recomputed per candidate since removing a comparator moves it.
     let original_size = network.size();
@@ -543,7 +552,7 @@ pub fn run_verify_case(seed: u64, index: u64) -> Option<VerifyMismatch> {
     let mut i = 0;
     while i < network.size() {
         let candidate = network.without_comparator(i);
-        if let Some(d) = check_verify_case(&candidate, properties::is_sorter(&candidate)) {
+        if let Some(d) = check_verify_case(&candidate, properties::is_sorter(&candidate), backend) {
             detail = d;
             network = candidate;
         } else {
@@ -595,22 +604,25 @@ pub struct CacheGrindReport {
 /// request pool holds six distinct coverage queries — so steady-state
 /// traffic rotates entries through eviction and re-insertion, and the
 /// comparison covers answers served *after* their cache line was
-/// evicted and recomputed.  The lane-ops backend dimension comes from
-/// the process environment ([`Backend::active`], forced scalar in one
-/// CI leg), like every other grinder strategy.
+/// evicted and recomputed.  Leg `i` runs on runnable backend `i`
+/// (round-robin), for the service and its cold reference alike.
 ///
 /// The report carries hit/eviction counters so callers can assert the
 /// grind actually exercised the cache, not just the cold path.
 #[must_use]
 pub fn grind_service_cache(seed: u64, queries_per_leg: u64) -> CacheGrindReport {
-    use sortnet_service::{CacheStatus, Query, Request, Service, ServiceConfig};
+    use sortnet_service::{answer_cold, CacheStatus, Query, Request, Service, ServiceConfig};
 
     let mut report = CacheGrindReport::default();
+    let backends = Backend::runnable();
+    let mut leg = 0;
     for (width, engine) in [
         (1usize, FaultSimEngine::BitParallelWide(LaneWidth::W1)),
         (4, FaultSimEngine::BitParallelWide(LaneWidth::W4)),
     ] {
         for n in [8usize, 96] {
+            let backend = backends[leg % backends.len()];
+            leg += 1;
             let mut rng =
                 StdRng::seed_from_u64(seed.wrapping_add(((width as u64) << 32) | n as u64));
             // Six distinct coverage requests against a four-entry cache:
@@ -645,18 +657,23 @@ pub fn grind_service_cache(seed: u64, queries_per_leg: u64) -> CacheGrindReport 
                     }
                 })
                 .collect();
-            let cold: Vec<_> = pool
-                .iter()
-                .map(|r| answer_cold_outcome(r, engine))
-                .collect();
-
-            let service = Service::start(ServiceConfig {
+            let config = ServiceConfig {
                 workers: 2,
                 max_batch: 4,
                 engine,
+                backend,
                 answer_cache: 4,
                 ..ServiceConfig::default()
-            });
+            };
+            let cold: Vec<_> = pool
+                .iter()
+                .map(|request| {
+                    let response = answer_cold(&config, request);
+                    (response.outcome, response.completion)
+                })
+                .collect();
+
+            let service = Service::start(config);
             for _ in 0..queries_per_leg {
                 let pick = rng.random_range(0..pool.len());
                 let response = service.submit(pool[pick].clone());
@@ -667,9 +684,12 @@ pub fn grind_service_cache(seed: u64, queries_per_leg: u64) -> CacheGrindReport 
                 let (outcome, completion) = &cold[pick];
                 if &response.outcome != outcome || &response.completion != completion {
                     report.mismatches.push(format!(
-                        "W{width} n={n} pool[{pick}] ({:?}): service answered {:?}/{:?}, \
+                        "W{width} n={n} {} pool[{pick}] ({:?}): service answered {:?}/{:?}, \
                          cold path answered {outcome:?}/{completion:?}",
-                        response.cache, response.outcome, response.completion
+                        backend.name(),
+                        response.cache,
+                        response.outcome,
+                        response.completion
                     ));
                 }
             }
@@ -761,11 +781,17 @@ pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> Chao
         Duration::from_millis(3),
     );
 
-    let config = ServiceConfig {
+    // Leg `i` runs on runnable backend `i` (round-robin).  The memoised
+    // cold answers cross the legs, so the wire leg is also checked
+    // against the pool leg's backend.
+    let backends = Backend::runnable();
+    let leg_config = |leg: usize| ServiceConfig {
         workers: 2,
         max_batch: 8,
+        backend: backends[leg % backends.len()],
         ..ServiceConfig::default()
     };
+    let config = leg_config(0);
     let mut requests = workload(&LoadgenOptions {
         seed,
         queries,
@@ -812,7 +838,8 @@ pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> Chao
                     || reference.completion != response.completion
                 {
                     report.mismatches.push(format!(
-                        "chaos pool leg: service answered {:?}/{:?}, cold answered {:?}/{:?}",
+                        "chaos pool leg on {}: service answered {:?}/{:?}, cold answered {:?}/{:?}",
+                        config.backend.name(),
                         response.outcome,
                         response.completion,
                         reference.outcome,
@@ -844,6 +871,7 @@ pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> Chao
         },
         Duration::from_millis(120),
     );
+    let config = leg_config(1);
     let service = std::sync::Arc::new(Service::start(config.clone()));
     let path = std::env::temp_dir().join(format!(
         "sortnet-chaos-grind-{}-{seed:x}.sock",
@@ -888,8 +916,9 @@ pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> Chao
                                     || reply.completion != reference.completion
                                 {
                                     report.mismatches.push(format!(
-                                        "wire leg: call {index} diverged: {:?}/{:?} vs cold \
-                                         {:?}/{:?}",
+                                        "wire leg on {}: call {index} diverged: {:?}/{:?} vs \
+                                         cold {:?}/{:?}",
+                                        config.backend.name(),
                                         reply.outcome,
                                         reply.completion,
                                         reference.outcome,
@@ -910,22 +939,4 @@ pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> Chao
     }
     failpoint::reset();
     report
-}
-
-/// The cold reference (outcome, completion) for one request under one
-/// engine, with the grinder's fixed service knobs.
-fn answer_cold_outcome(
-    request: &sortnet_service::Request,
-    engine: FaultSimEngine,
-) -> (
-    Result<sortnet_service::Answer, sortnet_service::ServiceError>,
-    sortnet_service::Completion,
-) {
-    use sortnet_service::{answer_cold, ServiceConfig};
-    let config = ServiceConfig {
-        engine,
-        ..ServiceConfig::default()
-    };
-    let response = answer_cold(&config, request);
-    (response.outcome, response.completion)
 }

@@ -5,8 +5,8 @@
 use sortnet_grinder::{grind_verify, run, run_case, run_verify_case, Corruption, GrinderConfig};
 use sortnet_network::{BudgetReason, Budgeted, SweepBudget};
 
-/// The pinned CI seed: these cases are ground on every push, under both
-/// the forced-scalar backend and whatever SIMD the runner detects.
+/// The pinned CI seed: these cases are ground on every push, on every
+/// runnable lane-ops backend.
 const PINNED_SEED: u64 = 0xC0FF_EE00_5EED;
 
 #[test]

@@ -1,8 +1,7 @@
 //! Differential grind of the oracle service's answer cache: cached (and
 //! cached-after-eviction) answers must be bit-identical to the cold
-//! path, across lane widths W ∈ {1, 4} and line counts n ∈ {8, 96}.
-//! The lane-ops backend dimension comes from the environment
-//! (`SORTNET_FORCE_SCALAR`), as in the other grinder CI legs.
+//! path, across lane widths W ∈ {1, 4} and line counts n ∈ {8, 96}, the
+//! legs taking the runnable lane-ops backends in turn.
 
 use sortnet_grinder::grind_service_cache;
 

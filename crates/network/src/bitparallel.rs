@@ -367,13 +367,21 @@ mod tests {
         Network::from_pairs(4, &[(0, 2), (1, 3), (0, 1), (2, 3)])
     }
 
-    /// The default sweep with its budget capped at `blocks`: the metered
-    /// arm on the calling thread.  `u64::MAX` never trips, so it gives
-    /// the sequential answer of an unlimited sweep.
-    fn metered(blocks: u64) -> Sweep {
+    /// The default sweep on `backend`.
+    fn on(backend: Backend) -> Sweep {
+        Sweep {
+            backend,
+            ..Sweep::default()
+        }
+    }
+
+    /// The default sweep on `backend` with its budget capped at `blocks`:
+    /// the metered arm on the calling thread.  `u64::MAX` never trips, so
+    /// it gives the sequential answer of an unlimited sweep.
+    fn metered(backend: Backend, blocks: u64) -> Sweep {
         Sweep {
             budget: SweepBudget::unlimited().with_max_blocks(blocks),
-            ..Sweep::default()
+            ..on(backend)
         }
     }
 
@@ -389,14 +397,17 @@ mod tests {
     fn block_run_matches_scalar_evaluation() {
         let net = fig1();
         let inputs: Vec<_> = BitString::all(4).collect();
-        let mut block = BitBlock::from_strings(4, &inputs[..16]);
-        block.run_with(Backend::active(), &net);
-        for (j, input) in inputs[..16].iter().enumerate() {
-            assert_eq!(
-                block.extract(j as u32),
-                net.apply_bits(input),
-                "input {input}"
-            );
+        for backend in Backend::runnable() {
+            let mut block = BitBlock::from_strings(4, &inputs[..16]);
+            block.run_with(backend, &net);
+            for (j, input) in inputs[..16].iter().enumerate() {
+                assert_eq!(
+                    block.extract(j as u32),
+                    net.apply_bits(input),
+                    "input {input} backend {}",
+                    backend.name()
+                );
+            }
         }
     }
 
@@ -417,31 +428,34 @@ mod tests {
 
     #[test]
     fn exhaustive_check_accepts_a_real_sorter() {
-        assert_eq!(
-            complete(find_unsorted_input(&batcher4(), &Sweep::default())),
-            None
-        );
-        assert_eq!(
-            complete(find_unsorted_input(&batcher4(), &metered(u64::MAX))),
-            None
-        );
+        for backend in Backend::runnable() {
+            assert_eq!(
+                complete(find_unsorted_input(&batcher4(), &on(backend))),
+                None
+            );
+            assert_eq!(
+                complete(find_unsorted_input(
+                    &batcher4(),
+                    &metered(backend, u64::MAX)
+                )),
+                None
+            );
+        }
     }
 
     #[test]
     fn exhaustive_check_rejects_fig1_and_reports_lowest_failure() {
-        let unlimited = complete(find_unsorted_input(&fig1(), &Sweep::default()));
-        let metered = complete(find_unsorted_input(&fig1(), &metered(u64::MAX)));
-        assert!(unlimited.is_some());
-        assert_eq!(
-            unlimited, metered,
-            "unlimited and metered sweeps must agree"
-        );
-        let failing = unlimited.unwrap();
-        assert!(!fig1().apply_bits(&failing).is_sorted());
-        assert_eq!(
-            Some(failing),
-            BitString::all(4).find(|s| !fig1().apply_bits(s).is_sorted())
-        );
+        let lowest = BitString::all(4).find(|s| !fig1().apply_bits(s).is_sorted());
+        assert!(lowest.is_some());
+        for backend in Backend::runnable() {
+            let unlimited = complete(find_unsorted_input(&fig1(), &on(backend)));
+            let metered = complete(find_unsorted_input(&fig1(), &metered(backend, u64::MAX)));
+            assert_eq!(unlimited, lowest, "{}", backend.name());
+            assert_eq!(
+                unlimited, metered,
+                "unlimited and metered sweeps must agree"
+            );
+        }
     }
 
     #[test]
@@ -449,25 +463,24 @@ mod tests {
         for net in [fig1(), batcher4(), Network::empty(4)] {
             let reference = Sweep {
                 width: LaneWidth::W1,
-                ..Sweep::default()
+                ..on(Backend::Scalar)
             };
             let first = complete(find_unsorted_input(&net, &reference));
             let count = complete(count_unsorted_outputs(&net, &reference));
-            for width in LaneWidth::ALL {
-                let sweep = Sweep {
-                    width,
-                    ..Sweep::default()
-                };
-                assert_eq!(
-                    complete(find_unsorted_input(&net, &sweep)),
-                    first,
-                    "net {net} {width:?}"
-                );
-                assert_eq!(
-                    complete(count_unsorted_outputs(&net, &sweep)),
-                    count,
-                    "net {net} {width:?}"
-                );
+            for backend in Backend::runnable() {
+                for width in LaneWidth::ALL {
+                    let sweep = Sweep {
+                        width,
+                        ..on(backend)
+                    };
+                    let case = format!("net {net} {width:?} {}", backend.name());
+                    assert_eq!(complete(find_unsorted_input(&net, &sweep)), first, "{case}");
+                    assert_eq!(
+                        complete(count_unsorted_outputs(&net, &sweep)),
+                        count,
+                        "{case}"
+                    );
+                }
             }
         }
     }
@@ -478,14 +491,13 @@ mod tests {
             let scalar = BitString::all(4)
                 .filter(|s| !net.apply_bits(s).is_sorted())
                 .count() as u64;
-            assert_eq!(
-                complete(count_unsorted_outputs(&net, &metered(u64::MAX))),
-                scalar
-            );
-            assert_eq!(
-                complete(count_unsorted_outputs(&net, &Sweep::default())),
-                scalar
-            );
+            for backend in Backend::runnable() {
+                assert_eq!(
+                    complete(count_unsorted_outputs(&net, &metered(backend, u64::MAX))),
+                    scalar
+                );
+                assert_eq!(complete(count_unsorted_outputs(&net, &on(backend))), scalar);
+            }
         }
     }
 
@@ -493,10 +505,12 @@ mod tests {
     fn empty_network_fails_on_every_unsorted_input() {
         let empty = Network::empty(6);
         let expected = (1u64 << 6) - 6 - 1;
-        assert_eq!(
-            complete(count_unsorted_outputs(&empty, &Sweep::default())),
-            expected
-        );
+        for backend in Backend::runnable() {
+            assert_eq!(
+                complete(count_unsorted_outputs(&empty, &on(backend))),
+                expected
+            );
+        }
         let failures = failing_inputs_from(&empty, &BitString::all(6).collect::<Vec<_>>()).unwrap();
         assert_eq!(failures.len() as u64, expected);
         assert!(failures.iter().all(|f| !f.is_sorted()));
@@ -510,7 +524,10 @@ mod tests {
         for f in &failures {
             assert!(!net.apply_bits(f).is_sorted());
         }
-        let expected = complete(count_unsorted_outputs(&net, &metered(u64::MAX))) as usize;
+        let expected = complete(count_unsorted_outputs(
+            &net,
+            &metered(Backend::Scalar, u64::MAX),
+        )) as usize;
         assert_eq!(failures.len(), expected);
         // Past one block, in input order.
         let many: Vec<_> = tests.iter().cycle().take(700).copied().collect();
@@ -526,14 +543,17 @@ mod tests {
     fn blocks_of_odd_sizes_mask_out_dead_lanes() {
         let net = Network::empty(3);
         let inputs: Vec<_> = BitString::all(3).take(5).collect();
-        let mut block = BitBlock::from_strings(3, &inputs);
-        block.run_with(Backend::active(), &net);
-        assert_eq!(block.count(), 5);
-        assert_eq!(
-            block.unsorted_masks_with(Backend::active())[0] >> 5,
-            0,
-            "dead lanes must stay clear"
-        );
+        for backend in Backend::runnable() {
+            let mut block = BitBlock::from_strings(3, &inputs);
+            block.run_with(backend, &net);
+            assert_eq!(block.count(), 5);
+            assert_eq!(
+                block.unsorted_masks_with(backend)[0] >> 5,
+                0,
+                "dead lanes must stay clear ({})",
+                backend.name()
+            );
+        }
     }
 
     #[test]
@@ -547,30 +567,32 @@ mod tests {
     #[test]
     fn run_range_splits_compose_to_a_full_run() {
         let net = batcher4();
-        let backend = Backend::active();
-        for cut in 0..=net.size() {
-            let mut split = BitBlock::from_range(4, 0, 16);
-            split.run_range_with(backend, &net, 0, cut);
-            split.run_range_with(backend, &net, cut, net.size());
-            let mut whole = BitBlock::from_range(4, 0, 16);
-            whole.run_with(backend, &net);
-            assert_eq!(split, whole, "cut at {cut}");
+        for backend in Backend::runnable() {
+            for cut in 0..=net.size() {
+                let mut split = BitBlock::from_range(4, 0, 16);
+                split.run_range_with(backend, &net, 0, cut);
+                split.run_range_with(backend, &net, cut, net.size());
+                let mut whole = BitBlock::from_range(4, 0, 16);
+                whole.run_with(backend, &net);
+                assert_eq!(split, whole, "cut at {cut} {}", backend.name());
+            }
         }
     }
 
     #[test]
     fn copy_from_forks_a_shared_prefix() {
         let net = batcher4();
-        let backend = Backend::active();
-        let mut prefix = BitBlock::from_range(4, 0, 16);
-        prefix.run_range_with(backend, &net, 0, 2);
-        let mut fork = BitBlock::from_range(4, 48, 5);
-        fork.copy_from(&prefix);
-        assert_eq!(fork, prefix);
-        fork.run_range_with(backend, &net, 2, net.size());
-        let mut direct = BitBlock::from_range(4, 0, 16);
-        direct.run_with(backend, &net);
-        assert_eq!(fork, direct);
+        for backend in Backend::runnable() {
+            let mut prefix = BitBlock::from_range(4, 0, 16);
+            prefix.run_range_with(backend, &net, 0, 2);
+            let mut fork = BitBlock::from_range(4, 48, 5);
+            fork.copy_from(&prefix);
+            assert_eq!(fork, prefix);
+            fork.run_range_with(backend, &net, 2, net.size());
+            let mut direct = BitBlock::from_range(4, 0, 16);
+            direct.run_with(backend, &net);
+            assert_eq!(fork, direct, "{}", backend.name());
+        }
     }
 
     #[test]
@@ -593,14 +615,13 @@ mod tests {
     fn try_variants_reject_hostile_inputs_and_agree_otherwise() {
         let net = batcher4();
         let scalar = Sweep {
-            backend: Backend::Scalar,
             width: LaneWidth::W1,
-            ..metered(u64::MAX)
+            ..metered(Backend::Scalar, u64::MAX)
         };
         assert_eq!(complete(find_unsorted_input(&net, &scalar)), None);
         let big = Network::empty(40);
         assert_eq!(
-            find_unsorted_input(&big, &Sweep::default()).unwrap_err(),
+            find_unsorted_input(&big, &on(Backend::Scalar)).unwrap_err(),
             EngineError::SweepTooLarge { lines: 40 }
         );
         assert!(matches!(
@@ -629,9 +650,8 @@ mod tests {
     fn budgeted_exhaustive_sweeps_degrade_to_exact_prefixes() {
         let sorter = crate::builders::batcher::odd_even_merge_sort(9);
         let w1 = |blocks| Sweep {
-            backend: Backend::Scalar,
             width: LaneWidth::W1,
-            ..metered(blocks)
+            ..metered(Backend::Scalar, blocks)
         };
         // 2^9 = 8 one-word blocks; cap at 2.
         let partial = find_unsorted_input(&sorter, &w1(2)).unwrap();
@@ -658,10 +678,14 @@ mod tests {
         assert_eq!(*capped.value(), scalar_prefix);
         let full_count = count_unsorted_outputs(&empty, &w1(u64::MAX)).unwrap();
         assert!(full_count.is_complete());
-        assert_eq!(
-            *full_count.value(),
-            complete(count_unsorted_outputs(&empty, &Sweep::default()))
-        );
+        for backend in Backend::runnable() {
+            assert_eq!(
+                *full_count.value(),
+                complete(count_unsorted_outputs(&empty, &on(backend))),
+                "{}",
+                backend.name()
+            );
+        }
         assert!(*capped.value() <= *full_count.value());
         // The selector sweep commits the same prefix.
         let selector = find_selector_violation(&sorter, 4, &w1(2)).unwrap();
@@ -702,7 +726,12 @@ mod tests {
                 }
             }
             let wide = |sweep: &Sweep| complete(count_unsorted_outputs(&broken, sweep));
-            assert_eq!(wide(&Sweep::default()), wide(&metered(u64::MAX)), "n={n}");
+            let backend = Backend::active();
+            assert_eq!(
+                wide(&on(backend)),
+                wide(&metered(backend, u64::MAX)),
+                "n={n}"
+            );
         }
     }
 
@@ -711,7 +740,7 @@ mod tests {
         use crate::builders::batcher::odd_even_merge_sort;
         let w2 = Sweep {
             width: LaneWidth::W2,
-            ..metered(u64::MAX)
+            ..metered(Backend::Scalar, u64::MAX)
         };
         for k in 0..=6 {
             assert_eq!(
@@ -721,27 +750,35 @@ mod tests {
         }
         let empty = Network::empty(5);
         assert_eq!(
-            complete(find_selector_violation(&empty, 0, &Sweep::default())),
+            complete(find_selector_violation(&empty, 0, &on(Backend::Scalar))),
             None
         );
-        let witness = complete(find_selector_violation(&empty, 2, &metered(u64::MAX))).unwrap();
+        let witness = complete(find_selector_violation(
+            &empty,
+            2,
+            &metered(Backend::Scalar, u64::MAX),
+        ))
+        .unwrap();
         // The scalar definition: output i (< k) must be 0 exactly when
         // i < |input|₀ — the empty network violates that on its witness.
         let out = empty.apply_bits(&witness);
         let zeros = witness.count_zeros();
         assert!((0..2).any(|i| out.get(i) != (i >= zeros)));
         // Unlimited and metered sweeps return the same lowest witness, at
-        // every width.
-        for width in LaneWidth::ALL {
-            let sweep = Sweep {
-                width,
-                ..Sweep::default()
-            };
-            assert_eq!(
-                complete(find_selector_violation(&empty, 2, &sweep)),
-                Some(witness),
-                "{width:?}"
-            );
+        // every width on every backend.
+        for backend in Backend::runnable() {
+            for width in LaneWidth::ALL {
+                let sweep = Sweep {
+                    width,
+                    ..on(backend)
+                };
+                assert_eq!(
+                    complete(find_selector_violation(&empty, 2, &sweep)),
+                    Some(witness),
+                    "{width:?} {}",
+                    backend.name()
+                );
+            }
         }
     }
 }

@@ -30,7 +30,9 @@
 //!   overflowed `usize` (degenerate huge inputs), or a test-set family
 //!   is past the line count its generator enumerates;
 //! * [`InfeasibleCover`](EngineError::InfeasibleCover) — a test-set
-//!   augmentation has no solution in the candidate pool.
+//!   augmentation has no solution in the candidate pool;
+//! * [`OddMerger`](EngineError::OddMerger) — a merger verify on an odd
+//!   line count, which has no two equal sorted halves.
 //!
 //! # Relation to the panicking API
 //!
@@ -105,6 +107,12 @@ pub enum EngineError {
         /// Number of missed faults no candidate detects.
         uncoverable: usize,
     },
+    /// A merger verify on an odd line count: the merging property is
+    /// defined over two sorted halves of `n / 2` lines each.
+    OddMerger {
+        /// Line count of the offending network.
+        lines: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -135,6 +143,10 @@ impl fmt::Display for EngineError {
             Self::InfeasibleCover { uncoverable } => write!(
                 f,
                 "no candidate in the pool detects {uncoverable} of the missed faults"
+            ),
+            Self::OddMerger { lines } => write!(
+                f,
+                "a merger merges two sorted halves: it needs an even line count, got n = {lines}"
             ),
         }
     }
@@ -239,6 +251,10 @@ mod tests {
             limit: 9,
         };
         assert!(index.to_string().contains("fault index 9 out of range"));
+        assert_eq!(
+            EngineError::OddMerger { lines: 5 }.to_string(),
+            "a merger merges two sorted halves: it needs an even line count, got n = 5"
+        );
     }
 
     #[test]

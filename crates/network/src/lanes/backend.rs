@@ -8,8 +8,8 @@
 //! [`Backend`] selects one of three implementations at runtime:
 //!
 //! * [`ScalarOps`] ([`Backend::Scalar`]) — the reference: one `u64` word at
-//!   a time, exactly the loops the engine shipped with.  Forced with
-//!   `SORTNET_FORCE_SCALAR=1`, which is how CI pins the non-SIMD path.
+//!   a time, exactly the loops the engine shipped with.  Never chosen by
+//!   default: tests and the scalar-reference paths name it explicitly.
 //! * [`PortableOps`] ([`Backend::Portable`]) — the same kernels restructured
 //!   into fixed [`LANE_CHUNK`]-word chunks with straight-line bodies, the
 //!   shape LLVM's autovectorizer turns into whatever vector ISA the target
@@ -31,8 +31,10 @@
 //!
 //! # Dispatch granularity
 //!
-//! [`Backend::active`] resolves the process-wide default once (environment
-//! override first, then CPU detection) and is a cached read afterwards.
+//! [`Backend::active`] resolves the process-wide default once by CPU
+//! detection and is a cached read afterwards; nothing in the environment
+//! overrides it.  Every other backend is reached only by passing it as a
+//! value.
 //! The hot entry points dispatch **per sweep loop**, not per word: e.g.
 //! [`Backend::run_comparators`] matches once and then runs the whole
 //! comparator range inside the selected implementation, so the AVX2 path is
@@ -384,20 +386,18 @@ mod avx2 {
 fn assert_avx2() {
     assert!(
         is_x86_feature_detected!("avx2"),
-        "Backend::Avx2 dispatched on a CPU without AVX2; use Backend::detect()"
+        "Backend::Avx2 dispatched on a CPU without AVX2; use Backend::active()"
     );
 }
 
 /// Runtime selection of a [`LaneOps`] implementation.
 ///
-/// [`Backend::detect`] picks the best backend for the running process
-/// (honouring `SORTNET_FORCE_SCALAR=1`); [`Backend::active`] caches that
-/// choice process-wide, and is the backend of a default
-/// [`Sweep`](super::Sweep).  All backends produce bit-identical results.
+/// [`Backend::active`] is the best backend the running CPU executes, and
+/// the backend of a default [`Sweep`](super::Sweep); any other is chosen
+/// by passing it explicitly.  All backends produce bit-identical results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// [`ScalarOps`]: one word at a time (the reference, and the
-    /// `SORTNET_FORCE_SCALAR=1` override target).
+    /// [`ScalarOps`]: one word at a time (the reference).
     Scalar,
     /// [`PortableOps`]: chunked loops shaped for autovectorization; works
     /// on every architecture.
@@ -409,32 +409,24 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Selects the backend for this process: [`Backend::Scalar`] when the
-    /// `SORTNET_FORCE_SCALAR` environment variable is set to anything but
-    /// `0`/empty, else AVX2 when the CPU has it, else the portable chunked
-    /// backend.
-    #[must_use]
-    pub fn detect() -> Self {
-        if std::env::var("SORTNET_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
-            return Self::Scalar;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Self::Avx2;
-        }
-        Self::Portable
-    }
-
-    /// The process-wide backend: [`Backend::detect`] resolved once and
-    /// cached.
+    /// The best backend the running CPU executes: AVX2 when detected, else
+    /// the portable chunked backend.  Resolved once and cached; the last
+    /// entry of [`Backend::runnable`].
     #[must_use]
     pub fn active() -> Self {
         static ACTIVE: OnceLock<Backend> = OnceLock::new();
-        *ACTIVE.get_or_init(Self::detect)
+        *ACTIVE.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
+            Self::Portable
+        })
     }
 
-    /// Every backend the running CPU can execute, scalar first — the
-    /// iteration set for differential tests and benchmark sweeps.
+    /// Every backend the running CPU can execute, scalar first and
+    /// [`Backend::active`] last — the iteration set for differential tests
+    /// and benchmark sweeps.
     #[must_use]
     pub fn runnable() -> Vec<Self> {
         #[allow(unused_mut)]
@@ -616,8 +608,14 @@ mod tests {
         assert!(all.contains(&Backend::Portable));
         let names: std::collections::HashSet<&str> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), all.len());
-        // The active backend must be one the CPU can actually run.
-        assert!(all.contains(&Backend::active()));
+    }
+
+    #[test]
+    fn the_default_backend_is_the_last_runnable_one() {
+        // One default: the library's `Backend::active()` and the benchmark's
+        // pinned `runnable().last()` are the same backend, and nothing in
+        // the environment overrides it.
+        assert_eq!(Backend::active(), *Backend::runnable().last().unwrap());
     }
 
     #[test]

@@ -74,9 +74,9 @@
 //! Three [`LaneOps`] implementations exist — plain scalar loops, a
 //! portable chunked shape the autovectorizer handles on any target, and an
 //! explicit AVX2 `core::arch` path on `x86_64` — all bit-identical, with
-//! the best one detected at runtime ([`Backend::active`], overridable with
-//! `SORTNET_FORCE_SCALAR=1`).  Every [`WideBlock`] kernel and every sweep
-//! takes its backend explicitly, so whole sweeps — exhaustive,
+//! the best one detected at runtime ([`Backend::active`]).  Every
+//! [`WideBlock`] kernel and every sweep takes its backend explicitly, so
+//! whole sweeps — exhaustive,
 //! minimal-test-set, detection-matrix, redundancy — can be pinned to a
 //! backend for differential testing and benchmarking.  A [`Sweep`] bundles
 //! the backend with the lane width and the budget of an exhaustive sweep;
@@ -1196,12 +1196,15 @@ mod tests {
         let net = odd_even_merge_sort(5);
         let inputs: Vec<BitString> = BitString::all(5).collect();
         fn check<const W: usize>(net: &Network, inputs: &[BitString]) {
-            let mut block = WideBlock::<W>::from_strings(5, inputs);
-            block.run_with(Backend::active(), net);
-            for (j, input) in inputs.iter().enumerate() {
-                assert_eq!(block.extract(j as u32), net.apply_bits(input), "W={W}");
+            for backend in Backend::runnable() {
+                let mut block = WideBlock::<W>::from_strings(5, inputs);
+                block.run_with(backend, net);
+                for (j, input) in inputs.iter().enumerate() {
+                    let case = format!("W={W} {}", backend.name());
+                    assert_eq!(block.extract(j as u32), net.apply_bits(input), "{case}");
+                }
+                assert_eq!(mask_count(&block.unsorted_masks_with(backend)), 0);
             }
-            assert_eq!(mask_count(&block.unsorted_masks_with(Backend::active())), 0);
         }
         check::<1>(&net, &inputs[..20]);
         check::<1>(&net, &inputs);
@@ -1212,18 +1215,20 @@ mod tests {
     #[test]
     fn unsorted_masks_span_word_boundaries() {
         let net = Network::empty(7);
-        let mut block = WideBlock::<2>::from_range(7, 0, 128);
-        block.run_with(Backend::active(), &net);
-        let masks = block.unsorted_masks_with(Backend::active());
         let expected: u32 = BitString::all(7)
             .take(128)
             .map(|s| u32::from(!s.is_sorted()))
             .sum();
-        assert_eq!(mask_count(&masks), expected);
-        let first = mask_first(&masks).unwrap();
         let scalar_first = BitString::all(7).position(|s| !s.is_sorted()).unwrap();
-        assert_eq!(first as usize, scalar_first);
-        assert!(mask_any(&masks));
+        for backend in Backend::runnable() {
+            let mut block = WideBlock::<2>::from_range(7, 0, 128);
+            block.run_with(backend, &net);
+            let masks = block.unsorted_masks_with(backend);
+            assert_eq!(mask_count(&masks), expected, "{}", backend.name());
+            let first = mask_first(&masks).unwrap();
+            assert_eq!(first as usize, scalar_first, "{}", backend.name());
+            assert!(mask_any(&masks));
+        }
     }
 
     #[test]
@@ -1296,7 +1301,7 @@ mod tests {
     #[test]
     fn sweep_find_reports_the_first_violation_in_source_order() {
         let net = Network::empty(6);
-        let backend = Backend::active();
+        let backend = Backend::Portable;
         let mut work = WideBlock::<2>::zeroed(6);
         let outcome: SweepOutcome = sweep_find(
             IterSource::new(6, BitString::all(6)),
@@ -1384,7 +1389,7 @@ mod tests {
             let outcome: SweepOutcome = sweep_network::<1, _, _>(
                 RangeSource::exhaustive(9),
                 &sorter,
-                Backend::active(),
+                Backend::Scalar,
                 &mut meter,
             )
             .unwrap();
@@ -1416,7 +1421,7 @@ mod tests {
         let outcome: SweepOutcome = sweep_network::<1, _, _>(
             RangeSource::exhaustive(6),
             &non_sorter,
-            Backend::active(),
+            Backend::Portable,
             &mut meter,
         )
         .unwrap();
@@ -1614,24 +1619,27 @@ mod tests {
         fn sweep<const W: usize>(
             net: &Network,
             family: Vec<ChannelVec>,
+            backend: Backend,
         ) -> SweepOutcome<ChannelVec> {
             let source = IterSource::new(net.lines(), family);
-            sweep_network::<W, ChannelVec, _>(
-                source,
-                net,
-                Backend::active(),
-                &mut BudgetMeter::unlimited(),
-            )
-            .unwrap()
+            sweep_network::<W, ChannelVec, _>(source, net, backend, &mut BudgetMeter::unlimited())
+                .unwrap()
         }
-        let outcome = sweep::<4>(&net, sorted.clone());
-        assert_eq!(outcome.tests_run, (n + 1) as u64);
-        assert_eq!(outcome.witness, None, "sorted inputs pass the identity");
         let mut unsorted = ChannelVec::zeros(n);
         unsorted.set(64, true); // 1 at line 64, 0 at line 65: unsorted
         let family: Vec<ChannelVec> = sorted.iter().cloned().chain([unsorted.clone()]).collect();
-        let outcome = sweep::<2>(&net, family);
-        assert_eq!(outcome.witness, Some(unsorted));
+        for backend in Backend::runnable() {
+            let outcome = sweep::<4>(&net, sorted.clone(), backend);
+            assert_eq!(outcome.tests_run, (n + 1) as u64);
+            assert_eq!(outcome.witness, None, "sorted inputs pass the identity");
+            let outcome = sweep::<2>(&net, family.clone(), backend);
+            assert_eq!(
+                outcome.witness,
+                Some(unsorted.clone()),
+                "{}",
+                backend.name()
+            );
+        }
         // And a real sorter on 96 lines leaves the same family violation-free.
         let sorter = odd_even_merge_sort(n);
         let mixed: Vec<ChannelVec> = (0..64u64)
@@ -1641,7 +1649,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcome = sweep::<1>(&sorter, mixed);
+        let outcome = sweep::<1>(&sorter, mixed, Backend::Scalar);
         assert_eq!(outcome.witness, None, "a Batcher sorter sorts all samples");
         assert_eq!(outcome.tests_run, 64);
     }

@@ -23,6 +23,13 @@ fn arb_bitstring(n: usize) -> impl Strategy<Value = BitString> {
     (0u64..(1u64 << n)).prop_map(move |w| BitString::from_word(w, n))
 }
 
+/// Strategy: one of the backends this CPU runs, so every case names the
+/// backend it checks.
+fn arb_backend() -> impl Strategy<Value = Backend> {
+    let backends = Backend::runnable();
+    (0..backends.len()).prop_map(move |i| backends[i])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -38,15 +45,19 @@ proptest! {
     /// The 64-lane bit-parallel evaluator agrees with the scalar evaluator
     /// on every lane.
     #[test]
-    fn bitblock_matches_scalar(net in arb_network(9, 24), start in 0u64..((1u64 << 9) - 64)) {
+    fn bitblock_matches_scalar(
+        net in arb_network(9, 24),
+        start in 0u64..((1u64 << 9) - 64),
+        backend in arb_backend(),
+    ) {
         let mut block = BitBlock::from_range(9, start, 64);
-        block.run_with(Backend::active(), &net);
-        let mask = block.unsorted_masks_with(Backend::active())[0];
+        block.run_with(backend, &net);
+        let mask = block.unsorted_masks_with(backend)[0];
         for j in 0..64u32 {
             let input = BitString::from_word(start + u64::from(j), 9);
             let scalar = net.apply_bits(&input);
-            prop_assert_eq!(block.extract(j), scalar);
-            prop_assert_eq!((mask >> j) & 1 == 1, !scalar.is_sorted());
+            prop_assert_eq!(block.extract(j), scalar, "{}", backend.name());
+            prop_assert_eq!((mask >> j) & 1 == 1, !scalar.is_sorted(), "{}", backend.name());
         }
     }
 
@@ -69,7 +80,10 @@ proptest! {
     /// the same layer, and the metered count of unsorted outputs matches
     /// the unlimited one.
     #[test]
-    fn layers_are_conflict_free_and_counters_agree(net in arb_network(8, 24)) {
+    fn layers_are_conflict_free_and_counters_agree(
+        net in arb_network(8, 24),
+        backend in arb_backend(),
+    ) {
         for layer in net.layers() {
             for (i, a) in layer.iter().enumerate() {
                 for b in &layer[i + 1..] {
@@ -77,13 +91,18 @@ proptest! {
                 }
             }
         }
+        let unlimited = Sweep {
+            backend,
+            ..Sweep::default()
+        };
         let metered = Sweep {
             budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
-            ..Sweep::default()
+            ..unlimited.clone()
         };
         prop_assert_eq!(
             count_unsorted_outputs(&net, &metered).unwrap(),
-            count_unsorted_outputs(&net, &Sweep::default()).unwrap()
+            count_unsorted_outputs(&net, &unlimited).unwrap(),
+            "{}", backend.name()
         );
     }
 

@@ -8,8 +8,9 @@
 //! byte-equal duplicate gets the same answer as its original, and the
 //! one batched redundancy pass over the union of the
 //! members' missed faults gives each member the cold path's verdicts.
-//! Engines: scalar, one-word and four-word bit-parallel; the lane-ops
-//! backend comes from the environment (`SORTNET_FORCE_SCALAR`).
+//! Engines: scalar, one-word and four-word bit-parallel, each shard on
+//! one runnable lane-ops backend ([`ServiceConfig::backend`]), rotated so
+//! that every engine meets every backend.
 //!
 //! A second suite grades members long enough to reach past the first
 //! block into the wide tail of the early-exit sweep, and to resume a
@@ -22,7 +23,7 @@ use sortnet_faults::coverage::RedundancyMode;
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_faults::FaultSimEngine;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{LaneWidth, PackedFamily};
+use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily};
 use sortnet_network::Network;
 use sortnet_service::loadgen::SplitMix64;
 use sortnet_service::oracle::{answer_batch, OracleCaches};
@@ -35,6 +36,18 @@ const ENGINES: [FaultSimEngine; 3] = [
     FaultSimEngine::BitParallelWide(LaneWidth::W1),
     FaultSimEngine::BitParallelWide(LaneWidth::W4),
 ];
+
+/// The service configuration of engine `e` of shard group `group`: engine
+/// `e` runs on runnable backend `group + e`, so over a table of groups
+/// every engine meets every backend.
+fn config(group: usize, e: usize) -> ServiceConfig {
+    let backends = Backend::runnable();
+    ServiceConfig {
+        engine: ENGINES[e],
+        backend: backends[(group + e) % backends.len()],
+        ..ServiceConfig::default()
+    }
+}
 
 /// A random network of `size` comparators on `n` lines.
 fn random_network(rng: &mut SplitMix64, n: usize, size: usize) -> Network {
@@ -105,16 +118,12 @@ struct Tally {
 /// against the cold path.
 fn check_shard(
     tally: &mut Tally,
-    engine: FaultSimEngine,
+    config: &ServiceConfig,
     network: &Network,
     universe: StandardUniverse,
     redundancy: RedundancyMode,
     lists: Vec<Vec<ChannelVec>>,
 ) {
-    let config = ServiceConfig {
-        engine,
-        ..ServiceConfig::default()
-    };
     let requests: Vec<Request> = lists
         .into_iter()
         .map(|tests| Request {
@@ -129,15 +138,17 @@ fn check_shard(
         })
         .collect();
     let caches = OracleCaches::new(16);
-    let batch = answer_batch(&config, &caches, &requests);
+    let batch = answer_batch(config, &caches, &requests);
     assert_eq!(batch.len(), requests.len());
     let mut reports = Vec::with_capacity(requests.len());
     for (slot, (response, request)) in batch.iter().zip(&requests).enumerate() {
-        let cold = answer_cold(&config, request);
+        let cold = answer_cold(config, request);
         assert_eq!(
             response.outcome,
             cold.outcome,
-            "{engine:?} n={} {universe:?} {redundancy:?} member {slot}: batched != cold",
+            "{:?} {} n={} {universe:?} {redundancy:?} member {slot}: batched != cold",
+            config.engine,
+            config.backend.name(),
             network.lines()
         );
         assert_eq!(response.completion, cold.completion);
@@ -164,14 +175,17 @@ fn grind(
     redundancy: RedundancyMode,
 ) {
     let mut members = 3;
+    let mut group = 0;
     for &n in lines {
         for network in networks(rng, n) {
             for &universe in universes {
-                for engine in ENGINES {
+                for e in 0..ENGINES.len() {
                     let lists = member_lists(rng, n, members);
-                    check_shard(tally, engine, &network, universe, redundancy, lists);
+                    let config = config(group, e);
+                    check_shard(tally, &config, &network, universe, redundancy, lists);
                     members = if members == 5 { 3 } else { members + 1 };
                 }
+                group += 1;
             }
         }
     }
@@ -309,6 +323,7 @@ fn long_members_resume_shared_prefixes_and_match_the_scalar_cold_path() {
         ..ServiceConfig::default()
     };
     let mut late = 0;
+    let mut group = 0;
     for (n, redundancy) in [
         (8, RedundancyMode::Exhaustive),
         (10, RedundancyMode::Skip),
@@ -337,19 +352,20 @@ fn long_members_resume_shared_prefixes_and_match_the_scalar_cold_path() {
                     .iter()
                     .map(|request| answer_cold(&scalar, request).outcome)
                     .collect();
-                for engine in ENGINES {
-                    let config = ServiceConfig {
-                        engine,
-                        ..ServiceConfig::default()
-                    };
+                for e in 0..ENGINES.len() {
+                    let config = config(group, e);
                     let batch = answer_batch(&config, &OracleCaches::new(16), &requests);
                     for (slot, (response, expected)) in batch.iter().zip(&cold).enumerate() {
                         assert_eq!(
-                            &response.outcome, expected,
-                            "{engine:?} n={n} {universe:?} {redundancy:?} member {slot}"
+                            &response.outcome,
+                            expected,
+                            "{:?} {} n={n} {universe:?} {redundancy:?} member {slot}",
+                            config.engine,
+                            config.backend.name()
                         );
                     }
                 }
+                group += 1;
                 for outcome in &cold {
                     let Ok(Answer::Coverage(report)) = outcome else {
                         panic!("expected a coverage answer, got {outcome:?}");

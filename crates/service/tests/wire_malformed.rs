@@ -10,10 +10,13 @@ use std::time::{Duration, Instant};
 use sortnet_combinat::ChannelVec;
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
+use sortnet_network::error::EngineError;
+use sortnet_network::Network;
 use sortnet_service::wire::{
     encode_request, read_frame, write_frame, WireServer, WireServerConfig, MAX_FRAME,
 };
-use sortnet_service::{Query, Request, Service, ServiceConfig};
+use sortnet_service::{Query, Request, Service, ServiceConfig, ServiceError};
+use sortnet_testsets::verify::{Property, Strategy};
 
 fn sorted_tests(n: usize) -> Vec<ChannelVec> {
     (0..=n)
@@ -209,5 +212,43 @@ fn hostile_connections_do_not_leak_handler_threads() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+    assert_served(&path);
+}
+
+#[test]
+fn an_odd_line_merger_verify_is_refused_without_a_panic_or_quarantine() {
+    // A merger merges two sorted halves, so a 5-line merger verify has
+    // no answer.  A wire client can still send one; it must come back as
+    // the typed refusal on the first attempt, under every strategy, and
+    // leave no panic (hence no retry) and no quarantine entry behind.
+    let service = Arc::new(Service::start(ServiceConfig::default()));
+    let path = socket_path("odd-merger");
+    let _server = WireServer::bind(&path, Arc::clone(&service)).expect("bind");
+    let mut stream = UnixStream::connect(&path).expect("connect");
+    let refusal = ServiceError::Engine(EngineError::OddMerger { lines: 5 }).to_string();
+    for strategy in [
+        Strategy::Exhaustive,
+        Strategy::MinimalBinary,
+        Strategy::Permutation,
+    ] {
+        let request = Request {
+            network: Network::empty(5),
+            query: Query::Verify {
+                property: Property::Merger,
+                strategy,
+            },
+            budget: None,
+            deadline: None,
+        };
+        write_frame(&mut stream, &encode_request(&request)).expect("write");
+        let reply = read_frame(&mut stream)
+            .expect("read")
+            .expect("a reply frame");
+        let reply = sortnet_service::wire::decode_response(&reply).expect("decode");
+        assert_eq!(reply.outcome, Err(refusal.clone()), "{strategy:?}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.panics, 0, "the refusal must not be a caught panic");
+    assert_eq!(stats.quarantined, 0);
     assert_served(&path);
 }

@@ -94,14 +94,11 @@ pub struct Report {
 /// Checked up front: more than 64 lines is
 /// [`EngineError::OversizedNetwork`], the [`Strategy::Exhaustive`] `2^n`
 /// sweep is refused for `n ≥ 32` ([`EngineError::SweepTooLarge`] — use a
-/// minimal test set instead), and a selector `k > n` is
-/// [`EngineError::IndexOutOfRange`].  The sorting and selection test sets
-/// are enumerated only so far: [`Strategy::MinimalBinary`] for `n ≥ 26`
-/// and [`Strategy::Permutation`] for `n > 20` are
-/// [`EngineError::TooLarge`].  Merger shape constraints (even
-/// `n`, power-of-two layouts in some builders) stay panicking: they are
-/// construction-time contracts of the specific test-set generators, not
-/// sweep-capacity limits — see `docs/ERRORS.md`.
+/// minimal test set instead), a selector `k > n` is
+/// [`EngineError::IndexOutOfRange`], and a merger on an odd `n` is
+/// [`EngineError::OddMerger`].  The sorting and selection test sets are
+/// enumerated only so far: [`Strategy::MinimalBinary`] for `n ≥ 26` and
+/// [`Strategy::Permutation`] for `n > 20` are [`EngineError::TooLarge`].
 ///
 /// # Errors
 /// As listed above.
@@ -116,14 +113,16 @@ pub fn try_verify_on(
     if strategy == Strategy::Exhaustive && !matches!(property, Property::Merger) {
         error::ensure_sweepable(n)?;
     }
-    if let Property::Selector { k } = property {
-        if k > n {
+    match property {
+        Property::Selector { k } if k > n => {
             return Err(EngineError::IndexOutOfRange {
                 what: "selector k",
                 index: k,
                 limit: n + 1,
             });
         }
+        Property::Merger if n % 2 == 1 => return Err(EngineError::OddMerger { lines: n }),
+        _ => {}
     }
     if property != Property::Merger {
         match strategy {
@@ -249,10 +248,20 @@ fn sweep_selected(
     .witness
 }
 
-/// [`try_verify_on`] on [`Backend::active`], unwrapped.
+/// [`try_verify_on`] unwrapped: the same report on every runnable backend.
 #[cfg(test)]
 pub(crate) fn verified(network: &Network, property: Property, strategy: Strategy) -> Report {
-    try_verify_on(network, property, strategy, Backend::active()).unwrap()
+    let backends = Backend::runnable();
+    let report = try_verify_on(network, property, strategy, backends[0]).unwrap();
+    for &backend in &backends[1..] {
+        assert_eq!(
+            try_verify_on(network, property, strategy, backend).unwrap(),
+            report,
+            "{}",
+            backend.name()
+        );
+    }
+    report
 }
 
 /// Spot-checks the sorting property over an explicitly supplied packed
@@ -502,6 +511,23 @@ mod tests {
             .unwrap();
             assert!(!report.passed);
         }
+        // A merger needs two equal halves: an odd line count is refused
+        // up front by every strategy, before any test-set generator runs.
+        for n in [1, 5, 63] {
+            for strategy in STRATEGIES {
+                assert_eq!(
+                    try_verify_on(
+                        &Network::empty(n),
+                        Property::Merger,
+                        strategy,
+                        Backend::Scalar
+                    )
+                    .unwrap_err(),
+                    EngineError::OddMerger { lines: n },
+                    "n = {n} {strategy:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -516,17 +542,24 @@ mod tests {
             ChannelVec::from_fn(n, |i| i < 70),
             ChannelVec::ones(n),
         ];
-        let outcome = try_spot_check_sorter_packed_on(&sorter, &tests, Backend::active()).unwrap();
-        assert_eq!(outcome.tests_run, tests.len() as u64);
-        assert!(outcome.witness.is_none(), "{:?}", outcome.witness);
-        // A single comparator over 96 lines is nowhere near a sorter; the
-        // witness must be genuine (its fault-free output is unsorted).
         let broken = Network::from_pairs(n, &[(0, 1)]);
-        let outcome = try_spot_check_sorter_packed_on(&broken, &tests, Backend::active()).unwrap();
-        let witness = outcome.witness.expect("a non-sorter must yield a witness");
-        let mut block = WideBlock::<1>::from_strings(n, std::slice::from_ref(&witness));
-        block.run_with(Backend::active(), &broken);
-        assert!(!block.extract_packed::<ChannelVec>(0).is_sorted());
+        for backend in Backend::runnable() {
+            let outcome = try_spot_check_sorter_packed_on(&sorter, &tests, backend).unwrap();
+            assert_eq!(outcome.tests_run, tests.len() as u64);
+            assert!(outcome.witness.is_none(), "{:?}", outcome.witness);
+            // A single comparator over 96 lines is nowhere near a sorter;
+            // the witness must be genuine (its fault-free output is
+            // unsorted).
+            let outcome = try_spot_check_sorter_packed_on(&broken, &tests, backend).unwrap();
+            let witness = outcome.witness.expect("a non-sorter must yield a witness");
+            let mut block = WideBlock::<1>::from_strings(n, std::slice::from_ref(&witness));
+            block.run_with(Backend::Scalar, &broken);
+            assert!(
+                !block.extract_packed::<ChannelVec>(0).is_sorted(),
+                "{}",
+                backend.name()
+            );
+        }
         // Guards: wrong-length tests and over-cap networks refuse cleanly.
         assert_eq!(
             try_spot_check_sorter_packed_on(&sorter, &[ChannelVec::zeros(65)], Backend::active())

@@ -5,6 +5,7 @@
 //! agree with scalar re-implementations of their decision procedures.
 
 use proptest::prelude::*;
+use proptest::strategy::Strategy as _;
 
 use sortnet_combinat::BitString;
 use sortnet_network::lanes::{self, Backend};
@@ -14,9 +15,16 @@ use sortnet_network::Network;
 use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
 use sortnet_testsets::{merging, selector, sorting};
 
-/// The minimal-binary verification of `property` on the detected backend.
-fn verify_minimal(net: &Network, property: Property) -> Report {
-    try_verify_on(net, property, Strategy::MinimalBinary, Backend::active()).unwrap()
+/// The minimal-binary verification of `property` on `backend`.
+fn verify_minimal(net: &Network, property: Property, backend: Backend) -> Report {
+    try_verify_on(net, property, Strategy::MinimalBinary, backend).unwrap()
+}
+
+/// Strategy: one of the backends this CPU runs, so every case names the
+/// backend it checks.
+fn arb_backend() -> impl proptest::strategy::Strategy<Value = Backend> {
+    let backends = Backend::runnable();
+    (0..backends.len()).prop_map(move |i| backends[i])
 }
 
 /// The Theorem 2.2 family, enumerated scalar-style (independent of the
@@ -113,12 +121,12 @@ proptest! {
     /// The streaming binary verifiers agree with direct scalar test-set
     /// evaluation on random networks (verdict and witness alike).
     #[test]
-    fn streaming_verifiers_agree_with_scalar_runs(seed in 0u64..10_000) {
+    fn streaming_verifiers_agree_with_scalar_runs(seed in 0u64..10_000, backend in arb_backend()) {
         let n = 6;
         let mut sampler = NetworkSampler::new(seed);
         let net = sampler.network(n, 9);
 
-        let v = verify_minimal(&net, Property::Sorter);
+        let v = verify_minimal(&net, Property::Sorter, backend);
         let scalar_witness = scalar_sorting_family(n)
             .into_iter()
             .find(|t| !net.apply_bits(t).is_sorted());
@@ -126,7 +134,7 @@ proptest! {
         prop_assert_eq!(v.witness, scalar_witness);
 
         for k in 0..=n {
-            let v = verify_minimal(&net, Property::Selector { k });
+            let v = verify_minimal(&net, Property::Selector { k }, backend);
             let scalar_witness = scalar_selector_family(n, k)
                 .into_iter()
                 .find(|t| !selects_correctly(t, &net.apply_bits(t), k));
@@ -134,7 +142,7 @@ proptest! {
             prop_assert_eq!(v.witness, scalar_witness, "k = {}", k);
         }
 
-        let v = verify_minimal(&net, Property::Merger);
+        let v = verify_minimal(&net, Property::Merger, backend);
         let scalar_witness = scalar_merging_family(n)
             .into_iter()
             .find(|t| !net.apply_bits(t).is_sorted());

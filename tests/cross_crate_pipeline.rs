@@ -4,11 +4,13 @@
 
 use sortnet_combinat::{BitString, Permutation, SymmetricChainDecomposition};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::Backend;
 use sortnet_network::render::{ascii_diagram, dot};
 use sortnet_network::Network;
-use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
+use sortnet_testsets::verify::{Property, Strategy};
 use sortnet_testsets::{bnk, sorting};
+
+mod support;
+use support::verify;
 
 #[test]
 fn full_pipeline_from_chains_to_certified_sorter() {
@@ -25,13 +27,7 @@ fn full_pipeline_from_chains_to_certified_sorter() {
     // 3. A Batcher sorter passes it; the certificate transfers to arbitrary
     //    values via the zero-one principle.
     let sorter = odd_even_merge_sort(n);
-    let report = try_verify_on(
-        &sorter,
-        Property::Sorter,
-        Strategy::Permutation,
-        Backend::active(),
-    )
-    .unwrap();
+    let report = verify(&sorter, Property::Sorter, Strategy::Permutation);
     assert!(report.passed);
     assert_eq!(report.tests_run, 69);
     let mut values = vec![17u32, 3, 99, 3, 0, 250, 8, 41];
@@ -42,13 +38,7 @@ fn full_pipeline_from_chains_to_certified_sorter() {
     // 4. Corrupt the sorter; the same test set catches it and reports a
     //    binary witness consistent with the network's behaviour.
     let corrupted = sorter.without_comparator(10);
-    let report = try_verify_on(
-        &corrupted,
-        Property::Sorter,
-        Strategy::Permutation,
-        Backend::active(),
-    )
-    .unwrap();
+    let report = verify(&corrupted, Property::Sorter, Strategy::Permutation);
     assert!(!report.passed);
     let witness = report
         .witness
@@ -87,23 +77,8 @@ fn paper_fig1_walkthrough() {
     assert_eq!(fig1.size(), 4);
     assert_eq!(fig1.apply_vec(&[4, 1, 3, 2]), vec![1, 3, 2, 4]);
 
-    let verdict = try_verify_on(
-        &fig1,
-        Property::Sorter,
-        Strategy::MinimalBinary,
-        Backend::active(),
-    )
-    .unwrap();
+    let verdict = verify(&fig1, Property::Sorter, Strategy::MinimalBinary);
     assert!(!verdict.passed);
     // The exhaustive and minimal strategies agree on the verdict.
-    assert!(
-        !try_verify_on(
-            &fig1,
-            Property::Sorter,
-            Strategy::Exhaustive,
-            Backend::active()
-        )
-        .unwrap()
-        .passed
-    );
+    assert!(!verify(&fig1, Property::Sorter, Strategy::Exhaustive).passed);
 }

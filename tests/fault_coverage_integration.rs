@@ -9,14 +9,40 @@ use sortnet_faults::universe::{
     FaultUniverse, MultiFault, SingleComparator,
 };
 use sortnet_faults::{
-    enumerate_faults, try_coverage_of_universe_packed_with, Fault, FaultKind, FaultSimEngine,
-    RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, enumerate_faults, CoverageReport, Fault, FaultKind,
+    FaultSimEngine, RedundancyMode, SweepBudget,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
+use sortnet_network::Network;
 use sortnet_testsets::sorting;
+
+/// The single-comparator grade of `tests` on the default engine with
+/// exhaustive redundancy: the same report on every runnable backend.
+fn grade(net: &Network, tests: &[BitString]) -> CoverageReport {
+    let on = |backend| {
+        coverage_of_universe_budgeted_packed_with(
+            net,
+            &SingleComparator,
+            tests,
+            RedundancyMode::Exhaustive,
+            FaultSimEngine::default(),
+            backend,
+            &SweepBudget::unlimited(),
+        )
+        .unwrap()
+        .into_value()
+    };
+    let backends = Backend::runnable();
+    let report = on(backends[0]);
+    for &backend in &backends[1..] {
+        assert_eq!(on(backend), report, "{} on {net}", backend.name());
+    }
+    report
+}
 
 #[test]
 fn minimal_testset_catches_every_fault_that_breaks_sorting_of_unsorted_inputs() {
@@ -33,22 +59,8 @@ fn minimal_testset_catches_every_fault_that_breaks_sorting_of_unsorted_inputs() 
         let unsorted_tests = sorting::binary_testset(7);
         let all_inputs: Vec<BitString> = BitString::all(7).collect();
 
-        let with_unsorted_only = try_coverage_of_universe_packed_with(
-            &net,
-            &SingleComparator,
-            &unsorted_tests,
-            RedundancyMode::Exhaustive,
-            FaultSimEngine::default(),
-        )
-        .unwrap();
-        let with_everything = try_coverage_of_universe_packed_with(
-            &net,
-            &SingleComparator,
-            &all_inputs,
-            RedundancyMode::Exhaustive,
-            FaultSimEngine::default(),
-        )
-        .unwrap();
+        let with_unsorted_only = grade(&net, &unsorted_tests);
+        let with_everything = grade(&net, &all_inputs);
 
         // The complete input set misses nothing.
         assert_eq!(with_everything.missed, 0, "{label}: {with_everything:?}");
@@ -77,22 +89,8 @@ fn small_random_samples_are_strictly_weaker() {
     let mut sampler = NetworkSampler::new(0xFA17);
     let random8: Vec<BitString> = (0..8).map(|_| sampler.random_input(8)).collect();
 
-    let full = try_coverage_of_universe_packed_with(
-        &net,
-        &SingleComparator,
-        &minimal,
-        RedundancyMode::Exhaustive,
-        FaultSimEngine::default(),
-    )
-    .unwrap();
-    let sampled = try_coverage_of_universe_packed_with(
-        &net,
-        &SingleComparator,
-        &random8,
-        RedundancyMode::Exhaustive,
-        FaultSimEngine::default(),
-    )
-    .unwrap();
+    let full = grade(&net, &minimal);
+    let sampled = grade(&net, &random8);
     assert_eq!(full.missed, 0);
     assert!(sampled.detected < full.detected || sampled.missed > 0);
 }
@@ -138,14 +136,7 @@ fn legacy_single_fault_coverage_is_the_single_comparator_universe() {
     // fault from the scalar simulator run on each fault's one-lesion form.
     let net = odd_even_merge_sort(7);
     let tests = sorting::binary_testset(7);
-    let report = try_coverage_of_universe_packed_with(
-        &net,
-        &SingleComparator,
-        &tests,
-        RedundancyMode::Exhaustive,
-        FaultSimEngine::default(),
-    )
-    .unwrap();
+    let report = grade(&net, &tests);
     let faults = enumerate_faults(&net);
     assert_eq!(report.total_faults, faults.len());
     assert_eq!(report.total_faults, SingleComparator.len(&net));

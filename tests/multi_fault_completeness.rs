@@ -15,10 +15,40 @@ use std::collections::BTreeSet;
 
 use sortnet_combinat::BitString;
 use sortnet_faults::universe::{multi_detects, FaultUniverse, MultiFault, StuckLine};
-use sortnet_faults::{try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode};
+use sortnet_faults::{
+    coverage_of_universe_budgeted_packed_with, CoverageReport, FaultSimEngine, RedundancyMode,
+    SweepBudget,
+};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::LaneWidth;
+use sortnet_network::lanes::{Backend, LaneWidth};
+use sortnet_network::Network;
 use sortnet_testsets::sorting;
+
+/// The stuck-line grade of `tests` with exhaustive redundancy: the same
+/// report on every runnable backend (the scalar engine runs on none).
+fn grade(net: &Network, tests: &[BitString], engine: FaultSimEngine) -> CoverageReport {
+    let on = |backend| {
+        coverage_of_universe_budgeted_packed_with(
+            net,
+            &StuckLine,
+            tests,
+            RedundancyMode::Exhaustive,
+            engine,
+            backend,
+            &SweepBudget::unlimited(),
+        )
+        .unwrap()
+        .into_value()
+    };
+    let backends = Backend::runnable();
+    let report = on(backends[0]);
+    if engine != FaultSimEngine::Scalar {
+        for &backend in &backends[1..] {
+            assert_eq!(on(backend), report, "{} on {net}", backend.name());
+        }
+    }
+    report
+}
 
 /// Brute-force partition of the stuck-line universe by scalar simulation
 /// over all `2^n` inputs: (undetectable, detectable-by-unsorted-only,
@@ -61,14 +91,7 @@ fn coverage_report_names_exactly_the_undetectable_stuck_line_faults() {
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
             FaultSimEngine::Scalar,
         ] {
-            let report = try_coverage_of_universe_packed_with(
-                &net,
-                &StuckLine,
-                &minimal,
-                RedundancyMode::Exhaustive,
-                engine,
-            )
-            .unwrap();
+            let report = grade(&net, &minimal, engine);
 
             // The report names exactly the brute-force undetectable faults
             // — same faults, nothing extra, nothing missing.
@@ -112,14 +135,11 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
     for (n, total, undetectable, missed) in expected {
         let net = odd_even_merge_sort(n);
         let minimal = sorting::binary_testset(n);
-        let report = try_coverage_of_universe_packed_with(
+        let report = grade(
             &net,
-            &StuckLine,
             &minimal,
-            RedundancyMode::Exhaustive,
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
-        )
-        .unwrap();
+        );
         assert_eq!(report.total_faults, total, "n={n}");
         assert_eq!(report.redundant_faults, undetectable, "n={n}");
         assert_eq!(report.missed, missed, "n={n}");
@@ -129,14 +149,11 @@ fn theorem_2_2_completeness_verdict_on_stuck_lines_is_pinned() {
         // stuck-line faults.
         let mut with_sorted = minimal.clone();
         with_sorted.extend(BitString::all(n).filter(BitString::is_sorted));
-        let full = try_coverage_of_universe_packed_with(
+        let full = grade(
             &net,
-            &StuckLine,
             &with_sorted,
-            RedundancyMode::Exhaustive,
             FaultSimEngine::BitParallelWide(LaneWidth::W4),
-        )
-        .unwrap();
+        );
         assert_eq!(full.missed, 0, "n={n}: sorted inputs must close the gap");
         assert_eq!(full.redundant_faults, undetectable, "n={n}");
         assert_eq!(full.detected, total - undetectable, "n={n}");
@@ -151,14 +168,11 @@ fn every_stuck_input_segment_is_reported_undetectable() {
     let n = 8;
     let net = odd_even_merge_sort(n);
     let minimal = sorting::binary_testset(n);
-    let report = try_coverage_of_universe_packed_with(
+    let report = grade(
         &net,
-        &StuckLine,
         &minimal,
-        RedundancyMode::Exhaustive,
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
-    )
-    .unwrap();
+    );
     let names: BTreeSet<String> = report
         .undetectable_faults
         .iter()

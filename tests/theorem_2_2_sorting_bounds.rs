@@ -9,12 +9,14 @@ use sortnet_faults::{Fault, FaultKind};
 use sortnet_network::bitparallel::failing_inputs_from;
 use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sort_recursive};
 use sortnet_network::builders::bubble::bubble_sort_network;
-use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::Network;
-use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+use sortnet_testsets::verify::{Property, Strategy};
 use sortnet_testsets::{adversary, sorting};
+
+mod support;
+use support::verify;
 
 /// Bert Dobbelaere's best-known sorting networks, layer by layer: 5
 /// comparators in depth 3 for n = 4, 19 in depth 6 for n = 8 (both proven
@@ -93,11 +95,6 @@ fn dobbelaere_and_deletions(n: usize) -> Vec<Network> {
     let net = dobbelaere(n);
     let deletions = (0..net.size()).map(|idx| net.without_comparator(idx));
     std::iter::once(net.clone()).chain(deletions).collect()
-}
-
-/// `property` verified with `strategy` on the detected lane-ops backend.
-fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
-    try_verify_on(net, property, strategy, Backend::active()).unwrap()
 }
 
 #[test]

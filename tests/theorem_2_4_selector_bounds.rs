@@ -4,17 +4,13 @@
 use sortnet_combinat::binomial::{selector_testset_size_binary, selector_testset_size_permutation};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::selection::{chain_selector, pruned_selector};
-use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_selector;
 use sortnet_network::random::NetworkSampler;
-use sortnet_network::Network;
 use sortnet_testsets::selector;
-use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+use sortnet_testsets::verify::{Property, Strategy};
 
-/// `property` verified with `strategy` on the detected lane-ops backend.
-fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
-    try_verify_on(net, property, strategy, Backend::active()).unwrap()
-}
+mod support;
+use support::verify;
 
 #[test]
 fn testset_sizes_match_the_paper_formulas() {

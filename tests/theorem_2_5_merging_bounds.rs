@@ -4,18 +4,14 @@
 
 use sortnet_combinat::binomial::{merging_testset_size_binary, merging_testset_size_permutation};
 use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
-use sortnet_network::lanes::Backend;
 use sortnet_network::properties::{is_merger, is_merger_by_permutations};
 use sortnet_network::random::NetworkSampler;
-use sortnet_network::Network;
 use sortnet_testsets::criteria::is_permutation_testset;
 use sortnet_testsets::merging;
-use sortnet_testsets::verify::{try_verify_on, Property, Report, Strategy};
+use sortnet_testsets::verify::{Property, Strategy};
 
-/// `property` verified with `strategy` on the detected lane-ops backend.
-fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
-    try_verify_on(net, property, strategy, Backend::active()).unwrap()
-}
+mod support;
+use support::verify;
 
 #[test]
 fn testset_sizes_match_the_paper_formulas() {
