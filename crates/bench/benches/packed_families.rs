@@ -8,10 +8,10 @@
 //! * `block_fill_*`: [`FamilySource`]'s direct range-mask fill at W = 4,
 //!   drained back into vectors by per-bit extraction;
 //! * `scalar_collect_*`: the per-index materialisation
-//!   ([`PackedFamily::collect`]) with no block fill at all;
-//! * `collect_then_fill_*`: that collect followed by an [`IterSource`]
-//!   drain at W = 4, i.e. what a sweep over a collected family pays for
-//!   its blocks (the word-transposed fill).
+//!   ([`PackedFamily::vector`] at every index) with no block fill at all;
+//! * `collect_then_fill_*`: that materialisation followed by an
+//!   [`IterSource`] drain at W = 4, i.e. what a sweep over a materialised
+//!   family pays for its blocks (the word-transposed fill).
 //!
 //! The `relative_redundancy` group times the n = 96 acceptance
 //! workload: a stuck-line coverage report over the Batcher sorter with
@@ -27,7 +27,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sortnet_combinat::ChannelVec;
+use sortnet_combinat::{ChannelPack, ChannelVec};
 use sortnet_faults::coverage::{try_coverage_of_universe_packed_with, RedundancyMode};
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_faults::FaultSimEngine;
@@ -35,6 +35,11 @@ use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::lanes::{
     collect_packed, BlockSource, FamilySource, IterSource, LaneWidth, PackedFamily, WideBlock,
 };
+
+/// Every vector of `family` at length `n`, unranked one index at a time.
+fn per_index<P: ChannelPack>(family: PackedFamily, n: usize) -> Vec<P> {
+    (0..family.len(n)).map(|i| family.vector(n, i)).collect()
+}
 
 fn bench_family_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("family_fill");
@@ -64,14 +69,14 @@ fn bench_family_fill(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("scalar_collect_{family}"), n),
                 &n,
-                |b, &n| b.iter(|| black_box(family).collect::<ChannelVec>(n)),
+                |b, &n| b.iter(|| per_index::<ChannelVec>(black_box(family), n)),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("collect_then_fill_{family}"), n),
                 &n,
                 |b, &n| {
                     b.iter(|| {
-                        let vectors = black_box(family).collect::<ChannelVec>(n);
+                        let vectors = per_index::<ChannelVec>(black_box(family), n);
                         let mut source = IterSource::new(n, vectors);
                         let mut block = WideBlock::<4>::zeroed(n);
                         let mut filled = 0u32;

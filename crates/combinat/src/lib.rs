@@ -31,11 +31,7 @@
 //!   Gosper's hack for fixed-weight iteration;
 //! * [`permutations`] — permutations of `0..n`, inverses, composition,
 //!   lexicographic enumeration, ranking/unranking, random sampling hooks;
-//! * [`gray`] — binary reflected Gray codes (used by the exhaustive
-//!   verifiers to mutate one line at a time);
-//! * [`chains`] — the Greene–Kleitman symmetric chain decomposition;
-//! * [`compositions`] — integer compositions (used by the merging test-set
-//!   enumeration).
+//! * [`chains`] — the Greene–Kleitman symmetric chain decomposition.
 //!
 //! Everything is `#![forbid(unsafe_code)]` and allocation-conscious: the hot
 //! paths used by the exhaustive verifiers (`BitString`, Gosper iteration)
@@ -48,8 +44,6 @@ pub mod binomial;
 pub mod bitstrings;
 pub mod chains;
 pub mod channels;
-pub mod compositions;
-pub mod gray;
 pub mod permutations;
 pub mod subsets;
 

@@ -350,14 +350,6 @@ impl Permutation {
             Some(result)
         })
     }
-
-    /// Applies the permutation's values to a slice index-wise: output line
-    /// `i` receives `values[i]`, yielding the integer sequence the paper
-    /// feeds into a network.
-    #[must_use]
-    pub fn as_input(&self) -> Vec<u8> {
-        self.values.clone()
-    }
 }
 
 impl fmt::Debug for Permutation {

@@ -982,11 +982,8 @@ pub(crate) fn first_detections_metered<const W: usize, P: TestVector>(
     first_detections_driver::<W, _>(network, backend, faults, source, meter)
 }
 
-/// Exhaustive redundancy verdicts: the early-exit driver over all `2^n`
-/// inputs ([`RangeSource::exhaustive`]).  `Some(false)` is a witnessed
-/// detection, `Some(true)` is issued only when the meter never tripped
-/// (the whole family was swept or every fault was decided), and `None`
-/// is a fault that survived the committed prefix of a tripped sweep.
+/// Exhaustive redundancy verdicts: [`redundant_over_metered`] over all
+/// `2^n` inputs ([`RangeSource::exhaustive`]).
 ///
 /// An empty fault slice returns at once, so it is accepted for every `n`;
 /// otherwise inputs must already be validated (`n < 32`).  `pub(crate)`
@@ -1001,6 +998,25 @@ pub(crate) fn redundant_faults_metered<const W: usize>(
         return Vec::new();
     }
     let source = RangeSource::exhaustive(network.lines());
+    redundant_over_metered::<W, _>(network, faults, source, backend, meter)
+}
+
+/// Redundancy verdicts relative to the vectors `source` streams: the
+/// early-exit driver under the caller's meter.  `Some(false)` is a
+/// witnessed detection, `Some(true)` is issued only when the meter never
+/// tripped (the whole source was swept or every fault was decided), and
+/// `None` is a fault that survived the committed prefix of a tripped
+/// sweep.  Inputs must already be validated.
+pub(crate) fn redundant_over_metered<const W: usize, S>(
+    network: &Network,
+    faults: &[MultiFault],
+    source: S,
+    backend: Backend,
+    meter: &mut BudgetMeter,
+) -> Vec<Option<bool>>
+where
+    S: BlockSource<W> + BlockSource<TAIL_WIDTH>,
+{
     let first = first_detections_driver::<W, _>(network, backend, faults, source, meter);
     let swept = meter.tripped().is_none();
     first

@@ -29,10 +29,12 @@ use serde::{Deserialize, Serialize};
 
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
-use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily};
+use sortnet_network::lanes::{
+    Backend, BlockSource, FamilySource, LaneWidth, PackedFamily, WideBlock, DEFAULT_WIDTH,
+};
 use sortnet_network::Network;
 
-use crate::bitsim::{first_detections_metered, redundant_faults_metered};
+use crate::bitsim::{first_detections_metered, redundant_faults_metered, redundant_over_metered};
 use crate::universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_first_detection_index,
     FaultUniverse, MultiFault, TestVector,
@@ -220,18 +222,17 @@ impl CoverageReport {
 
 /// The bit-parallel redundancy phase at lane width `W`, under `meter`: one
 /// pass over exactly the faults `missed` selects — the shared-prefix
-/// batch `2^n` sweep under [`RedundancyMode::Exhaustive`], or an
-/// early-exit sweep over the family materialised as `P` under
+/// batch `2^n` sweep under [`RedundancyMode::Exhaustive`], or the same
+/// early-exit sweep over the family streamed by a [`FamilySource`] under
 /// [`RedundancyMode::RelativeTo`] (redundant iff no family vector detects
 /// the fault).  Returns one verdict per fault of `faults`; faults not
 /// selected, and every fault under [`RedundancyMode::Skip`], read `false`.
 ///
 /// A tripped meter only ever leaves faults unclassified (`false`, so they
-/// summarise as missed).  An exhaustive verdict is `true` only when the
-/// sweep finished.  Relative verdicts commit as a whole phase: an
-/// undetected fault is ambiguous between "no family vector detects it"
-/// and "the budget ran out", so if the meter tripped during (or before)
-/// the family sweep every relative verdict is dropped.
+/// summarise as missed): an undetected fault is ambiguous between "no
+/// vector detects it" and "the budget ran out", so a verdict is `true`
+/// only when the sweep finished.  The family is never built ahead of the
+/// sweep, so a block budget or deadline bounds it from the first block.
 ///
 /// Public so external batching layers (the oracle service) classify the
 /// union of several queries' missed faults through the cold path's own
@@ -261,25 +262,20 @@ pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
         return redundant;
     }
     let missed: Vec<MultiFault> = missed_idx.iter().map(|&i| faults[i]).collect();
-    let verdicts: Vec<bool> = match mode {
+    let verdicts = match mode {
         RedundancyMode::Exhaustive => {
             redundant_faults_metered::<W>(network, &missed, backend, meter)
-                .into_iter()
-                .map(|verdict| verdict == Some(true))
-                .collect()
         }
+        // Streamed in `PackedFamily::collect` order: nothing is built
+        // before the meter admits a block.
         RedundancyMode::RelativeTo(family) => {
-            let fam: Vec<P> = family.collect(network.lines());
-            let first = first_detections_metered::<W, P>(network, &missed, &fam, backend, meter);
-            if meter.tripped().is_some() {
-                return redundant;
-            }
-            first.iter().map(Option::is_none).collect()
+            let source = FamilySource::<P>::new(family, network.lines());
+            redundant_over_metered::<W, _>(network, &missed, source, backend, meter)
         }
         RedundancyMode::Skip => unreachable!("skip mode classifies nothing"),
     };
     for (&i, verdict) in missed_idx.iter().zip(verdicts) {
-        redundant[i] = verdict;
+        redundant[i] = verdict == Some(true);
     }
     redundant
 }
@@ -457,6 +453,45 @@ pub fn check_test_lengths<P: TestVector>(
     }
 }
 
+/// A family's vectors in [`PackedFamily::collect`] order, drained from
+/// its [`FamilySource`] only as far as the scalar scans have reached: a
+/// fault detected early pulls one block, and no scan waits for the whole
+/// family.
+struct DrainedFamily<P: TestVector> {
+    source: FamilySource<P>,
+    block: WideBlock<DEFAULT_WIDTH>,
+    vectors: Vec<P>,
+}
+
+impl<P: TestVector> DrainedFamily<P> {
+    fn new(family: PackedFamily, n: usize) -> Self {
+        Self {
+            source: FamilySource::new(family, n),
+            block: WideBlock::zeroed(n),
+            vectors: Vec::new(),
+        }
+    }
+
+    /// `true` iff no vector of the family detects `fault`: the scalar
+    /// scan, extended a block at a time until a vector detects the fault
+    /// or the family runs out.
+    fn is_redundant(&mut self, network: &Network, fault: &MultiFault) -> bool {
+        let mut scanned = 0;
+        loop {
+            if !is_multi_fault_redundant_relative(network, fault, &self.vectors[scanned..]) {
+                return false;
+            }
+            scanned = self.vectors.len();
+            if !self.source.next_block(&mut self.block) {
+                return true;
+            }
+            let block = &self.block;
+            self.vectors
+                .extend((0..block.count()).map(|j| block.extract_packed(j)));
+        }
+    }
+}
+
 /// The scalar engine's per-fault results, on the caller's meter: faults
 /// in enumeration order, each admitted as one block for its full test
 /// scan and, when the scan misses it and `mode` classifies, one more block
@@ -471,14 +506,16 @@ fn scalar_results_metered<P: TestVector>(
     mode: RedundancyMode,
     meter: &mut BudgetMeter,
 ) -> (Vec<Option<usize>>, Vec<bool>) {
-    let family: Vec<P> = match mode {
-        RedundancyMode::RelativeTo(family) => family.collect(network.lines()),
-        _ => Vec::new(),
-    };
     let sweep_vectors = match mode {
         RedundancyMode::Exhaustive => Some(1u64 << network.lines()),
-        RedundancyMode::RelativeTo(_) => Some(family.len() as u64),
+        RedundancyMode::RelativeTo(family) => Some(family.len(network.lines())),
         RedundancyMode::Skip => None,
+    };
+    let mut family = match mode {
+        RedundancyMode::RelativeTo(family) => {
+            Some(DrainedFamily::<P>::new(family, network.lines()))
+        }
+        _ => None,
     };
     let mut first = vec![None; faults.len()];
     let mut redundant = vec![false; faults.len()];
@@ -493,9 +530,9 @@ fn scalar_results_metered<P: TestVector>(
         if !meter.admit_block(vectors) {
             break;
         }
-        redundant[i] = match mode {
-            RedundancyMode::Exhaustive => is_multi_fault_redundant(network, fault),
-            _ => is_multi_fault_redundant_relative(network, fault, &family),
+        redundant[i] = match &mut family {
+            Some(family) => family.is_redundant(network, fault),
+            None => is_multi_fault_redundant(network, fault),
         };
     }
     (first, redundant)
@@ -998,6 +1035,19 @@ mod tests {
                 }
             }
         }
+        // A family longer than one W4 block, two of whose faults are first
+        // detected in its second block: the scalar engine drains the
+        // family a block at a time and must read past the first.
+        let net = odd_even_merge_sort(12);
+        let mode = RedundancyMode::RelativeTo(PackedFamily::WeightAtMost(3));
+        let tests: Vec<BitString> = Vec::new();
+        let engines = [
+            FaultSimEngine::Scalar,
+            FaultSimEngine::BitParallelWide(LaneWidth::W4),
+        ];
+        let [scalar, wide] =
+            engines.map(|engine| grade(&net, &SingleComparator, &tests, mode, engine));
+        assert_eq!(wide, scalar);
     }
 
     #[test]

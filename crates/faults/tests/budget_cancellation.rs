@@ -8,7 +8,9 @@
 //! every runnable lane-ops backend, since the commit/discard points sit in
 //! width- and backend-generic code.
 
-use sortnet_combinat::BitString;
+use std::time::{Duration, Instant};
+
+use sortnet_combinat::{BitString, ChannelVec};
 use sortnet_faults::bitsim::{
     detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
     first_detections_multi_budgeted_packed_on,
@@ -21,7 +23,7 @@ use sortnet_faults::{
     BudgetReason, Budgeted, CancelToken, DetectionMatrix, EngineError, SweepBudget,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, LaneWidth, SliceSource};
+use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily, SliceSource};
 use sortnet_network::Network;
 
 /// The unbudgeted matrix of an explicit test list.
@@ -251,5 +253,50 @@ fn a_cancelled_coverage_run_is_conservative_on_every_engine_and_width() {
             best_so_far.total_faults,
             "undecided faults must land in missed, conservatively ({engine:?})"
         );
+    }
+}
+
+#[test]
+fn a_tight_budget_stops_a_wide_relative_grade_before_the_family_is_built() {
+    // Relative to the weight ≤ 2 strings, a 1024-line grade has 524 801
+    // family vectors.  Neither a one-block cap nor a 1 ms deadline may
+    // wait for the whole family to be built before the first block is
+    // admitted.
+    let n = 1024;
+    let net = Network::from_pairs(n, &[(0, n - 1)]);
+    let mode = RedundancyMode::RelativeTo(PackedFamily::WeightAtMost(2));
+    let tests: Vec<ChannelVec> = Vec::new();
+    let backends = Backend::runnable();
+    for (i, engine) in [
+        FaultSimEngine::Scalar,
+        FaultSimEngine::BitParallelWide(LaneWidth::W4),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for deadline in [false, true] {
+            // The deadline starts with the grade, not with the loop.
+            let budget = if deadline {
+                SweepBudget::unlimited().with_deadline_in(Duration::from_millis(1))
+            } else {
+                SweepBudget::unlimited().with_max_blocks(1)
+            };
+            let start = Instant::now();
+            coverage_of_universe_budgeted_packed_with(
+                &net,
+                &StandardUniverse::StuckLine,
+                &tests,
+                mode,
+                engine,
+                backends[i % backends.len()],
+                &budget,
+            )
+            .expect("inputs are valid");
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{engine:?} {budget:?} took {elapsed:?}"
+            );
+        }
     }
 }

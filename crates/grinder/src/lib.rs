@@ -16,7 +16,8 @@
 //! rows occur).  The scalar engine's verdict for every fault × test is the
 //! oracle; the case fails when any bit-parallel matrix (each runnable
 //! backend × lane widths 1 and 4) disagrees, or when scalar and
-//! bit-parallel coverage reports diverge.
+//! bit-parallel coverage reports diverge on the case's backend (the
+//! runnable backends in turn by case index).
 //!
 //! Every fourth case instead crosses the 64-line wall: 65–96 lines with
 //! multi-word [`ChannelVec`] test vectors (a single-lesion universe and a
@@ -44,7 +45,7 @@ use rand::prelude::*;
 use sortnet_combinat::{BitString, ChannelVec};
 use sortnet_faults::bitsim::{detection_matrix_from_source_budgeted_on, DetectionMatrix};
 use sortnet_faults::coverage::{
-    try_coverage_of_universe_packed_with, FaultSimEngine, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{
     multi_detects, FaultUniverse, MultiFault, StandardUniverse, TestVector,
@@ -231,14 +232,22 @@ fn typed_matrix<const W: usize, P: TestVector>(
     .map(|swept| swept.into_value().0)
 }
 
+/// The lane-ops backend of case `index`: the runnable backends in turn.
+fn case_backend(index: u64) -> Backend {
+    let backends = Backend::runnable();
+    backends[index as usize % backends.len()]
+}
+
 /// Full case check: matrix cross-check over the whole universe, then
-/// scalar-vs-bit-parallel coverage reports (skipped under corruption —
-/// the planted flip lives in the matrix comparison only).
+/// scalar-vs-bit-parallel coverage reports on the case's `backend`
+/// (skipped under corruption — the planted flip lives in the matrix
+/// comparison only).
 fn check_case<P: TestVector + fmt::Display>(
     network: &Network,
     universe: StandardUniverse,
     tests: &[P],
     corruption: Corruption,
+    backend: Backend,
 ) -> Option<String> {
     let faults: Vec<MultiFault> = universe.iter(network).collect();
     if let Some(detail) = check_faults(network, &faults, tests, corruption) {
@@ -246,23 +255,23 @@ fn check_case<P: TestVector + fmt::Display>(
     }
     if corruption == Corruption::None {
         // Both engines must also agree on a refusal (an empty universe).
-        let scalar = try_coverage_of_universe_packed_with(
-            network,
-            &universe,
-            tests,
-            RedundancyMode::Skip,
-            FaultSimEngine::Scalar,
-        );
-        let wide = try_coverage_of_universe_packed_with(
-            network,
-            &universe,
-            tests,
-            RedundancyMode::Skip,
-            FaultSimEngine::BitParallelWide(LaneWidth::W4),
-        );
+        let grade = |engine| {
+            coverage_of_universe_budgeted_packed_with(
+                network,
+                &universe,
+                tests,
+                RedundancyMode::Skip,
+                engine,
+                backend,
+                &SweepBudget::unlimited(),
+            )
+            .map(Budgeted::into_value)
+        };
+        let scalar = grade(FaultSimEngine::Scalar);
+        let wide = grade(FaultSimEngine::BitParallelWide(LaneWidth::W4));
         if scalar != wide {
             return Some(format!(
-                "coverage reports disagree: scalar {scalar:?} vs bit-parallel {wide:?}"
+                "coverage reports disagree on {backend:?}: scalar {scalar:?} vs bit-parallel {wide:?}"
             ));
         }
     }
@@ -311,13 +320,14 @@ fn shrink<P: TestVector + fmt::Display>(
     detail: String,
     corruption: Corruption,
 ) -> Mismatch {
+    let backend = case_backend(case_index);
     let original_size = network.size();
     let mut network = network;
     let mut detail = detail;
     let mut i = 0;
     while i < network.size() {
         let candidate = network.without_comparator(i);
-        if let Some(d) = check_case(&candidate, universe, &tests, corruption) {
+        if let Some(d) = check_case(&candidate, universe, &tests, corruption, backend) {
             detail = d;
             network = candidate;
         } else {
@@ -353,6 +363,7 @@ fn shrink<P: TestVector + fmt::Display>(
 #[must_use]
 pub fn run_case(seed: u64, index: u64, corruption: Corruption) -> Option<Mismatch> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(index.wrapping_mul(CASE_STRIDE)));
+    let backend = case_backend(index);
     if index % 4 == 3 {
         // Wide-channel case: the same cross-check past the 64-line wall.
         // Single-lesion universes and a small test list keep the
@@ -372,7 +383,7 @@ pub fn run_case(seed: u64, index: u64, corruption: Corruption) -> Option<Mismatc
                 ChannelVec::from_words(&words, n)
             })
             .collect();
-        let detail = check_case(&network, universe, &tests, corruption)?;
+        let detail = check_case(&network, universe, &tests, corruption, backend)?;
         return Some(shrink(
             seed, index, universe, network, tests, detail, corruption,
         ));
@@ -384,7 +395,7 @@ pub fn run_case(seed: u64, index: u64, corruption: Corruption) -> Option<Mismatc
     let universe = StandardUniverse::ALL[rng.random_range(0usize..StandardUniverse::ALL.len())];
     let test_count = rng.random_range(1usize..97);
     let tests: Vec<BitString> = (0..test_count).map(|_| sampler.random_input(n)).collect();
-    let detail = check_case(&network, universe, &tests, corruption)?;
+    let detail = check_case(&network, universe, &tests, corruption, backend)?;
     Some(shrink(
         seed, index, universe, network, tests, detail, corruption,
     ))
@@ -540,8 +551,7 @@ pub fn run_verify_case(seed: u64, index: u64) -> Option<VerifyMismatch> {
             NetworkSampler::new(rng.next_u64()).network(n, size)
         }
     };
-    let backends = Backend::runnable();
-    let backend = backends[index as usize % backends.len()];
+    let backend = case_backend(index);
     let truth = properties::is_sorter(&network);
     let detail = check_verify_case(&network, truth, backend)?;
     // Shrink comparators while the *disagreement* persists; the truth

@@ -10,7 +10,7 @@
 //!
 //! There are three operations — [`find_unsorted_input`],
 //! [`count_unsorted_outputs`] and [`find_selector_violation`] — and each
-//! takes a [`Sweep`]: the lane-ops [`Backend`] (how
+//! takes a [`Sweep`]: the lane-ops [`Backend`](lanes::Backend) (how
 //! the word kernels execute: scalar, portable-chunked or AVX2 — see
 //! [`lanes::backend`]), the [`LaneWidth`] and the
 //! [`SweepBudget`](crate::SweepBudget).  Each checks its inputs up front,
@@ -19,16 +19,17 @@
 //! original single-word sweep exactly; [`BitBlock`] is the `W = 1` block
 //! type, kept as the interchange format with the fault-simulation engine.
 //!
-//! All three run on one private driver.  Sweeps are embarrassingly
-//! parallel across blocks, so with an unlimited budget the driver
-//! distributes block index ranges over the rayon thread pool (a real
-//! `std::thread::scope`-backed pool in this workspace's shim).  Every call
-//! spawns its scoped threads afresh, which costs more than a whole
-//! single-threaded sweep up to about `n = 20`, so below `n = 22` lines, and
-//! under any bounded budget (block-granular metering and the fan-out do not
-//! compose), the driver streams the blocks through one reused block on the
-//! calling thread instead.  The answer does not change: the parallel
-//! witness search already returns the sequential (lowest-word) witness.
+//! All three ask a [`lanes::Check`] of every input on one private
+//! driver.  Sweeps are embarrassingly parallel across blocks, so with an
+//! unlimited budget the driver distributes block index ranges over the
+//! rayon thread pool (a real `std::thread::scope`-backed pool in this
+//! workspace's shim).  Every call spawns its scoped threads afresh, which
+//! costs more than a whole single-threaded sweep up to about `n = 20`, so
+//! below `n = 22` lines, and under any bounded budget (block-granular
+//! metering and the fan-out do not compose), the driver runs the lanes'
+//! one metered block loop on the calling thread instead.  The answer does
+//! not change: the parallel witness search already returns the sequential
+//! (lowest-word) witness.
 
 use std::ops::ControlFlow;
 
@@ -38,9 +39,7 @@ use sortnet_combinat::BitString;
 
 use crate::budget::{BudgetMeter, Budgeted};
 use crate::error::{self, EngineError};
-use crate::lanes::{
-    self, Backend, BlockSource, LaneWidth, RangeSource, SliceSource, Sweep, WideBlock,
-};
+use crate::lanes::{self, Check, LaneWidth, RangeSource, Sweep, WideBlock};
 use crate::network::Network;
 
 /// Fewest lines at which an unbudgeted exhaustive sweep fans out over the
@@ -96,84 +95,9 @@ pub fn sweep_block_range<const W: usize>(n: usize, b: u64) -> (u64, u32) {
     )
 }
 
-/// The property a sweep checks, block by block.
-#[derive(Clone, Copy)]
-enum Check<'a> {
-    /// Every output is sorted.
-    Sorts(&'a Network),
-    /// The first `k` outputs of `network` equal those of `reference`, a
-    /// known sorter, on the same inputs.
-    Selects {
-        network: &'a Network,
-        reference: &'a Network,
-        k: usize,
-    },
-}
-
-impl Check<'_> {
-    /// Evaluates the input `block` in place on `backend` and returns the
-    /// per-word masks of its violating vectors; `scratch` is a spare block
-    /// over the same lines.
-    fn violations<const W: usize>(
-        self,
-        backend: Backend,
-        block: &mut WideBlock<W>,
-        scratch: &mut WideBlock<W>,
-    ) -> [u64; W] {
-        match self {
-            Check::Sorts(network) => {
-                block.run_with(backend, network);
-                block.unsorted_masks_with(backend)
-            }
-            Check::Selects {
-                network,
-                reference,
-                k,
-            } => {
-                scratch.copy_from(block);
-                scratch.run_with(backend, reference);
-                block.run_with(backend, network);
-                lanes::selector_violation_masks(block, scratch, k, backend)
-            }
-        }
-    }
-}
-
-/// The one block loop: streams `source` through one reused block under
-/// `meter`, evaluates each admitted block with `check`, and hands its
-/// violation masks, with the index of its first vector, to `gather` until
-/// the source runs dry, the budget trips or `gather` breaks.
-fn stream<const W: usize>(
-    mut source: impl BlockSource<W>,
-    meter: &mut BudgetMeter,
-    check: Check<'_>,
-    backend: Backend,
-    mut gather: impl FnMut(u64, &[u64; W]) -> ControlFlow<()>,
-) {
-    let n = source.lines();
-    let (mut block, mut scratch) = (WideBlock::<W>::zeroed(n), WideBlock::<W>::zeroed(n));
-    let mut start = 0u64;
-    while source.next_block(&mut block) && meter.admit_block(u64::from(block.count())) {
-        let mask = check.violations(backend, &mut block, &mut scratch);
-        if gather(start, &mask).is_break() {
-            break;
-        }
-        start += u64::from(block.count());
-    }
-}
-
-/// What an exhaustive sweep found: the lowest violating input word, and
-/// the number of violating inputs (gathered only when the sweep does not
-/// stop at the first violation).
-#[derive(Default)]
-struct Tally {
-    first: Option<u64>,
-    count: u64,
-}
-
 /// The exhaustive driver: one [`LaneWidth`] dispatch into
 /// [`exhaustive_at`].
-fn exhaustive(n: usize, check: Check<'_>, sweep: &Sweep, first_only: bool) -> Budgeted<Tally> {
+fn exhaustive(check: &Check<'_>, sweep: &Sweep, first_only: bool) -> Budgeted<Tally> {
     let run = match sweep.width {
         LaneWidth::W1 => exhaustive_at::<1>,
         LaneWidth::W2 => exhaustive_at::<2>,
@@ -181,64 +105,65 @@ fn exhaustive(n: usize, check: Check<'_>, sweep: &Sweep, first_only: bool) -> Bu
         LaneWidth::W8 => exhaustive_at::<8>,
         LaneWidth::W16 => exhaustive_at::<16>,
     };
-    run(n, check, sweep, first_only)
+    run(check, sweep, first_only)
 }
 
-/// Sweeps all `2^n` inputs at width `W`, stopping at the first violation
-/// when `first_only`.  Fans out over the rayon pool iff the budget is
-/// unlimited and `n ≥ PARALLEL_MIN_LINES`; otherwise streams
-/// [`RangeSource::exhaustive`] on the calling thread under the budget.
+/// What an exhaustive sweep found: the first violating input, and the
+/// number of violating inputs (counted only when the sweep does not stop
+/// at the first violation).
+type Tally = (Option<BitString>, u64);
+
+/// Sweeps all `2^n` inputs through `check` at width `W`, stopping at the
+/// first violation when `first_only`.  Fans out over the rayon pool iff
+/// the budget is unlimited and `n ≥ PARALLEL_MIN_LINES`; otherwise runs
+/// the metered block loop over [`RangeSource::exhaustive`] on the calling
+/// thread under the budget.
 fn exhaustive_at<const W: usize>(
-    n: usize,
-    check: Check<'_>,
+    check: &Check<'_>,
     sweep: &Sweep,
     first_only: bool,
 ) -> Budgeted<Tally> {
+    let n = check.network().lines();
     let backend = sweep.backend;
     if sweep.budget.is_unlimited() && n >= PARALLEL_MIN_LINES {
         let scan = |b: u64| {
             let (start, count) = sweep_block_range::<W>(n, b);
-            let mut block = WideBlock::<W>::from_range(n, start, count);
-            let mask = check.violations(backend, &mut block, &mut WideBlock::zeroed(n));
-            (start, mask)
+            let input = WideBlock::<W>::from_range(n, start, count);
+            let [mut out, mut sorted] = [(); 2].map(|()| WideBlock::zeroed(n));
+            let mask = check.violations(backend, &input, &mut out, &mut sorted);
+            (input, mask)
         };
         let blocks = (0..sweep_block_count::<W>(n)).into_par_iter();
-        let tally = if first_only {
+        return Budgeted::Complete(if first_only {
             // `find_map_first` keeps the lowest-word witness (blocks are in
             // ascending word order) and short-circuits, matching the
             // sequential arm's early exit on the first failing block.
             let first = blocks.find_map_first(|b| {
-                let (start, mask) = scan(b);
-                lanes::mask_first(&mask).map(|j| start + u64::from(j))
+                let (input, mask) = scan(b);
+                lanes::mask_first(&mask).map(|j| input.extract(j))
             });
-            Tally { first, count: 0 }
+            (first, 0)
         } else {
             let count = blocks
                 .map(|b| u64::from(lanes::mask_count(&scan(b).1)))
                 .sum();
-            Tally { first: None, count }
-        };
-        return Budgeted::Complete(tally);
+            (None, count)
+        });
     }
     let mut meter = BudgetMeter::new(&sweep.budget);
-    let mut tally = Tally::default();
-    stream::<W>(
-        RangeSource::exhaustive(n),
-        &mut meter,
-        check,
-        backend,
-        |start, mask| {
-            tally.count += u64::from(lanes::mask_count(mask));
-            match lanes::mask_first(mask) {
-                Some(j) if first_only => {
-                    tally.first = Some(start + u64::from(j));
-                    ControlFlow::Break(())
-                }
-                _ => ControlFlow::Continue(()),
+    let (mut first, mut count) = (None, 0);
+    let source = RangeSource::exhaustive(n);
+    lanes::sweep_blocks::<W, _>(source, check, backend, &mut meter, |input, mask| {
+        count += u64::from(lanes::mask_count(mask));
+        match lanes::mask_first(mask) {
+            Some(j) if first_only => {
+                first = Some(input.extract(j));
+                ControlFlow::Break(())
             }
-        },
-    );
-    meter.finish(tally)
+            _ => ControlFlow::Continue(()),
+        }
+    });
+    meter.finish((first, count))
 }
 
 /// Exhaustively checks the zero–one sorting property of `network` over all
@@ -259,8 +184,7 @@ pub fn find_unsorted_input(
 ) -> Result<Budgeted<Option<BitString>>, EngineError> {
     let n = network.lines();
     error::ensure_sweepable(n)?;
-    Ok(exhaustive(n, Check::Sorts(network), sweep, true)
-        .map(|tally| tally.first.map(|word| BitString::from_word(word, n))))
+    Ok(exhaustive(&Check::Sorted(network), sweep, true).map(|(first, _)| first))
 }
 
 /// Counts how many of the `2^n` binary inputs the network fails to sort.
@@ -275,7 +199,7 @@ pub fn count_unsorted_outputs(
 ) -> Result<Budgeted<u64>, EngineError> {
     let n = network.lines();
     error::ensure_sweepable(n)?;
-    Ok(exhaustive(n, Check::Sorts(network), sweep, false).map(|tally| tally.count))
+    Ok(exhaustive(&Check::Sorted(network), sweep, false).map(|(_, count)| count))
 }
 
 /// Exhaustively checks the `(k, n)`-selection property over all `2^n`
@@ -283,11 +207,10 @@ pub fn count_unsorted_outputs(
 /// outputs are wrong, or `None` for a valid selector.  Budget semantics as
 /// for [`find_unsorted_input`].
 ///
-/// Per block, the candidate outputs are compared lane-by-lane against the
-/// outputs of a known-good reference sorter (Batcher's merge-exchange
-/// network, itself certified by [`find_unsorted_input`] in this crate's
-/// tests): vector `j` violates selection iff some lane `i < k` of the two
-/// outputs differs.
+/// Per block, [`Check::selected`] compares the candidate outputs
+/// lane-by-lane against the outputs of a known-good reference sorter:
+/// vector `j` violates selection iff some lane `i < k` of the two outputs
+/// differs.
 ///
 /// # Errors
 /// [`EngineError::SweepTooLarge`] when `n ≥ 32`;
@@ -309,53 +232,14 @@ pub fn find_selector_violation(
     if k == 0 {
         return Ok(Budgeted::Complete(None));
     }
-    let reference = crate::builders::batcher::odd_even_merge_sort(n);
-    let check = Check::Selects {
-        network,
-        reference: &reference,
-        k,
-    };
-    Ok(exhaustive(n, check, sweep, true)
-        .map(|tally| tally.first.map(|word| BitString::from_word(word, n))))
-}
-
-/// Runs `network` over an arbitrary list of 0/1 test vectors (in
-/// `W × 64`-wide blocks at the default width, on the default sweep's
-/// backend) and returns the inputs whose outputs are not sorted.
-///
-/// # Errors
-/// [`EngineError::InputLengthMismatch`] when any test's length disagrees
-/// with the network's line count.
-pub fn failing_inputs_from(
-    network: &Network,
-    tests: &[BitString],
-) -> Result<Vec<BitString>, EngineError> {
-    let n = network.lines();
-    if let Some(t) = tests.iter().find(|t| t.len() != n) {
-        return Err(EngineError::InputLengthMismatch {
-            expected: n,
-            actual: t.len(),
-        });
-    }
-    let mut failures = Vec::new();
-    stream::<{ lanes::DEFAULT_WIDTH }>(
-        SliceSource::new(n, tests),
-        &mut BudgetMeter::unlimited(),
-        Check::Sorts(network),
-        Sweep::default().backend,
-        |start, mask| {
-            let hits = (0..mask.len() * 64).filter(|j| (mask[j / 64] >> (j % 64)) & 1 == 1);
-            failures.extend(hits.map(|j| tests[start as usize + j]));
-            ControlFlow::Continue(())
-        },
-    );
-    Ok(failures)
+    Ok(exhaustive(&Check::selected(network, k), sweep, true).map(|(first, _)| first))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::SweepBudget;
+    use crate::lanes::Backend;
     use crate::network::Network;
 
     fn batcher4() -> Network {
@@ -511,32 +395,6 @@ mod tests {
                 expected
             );
         }
-        let failures = failing_inputs_from(&empty, &BitString::all(6).collect::<Vec<_>>()).unwrap();
-        assert_eq!(failures.len() as u64, expected);
-        assert!(failures.iter().all(|f| !f.is_sorted()));
-    }
-
-    #[test]
-    fn failing_inputs_from_selects_exactly_the_failures() {
-        let net = fig1();
-        let tests: Vec<_> = BitString::all(4).collect();
-        let failures = failing_inputs_from(&net, &tests).unwrap();
-        for f in &failures {
-            assert!(!net.apply_bits(f).is_sorted());
-        }
-        let expected = complete(count_unsorted_outputs(
-            &net,
-            &metered(Backend::Scalar, u64::MAX),
-        )) as usize;
-        assert_eq!(failures.len(), expected);
-        // Past one block, in input order.
-        let many: Vec<_> = tests.iter().cycle().take(700).copied().collect();
-        let expected: Vec<_> = many
-            .iter()
-            .filter(|s| !net.apply_bits(s).is_sorted())
-            .copied()
-            .collect();
-        assert_eq!(failing_inputs_from(&net, &many).unwrap(), expected);
     }
 
     #[test]
@@ -635,14 +493,6 @@ mod tests {
         assert!(matches!(
             find_selector_violation(&net, 9, &scalar),
             Err(EngineError::IndexOutOfRange { index: 9, .. })
-        ));
-        let mismatched = vec![BitString::zeros(5)];
-        assert!(matches!(
-            failing_inputs_from(&net, &mismatched),
-            Err(EngineError::InputLengthMismatch {
-                expected: 4,
-                actual: 5
-            })
         ));
     }
 

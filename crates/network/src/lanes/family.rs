@@ -29,7 +29,7 @@ use std::marker::PhantomData;
 
 use sortnet_combinat::{binomial_u128, ChannelPack};
 
-use super::{BlockSource, WideBlock};
+use super::{collect_packed, BlockSource, WideBlock, DEFAULT_WIDTH};
 use crate::error::EngineError;
 
 /// A named structured vector family enumerable past the 64-line wall.
@@ -188,12 +188,14 @@ impl PackedFamily {
         }
     }
 
-    /// Every vector of the family at length `n`, in enumeration order —
-    /// a thin adapter over [`PackedFamily::vector`]; sweeps should prefer
-    /// [`FamilySource`] directly.
+    /// Every vector of the family at length `n`, in enumeration order: a
+    /// drain of [`FamilySource`]; sweeps should stream the source directly.
+    ///
+    /// # Panics
+    /// As [`FamilySource::new`].
     #[must_use]
     pub fn collect<P: ChannelPack>(&self, n: usize) -> Vec<P> {
-        (0..self.len(n)).map(|i| self.vector(n, i)).collect()
+        collect_packed::<DEFAULT_WIDTH, P, _>(FamilySource::<P>::new(*self, n))
     }
 }
 
@@ -397,7 +399,6 @@ impl<const W: usize, P: ChannelPack> BlockSource<W> for FamilySource<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::collect_packed;
     use super::*;
     use sortnet_combinat::{BitString, ChannelVec};
 
@@ -492,7 +493,8 @@ mod tests {
     fn block_fill_matches_the_scalar_reference_across_widths() {
         for n in [2usize, 7, 63, 64, 65, 96] {
             for family in families(n) {
-                let reference: Vec<ChannelVec> = family.collect(n);
+                let reference: Vec<ChannelVec> =
+                    (0..family.len(n)).map(|i| family.vector(n, i)).collect();
                 let w1: Vec<ChannelVec> =
                     collect_packed::<1, _, _>(FamilySource::<ChannelVec>::new(family, n));
                 let w4: Vec<ChannelVec> =

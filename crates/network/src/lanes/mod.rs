@@ -46,11 +46,12 @@
 //!   refilling the caller's block in place (the fault engine's view of a
 //!   test list).
 //!
-//! [`sweep_find`] is the streaming driver: it pulls blocks from a source
-//! under a [`BudgetMeter`], asks a caller-supplied closure for a violation
-//! mask per block, and extracts the first violating *input* vector as a
-//! witness.  [`sweep_network`] is its "run the network, flag unsorted
-//! outputs" instance.
+//! A [`Check`] is the property question asked of every vector: "is the
+//! output sorted?" (sorting, merging) or "do the first `k` outputs match a
+//! reference sorter's?" (selection).  [`sweep_find`] streams a source
+//! through a check under a [`BudgetMeter`] and extracts the first
+//! violating *input* vector as a witness; it and the exhaustive sweeps of
+//! [`crate::bitparallel`] run on one metered block loop.
 //!
 //! # `ChannelWords`: networks past 64 lines
 //!
@@ -98,9 +99,12 @@
 //! rule is why counting-pattern blocks can be regenerated instead of
 //! rewound: a block is never run backwards.
 
+use std::ops::ControlFlow;
+
 use sortnet_combinat::{BitString, ChannelPack};
 
 use crate::budget::{BudgetMeter, SweepBudget};
+use crate::builders::batcher::odd_even_merge_sort;
 use crate::error::{self, EngineError};
 use crate::network::Network;
 
@@ -537,7 +541,7 @@ impl<const W: usize> WideBlock<W> {
     /// fault-free prefix state, overwrite one lane, run the suffix.
     ///
     /// Bits beyond [`WideBlock::count`] are forced too; every mask consumer
-    /// (`unsorted_masks_with`, `selector_violation_masks`) intersects with
+    /// (`unsorted_masks_with`, the selection [`Check`]) intersects with
     /// [`WideBlock::live_masks`], so dead vectors stay invisible.
     ///
     /// # Panics
@@ -1013,6 +1017,105 @@ impl<const W: usize, A: BlockSource<W>, B: BlockSource<W>> BlockSource<W> for Ch
     }
 }
 
+/// The property question a sweep asks of every input vector, answered a
+/// block at a time.
+///
+/// Sorting and merging ask that every output be sorted; `(k, n)`-selection
+/// asks that the first `k` outputs equal those of a known-good reference
+/// sorter on the same inputs (Batcher's merge-exchange network, itself
+/// certified by the exhaustive sorted check in this crate's tests).
+#[derive(Clone, Debug)]
+pub enum Check<'a> {
+    /// Every output of the network is sorted.
+    Sorted(&'a Network),
+    /// The first `k` outputs of `network` equal those of `reference`, a
+    /// sorter on the same lines; build it with [`Check::selected`].
+    Selected {
+        /// The network under test.
+        network: &'a Network,
+        /// The reference sorter, built once per check.
+        reference: Network,
+        /// Number of leading outputs that must be correct.
+        k: usize,
+    },
+}
+
+impl<'a> Check<'a> {
+    /// The `(k, n)`-selection check of `network`, with its reference
+    /// sorter.
+    ///
+    /// # Panics
+    /// Panics if `k` exceeds the line count.
+    #[must_use]
+    pub fn selected(network: &'a Network, k: usize) -> Self {
+        assert!(k <= network.lines(), "k = {k} exceeds the line count");
+        Self::Selected {
+            network,
+            reference: odd_even_merge_sort(network.lines()),
+            k,
+        }
+    }
+
+    /// The network under test.
+    pub(crate) fn network(&self) -> &'a Network {
+        match self {
+            Self::Sorted(network) | Self::Selected { network, .. } => network,
+        }
+    }
+
+    /// Evaluates a copy of `input` in `out` (and, for selection, one in
+    /// `sorted`) on `backend` and returns the per-word masks of the live
+    /// vectors that violate the check.
+    pub(crate) fn violations<const W: usize>(
+        &self,
+        backend: Backend,
+        input: &WideBlock<W>,
+        out: &mut WideBlock<W>,
+        sorted: &mut WideBlock<W>,
+    ) -> [u64; W] {
+        out.copy_from(input);
+        out.run_with(backend, self.network());
+        let Self::Selected { reference, k, .. } = self else {
+            return out.unsorted_masks_with(backend);
+        };
+        sorted.copy_from(input);
+        sorted.run_with(backend, reference);
+        let mut wrong = [0u64; W];
+        backend.diff_scan(&out.lanes[..*k], &sorted.lanes[..*k], &mut wrong);
+        let live = input.live_masks();
+        for w in 0..W {
+            wrong[w] &= live[w];
+        }
+        wrong
+    }
+}
+
+/// The one metered block loop: streams `source` under `meter`, runs
+/// `check` over each admitted block on `backend`, and hands the input
+/// block with its violation masks to `gather` until the source runs dry,
+/// the meter refuses a block or `gather` breaks.
+///
+/// The meter is consulted once per block.  A refusal abandons the stream,
+/// so `gather` has seen exactly the committed blocks, and
+/// [`BudgetMeter::finish`] turns the caller's result into
+/// [`Budgeted::Partial`](crate::Budgeted::Partial).
+pub(crate) fn sweep_blocks<const W: usize, S: BlockSource<W>>(
+    mut source: S,
+    check: &Check<'_>,
+    backend: Backend,
+    meter: &mut BudgetMeter,
+    mut gather: impl FnMut(&WideBlock<W>, &[u64; W]) -> ControlFlow<()>,
+) {
+    let n = source.lines();
+    let [mut input, mut out, mut sorted] = [(); 3].map(|()| WideBlock::<W>::zeroed(n));
+    while source.next_block(&mut input) && meter.admit_block(u64::from(input.count())) {
+        let mask = check.violations(backend, &input, &mut out, &mut sorted);
+        if gather(&input, &mask).is_break() {
+            break;
+        }
+    }
+}
+
 /// Outcome of a [`sweep_find`] run, with the witness in packing `P`
 /// (default [`BitString`]; [`sortnet_combinat::ChannelVec`] past 64 lines).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1024,13 +1127,10 @@ pub struct SweepOutcome<P = BitString> {
     pub witness: Option<P>,
 }
 
-/// Streams `source` block by block under `meter`, asking `violation` for a
-/// per-word mask of failing vectors, and stops at the first violating
-/// block.  The witness is extracted into any [`ChannelPack`] packing `P`.
-///
-/// `violation` receives the pristine *input* block (it typically copies it
-/// into a scratch block, runs a network, and masks the outputs), so the
-/// witness can be extracted from the inputs without re-generating them.
+/// Streams `source` through `check` on `backend` under `meter` and reports
+/// the first input vector that violates it, extracted into any
+/// [`ChannelPack`] packing `P` — the sweep behind every test-set verifier,
+/// the merger oracle and the spot check.
 ///
 /// The meter is consulted once per block.  A trip abandons the stream; the
 /// outcome then covers exactly the committed blocks (no witness was found
@@ -1038,78 +1138,31 @@ pub struct SweepOutcome<P = BitString> {
 /// and [`BudgetMeter::finish`] turns it into
 /// [`Budgeted::Partial`](crate::Budgeted::Partial).  Unbudgeted callers
 /// pass [`BudgetMeter::unlimited`].
-pub fn sweep_find<const W: usize, P: ChannelPack, S: BlockSource<W>>(
-    mut source: S,
-    meter: &mut BudgetMeter,
-    mut violation: impl FnMut(&WideBlock<W>) -> [u64; W],
-) -> SweepOutcome<P> {
-    let mut block = WideBlock::<W>::zeroed(source.lines());
-    let mut tests_run = 0u64;
-    while source.next_block(&mut block) {
-        if !meter.admit_block(u64::from(block.count())) {
-            break;
-        }
-        tests_run += u64::from(block.count());
-        let mask = violation(&block);
-        if let Some(j) = mask_first(&mask) {
-            return SweepOutcome {
-                tests_run,
-                witness: Some(block.extract_packed(j)),
-            };
-        }
-    }
-    SweepOutcome {
-        tests_run,
-        witness: None,
-    }
-}
-
-/// Streams `source` through `network` on `backend` under `meter` and
-/// reports the first input whose output is **not sorted** — the shared
-/// "copy block, run, mask" sweep the sorting/merging verifiers and oracles
-/// build on.  Budget semantics as for [`sweep_find`].
 ///
 /// # Errors
-/// [`EngineError::ChannelMismatch`] when `source` and `network` disagree
-/// on the line count, in either direction.
-pub fn sweep_network<const W: usize, P: ChannelPack, S: BlockSource<W>>(
+/// [`EngineError::ChannelMismatch`] when `source` and the checked network
+/// disagree on the line count, in either direction.
+pub fn sweep_find<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     source: S,
-    network: &Network,
+    check: &Check<'_>,
     backend: Backend,
     meter: &mut BudgetMeter,
 ) -> Result<SweepOutcome<P>, EngineError> {
-    error::ensure_same_lines(network.lines(), source.lines())?;
-    let mut work = WideBlock::<W>::zeroed(source.lines());
-    Ok(sweep_find(source, meter, |block| {
-        work.copy_from(block);
-        work.run_with(backend, network);
-        work.unsorted_masks_with(backend)
-    }))
-}
-
-/// Per-word masks of vectors whose first `k` output lanes differ between a
-/// candidate's evaluated block and a reference sorter's evaluated block
-/// over the same inputs — the `(k, n)`-selection violation test shared by
-/// the exhaustive sweep and the test-set verifier, computed on `backend`.
-///
-/// # Panics
-/// Panics if `k` exceeds the line count or the blocks disagree on lines.
-#[must_use]
-pub fn selector_violation_masks<const W: usize>(
-    out: &WideBlock<W>,
-    sorted: &WideBlock<W>,
-    k: usize,
-    backend: Backend,
-) -> [u64; W] {
-    assert_eq!(out.lines(), sorted.lines(), "line count mismatch");
-    assert!(k <= out.lines(), "k = {k} exceeds the line count");
-    let mut wrong = [0u64; W];
-    backend.diff_scan(&out.lanes[..k], &sorted.lanes[..k], &mut wrong);
-    let live = out.live_masks();
-    for w in 0..W {
-        wrong[w] &= live[w];
-    }
-    wrong
+    error::ensure_same_lines(check.network().lines(), source.lines())?;
+    let mut outcome = SweepOutcome {
+        tests_run: 0,
+        witness: None,
+    };
+    sweep_blocks(source, check, backend, meter, |input, mask| {
+        outcome.tests_run += u64::from(input.count());
+        outcome.witness = mask_first(mask).map(|j| input.extract_packed(j));
+        if outcome.witness.is_some() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    Ok(outcome)
 }
 
 /// Drains a source into a materialised `Vec` of any [`ChannelPack`]
@@ -1302,32 +1355,54 @@ mod tests {
     fn sweep_find_reports_the_first_violation_in_source_order() {
         let net = Network::empty(6);
         let backend = Backend::Portable;
-        let mut work = WideBlock::<2>::zeroed(6);
-        let outcome: SweepOutcome = sweep_find(
+        let outcome: SweepOutcome = sweep_find::<2, _, _>(
             IterSource::new(6, BitString::all(6)),
+            &Check::Sorted(&net),
+            backend,
             &mut BudgetMeter::unlimited(),
-            |block: &WideBlock<2>| {
-                work.copy_from(block);
-                work.run_with(backend, &net);
-                work.unsorted_masks_with(backend)
-            },
-        );
+        )
+        .unwrap();
         let scalar_first = BitString::all(6).find(|s| !s.is_sorted()).unwrap();
         assert_eq!(outcome.witness, Some(scalar_first));
         // The sorter passes the same sweep and counts every vector.
         let sorter = odd_even_merge_sort(6);
-        let mut work = WideBlock::<2>::zeroed(6);
-        let outcome: SweepOutcome = sweep_find(
+        let outcome: SweepOutcome = sweep_find::<2, _, _>(
             RangeSource::exhaustive(6),
+            &Check::Sorted(&sorter),
+            backend,
             &mut BudgetMeter::unlimited(),
-            |block: &WideBlock<2>| {
-                work.copy_from(block);
-                work.run_with(backend, &sorter);
-                work.unsorted_masks_with(backend)
-            },
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.witness, None);
         assert_eq!(outcome.tests_run, 64);
+    }
+
+    #[test]
+    fn selected_check_matches_the_scalar_definition_on_every_backend() {
+        // The first k outputs must carry the k smallest input bits: output
+        // i < k is 0 exactly when i < |input|₀.
+        let n = 7usize;
+        let inputs: Vec<BitString> = BitString::all(n).collect();
+        let mut sampler = crate::random::NetworkSampler::new(27);
+        for size in [0usize, 4, 9, 16] {
+            let net = sampler.network(n, size);
+            for k in 0..=n {
+                let check = Check::selected(&net, k);
+                let wrong = |s: &BitString| {
+                    let (out, zeros) = (net.apply_bits(s), s.count_zeros());
+                    (0..k).any(|i| out.get(i) != (i >= zeros))
+                };
+                for backend in Backend::runnable() {
+                    let input = WideBlock::<2>::from_strings(n, &inputs);
+                    let [mut out, mut sorted] = [(); 2].map(|()| WideBlock::<2>::zeroed(n));
+                    let mask = check.violations(backend, &input, &mut out, &mut sorted);
+                    for (j, s) in inputs.iter().enumerate() {
+                        let flagged = (mask[j / 64] >> (j % 64)) & 1 == 1;
+                        assert_eq!(flagged, wrong(s), "{net} k={k} {s} {}", backend.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1339,19 +1414,19 @@ mod tests {
         );
     }
 
-    /// `sweep_network` over `n`-line exhaustive inputs through a 4-line
+    /// The sorted check over `n`-line exhaustive inputs through a 4-line
     /// Batcher sorter, on the scalar backend.
     fn sweep_sorter4(n: usize) -> Result<SweepOutcome, EngineError> {
-        sweep_network::<4, BitString, _>(
+        sweep_find::<4, BitString, _>(
             RangeSource::exhaustive(n),
-            &odd_even_merge_sort(4),
+            &Check::Sorted(&odd_even_merge_sort(4)),
             Backend::Scalar,
             &mut BudgetMeter::unlimited(),
         )
     }
 
     #[test]
-    fn sweep_network_rejects_a_source_wider_than_the_network() {
+    fn sweep_find_rejects_a_source_wider_than_the_network() {
         // Without the check, the sorter sees only the low 4 lines of each
         // 5-line input and rejects a correct network with witness 10000.
         assert_eq!(
@@ -1364,7 +1439,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_network_rejects_a_source_narrower_than_the_network() {
+    fn sweep_find_rejects_a_source_narrower_than_the_network() {
         // Without the check, the kernel indexes lane 3 of a 3-lane block
         // and panics.
         assert_eq!(
@@ -1386,9 +1461,9 @@ mod tests {
         let sorter = odd_even_merge_sort(9);
         let sweep = |budget: &SweepBudget| {
             let mut meter = BudgetMeter::new(budget);
-            let outcome: SweepOutcome = sweep_network::<1, _, _>(
+            let outcome: SweepOutcome = sweep_find::<1, _, _>(
                 RangeSource::exhaustive(9),
-                &sorter,
+                &Check::Sorted(&sorter),
                 Backend::Scalar,
                 &mut meter,
             )
@@ -1418,9 +1493,9 @@ mod tests {
     fn budgeted_sweep_still_reports_witnesses_inside_the_budget() {
         let non_sorter = Network::empty(6);
         let mut meter = BudgetMeter::new(&SweepBudget::unlimited().with_max_blocks(1));
-        let outcome: SweepOutcome = sweep_network::<1, _, _>(
+        let outcome: SweepOutcome = sweep_find::<1, _, _>(
             RangeSource::exhaustive(6),
-            &non_sorter,
+            &Check::Sorted(&non_sorter),
             Backend::Portable,
             &mut meter,
         )
@@ -1622,7 +1697,8 @@ mod tests {
             backend: Backend,
         ) -> SweepOutcome<ChannelVec> {
             let source = IterSource::new(net.lines(), family);
-            sweep_network::<W, ChannelVec, _>(source, net, backend, &mut BudgetMeter::unlimited())
+            let check = Check::Sorted(net);
+            sweep_find::<W, ChannelVec, _>(source, &check, backend, &mut BudgetMeter::unlimited())
                 .unwrap()
         }
         let mut unsorted = ChannelVec::zeros(n);

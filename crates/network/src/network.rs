@@ -240,17 +240,6 @@ impl Network {
         }
     }
 
-    /// The reverse of the comparator sequence (not the same as
-    /// [`Network::flip`];
-    /// useful for structural experiments).
-    #[must_use]
-    pub fn reversed_sequence(&self) -> Self {
-        Self {
-            lines: self.lines,
-            comparators: self.comparators.iter().rev().copied().collect(),
-        }
-    }
-
     /// Returns the network with comparator `index` removed (used by the
     /// fault models and the minimality experiments).
     ///

@@ -12,13 +12,13 @@ use sortnet_combinat::{BitString, Permutation};
 use crate::bitparallel;
 use crate::budget::{BudgetMeter, Budgeted};
 use crate::error::EngineError;
-use crate::lanes::{self, Backend, Sweep, DEFAULT_WIDTH};
+use crate::lanes::{self, Check, Sweep, WordSource, DEFAULT_WIDTH};
 use crate::network::Network;
 
-/// The answer of an unbudgeted sweep, panicking with the typed refusal's
-/// text.
-fn unwrap_sweep<T>(outcome: Result<Budgeted<T>, EngineError>) -> T {
-    outcome.unwrap_or_else(|e| panic!("{e}")).into_value()
+/// `true` when an unbudgeted sweep found no violating input; a typed
+/// refusal panics with its text.
+fn passes(witness: Result<Option<BitString>, EngineError>) -> bool {
+    witness.unwrap_or_else(|e| panic!("{e}")).is_none()
 }
 
 /// `true` iff the network sorts every input (checked over all `2^n` binary
@@ -29,7 +29,7 @@ fn unwrap_sweep<T>(outcome: Result<Budgeted<T>, EngineError>) -> T {
 /// Panics if `n ≥ 32`.
 #[must_use]
 pub fn is_sorter(network: &Network) -> bool {
-    unwrap_sweep(bitparallel::find_unsorted_input(network, &Sweep::default())).is_none()
+    passes(bitparallel::find_unsorted_input(network, &Sweep::default()).map(Budgeted::into_value))
 }
 
 /// Exhaustively checks the sorter property by enumerating all `n!`
@@ -58,12 +58,8 @@ pub fn is_sorter_by_permutations(network: &Network) -> bool {
 /// Panics if `k > n` or `n ≥ 32`.
 #[must_use]
 pub fn is_selector(network: &Network, k: usize) -> bool {
-    unwrap_sweep(bitparallel::find_selector_violation(
-        network,
-        k,
-        &Sweep::default(),
-    ))
-    .is_none()
+    let sweep = bitparallel::find_selector_violation(network, k, &Sweep::default());
+    passes(sweep.map(Budgeted::into_value))
 }
 
 /// `true` iff `output` carries the correct `k` smallest bits of `input` on
@@ -77,32 +73,20 @@ pub fn selects_correctly(input: &BitString, output: &BitString, k: usize) -> boo
 /// `true` iff the network merges every pair of sorted halves (the paper's
 /// `(n/2, n/2)`-merging network), checked over all pairs of sorted binary
 /// half-inputs, streamed as packed words through the lanes' word transpose
-/// ([`half_sorted_words`] → [`lanes::WordSource`]).
+/// ([`half_sorted_words`] → [`WordSource`]) into the sorted [`Check`].
 ///
 /// # Panics
 /// Panics if `n` is odd.
 #[must_use]
 pub fn is_merger(network: &Network) -> bool {
-    find_merger_violation(network, Sweep::default().backend).is_none()
-}
-
-/// The first (in `(z₁, z₂)` order) pair of sorted halves the network fails
-/// to merge on `backend`, or `None` for a valid `(n/2, n/2)`-merging
-/// network.
-///
-/// # Panics
-/// Panics if `n` is odd.
-#[must_use]
-pub fn find_merger_violation(network: &Network, backend: Backend) -> Option<BitString> {
     let n = network.lines();
-    lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-        lanes::WordSource::new(n, half_sorted_words(n)),
-        network,
-        backend,
+    let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
+        WordSource::new(n, half_sorted_words(n)),
+        &Check::Sorted(network),
+        Sweep::default().backend,
         &mut BudgetMeter::unlimited(),
-    )
-    .expect("the half-sorted family has the network's line count")
-    .witness
+    );
+    passes(outcome.map(|outcome| outcome.witness))
 }
 
 /// Exhaustive merger check over *permutation* merge inputs: every

@@ -14,7 +14,9 @@
 //!    backend × W ∈ {1, 4}, against a `Vec<u8>` comparator simulation.
 
 use sortnet_combinat::{ChannelPack, ChannelVec};
-use sortnet_network::lanes::{collect_packed, sweep_network, Backend, FamilySource, PackedFamily};
+use sortnet_network::lanes::{
+    collect_packed, sweep_find, Backend, Check, FamilySource, PackedFamily,
+};
 use sortnet_network::{BudgetMeter, Network};
 
 const WIDTHS_N: [usize; 6] = [63, 64, 65, 96, 127, 128];
@@ -200,9 +202,9 @@ fn family_sweeps_agree_with_the_reference_on_every_backend() {
                 let outcomes = [
                     (
                         1usize,
-                        sweep_network::<1, ChannelVec, _>(
+                        sweep_find::<1, ChannelVec, _>(
                             FamilySource::<ChannelVec>::new(family, n),
-                            &network,
+                            &Check::Sorted(&network),
                             backend,
                             &mut BudgetMeter::unlimited(),
                         )
@@ -210,9 +212,9 @@ fn family_sweeps_agree_with_the_reference_on_every_backend() {
                     ),
                     (
                         4usize,
-                        sweep_network::<4, ChannelVec, _>(
+                        sweep_find::<4, ChannelVec, _>(
                             FamilySource::<ChannelVec>::new(family, n),
-                            &network,
+                            &Check::Sorted(&network),
                             backend,
                             &mut BudgetMeter::unlimited(),
                         )

@@ -195,12 +195,6 @@ impl SetCoverInstance {
         self.elements
     }
 
-    /// Number of candidate sets.
-    #[must_use]
-    pub fn set_count(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Solves the instance: greedy upper bound, root lower bound, and —
     /// unless greedy already meets the bound — an exact branch-and-bound
     /// search (MRV branching on the element with fewest covering sets,

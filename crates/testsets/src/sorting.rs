@@ -101,11 +101,11 @@ pub fn necessity_witness(sigma: &BitString) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{verified, Property, Strategy};
+    use crate::verify::{try_spot_check_sorter_packed_on, verified, Property, Strategy};
     use sortnet_combinat::binomial;
-    use sortnet_network::bitparallel::failing_inputs_from;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::builders::transposition::odd_even_transposition;
+    use sortnet_network::lanes::Backend;
 
     #[test]
     fn binary_testset_has_the_theorem_2_2_size() {
@@ -153,9 +153,12 @@ mod tests {
             assert!(!criteria::is_binary_testset(&reduced, n, Property::Sorter));
             // And here is the adversary that would slip through:
             let h = necessity_witness(&sigma);
-            let verdict_on_reduced = failing_inputs_from(&h, &reduced).unwrap();
+            let backends = Backend::runnable();
+            let backend = backends[omit % backends.len()];
+            let verdict_on_reduced =
+                try_spot_check_sorter_packed_on(&h, &reduced, backend).unwrap();
             assert!(
-                verdict_on_reduced.is_empty(),
+                verdict_on_reduced.witness.is_none(),
                 "H_σ must pass the reduced set"
             );
             assert!(

@@ -12,10 +12,11 @@
 //! | [`Strategy::Permutation`] | `C(n,⌊n/2⌋) − 1` | `C(n,min(k,⌊n/2⌋)) − 1` | `n/2` |
 //!
 //! Each cell of this table is a stream of packed 0/1 words and the closed
-//! form above, fed to one of two sweeps: "every output sorted" (sorting and
-//! merging) or "the first `k` outputs match a reference sorter's"
-//! (selection).  The exhaustive sorting and selection cells run
-//! [`bitparallel`]'s range sweeps; the minimal 0/1 cells stream
+//! form above, asked one of the two [`Check`]s: "every output sorted"
+//! (sorting and merging) or "the first `k` outputs match a reference
+//! sorter's" (selection).  The exhaustive sorting and selection cells run
+//! [`bitparallel`]'s range sweeps; every other cell streams its source
+//! through [`lanes::sweep_find`].  The minimal 0/1 cells stream
 //! [`sorting::binary_source`], [`selector::binary_source`] and
 //! [`merging::binary_source`].  A permutation cell streams the threshold
 //! strings of its test set's permutations: a network handles a
@@ -37,11 +38,9 @@ use sortnet_combinat::binomial::{
 use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{channel_words, BitString, ChannelPack};
 use sortnet_network::bitparallel;
-use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{
-    self, Backend, BlockSource, SliceSource, Sweep, SweepOutcome, WideBlock, WordSource,
-    DEFAULT_WIDTH,
+    self, Backend, BlockSource, Check, SliceSource, Sweep, SweepOutcome, WordSource, DEFAULT_WIDTH,
 };
 use sortnet_network::{BudgetMeter, Network};
 
@@ -139,61 +138,58 @@ pub fn try_verify_on(
             _ => {}
         }
     }
+    let m = n as u64;
+    // `None` is the exhaustive `2^n` sweep of `bitparallel`, which fans out
+    // over the rayon pool on large `n`.
+    let (source, tests_run): (Option<Box<dyn BlockSource<DEFAULT_WIDTH>>>, u128) =
+        match (property, strategy) {
+            (Property::Sorter | Property::Selector { .. }, Strategy::Exhaustive) => (None, 1 << n),
+            (Property::Sorter, Strategy::MinimalBinary) => (
+                Some(Box::new(sorting::binary_source(n))),
+                sorting_testset_size_binary(m),
+            ),
+            (Property::Sorter, Strategy::Permutation) => (
+                Some(Box::new(WordSource::new(n, bnk::cover_words(n, n / 2)))),
+                sorting_testset_size_permutation(m),
+            ),
+            (Property::Selector { k }, Strategy::MinimalBinary) => (
+                Some(Box::new(selector::binary_source(n, k))),
+                selector_testset_size_binary(m, k as u64),
+            ),
+            (Property::Selector { k }, Strategy::Permutation) => (
+                Some(Box::new(WordSource::new(n, bnk::cover_words(n, k)))),
+                selector_testset_size_permutation(m, k as u64),
+            ),
+            (Property::Merger, Strategy::Exhaustive) => (
+                Some(Box::new(WordSource::new(n, half_sorted_words(n)))),
+                u128::from((m / 2 + 1).pow(2)),
+            ),
+            (Property::Merger, Strategy::MinimalBinary) => (
+                Some(Box::new(merging::binary_source(n))),
+                merging_testset_size_binary(m),
+            ),
+            (Property::Merger, Strategy::Permutation) => (
+                Some(Box::new(WordSource::new(n, merging::cover_words(n)))),
+                merging_testset_size_permutation(m),
+            ),
+        };
     let sweep = Sweep {
         backend,
         ..Sweep::default()
     };
-    let m = n as u64;
-    let (witness, tests_run) = match (property, strategy) {
-        (Property::Sorter, Strategy::Exhaustive) => (
-            bitparallel::find_unsorted_input(network, &sweep)?.into_value(),
-            1 << n,
-        ),
-        (Property::Sorter, Strategy::MinimalBinary) => (
-            sweep_sorted(network, sorting::binary_source(n), backend),
-            sorting_testset_size_binary(m),
-        ),
-        (Property::Sorter, Strategy::Permutation) => (
-            sweep_sorted(
-                network,
-                WordSource::new(n, bnk::cover_words(n, n / 2)),
-                backend,
-            ),
-            sorting_testset_size_permutation(m),
-        ),
-        (Property::Selector { k }, Strategy::Exhaustive) => (
-            bitparallel::find_selector_violation(network, k, &sweep)?.into_value(),
-            1 << n,
-        ),
-        (Property::Selector { k }, Strategy::MinimalBinary) => (
-            sweep_selected(network, k, selector::binary_source(n, k), backend),
-            selector_testset_size_binary(m, k as u64),
-        ),
-        (Property::Selector { k }, Strategy::Permutation) => (
-            sweep_selected(
-                network,
-                k,
-                WordSource::new(n, bnk::cover_words(n, k)),
-                backend,
-            ),
-            selector_testset_size_permutation(m, k as u64),
-        ),
-        (Property::Merger, Strategy::Exhaustive) => (
-            sweep_sorted(network, WordSource::new(n, half_sorted_words(n)), backend),
-            u128::from((m / 2 + 1).pow(2)),
-        ),
-        (Property::Merger, Strategy::MinimalBinary) => (
-            sweep_sorted(network, merging::binary_source(n), backend),
-            merging_testset_size_binary(m),
-        ),
-        (Property::Merger, Strategy::Permutation) => (
-            sweep_sorted(
-                network,
-                WordSource::new(n, merging::cover_words(n)),
-                backend,
-            ),
-            merging_testset_size_permutation(m),
-        ),
+    let witness = match (source, property) {
+        (None, Property::Selector { k }) => {
+            bitparallel::find_selector_violation(network, k, &sweep)?.into_value()
+        }
+        (None, _) => bitparallel::find_unsorted_input(network, &sweep)?.into_value(),
+        (Some(source), property) => {
+            let check = match property {
+                Property::Selector { k } => Check::selected(network, k),
+                Property::Sorter | Property::Merger => Check::Sorted(network),
+            };
+            let mut meter = BudgetMeter::unlimited();
+            lanes::sweep_find(source, &check, backend, &mut meter)?.witness
+        }
     };
     Ok(Report {
         property,
@@ -202,50 +198,6 @@ pub fn try_verify_on(
         tests_run: tests_run as usize,
         witness,
     })
-}
-
-/// The first input of `source` whose output `network` leaves unsorted.
-fn sweep_sorted(
-    network: &Network,
-    source: impl BlockSource<DEFAULT_WIDTH>,
-    backend: Backend,
-) -> Option<BitString> {
-    lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-        source,
-        network,
-        backend,
-        &mut BudgetMeter::unlimited(),
-    )
-    .expect("the test set has the network's line count")
-    .witness
-}
-
-/// The first input of `source` whose first `k` outputs differ from a
-/// known-good reference sorter's on the same block — the block-parallel
-/// form of
-/// [`selects_correctly`](sortnet_network::properties::selects_correctly).
-fn sweep_selected(
-    network: &Network,
-    k: usize,
-    source: impl BlockSource<DEFAULT_WIDTH>,
-    backend: Backend,
-) -> Option<BitString> {
-    let n = network.lines();
-    let reference = odd_even_merge_sort(n);
-    let mut out = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
-    let mut sorted = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
-    lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
-        source,
-        &mut BudgetMeter::unlimited(),
-        |block| {
-            out.copy_from(block);
-            out.run_with(backend, network);
-            sorted.copy_from(block);
-            sorted.run_with(backend, &reference);
-            lanes::selector_violation_masks(&out, &sorted, k, backend)
-        },
-    )
-    .witness
 }
 
 /// [`try_verify_on`] unwrapped: the same report on every runnable backend.
@@ -296,9 +248,9 @@ pub fn try_spot_check_sorter_packed_on<P: ChannelPack>(
             });
         }
     }
-    lanes::sweep_network::<DEFAULT_WIDTH, P, _>(
+    lanes::sweep_find::<DEFAULT_WIDTH, P, _>(
         SliceSource::new(n, tests),
-        network,
+        &Check::Sorted(network),
         backend,
         &mut BudgetMeter::unlimited(),
     )

@@ -27,7 +27,7 @@ use sortnet_combinat::binomial::{
 use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{self, Backend, IterSource, WideBlock, DEFAULT_WIDTH};
+use sortnet_network::lanes::{self, Backend, Check, IterSource, DEFAULT_WIDTH};
 use sortnet_network::properties::selects_correctly;
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::{BudgetMeter, Comparator, Network};
@@ -121,41 +121,28 @@ fn scalar_permutation_report(
 fn iter_source_report(network: &Network, property: Property, backend: Backend) -> Report {
     let n = network.lines();
     let source = IterSource::new(n, criteria::required_strings(property, n));
-    let (witness, tests_run) = match property {
-        Property::Sorter | Property::Merger => {
-            let outcome = lanes::sweep_network::<DEFAULT_WIDTH, BitString, _>(
-                source,
-                network,
-                backend,
-                &mut BudgetMeter::unlimited(),
-            )
-            .unwrap();
-            let size = if property == Property::Sorter {
-                sorting_testset_size_binary(n as u64)
-            } else {
-                merging_testset_size_binary(n as u64)
-            };
-            (outcome.witness, size as usize)
-        }
-        Property::Selector { k } => {
-            let reference = odd_even_merge_sort(n);
-            let mut out = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
-            let mut sorted = WideBlock::<DEFAULT_WIDTH>::zeroed(n);
-            let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
-                source,
-                &mut BudgetMeter::unlimited(),
-                |block| {
-                    out.copy_from(block);
-                    out.run_with(backend, network);
-                    sorted.copy_from(block);
-                    sorted.run_with(backend, &reference);
-                    lanes::selector_violation_masks(&out, &sorted, k, backend)
-                },
-            );
-            let size = selector_testset_size_binary(n as u64, k as u64);
-            (outcome.witness, size as usize)
-        }
+    let (check, size) = match property {
+        Property::Sorter => (
+            Check::Sorted(network),
+            sorting_testset_size_binary(n as u64),
+        ),
+        Property::Merger => (
+            Check::Sorted(network),
+            merging_testset_size_binary(n as u64),
+        ),
+        Property::Selector { k } => (
+            Check::selected(network, k),
+            selector_testset_size_binary(n as u64, k as u64),
+        ),
     };
+    let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
+        source,
+        &check,
+        backend,
+        &mut BudgetMeter::unlimited(),
+    )
+    .unwrap();
+    let (witness, tests_run) = (outcome.witness, size as usize);
     Report {
         property,
         strategy: Strategy::MinimalBinary,

@@ -12,7 +12,7 @@ use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sor
 use sortnet_network::builders::bitonic::{bitonic_sorter, bitonic_sorter_standardised};
 use sortnet_network::builders::bubble::{bubble_sort_network, insertion_sort_network};
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_network::lanes::{self, Backend, RangeSource, Sweep, WideBlock};
+use sortnet_network::lanes::{self, Backend, Check, RangeSource, Sweep};
 use sortnet_network::{BudgetMeter, Network};
 use sortnet_testsets::sorting;
 use sortnet_testsets::verify::{
@@ -94,17 +94,14 @@ fn main() {
         ),
     ];
     let backend = Sweep::default().backend;
+    let sorted = Check::Sorted(&sorter16);
     for (family, source) in families {
-        // Spelled out to show the sweep protocol; production code calls
-        // `lanes::sweep_network(source, &network, backend, &mut meter)`,
-        // which also checks that source and network agree on the lines.
-        let mut work = WideBlock::<4>::zeroed(wide_n);
+        // The sweep every verifier runs: stream the source block by block
+        // under a meter, ask the check of every vector, stop at the first
+        // violating input.
         let mut meter = BudgetMeter::unlimited();
-        let outcome = lanes::sweep_find::<4, BitString, _>(source, &mut meter, |block| {
-            work.copy_from(block);
-            work.run_with(backend, &sorter16);
-            work.unsorted_masks_with(backend)
-        });
+        let outcome = lanes::sweep_find::<4, BitString, _>(source, &sorted, backend, &mut meter)
+            .expect("the sources have the network's line count");
         println!(
             "\nstreamed {:>6} vectors of {family}: sorter verdict = {}",
             outcome.tests_run,

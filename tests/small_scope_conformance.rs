@@ -1,5 +1,5 @@
 //! Small-scope exhaustive conformance: every standard network on n = 4
-//! lines with 1–4 comparators and on n = 5 lines with 1–3 comparators.
+//! lines with 0–4 comparators and on n = 5 lines with 0–3 comparators.
 //!
 //! On each network:
 //!
@@ -10,19 +10,27 @@
 //!   Network `i` runs W1 on runnable backend `i` and W4 on backend
 //!   `i + 1`, so over each table every width meets every backend while
 //!   a network costs three grades, not one per width and backend;
-//! * the three verify strategies must agree on `passed` for the sorter,
-//!   the (2, n)-selector and, on an even line count, the merger.
+//! * every property decider must give the answer of a scalar reference
+//!   (`apply_bits` over all `2ⁿ` inputs, or over the half-sorted inputs
+//!   for merging) for the sorter, every (k, n)-selector with `0 ≤ k ≤ n`
+//!   and, on an even line count, the merger: `properties::is_*`, the
+//!   exhaustive `bitparallel` sweeps and all three `try_verify_on`
+//!   strategies.  Every witness must fail the network, and the exhaustive
+//!   witnesses must be the first failing input in enumeration order.
+//!   Network `i` runs on runnable backend `i` and lane width `i`.
 //!
 //! Small networks are where off-by-one fork sites, empty ranges and
 //! degenerate lesions live, so covering all of them beats sampling.  A
 //! failure names the line count and the network in compact notation.
 
+use sortnet_combinat::BitString;
 use sortnet_faults::{
     coverage_of_universe_budgeted_packed_with, CoverageReport, EngineError, FaultSimEngine,
     FaultUniverse, RedundancyMode, StandardUniverse, SweepBudget,
 };
-use sortnet_network::lanes::{Backend, LaneWidth};
-use sortnet_network::{Comparator, Network};
+use sortnet_network::bitparallel::{find_selector_violation, find_unsorted_input};
+use sortnet_network::lanes::{Backend, LaneWidth, Sweep};
+use sortnet_network::{properties, Comparator, Network};
 use sortnet_testsets::sorting;
 use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
 
@@ -89,29 +97,101 @@ fn conforms(i: usize, net: &Network) {
             );
         }
     }
-    let mut properties = vec![Property::Sorter, Property::Selector { k: 2 }];
-    if n.is_multiple_of(2) {
-        properties.push(Property::Merger);
+    deciders_conform(i, net);
+}
+
+/// The inputs `property` is decided over, in enumeration order: all `2ⁿ`
+/// strings, or for merging the half-sorted strings
+/// `0^{z₁} 1^{h−z₁} · 0^{z₂} 1^{h−z₂}` in `(z₁, z₂)` order.
+fn decider_inputs(n: usize, property: Property) -> Vec<BitString> {
+    if property != Property::Merger {
+        return BitString::all(n).collect();
     }
-    let backend = backends[i % backends.len()];
-    for property in properties {
-        let verdicts: Vec<bool> = [
+    let h = n / 2;
+    (0..=h)
+        .flat_map(|z1| {
+            (0..=h).map(move |z2| {
+                BitString::sorted_with(z1, h - z1).concat(&BitString::sorted_with(z2, h - z2))
+            })
+        })
+        .collect()
+}
+
+/// `true` when `net` handles `input` correctly for `property`, by scalar
+/// evaluation: the output is sorted, or for selection its first `k` lines
+/// carry the `k` smallest input bits.
+fn handles(net: &Network, property: Property, input: &BitString) -> bool {
+    let out = net.apply_bits(input);
+    match property {
+        Property::Selector { k } => {
+            let zeros = input.count_zeros();
+            (0..k).all(|i| out.get(i) == (i >= zeros))
+        }
+        Property::Sorter | Property::Merger => out.is_sorted(),
+    }
+}
+
+/// Every property decider on network number `i` of its table against the
+/// scalar reference.
+fn deciders_conform(i: usize, net: &Network) {
+    let n = net.lines();
+    let backends = Backend::runnable();
+    let sweep = Sweep {
+        backend: backends[i % backends.len()],
+        width: LaneWidth::ALL[i % LaneWidth::ALL.len()],
+        ..Sweep::default()
+    };
+    let mut checked = vec![Property::Sorter];
+    checked.extend((0..=n).map(|k| Property::Selector { k }));
+    if n.is_multiple_of(2) {
+        checked.push(Property::Merger);
+    }
+    for property in checked {
+        let first = decider_inputs(n, property)
+            .into_iter()
+            .find(|input| !handles(net, property, input));
+        let case = format!(
+            "n={n} {net}: {property:?} on {} {:?}",
+            sweep.backend.name(),
+            sweep.width
+        );
+        let (decided, swept) = match property {
+            Property::Sorter => (
+                properties::is_sorter(net),
+                Some(find_unsorted_input(net, &sweep)),
+            ),
+            Property::Selector { k } => (
+                properties::is_selector(net, k),
+                Some(find_selector_violation(net, k, &sweep)),
+            ),
+            Property::Merger => (properties::is_merger(net), None),
+        };
+        assert_eq!(decided, first.is_none(), "{case}: properties");
+        if let Some(swept) = swept {
+            assert_eq!(swept.unwrap().into_value(), first, "{case}: bitparallel");
+        }
+        for strategy in [
             Strategy::Exhaustive,
             Strategy::MinimalBinary,
             Strategy::Permutation,
-        ]
-        .into_iter()
-        .map(|strategy| {
-            try_verify_on(net, property, strategy, backend)
-                .unwrap()
-                .passed
-        })
-        .collect();
-        assert!(
-            verdicts.iter().all(|&v| v == verdicts[0]),
-            "n={n} {net}: {property:?} verdicts by strategy {verdicts:?} on {}",
-            backend.name()
-        );
+        ] {
+            let report = try_verify_on(net, property, strategy, sweep.backend).unwrap();
+            assert_eq!(report.passed, first.is_none(), "{case}: {strategy:?}");
+            assert_eq!(
+                report.witness.is_none(),
+                report.passed,
+                "{case}: {strategy:?}"
+            );
+            if let Some(witness) = report.witness {
+                assert!(
+                    !handles(net, property, &witness),
+                    "{case}: {strategy:?} witness {witness} is handled"
+                );
+            }
+            if strategy == Strategy::Exhaustive {
+                assert_eq!(report.witness, first, "{case}: exhaustive witness");
+            }
+        }
     }
 }
 
@@ -127,7 +207,7 @@ fn conform_all(n: usize, sizes: std::ops::RangeInclusive<usize>) -> usize {
 
 #[test]
 fn every_network_on_4_lines_with_up_to_3_comparators_conforms() {
-    assert_eq!(conform_all(4, 1..=3), 6 + 36 + 216);
+    assert_eq!(conform_all(4, 0..=3), 1 + 6 + 36 + 216);
 }
 
 #[test]
@@ -137,5 +217,5 @@ fn every_network_on_4_lines_with_4_comparators_conforms() {
 
 #[test]
 fn every_network_on_5_lines_with_up_to_3_comparators_conforms() {
-    assert_eq!(conform_all(5, 1..=3), 10 + 100 + 1000);
+    assert_eq!(conform_all(5, 0..=3), 1 + 10 + 100 + 1000);
 }

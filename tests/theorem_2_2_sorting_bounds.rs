@@ -6,13 +6,13 @@ use sortnet_combinat::binomial::{sorting_testset_size_binary, sorting_testset_si
 use sortnet_combinat::BitString;
 use sortnet_faults::universe::{is_multi_fault_redundant, MultiFault};
 use sortnet_faults::{Fault, FaultKind};
-use sortnet_network::bitparallel::failing_inputs_from;
 use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sort_recursive};
 use sortnet_network::builders::bubble::bubble_sort_network;
+use sortnet_network::lanes::Backend;
 use sortnet_network::properties::is_sorter;
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::Network;
-use sortnet_testsets::verify::{Property, Strategy};
+use sortnet_testsets::verify::{try_spot_check_sorter_packed_on, Property, Strategy};
 use sortnet_testsets::{adversary, sorting};
 
 mod support;
@@ -202,12 +202,17 @@ fn every_string_of_the_binary_testset_is_necessary() {
     // test yet the exhaustive oracle rejects it.
     let n = 7;
     let full = sorting::binary_testset(n);
-    for sigma in BitString::all_unsorted(n) {
+    let backends = Backend::runnable();
+    for (i, sigma) in BitString::all_unsorted(n).enumerate() {
         let h = adversary::adversary(&sigma);
         assert!(!is_sorter(&h));
         let remaining: Vec<BitString> = full.iter().copied().filter(|t| *t != sigma).collect();
+        let backend = backends[i % backends.len()];
         assert!(
-            failing_inputs_from(&h, &remaining).unwrap().is_empty(),
+            try_spot_check_sorter_packed_on(&h, &remaining, backend)
+                .unwrap()
+                .witness
+                .is_none(),
             "H_σ for σ = {sigma} must pass the test set with σ removed"
         );
     }
