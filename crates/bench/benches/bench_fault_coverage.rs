@@ -361,7 +361,7 @@ fn bench_augmentation_search(c: &mut Criterion) {
                     report
                         .try_suggest_augmentation(
                             black_box(&net),
-                            &CandidatePool::Exhaustive,
+                            &CandidatePool::<BitString>::Exhaustive,
                             &SearchOptions::default(),
                         )
                         .unwrap()

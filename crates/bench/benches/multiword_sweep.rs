@@ -24,7 +24,7 @@ use std::hint::black_box;
 use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
 use sortnet_faults::bitsim::{detection_matrix_from_source_packed_on, DetectionMatrix};
 use sortnet_faults::coverage::try_coverage_of_universe_packed_with;
-use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse, TestVector};
+use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse};
 use sortnet_faults::{FaultSimEngine, RedundancyMode};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::lanes::{Backend, LaneWidth, SliceSource};
@@ -33,7 +33,7 @@ use sortnet_testsets::augment::{try_augmentation_for_missed_packed, CandidatePoo
 
 /// The faults × tests matrix of an explicit test list on the active
 /// backend.
-fn matrix<const W: usize, P: TestVector>(
+fn matrix<const W: usize, P: ChannelPack>(
     net: &Network,
     faults: &[MultiFault],
     tests: &[P],

@@ -413,7 +413,7 @@ pub fn e10_fault_coverage(n: usize) -> Table {
     let minimal = sorting::binary_testset(n);
     let perm_cover: Vec<BitString> = sorting::permutation_testset(n)
         .iter()
-        .flat_map(Permutation::cover)
+        .flat_map(Permutation::cover::<BitString>)
         .filter(|s| !s.is_sorted())
         .collect();
     let mut sampler = NetworkSampler::new(20_240_615);

@@ -331,6 +331,10 @@ impl From<BitString> for ChannelVec {
 /// `ChannelWords > 1` path.  Implementations must agree on semantics: bit
 /// `i` is the value on line `i`, and `assemble`/`bit` round-trip.
 pub trait ChannelPack: Clone + PartialEq + fmt::Debug + fmt::Display {
+    /// The most lines one vector of this packing holds: 64 for the
+    /// one-word [`BitString`], unbounded (`usize::MAX`) for [`ChannelVec`].
+    const MAX_LINES: usize;
+
     /// Number of lines.
     fn len(&self) -> usize;
 
@@ -351,6 +355,14 @@ pub trait ChannelPack: Clone + PartialEq + fmt::Debug + fmt::Display {
     /// Builds an `n`-line vector with bit `i` given by `f(i)`.
     fn assemble(n: usize, f: impl FnMut(usize) -> bool) -> Self;
 
+    /// Builds an `n`-line vector from its channel words (the inverse of
+    /// [`ChannelPack::word`]), masking any bits past `n`.
+    ///
+    /// # Panics
+    /// Panics when fewer than `channel_words(n)` words are supplied, or
+    /// when `n` exceeds [`ChannelPack::MAX_LINES`].
+    fn from_words(words: &[u64], n: usize) -> Self;
+
     /// The sorted string `0^zeros 1^ones`.
     fn sorted_of(zeros: usize, ones: usize) -> Self;
 
@@ -359,6 +371,8 @@ pub trait ChannelPack: Clone + PartialEq + fmt::Debug + fmt::Display {
 }
 
 impl ChannelPack for BitString {
+    const MAX_LINES: usize = crate::MAX_N;
+
     #[inline]
     fn len(&self) -> usize {
         BitString::len(self)
@@ -387,6 +401,11 @@ impl ChannelPack for BitString {
     }
 
     #[inline]
+    fn from_words(words: &[u64], n: usize) -> Self {
+        BitString::from_word(words[0], n)
+    }
+
+    #[inline]
     fn sorted_of(zeros: usize, ones: usize) -> Self {
         BitString::sorted_with(zeros, ones)
     }
@@ -398,6 +417,8 @@ impl ChannelPack for BitString {
 }
 
 impl ChannelPack for ChannelVec {
+    const MAX_LINES: usize = usize::MAX;
+
     #[inline]
     fn len(&self) -> usize {
         ChannelVec::len(self)
@@ -415,6 +436,11 @@ impl ChannelPack for ChannelVec {
 
     fn assemble(n: usize, f: impl FnMut(usize) -> bool) -> Self {
         ChannelVec::from_fn(n, f)
+    }
+
+    #[inline]
+    fn from_words(words: &[u64], n: usize) -> Self {
+        ChannelVec::from_words(words, n)
     }
 
     #[inline]
@@ -650,6 +676,16 @@ mod tests {
         for i in 0..n {
             assert_eq!(a.bit(i), b.bit(i));
         }
+        // `from_words` inverts `word`, masking bits past the length.
+        let stray = 1u64 << 50;
+        assert_eq!(
+            <BitString as ChannelPack>::from_words(&[a.word() | stray], n),
+            a
+        );
+        assert_eq!(
+            <ChannelVec as ChannelPack>::from_words(&[b.word(0) | stray], n),
+            b
+        );
         assert_eq!(
             BitString::sorted_of(10, 20).to_string(),
             ChannelVec::sorted_of(10, 20).to_string()

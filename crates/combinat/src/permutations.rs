@@ -13,15 +13,13 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::bitstrings::BitString;
 use crate::channels::ChannelPack;
 use crate::check_n;
 
-/// The largest permutation length the *wide* constructors accept: values
-/// are stored as `u8`, so `0..n` fits exactly while `n ≤ 256`.  The
-/// classic constructors keep the historical `n ≤ 64` cap (the `BitString`
-/// cover alphabet); the wide ones exist for the packed cover surface
-/// ([`Permutation::cover_at_packed`]) past the 64-line wall.
+/// The largest permutation length the constructors accept: values are
+/// stored as `u8`, so `0..n` fits exactly while `n ≤ 256`.  Covers of
+/// permutations past 64 lines are read in a multi-word packing
+/// (`ChannelVec`).
 pub const MAX_WIDE_N: usize = 256;
 
 /// A permutation of `0..n`, stored as the value on each line.
@@ -34,53 +32,24 @@ impl Permutation {
     /// The identity permutation of length `n`.
     ///
     /// # Panics
-    /// Panics if `n > 64`.
+    /// Panics if `n > `[`MAX_WIDE_N`].
     #[must_use]
     pub fn identity(n: usize) -> Self {
-        check_n(n);
+        check_wide_n(n);
         Self {
-            values: (0..n as u8).collect(),
+            values: (0..n).map(|v| v as u8).collect(),
         }
     }
 
     /// The reverse permutation `(n−1, n−2, …, 0)` — the single test input
     /// needed for primitive (height-1) networks (§3 of the paper,
     /// de Bruijn's result).
+    ///
+    /// # Panics
+    /// Panics if `n > `[`MAX_WIDE_N`].
     #[must_use]
     pub fn reverse(n: usize) -> Self {
-        check_n(n);
-        Self {
-            values: (0..n as u8).rev().collect(),
-        }
-    }
-
-    /// The identity permutation of length `n ≤ 256`, for the packed cover
-    /// surface past the 64-line wall.
-    ///
-    /// # Panics
-    /// Panics if `n > `[`MAX_WIDE_N`].
-    #[must_use]
-    pub fn identity_wide(n: usize) -> Self {
-        assert!(
-            n <= MAX_WIDE_N,
-            "length {n} exceeds the wide permutation maximum of {MAX_WIDE_N}"
-        );
-        Self {
-            values: (0..n).map(|v| v as u8).collect(),
-        }
-    }
-
-    /// The reverse permutation of length `n ≤ 256` — the wide sibling of
-    /// [`Permutation::reverse`].
-    ///
-    /// # Panics
-    /// Panics if `n > `[`MAX_WIDE_N`].
-    #[must_use]
-    pub fn reverse_wide(n: usize) -> Self {
-        assert!(
-            n <= MAX_WIDE_N,
-            "length {n} exceeds the wide permutation maximum of {MAX_WIDE_N}"
-        );
+        check_wide_n(n);
         Self {
             values: (0..n).rev().map(|v| v as u8).collect(),
         }
@@ -89,22 +58,9 @@ impl Permutation {
     /// Builds a permutation from 0-based values.
     ///
     /// Returns `None` if `values` is not a permutation of `0..len` or is
-    /// longer than 64.
-    #[must_use]
-    pub fn from_values(values: &[u8]) -> Option<Self> {
-        if values.len() > 64 {
-            return None;
-        }
-        Self::from_values_wide(values)
-    }
-
-    /// [`Permutation::from_values`] with the wide `n ≤ 256` cap instead of
-    /// the classic 64-line one.
-    ///
-    /// Returns `None` if `values` is not a permutation of `0..len` or is
     /// longer than [`MAX_WIDE_N`].
     #[must_use]
-    pub fn from_values_wide(values: &[u8]) -> Option<Self> {
+    pub fn from_values(values: &[u8]) -> Option<Self> {
         if values.len() > MAX_WIDE_N {
             return None;
         }
@@ -200,26 +156,14 @@ impl Permutation {
         }
     }
 
-    /// The *cover string at threshold `t`*: positions holding one of the `t`
-    /// largest values become 1, the rest 0.
+    /// The *cover string at threshold `t`*, in any vector packing:
+    /// positions holding one of the `t` largest values become 1, the rest 0.
     ///
     /// # Panics
-    /// Panics if `t > len`.
+    /// Panics if `t > len`, or if the permutation is longer than `P`
+    /// holds (`BitString` holds 64 lines).
     #[must_use]
-    pub fn cover_at(&self, t: usize) -> BitString {
-        self.cover_at_packed::<BitString>(t)
-    }
-
-    /// [`Permutation::cover_at`] generic over the vector packing: the
-    /// `BitString` instantiation is the classic `n ≤ 64` path, the
-    /// `ChannelVec` one carries wide permutations' threshold strings past
-    /// the wall.
-    ///
-    /// # Panics
-    /// Panics if `t > len`, or (for `P = BitString`) if the permutation is
-    /// wider than 64 lines.
-    #[must_use]
-    pub fn cover_at_packed<P: ChannelPack>(&self, t: usize) -> P {
+    pub fn cover_at<P: ChannelPack>(&self, t: usize) -> P {
         let n = self.len();
         assert!(t <= n, "threshold {t} exceeds length {n}");
         let cutoff = n - t; // values >= cutoff become 1
@@ -229,31 +173,19 @@ impl Permutation {
     /// The full cover: all `n + 1` threshold strings, from all-zero
     /// (`t = 0`) to all-one (`t = n`).
     #[must_use]
-    pub fn cover(&self) -> Vec<BitString> {
-        self.cover_packed::<BitString>()
-    }
-
-    /// [`Permutation::cover`] generic over the vector packing.
-    #[must_use]
-    pub fn cover_packed<P: ChannelPack>(&self) -> Vec<P> {
-        (0..=self.len()).map(|t| self.cover_at_packed(t)).collect()
+    pub fn cover<P: ChannelPack>(&self) -> Vec<P> {
+        (0..=self.len()).map(|t| self.cover_at(t)).collect()
     }
 
     /// `true` when some threshold string of this permutation equals `s`
     /// (the permutation *covers* the string, §2 of the paper).
     #[must_use]
-    pub fn covers(&self, s: &BitString) -> bool {
-        self.covers_packed(s)
-    }
-
-    /// [`Permutation::covers`] generic over the vector packing.
-    #[must_use]
-    pub fn covers_packed<P: ChannelPack>(&self, s: &P) -> bool {
+    pub fn covers<P: ChannelPack>(&self, s: &P) -> bool {
         let mut ones = 0usize;
         for i in 0..s.len() {
             ones += usize::from(s.bit(i));
         }
-        s.len() == self.len() && self.cover_at_packed::<P>(ones) == *s
+        s.len() == self.len() && self.cover_at::<P>(ones) == *s
     }
 
     /// Number of inversions (pairs `i < j` with `self[i] > self[j]`).
@@ -352,6 +284,14 @@ impl Permutation {
     }
 }
 
+/// Asserts that a permutation length is within [`MAX_WIDE_N`].
+fn check_wide_n(n: usize) {
+    assert!(
+        n <= MAX_WIDE_N,
+        "length {n} exceeds the wide permutation maximum of {MAX_WIDE_N}"
+    );
+}
+
 impl fmt::Debug for Permutation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Permutation({self})")
@@ -374,6 +314,7 @@ impl fmt::Display for Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitString;
 
     #[test]
     fn identity_and_reverse() {
@@ -398,7 +339,11 @@ mod tests {
     fn paper_cover_example() {
         // The paper: the cover of (3 1 4 2) is 1111, 1011, 1010, 0010, 0000.
         let p = Permutation::from_one_based(&[3, 1, 4, 2]).unwrap();
-        let cover: Vec<String> = p.cover().iter().map(ToString::to_string).collect();
+        let cover: Vec<String> = p
+            .cover::<BitString>()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         let expected = ["0000", "0010", "1010", "1011", "1111"];
         for e in expected {
             assert!(cover.contains(&e.to_string()), "missing {e} in {cover:?}");
@@ -409,7 +354,7 @@ mod tests {
     #[test]
     fn cover_strings_have_increasing_weight_and_are_nested() {
         for p in Permutation::all(6) {
-            let cover = p.cover();
+            let cover = p.cover::<BitString>();
             for (t, s) in cover.iter().enumerate() {
                 assert_eq!(s.count_ones(), t);
             }
@@ -422,7 +367,7 @@ mod tests {
     #[test]
     fn identity_cover_is_all_sorted_strings() {
         let id = Permutation::identity(7);
-        for s in id.cover() {
+        for s in id.cover::<BitString>() {
             assert!(s.is_sorted());
         }
     }
@@ -430,8 +375,8 @@ mod tests {
     #[test]
     fn covers_matches_membership_in_cover() {
         for p in Permutation::all(5) {
-            let cover = p.cover();
-            for s in crate::BitString::all(5) {
+            let cover = p.cover::<BitString>();
+            for s in BitString::all(5) {
                 assert_eq!(p.covers(&s), cover.contains(&s), "{p} vs {s}");
             }
         }
@@ -442,7 +387,7 @@ mod tests {
         // This is the key fact behind the paper's permutation lower bounds.
         for p in Permutation::all(6) {
             for t in 0..=6 {
-                let covered: Vec<_> = crate::BitString::all_with_weight(6, t)
+                let covered: Vec<_> = BitString::all_with_weight(6, t)
                     .filter(|s| p.covers(s))
                     .collect();
                 assert_eq!(covered.len(), 1);
@@ -494,12 +439,12 @@ mod tests {
     fn packed_cover_agrees_with_the_bitstring_cover() {
         use crate::channels::ChannelVec;
         for p in Permutation::all(6) {
-            let classic = p.cover();
-            let packed: Vec<ChannelVec> = p.cover_packed();
+            let classic = p.cover::<BitString>();
+            let packed: Vec<ChannelVec> = p.cover();
             assert_eq!(classic.len(), packed.len());
             for (a, b) in classic.iter().zip(&packed) {
                 assert_eq!(a.to_string(), b.to_string(), "{p}");
-                assert!(p.covers_packed(b));
+                assert!(p.covers(b));
             }
         }
     }
@@ -508,32 +453,28 @@ mod tests {
     fn wide_permutations_cover_past_the_64_line_wall() {
         use crate::channels::{ChannelPack, ChannelVec};
         let n = 96usize;
-        let id = Permutation::identity_wide(n);
-        let rev = Permutation::reverse_wide(n);
+        let id = Permutation::identity(n);
+        let rev = Permutation::reverse(n);
         assert_eq!(id.len(), n);
         assert!(id.is_identity());
         assert_eq!(rev.inverse(), rev);
-        assert!(Permutation::from_values_wide(rev.values()).is_some());
-        assert!(
-            Permutation::from_values(rev.values()).is_none(),
-            "classic cap stays at 64"
-        );
+        assert!(Permutation::from_values(rev.values()).is_some());
         for t in [0usize, 1, 63, 64, 65, n] {
-            let s: ChannelVec = rev.cover_at_packed(t);
+            let s: ChannelVec = rev.cover_at(t);
             // Reverse permutation: the t largest values sit on the top... the
             // first t lines, so the cover string is 1^t 0^{n-t}.
             let reference = ChannelVec::from_fn(n, |i| i < t);
             assert_eq!(s, reference, "t={t}");
-            assert!(rev.covers_packed(&s));
-            let sorted: ChannelVec = id.cover_at_packed(t);
+            assert!(rev.covers(&s));
+            let sorted: ChannelVec = id.cover_at(t);
             assert!(ChannelPack::is_sorted(&sorted));
         }
-        assert_eq!(rev.cover_packed::<ChannelVec>().len(), n + 1);
+        assert_eq!(rev.cover::<ChannelVec>().len(), n + 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the wide permutation maximum")]
     fn wide_constructors_cap_at_256() {
-        let _ = Permutation::identity_wide(257);
+        let _ = Permutation::identity(257);
     }
 }

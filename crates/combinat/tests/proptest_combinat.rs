@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn cover_has_one_string_per_weight(rank in 0u128..5040) {
         let p = Permutation::from_lex_rank(7, rank);
-        let cover = p.cover();
+        let cover: Vec<BitString> = p.cover();
         prop_assert_eq!(cover.len(), 8);
         for (t, s) in cover.iter().enumerate() {
             prop_assert_eq!(s.count_ones(), t);

@@ -122,15 +122,16 @@
 //!
 //! # Entry points
 //!
-//! * [`first_detections_multi_budgeted_packed_on`],
-//!   [`redundant_faults_multi_budgeted_on`] and
-//!   [`detection_matrix_from_source_budgeted_on`] — the typed, budgeted
-//!   forms: every precondition comes back as an
+//! * [`first_detections_multi_budgeted_packed_on`] — typed, budgeted
+//!   first detections: every precondition comes back as an
 //!   [`EngineError`], and a tripped budget degrades to an exact
-//!   [`Budgeted::Partial`];
-//! * [`detection_matrix_from_source_metered_on`] — the budgeted matrix on
-//!   a caller's [`BudgetMeter`], for runs whose stages share one budget
-//!   (the augmentation search);
+//!   [`Budgeted::Partial`] whose entries are per-fault exact;
+//! * [`detection_matrix_from_source_metered_on`] — the typed matrix on a
+//!   caller's [`BudgetMeter`]: `BudgetMeter::new(&budget)` and
+//!   [`BudgetMeter::finish`] make it a budgeted call, and runs whose
+//!   stages share one budget (the augmentation search) pass their own
+//!   meter.  Budgeted exhaustive redundancy is a stage of a coverage
+//!   grade ([`crate::coverage`]);
 //! * [`first_detections_multi_packed_on`], [`redundant_faults_multi_on`]
 //!   and [`detection_matrix_from_source_packed_on`] — the same three
 //!   operations unbudgeted and unchecked (they panic on bad inputs).  They
@@ -147,7 +148,7 @@
 //! Every entry point is generic over the lane width `W` (the `W = 1`
 //! instantiation reproduces the original single-word engine bit for bit)
 //! and, where it takes test vectors, over their
-//! [`TestVector`] packing `P`: `P = BitString` is the monomorphised
+//! [`ChannelPack`] packing `P`: `P = BitString` is the monomorphised
 //! `n ≤ 64` fast path, while `P = ChannelVec`
 //! (`sortnet_combinat::ChannelVec`) runs the identical sweep past the
 //! 64-line wall.  The lane dimension of [`WideBlock`] is line-indexed —
@@ -155,6 +156,7 @@
 //! pack/extract boundary and the packability guard depend on `P` (see the
 //! *ChannelWords* section of [`sortnet_network::lanes`]).
 
+use sortnet_combinat::ChannelPack;
 use sortnet_network::bitparallel;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
@@ -162,7 +164,7 @@ use sortnet_network::lanes::{self, Backend, BlockSource, RangeSource, SliceSourc
 use sortnet_network::Network;
 
 use crate::model::{Fault, FaultKind};
-use crate::universe::{Lesion, MultiFault, TestVector};
+use crate::universe::{Lesion, MultiFault};
 
 /// Applies the faulty version of comparator `fault.comparator` to a block:
 /// the lane-level counterpart of one faulty step of the scalar simulator
@@ -906,7 +908,7 @@ impl<'a> EarlyExit<'a> {
 ///
 /// # Panics
 /// Panics if the source's line count mismatches the network.
-fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
+fn matrix_driver<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     network: &Network,
     backend: Backend,
     faults: &[MultiFault],
@@ -946,7 +948,7 @@ fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
             break;
         }
         let offset = vectors.len();
-        vectors.extend((0..block.count()).map(|j| block.extract_packed::<P>(j)));
+        block.extract_all(&mut vectors);
         for (row, masks) in rows.iter_mut().zip(&scratch) {
             append_mask_bits(row, offset, masks, count);
         }
@@ -971,7 +973,7 @@ fn matrix_driver<const W: usize, P: TestVector, S: BlockSource<W>>(
 /// coverage grade (`crate::coverage`) spans its first-detection and
 /// redundancy phases with one shared meter, and the budget bounds the
 /// whole grade rather than each phase.
-pub(crate) fn first_detections_metered<const W: usize, P: TestVector>(
+pub(crate) fn first_detections_metered<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -1051,7 +1053,7 @@ where
 /// Panics if a fault does not fit the network or a test's length
 /// mismatches the network.
 #[must_use]
-pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
+pub fn first_detections_multi_packed_on<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -1085,7 +1087,7 @@ pub fn first_detections_multi_packed_on<const W: usize, P: TestVector>(
 /// Panics if a fault does not fit the network or a swept test's length
 /// mismatches the network.
 #[must_use]
-pub fn first_detections_of_lists<const W: usize, P: TestVector>(
+pub fn first_detections_of_lists<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     lists: &[&[P]],
@@ -1136,8 +1138,9 @@ pub fn first_detections_of_lists<const W: usize, P: TestVector>(
 /// (regression-pinned by the differential suite).
 ///
 /// This panicking spelling stays because the repository benchmark's
-/// adapter names it as the timed redundancy step of a grade.  The typed,
-/// budgeted form is [`redundant_faults_multi_budgeted_on`].
+/// adapter names it as the timed redundancy step of a grade.  Typed,
+/// budgeted redundancy is a stage of a coverage grade
+/// ([`crate::coverage::coverage_of_universe_budgeted_packed_with`]).
 ///
 /// # Panics
 /// Panics if a fault does not fit the network or `n ≥ 32` (an empty fault
@@ -1163,13 +1166,13 @@ pub fn redundant_faults_multi_on<const W: usize>(
 /// This panicking spelling stays because the repository benchmark's
 /// adapter names it as the timed candidate-matrix step of an
 /// augmentation.  The typed, budgeted form is
-/// [`detection_matrix_from_source_budgeted_on`].
+/// [`detection_matrix_from_source_metered_on`].
 ///
 /// # Panics
 /// Panics if a fault does not fit the network, the source's line count
 /// mismatches the network, or the vectors do not fit `P`.
 #[must_use]
-pub fn detection_matrix_from_source_packed_on<const W: usize, P: TestVector, S: BlockSource<W>>(
+pub fn detection_matrix_from_source_packed_on<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     network: &Network,
     faults: &[MultiFault],
     source: S,
@@ -1187,14 +1190,14 @@ pub fn detection_matrix_from_source_packed_on<const W: usize, P: TestVector, S: 
 /// Validates the shared preconditions of the faults × tests entry
 /// points: the network fits the packing `P` (single-word for
 /// [`BitString`](sortnet_combinat::BitString), the multi-word channel cap
-/// for `ChannelVec` — see [`TestVector::ensure_packable`]), every fault
+/// for `ChannelVec` — see [`error::ensure_packable`]), every fault
 /// fits the network and every test vector has the network's length.
-fn check_matrix_inputs<P: TestVector>(
+fn check_matrix_inputs<P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
 ) -> Result<(), EngineError> {
-    P::ensure_packable(network.lines())?;
+    error::ensure_packable::<P>(network.lines())?;
     for fault in faults {
         fault.check_in_range(network)?;
     }
@@ -1214,7 +1217,7 @@ fn check_matrix_inputs<P: TestVector>(
 /// [`EngineError::IndexOutOfRange`] for a fault that does not fit the
 /// network, [`EngineError::InputLengthMismatch`] for a test of the wrong
 /// length.
-pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: TestVector>(
+pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -1227,90 +1230,39 @@ pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: TestVector>(
     Ok(meter.finish(first))
 }
 
-/// [`redundant_faults_multi_on`] with typed validation and a
-/// [`SweepBudget`], metered at every block boundary and fork site.
-///
-/// Verdicts are three-valued while the budget may trip: `Some(false)` is
-/// a witnessed detection (the fault is *not* redundant), `Some(true)` is
-/// issued only when the meter never tripped, and `None` in a
-/// [`Budgeted::Partial`] means the fault survived the committed prefix
-/// but later inputs were never tried.  A [`Budgeted::Complete`] outcome
-/// never contains `None`.
-///
-/// # Errors
-/// [`EngineError::SweepTooLarge`] for `n ≥ 32` and
-/// [`EngineError::IndexOutOfRange`] for a fault that does not fit the
-/// network.  An empty fault slice never sweeps, so it is accepted for
-/// every `n`.
-pub fn redundant_faults_multi_budgeted_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<Vec<Option<bool>>>, EngineError> {
-    if !faults.is_empty() {
-        error::ensure_sweepable(network.lines())?;
-        for fault in faults {
-            fault.check_in_range(network)?;
-        }
-    }
-    let mut meter = BudgetMeter::new(budget);
-    let verdicts = redundant_faults_metered::<W>(network, faults, backend, &mut meter);
-    Ok(meter.finish(verdicts))
-}
-
-/// [`detection_matrix_from_source_packed_on`] with typed validation and a
-/// [`SweepBudget`], metered at every block boundary and fork site: the
-/// engine behind budgeted augmentation candidate sweeps, and (over a
-/// [`SliceSource`]) the budgeted matrix of an explicit test list.
+/// [`detection_matrix_from_source_packed_on`] with typed validation, on
+/// a caller's [`BudgetMeter`] metered at every block boundary and fork
+/// site: the engine behind budgeted augmentation candidate sweeps, and
+/// (over a [`SliceSource`]) the budgeted matrix of an explicit test list.
+/// A budgeted call passes `BudgetMeter::new(&budget)` and hands the
+/// result to [`BudgetMeter::finish`]; the augmentation search grades,
+/// sweeps candidates and searches a cover on one meter.
 ///
 /// A block's columns and its echoed vectors commit together, only after
 /// the block sweeps to completion within budget.  On a trip (block
 /// budget, fork budget, deadline or cancellation) the in-flight block is
-/// discarded, so the [`Budgeted::Partial`] carries a matrix and vector
-/// list truncated to the same whole-block prefix: bit-identical to the
+/// discarded, so the matrix and vector list are truncated to the same
+/// whole-block prefix ([`BudgetMeter::tripped`]): bit-identical to the
 /// unbudgeted sweep restricted to its first `test_count` vectors.
 ///
 /// # Errors
-/// [`EngineError::OversizedNetwork`] when the network does not fit `P`
-/// (checked before any block is pulled from the source),
+/// Before any block is pulled from the source:
+/// [`EngineError::OversizedNetwork`] when the network does not fit `P`,
 /// [`EngineError::ChannelMismatch`] when the source's line count differs
 /// from the network's, and [`EngineError::IndexOutOfRange`] for a fault
 /// that does not fit the network.
-pub fn detection_matrix_from_source_budgeted_on<
+pub fn detection_matrix_from_source_metered_on<
     const W: usize,
-    P: TestVector,
+    P: ChannelPack,
     S: BlockSource<W>,
 >(
     network: &Network,
     faults: &[MultiFault],
     source: S,
     backend: Backend,
-    budget: &SweepBudget,
-) -> Result<Budgeted<(DetectionMatrix, Vec<P>)>, EngineError> {
-    let mut meter = BudgetMeter::new(budget);
-    let swept =
-        detection_matrix_from_source_metered_on(network, faults, source, backend, &mut meter)?;
-    Ok(meter.finish(swept))
-}
-
-/// [`detection_matrix_from_source_budgeted_on`] on a caller's meter, so
-/// the matrix can be one stage of a longer run under one budget (the
-/// augmentation search grades, sweeps candidates and searches a cover on
-/// one meter).  The matrix and vectors are a whole-block prefix exactly
-/// when the meter trips ([`BudgetMeter::tripped`]).
-///
-/// # Errors
-/// As [`detection_matrix_from_source_budgeted_on`], before any block is
-/// pulled from the source.
-pub fn detection_matrix_from_source_metered_on<const W: usize, P: TestVector, S: BlockSource<W>>(
-    network: &Network,
-    faults: &[MultiFault],
-    source: S,
-    backend: Backend,
     meter: &mut BudgetMeter,
 ) -> Result<(DetectionMatrix, Vec<P>), EngineError> {
-    P::ensure_packable(network.lines())?;
+    error::ensure_packable::<P>(network.lines())?;
     error::ensure_same_lines(network.lines(), source.lines())?;
     for fault in faults {
         fault.check_in_range(network)?;
@@ -1381,7 +1333,7 @@ mod tests {
 
     /// The matrix of an explicit test list: the matrix driver over a
     /// [`SliceSource`], the same on every runnable backend.
-    fn matrix<const W: usize, P: TestVector>(
+    fn matrix<const W: usize, P: ChannelPack>(
         net: &Network,
         faults: &[MultiFault],
         tests: &[P],
@@ -1404,6 +1356,33 @@ mod tests {
         })
     }
 
+    /// The typed matrix of `source` under `budget`: the metered sweep on
+    /// a fresh meter, finished into a `Budgeted`.
+    fn matrix_budgeted<const W: usize, P: ChannelPack, S: BlockSource<W>>(
+        network: &Network,
+        faults: &[MultiFault],
+        source: S,
+        backend: Backend,
+        budget: &SweepBudget,
+    ) -> Result<Budgeted<(DetectionMatrix, Vec<P>)>, EngineError> {
+        let mut meter = BudgetMeter::new(budget);
+        let swept =
+            detection_matrix_from_source_metered_on(network, faults, source, backend, &mut meter)?;
+        Ok(meter.finish(swept))
+    }
+
+    /// Exhaustive redundancy verdicts under `budget`: the metered driver
+    /// a coverage grade runs, on a fresh meter.
+    fn redundancy_budgeted<const W: usize>(
+        network: &Network,
+        faults: &[MultiFault],
+        backend: Backend,
+        budget: &SweepBudget,
+    ) -> Budgeted<Vec<Option<bool>>> {
+        let mut meter = BudgetMeter::new(budget);
+        let verdicts = redundant_faults_metered::<W>(network, faults, backend, &mut meter);
+        meter.finish(verdicts)
+    }
     #[test]
     fn faulty_run_block_matches_scalar_simulation_exhaustively() {
         let net = odd_even_merge_sort(6);
@@ -1414,7 +1393,7 @@ mod tests {
                 multi_faulty_run_block(&net, &fault, &mut block, backend);
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
-                        block.extract(j as u32),
+                        block.extract::<BitString>(j as u32),
                         multi_faulty_apply(&net, &fault, input),
                         "fault {fault} input {input} backend {}",
                         backend.name()
@@ -1434,7 +1413,7 @@ mod tests {
                 multi_faulty_run_block(&net, &fault, &mut wide, backend);
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
-                        wide.extract(j as u32),
+                        wide.extract::<BitString>(j as u32),
                         multi_faulty_apply(&net, &fault, input),
                         "fault {fault} input {input} backend {}",
                         backend.name()
@@ -1558,10 +1537,13 @@ mod tests {
             multi_faulty_run_block(&net, &fault, &mut block, backend);
             for (j, input) in inputs[..32].iter().enumerate() {
                 assert_eq!(
-                    block.extract(j as u32),
+                    block.extract::<BitString>(j as u32),
                     multi_faulty_apply(&net, &fault, input)
                 );
-                assert_eq!(block.extract(j as u32), skipped.apply_bits(input));
+                assert_eq!(
+                    block.extract::<BitString>(j as u32),
+                    skipped.apply_bits(input)
+                );
             }
         }
     }
@@ -1606,13 +1588,9 @@ mod tests {
             redundant_faults_multi_on::<4>(&net, &[], Backend::Scalar),
             Vec::<bool>::new()
         );
-        let budgeted = redundant_faults_multi_budgeted_on::<4>(
-            &net,
-            &[],
-            Backend::Scalar,
-            &SweepBudget::unlimited(),
-        );
-        assert_eq!(budgeted.unwrap(), Budgeted::Complete(Vec::new()));
+        let budgeted =
+            redundancy_budgeted::<4>(&net, &[], Backend::Scalar, &SweepBudget::unlimited());
+        assert_eq!(budgeted, Budgeted::Complete(Vec::new()));
     }
 
     #[test]
@@ -1682,7 +1660,7 @@ mod tests {
                 multi_faulty_run_block(&net, &mf, &mut block, backend);
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
-                        block.extract(j as u32),
+                        block.extract::<BitString>(j as u32),
                         multi_faulty_apply(&net, &mf, input),
                         "universe {} fault {mf} input {input} backend {}",
                         universe.name(),
@@ -1717,7 +1695,7 @@ mod tests {
                     multi_faulty_run_block(&net, &mf, &mut block, backend);
                     for (j, input) in inputs.iter().enumerate() {
                         assert_eq!(
-                            block.extract(j as u32),
+                            block.extract::<BitString>(j as u32),
                             multi_faulty_apply(&net, &mf, input),
                             "n={n} fault {mf} input {input} backend {}",
                             backend.name()
@@ -1886,7 +1864,7 @@ mod tests {
             EngineError::IndexOutOfRange { .. }
         ));
         assert!(matches!(
-            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+            matrix_budgeted::<1, BitString, _>(
                 &net,
                 &[rogue],
                 SliceSource::new(5, &tests),
@@ -1896,30 +1874,6 @@ mod tests {
             .unwrap_err(),
             EngineError::IndexOutOfRange { .. }
         ));
-        assert!(matches!(
-            redundant_faults_multi_budgeted_on::<1>(&net, &[rogue], Backend::Scalar, &unlimited)
-                .unwrap_err(),
-            EngineError::IndexOutOfRange { .. }
-        ));
-        // The exhaustive bound is typed, and the empty-slice escape hatch
-        // of the unchecked path survives.
-        let huge = odd_even_merge_sort(32);
-        let huge_faults = single_faults(&huge);
-        assert_eq!(
-            redundant_faults_multi_budgeted_on::<2>(
-                &huge,
-                &huge_faults[..1],
-                Backend::Scalar,
-                &unlimited
-            )
-            .unwrap_err(),
-            EngineError::SweepTooLarge { lines: 32 }
-        );
-        assert_eq!(
-            redundant_faults_multi_budgeted_on::<2>(&huge, &[], Backend::Scalar, &unlimited)
-                .unwrap(),
-            Budgeted::Complete(Vec::new())
-        );
         // Valid inputs reproduce the unchecked entry points.
         assert_eq!(
             first_detections_multi_budgeted_packed_on::<2, BitString>(
@@ -1934,13 +1888,12 @@ mod tests {
         );
         let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::Portable);
         assert_eq!(
-            redundant_faults_multi_budgeted_on::<2>(&net, &multi, Backend::Scalar, &unlimited)
-                .unwrap(),
+            redundancy_budgeted::<2>(&net, &multi, Backend::Scalar, &unlimited),
             Budgeted::Complete(full.into_iter().map(Some).collect())
         );
         // Streamed matrices validate the source's line count.
         assert!(matches!(
-            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+            matrix_budgeted::<1, BitString, _>(
                 &net,
                 &multi,
                 RangeSource::exhaustive(6),
@@ -1953,7 +1906,7 @@ mod tests {
                 actual: 6
             }
         ));
-        let (streamed, candidates) = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+        let (streamed, candidates) = matrix_budgeted::<1, BitString, _>(
             &net,
             &multi,
             RangeSource::exhaustive(5),
@@ -1979,7 +1932,7 @@ mod tests {
         let net = odd_even_merge_sort(n);
         let faults: Vec<MultiFault> = StuckLine.iter(&net).take(4).collect();
         let sorted: Vec<ChannelVec> = (0..=n).map(|k| ChannelVec::sorted_of(n - k, k)).collect();
-        let refused = detection_matrix_from_source_budgeted_on::<4, BitString, _>(
+        let refused = matrix_budgeted::<4, BitString, _>(
             &net,
             &faults,
             IterSource::new(n, sorted.clone()),
@@ -1992,7 +1945,7 @@ mod tests {
             "{refused:?}"
         );
         // The same sweep echoing `ChannelVec`s runs.
-        let (matrix, echoed) = detection_matrix_from_source_budgeted_on::<4, ChannelVec, _>(
+        let (matrix, echoed) = matrix_budgeted::<4, ChannelVec, _>(
             &net,
             &faults,
             IterSource::new(n, sorted.clone()),
@@ -2012,7 +1965,7 @@ mod tests {
         let multi = single_faults(&net);
         let tests: Vec<BitString> = BitString::all(7).collect(); // 128 = two W=1 blocks
         let budgeted = |budget: &SweepBudget| {
-            detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+            matrix_budgeted::<1, BitString, _>(
                 &net,
                 &multi,
                 SliceSource::new(7, &tests),
@@ -2049,7 +2002,7 @@ mod tests {
         let multi = single_faults(&net);
         assert!(multi.len() > 3);
         let tests: Vec<BitString> = BitString::all(6).collect();
-        let out = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+        let out = matrix_budgeted::<1, BitString, _>(
             &net,
             &multi,
             SliceSource::new(6, &tests),
@@ -2105,37 +2058,30 @@ mod tests {
         let net = odd_even_merge_sort(6);
         let multi = single_faults(&net);
         let full = redundant_faults_multi_on::<1>(&net, &multi, Backend::Scalar);
-        let complete = redundant_faults_multi_budgeted_on::<1>(
-            &net,
-            &multi,
-            Backend::Scalar,
-            &SweepBudget::unlimited(),
-        )
-        .unwrap();
+        let complete =
+            redundancy_budgeted::<1>(&net, &multi, Backend::Scalar, &SweepBudget::unlimited());
         assert!(complete.is_complete());
         assert_eq!(
             complete.into_value(),
             full.iter().map(|&b| Some(b)).collect::<Vec<_>>()
         );
         // A zero-block budget decides nothing: all verdicts stay open.
-        let starved = redundant_faults_multi_budgeted_on::<1>(
+        let starved = redundancy_budgeted::<1>(
             &net,
             &multi,
             Backend::Scalar,
             &SweepBudget::unlimited().with_max_blocks(0),
-        )
-        .unwrap();
+        );
         assert!(!starved.is_complete());
         assert!(starved.value().iter().all(Option::is_none));
         // A one-block budget may only issue witnessed (false) verdicts,
         // and each must agree with the full sweep.
-        let partial = redundant_faults_multi_budgeted_on::<1>(
+        let partial = redundancy_budgeted::<1>(
             &net,
             &multi,
             Backend::Scalar,
             &SweepBudget::unlimited().with_max_blocks(1),
-        )
-        .unwrap();
+        );
         for (verdict, &expected) in partial.value().iter().zip(&full) {
             if let Some(v) = verdict {
                 assert!(partial.is_complete() || !*v);
@@ -2181,7 +2127,7 @@ mod tests {
             }
         }
         assert_eq!(
-            detection_matrix_from_source_budgeted_on::<1, ChannelVec, _>(
+            matrix_budgeted::<1, ChannelVec, _>(
                 &net,
                 &faults,
                 SliceSource::new(n, &tests),
@@ -2217,7 +2163,7 @@ mod tests {
             IterSource::new(7, tests.clone()),
             Backend::Scalar,
         );
-        let complete = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+        let complete = matrix_budgeted::<1, BitString, _>(
             &net,
             &multi,
             IterSource::new(7, tests.clone()),
@@ -2226,7 +2172,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(complete, Budgeted::Complete((full.clone(), all)));
-        let partial = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+        let partial = matrix_budgeted::<1, BitString, _>(
             &net,
             &multi,
             IterSource::new(7, tests.clone()),
@@ -2263,7 +2209,7 @@ mod tests {
         // no candidates, no columns from any block.
         let token = CancelToken::new();
         token.cancel();
-        let out = detection_matrix_from_source_budgeted_on::<1, BitString, _>(
+        let out = matrix_budgeted::<1, BitString, _>(
             &net,
             &multi,
             IterSource::new(6, tests),
@@ -2399,9 +2345,7 @@ mod tests {
                 let label = format!("{} W={W} {}", universe.name(), backend.name());
                 let wide = redundant_faults_multi_on::<W>(&net, &faults, backend);
                 assert_eq!(wide, scalar, "unbudgeted: {label}");
-                let narrow =
-                    redundant_faults_multi_budgeted_on::<W>(&net, &faults, backend, &capped)
-                        .unwrap();
+                let narrow = redundancy_budgeted::<W>(&net, &faults, backend, &capped);
                 assert!(narrow.is_complete(), "capped: {label}");
                 let expected: Vec<Option<bool>> = scalar.iter().map(|&r| Some(r)).collect();
                 assert_eq!(narrow.into_value(), expected, "capped: {label}");
@@ -2756,7 +2700,7 @@ mod tests {
                     (expected, out) => panic!("{label}: expected {expected:?}, got {out:?}"),
                 }
                 // The matrix admits every fault in every block.
-                let matrix = detection_matrix_from_source_budgeted_on::<W, BitString, _>(
+                let matrix = matrix_budgeted::<W, BitString, _>(
                     net,
                     faults,
                     SliceSource::new(net.lines(), tests),

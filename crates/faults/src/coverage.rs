@@ -22,11 +22,12 @@
 //! * [`try_coverage_of_universe_packed_with`] — the same grade unbudgeted,
 //!   on [`Backend::active`].
 //!
-//! Both are generic over the [`TestVector`] packing of the tests:
+//! Both are generic over the [`ChannelPack`] packing of the tests:
 //! `BitString` for `n ≤ 64`, `ChannelVec` past the 64-line wall.
 
 use serde::{Deserialize, Serialize};
 
+use sortnet_combinat::ChannelPack;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{
@@ -37,7 +38,7 @@ use sortnet_network::Network;
 use crate::bitsim::{first_detections_metered, redundant_faults_metered, redundant_over_metered};
 use crate::universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_first_detection_index,
-    FaultUniverse, MultiFault, TestVector,
+    FaultUniverse, MultiFault,
 };
 
 /// Which simulation engine evaluates the fault universe.
@@ -245,7 +246,7 @@ impl CoverageReport {
 /// selected (callers admit the mode first with
 /// [`RedundancyMode::ensure_admissible`]).
 #[must_use]
-pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
+pub fn redundancy_verdicts_on<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     missed: impl Fn(usize) -> bool,
@@ -285,7 +286,7 @@ pub fn redundancy_verdicts_on<const W: usize, P: TestVector>(
 /// [`redundancy_verdicts_on`] over exactly the faults the whole sequence
 /// missed.  Undecided faults keep `first = None, redundant = false` and
 /// therefore fold into `missed` — the conservative reading.
-fn bitparallel_results_metered<const W: usize, P: TestVector>(
+fn bitparallel_results_metered<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -408,13 +409,13 @@ pub fn summarise_verdicts(
 ///
 /// # Errors
 /// As listed above.
-pub fn check_coverage_inputs<P: TestVector>(
+pub fn check_coverage_inputs<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
     mode: RedundancyMode,
 ) -> Result<Vec<MultiFault>, EngineError> {
-    P::ensure_packable(network.lines())?;
+    error::ensure_packable::<P>(network.lines())?;
     check_test_lengths(network, tests)?;
     let len = universe.try_len(network)?;
     if len == 0 {
@@ -440,7 +441,7 @@ pub fn check_coverage_inputs<P: TestVector>(
 /// # Errors
 /// [`EngineError::InputLengthMismatch`] for the first test of the wrong
 /// length.
-pub fn check_test_lengths<P: TestVector>(
+pub fn check_test_lengths<P: ChannelPack>(
     network: &Network,
     tests: &[P],
 ) -> Result<(), EngineError> {
@@ -457,13 +458,13 @@ pub fn check_test_lengths<P: TestVector>(
 /// its [`FamilySource`] only as far as the scalar scans have reached: a
 /// fault detected early pulls one block, and no scan waits for the whole
 /// family.
-struct DrainedFamily<P: TestVector> {
+struct DrainedFamily<P: ChannelPack> {
     source: FamilySource<P>,
     block: WideBlock<DEFAULT_WIDTH>,
     vectors: Vec<P>,
 }
 
-impl<P: TestVector> DrainedFamily<P> {
+impl<P: ChannelPack> DrainedFamily<P> {
     fn new(family: PackedFamily, n: usize) -> Self {
         Self {
             source: FamilySource::new(family, n),
@@ -485,9 +486,7 @@ impl<P: TestVector> DrainedFamily<P> {
             if !self.source.next_block(&mut self.block) {
                 return true;
             }
-            let block = &self.block;
-            self.vectors
-                .extend((0..block.count()).map(|j| block.extract_packed(j)));
+            self.block.extract_all(&mut self.vectors);
         }
     }
 }
@@ -499,7 +498,7 @@ impl<P: TestVector> DrainedFamily<P> {
 /// relative).  The first refused block stops the grade, so the decided
 /// faults are a prefix in enumeration order; the rest keep `first = None,
 /// redundant = false` and therefore fold into `missed`.
-fn scalar_results_metered<P: TestVector>(
+fn scalar_results_metered<P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -561,7 +560,7 @@ fn scalar_results_metered<P: TestVector>(
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn coverage_of_universe_budgeted_packed_with<P: TestVector>(
+pub fn coverage_of_universe_budgeted_packed_with<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -585,7 +584,7 @@ pub fn coverage_of_universe_budgeted_packed_with<P: TestVector>(
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn coverage_of_universe_metered<P: TestVector>(
+pub fn coverage_of_universe_metered<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -620,7 +619,7 @@ pub fn coverage_of_universe_metered<P: TestVector>(
 ///
 /// # Errors
 /// Every refusal of [`check_coverage_inputs`], before any sweep runs.
-pub fn try_coverage_of_universe_packed_with<P: TestVector>(
+pub fn try_coverage_of_universe_packed_with<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
     tests: &[P],
@@ -651,7 +650,7 @@ mod tests {
 
     /// The unbudgeted grade, unwrapped: the same report on every runnable
     /// backend (the scalar engine runs on none).
-    fn grade<P: TestVector>(
+    fn grade<P: ChannelPack>(
         net: &Network,
         universe: &dyn FaultUniverse,
         tests: &[P],

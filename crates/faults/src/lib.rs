@@ -53,10 +53,10 @@ pub mod simulate;
 pub mod universe;
 
 pub use bitsim::{
-    detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
+    detection_matrix_from_source_metered_on, detection_matrix_from_source_packed_on,
     first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
     first_detections_of_lists, is_fault_redundant_wide, multi_faulty_run_block,
-    redundant_faults_multi_budgeted_on, redundant_faults_multi_on, DetectionMatrix,
+    redundant_faults_multi_on, DetectionMatrix,
 };
 pub use coverage::{
     coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with,
@@ -67,7 +67,7 @@ pub use simulate::apply_fault;
 pub use universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_detects, multi_faulty_apply,
     multi_first_detection_index, FaultPairs, FaultUniverse, Lesion, MultiFault, SingleComparator,
-    StandardUniverse, StuckAt, StuckLine, TestVector,
+    StandardUniverse, StuckAt, StuckLine,
 };
 
 // The budget/cancellation/error vocabulary lives in `sortnet-network`;

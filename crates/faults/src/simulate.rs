@@ -105,7 +105,7 @@ mod tests {
     use sortnet_network::properties::is_sorter;
 
     /// The scalar simulator's output for a single-comparator fault.
-    fn faulty<P: crate::universe::TestVector>(net: &Network, fault: &Fault, input: &P) -> P {
+    fn faulty<P: sortnet_combinat::ChannelPack>(net: &Network, fault: &Fault, input: &P) -> P {
         multi_faulty_apply(net, &MultiFault::from(*fault), input)
     }
 

@@ -66,7 +66,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use sortnet_combinat::{channel_words, BitString, ChannelPack, ChannelVec};
+use sortnet_combinat::{channel_words, BitString, ChannelPack};
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::Network;
 
@@ -355,33 +355,6 @@ fn run_lesion_timeline(network: &Network, lesions: &[Lesion], w: &mut [u64]) {
     }
 }
 
-/// A packed test vector the scalar fault simulator can evaluate: a
-/// [`ChannelPack`] with its packing's own size guard.  `BitString` is the
-/// one-channel-word case, with the 64-line wall (and its pinned
-/// `"n <= 64"` text); `ChannelVec` runs to the
-/// [`MAX_CHANNEL_LINES`](sortnet_network::error::MAX_CHANNEL_LINES) cap.
-pub trait TestVector: ChannelPack {
-    /// The packing's size guard for an `lines`-line network.
-    ///
-    /// # Errors
-    /// [`EngineError::OversizedNetwork`] past the packing's cap.
-    fn ensure_packable(lines: usize) -> Result<(), EngineError>;
-}
-
-impl TestVector for BitString {
-    #[inline]
-    fn ensure_packable(lines: usize) -> Result<(), EngineError> {
-        error::ensure_word_packable(lines)
-    }
-}
-
-impl TestVector for ChannelVec {
-    #[inline]
-    fn ensure_packable(lines: usize) -> Result<(), EngineError> {
-        error::ensure_channel_packable(lines, channel_words(lines))
-    }
-}
-
 /// Scalar faulty evaluation of a fault of any universe on one test
 /// vector: the reference every bit-parallel engine is checked against.
 /// A single-comparator [`Fault`] is evaluated as `MultiFault::from(fault)`.
@@ -389,14 +362,14 @@ impl TestVector for ChannelVec {
 /// # Panics
 /// Panics, in this order, if a lesion does not fit the network
 /// ([`EngineError::IndexOutOfRange`]), the network is past the packing's
-/// cap ([`TestVector::ensure_packable`]: `n <= 64` for `BitString`,
-/// checked before the length so an oversized network is refused for what
-/// it is), or the input length differs from the network's.
+/// cap ([`error::ensure_packable`]: `n <= 64` for `BitString`, checked
+/// before the length so an oversized network is refused for what it is),
+/// or the input length differs from the network's.
 #[must_use]
-pub fn multi_faulty_apply<P: TestVector>(network: &Network, fault: &MultiFault, input: &P) -> P {
+pub fn multi_faulty_apply<P: ChannelPack>(network: &Network, fault: &MultiFault, input: &P) -> P {
     fault.assert_in_range(network);
     let n = network.lines();
-    if let Err(e) = P::ensure_packable(n) {
+    if let Err(e) = error::ensure_packable::<P>(n) {
         panic!("{e}");
     }
     if input.len() != n {
@@ -417,7 +390,7 @@ pub fn multi_faulty_apply<P: TestVector>(network: &Network, fault: &MultiFault, 
 /// # Panics
 /// As [`multi_faulty_apply`].
 #[must_use]
-pub fn multi_detects<P: TestVector>(network: &Network, fault: &MultiFault, input: &P) -> bool {
+pub fn multi_detects<P: ChannelPack>(network: &Network, fault: &MultiFault, input: &P) -> bool {
     !multi_faulty_apply(network, fault, input).is_sorted()
 }
 
@@ -427,7 +400,7 @@ pub fn multi_detects<P: TestVector>(network: &Network, fault: &MultiFault, input
 /// # Panics
 /// As [`multi_faulty_apply`], for any test scanned.
 #[must_use]
-pub fn multi_first_detection_index<P: TestVector>(
+pub fn multi_first_detection_index<P: ChannelPack>(
     network: &Network,
     fault: &MultiFault,
     tests: &[P],
@@ -468,7 +441,7 @@ pub fn is_multi_fault_redundant(network: &Network, fault: &MultiFault) -> bool {
 /// # Panics
 /// As [`multi_faulty_apply`], for any family member scanned.
 #[must_use]
-pub fn is_multi_fault_redundant_relative<P: TestVector>(
+pub fn is_multi_fault_redundant_relative<P: ChannelPack>(
     network: &Network,
     fault: &MultiFault,
     family: &[P],

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use sortnet_combinat::{BitString, ChannelVec};
 use sortnet_faults::bitsim::{
-    detection_matrix_from_source_budgeted_on, detection_matrix_from_source_packed_on,
+    detection_matrix_from_source_metered_on, detection_matrix_from_source_packed_on,
     first_detections_multi_budgeted_packed_on,
 };
 use sortnet_faults::coverage::{
@@ -20,7 +20,7 @@ use sortnet_faults::coverage::{
 };
 use sortnet_faults::universe::{FaultUniverse, MultiFault, StandardUniverse};
 use sortnet_faults::{
-    BudgetReason, Budgeted, CancelToken, DetectionMatrix, EngineError, SweepBudget,
+    BudgetMeter, BudgetReason, Budgeted, CancelToken, DetectionMatrix, EngineError, SweepBudget,
 };
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily, SliceSource};
@@ -46,10 +46,11 @@ fn matrix_budgeted_on<const W: usize>(
     budget: &SweepBudget,
 ) -> Result<Budgeted<DetectionMatrix>, EngineError> {
     let source = SliceSource::new(net.lines(), tests);
-    detection_matrix_from_source_budgeted_on::<W, BitString, _>(
-        net, faults, source, backend, budget,
-    )
-    .map(|swept| swept.map(|(matrix, _)| matrix))
+    let mut meter = BudgetMeter::new(budget);
+    let (matrix, _) = detection_matrix_from_source_metered_on::<W, BitString, _>(
+        net, faults, source, backend, &mut meter,
+    )?;
+    Ok(meter.finish(matrix))
 }
 
 fn all_inputs(n: usize) -> Vec<BitString> {

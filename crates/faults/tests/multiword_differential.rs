@@ -30,8 +30,7 @@ use sortnet_faults::coverage::{
     FaultSimEngine, RedundancyMode,
 };
 use sortnet_faults::universe::{
-    multi_detects, multi_faulty_apply, FaultUniverse, Lesion, MultiFault, StandardUniverse,
-    StuckAt, TestVector,
+    multi_detects, multi_faulty_apply, FaultUniverse, Lesion, MultiFault, StandardUniverse, StuckAt,
 };
 use sortnet_faults::SweepBudget;
 use sortnet_faults::{Fault, FaultKind};
@@ -39,7 +38,7 @@ use sortnet_network::lanes::{Backend, IterSource, LaneWidth, SliceSource};
 use sortnet_network::Network;
 
 /// The slice-at-once matrix of an explicit test list on `backend`.
-fn matrix_on<const W: usize, P: TestVector>(
+fn matrix_on<const W: usize, P: ChannelPack>(
     net: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -182,7 +181,7 @@ fn multiword_matrices_match_the_byte_reference_on_every_backend_and_width() {
                     }
                 }
             }
-            // The scalar TestVector oracle agrees with the byte reference
+            // The scalar `ChannelPack` oracle agrees with the byte reference
             // (so the channel simulator itself is pinned too).
             for (f, fault) in faults.iter().enumerate().step_by(17) {
                 for (t, test) in tests.iter().enumerate() {

@@ -91,7 +91,7 @@ proptest! {
         multi_faulty_run_block(&net, &lesioned, &mut block, backend);
         for (j, input) in tests.iter().enumerate() {
             let scalar = multi_faulty_apply(&net, &lesioned, input);
-            prop_assert_eq!(block.extract(j as u32), scalar, "fault {:?} input {} backend {}", fault, input, backend.name());
+            prop_assert_eq!(block.extract::<BitString>(j as u32), scalar, "fault {:?} input {} backend {}", fault, input, backend.name());
             if let Some(faulty_net) = &materialised {
                 prop_assert_eq!(scalar, faulty_net.apply_bits(input), "fault {:?} input {}", fault, input);
             }

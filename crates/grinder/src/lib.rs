@@ -42,14 +42,12 @@ use std::fmt;
 
 use rand::prelude::*;
 
-use sortnet_combinat::{BitString, ChannelVec};
-use sortnet_faults::bitsim::{detection_matrix_from_source_budgeted_on, DetectionMatrix};
+use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
+use sortnet_faults::bitsim::{detection_matrix_from_source_metered_on, DetectionMatrix};
 use sortnet_faults::coverage::{
     coverage_of_universe_budgeted_packed_with, FaultSimEngine, RedundancyMode,
 };
-use sortnet_faults::universe::{
-    multi_detects, FaultUniverse, MultiFault, StandardUniverse, TestVector,
-};
+use sortnet_faults::universe::{multi_detects, FaultUniverse, MultiFault, StandardUniverse};
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::EngineError;
@@ -160,7 +158,7 @@ impl fmt::Display for Mismatch {
 /// Scalar-oracle cross-check of the bit-parallel matrices over an explicit
 /// fault list.  Returns a description of the first disagreement, `None`
 /// when every engine agrees.
-fn check_faults<P: TestVector + fmt::Display>(
+fn check_faults<P: ChannelPack + fmt::Display>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
@@ -215,21 +213,18 @@ fn check_faults<P: TestVector + fmt::Display>(
 
 /// The faults × tests matrix of an explicit test list: the typed matrix
 /// sweep over the slice, under an unlimited budget.
-fn typed_matrix<const W: usize, P: TestVector>(
+fn typed_matrix<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     tests: &[P],
     backend: Backend,
 ) -> Result<DetectionMatrix, EngineError> {
     let source = SliceSource::new(network.lines(), tests);
-    detection_matrix_from_source_budgeted_on::<W, P, _>(
-        network,
-        faults,
-        source,
-        backend,
-        &SweepBudget::unlimited(),
-    )
-    .map(|swept| swept.into_value().0)
+    let mut meter = BudgetMeter::unlimited();
+    let (matrix, _) = detection_matrix_from_source_metered_on::<W, P, _>(
+        network, faults, source, backend, &mut meter,
+    )?;
+    Ok(matrix)
 }
 
 /// The lane-ops backend of case `index`: the runnable backends in turn.
@@ -242,7 +237,7 @@ fn case_backend(index: u64) -> Backend {
 /// scalar-vs-bit-parallel coverage reports on the case's `backend`
 /// (skipped under corruption — the planted flip lives in the matrix
 /// comparison only).
-fn check_case<P: TestVector + fmt::Display>(
+fn check_case<P: ChannelPack + fmt::Display>(
     network: &Network,
     universe: StandardUniverse,
     tests: &[P],
@@ -311,7 +306,7 @@ fn shrink_list<T: Clone>(
 /// Shrinks a failing case to a minimal-ish reproducer: comparators first
 /// (the fault universe follows the network automatically), then the fault
 /// list, then the test list.
-fn shrink<P: TestVector + fmt::Display>(
+fn shrink<P: ChannelPack + fmt::Display>(
     seed: u64,
     case_index: u64,
     universe: StandardUniverse,
@@ -498,12 +493,12 @@ fn check_verify_case(network: &Network, truth: bool, backend: Backend) -> Option
         }
     }
     // The packed-family leg: the required strings of the property,
-    // assembled straight into the multi-word packing.  Test-set
+    // built straight into the multi-word packing.  Test-set
     // sufficiency (Theorem 2.2) makes this check exact, so it must
     // reproduce the exhaustive verdict too.
     let n = network.lines();
     let tests: Vec<ChannelVec> =
-        sortnet_testsets::criteria::required_strings_packed(Property::Sorter, n).collect();
+        sortnet_testsets::criteria::required_strings(Property::Sorter, n).collect();
     match try_spot_check_sorter_packed_on(network, &tests, backend) {
         Ok(outcome) => {
             let passed = outcome.witness.is_none();

@@ -286,7 +286,7 @@ mod tests {
             block.run_with(backend, &net);
             for (j, input) in inputs[..16].iter().enumerate() {
                 assert_eq!(
-                    block.extract(j as u32),
+                    block.extract::<BitString>(j as u32),
                     net.apply_bits(input),
                     "input {input} backend {}",
                     backend.name()

@@ -47,6 +47,8 @@
 
 use std::fmt;
 
+use sortnet_combinat::ChannelPack;
+
 /// A typed refusal from an engine entry point.
 ///
 /// Returned by every `try_*` variant in `sortnet-network`,
@@ -154,20 +156,6 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Guard: the network fits the word-packed engines (`n <= 64`).
-///
-/// The canonical spelling of the historical
-/// `"word-packed fault simulation needs n <= 64 lines"` assert — every
-/// engine that packs one line per bit of a `u64` funnels through here,
-/// so the error text is pinned in exactly one place.
-pub fn ensure_word_packable(lines: usize) -> Result<(), EngineError> {
-    if lines <= 64 {
-        Ok(())
-    } else {
-        Err(EngineError::OversizedNetwork { lines, max: 64 })
-    }
-}
-
 /// The inclusive line-count cap for the multi-word (channel-lane) engines.
 ///
 /// The multi-word representation has no hard 64-line wall — a vector's
@@ -175,29 +163,21 @@ pub fn ensure_word_packable(lines: usize) -> Result<(), EngineError> {
 /// to keep hostile inputs from allocating absurd lane tables.
 pub const MAX_CHANNEL_LINES: usize = 4096;
 
-/// Guard: the network fits the multi-word channel-lane engines
-/// (`n <= MAX_CHANNEL_LINES`), and — when the caller already packed its
-/// vectors — the supplied channel-word count matches `ceil(n/64)`.
+/// Guard: an `lines`-line network fits the vector packing `P`: at most
+/// `P::MAX_LINES` lines (64 for the one-word `BitString`, with its pinned
+/// `"n <= 64"` text) and at most [`MAX_CHANNEL_LINES`] for any packing.
+/// Every engine entry point that packs test vectors funnels through here,
+/// so each cap and its error live in one place.
 ///
-/// This is the `ChannelWords ≥ 1` generalisation of
-/// [`ensure_word_packable`]: entry points generic over the vector packing
-/// funnel through here, while the legacy `BitString`-typed entry points
-/// keep the historical 64-line guard (and its pinned `"n <= 64"` text).
-pub fn ensure_channel_packable(lines: usize, words: usize) -> Result<(), EngineError> {
-    if lines > MAX_CHANNEL_LINES {
-        return Err(EngineError::OversizedNetwork {
-            lines,
-            max: MAX_CHANNEL_LINES,
-        });
+/// # Errors
+/// [`EngineError::OversizedNetwork`] with the packing's cap as `max`.
+pub fn ensure_packable<P: ChannelPack>(lines: usize) -> Result<(), EngineError> {
+    let max = P::MAX_LINES.min(MAX_CHANNEL_LINES);
+    if lines <= max {
+        Ok(())
+    } else {
+        Err(EngineError::OversizedNetwork { lines, max })
     }
-    let expected = if lines == 0 { 1 } else { lines.div_ceil(64) };
-    if words != expected {
-        return Err(EngineError::InputLengthMismatch {
-            expected: expected * 64,
-            actual: words * 64,
-        });
-    }
-    Ok(())
 }
 
 /// Guard: an exhaustive `2^n` sweep over the network is admissible
@@ -222,6 +202,7 @@ pub fn ensure_same_lines(expected: usize, actual: usize) -> Result<(), EngineErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet_combinat::{BitString, ChannelVec};
 
     #[test]
     fn display_texts_pin_the_historical_substrings() {
@@ -259,9 +240,9 @@ mod tests {
 
     #[test]
     fn guards_accept_the_boundary_and_reject_past_it() {
-        assert!(ensure_word_packable(64).is_ok());
+        assert!(ensure_packable::<BitString>(64).is_ok());
         assert_eq!(
-            ensure_word_packable(65),
+            ensure_packable::<BitString>(65),
             Err(EngineError::OversizedNetwork { lines: 65, max: 64 })
         );
         assert!(ensure_sweepable(31).is_ok());
@@ -275,32 +256,19 @@ mod tests {
 
     #[test]
     fn channel_guard_admits_multi_word_networks_up_to_the_cap() {
-        // 65..=cap lines are exactly what the old word-packed guard refused.
-        assert!(ensure_channel_packable(64, 1).is_ok());
-        assert!(ensure_channel_packable(65, 2).is_ok());
-        assert!(ensure_channel_packable(128, 2).is_ok());
-        assert!(ensure_channel_packable(0, 1).is_ok());
+        // 65..=cap lines are exactly what the one-word packing refuses.
+        for lines in [0, 64, 65, 128] {
+            assert!(ensure_packable::<ChannelVec>(lines).is_ok());
+        }
         let cap = MAX_CHANNEL_LINES;
         assert_eq!(cap, 4096);
-        assert!(ensure_channel_packable(cap, cap.div_ceil(64)).is_ok());
+        assert!(ensure_packable::<ChannelVec>(cap).is_ok());
         assert_eq!(
-            ensure_channel_packable(cap + 1, (cap + 1).div_ceil(64)),
+            ensure_packable::<ChannelVec>(cap + 1),
             Err(EngineError::OversizedNetwork {
                 lines: cap + 1,
                 max: cap
             })
         );
-    }
-
-    #[test]
-    fn channel_guard_rejects_word_count_mismatches() {
-        assert_eq!(
-            ensure_channel_packable(65, 1),
-            Err(EngineError::InputLengthMismatch {
-                expected: 128,
-                actual: 64
-            })
-        );
-        assert!(ensure_channel_packable(200, 3).is_err());
     }
 }

@@ -34,9 +34,10 @@
 //!   constant; higher lanes are broadcasts of the block-start bit), so block
 //!   generation is O(`n·W`) words with no per-vector work;
 //! * [`IterSource`] — a block-filling adapter over any iterator of packed
-//!   vectors ([`BitString`], [`sortnet_combinat::ChannelVec`]).  Like
-//!   [`WideBlock::from_strings`], it packs 64 vectors at a time by a 64×64
-//!   bit-matrix transpose of each channel word, not bit by bit;
+//!   vectors ([`sortnet_combinat::BitString`],
+//!   [`sortnet_combinat::ChannelVec`]).  Like [`WideBlock::from_strings`],
+//!   it packs 64 vectors at a time by a 64×64 bit-matrix transpose of each
+//!   channel word, not bit by bit;
 //! * [`WordSource`] — the same transpose fed by an iterator of raw `u64`
 //!   words (`n ≤ 64`): the paper's test sets (unsorted strings, low-weight
 //!   strings, half-sorted merge inputs, permutation covers) are generated
@@ -61,8 +62,8 @@
 //! words** (`lanes[line][channel_word][W]` when viewed vector-side).  The
 //! historical 64-line wall lived entirely at the *boundaries* — filling
 //! blocks from, and extracting witnesses into, the one-word
-//! [`BitString`].  Those boundaries are now generic over
-//! [`ChannelPack`]: instantiated at [`BitString`] they monomorphise to
+//! [`sortnet_combinat::BitString`].  Those boundaries are generic over
+//! [`ChannelPack`]: instantiated at `BitString` they monomorphise to
 //! the exact single-word code the `n ≤ 64` benches have always measured,
 //! and instantiated at [`sortnet_combinat::ChannelVec`] they thread any
 //! `n` up to [`crate::error::MAX_CHANNEL_LINES`] through the identical
@@ -101,7 +102,7 @@
 
 use std::ops::ControlFlow;
 
-use sortnet_combinat::{BitString, ChannelPack};
+use sortnet_combinat::{channel_words, ChannelPack};
 
 use crate::budget::{BudgetMeter, SweepBudget};
 use crate::builders::batcher::odd_even_merge_sort;
@@ -310,11 +311,11 @@ impl<const W: usize> WideBlock<W> {
 
     /// Builds a block from up to `W × 64` input vectors (all of length `n`).
     ///
-    /// Generic over the vector packing: [`BitString`] for the historical
-    /// `n ≤ 64` path, [`sortnet_combinat::ChannelVec`] (or any other
-    /// [`ChannelPack`]) for multi-word channels — the lane table is indexed
-    /// by line, so a block scales to any `n` without a representation
-    /// change.
+    /// Generic over the vector packing: [`sortnet_combinat::BitString`]
+    /// for the historical `n ≤ 64` path, [`sortnet_combinat::ChannelVec`]
+    /// (or any other [`ChannelPack`]) for multi-word channels — the lane
+    /// table is indexed by line, so a block scales to any `n` without a
+    /// representation change.
     ///
     /// # Panics
     /// Panics if `inputs` is empty, longer than `W × 64`, or the lengths are
@@ -613,7 +614,10 @@ impl<const W: usize> WideBlock<W> {
     /// **not** sorted.
     #[must_use]
     pub fn unsorted_masks_with(&self, backend: Backend) -> [u64; W] {
-        let mut unsorted = self.unsorted_masks_raw(backend);
+        // A 0/1 vector is sorted iff there is no i < j with lane_i = 1 and
+        // lane_j = 0; each word's 64 vectors are checked independently.
+        let mut unsorted = [0u64; W];
+        backend.sorted_scan(&self.lanes, &mut unsorted);
         let live = self.live_masks();
         for w in 0..W {
             unsorted[w] &= live[w];
@@ -621,24 +625,11 @@ impl<const W: usize> WideBlock<W> {
         unsorted
     }
 
-    /// The sortedness scan *without* the live-mask intersection: bits past
-    /// [`WideBlock::count`] are unspecified, so callers must intersect
-    /// with [`WideBlock::live_masks`] before consuming the result.  Split
-    /// out for sweeps that evaluate many faults over one block and hoist
-    /// the (count-only-dependent) live mask once.
-    #[must_use]
-    pub fn unsorted_masks_raw(&self, backend: Backend) -> [u64; W] {
-        // A 0/1 vector is sorted iff there is no i < j with lane_i = 1 and
-        // lane_j = 0; each word's 64 vectors are checked independently.
-        let mut unsorted = [0u64; W];
-        backend.sorted_scan(&self.lanes, &mut unsorted);
-        unsorted
-    }
-
     /// Fused tail of a fault fork: runs comparators `start..end` and
-    /// returns the **raw** sortedness masks of the result (see
-    /// [`WideBlock::unsorted_masks_raw`] for the live-mask caveat) in one
-    /// backend dispatch.
+    /// returns the **raw** sortedness masks of the result in one backend
+    /// dispatch.  Bits past [`WideBlock::count`] are unspecified, so
+    /// callers intersect with [`WideBlock::live_masks`] before consuming
+    /// them (a sweep over many faults hoists that mask once per block).
     ///
     /// # Panics
     /// Panics if `start > end` or `end` exceeds the network size.
@@ -669,27 +660,56 @@ impl<const W: usize> WideBlock<W> {
         self.lanes[i]
     }
 
-    /// Extracts the output string for vector `j` of the block.
+    /// Extracts vector `j` of the block into any [`ChannelPack`]
+    /// packing: the one-vector form, for witnesses.
     ///
     /// # Panics
-    /// Panics if `j ≥ count`, or if the block spans more than 64 lines
-    /// (use [`WideBlock::extract_packed`] with a multi-word packing then).
+    /// Panics if `j ≥ count`, or if the block spans more lines than `P`
+    /// holds (`BitString` holds 64).
     #[must_use]
-    pub fn extract(&self, j: u32) -> BitString {
-        self.extract_packed(j)
-    }
-
-    /// Extracts the output vector `j` of the block into any
-    /// [`ChannelPack`] packing — the multi-word-capable form of
-    /// [`WideBlock::extract`].
-    ///
-    /// # Panics
-    /// Panics if `j ≥ count`.
-    #[must_use]
-    pub fn extract_packed<P: ChannelPack>(&self, j: u32) -> P {
+    pub fn extract<P: ChannelPack>(&self, j: u32) -> P {
         assert!(j < self.count, "vector index out of range");
         let (w, bit) = ((j / 64) as usize, j % 64);
         P::assemble(self.lanes.len(), |i| (self.lanes[i][w] >> bit) & 1 == 1)
+    }
+
+    /// Appends every vector of the block to `out`, in block order: the
+    /// bulk form of [`WideBlock::extract`].
+    ///
+    /// The inverse of the fill's word packing: for each lane word `w` and
+    /// each group of 64 lines, the group's lane words form a 64×64 bit
+    /// matrix (rows past the line count zero) whose transpose is channel
+    /// word `k` of the word's 64 vectors.  A vector then costs
+    /// `ceil(n/64)` words, not one call per line.
+    ///
+    /// # Panics
+    /// Panics if the block spans more lines than `P` holds.
+    pub fn extract_all<P: ChannelPack>(&self, out: &mut Vec<P>) {
+        let n = self.lanes.len();
+        let words = channel_words(n);
+        let count = self.count as usize;
+        let mut vectors = vec![0u64; 64 * words];
+        let mut rows = [0u64; 64];
+        out.reserve(count);
+        for w in 0..count.div_ceil(64) {
+            let live = (count - w * 64).min(64);
+            for (k, lanes) in self.lanes.chunks(64).enumerate() {
+                for (row, lane) in rows.iter_mut().zip(lanes) {
+                    *row = lane[w];
+                }
+                rows[lanes.len()..].fill(0);
+                transpose_live::<64>(&mut rows);
+                for (j, &row) in rows[..live].iter().enumerate() {
+                    vectors[j * words + k] = row;
+                }
+            }
+            out.extend(
+                vectors
+                    .chunks_exact(words)
+                    .take(live)
+                    .map(|v| P::from_words(v, n)),
+            );
+        }
     }
 }
 
@@ -889,10 +909,11 @@ where
 }
 
 /// A block source over raw one-word vectors: each `u64` is one vector of
-/// `n ≤ 64` lines, bit `i` holding line `i` (the [`BitString::word`]
-/// packing).  Each group of 64 words goes straight into the word
-/// transpose as its rows, so a generator of packed words reaches the
-/// lanes with no `BitString`, no buffer and no boxed iterator.
+/// `n ≤ 64` lines, bit `i` holding line `i` (the
+/// [`sortnet_combinat::BitString::word`] packing).  Each group of 64
+/// words goes straight into the word transpose as its rows, so a
+/// generator of packed words reaches the lanes with no `BitString`, no
+/// buffer and no boxed iterator.
 #[derive(Clone, Debug)]
 pub struct WordSource<I> {
     n: usize,
@@ -1117,9 +1138,10 @@ pub(crate) fn sweep_blocks<const W: usize, S: BlockSource<W>>(
 }
 
 /// Outcome of a [`sweep_find`] run, with the witness in packing `P`
-/// (default [`BitString`]; [`sortnet_combinat::ChannelVec`] past 64 lines).
+/// ([`sortnet_combinat::BitString`], or [`sortnet_combinat::ChannelVec`]
+/// past 64 lines).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SweepOutcome<P = BitString> {
+pub struct SweepOutcome<P> {
     /// Number of vectors evaluated before the sweep stopped (all of them on
     /// a pass; everything up to and including the failing block otherwise).
     pub tests_run: u64,
@@ -1155,7 +1177,7 @@ pub fn sweep_find<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     };
     sweep_blocks(source, check, backend, meter, |input, mask| {
         outcome.tests_run += u64::from(input.count());
-        outcome.witness = mask_first(mask).map(|j| input.extract_packed(j));
+        outcome.witness = mask_first(mask).map(|j| input.extract(j));
         if outcome.witness.is_some() {
             ControlFlow::Break(())
         } else {
@@ -1173,7 +1195,7 @@ pub fn collect_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(mut sou
     let mut block = WideBlock::<W>::zeroed(source.lines());
     let mut out = Vec::new();
     while source.next_block(&mut block) {
-        out.extend((0..block.count()).map(|j| block.extract_packed(j)));
+        block.extract_all(&mut out);
     }
     out
 }
@@ -1183,6 +1205,7 @@ mod tests {
     use super::*;
     use crate::budget::Budgeted;
     use crate::builders::batcher::odd_even_merge_sort;
+    use sortnet_combinat::BitString;
 
     #[test]
     fn live_lane_transpose_matches_the_per_bit_reference_at_every_row_width() {
@@ -1254,7 +1277,11 @@ mod tests {
                 block.run_with(backend, net);
                 for (j, input) in inputs.iter().enumerate() {
                     let case = format!("W={W} {}", backend.name());
-                    assert_eq!(block.extract(j as u32), net.apply_bits(input), "{case}");
+                    assert_eq!(
+                        block.extract::<BitString>(j as u32),
+                        net.apply_bits(input),
+                        "{case}"
+                    );
                 }
                 assert_eq!(mask_count(&block.unsorted_masks_with(backend)), 0);
             }
@@ -1290,7 +1317,7 @@ mod tests {
         let mut block = WideBlock::<4>::zeroed(9);
         let mut seen = Vec::new();
         while BlockSource::<4>::next_block(&mut source, &mut block) {
-            seen.extend((0..block.count()).map(|j| block.extract(j)));
+            seen.extend((0..block.count()).map(|j| block.extract::<BitString>(j)));
         }
         let expected: Vec<BitString> = BitString::all(9).collect();
         assert_eq!(seen, expected);
@@ -1340,7 +1367,7 @@ mod tests {
         assert_eq!(block.count(), 7, "first family's partial block");
         assert!(BlockSource::<1>::next_block(&mut source, &mut block));
         assert_eq!(block.count(), 64, "second family restarts full");
-        assert_eq!(block.extract(0), BitString::zeros(n));
+        assert_eq!(block.extract::<BitString>(0), BitString::zeros(n));
     }
 
     #[test]
@@ -1355,7 +1382,7 @@ mod tests {
     fn sweep_find_reports_the_first_violation_in_source_order() {
         let net = Network::empty(6);
         let backend = Backend::Portable;
-        let outcome: SweepOutcome = sweep_find::<2, _, _>(
+        let outcome: SweepOutcome<BitString> = sweep_find::<2, _, _>(
             IterSource::new(6, BitString::all(6)),
             &Check::Sorted(&net),
             backend,
@@ -1366,7 +1393,7 @@ mod tests {
         assert_eq!(outcome.witness, Some(scalar_first));
         // The sorter passes the same sweep and counts every vector.
         let sorter = odd_even_merge_sort(6);
-        let outcome: SweepOutcome = sweep_find::<2, _, _>(
+        let outcome: SweepOutcome<BitString> = sweep_find::<2, _, _>(
             RangeSource::exhaustive(6),
             &Check::Sorted(&sorter),
             backend,
@@ -1416,7 +1443,7 @@ mod tests {
 
     /// The sorted check over `n`-line exhaustive inputs through a 4-line
     /// Batcher sorter, on the scalar backend.
-    fn sweep_sorter4(n: usize) -> Result<SweepOutcome, EngineError> {
+    fn sweep_sorter4(n: usize) -> Result<SweepOutcome<BitString>, EngineError> {
         sweep_find::<4, BitString, _>(
             RangeSource::exhaustive(n),
             &Check::Sorted(&odd_even_merge_sort(4)),
@@ -1461,7 +1488,7 @@ mod tests {
         let sorter = odd_even_merge_sort(9);
         let sweep = |budget: &SweepBudget| {
             let mut meter = BudgetMeter::new(budget);
-            let outcome: SweepOutcome = sweep_find::<1, _, _>(
+            let outcome: SweepOutcome<BitString> = sweep_find::<1, _, _>(
                 RangeSource::exhaustive(9),
                 &Check::Sorted(&sorter),
                 Backend::Scalar,
@@ -1493,7 +1520,7 @@ mod tests {
     fn budgeted_sweep_still_reports_witnesses_inside_the_budget() {
         let non_sorter = Network::empty(6);
         let mut meter = BudgetMeter::new(&SweepBudget::unlimited().with_max_blocks(1));
-        let outcome: SweepOutcome = sweep_find::<1, _, _>(
+        let outcome: SweepOutcome<BitString> = sweep_find::<1, _, _>(
             RangeSource::exhaustive(6),
             &Check::Sorted(&non_sorter),
             Backend::Portable,
@@ -1514,7 +1541,7 @@ mod tests {
         block.fill_lane(1, true);
         block.fill_lane(3, false);
         for j in 0..32u32 {
-            let s = block.extract(j);
+            let s = block.extract::<BitString>(j);
             assert!(s.get(1), "vector {j}");
             assert!(!s.get(3), "vector {j}");
             // Untouched lanes keep the counting-pattern value.
@@ -1589,7 +1616,7 @@ mod tests {
                 let block = WideBlock::<W>::from_strings(n, chunk);
                 assert_eq!(block.lines(), n);
                 for (j, input) in chunk.iter().enumerate() {
-                    let got: ChannelVec = block.extract_packed(j as u32);
+                    let got: ChannelVec = block.extract(j as u32);
                     assert_eq!(&got, input, "n={n} W={W} j={j}");
                 }
             }
@@ -1671,7 +1698,7 @@ mod tests {
                     let mut block = WideBlock::<W>::from_strings(n, chunk);
                     block.run_with(backend, net);
                     for (j, expected) in reference[..chunk.len()].iter().enumerate() {
-                        let got: ChannelVec = block.extract_packed(j as u32);
+                        let got: ChannelVec = block.extract(j as u32);
                         assert_eq!(&got.to_vec(), expected, "{} W={W} j={j}", backend.name());
                     }
                 }
@@ -1734,6 +1761,6 @@ mod tests {
     #[should_panic(expected = "exceeds the supported maximum")]
     fn extracting_a_bitstring_witness_past_64_lines_panics_cleanly() {
         let block = WideBlock::<1>::from_strings(65, &[ChannelVec::zeros(65)]);
-        let _ = block.extract(0);
+        let _ = block.extract::<BitString>(0);
     }
 }

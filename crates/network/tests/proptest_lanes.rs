@@ -56,7 +56,7 @@ fn check_width<const W: usize>(net: &Network, tests: &[BitString]) {
             for (j, input) in chunk.iter().enumerate() {
                 let scalar = net.apply_bits(input);
                 assert_eq!(
-                    block.extract(j as u32),
+                    block.extract::<BitString>(j as u32),
                     scalar,
                     "W={W} backend={} input {input} output mismatch",
                     backend.name()

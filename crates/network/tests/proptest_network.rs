@@ -56,7 +56,7 @@ proptest! {
         for j in 0..64u32 {
             let input = BitString::from_word(start + u64::from(j), 9);
             let scalar = net.apply_bits(&input);
-            prop_assert_eq!(block.extract(j), scalar, "{}", backend.name());
+            prop_assert_eq!(block.extract::<BitString>(j), scalar, "{}", backend.name());
             prop_assert_eq!((mask >> j) & 1 == 1, !scalar.is_sorted(), "{}", backend.name());
         }
     }

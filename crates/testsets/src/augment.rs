@@ -62,7 +62,7 @@ use sortnet_faults::bitsim::detection_matrix_from_source_metered_on;
 use sortnet_faults::coverage::{
     coverage_of_universe_metered, CoverageReport, FaultSimEngine, RedundancyMode,
 };
-use sortnet_faults::universe::{FaultUniverse, MultiFault, TestVector};
+use sortnet_faults::universe::{FaultUniverse, MultiFault};
 use sortnet_faults::DetectionMatrix;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
@@ -462,14 +462,14 @@ impl Search<'_> {
 
 /// The candidate vector family an augmentation is drawn from.
 ///
-/// Generic over the vector packing `P` ([`BitString`] by default): a
+/// Generic over the vector packing `P` ([`BitString`] up to 64 lines): a
 /// `CandidatePool<ChannelVec>` carries the same structured families past
 /// the 64-line wall.  The exhaustive variants are refused much earlier
 /// anyway (`n ≥ 32`), so only [`CandidatePool::SortedStrings`],
 /// [`CandidatePool::Family`] and [`CandidatePool::Explicit`] are
 /// meaningful at multi-word widths.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CandidatePool<P = BitString> {
+pub enum CandidatePool<P> {
     /// Every binary vector (`2^n` candidates): the exact minimum over all
     /// possible augmentations.  Refused for `n ≥ 32` (like every
     /// exhaustive sweep); practical for `n ≲ 20`.
@@ -564,7 +564,7 @@ pub struct SearchOptions {
 
 /// Result of an augmentation search, in the pool's packing `P`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct AugmentationReport<P = BitString> {
+pub struct AugmentationReport<P> {
     /// The detectable faults the base set missed, in universe order — the
     /// elements the augmentation must cover.
     pub missed_faults: Vec<MultiFault>,
@@ -711,7 +711,7 @@ fn report_from_solution<P: Clone>(
 ///
 /// # Errors
 /// [`EngineError`] as described above.
-pub fn try_augmentation_for_missed_packed<P: TestVector>(
+pub fn try_augmentation_for_missed_packed<P: ChannelPack>(
     network: &Network,
     missed: &[MultiFault],
     pool: &CandidatePool<P>,
@@ -725,7 +725,7 @@ pub fn try_augmentation_for_missed_packed<P: TestVector>(
 /// [`try_augmentation_for_missed_packed`] on a caller's meter: the
 /// candidate matrix and the cover search admit their blocks and nodes
 /// against one budget, whatever stage spent part of it before.
-fn augmentation_for_missed_metered<P: TestVector>(
+fn augmentation_for_missed_metered<P: ChannelPack>(
     network: &Network,
     missed: &[MultiFault],
     pool: &CandidatePool<P>,
@@ -736,7 +736,7 @@ fn augmentation_for_missed_metered<P: TestVector>(
         return Ok(empty_report());
     }
     let n = network.lines();
-    P::ensure_packable(n)?;
+    error::ensure_packable::<P>(n)?;
     if matches!(pool, CandidatePool::Exhaustive | CandidatePool::SortedFirst) {
         error::ensure_sweepable(n)?;
     }
@@ -791,7 +791,7 @@ fn augmentation_for_missed_metered<P: TestVector>(
 /// [`EngineError::InfeasibleCover`] (impossible with
 /// [`CandidatePool::Exhaustive`]: a detectable fault has a detecting
 /// vector by definition).
-pub fn try_minimum_augmentation_packed<P: TestVector>(
+pub fn try_minimum_augmentation_packed<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
     base_tests: &[P],
@@ -842,21 +842,21 @@ pub trait SuggestAugmentation {
     ///
     /// # Errors
     /// [`EngineError`] as for [`try_augmentation_for_missed_packed`].
-    fn try_suggest_augmentation(
+    fn try_suggest_augmentation<P: ChannelPack>(
         &self,
         network: &Network,
-        pool: &CandidatePool,
+        pool: &CandidatePool<P>,
         options: &SearchOptions,
-    ) -> Result<Budgeted<AugmentationReport>, EngineError>;
+    ) -> Result<Budgeted<AugmentationReport<P>>, EngineError>;
 }
 
 impl SuggestAugmentation for CoverageReport {
-    fn try_suggest_augmentation(
+    fn try_suggest_augmentation<P: ChannelPack>(
         &self,
         network: &Network,
-        pool: &CandidatePool,
+        pool: &CandidatePool<P>,
         options: &SearchOptions,
-    ) -> Result<Budgeted<AugmentationReport>, EngineError> {
+    ) -> Result<Budgeted<AugmentationReport<P>>, EngineError> {
         try_augmentation_for_missed_packed(network, &self.missed_faults, pool, options)
     }
 }
@@ -947,8 +947,8 @@ mod tests {
         net: &Network,
         universe: &dyn FaultUniverse,
         base: &[BitString],
-        pool: &CandidatePool,
-    ) -> Result<AugmentationReport, EngineError> {
+        pool: &CandidatePool<BitString>,
+    ) -> Result<AugmentationReport<BitString>, EngineError> {
         try_minimum_augmentation_packed(net, universe, base, pool, &SearchOptions::default()).map(
             |budgeted| {
                 assert!(budgeted.is_complete());

@@ -21,7 +21,7 @@
 use sortnet_combinat::bitstrings::{low_mask, weight_words};
 use sortnet_combinat::chains::{bracket_matched, chain_of};
 use sortnet_combinat::subsets::Subset;
-use sortnet_combinat::{binomial_u128, BitString, Permutation};
+use sortnet_combinat::{binomial_u128, Permutation};
 
 use crate::cover::CoverWords;
 
@@ -126,29 +126,21 @@ pub(crate) fn cover_words(n: usize, k: usize) -> impl Iterator<Item = u64> {
     })
 }
 
-/// `true` iff the cover of `perms` contains every string in `targets`.
+/// `true` iff the cover of `perms` contains every string in `targets`:
+/// the coverage check the `B(n, k)` test sets are certified by, in any
+/// vector packing.
 #[must_use]
-pub fn covers_all<'a>(
-    perms: &[Permutation],
-    targets: impl IntoIterator<Item = &'a BitString>,
-) -> bool {
-    covers_all_packed(perms, targets)
-}
-
-/// [`covers_all`] generic over the vector packing — the coverage check
-/// the `B(n, k)` test sets are certified by, through the width-generic
-/// [`Permutation::covers_packed`] surface.
-#[must_use]
-pub fn covers_all_packed<'a, P: sortnet_combinat::ChannelPack + 'a>(
+pub fn covers_all<'a, P: sortnet_combinat::ChannelPack + 'a>(
     perms: &[Permutation],
     targets: impl IntoIterator<Item = &'a P>,
 ) -> bool {
-    crate::cover::uncovered_packed(perms, targets).is_empty()
+    crate::cover::uncovered(perms, targets).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet_combinat::BitString;
 
     #[test]
     fn family_has_the_right_cardinality() {
@@ -233,7 +225,7 @@ mod tests {
             for k in 0..=n {
                 let expected: Vec<u64> = permutation_testset(n, k)
                     .iter()
-                    .flat_map(|p| (1..n).map(move |t| p.cover_at(t).word()))
+                    .flat_map(|p| (1..n).map(move |t| p.cover_at::<BitString>(t).word()))
                     .collect();
                 let words: Vec<u64> = cover_words(n, k).collect();
                 assert_eq!(words, expected, "n = {n}, k = {k}");

@@ -8,25 +8,20 @@
 //! properties studied by the paper the converse holds too, which is how the
 //! permutation bounds are derived.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::hash::Hash;
 
-use sortnet_combinat::{BitString, ChannelPack, Permutation};
+use sortnet_combinat::{ChannelPack, Permutation};
 
-/// The cover of a set of permutations: the union of the individual covers.
-#[must_use]
-pub fn cover_of_set(perms: &[Permutation]) -> BTreeSet<BitString> {
-    perms.iter().flat_map(Permutation::cover).collect()
-}
-
-/// [`cover_of_set`] in any vector packing: the union of the individual
+/// The cover of a set of permutations: the union of the individual
 /// covers, deduplicated, in first-appearance order (the packings are not
-/// all ordered, so no `BTreeSet` here).
+/// all ordered, so no `BTreeSet` here; callers that want one collect into
+/// it).
 #[must_use]
-pub fn cover_of_set_packed<P: ChannelPack + Eq + Hash>(perms: &[Permutation]) -> Vec<P> {
+pub fn cover_of_set<P: ChannelPack + Eq + Hash>(perms: &[Permutation]) -> Vec<P> {
     let mut seen: HashSet<P> = HashSet::new();
     let mut out = Vec::new();
-    for s in perms.iter().flat_map(|p| p.cover_packed::<P>()) {
+    for s in perms.iter().flat_map(Permutation::cover::<P>) {
         if seen.insert(s.clone()) {
             out.push(s);
         }
@@ -36,37 +31,20 @@ pub fn cover_of_set_packed<P: ChannelPack + Eq + Hash>(perms: &[Permutation]) ->
 
 /// `true` iff some permutation in `perms` covers `target`.
 #[must_use]
-pub fn set_covers(perms: &[Permutation], target: &BitString) -> bool {
-    set_covers_packed(perms, target)
-}
-
-/// [`set_covers`] generic over the vector packing — the wide form works
-/// for permutations and targets up to
-/// [`sortnet_combinat::permutations::MAX_WIDE_N`] lines.
-#[must_use]
-pub fn set_covers_packed<P: ChannelPack>(perms: &[Permutation], target: &P) -> bool {
-    perms.iter().any(|p| p.covers_packed(target))
+pub fn set_covers<P: ChannelPack>(perms: &[Permutation], target: &P) -> bool {
+    perms.iter().any(|p| p.covers(target))
 }
 
 /// Returns the strings in `targets` that are *not* covered by any
 /// permutation in `perms` (the witnesses that `perms` is not a test set).
 #[must_use]
-pub fn uncovered<'a>(
-    perms: &[Permutation],
-    targets: impl IntoIterator<Item = &'a BitString>,
-) -> Vec<BitString> {
-    uncovered_packed(perms, targets)
-}
-
-/// [`uncovered`] generic over the vector packing.
-#[must_use]
-pub fn uncovered_packed<'a, P: ChannelPack + 'a>(
+pub fn uncovered<'a, P: ChannelPack + 'a>(
     perms: &[Permutation],
     targets: impl IntoIterator<Item = &'a P>,
 ) -> Vec<P> {
     targets
         .into_iter()
-        .filter(|&t| !set_covers_packed(perms, t))
+        .filter(|&t| !set_covers(perms, t))
         .cloned()
         .collect()
 }
@@ -74,21 +52,13 @@ pub fn uncovered_packed<'a, P: ChannelPack + 'a>(
 /// Builds, for an unsorted binary string σ, *some* permutation whose cover
 /// contains σ: the positions of the 0s of σ receive the values `1..=z` in
 /// increasing position order and the positions of the 1s receive
-/// `z+1..=n`.
+/// `z+1..=n`.  Works for any string up to
+/// [`sortnet_combinat::permutations::MAX_WIDE_N`] lines.
 ///
 /// This is the constructive half of the observation that every binary
 /// string is covered by at least one permutation.
 #[must_use]
-pub fn covering_permutation(sigma: &BitString) -> Permutation {
-    covering_permutation_packed(sigma)
-}
-
-/// [`covering_permutation`] generic over the vector packing: the same
-/// construction, built through the wide permutation constructor so it
-/// works for any string up to
-/// [`sortnet_combinat::permutations::MAX_WIDE_N`] lines.
-#[must_use]
-pub fn covering_permutation_packed<P: ChannelPack>(sigma: &P) -> Permutation {
+pub fn covering_permutation<P: ChannelPack>(sigma: &P) -> Permutation {
     let n = sigma.len();
     let zeros = (0..n).filter(|&i| !sigma.bit(i)).count();
     let mut values = vec![0u8; n];
@@ -103,7 +73,7 @@ pub fn covering_permutation_packed<P: ChannelPack>(sigma: &P) -> Permutation {
             next_small += 1;
         }
     }
-    Permutation::from_values_wide(&values).expect("construction yields a permutation")
+    Permutation::from_values(&values).expect("construction yields a permutation")
 }
 
 /// The non-constant threshold strings (`t = 1..n−1`) of one permutation,
@@ -143,6 +113,7 @@ impl Iterator for CoverWords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet_combinat::{BitString, ChannelVec};
 
     #[test]
     fn covering_permutation_covers_its_string() {
@@ -167,9 +138,9 @@ mod tests {
     #[test]
     fn cover_of_set_is_union_of_covers() {
         let perms: Vec<Permutation> = Permutation::all(4).take(5).collect();
-        let cover = cover_of_set(&perms);
+        let cover: Vec<BitString> = cover_of_set(&perms);
         for p in &perms {
-            for s in p.cover() {
+            for s in p.cover::<BitString>() {
                 assert!(cover.contains(&s));
             }
         }
@@ -203,7 +174,6 @@ mod tests {
     fn packed_cover_surface_matches_the_bitstring_one() {
         use std::collections::HashSet as StdHashSet;
 
-        use sortnet_combinat::ChannelVec;
         let perms: Vec<Permutation> = Permutation::all(5).step_by(7).collect();
         let targets: Vec<BitString> = BitString::all(5).collect();
         let packed: Vec<ChannelVec> = targets
@@ -211,20 +181,20 @@ mod tests {
             .map(|s| ChannelVec::assemble(5, |i| s.get(i)))
             .collect();
         for (s, v) in targets.iter().zip(&packed) {
-            assert_eq!(set_covers(&perms, s), set_covers_packed(&perms, v));
+            assert_eq!(set_covers(&perms, s), set_covers(&perms, v));
         }
         let missed = uncovered(&perms, &targets);
-        let missed_packed = uncovered_packed(&perms, &packed);
+        let missed_packed = uncovered(&perms, &packed);
         assert_eq!(missed.len(), missed_packed.len());
         assert!(missed
             .iter()
             .zip(&missed_packed)
             .all(|(a, b)| a.to_string() == b.to_string()));
-        let plain: StdHashSet<String> = cover_of_set(&perms)
+        let plain: StdHashSet<String> = cover_of_set::<BitString>(&perms)
             .iter()
             .map(ToString::to_string)
             .collect();
-        let wide: StdHashSet<String> = cover_of_set_packed::<ChannelVec>(&perms)
+        let wide: StdHashSet<String> = cover_of_set::<ChannelVec>(&perms)
             .iter()
             .map(ToString::to_string)
             .collect();
@@ -233,15 +203,14 @@ mod tests {
 
     #[test]
     fn covering_permutation_works_past_the_64_line_wall() {
-        use sortnet_combinat::ChannelVec;
         let n = 96;
         let sigma = ChannelVec::assemble(n, |i| i.is_multiple_of(3));
-        let p = covering_permutation_packed(&sigma);
+        let p = covering_permutation(&sigma);
         assert_eq!(p.len(), n);
-        assert!(p.covers_packed(&sigma));
+        assert!(p.covers(&sigma));
         // Sorted strings give the identity, exactly as below the wall.
         let sorted = ChannelVec::sorted_of(40, 56);
-        assert!(covering_permutation_packed(&sorted).is_identity());
+        assert!(covering_permutation(&sorted).is_identity());
     }
 
     #[test]

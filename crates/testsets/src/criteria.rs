@@ -24,6 +24,7 @@
 
 use std::collections::HashSet;
 
+use sortnet_combinat::bitstrings::{half_sorted_words, is_sorted_word, weight_words};
 use sortnet_combinat::{BitString, ChannelPack, Permutation};
 
 use crate::verify::Property;
@@ -33,19 +34,28 @@ use crate::verify::Property;
 pub(crate) const MAX_ENUMERATED_LINES: usize = 25;
 
 /// The required family of 0/1 strings for `property`, streamed in the
-/// canonical enumeration order of the corresponding theorem.
+/// canonical enumeration order of the corresponding theorem, in any vector
+/// packing `P`.
+///
+/// The families are enumerated as one-word strings and each is built
+/// from its word.  They are inherently exhaustive enumerations (that is
+/// the *content* of the theorems), so the `n < 26` guards stay: the
+/// genericity is over the candidate packing, not the enumeration wall.
 ///
 /// # Panics
 /// Panics if the property is malformed for `n` (`k > n`, odd `n` for
 /// merging) or `n ≥ 26` for the sorting/selection families.
-pub fn required_strings(property: Property, n: usize) -> Box<dyn Iterator<Item = BitString>> {
-    match property {
+pub fn required_strings<P: ChannelPack + 'static>(
+    property: Property,
+    n: usize,
+) -> Box<dyn Iterator<Item = P>> {
+    let words: Box<dyn Iterator<Item = u64>> = match property {
         Property::Sorter => {
             assert!(
                 n <= MAX_ENUMERATED_LINES,
                 "enumerating 2^{n} strings refused"
             );
-            Box::new(BitString::all_unsorted(n))
+            Box::new(0..1u64 << n)
         }
         Property::Selector { k } => {
             assert!(k <= n, "k = {k} exceeds n = {n}");
@@ -53,31 +63,15 @@ pub fn required_strings(property: Property, n: usize) -> Box<dyn Iterator<Item =
                 n <= MAX_ENUMERATED_LINES,
                 "enumerating 2^{n} strings refused"
             );
-            Box::new(
-                (0..=k)
-                    .flat_map(move |zeros| BitString::all_with_weight(n, n - zeros))
-                    .filter(|s| !s.is_sorted()),
-            )
+            Box::new((0..=k).flat_map(move |zeros| weight_words(n, n - zeros)))
         }
-        Property::Merger => Box::new(BitString::all_half_sorted(n).filter(|s| !s.is_sorted())),
-    }
-}
-
-/// [`required_strings`] in any vector packing: the same family, in the
-/// same enumeration order, re-assembled bit by bit into `P`.
-///
-/// The required families are inherently exhaustive enumerations (that is
-/// the *content* of the theorems), so the `n < 26` guards of
-/// [`required_strings`] stay: the genericity here is over the candidate
-/// packing, not over the enumeration wall.
-///
-/// # Panics
-/// As [`required_strings`].
-pub fn required_strings_packed<P: ChannelPack>(
-    property: Property,
-    n: usize,
-) -> Box<dyn Iterator<Item = P>> {
-    Box::new(required_strings(property, n).map(move |s| P::assemble(n, |i| s.get(i))))
+        Property::Merger => Box::new(half_sorted_words(n)),
+    };
+    Box::new(
+        words
+            .filter(move |&w| !is_sorted_word(w, n))
+            .map(move |w| P::from_words(&[w], n)),
+    )
 }
 
 /// Exact criterion: a set of binary strings is a test set for `property`
@@ -90,7 +84,7 @@ pub fn required_strings_packed<P: ChannelPack>(
 #[must_use]
 pub fn is_binary_testset(candidate: &[BitString], n: usize, property: Property) -> bool {
     let have: HashSet<BitString> = candidate.iter().filter(|s| s.len() == n).copied().collect();
-    required_strings(property, n).all(|s| have.contains(&s))
+    required_strings::<BitString>(property, n).all(|s| have.contains(&s))
 }
 
 /// Exact criterion for permutations: every string of the required family
@@ -124,7 +118,7 @@ pub fn is_permutation_testset(candidate: &[Permutation], n: usize, property: Pro
                 .collect()
         }
     };
-    required_strings(property, n).all(|s| legal.iter().any(|p| p.covers(&s)))
+    required_strings::<BitString>(property, n).all(|s| legal.iter().any(|p| p.covers(&s)))
 }
 
 #[cfg(test)]
@@ -138,19 +132,19 @@ mod tests {
         };
         for n in 2..=9usize {
             assert_eq!(
-                required_strings(Property::Sorter, n).count() as u128,
+                required_strings::<BitString>(Property::Sorter, n).count() as u128,
                 sorting_testset_size_binary(n as u64)
             );
             for k in 0..=n {
                 assert_eq!(
-                    required_strings(Property::Selector { k }, n).count() as u128,
+                    required_strings::<BitString>(Property::Selector { k }, n).count() as u128,
                     selector_testset_size_binary(n as u64, k as u64),
                     "n={n} k={k}"
                 );
             }
             if n.is_multiple_of(2) {
                 assert_eq!(
-                    required_strings(Property::Merger, n).count() as u128,
+                    required_strings::<BitString>(Property::Merger, n).count() as u128,
                     merging_testset_size_binary(n as u64)
                 );
             }
@@ -192,7 +186,7 @@ mod tests {
             Property::Merger,
         ] {
             let full: Vec<BitString> = required_strings(property, n).collect();
-            let packed: Vec<ChannelVec> = required_strings_packed(property, n).collect();
+            let packed: Vec<ChannelVec> = required_strings(property, n).collect();
             let assembled: Vec<ChannelVec> = full
                 .iter()
                 .map(|s| ChannelVec::assemble(n, |i| s.get(i)))
@@ -210,7 +204,7 @@ mod tests {
             // criterion reads it.
             for (s, wide) in full.iter().zip(&packed) {
                 for p in &perms {
-                    assert_eq!(p.covers(s), p.covers_packed(wide), "{property:?} {p:?} {s}");
+                    assert_eq!(p.covers(s), p.covers(wide), "{property:?} {p:?} {s}");
                 }
             }
             assert!(!is_permutation_testset(&perms[1..], n, property));

@@ -22,11 +22,12 @@
 use serde::{Deserialize, Serialize};
 
 use sortnet_combinat::BitString;
+use sortnet_network::error::EngineError;
 use sortnet_network::lanes::Backend;
 use sortnet_network::properties::selects_correctly;
 use sortnet_network::Network;
 
-use crate::verify::Property;
+use crate::verify::{try_verify_on, Property, Strategy};
 
 /// A succinct "no" certificate for one of the paper's properties: an input
 /// the network handles incorrectly.
@@ -75,28 +76,28 @@ pub fn check_certificate(network: &Network, certificate: &Certificate) -> bool {
 }
 
 /// Extracts a valid certificate from a verification failure, when the
-/// network indeed lacks the property.  Returns `None` for networks that have
-/// the property (no certificate exists).
+/// network indeed lacks the property: the minimal-binary verification on
+/// `backend`.  Returns `Ok(None)` for networks that have the property (no
+/// certificate exists).
 ///
-/// # Panics
-/// Panics with the typed refusal's text when the minimal-binary
-/// verification cannot run (more than 64 lines, or a selector `k > n`).
-#[must_use]
-pub fn find_certificate(network: &Network, property: Property) -> Option<Certificate> {
-    let report = crate::verify::try_verify_on(
-        network,
-        property,
-        crate::verify::Strategy::MinimalBinary,
-        Backend::active(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    if report.passed {
-        return None;
-    }
-    let input = report.witness?;
+/// # Errors
+/// The verification's typed refusal, as [`try_verify_on`] returns it:
+/// [`EngineError::OversizedNetwork`] past 64 lines,
+/// [`EngineError::IndexOutOfRange`] for a selector `k > n`,
+/// [`EngineError::OddMerger`] for a merger on an odd line count, and
+/// [`EngineError::TooLarge`] past the enumeration limits.
+pub fn find_certificate(
+    network: &Network,
+    property: Property,
+    backend: Backend,
+) -> Result<Option<Certificate>, EngineError> {
+    let report = try_verify_on(network, property, Strategy::MinimalBinary, backend)?;
+    let Some(input) = report.witness.filter(|_| !report.passed) else {
+        return Ok(None);
+    };
     let certificate = Certificate::new(property, input);
     debug_assert!(check_certificate(network, &certificate));
-    Some(certificate)
+    Ok(Some(certificate))
 }
 
 /// The fraction `|smallest test set| / 2^n` appearing in the §1 hardness
@@ -124,9 +125,13 @@ mod tests {
 
     #[test]
     fn adversary_networks_yield_checkable_certificates() {
-        for sigma in BitString::all_unsorted(6) {
+        let backends = Backend::runnable();
+        for (i, sigma) in BitString::all_unsorted(6).enumerate() {
             let h = adversary::adversary(&sigma);
-            let cert = find_certificate(&h, Property::Sorter).expect("H_σ is not a sorter");
+            let backend = backends[i % backends.len()];
+            let cert = find_certificate(&h, Property::Sorter, backend)
+                .unwrap()
+                .expect("H_σ is not a sorter");
             assert_eq!(
                 cert.input, sigma,
                 "the only possible certificate is σ itself"
@@ -138,8 +143,49 @@ mod tests {
     #[test]
     fn sorters_have_no_certificate() {
         let sorter = odd_even_merge_sort(7);
-        assert!(find_certificate(&sorter, Property::Sorter).is_none());
-        assert!(find_certificate(&sorter, Property::Selector { k: 3 }).is_none());
+        for backend in Backend::runnable() {
+            assert_eq!(
+                find_certificate(&sorter, Property::Sorter, backend),
+                Ok(None)
+            );
+            assert_eq!(
+                find_certificate(&sorter, Property::Selector { k: 3 }, backend),
+                Ok(None)
+            );
+        }
+    }
+
+    #[test]
+    fn refusals_come_back_typed_as_the_verifier_returns_them() {
+        // Every runnable backend refuses with the verifier's own error.
+        let refused = |network: &Network, property: Property| {
+            let mut refusal = None;
+            for backend in Backend::runnable() {
+                let expected =
+                    try_verify_on(network, property, Strategy::MinimalBinary, backend).unwrap_err();
+                assert_eq!(
+                    find_certificate(network, property, backend),
+                    Err(expected.clone())
+                );
+                refusal = Some(expected);
+            }
+            refusal.expect("some backend is runnable")
+        };
+        assert_eq!(
+            refused(&odd_even_merge_sort(65), Property::Sorter),
+            EngineError::OversizedNetwork { lines: 65, max: 64 }
+        );
+        assert!(matches!(
+            refused(&odd_even_merge_sort(6), Property::Selector { k: 7 }),
+            EngineError::IndexOutOfRange {
+                what: "selector k",
+                ..
+            }
+        ));
+        assert_eq!(
+            refused(&Network::empty(5), Property::Merger),
+            EngineError::OddMerger { lines: 5 }
+        );
     }
 
     #[test]
@@ -163,9 +209,16 @@ mod tests {
     #[test]
     fn merger_certificates_respect_instance_legality() {
         let merger = half_half_merger(8);
-        assert!(find_certificate(&merger, Property::Merger).is_none());
-        let cert = find_certificate(&merger, Property::Sorter).expect("a merger is not a sorter");
-        assert!(check_certificate(&merger, &cert));
+        for backend in Backend::runnable() {
+            assert_eq!(
+                find_certificate(&merger, Property::Merger, backend),
+                Ok(None)
+            );
+            let cert = find_certificate(&merger, Property::Sorter, backend)
+                .unwrap()
+                .expect("a merger is not a sorter");
+            assert!(check_certificate(&merger, &cert));
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn verify_primitive_sorter(network: &Network) -> bool {
 #[must_use]
 pub fn primitive_binary_testset(n: usize) -> Vec<BitString> {
     Permutation::reverse(n)
-        .cover()
+        .cover::<BitString>()
         .into_iter()
         .filter(|s| !s.is_sorted())
         .collect()

@@ -36,7 +36,7 @@ use sortnet_combinat::binomial::{
     sorting_testset_size_permutation,
 };
 use sortnet_combinat::bitstrings::half_sorted_words;
-use sortnet_combinat::{channel_words, BitString, ChannelPack};
+use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
 use sortnet_network::bitparallel;
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{
@@ -108,7 +108,7 @@ pub fn try_verify_on(
     backend: Backend,
 ) -> Result<Report, EngineError> {
     let n = network.lines();
-    error::ensure_word_packable(n)?;
+    error::ensure_packable::<BitString>(n)?;
     if strategy == Strategy::Exhaustive && !matches!(property, Property::Merger) {
         error::ensure_sweepable(n)?;
     }
@@ -239,7 +239,7 @@ pub fn try_spot_check_sorter_packed_on<P: ChannelPack>(
     backend: Backend,
 ) -> Result<SweepOutcome<P>, EngineError> {
     let n = network.lines();
-    error::ensure_channel_packable(n, channel_words(n))?;
+    error::ensure_packable::<ChannelVec>(n)?;
     for test in tests {
         if test.len() != n {
             return Err(EngineError::InputLengthMismatch {
@@ -507,7 +507,7 @@ mod tests {
             let mut block = WideBlock::<1>::from_strings(n, std::slice::from_ref(&witness));
             block.run_with(Backend::Scalar, &broken);
             assert!(
-                !block.extract_packed::<ChannelVec>(0).is_sorted(),
+                !block.extract::<ChannelVec>(0).is_sorted(),
                 "{}",
                 backend.name()
             );

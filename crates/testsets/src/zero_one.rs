@@ -33,7 +33,9 @@ pub fn sorts_binary(network: &Network, sigma: &BitString) -> bool {
 /// cheaper surrogate when the cover is already materialised.
 #[must_use]
 pub fn sorts_cover(network: &Network, pi: &Permutation) -> bool {
-    pi.cover().iter().all(|s| sorts_binary(network, s))
+    pi.cover::<BitString>()
+        .iter()
+        .all(|s| sorts_binary(network, s))
 }
 
 /// Checks the zero–one principle itself by brute force for one network:

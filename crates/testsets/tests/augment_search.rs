@@ -30,8 +30,8 @@ fn minimum(
     network: &Network,
     universe: &dyn FaultUniverse,
     base: &[BitString],
-    pool: &CandidatePool,
-) -> AugmentationReport {
+    pool: &CandidatePool<BitString>,
+) -> AugmentationReport<BitString> {
     let budgeted =
         try_minimum_augmentation_packed(network, universe, base, pool, &SearchOptions::default())
             .unwrap();
@@ -85,7 +85,7 @@ fn assert_certified_minimum(
     network: &Network,
     base: &[BitString],
     universe: &dyn FaultUniverse,
-    report: &AugmentationReport,
+    report: &AugmentationReport<BitString>,
 ) {
     assert!(report.certified, "no node budget was set");
     assert!(

@@ -120,7 +120,7 @@ fn scalar_permutation_report(
 /// by `IterSource` and swept on `backend`.
 fn iter_source_report(network: &Network, property: Property, backend: Backend) -> Report {
     let n = network.lines();
-    let source = IterSource::new(n, criteria::required_strings(property, n));
+    let source = IterSource::new(n, criteria::required_strings::<BitString>(property, n));
     let (check, size) = match property {
         Property::Sorter => (
             Check::Sorted(network),

@@ -129,7 +129,7 @@ fn main() {
             let fix = r
                 .try_suggest_augmentation(
                     &net,
-                    &CandidatePool::Exhaustive,
+                    &CandidatePool::<BitString>::Exhaustive,
                     &SearchOptions::default(),
                 )
                 .expect("the exhaustive pool covers every detectable fault")

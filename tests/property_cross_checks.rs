@@ -138,7 +138,7 @@ proptest! {
         let p = covering_permutation(&s);
         prop_assert!(p.covers(&s));
         let same_weight = p
-            .cover()
+            .cover::<BitString>()
             .into_iter()
             .filter(|c| c.count_ones() == s.count_ones())
             .count();

@@ -17,7 +17,12 @@
 //!   exhaustive `bitparallel` sweeps and all three `try_verify_on`
 //!   strategies.  Every witness must fail the network, and the exhaustive
 //!   witnesses must be the first failing input in enumeration order.
-//!   Network `i` runs on runnable backend `i` and lane width `i`.
+//!   Network `i` runs on runnable backend `i` and lane width `i`;
+//! * the reflection δ(N) = `Network::flip`, comparator `(i, j)` ↦
+//!   `(n−1−j, n−1−i)`, must keep the verdict of sorting and (even n)
+//!   merging, and the reversed, complemented witness against N must fail
+//!   δ(N), on backend `i`.  Selection is outside the relation: δ maps "at
+//!   most k zeros" to "at most k ones".
 //!
 //! Small networks are where off-by-one fork sites, empty ranges and
 //! degenerate lesions live, so covering all of them beats sampling.  A
@@ -98,6 +103,7 @@ fn conforms(i: usize, net: &Network) {
         }
     }
     deciders_conform(i, net);
+    reflection_conforms(i, net);
 }
 
 /// The inputs `property` is decided over, in enumeration order: all `2ⁿ`
@@ -191,6 +197,36 @@ fn deciders_conform(i: usize, net: &Network) {
             if strategy == Strategy::Exhaustive {
                 assert_eq!(report.witness, first, "{case}: exhaustive witness");
             }
+        }
+    }
+}
+
+/// The reflection duality on network number `i` of its table, on
+/// runnable backend `i`: δ(N) sorts (merges) iff N does, and the flip
+/// (reversed and complemented) of each minimal-binary witness against N
+/// fails δ(N).
+fn reflection_conforms(i: usize, net: &Network) {
+    let n = net.lines();
+    let backends = Backend::runnable();
+    let backend = backends[i % backends.len()];
+    let dual = net.flip();
+    let mut checked = vec![Property::Sorter];
+    if n.is_multiple_of(2) {
+        checked.push(Property::Merger);
+    }
+    for property in checked {
+        let case = format!("n={n} {net}: {property:?} on {}", backend.name());
+        let verify = |network: &Network| {
+            try_verify_on(network, property, Strategy::MinimalBinary, backend).unwrap()
+        };
+        let report = verify(net);
+        assert_eq!(report.passed, verify(&dual).passed, "{case}: δ verdict");
+        if let Some(witness) = report.witness {
+            let reflected = witness.flip();
+            assert!(
+                !handles(&dual, property, &reflected),
+                "{case}: δ of witness {witness} is handled by δ(N)"
+            );
         }
     }
 }

@@ -234,7 +234,7 @@ fn permutation_testset_cannot_be_smaller() {
             );
         }
         for p in &testset {
-            let covered = witnesses.iter().filter(|w| p.covers(w)).count();
+            let covered = witnesses.iter().filter(|&w| p.covers(w)).count();
             assert!(
                 covered <= 1,
                 "a permutation covers two witnesses for n = {n}"
