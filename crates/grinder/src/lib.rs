@@ -25,6 +25,15 @@
 //! channel-words dimension of every engine is ground under the same seeds
 //! as the single-word path.
 //!
+//! A case whose engines agree then runs the **codec leg**: its network,
+//! universe and tests, as a service coverage request, must survive the
+//! wire encoding with an equal answer key and identical bytes, and seeded
+//! mutations of the payload (truncations, tag flips, inflated counts, set
+//! padding bits) must never panic the decoder and must re-encode exactly
+//! whenever they decode.  Its draws come from a separate stream, so the
+//! engine leg's cases are the same with or without it; a codec failure is
+//! reported unshrunk, with the same replay line.
+//!
 //! A failing case is **shrunk** before it is reported: comparators, then
 //! faults, then tests are dropped greedily while the disagreement persists,
 //! so the [`Mismatch`] carries a minimal reproducer.  Every mismatch also
@@ -378,10 +387,12 @@ pub fn run_case(seed: u64, index: u64, corruption: Corruption) -> Option<Mismatc
                 ChannelVec::from_words(&words, n)
             })
             .collect();
-        let detail = check_case(&network, universe, &tests, corruption, backend)?;
-        return Some(shrink(
-            seed, index, universe, network, tests, detail, corruption,
-        ));
+        if let Some(detail) = check_case(&network, universe, &tests, corruption, backend) {
+            return Some(shrink(
+                seed, index, universe, network, tests, detail, corruption,
+            ));
+        }
+        return check_codec(seed, index, universe, network, tests);
     }
     let n = rng.random_range(3usize..10);
     let size = rng.random_range(0usize..13);
@@ -390,10 +401,132 @@ pub fn run_case(seed: u64, index: u64, corruption: Corruption) -> Option<Mismatc
     let universe = StandardUniverse::ALL[rng.random_range(0usize..StandardUniverse::ALL.len())];
     let test_count = rng.random_range(1usize..97);
     let tests: Vec<BitString> = (0..test_count).map(|_| sampler.random_input(n)).collect();
-    let detail = check_case(&network, universe, &tests, corruption, backend)?;
-    Some(shrink(
-        seed, index, universe, network, tests, detail, corruption,
-    ))
+    if let Some(detail) = check_case(&network, universe, &tests, corruption, backend) {
+        return Some(shrink(
+            seed, index, universe, network, tests, detail, corruption,
+        ));
+    }
+    let tests = tests.into_iter().map(ChannelVec::from_bitstring).collect();
+    check_codec(seed, index, universe, network, tests)
+}
+
+/// Stream separator for the codec leg, so its draws leave the engine
+/// leg's case stream (network, universe, tests) unchanged.
+const CODEC_STREAM: u64 = 0xC0DE_C0DE_5EED_0001;
+
+/// Seeded mutations of each case's encoded request.
+const CODEC_MUTATIONS: usize = 16;
+
+/// The wire-codec leg of case `(seed, index)`: the case's network,
+/// universe and tests, as a coverage request with a redundancy mode and
+/// budget drawn from the codec stream, must decode to a request with an
+/// equal [`AnswerKey`](sortnet_service::oracle::AnswerKey) that re-encodes
+/// to the same bytes.  Then each of [`CODEC_MUTATIONS`] seeded mutations
+/// of the payload (a truncation, a small value over a byte as a tag flip,
+/// an inflated `u32` count, a set bit as a padding bit) must be refused
+/// or decode to a request that re-encodes to exactly the mutated bytes,
+/// and the decoder must never panic.
+fn check_codec(
+    seed: u64,
+    index: u64,
+    universe: StandardUniverse,
+    network: Network,
+    tests: Vec<ChannelVec>,
+) -> Option<Mismatch> {
+    use sortnet_service::oracle::AnswerKey;
+    use sortnet_service::wire::{decode_request, encode_request};
+    use sortnet_service::{Query, Request};
+
+    let mut rng =
+        StdRng::seed_from_u64(seed.wrapping_add(index.wrapping_mul(CASE_STRIDE)) ^ CODEC_STREAM);
+    let redundancy = [
+        RedundancyMode::Skip,
+        RedundancyMode::Exhaustive,
+        RedundancyMode::RelativeTo(PackedFamily::SortedStrings),
+        RedundancyMode::RelativeTo(PackedFamily::WeightAtMost(2)),
+    ][rng.random_range(0usize..4)];
+    let budget = (rng.random_range(0u8..2) == 1)
+        .then(|| SweepBudget::unlimited().with_max_blocks(rng.random_range(1u64..1000)));
+    let request = Request {
+        network,
+        query: Query::Coverage {
+            universe,
+            tests,
+            redundancy,
+        },
+        budget,
+        deadline: None,
+    };
+    let decode = |bytes: &[u8]| {
+        std::panic::catch_unwind(|| decode_request(bytes))
+            .map_err(|_| "the decoder panicked".to_string())
+    };
+    let payload = encode_request(&request);
+    let detail = match decode(&payload) {
+        Err(panic) => Some(panic),
+        Ok(Err(e)) => Some(format!("the encoded request does not decode: {e}")),
+        Ok(Ok(back)) if AnswerKey::of(&back) != AnswerKey::of(&request) => {
+            Some("the decoded request's key differs".to_string())
+        }
+        Ok(Ok(back)) if encode_request(&back) != payload => {
+            Some("the decoded request re-encodes to other bytes".to_string())
+        }
+        Ok(Ok(_)) => (0..CODEC_MUTATIONS).find_map(|k| {
+            let mut bytes = payload.clone();
+            let mut at = rng.random_range(0..bytes.len());
+            let what = match rng.random_range(0u8..4) {
+                0 => {
+                    bytes.truncate(at);
+                    "truncation"
+                }
+                1 => {
+                    bytes[at] = rng.random_range(0u8..5);
+                    "tag flip"
+                }
+                2 => {
+                    at = at.min(bytes.len() - 4);
+                    let field: [u8; 4] = bytes[at..at + 4].try_into().expect("four bytes");
+                    let inflated =
+                        u32::from_le_bytes(field).wrapping_add(1 << rng.random_range(0u32..32));
+                    bytes[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+                    "inflated count"
+                }
+                _ => {
+                    bytes[at] |= 1 << rng.random_range(0u8..8);
+                    "set bit"
+                }
+            };
+            let fail = |why: &str| Some(format!("mutation {k} ({what} at byte {at}): {why}"));
+            match decode(&bytes) {
+                Err(panic) => fail(&panic),
+                Ok(Err(_)) => None,
+                Ok(Ok(decoded)) => {
+                    // A deadline re-encodes as the time left, which moved.
+                    let again = encode_request(&decoded);
+                    let keep = bytes.len() - if decoded.deadline.is_some() { 8 } else { 0 };
+                    if again.len() == bytes.len() && again[..keep] == bytes[..keep] {
+                        None
+                    } else {
+                        fail("decodes but re-encodes to other bytes")
+                    }
+                }
+            }
+        }),
+    };
+    let Request { network, query, .. } = request;
+    let Query::Coverage { tests, .. } = query else {
+        unreachable!("the codec leg encodes a coverage request")
+    };
+    detail.map(|detail| Mismatch {
+        seed,
+        case_index: index,
+        universe,
+        original_size: network.size(),
+        network,
+        faults: Vec::new(),
+        tests,
+        detail: format!("wire codec: {detail}"),
+    })
 }
 
 /// Grinds `config.cases` cases, collecting every (shrunk) mismatch.

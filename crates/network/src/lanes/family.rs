@@ -366,16 +366,24 @@ impl<const W: usize, P: ChannelPack> BlockSource<W> for FamilySource<P> {
                 }
             }
             PackedFamily::SingleRuns => {
-                // Runs with start s cover lane i for every end e >= i: one
-                // contiguous index range per (lane, start) pair.
-                for (i, lane) in block.lanes.iter_mut().enumerate() {
-                    let mut group_start = 1u64; // index of run [s, s]
-                    for s in 0..=i {
-                        let lo = group_start + (i - s) as u64;
-                        let hi = group_start + (n - s) as u64;
-                        or_index_range(lane, base, count, lo, hi);
-                        group_start += (n - s) as u64;
+                // The runs with start s are the index range [g, g + n - s),
+                // g the index of run [s, s]; they cover lane i >= s for
+                // every end e >= i, one contiguous index range per
+                // (lane, start) pair.  Only the starts whose range meets
+                // the block's window contribute.
+                let end = base + u64::from(count);
+                let mut g = 1u64;
+                for s in 0..n {
+                    if g >= end {
+                        break;
                     }
+                    let next = g + (n - s) as u64;
+                    if next > base {
+                        for (i, lane) in block.lanes.iter_mut().enumerate().skip(s) {
+                            or_index_range(lane, base, count, g + (i - s) as u64, next);
+                        }
+                    }
+                    g = next;
                 }
             }
             PackedFamily::NecessityWitnesses => {
@@ -494,10 +502,8 @@ mod tests {
         // A drain extracts a block at a time by word transposes; every
         // vector must equal the family's unranked vector, at the channel
         // word seams and past them, on both packings.  At n = 1024 the
-        // quadratic family is checked on a stride coprime to 64, so every
-        // lane position and lane word is still visited; `SingleRuns` stops
-        // at n = 130 there, because its block fill walks O(n²) index
-        // ranges per block.
+        // quadratic families are checked on a stride coprime to 64, so
+        // every lane position and lane word is still visited.
         fn check<P: ChannelPack>(family: PackedFamily, n: usize) {
             let len = family.len(n);
             let stride = if len > 10_000 { 61 } else { 1 };
@@ -513,9 +519,6 @@ mod tests {
         }
         for n in [1usize, 2, 7, 63, 64, 65, 96, 130, 1024] {
             for family in families(n) {
-                if n == 1024 && family == PackedFamily::SingleRuns {
-                    continue;
-                }
                 check::<ChannelVec>(family, n);
                 if n <= 64 {
                     check::<BitString>(family, n);

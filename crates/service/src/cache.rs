@@ -1,14 +1,14 @@
 //! A plain O(1) LRU cache with hit/miss/eviction counters.
 //!
 //! The service keeps one instance: finished answers keyed by
-//! [`crate::oracle::AnswerKey`] (see `docs/SERVICE.md` for the key
-//! definition and why the test fingerprint must be part of it).  The
-//! implementation is a
+//! [`crate::oracle::AnswerKey`], the exact wire bytes of a request's
+//! network and query (see `docs/SERVICE.md`).  The implementation is a
 //! `HashMap` into a slab-allocated doubly-linked recency list — no
-//! external crates, every operation O(1) amortised.
+//! external crates, every operation O(1) amortised.  The map and the slab
+//! each clone every key; `AnswerKey`'s clones share its bytes.
 
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 /// Cumulative counters of one cache instance.
@@ -208,17 +208,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 }
 
-/// Hashes one value with the std sip hasher's fixed keys — deterministic
-/// within and across processes of one build.  Fingerprints only ever key
-/// in-process maps (the answer cache, shards, the quarantine ledger); no
-/// wire frame carries one.
-#[must_use]
-pub fn fingerprint<T: Hash>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,12 +259,6 @@ mod tests {
         }
         assert_eq!(lru.counters().evictions, 4);
         assert_eq!(lru.len(), 1);
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic_and_input_sensitive() {
-        assert_eq!(fingerprint(&(1u64, "a")), fingerprint(&(1u64, "a")));
-        assert_ne!(fingerprint(&(1u64, "a")), fingerprint(&(2u64, "a")));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! The serving problem has three levers, each its own module:
 //!
 //! * **Batching** ([`oracle`]) — queued coverage queries are sharded by
-//!   (network hash, universe, redundancy mode); each shard enumerates
+//!   (network, universe, redundancy mode); each shard enumerates
 //!   the faults once, runs the cold path's early-exit first-detection
 //!   sweep per distinct member test list and classifies the union of the
 //!   members' missed faults in one batched redundancy pass, folding
@@ -18,8 +18,9 @@
 //!   [`summarise_verdicts`](sortnet_faults::coverage::summarise_verdicts)
 //!   so batched answers are bit-identical to cold ones.
 //! * **Caching** ([`cache`]) — an LRU over finished answers, keyed by
-//!   (network hash, `n`, query fingerprint — universe, mode and tests
-//!   included), with hit/miss/eviction counters.
+//!   the exact bytes [`wire`] encodes a request's network and query to
+//!   (universe, mode and tests included; budget and deadline not), with
+//!   hit/miss/eviction counters.  The quarantine ledger uses the same key.
 //! * **Budget degradation** ([`pool`], [`oracle`]) — a per-request
 //!   [`SweepBudget`] (or the
 //!   service default) is plumbed into the engine's budgeted entry

@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sortnet_combinat::ChannelVec;
@@ -53,9 +53,10 @@ use sortnet_network::Network;
 use sortnet_testsets::augment::{try_minimum_augmentation_packed, CandidatePool, SearchOptions};
 use sortnet_testsets::verify::{self, try_verify_on, Property, Strategy};
 
-use crate::cache::{fingerprint, CacheCounters, Lru};
+use crate::cache::{CacheCounters, Lru};
 use crate::error::ServiceError;
 use crate::failpoint;
+use crate::wire;
 use crate::ServiceConfig;
 
 /// One question about one submitted network.
@@ -94,100 +95,6 @@ pub enum Query {
         /// The base test set to augment.
         tests: Vec<ChannelVec>,
     },
-}
-
-impl Query {
-    /// A deterministic fingerprint of the query for cache keys.  The
-    /// test vectors are part of the hash: coverage and augmentation
-    /// answers depend on the submitted set (first-detection indices are
-    /// positions *in that set*), so two queries differing only in tests
-    /// must never share a cache line.
-    ///
-    /// A test list is fed to the SipHash hasher in bulk, packed into a
-    /// stack buffer that is written a chunk at a time: its length, then a
-    /// tag.  When every vector has the same line count `n` (tag 0) the
-    /// line count follows once, then the vectors: for `1 ≤ n ≤ 32`,
-    /// `⌊64 / n⌋` of them to a word (a vector's bits at and above `n` are
-    /// zero), otherwise every vector's channel words.  A list of mixed
-    /// line counts (tag 1) gives each vector's line count before its
-    /// words.  The list length and the line count fix where every vector
-    /// sits in the stream, so the stream is injective: distinct lists
-    /// (including `0`,`1` against `01`, a uniform list against a mixed one
-    /// with the same words, and a list against itself plus trailing zero
-    /// vectors) hash distinct byte streams.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            Query::Verify { property, strategy } => {
-                let (ptag, k) = match property {
-                    Property::Sorter => (0u8, 0u64),
-                    Property::Selector { k } => (1, *k as u64),
-                    Property::Merger => (2, 0),
-                };
-                let stag = match strategy {
-                    Strategy::Exhaustive => 0u8,
-                    Strategy::MinimalBinary => 1,
-                    Strategy::Permutation => 2,
-                };
-                fingerprint(&(0u8, ptag, k, stag))
-            }
-            Query::Coverage {
-                universe,
-                tests,
-                redundancy,
-            } => tests_fingerprint(&(1u8, universe, redundancy), tests),
-            Query::Augment { universe, tests } => tests_fingerprint(&(2u8, universe), tests),
-        }
-    }
-}
-
-/// Bytes of test-list stream buffered per hasher `write`.
-const FINGERPRINT_CHUNK: usize = 512;
-
-/// [`fingerprint`] of `head` followed by the bulk encoding of `tests`
-/// described on [`Query::fingerprint`].
-fn tests_fingerprint<T: Hash>(head: &T, tests: &[ChannelVec]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    head.hash(&mut hasher);
-    let mut buf = [0u8; FINGERPRINT_CHUNK];
-    let mut filled = 0;
-    let mut push = |hasher: &mut DefaultHasher, word: u64| {
-        if filled == FINGERPRINT_CHUNK {
-            hasher.write(&buf);
-            filled = 0;
-        }
-        buf[filled..filled + 8].copy_from_slice(&word.to_le_bytes());
-        filled += 8;
-    };
-    push(&mut hasher, tests.len() as u64);
-    let lines = tests.first().map_or(0, ChannelVec::len);
-    let uniform = tests.iter().all(|test| test.len() == lines);
-    push(&mut hasher, u64::from(!uniform));
-    if uniform {
-        push(&mut hasher, lines as u64);
-    }
-    if uniform && (1..=32).contains(&lines) {
-        // A vector's bits at and above its line count are zero, so
-        // ⌊64 / n⌋ vectors share a word, the first in the low bits.
-        for chunk in tests.chunks(64 / lines) {
-            let word = chunk
-                .iter()
-                .rev()
-                .fold(0, |word, test| word << lines | test.words()[0]);
-            push(&mut hasher, word);
-        }
-    } else {
-        for test in tests {
-            if !uniform {
-                push(&mut hasher, test.len() as u64);
-            }
-            for &word in test.words() {
-                push(&mut hasher, word);
-            }
-        }
-    }
-    hasher.write(&buf[..filled]);
-    hasher.finish()
 }
 
 /// A queued unit of work: a network, a question, an optional budget,
@@ -284,29 +191,63 @@ pub struct Response {
     pub micros: u64,
 }
 
-/// The answer-cache key: network fingerprint + line count + query
-/// fingerprint (which covers universe, flags and the submitted tests —
-/// see [`Query::fingerprint`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The answer-cache and quarantine key: the exact bytes of a request's
+/// network and query as the wire encodes them (budget and deadline left
+/// out), with their SipHash digest.  Hashing writes only the digest;
+/// equality compares the bytes, so a hit is always the same (network,
+/// query), whatever the digest collides with.  Clones share the bytes.
+#[derive(Clone, Debug)]
 pub struct AnswerKey {
-    /// [`fingerprint`] of the whole network (lines + comparator list).
+    /// SipHash digest of the network's bytes alone: groups keys by
+    /// network for reports; it never decides equality.
     pub network: u64,
-    /// Line count, kept explicit so `n` is part of the key even under
-    /// fingerprint collisions of the comparator list.
+    /// The network's line count.
     pub lines: usize,
-    /// [`Query::fingerprint`].
-    pub query: u64,
+    digest: u64,
+    bytes: Arc<[u8]>,
 }
 
 impl AnswerKey {
-    /// The key for `request`.
+    /// The key for `request`: one pass of the encoder and one of the
+    /// hasher, whose state after the network's bytes is `network`.
     #[must_use]
     pub fn of(request: &Request) -> Self {
+        let mut bytes = Vec::new();
+        let network_end = wire::put_key(&mut bytes, request);
+        let mut hasher = DefaultHasher::new();
+        hasher.write(&bytes[..network_end]);
+        let network = hasher.finish();
+        hasher.write(&bytes[network_end..]);
         Self {
-            network: fingerprint(&request.network),
+            network,
             lines: request.network.lines(),
-            query: request.query.fingerprint(),
+            digest: hasher.finish(),
+            bytes: bytes.into(),
         }
+    }
+
+    /// The key for `request` with its digest forced to `digest`, so tests
+    /// can make two different requests collide.
+    #[cfg(test)]
+    pub(crate) fn with_digest(request: &Request, digest: u64) -> Self {
+        Self {
+            digest,
+            ..Self::of(request)
+        }
+    }
+}
+
+impl PartialEq for AnswerKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && self.bytes == other.bytes
+    }
+}
+
+impl Eq for AnswerKey {}
+
+impl Hash for AnswerKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
     }
 }
 
@@ -532,14 +473,6 @@ fn evaluate(
     }
 }
 
-/// A coverage shard: every member grades the same network against the
-/// same universe with the same redundancy mode, so they share the
-/// admitted fault list and one redundancy pass.  Each member carries the
-/// answer key its cache lookup computed, reused for the insert.
-struct Shard {
-    members: Vec<(usize, AnswerKey)>,
-}
-
 /// The serving path: answers a drained batch of requests with cache
 /// lookups and coverage sharding.  Responses come back in request order.
 /// Computes each request's [`AnswerKey`] and runs the keyed core that the
@@ -565,9 +498,14 @@ pub(crate) fn answer_keyed(
     assert_eq!(requests.len(), keys.len(), "one key per request");
     let start = Instant::now();
     let mut responses: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-    let mut shards: HashMap<(u64, usize, StandardUniverse, RedundancyMode), Shard> = HashMap::new();
+    // A coverage shard: every member grades the same network against the
+    // same universe with the same redundancy mode, so they share the
+    // admitted fault list and one redundancy pass.  Each member carries
+    // the key its cache lookup used, reused for the insert.
+    type ShardKey<'a> = (&'a Network, StandardUniverse, RedundancyMode);
+    let mut shards: HashMap<ShardKey<'_>, Vec<(usize, &AnswerKey)>> = HashMap::new();
 
-    for (i, (request, &key)) in requests.iter().zip(keys).enumerate() {
+    for (i, (request, key)) in requests.iter().zip(keys).enumerate() {
         // Chaos site: a per-request injected panic, caught and
         // supervised by the worker pool like any real evaluation panic.
         // Deliberately placed before any cache lock is taken.
@@ -585,7 +523,7 @@ pub(crate) fn answer_keyed(
             });
             continue;
         }
-        if let Some(answer) = unpoisoned(&caches.answers).get(&key) {
+        if let Some(answer) = unpoisoned(&caches.answers).get(key) {
             responses[i] = Some(Response {
                 outcome: Ok(answer.clone()),
                 completion: Completion::Complete,
@@ -599,20 +537,15 @@ pub(crate) fn answer_keyed(
                 universe,
                 redundancy,
                 ..
-            } => {
-                shards
-                    .entry((key.network, key.lines, *universe, *redundancy))
-                    .or_insert_with(|| Shard {
-                        members: Vec::new(),
-                    })
-                    .members
-                    .push((i, key));
-            }
+            } => shards
+                .entry((&request.network, *universe, *redundancy))
+                .or_default()
+                .push((i, key)),
             Query::Verify { .. } | Query::Augment { .. } => {
                 let (outcome, completion) = evaluate(config, request, &SweepBudget::unlimited());
                 if completion == Completion::Complete {
                     if let Ok(answer) = &outcome {
-                        unpoisoned(&caches.answers).insert(key, answer.clone());
+                        unpoisoned(&caches.answers).insert(key.clone(), answer.clone());
                     }
                 }
                 responses[i] = Some(Response {
@@ -625,28 +558,16 @@ pub(crate) fn answer_keyed(
         }
     }
 
-    for ((_, _, universe, redundancy), shard) in shards {
-        // A fingerprint groups, equality decides: members whose network
-        // is not byte-equal to the sub-shard leader get their own pass,
-        // so a (astronomically unlikely) hash collision can never share
-        // faults or verdicts across different networks.
-        let mut pending = shard.members;
-        while let Some(&(leader, _)) = pending.first() {
-            let network = &requests[leader].network;
-            let (same, rest): (Vec<_>, Vec<_>) = pending
-                .iter()
-                .partition(|&&(i, _)| requests[i].network == *network);
-            pending = rest;
-            answer_coverage_shard(
-                config,
-                caches,
-                requests,
-                (network, universe, redundancy),
-                &same,
-                &mut responses,
-                start,
-            );
-        }
+    for (shard, members) in shards {
+        answer_coverage_shard(
+            config,
+            caches,
+            requests,
+            shard,
+            &members,
+            &mut responses,
+            start,
+        );
     }
 
     responses
@@ -667,7 +588,7 @@ fn answer_coverage_shard(
     caches: &OracleCaches,
     requests: &[Request],
     (network, universe, redundancy): (&Network, StandardUniverse, RedundancyMode),
-    members: &[(usize, AnswerKey)],
+    members: &[(usize, &AnswerKey)],
     responses: &mut [Option<Response>],
     start: Instant,
 ) {
@@ -676,7 +597,7 @@ fn answer_coverage_shard(
     // full check (and enumerated the faults) the rest get the length
     // check alone: one fault enumeration per shard.
     let mut faults: Option<Vec<MultiFault>> = None;
-    let mut valid: Vec<(usize, AnswerKey)> = Vec::with_capacity(members.len());
+    let mut valid: Vec<(usize, &AnswerKey)> = Vec::with_capacity(members.len());
     for &(i, key) in members {
         let tests = shard_tests(requests, i);
         let admitted = match &faults {
@@ -708,7 +629,7 @@ fn answer_coverage_shard(
         // `summarise_verdicts` reads a redundancy verdict only for faults
         // this member missed, so the shard-wide verdicts fold as they are.
         let report = summarise_verdicts(&faults, first, &redundant, redundancy);
-        unpoisoned(&caches.answers).insert(key, Answer::Coverage(report.clone()));
+        unpoisoned(&caches.answers).insert(key.clone(), Answer::Coverage(report.clone()));
         responses[i] = Some(Response {
             outcome: Ok(Answer::Coverage(report)),
             completion: Completion::Complete,
@@ -1008,10 +929,19 @@ mod tests {
         }
     }
 
+    fn key_of(query: Query) -> AnswerKey {
+        AnswerKey::of(&Request {
+            network: odd_even_merge_sort(4),
+            query,
+            budget: None,
+            deadline: None,
+        })
+    }
+
     #[test]
-    fn query_fingerprints_separate_near_collisions() {
+    fn answer_keys_separate_near_collisions() {
         let bit = |s: &str| ChannelVec::parse(s);
-        let distinct = |a: Query, b: Query| assert_ne!(a.fingerprint(), b.fingerprint());
+        let distinct = |a: Query, b: Query| assert_ne!(key_of(a), key_of(b));
         // Two 1-line vectors against one 2-line vector with the same bits.
         distinct(
             coverage_of(vec![bit("0"), bit("1")]),
@@ -1073,8 +1003,7 @@ mod tests {
                 tests,
             },
         );
-        // A list long enough to cross many chunk flushes, against the
-        // same list with its very last bit flipped.
+        // A long list against the same list with its very last bit flipped.
         let long: Vec<ChannelVec> = (0..1000)
             .map(|i| ChannelVec::from_fn(128, |j| (i * 7 + j).is_multiple_of(5)))
             .collect();
@@ -1130,10 +1059,42 @@ mod tests {
             .iter()
             .map(|s| ChannelVec::from_fn(6, |i| s.get(i)))
             .collect();
-        assert_eq!(
-            coverage_of(widened).fingerprint(),
-            coverage_of(rebuilt).fingerprint()
-        );
+        assert_eq!(key_of(coverage_of(widened)), key_of(coverage_of(rebuilt)));
+    }
+
+    #[test]
+    fn digest_twins_never_share_an_answer() {
+        // Same network, universe and mode, tests in opposite orders: one
+        // shard, different first detections, and keys forced onto one
+        // digest.  Equality must still tell them apart.
+        let config = ServiceConfig::default();
+        let caches = OracleCaches::new(8);
+        let forward = coverage_request(6, RedundancyMode::Skip);
+        let mut reversed = forward.clone();
+        if let Query::Coverage { tests, .. } = &mut reversed.query {
+            tests.reverse();
+        }
+        let requests = [forward, reversed];
+        let keys = requests.each_ref().map(|r| AnswerKey::with_digest(r, 7));
+        assert_ne!(keys[0], keys[1]);
+        let cold = requests.each_ref().map(|r| answer_cold(&config, r).outcome);
+        assert_ne!(cold[0], cold[1], "the twins have different answers");
+        for (pass, status) in [CacheStatus::Miss, CacheStatus::Hit]
+            .into_iter()
+            .enumerate()
+        {
+            let batch = answer_keyed(&config, &caches, &requests, &keys);
+            for (i, response) in batch.iter().enumerate() {
+                assert_eq!(response.cache, status, "pass {pass} twin {i}");
+                assert_eq!(response.outcome, cold[i], "pass {pass} twin {i}");
+            }
+        }
+        assert_eq!(unpoisoned(&caches.answers).len(), 2, "both twins live");
+        for i in 0..2 {
+            let alone = answer_keyed(&config, &caches, &requests[i..=i], &keys[i..=i]);
+            assert_eq!(alone[0].cache, CacheStatus::Hit);
+            assert_eq!(alone[0].outcome, cold[i], "twin {i} looked up alone");
+        }
     }
 
     #[test]

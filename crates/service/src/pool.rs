@@ -482,7 +482,7 @@ fn answer_solo_supervised(
                     // re-earning their entry; correctness is unaffected.
                     ledger.clear();
                 }
-                *ledger.entry(key).or_insert(0) += 1;
+                *ledger.entry(key.clone()).or_insert(0) += 1;
             }
         }
     }
@@ -663,6 +663,29 @@ mod tests {
         };
         assert!(hint(&deep) > hint(&shallow));
         assert_eq!(hint(&shallow), Duration::from_micros(3 * 200 / 2));
+    }
+
+    #[test]
+    fn a_quarantined_request_does_not_refuse_its_digest_twin() {
+        let service = Service::start(ServiceConfig::default());
+        let inner = &service.inner;
+        let poison = coverage_request(6);
+        let twin = coverage_request(8);
+        let key = |request: &Request| AnswerKey::with_digest(request, 7);
+        unpoisoned(&inner.quarantine).insert(key(&poison), inner.config.panic_attempts);
+        let (reply, answers) = sync_channel(1);
+        answer_solo_supervised(inner, &poison, key(&poison), &reply);
+        assert!(matches!(
+            answers.recv().expect("a reply").outcome,
+            Err(ServiceError::WorkerPanicked { .. })
+        ));
+        answer_solo_supervised(inner, &twin, key(&twin), &reply);
+        let response = answers.recv().expect("a reply");
+        assert_eq!(
+            response.outcome,
+            crate::oracle::answer_cold(&inner.config, &twin).outcome
+        );
+        assert_eq!(service.stats().quarantined, 1, "only the poison is refused");
     }
 
     #[test]

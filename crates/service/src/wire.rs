@@ -3,8 +3,17 @@
 //!
 //! Framing: every message is `[u32 LE length][payload]`.  Payloads are
 //! hand-rolled little-endian binary (the workspace builds without
-//! serde's real derive machinery), with one byte of tag per enum.  The
-//! response payload is a **compact summary** — coverage reports ship
+//! serde's real derive machinery), with one byte of tag per enum.
+//!
+//! A request payload opens with the one encoding of its (network, query),
+//! test lists packed `⌊64/n⌋` vectors to a word for `n ≤ 32`: the exact
+//! key of the answer cache and the quarantine ledger
+//! ([`AnswerKey`](crate::oracle::AnswerKey)).  The budget and deadline
+//! follow.  Only canonical payloads decode, so a decoded request
+//! re-encodes to its bytes, and no claimed count allocates more than the
+//! payload can back.
+//!
+//! The response payload is a **compact summary** — coverage reports ship
 //! their counts and statistics but not the per-fault lists, and typed
 //! engine errors ship as their pinned display text.  Budgets cross the
 //! wire as the counted axes only (`max_blocks`, `max_forks`) plus the
@@ -38,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sortnet_combinat::{BitString, ChannelVec};
+use sortnet_combinat::{channel_words, BitString, ChannelVec};
 use sortnet_faults::coverage::RedundancyMode;
 use sortnet_faults::universe::StandardUniverse;
 use sortnet_network::budget::{BudgetReason, SweepBudget, SweepProgress};
@@ -115,6 +124,15 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
+fn put_option_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => put_u8(out, 0),
+        Some(v) => {
+            put_u8(out, 1);
+            put_u64(out, v);
+        }
+    }
+}
 
 struct Take<'a> {
     buf: &'a [u8],
@@ -132,6 +150,22 @@ impl<'a> Take<'a> {
         self.buf = rest;
         Ok(head)
     }
+    /// Refuses `count` items of at least `size` bytes each when the
+    /// payload holds fewer bytes, before anything is allocated for them.
+    fn claim(&self, count: usize, size: usize) -> io::Result<()> {
+        if count.saturating_mul(size) > self.buf.len() {
+            return Err(bad("truncated payload"));
+        }
+        Ok(())
+    }
+    /// `count` little-endian words, bounds-checked as a whole before any
+    /// is read, so a claimed count the payload cannot hold costs nothing.
+    fn words(&mut self, count: usize) -> io::Result<impl Iterator<Item = u64> + 'a> {
+        let bytes = self.bytes(count.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|word| u64::from_le_bytes(word.try_into().unwrap())))
+    }
     fn u8(&mut self) -> io::Result<u8> {
         Ok(self.bytes(1)?[0])
     }
@@ -145,7 +179,18 @@ impl<'a> Take<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
     fn bool(&mut self) -> io::Result<bool> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            byte => Err(bad(format!("invalid bool byte {byte}"))),
+        }
+    }
+    fn option_u64(&mut self) -> io::Result<Option<u64>> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.u64()?)),
+            tag => Err(bad(format!("unknown option tag {tag}"))),
+        }
     }
     fn str(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
@@ -160,9 +205,10 @@ impl<'a> Take<'a> {
     }
 }
 
-// ---- domain encodings ---------------------------------------------------
+// ---- the one (network, query) encoding --------------------------------
 
 fn put_network(out: &mut Vec<u8>, network: &Network) {
+    out.reserve(8 + 8 * network.size());
     put_u32(out, network.lines() as u32);
     put_u32(out, network.size() as u32);
     for c in network.comparators() {
@@ -173,58 +219,135 @@ fn put_network(out: &mut Vec<u8>, network: &Network) {
 
 fn take_network(t: &mut Take) -> io::Result<Network> {
     let lines = t.u32()? as usize;
-    let count = t.u32()? as usize;
-    if count > (MAX_FRAME as usize) / 8 {
-        return Err(bad("comparator count over frame budget"));
+    if !(1..=usize::from(u16::MAX)).contains(&lines) {
+        return Err(bad(format!("line count {lines} out of range")));
     }
+    let count = t.u32()? as usize;
+    // A comparator is one word: its two lines, the smaller first.
+    let comparators = t.words(count)?;
     let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let a = t.u32()? as usize;
-        let b = t.u32()? as usize;
-        if a >= lines || b >= lines || a == b {
-            return Err(bad("comparator lines out of range"));
+    for word in comparators {
+        let (a, b) = ((word & 0xFFFF_FFFF) as usize, (word >> 32) as usize);
+        if a >= b || b >= lines {
+            return Err(bad("comparator lines out of range or order"));
         }
         pairs.push((a, b));
     }
     Ok(Network::from_pairs(lines, &pairs))
 }
 
-fn put_channel_vec(out: &mut Vec<u8>, v: &ChannelVec) {
-    put_u32(out, v.len() as u32);
-    put_u32(out, v.word_count() as u32);
-    for &w in v.words() {
-        put_u64(out, w);
-    }
+/// Test-list tag: every vector has the list's one line count.
+const UNIFORM: u8 = 0;
+/// Test-list tag: the line counts differ.
+const MIXED: u8 = 1;
+
+/// Longest test list a payload may claim: its decoded vectors never take
+/// more memory than a whole frame, however densely the wire packs them.
+const MAX_TESTS: usize = MAX_FRAME as usize / std::mem::size_of::<ChannelVec>();
+
+/// How many `n`-line vectors share a word of a uniform list: `⌊64/n⌋`
+/// for `1 ≤ n ≤ 32`; otherwise each vector takes its own channel words.
+fn per_word(n: usize) -> Option<usize> {
+    (1..=32).contains(&n).then(|| 64 / n)
 }
 
-fn take_channel_vec(t: &mut Take) -> io::Result<ChannelVec> {
-    let n = t.u32()? as usize;
-    let words = t.u32()? as usize;
-    if words != n.div_ceil(64).max(1) {
-        return Err(bad("channel word count does not match length"));
-    }
-    let mut buf = Vec::with_capacity(words);
-    for _ in 0..words {
-        buf.push(t.u64()?);
-    }
-    Ok(ChannelVec::from_words(&buf, n))
-}
-
+/// Writes a test list (every request and response list): `[count
+/// u32][tag u8]`, then for a [`UNIFORM`] list `[n u32]` and the vectors,
+/// `⌊64/n⌋` to a word, the first in the low bits, for `1 ≤ n ≤ 32`, else
+/// their channel words; for a [`MIXED`] one `[n_i u32][words_i]` each.
 fn put_tests(out: &mut Vec<u8>, tests: &[ChannelVec]) {
+    let n = tests.first().map_or(0, ChannelVec::len);
+    let uniform = tests.iter().all(|test| test.len() == n);
     put_u32(out, tests.len() as u32);
-    for t in tests {
-        put_channel_vec(out, t);
+    put_u8(out, if uniform { UNIFORM } else { MIXED });
+    if uniform {
+        put_u32(out, n as u32);
+        if let Some(k) = per_word(n) {
+            out.reserve_exact(8 * tests.len().div_ceil(k));
+            for chunk in tests.chunks(k) {
+                // A vector's bits at and above `n` are zero.
+                let word = chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |word, test| word << n | test.words()[0]);
+                put_u64(out, word);
+            }
+            return;
+        }
+        out.reserve_exact(8 * tests.len() * channel_words(n));
+    }
+    for test in tests {
+        if !uniform {
+            put_u32(out, test.len() as u32);
+        }
+        for &word in test.words() {
+            put_u64(out, word);
+        }
     }
 }
 
+/// One `n`-line vector's channel words; a set bit at or above `n` is
+/// not canonical and is refused.
+fn take_vec(t: &mut Take, n: usize) -> io::Result<ChannelVec> {
+    let words: Vec<u64> = t.words(channel_words(n))?.collect();
+    let vector = ChannelVec::from_words(&words, n);
+    if vector.words() != words {
+        return Err(bad("non-zero padding bits"));
+    }
+    Ok(vector)
+}
+
+/// Reads a list written by [`put_tests`].  Only that exact encoding
+/// decodes: set padding bits, a mixed tag on a uniform list and a line
+/// count on an empty one are refused, so a decoded list re-encodes to the
+/// bytes it came from.  The list's array is allocated only once the
+/// payload is known to hold that many vectors.
 fn take_tests(t: &mut Take) -> io::Result<Vec<ChannelVec>> {
     let count = t.u32()? as usize;
-    if count > (MAX_FRAME as usize) / 8 {
+    if count > MAX_TESTS {
         return Err(bad("test count over frame budget"));
     }
-    let mut tests = Vec::with_capacity(count);
-    for _ in 0..count {
-        tests.push(take_channel_vec(t)?);
+    let mut tests = Vec::new();
+    match t.u8()? {
+        UNIFORM => {
+            let n = t.u32()? as usize;
+            if count == 0 && n != 0 {
+                return Err(bad("an empty test list has no line count"));
+            }
+            if let Some(k) = per_word(n) {
+                let words = t.words(count.div_ceil(k))?;
+                tests.reserve_exact(count);
+                for mut word in words {
+                    for _ in 0..k.min(count - tests.len()) {
+                        tests.push(ChannelVec::from_words(&[word], n));
+                        word >>= n;
+                    }
+                    if word != 0 {
+                        return Err(bad("non-zero padding bits"));
+                    }
+                }
+            } else {
+                t.claim(count, 8 * channel_words(n))?;
+                tests.reserve_exact(count);
+                for _ in 0..count {
+                    tests.push(take_vec(t, n)?);
+                }
+            }
+        }
+        MIXED => {
+            // A vector takes at least its line count and one word.
+            t.claim(count, 12)?;
+            tests.reserve_exact(count);
+            for _ in 0..count {
+                let n = t.u32()? as usize;
+                tests.push(take_vec(t, n)?);
+            }
+            let n = tests.first().map_or(0, ChannelVec::len);
+            if tests.iter().all(|test| test.len() == n) {
+                return Err(bad("a uniform test list under the mixed tag"));
+            }
+        }
+        tag => return Err(bad(format!("unknown test-list tag {tag}"))),
     }
     Ok(tests)
 }
@@ -266,170 +389,156 @@ fn take_redundancy(t: &mut Take) -> io::Result<RedundancyMode> {
     }
 }
 
-fn universe_tag(u: StandardUniverse) -> u8 {
-    match u {
-        StandardUniverse::SingleComparator => 0,
-        StandardUniverse::StuckLine => 1,
-        StandardUniverse::SingleComparatorPairs => 2,
-        StandardUniverse::StuckLinePairs => 3,
-    }
+/// The value lists behind the one-byte tags: a value's tag is its index.
+const STRATEGIES: [Strategy; 3] = [
+    Strategy::Exhaustive,
+    Strategy::MinimalBinary,
+    Strategy::Permutation,
+];
+const REASONS: [BudgetReason; 4] = [
+    BudgetReason::Blocks,
+    BudgetReason::Forks,
+    BudgetReason::Deadline,
+    BudgetReason::Cancelled,
+];
+const CACHE_STATUSES: [CacheStatus; 3] = [CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Bypass];
+
+fn put_tag<T: PartialEq>(out: &mut Vec<u8>, all: &[T], value: &T) {
+    let tag = all
+        .iter()
+        .position(|v| v == value)
+        .expect("every value is listed");
+    put_u8(out, tag as u8);
 }
 
-fn take_universe(t: &mut Take) -> io::Result<StandardUniverse> {
-    match t.u8()? {
-        0 => Ok(StandardUniverse::SingleComparator),
-        1 => Ok(StandardUniverse::StuckLine),
-        2 => Ok(StandardUniverse::SingleComparatorPairs),
-        3 => Ok(StandardUniverse::StuckLinePairs),
-        tag => Err(bad(format!("unknown universe tag {tag}"))),
-    }
+fn take_tag<T: Copy>(t: &mut Take, all: &[T], what: &str) -> io::Result<T> {
+    let tag = t.u8()?;
+    all.get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| bad(format!("unknown {what} tag {tag}")))
 }
 
-/// Encodes a request payload (no frame prefix).
-#[must_use]
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_network(&mut out, &request.network);
+/// Writes `request`'s network and query: the head of every request
+/// payload, and the exact bytes of its [`AnswerKey`](crate::oracle::AnswerKey).
+/// The budget and the deadline are not part of it.  Returns the length
+/// of `out` once the network is written.
+pub(crate) fn put_key(out: &mut Vec<u8>, request: &Request) -> usize {
+    put_network(out, &request.network);
+    let network_end = out.len();
     match &request.query {
         Query::Verify { property, strategy } => {
-            put_u8(&mut out, 0);
+            put_u8(out, 0);
+            // `k` is a full `u64`: a narrower field would give two
+            // selectors one key.
             let (ptag, k) = match property {
-                Property::Sorter => (0u8, 0u32),
-                Property::Selector { k } => (1, *k as u32),
+                Property::Sorter => (0u8, 0),
+                Property::Selector { k } => (1, *k as u64),
                 Property::Merger => (2, 0),
             };
-            put_u8(&mut out, ptag);
-            put_u32(&mut out, k);
-            put_u8(
-                &mut out,
-                match strategy {
-                    Strategy::Exhaustive => 0,
-                    Strategy::MinimalBinary => 1,
-                    Strategy::Permutation => 2,
-                },
-            );
+            put_u8(out, ptag);
+            put_u64(out, k);
+            put_tag(out, &STRATEGIES, strategy);
         }
         Query::Coverage {
             universe,
             tests,
             redundancy,
         } => {
-            put_u8(&mut out, 1);
-            put_u8(&mut out, universe_tag(*universe));
-            put_redundancy(&mut out, *redundancy);
-            put_tests(&mut out, tests);
+            put_u8(out, 1);
+            put_tag(out, &StandardUniverse::ALL, universe);
+            put_redundancy(out, *redundancy);
+            put_tests(out, tests);
         }
         Query::Augment { universe, tests } => {
-            put_u8(&mut out, 2);
-            put_u8(&mut out, universe_tag(*universe));
-            put_tests(&mut out, tests);
+            put_u8(out, 2);
+            put_tag(out, &StandardUniverse::ALL, universe);
+            put_tests(out, tests);
         }
     }
+    network_end
+}
+
+fn take_query(t: &mut Take) -> io::Result<Query> {
+    Ok(match t.u8()? {
+        0 => {
+            let ptag = t.u8()?;
+            let k = usize::try_from(t.u64()?).map_err(|_| bad("selector k out of range"))?;
+            let property = match (ptag, k) {
+                (0, 0) => Property::Sorter,
+                (1, k) => Property::Selector { k },
+                (2, 0) => Property::Merger,
+                (0 | 2, _) => return Err(bad("only a selector carries k")),
+                (tag, _) => return Err(bad(format!("unknown property tag {tag}"))),
+            };
+            let strategy = take_tag(t, &STRATEGIES, "strategy")?;
+            Query::Verify { property, strategy }
+        }
+        1 => Query::Coverage {
+            universe: take_tag(t, &StandardUniverse::ALL, "universe")?,
+            redundancy: take_redundancy(t)?,
+            tests: take_tests(t)?,
+        },
+        2 => Query::Augment {
+            universe: take_tag(t, &StandardUniverse::ALL, "universe")?,
+            tests: take_tests(t)?,
+        },
+        tag => return Err(bad(format!("unknown query tag {tag}"))),
+    })
+}
+
+/// Encodes a request payload (no frame prefix): the network and the
+/// query, then the budget's counted axes and the deadline.
+#[must_use]
+pub fn encode_request(request: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_key(&mut out, request);
     match &request.budget {
         None => put_u8(&mut out, 0),
         Some(budget) => {
             put_u8(&mut out, 1);
-            match budget.max_blocks {
-                None => put_u8(&mut out, 0),
-                Some(v) => {
-                    put_u8(&mut out, 1);
-                    put_u64(&mut out, v);
-                }
-            }
-            match budget.max_forks {
-                None => put_u8(&mut out, 0),
-                Some(v) => {
-                    put_u8(&mut out, 1);
-                    put_u64(&mut out, v);
-                }
-            }
+            put_option_u64(&mut out, budget.max_blocks);
+            put_option_u64(&mut out, budget.max_forks);
         }
     }
-    match &request.deadline {
-        None => put_u8(&mut out, 0),
-        Some(deadline) => {
-            // Relative remaining budget at encode time; an expired
-            // deadline ships as 0 ms and the server answers it typed.
-            put_u8(&mut out, 1);
+    // Relative remaining budget at encode time; an expired deadline
+    // ships as 0 ms and the server answers it typed.
+    put_option_u64(
+        &mut out,
+        request.deadline.map(|deadline| {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            put_u64(
-                &mut out,
-                u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX),
-            );
-        }
-    }
+            u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX)
+        }),
+    );
     out
 }
 
-/// Decodes a request payload.
+/// Decodes a request payload.  Only canonical payloads decode, so a
+/// decoded request re-encodes to the same bytes (the deadline up to the
+/// time that passed).
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidData`] on any malformed payload.
 pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
     let mut t = Take::new(payload);
     let network = take_network(&mut t)?;
-    let query = match t.u8()? {
-        0 => {
-            let ptag = t.u8()?;
-            let k = t.u32()? as usize;
-            let property = match ptag {
-                0 => Property::Sorter,
-                1 => Property::Selector { k },
-                2 => Property::Merger,
-                tag => return Err(bad(format!("unknown property tag {tag}"))),
-            };
-            let strategy = match t.u8()? {
-                0 => Strategy::Exhaustive,
-                1 => Strategy::MinimalBinary,
-                2 => Strategy::Permutation,
-                tag => return Err(bad(format!("unknown strategy tag {tag}"))),
-            };
-            Query::Verify { property, strategy }
-        }
-        1 => {
-            let universe = take_universe(&mut t)?;
-            let redundancy = take_redundancy(&mut t)?;
-            let tests = take_tests(&mut t)?;
-            Query::Coverage {
-                universe,
-                tests,
-                redundancy,
-            }
-        }
-        2 => {
-            let universe = take_universe(&mut t)?;
-            let tests = take_tests(&mut t)?;
-            Query::Augment { universe, tests }
-        }
-        tag => return Err(bad(format!("unknown query tag {tag}"))),
-    };
+    let query = take_query(&mut t)?;
     let budget = match t.u8()? {
         0 => None,
         1 => {
             let mut budget = SweepBudget::unlimited();
-            if t.u8()? == 1 {
-                budget = budget.with_max_blocks(t.u64()?);
-            }
-            if t.u8()? == 1 {
-                budget = budget.with_max_forks(t.u64()?);
-            }
+            budget.max_blocks = t.option_u64()?;
+            budget.max_forks = t.option_u64()?;
             Some(budget)
         }
         tag => return Err(bad(format!("unknown budget tag {tag}"))),
     };
-    let deadline = match t.u8()? {
-        0 => None,
-        1 => {
-            let ms = t.u64()?;
-            // checked_add: a hostile u64::MAX must be a typed decode
-            // error, not an Instant-arithmetic panic.
-            let deadline = Instant::now()
-                .checked_add(Duration::from_millis(ms))
-                .ok_or_else(|| bad("deadline out of range"))?;
-            Some(deadline)
-        }
-        tag => return Err(bad(format!("unknown deadline tag {tag}"))),
-    };
+    // checked_add: a hostile u64::MAX must be a typed decode error, not
+    // an Instant-arithmetic panic.
+    let deadline = t
+        .option_u64()?
+        .map(|ms| Instant::now().checked_add(Duration::from_millis(ms)))
+        .map(|deadline| deadline.ok_or_else(|| bad("deadline out of range")))
+        .transpose()?;
     t.finished()?;
     Ok(Request {
         network,
@@ -605,28 +714,13 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
         Completion::Complete => put_u8(&mut out, 0),
         Completion::Partial { reason, progress } => {
             put_u8(&mut out, 1);
-            put_u8(
-                &mut out,
-                match reason {
-                    BudgetReason::Blocks => 0,
-                    BudgetReason::Forks => 1,
-                    BudgetReason::Deadline => 2,
-                    BudgetReason::Cancelled => 3,
-                },
-            );
+            put_tag(&mut out, &REASONS, &reason);
             put_u64(&mut out, progress.blocks);
             put_u64(&mut out, progress.vectors);
             put_u64(&mut out, progress.forks);
         }
     }
-    put_u8(
-        &mut out,
-        match response.cache {
-            CacheStatus::Hit => 0,
-            CacheStatus::Miss => 1,
-            CacheStatus::Bypass => 2,
-        },
-    );
+    put_tag(&mut out, &CACHE_STATUSES, &response.cache);
     put_u64(&mut out, response.micros);
     out
 }
@@ -676,13 +770,7 @@ pub fn decode_response(payload: &[u8]) -> io::Result<WireResponse> {
     let completion = match t.u8()? {
         0 => Completion::Complete,
         1 => {
-            let reason = match t.u8()? {
-                0 => BudgetReason::Blocks,
-                1 => BudgetReason::Forks,
-                2 => BudgetReason::Deadline,
-                3 => BudgetReason::Cancelled,
-                tag => return Err(bad(format!("unknown reason tag {tag}"))),
-            };
+            let reason = take_tag(&mut t, &REASONS, "reason")?;
             Completion::Partial {
                 reason,
                 progress: SweepProgress {
@@ -694,12 +782,7 @@ pub fn decode_response(payload: &[u8]) -> io::Result<WireResponse> {
         }
         tag => return Err(bad(format!("unknown completion tag {tag}"))),
     };
-    let cache = match t.u8()? {
-        0 => CacheStatus::Hit,
-        1 => CacheStatus::Miss,
-        2 => CacheStatus::Bypass,
-        tag => return Err(bad(format!("unknown cache tag {tag}"))),
-    };
+    let cache = take_tag(&mut t, &CACHE_STATUSES, "cache")?;
     let micros = t.u64()?;
     t.finished()?;
     Ok(WireResponse {
@@ -1250,6 +1333,204 @@ mod tests {
             }
             assert_eq!(back.deadline, None);
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn request(network: Network, query: Query) -> Request {
+        Request {
+            network,
+            query,
+            budget: None,
+            deadline: None,
+        }
+    }
+
+    #[test]
+    fn request_bytes_are_pinned_per_query_kind() {
+        let bit = |s: &str| ChannelVec::parse(s);
+        let verify = request(
+            Network::from_pairs(4, &[(0, 1), (3, 2)]),
+            Query::Verify {
+                property: Property::Selector { k: 2 },
+                strategy: Strategy::MinimalBinary,
+            },
+        );
+        // Three 4-line vectors share one word, the first in the low bits.
+        let coverage = request(
+            Network::from_pairs(4, &[(0, 1)]),
+            Query::Coverage {
+                universe: StandardUniverse::StuckLine,
+                tests: vec![bit("0011"), bit("0101"), bit("1111")],
+                redundancy: RedundancyMode::RelativeTo(PackedFamily::WeightAtMost(3)),
+            },
+        );
+        // Mixed line counts: each vector states its own, and a budget tail.
+        let mut augment = request(
+            Network::from_pairs(3, &[(0, 2)]),
+            Query::Augment {
+                universe: StandardUniverse::SingleComparator,
+                tests: vec![bit("001"), bit("01")],
+            },
+        );
+        augment.budget = Some(SweepBudget::unlimited().with_max_blocks(7));
+        // Past 32 lines each vector takes its channel words.
+        let wide = request(
+            Network::from_pairs(96, &[(0, 95)]),
+            Query::Coverage {
+                universe: StandardUniverse::SingleComparator,
+                tests: vec![ChannelVec::zeros(96), ChannelVec::ones(96)],
+                redundancy: RedundancyMode::Skip,
+            },
+        );
+        // One string each for the network ([lines][comparator count] and
+        // [min max] per comparator), the query tag and fields, the test list
+        // ([count][tag][n][words]) and the budget and deadline tail.
+        let pinned: [(&Request, &[&str]); 4] = [
+            (
+                &verify,
+                &[
+                    "04000000 02000000 00000000 01000000 02000000 03000000",
+                    "00 01 0200000000000000 01",
+                    "00 00",
+                ],
+            ),
+            (
+                &coverage,
+                &[
+                    "04000000 01000000 00000000 01000000",
+                    "01 01 02 01 03000000",
+                    "03000000 00 04000000 ac0f000000000000",
+                    "00 00",
+                ],
+            ),
+            (
+                &augment,
+                &[
+                    "03000000 01000000 00000000 02000000",
+                    "02 00",
+                    "02000000 01 03000000 0400000000000000 02000000 0200000000000000",
+                    "01 01 0700000000000000 00 00",
+                ],
+            ),
+            (
+                &wide,
+                &[
+                    "60000000 01000000 00000000 5f000000",
+                    "01 00 00",
+                    "02000000 00 60000000 0000000000000000 0000000000000000 \
+                     ffffffffffffffff ffffffff00000000",
+                    "00 00",
+                ],
+            ),
+        ];
+        for (request, fields) in pinned {
+            let payload = encode_request(request);
+            let bytes = fields.concat().replace(' ', "");
+            assert_eq!(hex(&payload), bytes, "{:?}", request.query);
+            assert_eq!(encode_request(&roundtrip_request(request)), payload);
+        }
+    }
+
+    #[test]
+    fn the_loadgen_workload_round_trips_with_equal_keys() {
+        use crate::loadgen::{workload, LoadgenOptions};
+        use crate::oracle::AnswerKey;
+        let requests = workload(&LoadgenOptions {
+            queries: 4096,
+            ..LoadgenOptions::default()
+        });
+        assert_eq!(requests.len(), 4096);
+        for (i, request) in requests.iter().enumerate() {
+            let payload = encode_request(request);
+            let back = roundtrip_request(request);
+            assert_eq!(AnswerKey::of(&back), AnswerKey::of(request), "request {i}");
+            assert_eq!(encode_request(&back), payload, "request {i}");
+        }
+    }
+
+    #[test]
+    fn only_canonical_payloads_decode() {
+        let bit = |s: &str| ChannelVec::parse(s);
+        let coverage = |network: Network, tests: Vec<ChannelVec>| {
+            encode_request(&request(
+                network,
+                Query::Coverage {
+                    universe: StandardUniverse::StuckLine,
+                    tests,
+                    redundancy: RedundancyMode::Skip,
+                },
+            ))
+        };
+        let refused = |payload: &[u8], why: &str| {
+            let err = decode_request(payload).expect_err(why);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}");
+            assert!(err.to_string().contains(why), "{why}: got {err}");
+        };
+        let network = Network::from_pairs(4, &[(0, 1)]);
+        // The list starts after the network (16 bytes) and three tag bytes:
+        // [count u32][tag][n u32][words].
+        let list = 19;
+        let packed = coverage(network.clone(), vec![bit("0011"), bit("0101")]);
+        assert_eq!(&packed[list..list + 9], &[2, 0, 0, 0, 0, 4, 0, 0, 0]);
+        // A bit above the two 4-line vectors of the one word.
+        let mut padded = packed.clone();
+        padded[list + 10] |= 0x01;
+        refused(&padded, "non-zero padding bits");
+        // A bit above the line count of a one-vector-per-word list.
+        let mut padded = coverage(network.clone(), vec![ChannelVec::zeros(40)]);
+        padded[list + 9 + 5] = 0x01;
+        refused(&padded, "non-zero padding bits");
+        // The mixed tag on a list whose line counts agree.
+        let mut mixed = coverage(network.clone(), vec![bit("0011"), bit("011")]);
+        assert_eq!(mixed[list + 4], MIXED);
+        mixed[list + 17] = 4;
+        refused(&mixed, "a uniform test list under the mixed tag");
+        // A line count on an empty list.
+        let mut empty = coverage(network.clone(), vec![]);
+        empty[list + 5] = 4;
+        refused(&empty, "an empty test list has no line count");
+        // Comparators name the smaller line first, and a network has lines.
+        let mut swapped = packed.clone();
+        swapped[8..16].copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        refused(&swapped, "comparator lines out of range or order");
+        let mut no_lines = coverage(Network::empty(1), vec![]);
+        no_lines[0] = 0;
+        refused(&no_lines, "line count 0 out of range");
+        let mut too_wide = no_lines.clone();
+        too_wide[..4].copy_from_slice(&65_536u32.to_le_bytes());
+        refused(&too_wide, "line count 65536 out of range");
+        // Only a selector carries k.
+        let mut sorter = encode_request(&request(
+            network.clone(),
+            Query::Verify {
+                property: Property::Sorter,
+                strategy: Strategy::Exhaustive,
+            },
+        ));
+        sorter[18] = 3;
+        refused(&sorter, "only a selector carries k");
+        // Option and bool bytes are 0 or 1.
+        let mut budget = packed.clone();
+        let at = budget.len() - 2;
+        budget[at] = 1;
+        budget.splice(at + 1..at + 1, [2, 0]);
+        refused(&budget, "unknown option tag 2");
+        let mut reply = encode_response(&WireResponse {
+            outcome: Ok(WireAnswer::Verify {
+                passed: true,
+                tests_run: 1,
+                witness: None,
+            }),
+            completion: Completion::Complete,
+            cache: CacheStatus::Miss,
+            micros: 0,
+        });
+        reply[1] = 2;
+        let err = decode_response(&reply).expect_err("a bool byte of 2");
+        assert!(err.to_string().contains("invalid bool byte 2"), "got {err}");
     }
 
     #[test]

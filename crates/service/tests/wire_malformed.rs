@@ -1,7 +1,10 @@
 //! The malformed-frame matrix (no failpoints): hostile or broken
 //! clients must get typed replies where framing allows one, must never
-//! wedge the server, and must not leak handler threads.
+//! wedge the server, must not leak handler threads, and must not make the
+//! decoder allocate for counts their payload cannot hold.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -13,10 +16,69 @@ use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::error::EngineError;
 use sortnet_network::Network;
 use sortnet_service::wire::{
-    encode_request, read_frame, write_frame, WireServer, WireServerConfig, MAX_FRAME,
+    decode_request, decode_response, encode_request, read_frame, write_frame, WireServer,
+    WireServerConfig, MAX_FRAME,
 };
 use sortnet_service::{Query, Request, Service, ServiceConfig, ServiceError};
 use sortnet_testsets::verify::{Property, Strategy};
+
+/// The system allocator, recording the largest single allocation the
+/// current thread makes while a [`largest_allocation`] call is open.
+struct Counting;
+
+thread_local! {
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|largest| {
+        if let Some(seen) = largest.get() {
+            largest.set(Some(seen.max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged, so
+// `System` upholds the `GlobalAlloc` contract; `note` only touches a
+// thread-local `Cell` with a const initialiser, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` contract is passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` contract is passed on as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller's contract is passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f`, returning its result and the largest single allocation it
+/// made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(Some(0)));
+    let out = f();
+    let largest = LARGEST.with(|largest| largest.replace(None)).unwrap_or(0);
+    (out, largest)
+}
 
 fn sorted_tests(n: usize) -> Vec<ChannelVec> {
     (0..=n)
@@ -251,4 +313,62 @@ fn an_odd_line_merger_verify_is_refused_without_a_panic_or_quarantine() {
     assert_eq!(stats.panics, 0, "the refusal must not be a caught panic");
     assert_eq!(stats.quarantined, 0);
     assert_served(&path);
+}
+
+/// Little-endian payload bytes from `(value, width)` fields.
+fn payload(fields: &[(u64, usize)]) -> Vec<u8> {
+    fields
+        .iter()
+        .flat_map(|&(value, width)| value.to_le_bytes()[..width].to_vec())
+        .collect()
+}
+
+#[test]
+fn claimed_counts_allocate_only_what_the_payload_holds() {
+    // A 4-line network with no comparators, then a coverage query's tags
+    // (stuck-line, no redundancy): the test list follows.
+    let coverage_head = [(4, 4), (0, 4), (1, 1), (1, 1), (0, 1)];
+    let with_head = |tail: &[(u64, usize)]| payload(&[&coverage_head[..], tail].concat());
+    let requests = [
+        ("comparator count 2e6", payload(&[(4, 4), (2_000_000, 4)])),
+        ("test count 2e6", with_head(&[(2_000_000, 4)])),
+        (
+            "uniform list of 2e5",
+            with_head(&[(200_000, 4), (0, 1), (4, 4)]),
+        ),
+        (
+            "mixed list of 6e5",
+            with_head(&[(600_000, 4), (1, 1), (4, 4), (0, 8)]),
+        ),
+        (
+            "one vector of u32::MAX lines",
+            with_head(&[(1, 4), (0, 1), (u64::from(u32::MAX), 4)]),
+        ),
+        (
+            "mixed vector of u32::MAX lines",
+            with_head(&[(2, 4), (1, 1), (u64::from(u32::MAX), 4)]),
+        ),
+    ];
+    for (what, bytes) in &requests {
+        let (decoded, largest) = largest_allocation(|| decode_request(bytes));
+        assert!(decoded.is_err(), "{what} must not decode");
+        assert!(largest <= MAX_FRAME as usize, "{what}: {largest} bytes");
+        assert!(largest <= 8 * bytes.len(), "{what}: {largest} bytes");
+    }
+    // An augment answer's lists and an error text decode the same way.
+    let responses = [
+        (
+            "augment list of 6e5",
+            payload(&[(3, 1), (0, 8), (0, 8), (600_000, 4), (1, 1)]),
+        ),
+        (
+            "error text of 4 GiB",
+            payload(&[(0, 1), (u64::from(u32::MAX), 4)]),
+        ),
+    ];
+    for (what, bytes) in &responses {
+        let (decoded, largest) = largest_allocation(|| decode_response(bytes));
+        assert!(decoded.is_err(), "{what} must not decode");
+        assert!(largest <= 8 * bytes.len(), "{what}: {largest} bytes");
+    }
 }
