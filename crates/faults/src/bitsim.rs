@@ -157,7 +157,6 @@
 //! *ChannelWords* section of [`sortnet_network::lanes`]).
 
 use sortnet_combinat::ChannelPack;
-use sortnet_network::bitparallel;
 use sortnet_network::budget::{BudgetMeter, Budgeted, SweepBudget};
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{self, Backend, BlockSource, RangeSource, SliceSource, WideBlock};
@@ -1272,8 +1271,8 @@ pub fn detection_matrix_from_source_metered_on<
 
 /// Bit-parallel per-fault redundancy check at lane width `W` on `backend`:
 /// `true` iff the faulty network still sorts all `2^n` binary inputs,
-/// swept `W × 64` vectors per block with counting-pattern generation
-/// ([`WideBlock::from_range`]).
+/// drained `W × 64` vectors per block from the counting-pattern
+/// [`RangeSource::exhaustive`].
 ///
 /// The per-fault reference the batch sweep
 /// ([`redundant_faults_multi_on`]) is regression-pinned against: it
@@ -1292,12 +1291,15 @@ pub fn is_fault_redundant_wide<const W: usize>(
 ) -> bool {
     let n = network.lines();
     fault.assert_in_range(network);
-    (0..bitparallel::sweep_block_count::<W>(n)).all(|b| {
-        let (start, count) = bitparallel::sweep_block_range::<W>(n, b);
-        let mut block = WideBlock::<W>::from_range(n, start, count);
+    let mut source = RangeSource::exhaustive(n);
+    let mut block = WideBlock::<W>::zeroed(n);
+    while source.next_block(&mut block) {
         run_multi_from(network, backend, fault, &mut block, 0);
-        !lanes::mask_any(&block.unsorted_masks_with(backend))
-    })
+        if lanes::mask_any(&block.unsorted_masks_with(backend)) {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

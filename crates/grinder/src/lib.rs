@@ -884,8 +884,7 @@ pub struct ChaosReport {
 /// * every wire call, healed by retries where needed, returns the same
 ///   compacted answer the cold path gives.
 ///
-/// Requires the service's `failpoints` feature (this crate always
-/// enables it).  The registry is process-global: do not run this
+/// The failpoint registry is process-global: do not run this
 /// concurrently with other failpoint users in the same process.
 #[must_use]
 pub fn grind_service_chaos(seed: u64, queries: usize, wire_queries: u64) -> ChaosReport {

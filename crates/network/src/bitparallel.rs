@@ -20,20 +20,23 @@
 //! type, kept as the interchange format with the fault-simulation engine.
 //!
 //! All three ask a [`lanes::Check`] of every input on one private
-//! driver.  Sweeps are embarrassingly parallel across blocks, so with an
-//! unlimited budget the driver distributes block index ranges over the
-//! rayon thread pool (a real `std::thread::scope`-backed pool in this
-//! workspace's shim).  Every call spawns its scoped threads afresh, which
-//! costs more than a whole single-threaded sweep up to about `n = 20`, so
-//! below `n = 22` lines, and under any bounded budget (block-granular
-//! metering and the fan-out do not compose), the driver runs the lanes'
-//! one metered block loop on the calling thread instead.  The answer does
-//! not change: the parallel witness search already returns the sequential
-//! (lowest-word) witness.
+//! driver, which streams [`RangeSource::exhaustive`] through the lanes'
+//! one metered block loop.  Sweeps are embarrassingly parallel across
+//! blocks, so with an unlimited budget the driver cuts the sweep into one
+//! contiguous, block-aligned span per available thread and runs the same
+//! block loop over each span under [`std::thread::scope`].  Every call
+//! spawns its scoped threads afresh, which costs more than a whole
+//! single-threaded sweep up to about `n = 20`, so below `n = 22` lines,
+//! and under any bounded budget (block-granular metering and the fan-out
+//! do not compose), the driver runs the loop on the calling thread
+//! instead.  The answer does not change: the fan-out keeps the witness of
+//! the lowest span that has one, which is the sequential (lowest-word)
+//! witness.
 
+use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
-
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use sortnet_combinat::BitString;
 
@@ -42,58 +45,25 @@ use crate::error::{self, EngineError};
 use crate::lanes::{self, Check, LaneWidth, RangeSource, Sweep, WideBlock};
 use crate::network::Network;
 
-/// Fewest lines at which an unbudgeted exhaustive sweep fans out over the
-/// rayon pool; smaller sweeps run sequentially on the calling thread.
-/// Each parallel call spawns scoped OS threads afresh.  Passing `W = 4`
-/// sorter sweeps of Batcher sorters on a 2-vCPU x86_64 (AVX2) host,
-/// fanned out vs on the calling thread, median µs:
+/// Fewest lines at which an unbudgeted exhaustive sweep fans out over
+/// scoped threads; smaller sweeps run sequentially on the calling thread.
+/// Each parallel call spawns its threads afresh.  Passing `W = 4` sorter
+/// sweeps of Batcher sorters on a 2-vCPU x86_64 (AVX2) host, fanned out
+/// over two spans vs on the calling thread, median µs:
 ///
 /// | n | 8 | 12 | 16 | 20 | 21 | 22 | 24 |
 /// |---|---|---|---|---|---|---|---|
-/// | fanned out | 24 | 144 | 238 | 1 200 | 2 516 | 5 079 | 18 704 |
-/// | calling thread | 0.2 | 4.2 | 86 | 1 101 | 3 905 | 8 028 | 20 777 |
+/// | fanned out | 22 | 33 | 62 | 467 | 903 | 1 792 | 7 711 |
+/// | calling thread | 0.2 | 1.8 | 23 | 517 | 1 160 | 2 390 | 16 673 |
 ///
-/// `n = 21` flips between runs; from 22 lines on the pool wins.
+/// The fan-out is ahead from about 20 lines on; the cutoff stays at 22,
+/// where a pool that cost more per call put it, because no benchmark
+/// workload sweeps between 20 and 22 lines to show the gain end to end.
 const PARALLEL_MIN_LINES: usize = 22;
 
 /// A block of up to 64 binary input vectors in transposed form: the
 /// single-word (`W = 1`) instance of [`WideBlock`].
 pub type BitBlock = WideBlock<1>;
-
-/// Number of `W × 64`-vector blocks an exhaustive `2^n` sweep visits.
-///
-/// # Panics
-/// Panics if `n ≥ 32` (a larger sweep would take > 4 G evaluations; callers
-/// wanting larger `n` should use the test-set verifiers instead).
-#[must_use]
-pub fn sweep_block_count<const W: usize>(n: usize) -> u64 {
-    assert!(
-        n < 32,
-        "exhaustive 2^{n} sweep refused; use test-set verification"
-    );
-    (1u64 << n).div_ceil(u64::from(WideBlock::<W>::capacity()))
-}
-
-/// The `(start word, vector count)` of block `b` of the exhaustive `2^n`
-/// sweep at width `W` — the shared arithmetic behind the parallel sweeps
-/// here and the per-fault redundancy reference of the fault-simulation
-/// engine.
-///
-/// # Panics
-/// Panics if `n ≥ 32` or `b` is past the last block.
-#[must_use]
-pub fn sweep_block_range<const W: usize>(n: usize, b: u64) -> (u64, u32) {
-    assert!(
-        b < sweep_block_count::<W>(n),
-        "block index {b} out of range"
-    );
-    let total: u64 = 1u64 << n;
-    let start = b * u64::from(WideBlock::<W>::capacity());
-    (
-        start,
-        (total - start).min(u64::from(WideBlock::<W>::capacity())) as u32,
-    )
-}
 
 /// The exhaustive driver: one [`LaneWidth`] dispatch into
 /// [`exhaustive_at`].
@@ -114,56 +84,117 @@ fn exhaustive(check: &Check<'_>, sweep: &Sweep, first_only: bool) -> Budgeted<Ta
 type Tally = (Option<BitString>, u64);
 
 /// Sweeps all `2^n` inputs through `check` at width `W`, stopping at the
-/// first violation when `first_only`.  Fans out over the rayon pool iff
-/// the budget is unlimited and `n ≥ PARALLEL_MIN_LINES`; otherwise runs
-/// the metered block loop over [`RangeSource::exhaustive`] on the calling
-/// thread under the budget.
+/// first violation when `first_only`.  Fans out over one span per
+/// available thread iff the budget is unlimited and
+/// `n ≥ PARALLEL_MIN_LINES`; otherwise runs the metered block loop over
+/// [`RangeSource::exhaustive`] on the calling thread under the budget.
 fn exhaustive_at<const W: usize>(
     check: &Check<'_>,
     sweep: &Sweep,
     first_only: bool,
 ) -> Budgeted<Tally> {
     let n = check.network().lines();
-    let backend = sweep.backend;
     if sweep.budget.is_unlimited() && n >= PARALLEL_MIN_LINES {
-        let scan = |b: u64| {
-            let (start, count) = sweep_block_range::<W>(n, b);
-            let input = WideBlock::<W>::from_range(n, start, count);
-            let [mut out, mut sorted] = [(); 2].map(|()| WideBlock::zeroed(n));
-            let mask = check.violations(backend, &input, &mut out, &mut sorted);
-            (input, mask)
-        };
-        let blocks = (0..sweep_block_count::<W>(n)).into_par_iter();
-        return Budgeted::Complete(if first_only {
-            // `find_map_first` keeps the lowest-word witness (blocks are in
-            // ascending word order) and short-circuits, matching the
-            // sequential arm's early exit on the first failing block.
-            let first = blocks.find_map_first(|b| {
-                let (input, mask) = scan(b);
-                lanes::mask_first(&mask).map(|j| input.extract(j))
-            });
-            (first, 0)
-        } else {
-            let count = blocks
-                .map(|b| u64::from(lanes::mask_count(&scan(b).1)))
-                .sum();
-            (None, count)
-        });
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        return Budgeted::Complete(fan_out::<W>(check, sweep, first_only, threads));
     }
     let mut meter = BudgetMeter::new(&sweep.budget);
+    let tally = sweep_span::<W>(
+        RangeSource::exhaustive(n),
+        check,
+        sweep,
+        &mut meter,
+        first_only,
+        || false,
+    );
+    meter.finish(tally)
+}
+
+/// Runs the block loop over `source` under `meter` and tallies its
+/// violations, stopping at the first one when `first_only`, and before
+/// the next block once `stop` says so.
+fn sweep_span<const W: usize>(
+    source: RangeSource,
+    check: &Check<'_>,
+    sweep: &Sweep,
+    meter: &mut BudgetMeter,
+    first_only: bool,
+    stop: impl Fn() -> bool,
+) -> Tally {
     let (mut first, mut count) = (None, 0);
-    let source = RangeSource::exhaustive(n);
-    lanes::sweep_blocks::<W, _>(source, check, backend, &mut meter, |input, mask| {
+    lanes::sweep_blocks::<W, _>(source, check, sweep.backend, meter, |input, mask| {
         count += u64::from(lanes::mask_count(mask));
         match lanes::mask_first(mask) {
             Some(j) if first_only => {
                 first = Some(input.extract(j));
                 ControlFlow::Break(())
             }
+            _ if stop() => ControlFlow::Break(()),
             _ => ControlFlow::Continue(()),
         }
     });
-    meter.finish((first, count))
+    (first, count)
+}
+
+/// The `(start, end)` vector ranges of the spans an exhaustive `2^n`
+/// sweep at width `W` is cut into for `threads` threads: one per thread
+/// but never more than there are blocks, contiguous, in ascending order,
+/// each starting on a block boundary, and within one block of each other
+/// in length.
+fn spans<const W: usize>(n: usize, threads: usize) -> impl Iterator<Item = (u64, u64)> {
+    let (total, capacity) = (1u64 << n, u64::from(WideBlock::<W>::capacity()));
+    let blocks = total.div_ceil(capacity);
+    let spans = (threads.max(1) as u64).min(blocks);
+    let edge = move |s: u64| (s * blocks / spans * capacity).min(total);
+    (0..spans).map(move |s| (edge(s), edge(s + 1)))
+}
+
+/// The unlimited exhaustive sweep on `threads` scoped threads, one
+/// [`spans`] span each, every span on the metered block loop under
+/// [`BudgetMeter::unlimited`].
+///
+/// When `first_only`, `found` holds the lowest span that has found a
+/// witness: a later span stops at its next block, an earlier one runs on,
+/// and the merged witness is the first in span order — the lowest-word
+/// witness of the whole sweep.  The count is the sum over spans.
+fn fan_out<const W: usize>(
+    check: &Check<'_>,
+    sweep: &Sweep,
+    first_only: bool,
+    threads: usize,
+) -> Tally {
+    let n = check.network().lines();
+    // A stop hint only (the tallies travel back through `join`), so its
+    // loads and stores are relaxed.
+    let found = AtomicUsize::new(usize::MAX);
+    let tallies: Vec<Tally> = thread::scope(|scope| {
+        let workers: Vec<_> = spans::<W>(n, threads)
+            .enumerate()
+            .map(|(s, (start, end))| {
+                let found = &found;
+                scope.spawn(move || {
+                    let source = RangeSource::span(n, start, end);
+                    let stop = || first_only && found.load(Ordering::Relaxed) < s;
+                    let mut meter = BudgetMeter::unlimited();
+                    let tally = sweep_span::<W>(source, check, sweep, &mut meter, first_only, stop);
+                    if tally.0.is_some() {
+                        found.fetch_min(s, Ordering::Relaxed);
+                    }
+                    tally
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let count = tallies.iter().map(|&(_, count)| count).sum();
+    (tallies.into_iter().find_map(|(first, _)| first), count)
 }
 
 /// Exhaustively checks the zero–one sorting property of `network` over all
@@ -544,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn rayon_answers_equal_sequential_across_the_parallel_cutoff() {
+    fn fanout_answers_equal_sequential_across_the_parallel_cutoff() {
         use crate::builders::batcher::odd_even_merge_sort;
         // n = 21 runs an unlimited sweep on the calling thread, n = 22 fans
         // out; both must give the metered sequential arm's answer for a
@@ -582,6 +613,108 @@ mod tests {
                 wide(&metered(backend, u64::MAX)),
                 "n={n}"
             );
+        }
+    }
+
+    /// The cuts of `2^n` at width `W` into [`spans`]: contiguous,
+    /// block-aligned, never empty, one per thread up to the block count.
+    fn assert_spans_tile_the_sweep<const W: usize>(n: usize) {
+        let capacity = u64::from(WideBlock::<W>::capacity());
+        let blocks = (1u64 << n).div_ceil(capacity);
+        for threads in [1, 2, 3, 5, blocks as usize + 1] {
+            let cut: Vec<_> = spans::<W>(n, threads).collect();
+            let case = format!("n={n} W={W} threads={threads}");
+            assert_eq!(cut.len() as u64, (threads as u64).min(blocks), "{case}");
+            assert_eq!(cut[0].0, 0, "{case}");
+            assert_eq!(cut.last().unwrap().1, 1 << n, "{case}");
+            for (s, &(start, end)) in cut.iter().enumerate() {
+                assert!(start < end && start % capacity == 0, "{case}");
+                if s > 0 {
+                    assert_eq!(start, cut[s - 1].1, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spans_tile_the_sweep_on_block_boundaries() {
+        for n in [0, 5, 6, 11, 12] {
+            assert_spans_tile_the_sweep::<1>(n);
+            assert_spans_tile_the_sweep::<16>(n);
+        }
+    }
+
+    /// [`fan_out`] at width `W` on `threads` ∈ {1, 2, 3, 5, blocks + 1}
+    /// against the metered sequential arm and a scalar scan, for a sorter,
+    /// two Batcher sorters minus one comparator, the selector check and
+    /// count mode.
+    fn assert_fan_out_is_sequential<const W: usize>(width: LaneWidth, backend: Backend) {
+        use crate::builders::batcher::odd_even_merge_sort;
+        const N: usize = 12;
+        const K: usize = N / 2;
+        assert_eq!(width.words(), W);
+        let sorter = odd_even_merge_sort(N);
+        // Failures spread over many blocks.
+        let broken = sorter.without_comparator(sorter.size() / 2);
+        // Every input below 2^11 still sorts.
+        let late = sorter.without_comparator(7);
+        let unsorted = |net: &Network, s: &BitString| !net.apply_bits(s).is_sorted();
+        let unselected = |net: &Network, s: &BitString| {
+            let (out, zeros) = (net.apply_bits(s), s.count_zeros());
+            (0..K).any(|i| out.get(i) != (i >= zeros))
+        };
+        let blocks = (1u64 << N).div_ceil(u64::from(WideBlock::<W>::capacity()));
+        let sequential = Sweep {
+            width,
+            ..metered(backend, u64::MAX)
+        };
+        let late_lowest = BitString::all(N).position(|s| unsorted(&late, &s));
+        for threads in [1, 2, 3, 5, blocks as usize + 1] {
+            let first_span_end = spans::<W>(N, threads).next().unwrap().1;
+            if threads > 1 {
+                assert!(
+                    late_lowest.unwrap() as u64 >= first_span_end,
+                    "the lowest failure of `late` must lie past the first span"
+                );
+            }
+            for net in [&sorter, &broken, &late] {
+                let case = format!("net {net} W={W} threads={threads} {}", backend.name());
+                let sorted = Check::Sorted(net);
+                let selected = Check::selected(net, K);
+                let run = |check, first_only| fan_out::<W>(check, &sequential, first_only, threads);
+                let lowest = BitString::all(N).find(|s| unsorted(net, s));
+                let witness = run(&sorted, true).0;
+                assert_eq!(witness, lowest, "{case}");
+                assert_eq!(
+                    witness,
+                    complete(find_unsorted_input(net, &sequential)),
+                    "{case}"
+                );
+                let count = BitString::all(N).filter(|s| unsorted(net, s)).count() as u64;
+                assert_eq!(run(&sorted, false).1, count, "{case}");
+                assert_eq!(
+                    count,
+                    complete(count_unsorted_outputs(net, &sequential)),
+                    "{case}"
+                );
+                let lowest = BitString::all(N).find(|s| unselected(net, s));
+                let witness = run(&selected, true).0;
+                assert_eq!(witness, lowest, "{case}");
+                assert_eq!(
+                    witness,
+                    complete(find_selector_violation(net, K, &sequential)),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_equals_the_sequential_arm_at_every_thread_count() {
+        for backend in Backend::runnable() {
+            assert_fan_out_is_sequential::<1>(LaneWidth::W1, backend);
+            assert_fan_out_is_sequential::<4>(LaneWidth::W4, backend);
+            assert_fan_out_is_sequential::<16>(LaneWidth::W16, backend);
         }
     }
 

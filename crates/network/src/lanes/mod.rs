@@ -167,7 +167,7 @@ impl LaneWidth {
 /// how much work it may do.
 ///
 /// The verdict never depends on `backend` or `width`.  An unlimited
-/// `budget` lets a large sweep fan out over the rayon pool; a bounded one
+/// `budget` lets a large sweep fan out over scoped threads; a bounded one
 /// runs on the calling thread and may come back
 /// [`Budgeted::Partial`](crate::Budgeted::Partial).
 #[derive(Clone, Debug)]
@@ -810,11 +810,20 @@ impl RangeSource {
     /// [`EngineError::SweepTooLarge`] when `n ≥ 32`.
     pub fn try_exhaustive(n: usize) -> Result<Self, EngineError> {
         error::ensure_sweepable(n)?;
-        Ok(Self {
+        Ok(Self::span(n, 0, 1u64 << n))
+    }
+
+    /// The vectors `start..end` of the `2^n` sweep: one contiguous span of
+    /// it, for a caller that cuts the sweep into pieces.  A `start` on a
+    /// block boundary keeps every block of the span the block the whole
+    /// sweep would fill there.
+    pub(crate) fn span(n: usize, start: u64, end: u64) -> Self {
+        debug_assert!(n < 32 && start <= end && end <= 1u64 << n);
+        Self {
             n,
-            next: 0,
-            end: 1u64 << n,
-        })
+            next: start,
+            end,
+        }
     }
 }
 

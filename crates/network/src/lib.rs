@@ -15,7 +15,7 @@
 //!   substrate (`WideBlock<W>` carries `W × 64` test vectors per pass in
 //!   transposed form, `BlockSource` streams vector families directly in
 //!   block form), and [`bitparallel`] runs the exhaustive sweeps on it,
-//!   fanning blocks out over rayon;
+//!   fanning block-aligned spans out over scoped threads;
 //! * the exhaustive property oracles of the paper — sorter, `(k, n)`-selector,
 //!   `(n/2, n/2)`-merger — in [`properties`];
 //! * the classical constructions the paper builds on in [`builders`]:

@@ -3,10 +3,8 @@
 //! A failpoint is a named site in production code that can be armed
 //! from a test (or the grinder's chaos leg) to panic, sleep, or report
 //! "fire now" on a **deterministic schedule** — every N-th passage or a
-//! seeded per-mille coin flip ([`Schedule`]).  Sites are compiled in
-//! only under `cfg(any(test, feature = "failpoints"))`; in a plain
-//! build every hook is an inlined no-op, and even when compiled in, an
-//! unarmed registry is one relaxed atomic load per passage.
+//! seeded per-mille coin flip ([`Schedule`]).  Every build carries the
+//! registry; an unarmed site costs one atomic load per passage.
 //!
 //! The registry is **process-global**, so tests that arm failpoints
 //! must serialise against each other (each integration-test binary is
@@ -23,6 +21,11 @@
 //! | `torn-frame`   | the wire server's reply write path          | half-frame|
 //! | `slow-read`    | top of the wire server's per-frame loop     | sleep     |
 //! | `accept-error` | the wire server's accept loop               | loop exit |
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{LazyLock, Mutex};
+use std::time::Duration;
 
 /// When an armed failpoint fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,171 +50,129 @@ pub enum Schedule {
     },
 }
 
-#[cfg(any(test, feature = "failpoints"))]
-mod active {
-    use super::Schedule;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{LazyLock, Mutex};
-    use std::time::Duration;
+struct Site {
+    schedule: Schedule,
+    rng: u64,
+    passages: u64,
+    fires: u64,
+    sleep: Duration,
+}
 
-    struct Site {
-        schedule: Schedule,
-        rng: u64,
-        passages: u64,
-        fires: u64,
-        sleep: Duration,
+/// Fast-path gate: sites pay one atomic load when nothing is armed.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static REGISTRY: LazyLock<Mutex<HashMap<&'static str, Site>>> =
+    LazyLock::new(|| Mutex::new(HashMap::new()));
+
+fn lock() -> std::sync::MutexGuard<'static, HashMap<&'static str, Site>> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Arms `name` on `schedule` with no sleep payload.
+pub fn configure(name: &'static str, schedule: Schedule) {
+    configure_sleep(name, schedule, Duration::ZERO);
+}
+
+/// Arms `name` on `schedule`; when the site is a sleep-style hook
+/// ([`maybe_sleep`]) each firing sleeps `sleep`.
+pub fn configure_sleep(name: &'static str, schedule: Schedule, sleep: Duration) {
+    let seed = match schedule {
+        Schedule::Seeded { seed, .. } => seed,
+        Schedule::Nth { .. } => 0,
+    };
+    lock().insert(
+        name,
+        Site {
+            schedule,
+            rng: seed,
+            passages: 0,
+            fires: 0,
+            sleep,
+        },
+    );
+    ARMED.store(true, Ordering::Release);
+}
+
+/// Disarms every failpoint and clears all counters.
+pub fn reset() {
+    lock().clear();
+    ARMED.store(false, Ordering::Release);
+}
+
+/// How many times `name` has fired since it was armed.
+#[must_use]
+pub fn fires(name: &str) -> u64 {
+    lock().get(name).map_or(0, |s| s.fires)
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One passage through site `name`: advances its schedule and
+/// returns the sleep payload when it fires.  Inlined, so an unarmed site
+/// is the load of `ARMED` and a branch.
+#[inline]
+fn passage(name: &str) -> Option<Duration> {
+    if !ARMED.load(Ordering::Acquire) {
+        return None;
     }
+    armed_passage(name)
+}
 
-    /// Fast-path gate: sites pay one relaxed load when nothing is armed.
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static REGISTRY: LazyLock<Mutex<HashMap<&'static str, Site>>> =
-        LazyLock::new(|| Mutex::new(HashMap::new()));
-
-    fn lock() -> std::sync::MutexGuard<'static, HashMap<&'static str, Site>> {
-        REGISTRY
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Arms `name` on `schedule` with no sleep payload.
-    pub fn configure(name: &'static str, schedule: Schedule) {
-        configure_sleep(name, schedule, Duration::ZERO);
-    }
-
-    /// Arms `name` on `schedule`; when the site is a sleep-style hook
-    /// ([`maybe_sleep`]) each firing sleeps `sleep`.
-    pub fn configure_sleep(name: &'static str, schedule: Schedule, sleep: Duration) {
-        let seed = match schedule {
-            Schedule::Seeded { seed, .. } => seed,
-            Schedule::Nth { .. } => 0,
-        };
-        lock().insert(
-            name,
-            Site {
-                schedule,
-                rng: seed,
-                passages: 0,
-                fires: 0,
-                sleep,
-            },
-        );
-        ARMED.store(true, Ordering::Release);
-    }
-
-    /// Disarms every failpoint and clears all counters.
-    pub fn reset() {
-        lock().clear();
-        ARMED.store(false, Ordering::Release);
-    }
-
-    /// How many times `name` has fired since it was armed.
-    #[must_use]
-    pub fn fires(name: &str) -> u64 {
-        lock().get(name).map_or(0, |s| s.fires)
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// One passage through site `name`: advances its schedule and
-    /// returns the sleep payload when it fires.
-    fn passage(name: &str) -> Option<Duration> {
-        if !ARMED.load(Ordering::Acquire) {
-            return None;
-        }
-        let mut registry = lock();
-        let site = registry.get_mut(name)?;
-        let index = site.passages;
-        site.passages += 1;
-        let fire = match site.schedule {
-            Schedule::Nth { every, offset } => every != 0 && index % every == offset % every,
-            Schedule::Seeded { permille, .. } => {
-                splitmix(&mut site.rng) % 1000 < u64::from(permille)
-            }
-        };
-        if fire {
-            site.fires += 1;
-            Some(site.sleep)
-        } else {
-            None
-        }
-    }
-
-    /// `true` when this passage through `name` should inject its fault.
-    #[must_use]
-    pub fn should_fire(name: &str) -> bool {
-        passage(name).is_some()
-    }
-
-    /// Panics (with a recognisable message) when the site fires.
-    ///
-    /// # Panics
-    /// That is the point.  Call sites must sit under `catch_unwind`
-    /// supervision and must not hold locks whose invariants a panic
-    /// would tear.
-    pub fn maybe_panic(name: &str) {
-        if should_fire(name) {
-            panic!("failpoint {name} fired");
-        }
-    }
-
-    /// Sleeps the site's configured payload when it fires.
-    pub fn maybe_sleep(name: &str) {
-        if let Some(sleep) = passage(name) {
-            if !sleep.is_zero() {
-                std::thread::sleep(sleep);
-            }
-        }
+/// [`passage`] once some site is armed.
+#[cold]
+fn armed_passage(name: &str) -> Option<Duration> {
+    let mut registry = lock();
+    let site = registry.get_mut(name)?;
+    let index = site.passages;
+    site.passages += 1;
+    let fire = match site.schedule {
+        Schedule::Nth { every, offset } => every != 0 && index % every == offset % every,
+        Schedule::Seeded { permille, .. } => splitmix(&mut site.rng) % 1000 < u64::from(permille),
+    };
+    if fire {
+        site.fires += 1;
+        Some(site.sleep)
+    } else {
+        None
     }
 }
 
-#[cfg(any(test, feature = "failpoints"))]
-pub use active::{configure, configure_sleep, fires, maybe_panic, maybe_sleep, reset, should_fire};
-
-#[cfg(not(any(test, feature = "failpoints")))]
-mod inactive {
-    use super::Schedule;
-    use std::time::Duration;
-
-    /// No-op in a plain build.
-    #[inline(always)]
-    pub fn configure(_name: &'static str, _schedule: Schedule) {}
-    /// No-op in a plain build.
-    #[inline(always)]
-    pub fn configure_sleep(_name: &'static str, _schedule: Schedule, _sleep: Duration) {}
-    /// No-op in a plain build.
-    #[inline(always)]
-    pub fn reset() {}
-    /// Always zero in a plain build.
-    #[inline(always)]
-    #[must_use]
-    pub fn fires(_name: &str) -> u64 {
-        0
-    }
-    /// Never fires in a plain build.
-    #[inline(always)]
-    #[must_use]
-    pub fn should_fire(_name: &str) -> bool {
-        false
-    }
-    /// No-op in a plain build.
-    #[inline(always)]
-    pub fn maybe_panic(_name: &str) {}
-    /// No-op in a plain build.
-    #[inline(always)]
-    pub fn maybe_sleep(_name: &str) {}
+/// `true` when this passage through `name` should inject its fault.
+#[inline]
+#[must_use]
+pub fn should_fire(name: &str) -> bool {
+    passage(name).is_some()
 }
 
-#[cfg(not(any(test, feature = "failpoints")))]
-pub use inactive::{
-    configure, configure_sleep, fires, maybe_panic, maybe_sleep, reset, should_fire,
-};
+/// Panics (with a recognisable message) when the site fires.
+///
+/// # Panics
+/// That is the point.  Call sites must sit under `catch_unwind`
+/// supervision and must not hold locks whose invariants a panic
+/// would tear.
+#[inline]
+pub fn maybe_panic(name: &str) {
+    if should_fire(name) {
+        panic!("failpoint {name} fired");
+    }
+}
+
+/// Sleeps the site's configured payload when it fires.
+#[inline]
+pub fn maybe_sleep(name: &str) {
+    if let Some(sleep) = passage(name) {
+        if !sleep.is_zero() {
+            std::thread::sleep(sleep);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

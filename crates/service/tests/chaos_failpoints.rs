@@ -1,5 +1,5 @@
 //! End-to-end chaos tests: armed failpoints against a live service and
-//! wire stack (built with `--features failpoints`).
+//! wire stack.
 //!
 //! The failpoint registry is process-global, so every test here
 //! serialises on one mutex and resets the registry on entry and exit.

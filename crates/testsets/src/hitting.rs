@@ -17,8 +17,6 @@
 
 use std::collections::BTreeSet;
 
-use rayon::prelude::*;
-
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_network::{Comparator, Network};
 
@@ -62,12 +60,9 @@ pub fn failure_signatures(n: usize, max_size: usize) -> Vec<u64> {
     assert!(total <= 20_000_000, "enumerating {total} networks refused");
 
     let mut signatures: BTreeSet<u64> = (0..=max_size)
-        .into_par_iter()
-        .flat_map_iter(|size| NetworkCounter::new(alphabet.clone(), n, size))
+        .flat_map(|size| NetworkCounter::new(alphabet.clone(), n, size))
         .map(|net| failure_mask(&net, &universe))
         .filter(|&m| m != 0)
-        .collect::<Vec<u64>>()
-        .into_iter()
         .collect();
 
     // Always include the Lemma 2.1 adversaries themselves so the finite

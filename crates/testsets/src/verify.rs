@@ -140,7 +140,7 @@ pub fn try_verify_on(
     }
     let m = n as u64;
     // `None` is the exhaustive `2^n` sweep of `bitparallel`, which fans out
-    // over the rayon pool on large `n`.
+    // over scoped threads on large `n`.
     let (source, tests_run): (Option<Box<dyn BlockSource<DEFAULT_WIDTH>>>, u128) =
         match (property, strategy) {
             (Property::Sorter | Property::Selector { .. }, Strategy::Exhaustive) => (None, 1 << n),
