@@ -8,8 +8,8 @@
 //! at n ∈ {8, 16}.  The `lane_width_sweep` group races lane widths
 //! W ∈ {1, 2, 4, 8, 16} on the same coverage workload and on the plain
 //! exhaustive `2^n` sorter sweep at n ∈ {16, 20} — the W sweet-spot study.
-//! The `simd_backend` group races the lane-ops backends (scalar /
-//! portable-chunked / AVX2 where the CPU has it) on the exhaustive sweep
+//! The `simd_backend` group races the lane-ops backends (scalar, and
+//! AVX2 where the CPU has it) on the exhaustive sweep
 //! and on the two-level pair-universe redundancy sweep; `universe_sweep`
 //! covers the multi-fault universes with per-fault throughput annotations
 //! (`elements` = universe size in the JSON) so universes of different
@@ -211,11 +211,10 @@ fn bench_lane_width_sweep(c: &mut Criterion) {
 
 fn bench_simd_backend(c: &mut Criterion) {
     // The lane-ops backends head to head, on the CPU's runnable set (the
-    // scalar reference and the portable chunked path everywhere; AVX2 on
-    // x86_64 CPUs that have it).  Two workloads: the n = 20 exhaustive
-    // zero–one sweep at W ∈ {4, 8} (pure comparator throughput) and the
-    // two-level pairs(stuck-line) batch redundancy sweep on Batcher n = 8
-    // (fork-heavy; the PR acceptance workload).
+    // scalar reference everywhere; AVX2 on x86_64 CPUs that have it).
+    // Two workloads: the n = 20 exhaustive zero–one sweep at W ∈ {4, 8}
+    // (pure comparator throughput) and the two-level pairs(stuck-line)
+    // batch redundancy sweep on Batcher n = 8 (fork-heavy).
     let mut group = c.benchmark_group("simd_backend");
     group
         .sample_size(10)

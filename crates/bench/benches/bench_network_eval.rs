@@ -1,7 +1,8 @@
 //! Substrate ablation: scalar vs bit-parallel evaluation of the exhaustive
 //! 2^n zero–one sweep, the bit-parallel sweep both metered on the calling
 //! thread and unlimited (which fans out over scoped threads from 22 lines
-//! on), and raw network application throughput.
+//! on, so the n = 22 rows time the fan-out against the calling thread),
+//! and raw network application throughput.
 
 use std::time::Duration;
 
@@ -26,7 +27,7 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
         ..Sweep::default()
     };
     let unlimited = Sweep::default();
-    for n in [12usize, 16, 20] {
+    for n in [12usize, 16, 20, 22] {
         let net = odd_even_merge_sort(n);
         group.throughput(Throughput::Elements(1u64 << n));
         group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, &n| {
@@ -51,7 +52,7 @@ fn bench_failure_counting(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    for n in [12usize, 16] {
+    for n in [12usize, 16, 22] {
         let nearly = bubble_sort_network(n).without_comparator(0);
         group.bench_with_input(
             BenchmarkId::new("count_unsorted_unlimited", n),

@@ -1,7 +1,7 @@
-//! Regenerates every table of EXPERIMENTS.md.
+//! Regenerates `EXPERIMENTS.md`.
 //!
 //! ```text
-//! cargo run -p sortnet-bench --bin experiments --release
+//! cargo run --release -p sortnet-bench --bin experiments > EXPERIMENTS.md
 //! ```
 //!
 //! Each table juxtaposes the paper's closed-form bound with the value
@@ -9,9 +9,5 @@
 //! `covers` / `passes` columns are the reproduction verdicts.
 
 fn main() {
-    println!("# Experiment tables — Chung & Ravikumar, test sets for sorting networks\n");
-    println!("Generated by `cargo run -p sortnet-bench --bin experiments --release`.\n");
-    for table in sortnet_bench::all_default_tables() {
-        println!("{table}");
-    }
+    print!("{}", sortnet_bench::experiments_markdown());
 }

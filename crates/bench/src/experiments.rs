@@ -1,6 +1,9 @@
-//! The experiment functions E1–E10 (see DESIGN.md §3).  Each returns a
-//! [`Table`] whose rows juxtapose the paper's closed-form value with the
-//! value measured from the constructions in this workspace.
+//! The experiment functions E1–E10.  Each returns a [`Table`] whose rows
+//! juxtapose the paper's closed-form value with the value measured from
+//! the constructions in this workspace; [`experiments_markdown`] renders
+//! them all as the repository's `EXPERIMENTS.md`.
+
+use std::fmt::Write as _;
 
 use sortnet_combinat::binomial::{
     merging_testset_size_binary, merging_testset_size_permutation, selector_testset_size_binary,
@@ -9,8 +12,8 @@ use sortnet_combinat::binomial::{
 };
 use sortnet_combinat::{BitString, Permutation};
 use sortnet_faults::{
-    try_coverage_of_universe_packed_with, CoverageReport, FaultSimEngine, FaultUniverse,
-    RedundancyMode, StandardUniverse,
+    coverage_of_universe_budgeted_packed_with, Budgeted, CoverageReport, FaultSimEngine,
+    FaultUniverse, RedundancyMode, StandardUniverse, SweepBudget,
 };
 use sortnet_network::builders::batcher::{half_half_merger, odd_even_merge_sort};
 use sortnet_network::builders::bubble::bubble_sort_network;
@@ -84,7 +87,7 @@ pub fn e2_sorting_permutation(max_n: usize) -> Table {
         let testset = sorting::permutation_testset(n);
         let formula = sorting_testset_size_permutation(n as u64);
         let covers = is_permutation_testset(&testset, n, Property::Sorter);
-        let searched = if n <= 4 {
+        let searched = if n <= 8 {
             hitting::minimum_permutation_testset_size(n).to_string()
         } else {
             "—".to_string()
@@ -316,7 +319,8 @@ fn verify(net: &Network, property: Property, strategy: Strategy) -> Report {
     try_verify_on(net, property, strategy, Backend::active()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The exhaustively classified coverage grade of `tests` on `engine`.
+/// The exhaustively classified coverage grade of `tests` on `engine` and
+/// `backend`.
 ///
 /// # Panics
 /// Panics with the typed refusal's text on a grade that cannot run; every
@@ -326,9 +330,19 @@ fn grade(
     universe: &StandardUniverse,
     tests: &[BitString],
     engine: FaultSimEngine,
+    backend: Backend,
 ) -> CoverageReport {
-    try_coverage_of_universe_packed_with(net, universe, tests, RedundancyMode::Exhaustive, engine)
-        .unwrap_or_else(|e| panic!("{e}"))
+    coverage_of_universe_budgeted_packed_with(
+        net,
+        universe,
+        tests,
+        RedundancyMode::Exhaustive,
+        engine,
+        backend,
+        &SweepBudget::unlimited(),
+    )
+    .map(Budgeted::into_value)
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// E9 — test counts per verification strategy on concrete networks (the
@@ -377,24 +391,19 @@ pub fn e9_verification_cost(max_n: usize) -> Table {
 /// (single-comparator faults, stuck-at lines, fault pairs) of a Batcher
 /// sorter.
 ///
-/// Runs on the bit-parallel fault-simulation engine
-/// ([`FaultSimEngine::BitParallelWide`] at `LaneWidth::W4`); the last column re-runs each row on
-/// the scalar oracle and records that the two reports agree bit-for-bit.
-/// The `undetectable` column is the universe's redundant-fault count — on
-/// the richer universes (stuck lines, pairs) a nonzero value is expected
-/// and the paper's "detects everything detectable" claim is judged by
-/// `missed` alone.
+/// Runs on the scalar oracle ([`FaultSimEngine::Scalar`]); the last
+/// column re-runs each row on the bit-parallel engine
+/// ([`FaultSimEngine::BitParallelWide`] at `LaneWidth::W4`) on every
+/// runnable lane-ops backend and records whether every one of those
+/// reports equals the oracle's bit for bit, so the table reads the same
+/// on every host.  The `undetectable` column is the universe's
+/// redundant-fault count — on the richer universes (stuck lines, pairs)
+/// a nonzero value is expected and the paper's "detects everything
+/// detectable" claim is judged by `missed` alone.
 #[must_use]
 pub fn e10_fault_coverage(n: usize) -> Table {
-    // The engines-agree column re-runs each row on the scalar oracle, so
-    // the active lane-ops backend (scalar / portable / avx2) is itself
-    // under test here — name it in the table title.
-    let title = format!(
-        "E10 — multi-universe fault coverage on Batcher's sorter (§1 VLSI motivation; lane backend: {})",
-        sortnet_network::lanes::Backend::active().name()
-    );
     let mut t = Table::new(
-        &title,
+        "E10 — multi-universe fault coverage on Batcher's sorter (§1 VLSI motivation)",
         &[
             "n",
             "universe",
@@ -438,9 +447,13 @@ pub fn e10_fault_coverage(n: usize) -> Table {
                 &net,
                 &universe,
                 tests,
-                FaultSimEngine::BitParallelWide(LaneWidth::W4),
+                FaultSimEngine::Scalar,
+                Backend::Scalar,
             );
-            let oracle = grade(&net, &universe, tests, FaultSimEngine::Scalar);
+            let agree = Backend::runnable().into_iter().all(|backend| {
+                let wide = FaultSimEngine::BitParallelWide(LaneWidth::W4);
+                grade(&net, &universe, tests, wide, backend) == report
+            });
             t.push_row(vec![
                 n.to_string(),
                 universe.name(),
@@ -452,7 +465,7 @@ pub fn e10_fault_coverage(n: usize) -> Table {
                 report.redundant_faults.to_string(),
                 format!("{:.3}", report.coverage),
                 format!("{:.1}", report.mean_first_detection),
-                (report == oracle).to_string(),
+                agree.to_string(),
             ]);
         }
     }
@@ -482,8 +495,7 @@ pub fn bnk_property_table(max_n: usize) -> Table {
 }
 
 /// Runs every experiment with the default (fast) parameters and returns the
-/// tables in order.  This is what the `experiments` binary prints and what
-/// EXPERIMENTS.md records.
+/// tables in order.
 #[must_use]
 pub fn all_default_tables() -> Vec<Table> {
     vec![
@@ -499,6 +511,23 @@ pub fn all_default_tables() -> Vec<Table> {
         e10_fault_coverage(8),
         bnk_property_table(8),
     ]
+}
+
+/// The whole of `EXPERIMENTS.md`: a title, the command that regenerates
+/// it, and every table of [`all_default_tables`].  The `experiments`
+/// binary prints it, and the `experiments_md` test holds the committed
+/// file to it byte for byte.
+#[must_use]
+pub fn experiments_markdown() -> String {
+    let mut out = String::from(
+        "# Experiment tables — Chung & Ravikumar, test sets for sorting networks\n\n\
+         Generated by `cargo run --release -p sortnet-bench --bin experiments > EXPERIMENTS.md`; \
+         `cargo test -p sortnet-bench --test experiments_md` checks that it is current.\n\n",
+    );
+    for table in all_default_tables() {
+        writeln!(out, "{table}").expect("writing to a String cannot fail");
+    }
+    out
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@
 //! # Lane backends
 //!
 //! All sweeps execute their word kernels on a pluggable lane-ops
-//! [`Backend`] (scalar / portable-chunked / AVX2, runtime-detected; see
+//! [`Backend`] (scalar / AVX2, runtime-detected; see
 //! [`sortnet_network::lanes::backend`]).  Every sweep entry point takes
 //! the backend explicitly, and every backend produces bit-identical
 //! results — the differential suite sweeps backend × universe × width.
@@ -114,7 +114,7 @@
 //!
 //! | operation | driver | source | block widths |
 //! |---|---|---|---|
-//! | first detections of a test list | early exit | [`SliceSource`] | `W`, then an unbudgeted tail at `W16` |
+//! | first detections of test lists (`crate::coverage`) | early exit | [`SliceSource`] per list, resumed past a shared prefix | `W`, then an unbudgeted tail at `W16` |
 //! | exhaustive redundancy | early exit | [`RangeSource::exhaustive`] | `W`, then an unbudgeted tail at `W16` |
 //! | relative redundancy (`crate::coverage`) | early exit | [`SliceSource`] over the collected family | `W`, then an unbudgeted tail at `W16` |
 //! | matrix of a test list | matrix | [`SliceSource`] | `W` |
@@ -136,9 +136,6 @@
 //!   and [`detection_matrix_from_source_packed_on`] — the same three
 //!   operations unbudgeted and unchecked (they panic on bad inputs).  They
 //!   stay because the repository benchmark's adapter names them;
-//! * [`first_detections_of_lists`] — unbudgeted first detections of
-//!   several test lists over one fault slice, sweeping a prefix the lists
-//!   share once (the service's coverage shards);
 //! * [`multi_faulty_run_block`] — one fault over one block (the oracle
 //!   hook the property tests cross-check against the scalar simulator);
 //! * [`is_fault_redundant_wide`] — the *per-fault* blocked `2^n`
@@ -967,28 +964,14 @@ fn matrix_driver<const W: usize, P: ChannelPack, S: BlockSource<W>>(
     (matrix, vectors)
 }
 
-/// First detections over a test slice: the early-exit driver through a
-/// [`SliceSource`].  Inputs must already be validated.  `pub(crate)` so a
-/// coverage grade (`crate::coverage`) spans its first-detection and
-/// redundancy phases with one shared meter, and the budget bounds the
-/// whole grade rather than each phase.
-pub(crate) fn first_detections_metered<const W: usize, P: ChannelPack>(
-    network: &Network,
-    faults: &[MultiFault],
-    tests: &[P],
-    backend: Backend,
-    meter: &mut BudgetMeter,
-) -> Vec<Option<usize>> {
-    let source = SliceSource::new(network.lines(), tests);
-    first_detections_driver::<W, _>(network, backend, faults, source, meter)
-}
-
 /// Exhaustive redundancy verdicts: [`redundant_over_metered`] over all
 /// `2^n` inputs ([`RangeSource::exhaustive`]).
 ///
 /// An empty fault slice returns at once, so it is accepted for every `n`;
 /// otherwise inputs must already be validated (`n < 32`).  `pub(crate)`
-/// for the same shared-meter reason as [`first_detections_metered`].
+/// so a coverage grade (`crate::coverage`) runs its redundancy phase on
+/// the meter its first-detection phase used, and the budget bounds the
+/// whole grade rather than each phase.
 pub(crate) fn redundant_faults_metered<const W: usize>(
     network: &Network,
     faults: &[MultiFault],
@@ -1068,9 +1051,12 @@ pub fn first_detections_multi_packed_on<const W: usize, P: ChannelPack>(
     )
 }
 
-/// [`first_detections_multi_packed_on`] for several test lists over one
-/// fault slice: entry `i` of the result equals
-/// `first_detections_multi_packed_on::<W, P>(network, faults, lists[i], backend)`.
+/// First detections of several test lists over one fault slice, on the
+/// caller's meter: entry `i` of the result is, for each fault, the index
+/// of the first test of `lists[i]` detecting it.  Inputs must already be
+/// validated.  `pub(crate)` so a coverage grade (`crate::coverage`) runs
+/// its first-detection and redundancy phases on one meter, for one list
+/// or many.
 ///
 /// Lists are swept longest first, under one sweep plan.  Each later
 /// list finds the already-swept list it shares the longest prefix with
@@ -1080,17 +1066,17 @@ pub fn first_detections_multi_packed_on<const W: usize, P: ChannelPack>(
 /// `tests[ℓ..]` at offset `ℓ` for the faults still undetected.  A list
 /// that is a prefix of a swept one sweeps nothing.  This is how a batch
 /// of truncations of one test set (a coverage shard) pays for its common
-/// prefix once.
+/// prefix once; one list is one plain early-exit sweep of it.
 ///
-/// # Panics
-/// Panics if a fault does not fit the network or a swept test's length
-/// mismatches the network.
-#[must_use]
-pub fn first_detections_of_lists<const W: usize, P: ChannelPack>(
+/// A copied `Some` is exact even after a trip, and a list swept after the
+/// meter refused keeps only what it copied, so every `Some` is exact and
+/// a `None` after a trip means *undecided*.
+pub(crate) fn first_detections_of_lists<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     lists: &[&[P]],
     backend: Backend,
+    meter: &mut BudgetMeter,
 ) -> Vec<Vec<Option<usize>>> {
     let plan = SweepPlan::new(network, faults);
     let mut order: Vec<usize> = (0..lists.len()).collect();
@@ -1119,7 +1105,7 @@ pub fn first_detections_of_lists<const W: usize, P: ChannelPack>(
         }
         let source = SliceSource::new(network.lines(), &tests[shared..]);
         let sweep = EarlyExit::new(network, backend, &plan, faults, first, shared);
-        done[i] = sweep.run::<W, _>(source, &mut BudgetMeter::unlimited());
+        done[i] = sweep.run::<W, _>(source, meter);
     }
     done
 }
@@ -1225,7 +1211,9 @@ pub fn first_detections_multi_budgeted_packed_on<const W: usize, P: ChannelPack>
 ) -> Result<Budgeted<Vec<Option<usize>>>, EngineError> {
     check_matrix_inputs(network, faults, tests)?;
     let mut meter = BudgetMeter::new(budget);
-    let first = first_detections_metered::<W, P>(network, faults, tests, backend, &mut meter);
+    let first = first_detections_of_lists::<W, P>(network, faults, &[tests], backend, &mut meter)
+        .pop()
+        .expect("one result per list");
     Ok(meter.finish(first))
 }
 
@@ -1888,7 +1876,7 @@ mod tests {
             .unwrap(),
             Budgeted::Complete(firsts::<2>(&net, &multi, &tests))
         );
-        let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::Portable);
+        let full = redundant_faults_multi_on::<2>(&net, &multi, Backend::Scalar);
         assert_eq!(
             redundancy_budgeted::<2>(&net, &multi, Backend::Scalar, &unlimited),
             Budgeted::Complete(full.into_iter().map(Some).collect())
@@ -2380,13 +2368,15 @@ mod tests {
                 .map(|i| BitString::sorted_with(8 - i % 9, i % 9))
                 .collect();
             let mut budgeted = BudgetMeter::new(&capped);
-            let narrow = first_detections_metered::<W, BitString>(
+            let narrow = first_detections_of_lists::<W, BitString>(
                 &net,
                 &faults,
-                &tests,
+                &[&tests],
                 Backend::Scalar,
                 &mut budgeted,
-            );
+            )
+            .pop()
+            .expect("one result per list");
             assert!(narrow.iter().any(Option::is_none), "W={W} len={len}");
             assert_eq!(budgeted.tripped(), None);
             assert_eq!(
@@ -2396,13 +2386,15 @@ mod tests {
             );
             assert_eq!(budgeted.progress().vectors, len as u64);
             let mut unlimited = BudgetMeter::unlimited();
-            let wide = first_detections_metered::<W, BitString>(
+            let wide = first_detections_of_lists::<W, BitString>(
                 &net,
                 &faults,
-                &tests,
+                &[&tests],
                 Backend::Scalar,
                 &mut unlimited,
-            );
+            )
+            .pop()
+            .expect("one result per list");
             assert_eq!(wide, narrow, "W={W} len={len}");
             let tail = len.saturating_sub(W * 64).div_ceil(TAIL_WIDTH * 64);
             assert_eq!(
@@ -2469,8 +2461,20 @@ mod tests {
         ] {
             let faults: Vec<MultiFault> = universe.iter(&net).collect();
             for backend in Backend::runnable() {
-                let batched = first_detections_of_lists::<4, _>(&net, &faults, &borrowed, backend);
-                let one_word = first_detections_of_lists::<1, _>(&net, &faults, &borrowed, backend);
+                let batched = first_detections_of_lists::<4, _>(
+                    &net,
+                    &faults,
+                    &borrowed,
+                    backend,
+                    &mut BudgetMeter::unlimited(),
+                );
+                let one_word = first_detections_of_lists::<1, _>(
+                    &net,
+                    &faults,
+                    &borrowed,
+                    backend,
+                    &mut BudgetMeter::unlimited(),
+                );
                 assert_eq!(batched.len(), lists.len());
                 for (i, tests) in lists.iter().enumerate() {
                     let alone =
@@ -2489,7 +2493,8 @@ mod tests {
             &net,
             &single_faults(&net),
             &[],
-            Backend::Scalar
+            Backend::Scalar,
+            &mut BudgetMeter::unlimited()
         )
         .is_empty());
     }

@@ -7,18 +7,22 @@
 //! at a chosen lane width, and classifies the faults it misses under a
 //! [`RedundancyMode`].
 //!
-//! Every grade is one metered run: [`check_coverage_inputs`] admits or
-//! refuses it with a typed [`EngineError`], the first-detection and
-//! redundancy phases share one [`BudgetMeter`] (the caller's budget, or
-//! an unlimited one), and [`summarise_verdicts`] folds the per-fault
-//! verdicts into a [`CoverageReport`].  The bit-parallel phases are the
-//! early-exit sweeps of [`crate::bitsim`]; the redundancy phase is
-//! [`redundancy_verdicts_on`], which the oracle service shares across a
-//! shard of queries.  The scalar engine grades one fault at a time, in
-//! enumeration order, on the same meter.
+//! Every grade is one call of [`coverage_of_universe_metered`], which
+//! grades one test list or many on one [`BudgetMeter`] (the caller's
+//! budget, or an unlimited one): each list is admitted or refused with
+//! the typed [`EngineError`] of [`check_coverage_inputs`], the universe is
+//! enumerated once, and [`summarise_verdicts`] folds each list's per-fault
+//! verdicts into its [`CoverageReport`].  On the bit-parallel engines the
+//! lists share their first-detection sweeps (a prefix several lists share
+//! is swept once, see [`crate::bitsim`]) and **one** redundancy pass over
+//! the faults any list missed; a fault's verdict depends only on the
+//! network and the mode, never on the list that missed it.  The scalar
+//! engine grades each list in turn, one fault at a time in enumeration
+//! order, on the same meter.  The oracle service's coverage shards are
+//! one such call, so a batched answer is the cold one by construction.
 //!
-//! * [`coverage_of_universe_budgeted_packed_with`] — the grade, under a
-//!   [`SweepBudget`] and on an explicit lane-ops [`Backend`];
+//! * [`coverage_of_universe_budgeted_packed_with`] — the grade of one
+//!   list, under a [`SweepBudget`] and on an explicit lane-ops [`Backend`];
 //! * [`try_coverage_of_universe_packed_with`] — the same grade unbudgeted,
 //!   on [`Backend::active`].
 //!
@@ -35,7 +39,7 @@ use sortnet_network::lanes::{
 };
 use sortnet_network::Network;
 
-use crate::bitsim::{first_detections_metered, redundant_faults_metered, redundant_over_metered};
+use crate::bitsim::{first_detections_of_lists, redundant_faults_metered, redundant_over_metered};
 use crate::universe::{
     is_multi_fault_redundant, is_multi_fault_redundant_relative, multi_first_detection_index,
     FaultUniverse, MultiFault,
@@ -235,10 +239,9 @@ impl CoverageReport {
 /// only when the sweep finished.  The family is never built ahead of the
 /// sweep, so a block budget or deadline bounds it from the first block.
 ///
-/// Public so external batching layers (the oracle service) classify the
-/// union of several queries' missed faults through the cold path's own
-/// phase: a fault's verdict depends only on the network and the mode,
-/// never on the test list that missed it.
+/// A fault's verdict depends only on the network and the mode, never on
+/// the test list that missed it, so one pass serves every list of a
+/// grade.
 ///
 /// # Panics
 /// Panics if a fault does not fit the network, or under
@@ -246,7 +249,7 @@ impl CoverageReport {
 /// selected (callers admit the mode first with
 /// [`RedundancyMode::ensure_admissible`]).
 #[must_use]
-pub fn redundancy_verdicts_on<const W: usize, P: ChannelPack>(
+fn redundancy_verdicts_on<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
     missed: impl Fn(usize) -> bool,
@@ -281,29 +284,28 @@ pub fn redundancy_verdicts_on<const W: usize, P: ChannelPack>(
     redundant
 }
 
-/// The bit-parallel per-fault results at lane width `W`, under one shared
-/// meter: first-detection indices with early exit, then
-/// [`redundancy_verdicts_on`] over exactly the faults the whole sequence
-/// missed.  Undecided faults keep `first = None, redundant = false` and
-/// therefore fold into `missed` — the conservative reading.
-fn bitparallel_results_metered<const W: usize, P: ChannelPack>(
+/// The bit-parallel grades of `lists` at lane width `W`, under one shared
+/// meter: every list's early-exit first detections from one
+/// [`first_detections_of_lists`] sweep, then [`redundancy_verdicts_on`]
+/// over exactly the faults *some* list missed, then one
+/// [`summarise_verdicts`] per list.  Undecided faults keep `first = None,
+/// redundant = false` and therefore fold into `missed` — the conservative
+/// reading.
+fn bitparallel_reports<const W: usize, P: ChannelPack>(
     network: &Network,
     faults: &[MultiFault],
-    tests: &[P],
+    lists: &[&[P]],
     mode: RedundancyMode,
     backend: Backend,
     meter: &mut BudgetMeter,
-) -> (Vec<Option<usize>>, Vec<bool>) {
-    let first = first_detections_metered::<W, P>(network, faults, tests, backend, meter);
-    let redundant = redundancy_verdicts_on::<W, P>(
-        network,
-        faults,
-        |i| first[i].is_none(),
-        mode,
-        backend,
-        meter,
-    );
-    (first, redundant)
+) -> Vec<CoverageReport> {
+    let first = first_detections_of_lists::<W, P>(network, faults, lists, backend, meter);
+    let missed = |i: usize| first.iter().any(|list| list[i].is_none());
+    let redundant = redundancy_verdicts_on::<W, P>(network, faults, missed, mode, backend, meter);
+    first
+        .iter()
+        .map(|first| summarise_verdicts(faults, first, &redundant, mode))
+        .collect()
 }
 
 /// Folds per-fault verdicts into a [`CoverageReport`]: `first[i]` is the
@@ -313,17 +315,12 @@ fn bitparallel_results_metered<const W: usize, P: ChannelPack>(
 /// undecided faults land in `missed`, never in `detected` or
 /// `redundant_faults`.
 ///
-/// Public so external batching layers (the oracle service) that share
-/// fault enumeration and redundancy passes across queries fold their
-/// per-query verdicts through *this* function and stay bit-identical to
-/// the cold path — reimplementing the fold is how summary statistics
-/// drift.  The repository benchmark's adapter replays a grade through it
-/// as well.  `redundant[i]` is read only where `first[i]` is `None`, so a
-/// verdict shared across queries can be passed as it is.
+/// `redundant[i]` is read only where `first[i]` is `None`, so verdicts
+/// shared by several lists of one grade can be passed as they are.  The
+/// repository benchmark's adapter replays a grade through this fold.
 ///
 /// The `mode` the verdicts were derived under is recorded verbatim as
-/// the report's [`redundancy`](CoverageReport::redundancy) provenance —
-/// batching layers must pass the mode they actually classified with.
+/// the report's [`redundancy`](CoverageReport::redundancy) provenance.
 ///
 /// # Panics
 /// Panics if `first` and `redundant` do not both have one entry per
@@ -401,11 +398,9 @@ pub fn summarise_verdicts(
 /// engine-independent `ensure_sweepable`), even if it later turns out no
 /// fault is missed.
 ///
-/// Public for external batching layers (the oracle service): a batched
-/// grade that shares work across queries must admit or refuse each query
-/// by *these* rules — the same ones every grade applies — or batched and
-/// cold answers diverge on the error surface.  The repository benchmark's
-/// adapter replays a grade through it as well.
+/// [`coverage_of_universe_metered`] admits each of its lists by these
+/// rules, in this order; the repository benchmark's adapter replays a
+/// grade through this check.
 ///
 /// # Errors
 /// As listed above.
@@ -417,6 +412,17 @@ pub fn check_coverage_inputs<P: ChannelPack>(
 ) -> Result<Vec<MultiFault>, EngineError> {
     error::ensure_packable::<P>(network.lines())?;
     check_test_lengths(network, tests)?;
+    admitted_faults(network, universe, mode)
+}
+
+/// The list-independent tail of [`check_coverage_inputs`]: the universe's
+/// size and emptiness, then the mode's admissibility; on success, the
+/// enumerated faults.
+fn admitted_faults(
+    network: &Network,
+    universe: &dyn FaultUniverse,
+    mode: RedundancyMode,
+) -> Result<Vec<MultiFault>, EngineError> {
     let len = universe.try_len(network)?;
     if len == 0 {
         return Err(EngineError::EmptyUniverse);
@@ -430,18 +436,13 @@ pub fn check_coverage_inputs<P: ChannelPack>(
     Ok(faults)
 }
 
-/// The per-test half of [`check_coverage_inputs`]: every test vector has
+/// The per-list half of [`check_coverage_inputs`]: every test vector has
 /// the network's length.
-///
-/// Public so a batching layer that admitted one query on a network with
-/// the full check can admit further queries on the same network,
-/// universe and mode with this check alone: the rest of
-/// [`check_coverage_inputs`] does not depend on the test list.
 ///
 /// # Errors
 /// [`EngineError::InputLengthMismatch`] for the first test of the wrong
 /// length.
-pub fn check_test_lengths<P: ChannelPack>(
+pub(crate) fn check_test_lengths<P: ChannelPack>(
     network: &Network,
     tests: &[P],
 ) -> Result<(), EngineError> {
@@ -570,44 +571,95 @@ pub fn coverage_of_universe_budgeted_packed_with<P: ChannelPack>(
     budget: &SweepBudget,
 ) -> Result<Budgeted<CoverageReport>, EngineError> {
     let mut meter = BudgetMeter::new(budget);
-    let report =
-        coverage_of_universe_metered(network, universe, tests, mode, engine, backend, &mut meter)?;
+    let report = coverage_of_universe_metered(
+        network,
+        universe,
+        &[tests],
+        mode,
+        engine,
+        backend,
+        &mut meter,
+    )
+    .pop()
+    .expect("one grade per list")?;
     Ok(meter.finish(report))
 }
 
-/// [`coverage_of_universe_budgeted_packed_with`] on a caller's meter, so a
-/// grade can be the first stage of a longer run (the augmentation search
-/// in `sortnet-testsets`) and the one budget bounds every stage.  The
-/// report is conservative exactly when the meter trips
-/// ([`BudgetMeter::tripped`]); a meter that has already spent part of its
-/// budget admits only the rest.
+/// Grades each test list of `lists` against `universe` on a caller's
+/// meter: entry `i` of the result is the grade of `lists[i]`, equal to
+/// the grade of that list alone ([`coverage_of_universe_budgeted_packed_with`]
+/// is this call with one list).  A grade can be the first stage of a
+/// longer run (the augmentation search in `sortnet-testsets`), so one
+/// budget bounds every stage; the oracle service grades a shard of
+/// queries as one call under an unlimited meter.  Reports are
+/// conservative exactly when the meter trips ([`BudgetMeter::tripped`]);
+/// a meter that has already spent part of its budget admits only the
+/// rest.
 ///
-/// # Errors
-/// Every refusal of [`check_coverage_inputs`], before any sweep runs.
+/// Each list gets exactly the refusal [`check_coverage_inputs`] gives it
+/// alone, checked in the same order: the packing, that list's test
+/// lengths, then the universe's size and emptiness and the mode's
+/// admissibility.  The universe is enumerated once for all lists.
+///
+/// On the bit-parallel engines the lists share one first-detection sweep
+/// (a prefix several lists share is swept once) and one redundancy pass
+/// over the faults any list missed.  The scalar engine grades the lists
+/// one after another, each fault in enumeration order.
 pub fn coverage_of_universe_metered<P: ChannelPack>(
     network: &Network,
     universe: &dyn FaultUniverse,
-    tests: &[P],
+    lists: &[&[P]],
     mode: RedundancyMode,
     engine: FaultSimEngine,
     backend: Backend,
     meter: &mut BudgetMeter,
-) -> Result<CoverageReport, EngineError> {
-    let faults = check_coverage_inputs(network, universe, tests, mode)?;
-    let (first, redundant) = match engine.lane_width() {
-        None => scalar_results_metered(network, &faults, tests, mode, meter),
+) -> Vec<Result<CoverageReport, EngineError>> {
+    let mut faults = None;
+    let admitted: Vec<Result<(), EngineError>> = lists
+        .iter()
+        .map(|tests| {
+            error::ensure_packable::<P>(network.lines())?;
+            check_test_lengths(network, tests)?;
+            faults
+                .get_or_insert_with(|| admitted_faults(network, universe, mode))
+                .as_ref()
+                .map(|_| ())
+                .map_err(Clone::clone)
+        })
+        .collect();
+    // Empty unless some list was admitted.
+    let faults = faults.and_then(Result::ok).unwrap_or_default();
+    let graded: Vec<&[P]> = lists
+        .iter()
+        .zip(&admitted)
+        .filter(|(_, a)| a.is_ok())
+        .map(|(tests, _)| *tests)
+        .collect();
+    let reports = match engine.lane_width() {
+        None => graded
+            .iter()
+            .map(|tests| {
+                let (first, redundant) =
+                    scalar_results_metered(network, &faults, tests, mode, meter);
+                summarise_verdicts(&faults, &first, &redundant, mode)
+            })
+            .collect(),
         Some(width) => {
             let run = match width {
-                LaneWidth::W1 => bitparallel_results_metered::<1, P>,
-                LaneWidth::W2 => bitparallel_results_metered::<2, P>,
-                LaneWidth::W4 => bitparallel_results_metered::<4, P>,
-                LaneWidth::W8 => bitparallel_results_metered::<8, P>,
-                LaneWidth::W16 => bitparallel_results_metered::<16, P>,
+                LaneWidth::W1 => bitparallel_reports::<1, P>,
+                LaneWidth::W2 => bitparallel_reports::<2, P>,
+                LaneWidth::W4 => bitparallel_reports::<4, P>,
+                LaneWidth::W8 => bitparallel_reports::<8, P>,
+                LaneWidth::W16 => bitparallel_reports::<16, P>,
             };
-            run(network, &faults, tests, mode, backend, meter)
+            run(network, &faults, &graded, mode, backend, meter)
         }
     };
-    Ok(summarise_verdicts(&faults, &first, &redundant, mode))
+    let mut reports = reports.into_iter();
+    admitted
+        .into_iter()
+        .map(|a| a.map(|()| reports.next().expect("one report per admitted list")))
+        .collect()
 }
 
 /// [`coverage_of_universe_budgeted_packed_with`] unbudgeted, on

@@ -36,7 +36,7 @@
 //! [`coverage::FaultSimEngine`].  The scalar engine grades faults one by
 //! one, in enumeration order, on the caller's thread.  The bit-parallel
 //! engine's word kernels run on a runtime-selected lane-ops backend
-//! (scalar / portable-chunked / AVX2; `sortnet_network::lanes::Backend`),
+//! (scalar / AVX2; `sortnet_network::lanes::Backend`),
 //! which every sweep entry point takes explicitly.  The bit-parallel
 //! engine is the default hot path; the scalar one is kept as its
 //! cross-check oracle (the differential-universe suite holds every
@@ -55,8 +55,7 @@ pub mod universe;
 pub use bitsim::{
     detection_matrix_from_source_metered_on, detection_matrix_from_source_packed_on,
     first_detections_multi_budgeted_packed_on, first_detections_multi_packed_on,
-    first_detections_of_lists, is_fault_redundant_wide, multi_faulty_run_block,
-    redundant_faults_multi_on, DetectionMatrix,
+    is_fault_redundant_wide, multi_faulty_run_block, redundant_faults_multi_on, DetectionMatrix,
 };
 pub use coverage::{
     coverage_of_universe_budgeted_packed_with, try_coverage_of_universe_packed_with,

@@ -434,9 +434,8 @@ pub fn is_multi_fault_redundant(network: &Network, fault: &MultiFault) -> bool {
 /// redundant against any family) but not complete (a fault the family
 /// misses may still be detectable by vectors outside it).  The scalar
 /// engine's [`RedundancyMode::RelativeTo`](crate::coverage::RedundancyMode)
-/// verdict, which the bit-parallel
-/// [`redundancy_verdicts_on`](crate::coverage::redundancy_verdicts_on)
-/// must reproduce.
+/// verdict, which the bit-parallel engines' redundancy pass must
+/// reproduce.
 ///
 /// # Panics
 /// As [`multi_faulty_apply`], for any family member scanned.

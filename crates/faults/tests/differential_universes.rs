@@ -5,8 +5,8 @@
 //! universes) on bubble and Batcher sorters up to `n = 8`:
 //!
 //! * the detection matrix is identical at lane widths
-//!   `W ∈ {1, 2, 4, 8, 16}`, on every runnable [`Backend`] (scalar,
-//!   portable-chunked, and AVX2 where the CPU has it), and equals the
+//!   `W ∈ {1, 2, 4, 8, 16}`, on every runnable [`Backend`] (scalar, and
+//!   AVX2 where the CPU has it), and equals the
 //!   scalar lesion-timeline simulator cell by cell;
 //! * the early-exit first-detection sweep equals the scalar per-fault scan;
 //! * redundant-fault classification agrees between the scalar exhaustive

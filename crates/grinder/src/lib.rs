@@ -6,7 +6,7 @@
 //! semantics: the scalar reference (`sortnet_faults::universe`), the
 //! width-generic bit-parallel engine (`sortnet_faults::bitsim`) and the
 //! runtime-selected lane-ops backends underneath it
-//! (`sortnet_network::lanes::Backend`: scalar / portable-chunked / AVX2).
+//! (`sortnet_network::lanes::Backend`: scalar / AVX2).
 //! The structured differential test suites hold them together on curated
 //! networks; the grinder holds them together on *random* ones.
 //!

@@ -11,7 +11,7 @@
 //! There are three operations — [`find_unsorted_input`],
 //! [`count_unsorted_outputs`] and [`find_selector_violation`] — and each
 //! takes a [`Sweep`]: the lane-ops [`Backend`](lanes::Backend) (how
-//! the word kernels execute: scalar, portable-chunked or AVX2 — see
+//! the word kernels execute: scalar or AVX2 — see
 //! [`lanes::backend`]), the [`LaneWidth`] and the
 //! [`SweepBudget`](crate::SweepBudget).  Each checks its inputs up front,
 //! returns a typed [`EngineError`] instead of panicking, and answers with

@@ -1,33 +1,34 @@
-//! Pluggable lane-ops backends: how the bitwise kernels of a
+//! Lane-ops backends: how the bitwise kernels of a
 //! [`WideBlock`](super::WideBlock) sweep are executed.
 //!
 //! Every sweep in the workspace bottoms out in three bitwise kernels over
 //! `[u64; W]` lane words — the compare-exchange of one comparator, the
 //! sortedness scan of a block's outputs, and the lane-difference scan of
-//! the selector check.  [`LaneOps`] abstracts those kernels, and a
-//! [`Backend`] selects one of three implementations at runtime:
+//! the selector check.  A private `LaneOps` trait abstracts those
+//! kernels, and a [`Backend`] selects one of two implementations at
+//! runtime:
 //!
-//! * [`ScalarOps`] ([`Backend::Scalar`]) — the reference: one `u64` word at
-//!   a time, exactly the loops the engine shipped with.  Never chosen by
-//!   default: tests and the scalar-reference paths name it explicitly.
-//! * [`PortableOps`] ([`Backend::Portable`]) — the same kernels restructured
-//!   into fixed [`LANE_CHUNK`]-word chunks with straight-line bodies, the
-//!   shape LLVM's autovectorizer turns into whatever vector ISA the target
-//!   baseline has (SSE2 on stock `x86_64`, NEON on aarch64).  Works on
-//!   every architecture; the default where AVX2 is unavailable.
-//! * `Avx2Ops` ([`Backend::Avx2`], `x86_64` only) — explicit 256-bit
-//!   `core::arch` intrinsics (`_mm256_and_si256` / `_mm256_or_si256` /
+//! * [`Backend::Scalar`] — the reference: one `u64` word at a time,
+//!   exactly the loops the engine shipped with.  The default where AVX2
+//!   is unavailable; tests and the scalar-reference paths name it
+//!   explicitly.
+//! * [`Backend::Avx2`] (`x86_64` only) — explicit 256-bit `core::arch`
+//!   intrinsics (`_mm256_and_si256` / `_mm256_or_si256` /
 //!   `_mm256_andnot_si256` / `_mm256_xor_si256` over unaligned 4-word
-//!   loads), so one operation covers four lane words regardless of how the
-//!   crate itself was compiled.  Selected only when
+//!   loads), so one operation covers four lane words regardless of how
+//!   the crate itself was compiled.  Selected only when
 //!   `is_x86_feature_detected!("avx2")` confirms the CPU supports it.
 //!
-//! All three are **bit-identical** by construction — they compute the same
+//! Both are **bit-identical** by construction — they compute the same
 //! words in the same order, only the grouping of word operations differs —
 //! and the differential suites (`proptest_lanes`, the fault-engine
 //! differential universes) hold them to exact agreement.  Backends are
 //! therefore freely mixable: a block evaluated by one backend can be forked
 //! and continued by another.
+//!
+//! The AVX2 kernels are explicit intrinsics because plain word loops
+//! inside the same `target_feature` shells lost AVX2's whole lead over
+//! the scalar backend.
 //!
 //! # Dispatch granularity
 //!
@@ -50,14 +51,10 @@ use std::sync::OnceLock;
 
 use crate::comparator::Comparator;
 
-/// Word granule of the chunked kernels: 4 × `u64` = 256 bits, one AVX2
-/// vector (and two SSE2/NEON vectors for the autovectorized portable path).
-pub const LANE_CHUNK: usize = 4;
-
 /// The three bitwise kernels every sweep is built from, over `[u64; W]`
 /// lane words.  Implementations must be bit-identical to [`ScalarOps`];
 /// they may only regroup word operations.
-pub trait LaneOps {
+trait LaneOps {
     /// Compare-exchange: `lo := lo & hi` (the minima), `hi := lo | hi` (the
     /// maxima), word by word — one comparator over `W × 64` vectors.
     fn compare_exchange<const W: usize>(lo: &mut [u64; W], hi: &mut [u64; W]);
@@ -76,7 +73,7 @@ pub trait LaneOps {
 }
 
 /// The reference backend: plain one-word-at-a-time loops.
-pub struct ScalarOps;
+struct ScalarOps;
 
 impl LaneOps for ScalarOps {
     #[inline]
@@ -104,67 +101,6 @@ impl LaneOps for ScalarOps {
     fn diff_accumulate<const W: usize>(a: &[u64; W], b: &[u64; W], acc: &mut [u64; W]) {
         for w in 0..W {
             acc[w] |= a[w] ^ b[w];
-        }
-    }
-}
-
-/// The portable chunked backend: the scalar kernels regrouped into
-/// [`LANE_CHUNK`]-word straight-line bodies that LLVM autovectorizes on any
-/// target with 128-bit-or-wider vector registers.
-pub struct PortableOps;
-
-impl LaneOps for PortableOps {
-    #[inline]
-    fn compare_exchange<const W: usize>(lo: &mut [u64; W], hi: &mut [u64; W]) {
-        let (lo_chunks, lo_rest) = lo.as_chunks_mut::<LANE_CHUNK>();
-        let (hi_chunks, hi_rest) = hi.as_chunks_mut::<LANE_CHUNK>();
-        for (a, b) in lo_chunks.iter_mut().zip(hi_chunks) {
-            for w in 0..LANE_CHUNK {
-                let (x, y) = (a[w], b[w]);
-                a[w] = x & y;
-                b[w] = x | y;
-            }
-        }
-        for (x, y) in lo_rest.iter_mut().zip(hi_rest) {
-            let (a, b) = (*x, *y);
-            *x = a & b;
-            *y = a | b;
-        }
-    }
-
-    #[inline]
-    fn sorted_scan_step<const W: usize>(
-        lane: &[u64; W],
-        seen: &mut [u64; W],
-        unsorted: &mut [u64; W],
-    ) {
-        let (lane_chunks, lane_rest) = lane.as_chunks::<LANE_CHUNK>();
-        let (seen_chunks, seen_rest) = seen.as_chunks_mut::<LANE_CHUNK>();
-        let (uns_chunks, uns_rest) = unsorted.as_chunks_mut::<LANE_CHUNK>();
-        for ((l, s), u) in lane_chunks.iter().zip(seen_chunks).zip(uns_chunks) {
-            for w in 0..LANE_CHUNK {
-                u[w] |= s[w] & !l[w];
-                s[w] |= l[w];
-            }
-        }
-        for ((l, s), u) in lane_rest.iter().zip(seen_rest).zip(uns_rest) {
-            *u |= *s & !*l;
-            *s |= *l;
-        }
-    }
-
-    #[inline]
-    fn diff_accumulate<const W: usize>(a: &[u64; W], b: &[u64; W], acc: &mut [u64; W]) {
-        let (a_chunks, a_rest) = a.as_chunks::<LANE_CHUNK>();
-        let (b_chunks, b_rest) = b.as_chunks::<LANE_CHUNK>();
-        let (acc_chunks, acc_rest) = acc.as_chunks_mut::<LANE_CHUNK>();
-        for ((x, y), z) in a_chunks.iter().zip(b_chunks).zip(acc_chunks) {
-            for w in 0..LANE_CHUNK {
-                z[w] |= x[w] ^ y[w];
-            }
-        }
-        for ((x, y), z) in a_rest.iter().zip(b_rest).zip(acc_rest) {
-            *z |= *x ^ *y;
         }
     }
 }
@@ -233,7 +169,10 @@ mod avx2 {
         _mm256_storeu_si256, _mm256_xor_si256,
     };
 
-    use super::{Comparator, LaneOps, LANE_CHUNK};
+    use super::{Comparator, LaneOps};
+
+    /// Word granule of the kernels: 4 × `u64` = 256 bits, one vector.
+    const LANE_CHUNK: usize = 4;
 
     /// Loads a [`LANE_CHUNK`]-word chunk as one 256-bit vector.
     #[inline]
@@ -390,18 +329,15 @@ fn assert_avx2() {
     );
 }
 
-/// Runtime selection of a [`LaneOps`] implementation.
+/// Runtime selection of a lane-ops implementation.
 ///
 /// [`Backend::active`] is the best backend the running CPU executes, and
 /// the backend of a default [`Sweep`](super::Sweep); any other is chosen
 /// by passing it explicitly.  All backends produce bit-identical results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// [`ScalarOps`]: one word at a time (the reference).
+    /// One word at a time (the reference); runs on every architecture.
     Scalar,
-    /// [`PortableOps`]: chunked loops shaped for autovectorization; works
-    /// on every architecture.
-    Portable,
     /// 256-bit `core::arch` intrinsics; `x86_64` with runtime-detected
     /// AVX2 only.
     #[cfg(target_arch = "x86_64")]
@@ -410,8 +346,8 @@ pub enum Backend {
 
 impl Backend {
     /// The best backend the running CPU executes: AVX2 when detected, else
-    /// the portable chunked backend.  Resolved once and cached; the last
-    /// entry of [`Backend::runnable`].
+    /// the scalar backend.  Resolved once and cached; the last entry of
+    /// [`Backend::runnable`].
     #[must_use]
     pub fn active() -> Self {
         static ACTIVE: OnceLock<Backend> = OnceLock::new();
@@ -420,7 +356,7 @@ impl Backend {
             if is_x86_feature_detected!("avx2") {
                 return Self::Avx2;
             }
-            Self::Portable
+            Self::Scalar
         })
     }
 
@@ -430,7 +366,7 @@ impl Backend {
     #[must_use]
     pub fn runnable() -> Vec<Self> {
         #[allow(unused_mut)]
-        let mut all = vec![Self::Scalar, Self::Portable];
+        let mut all = vec![Self::Scalar];
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             all.push(Self::Avx2);
@@ -443,7 +379,6 @@ impl Backend {
     pub const fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => "avx2",
         }
@@ -456,7 +391,6 @@ impl Backend {
     pub fn compare_exchange<const W: usize>(self, lo: &mut [u64; W], hi: &mut [u64; W]) {
         match self {
             Self::Scalar => ScalarOps::compare_exchange(lo, hi),
-            Self::Portable => PortableOps::compare_exchange(lo, hi),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 assert_avx2();
@@ -480,7 +414,6 @@ impl Backend {
         }
         match self {
             Self::Scalar => run_comparators_ops::<W, ScalarOps>(lanes, comparators),
-            Self::Portable => run_comparators_ops::<W, PortableOps>(lanes, comparators),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 assert_avx2();
@@ -498,7 +431,6 @@ impl Backend {
     pub fn sorted_scan<const W: usize>(self, lanes: &[[u64; W]], unsorted: &mut [u64; W]) {
         match self {
             Self::Scalar => sorted_scan_ops::<W, ScalarOps>(lanes, unsorted),
-            Self::Portable => sorted_scan_ops::<W, PortableOps>(lanes, unsorted),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 assert_avx2();
@@ -514,7 +446,6 @@ impl Backend {
     pub fn diff_scan<const W: usize>(self, a: &[[u64; W]], b: &[[u64; W]], acc: &mut [u64; W]) {
         match self {
             Self::Scalar => diff_scan_ops::<W, ScalarOps>(a, b, acc),
-            Self::Portable => diff_scan_ops::<W, PortableOps>(a, b, acc),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 assert_avx2();
@@ -537,7 +468,6 @@ impl Backend {
     ) {
         match self {
             Self::Scalar => run_scan_ops::<W, ScalarOps>(lanes, comparators, unsorted),
-            Self::Portable => run_scan_ops::<W, PortableOps>(lanes, comparators, unsorted),
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 assert_avx2();
@@ -605,7 +535,6 @@ mod tests {
     fn runnable_backends_start_with_scalar_and_have_distinct_names() {
         let all = Backend::runnable();
         assert_eq!(all[0], Backend::Scalar);
-        assert!(all.contains(&Backend::Portable));
         let names: std::collections::HashSet<&str> = all.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), all.len());
     }

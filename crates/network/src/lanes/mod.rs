@@ -73,10 +73,9 @@
 //!
 //! The transposed layout fixes *what* is computed (which words, in which
 //! order); a pluggable [`Backend`] chooses *how* the word kernels run.
-//! Three [`LaneOps`] implementations exist — plain scalar loops, a
-//! portable chunked shape the autovectorizer handles on any target, and an
-//! explicit AVX2 `core::arch` path on `x86_64` — all bit-identical, with
-//! the best one detected at runtime ([`Backend::active`]).  Every
+//! Two implementations exist — plain scalar loops, and an explicit AVX2
+//! `core::arch` path on `x86_64` — bit-identical, with the best one
+//! detected at runtime ([`Backend::active`]).  Every
 //! [`WideBlock`] kernel and every sweep takes its backend explicitly, so
 //! whole sweeps — exhaustive,
 //! minimal-test-set, detection-matrix, redundancy — can be pinned to a
@@ -112,7 +111,7 @@ use crate::network::Network;
 pub mod backend;
 mod family;
 
-pub use backend::{Backend, LaneOps, PortableOps, ScalarOps};
+pub use backend::Backend;
 pub use family::{FamilySource, PackedFamily};
 
 /// The lane width (in 64-bit words) a default [`Sweep`] and the test-set
@@ -172,7 +171,7 @@ impl LaneWidth {
 /// [`Budgeted::Partial`](crate::Budgeted::Partial).
 #[derive(Clone, Debug)]
 pub struct Sweep {
-    /// Which [`LaneOps`] implementation executes the word kernels.
+    /// Which lane-ops backend executes the word kernels.
     pub backend: Backend,
     /// Lane width of each block.
     pub width: LaneWidth,
@@ -1390,7 +1389,7 @@ mod tests {
     #[test]
     fn sweep_find_reports_the_first_violation_in_source_order() {
         let net = Network::empty(6);
-        let backend = Backend::Portable;
+        let backend = Backend::Scalar;
         let outcome: SweepOutcome<BitString> = sweep_find::<2, _, _>(
             IterSource::new(6, BitString::all(6)),
             &Check::Sorted(&net),
@@ -1532,7 +1531,7 @@ mod tests {
         let outcome: SweepOutcome<BitString> = sweep_find::<1, _, _>(
             RangeSource::exhaustive(6),
             &Check::Sorted(&non_sorter),
-            Backend::Portable,
+            Backend::Scalar,
             &mut meter,
         )
         .unwrap();

@@ -144,7 +144,7 @@ proptest! {
 
     /// The three exhaustive operations — first unsorted input, unsorted
     /// count, first selector violation — match the scalar definition on
-    /// every runnable backend (scalar, portable, AVX2 where available) at
+    /// every runnable backend (scalar, and AVX2 where available) at
     /// every lane width, both on the unlimited path and on the metered
     /// sequential one.
     #[test]

@@ -10,13 +10,13 @@
 //! The serving problem has three levers, each its own module:
 //!
 //! * **Batching** ([`oracle`]) — queued coverage queries are sharded by
-//!   (network, universe, redundancy mode); each shard enumerates
-//!   the faults once, runs the cold path's early-exit first-detection
-//!   sweep per distinct member test list and classifies the union of the
-//!   members' missed faults in one batched redundancy pass, folding
-//!   verdicts through the engine's own
-//!   [`summarise_verdicts`](sortnet_faults::coverage::summarise_verdicts)
-//!   so batched answers are bit-identical to cold ones.
+//!   (network, universe, redundancy mode), and each shard is one call of
+//!   the engine's grade of several test lists,
+//!   [`coverage_of_universe_metered`](sortnet_faults::coverage::coverage_of_universe_metered):
+//!   the faults are enumerated once, a test-list prefix several members
+//!   share is swept once, and the members' missed faults are classified
+//!   in one redundancy pass.  Each member gets the answer its list gets
+//!   alone, so batched answers are bit-identical to cold ones.
 //! * **Caching** ([`cache`]) — an LRU over finished answers, keyed by
 //!   the exact bytes [`wire`] encodes a request's network and query to
 //!   (universe, mode and tests included; budget and deadline not), with
@@ -77,7 +77,9 @@ pub struct ServiceConfig {
     /// redundancy passes and the sweep of test-list prefixes members share
     /// across more queries; smaller ones bound per-answer latency.
     pub max_batch: usize,
-    /// Simulation engine for coverage grades and candidate matrices.  A
+    /// Simulation engine for coverage grades and candidate matrices, solo
+    /// and batched alike: a shard under [`FaultSimEngine::Scalar`] grades
+    /// its members one after another on the scalar engine.  A
     /// bit-parallel engine's lane width sets the first block of each
     /// unbudgeted first-detection and redundancy sweep (the tail runs at
     /// `W = 16`) and every block of a budgeted one; it never changes an

@@ -5,18 +5,15 @@
 //! serving path (the worker pool drives its keyed core with the one
 //! [`AnswerKey`] per job it already holds): it looks finished answers up in
 //! the LRU and shards the remaining coverage queries by (network,
-//! universe, redundancy mode).  A shard shares what its members really
-//! have in common: one admitted fault list, one early-exit sweep over
-//! each test-list prefix several members share, and **one** batched
-//! redundancy pass over the union of the members' missed faults.  Each
-//! member's first detections are indices into its own test list (the
-//! cold path's early-exit driver, resumed where the member leaves a
-//! shared prefix), the redundancy pass is the cold path's
-//! own [`redundancy_verdicts_on`], and the verdicts are folded through
-//! the engine's own
-//! [`summarise_verdicts`], so a batched answer is bit-identical to the
-//! cold one (the grinder's cache strategy, the load generator and the
-//! shard differential suite all assert this).
+//! universe, redundancy mode).  A shard is **one** call of the engine's
+//! grade of several test lists, [`coverage_of_universe_metered`], under
+//! an unlimited meter: the members share one admitted fault list,
+//! one early-exit sweep over each test-list prefix several members share,
+//! and one redundancy pass over the union of the members' missed faults.
+//! Each member gets exactly the refusal or the report its list gets
+//! alone, on the engine and backend of [`ServiceConfig`], so a batched
+//! answer is bit-identical to the cold one (the grinder's cache strategy,
+//! the load generator and the shard differential suite all assert this).
 //!
 //! Budget rule: a request carrying its own [`SweepBudget`] (or running
 //! under a bounded service default) is evaluated **solo** through the
@@ -40,15 +37,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sortnet_combinat::ChannelVec;
-use sortnet_faults::bitsim::first_detections_of_lists;
 use sortnet_faults::coverage::{
-    check_coverage_inputs, check_test_lengths, coverage_of_universe_budgeted_packed_with,
-    redundancy_verdicts_on, summarise_verdicts, CoverageReport, RedundancyMode,
+    coverage_of_universe_budgeted_packed_with, coverage_of_universe_metered, CoverageReport,
+    RedundancyMode,
 };
-use sortnet_faults::universe::{MultiFault, StandardUniverse};
-use sortnet_faults::FaultSimEngine;
+use sortnet_faults::universe::StandardUniverse;
 use sortnet_network::budget::{BudgetMeter, BudgetReason, Budgeted, SweepBudget, SweepProgress};
-use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::Network;
 use sortnet_testsets::augment::{try_minimum_augmentation_packed, CandidatePool, SearchOptions};
 use sortnet_testsets::verify::{self, try_verify_on, Property, Strategy};
@@ -331,56 +325,6 @@ fn completion_of<T>(outcome: &Budgeted<T>) -> Completion {
     }
 }
 
-/// A shard's verdicts at the lane width `config.engine` implies (the scalar
-/// engine maps to `W = 1`; every width yields bit-identical verdicts, so
-/// the choice is a throughput knob, never a semantic one): per member
-/// list, its first detections, and the shard-wide redundancy verdicts.
-fn shard_verdicts(
-    config: &ServiceConfig,
-    network: &Network,
-    faults: &[MultiFault],
-    lists: &[&[ChannelVec]],
-    redundancy: RedundancyMode,
-) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
-    let backend = config.backend;
-    let run = match config.engine {
-        FaultSimEngine::Scalar | FaultSimEngine::BitParallelWide(LaneWidth::W1) => {
-            shard_verdicts_on::<1>
-        }
-        FaultSimEngine::BitParallelWide(LaneWidth::W2) => shard_verdicts_on::<2>,
-        FaultSimEngine::BitParallelWide(LaneWidth::W4) => shard_verdicts_on::<4>,
-        FaultSimEngine::BitParallelWide(LaneWidth::W8) => shard_verdicts_on::<8>,
-        FaultSimEngine::BitParallelWide(LaneWidth::W16) => shard_verdicts_on::<16>,
-    };
-    run(network, faults, lists, redundancy, backend)
-}
-
-/// The cold path's two phases, shared across the shard: every member
-/// gets its early-exit first detections (indices in that list's order)
-/// from one [`first_detections_of_lists`] call, which sweeps a prefix the
-/// members share once and resumes each member where it diverges; then
-/// the faults any member missed are classified in **one**
-/// [`redundancy_verdicts_on`] pass.
-fn shard_verdicts_on<const W: usize>(
-    network: &Network,
-    faults: &[MultiFault],
-    lists: &[&[ChannelVec]],
-    redundancy: RedundancyMode,
-    backend: Backend,
-) -> (Vec<Vec<Option<usize>>>, Vec<bool>) {
-    let first = first_detections_of_lists::<W, ChannelVec>(network, faults, lists, backend);
-    let missed = |f: usize| first.iter().any(|list| list[f].is_none());
-    let redundant = redundancy_verdicts_on::<W, ChannelVec>(
-        network,
-        faults,
-        missed,
-        redundancy,
-        backend,
-        &mut BudgetMeter::unlimited(),
-    );
-    (first, redundant)
-}
-
 /// The reference path: evaluates one request straight through the
 /// engine's typed entry points, with the request's effective budget and
 /// no cache in either direction.  The batched path is proven
@@ -583,6 +527,9 @@ fn shard_tests(requests: &[Request], i: usize) -> &[ChannelVec] {
     }
 }
 
+/// Grades a shard's members as one
+/// [`coverage_of_universe_metered`] call: each member gets the refusal or
+/// the report its list would get alone, and every report is cached.
 fn answer_coverage_shard(
     config: &ServiceConfig,
     caches: &OracleCaches,
@@ -592,46 +539,26 @@ fn answer_coverage_shard(
     responses: &mut [Option<Response>],
     start: Instant,
 ) {
-    // Admission per member, by the cold path's own rules.  Only the test
-    // lengths differ between members, so once one member has passed the
-    // full check (and enumerated the faults) the rest get the length
-    // check alone: one fault enumeration per shard.
-    let mut faults: Option<Vec<MultiFault>> = None;
-    let mut valid: Vec<(usize, &AnswerKey)> = Vec::with_capacity(members.len());
-    for &(i, key) in members {
-        let tests = shard_tests(requests, i);
-        let admitted = match &faults {
-            Some(_) => check_test_lengths(network, tests),
-            None => check_coverage_inputs(network, &universe, tests, redundancy)
-                .map(|f| faults = Some(f)),
-        };
-        match admitted {
-            Ok(()) => valid.push((i, key)),
-            Err(e) => {
-                responses[i] = Some(Response {
-                    outcome: Err(e.into()),
-                    completion: Completion::Complete,
-                    cache: CacheStatus::Miss,
-                    micros: start.elapsed().as_micros() as u64,
-                });
-            }
-        }
-    }
-    let Some(faults) = faults else { return };
-
-    let lists: Vec<&[ChannelVec]> = valid
+    let lists: Vec<&[ChannelVec]> = members
         .iter()
         .map(|&(i, _)| shard_tests(requests, i))
         .collect();
-    let (first, redundant) = shard_verdicts(config, network, &faults, &lists, redundancy);
-
-    for (&(i, key), first) in valid.iter().zip(&first) {
-        // `summarise_verdicts` reads a redundancy verdict only for faults
-        // this member missed, so the shard-wide verdicts fold as they are.
-        let report = summarise_verdicts(&faults, first, &redundant, redundancy);
-        unpoisoned(&caches.answers).insert(key.clone(), Answer::Coverage(report.clone()));
+    let grades = coverage_of_universe_metered(
+        network,
+        &universe,
+        &lists,
+        redundancy,
+        config.engine,
+        config.backend,
+        &mut BudgetMeter::unlimited(),
+    );
+    for (&(i, key), grade) in members.iter().zip(grades) {
+        let outcome = grade.map(Answer::Coverage).map_err(ServiceError::from);
+        if let Ok(answer) = &outcome {
+            unpoisoned(&caches.answers).insert(key.clone(), answer.clone());
+        }
         responses[i] = Some(Response {
-            outcome: Ok(Answer::Coverage(report)),
+            outcome,
             completion: Completion::Complete,
             cache: CacheStatus::Miss,
             micros: start.elapsed().as_micros() as u64,
@@ -642,6 +569,7 @@ fn answer_coverage_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sortnet_faults::FaultSimEngine;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
     use sortnet_network::error::EngineError;
 

@@ -2,15 +2,18 @@
 //! network go through [`answer_batch`] as a single shard, and every
 //! member's outcome must equal [`answer_cold`] for that request alone.
 //!
-//! Member lists overlap, are truncated, reversed and duplicated, so the
-//! suite pins that a shard shares only what is shared: first-detection
-//! indices follow each member's own order (the reversed member), a
-//! byte-equal duplicate gets the same answer as its original, and the
-//! one batched redundancy pass over the union of the
-//! members' missed faults gives each member the cold path's verdicts.
-//! Engines: scalar, one-word and four-word bit-parallel, each shard on
-//! one runnable lane-ops backend ([`ServiceConfig::backend`]), rotated so
-//! that every engine meets every backend.
+//! A shard is one engine grade of all its members' lists.  Member lists
+//! overlap, are truncated, reversed and duplicated, so the suite pins
+//! that the bit-parallel grade shares only what is shared:
+//! first-detection indices follow each member's own order (the reversed
+//! member), a byte-equal duplicate gets the same answer as its original,
+//! and the one redundancy pass over the union of the members' missed
+//! faults gives each member the cold path's verdicts.  Engines: scalar
+//! (a scalar shard grades its members one after another on the scalar
+//! engine, as the cold path does), one-word and four-word bit-parallel,
+//! each shard on one runnable lane-ops backend
+//! ([`ServiceConfig::backend`]), rotated so that every engine meets every
+//! backend.
 //!
 //! A second suite grades members long enough to reach past the first
 //! block into the wide tail of the early-exit sweep, and to resume a

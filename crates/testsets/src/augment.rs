@@ -802,12 +802,14 @@ pub fn try_minimum_augmentation_packed<P: ChannelPack>(
     let coverage = coverage_of_universe_metered(
         network,
         universe,
-        base_tests,
+        &[base_tests],
         options.redundancy,
         options.engine,
         Backend::active(),
         &mut meter,
-    )?;
+    )
+    .pop()
+    .expect("one grade per list")?;
     let report = if meter.tripped().is_none() {
         augmentation_for_missed_metered(
             network,
