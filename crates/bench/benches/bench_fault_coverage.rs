@@ -5,9 +5,8 @@
 //! test per call) against the bit-parallel engine (64 tests per pass with
 //! shared-prefix forking) on the same workload — Batcher's merge-exchange
 //! sorter with the Theorem 2.2 minimal 0/1 test set (`2^n − n − 1` tests) —
-//! at n ∈ {8, 16}.  The `lane_width_sweep` group races lane widths
-//! W ∈ {1, 2, 4, 8, 16} on the same coverage workload and on the plain
-//! exhaustive `2^n` sorter sweep at n ∈ {16, 20} — the W sweet-spot study.
+//! at n ∈ {8, 16}.  The `lane_width_sweep` group races the selectable
+//! lane widths W ∈ {1, 4} on the same coverage workload.
 //! The `simd_backend` group races the lane-ops backends (scalar, and
 //! AVX2 where the CPU has it) on the exhaustive sweep
 //! and on the two-level pair-universe redundancy sweep; `universe_sweep`
@@ -33,9 +32,9 @@ use sortnet_faults::{
 };
 use sortnet_network::bitparallel::find_unsorted_input;
 use sortnet_network::builders::batcher::odd_even_merge_sort;
-use sortnet_network::lanes::{Backend, LaneWidth, Sweep};
+use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::random::NetworkSampler;
-use sortnet_network::{Network, SweepBudget};
+use sortnet_network::Network;
 use sortnet_testsets::augment::{
     try_minimum_augmentation_packed, CandidatePool, SearchOptions, SuggestAugmentation,
 };
@@ -50,16 +49,6 @@ fn single_comparator_grade(
 ) -> CoverageReport {
     try_coverage_of_universe_packed_with(net, &SingleComparator, tests, mode, engine)
         .expect("the E10 grades are admissible")
-}
-
-/// An exhaustive sweep at `width` on `backend`, pinned to the calling
-/// thread by a block cap that never trips.
-fn sequential(width: LaneWidth, backend: Backend) -> Sweep {
-    Sweep {
-        backend,
-        width,
-        budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
-    }
 }
 
 fn bench_fault_coverage(c: &mut Criterion) {
@@ -161,13 +150,11 @@ fn bench_engine_comparison_no_redundancy(c: &mut Criterion) {
 }
 
 fn bench_lane_width_sweep(c: &mut Criterion) {
-    // The W sweet-spot study: the same workloads at lane widths
-    // W ∈ {1, 2, 4, 8, 16}.  `coverage` runs the Theorem 2.2 minimal test
-    // set against the full single-fault universe (with redundancy sweeps
-    // for missed faults); `verify_exhaustive` is the plain `2^n` zero–one
-    // sorter sweep.  Sequential hints so the comparison isolates the lane
-    // width from thread-pool effects; the runtime-detected backend (AVX2
-    // here where available) applies to every width equally.
+    // The same workload at the selectable lane widths W ∈ {1, 4}:
+    // `coverage` runs the Theorem 2.2 minimal test set against the full
+    // single-fault universe (with redundancy sweeps for missed faults).
+    // The runtime-detected backend (AVX2 where available) applies to
+    // every width equally.
     let mut group = c.benchmark_group("lane_width_sweep");
     group
         .sample_size(10)
@@ -178,10 +165,7 @@ fn bench_lane_width_sweep(c: &mut Criterion) {
     let minimal = sorting::binary_testset(n);
     for (label, width) in [
         ("coverage_w1", LaneWidth::W1),
-        ("coverage_w2", LaneWidth::W2),
         ("coverage_w4", LaneWidth::W4),
-        ("coverage_w8", LaneWidth::W8),
-        ("coverage_w16", LaneWidth::W16),
     ] {
         let engine = FaultSimEngine::BitParallelWide(width);
         group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
@@ -195,26 +179,16 @@ fn bench_lane_width_sweep(c: &mut Criterion) {
             })
         });
     }
-
-    for vn in [16usize, 20] {
-        let vnet = odd_even_merge_sort(vn);
-        for width in LaneWidth::ALL {
-            let sweep = sequential(width, Backend::active());
-            let label = format!("verify_exhaustive_w{}", width.words());
-            group.bench_with_input(BenchmarkId::new(label, vn), &vn, |b, _| {
-                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
-            });
-        }
-    }
     group.finish();
 }
 
 fn bench_simd_backend(c: &mut Criterion) {
     // The lane-ops backends head to head, on the CPU's runnable set (the
     // scalar reference everywhere; AVX2 on x86_64 CPUs that have it).
-    // Two workloads: the n = 20 exhaustive zero–one sweep at W ∈ {4, 8}
-    // (pure comparator throughput) and the two-level pairs(stuck-line)
-    // batch redundancy sweep on Batcher n = 8 (fork-heavy).
+    // Two workloads: the n = 20 exhaustive zero–one sweep, which runs at
+    // W = 4 on the calling thread (pure comparator throughput), and the
+    // two-level pairs(stuck-line) batch redundancy sweep on Batcher n = 8
+    // (fork-heavy).
     let mut group = c.benchmark_group("simd_backend");
     group
         .sample_size(10)
@@ -230,18 +204,7 @@ fn bench_simd_backend(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("verify_n20_w4_{}", backend.name()), 20),
             &backend,
-            |b, &backend| {
-                let sweep = sequential(LaneWidth::W4, backend);
-                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("verify_n20_w8_{}", backend.name()), 20),
-            &backend,
-            |b, &backend| {
-                let sweep = sequential(LaneWidth::W8, backend);
-                b.iter(|| find_unsorted_input(black_box(&vnet), &sweep))
-            },
+            |b, &backend| b.iter(|| find_unsorted_input(black_box(&vnet), backend)),
         );
     }
     group.throughput(Throughput::Elements(stuck_pairs.len() as u64));

@@ -1,8 +1,9 @@
 //! Substrate ablation: scalar vs bit-parallel evaluation of the exhaustive
-//! 2^n zero–one sweep, the bit-parallel sweep both metered on the calling
-//! thread and unlimited (which fans out over scoped threads from 22 lines
-//! on, so the n = 22 rows time the fan-out against the calling thread),
-//! and raw network application throughput.
+//! 2^n zero–one sweep, the bit-parallel sweep both as the block loop over
+//! the exhaustive source on the calling thread and as
+//! `bitparallel::find_unsorted_input` (which fans out over scoped threads
+//! from 22 lines on, so the n = 22 rows time the fan-out against the
+//! calling thread), and raw network application throughput.
 
 use std::time::Duration;
 
@@ -13,20 +14,15 @@ use sortnet_combinat::BitString;
 use sortnet_network::bitparallel::{count_unsorted_outputs, find_unsorted_input};
 use sortnet_network::builders::batcher::odd_even_merge_sort;
 use sortnet_network::builders::bubble::bubble_sort_network;
-use sortnet_network::lanes::Sweep;
-use sortnet_network::SweepBudget;
+use sortnet_network::lanes::{self, Backend, Check, RangeSource, DEFAULT_WIDTH};
+use sortnet_network::BudgetMeter;
 
 fn bench_exhaustive_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_exhaustive_sweep");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    // A block cap that never trips pins the sweep to the calling thread.
-    let sequential = Sweep {
-        budget: SweepBudget::unlimited().with_max_blocks(u64::MAX),
-        ..Sweep::default()
-    };
-    let unlimited = Sweep::default();
+    let backend = Backend::active();
     for n in [12usize, 16, 20, 22] {
         let net = odd_even_merge_sort(n);
         group.throughput(Throughput::Elements(1u64 << n));
@@ -37,11 +33,22 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
                     .count()
             })
         });
-        group.bench_with_input(BenchmarkId::new("bitparallel_sequential", n), &n, |b, _| {
-            b.iter(|| find_unsorted_input(black_box(&net), &sequential))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("bitparallel_sequential", n),
+            &n,
+            |b, &n| {
+                b.iter(|| {
+                    lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
+                        RangeSource::exhaustive(n),
+                        &Check::Sorted(black_box(&net)),
+                        backend,
+                        &mut BudgetMeter::unlimited(),
+                    )
+                })
+            },
+        );
         group.bench_with_input(BenchmarkId::new("bitparallel_unlimited", n), &n, |b, _| {
-            b.iter(|| find_unsorted_input(black_box(&net), &unlimited))
+            b.iter(|| find_unsorted_input(black_box(&net), backend))
         });
     }
     group.finish();
@@ -57,7 +64,7 @@ fn bench_failure_counting(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("count_unsorted_unlimited", n),
             &n,
-            |b, _| b.iter(|| count_unsorted_outputs(black_box(&nearly), &Sweep::default())),
+            |b, _| b.iter(|| count_unsorted_outputs(black_box(&nearly), Backend::active())),
         );
     }
     group.finish();

@@ -50,10 +50,17 @@ impl Table {
     }
 }
 
+/// One markdown row: the cells with their pipes escaped, so a cell such
+/// as `|T|` stays one column.
+fn row(cells: &[String]) -> String {
+    let cells: Vec<String> = cells.iter().map(|cell| cell.replace('|', "\\|")).collect();
+    format!("| {} |", cells.join(" | "))
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "### {}\n", self.title)?;
-        writeln!(f, "| {} |", self.header.join(" | "))?;
+        writeln!(f, "{}", row(&self.header))?;
         writeln!(
             f,
             "|{}|",
@@ -63,8 +70,8 @@ impl fmt::Display for Table {
                 .collect::<Vec<_>>()
                 .join("|")
         )?;
-        for row in &self.rows {
-            writeln!(f, "| {} |", row.join(" | "))?;
+        for cells in &self.rows {
+            writeln!(f, "{}", row(cells))?;
         }
         Ok(())
     }
@@ -84,6 +91,20 @@ mod tests {
         assert!(s.contains("| a | b |"));
         assert!(s.contains("| 3 | 4 |"));
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn pipes_in_headers_and_cells_stay_one_column() {
+        let mut t = Table::new("Demo", &["n", "constructed |T|"]);
+        t.push_row(vec!["4".into(), "|x|".into()]);
+        let s = t.to_string();
+        assert!(s.contains("| n | constructed \\|T\\| |"), "{s}");
+        assert!(s.contains("| 4 | \\|x\\| |"), "{s}");
+        // Two columns: three unescaped pipes on every row.
+        for line in s.lines().skip(2) {
+            let unescaped = line.replace("\\|", "");
+            assert_eq!(unescaped.matches('|').count(), 3, "{line}");
+        }
     }
 
     #[test]

@@ -1299,7 +1299,6 @@ mod tests {
         is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
     };
     use sortnet_combinat::BitString;
-    use sortnet_network::bitparallel::BitBlock;
     use sortnet_network::builders::batcher::odd_even_merge_sort;
 
     /// The single-comparator faults of `net` as one-lesion [`MultiFault`]s.
@@ -1379,7 +1378,7 @@ mod tests {
         let inputs: Vec<BitString> = BitString::all(6).collect();
         for backend in Backend::runnable() {
             for fault in single_faults(&net) {
-                let mut block = BitBlock::from_strings(6, &inputs);
+                let mut block = WideBlock::<1>::from_strings(6, &inputs);
                 multi_faulty_run_block(&net, &fault, &mut block, backend);
                 for (j, input) in inputs.iter().enumerate() {
                     assert_eq!(
@@ -1523,7 +1522,7 @@ mod tests {
         let inputs: Vec<BitString> = BitString::all(5).collect();
         let skipped = net.without_comparator(2);
         for backend in Backend::runnable() {
-            let mut block = BitBlock::from_strings(5, &inputs[..32]);
+            let mut block = WideBlock::<1>::from_strings(5, &inputs[..32]);
             multi_faulty_run_block(&net, &fault, &mut block, backend);
             for (j, input) in inputs[..32].iter().enumerate() {
                 assert_eq!(

@@ -65,9 +65,10 @@ pub enum FaultSimEngine {
     /// graded one by one in enumeration order on the caller's thread.
     Scalar,
     /// `W × 64` tests per pass with shared-prefix forking
-    /// ([`crate::bitsim`]) at an explicit lane width — `LaneWidth::W1`
-    /// reproduces the original single-word engine exactly, and the default
-    /// `LaneWidth::W4` runs 256 vectors per fork.
+    /// ([`crate::bitsim`]) at one of the two selectable lane widths:
+    /// `LaneWidth::W1` reproduces the original single-word engine exactly
+    /// and is the one-word reference, and the default `LaneWidth::W4` runs
+    /// 256 vectors per fork.
     ///
     /// The width sets the first block of an unbudgeted early-exit sweep
     /// (first detections, redundancy), whose undetected tail continues at
@@ -647,10 +648,7 @@ pub fn coverage_of_universe_metered<P: ChannelPack>(
         Some(width) => {
             let run = match width {
                 LaneWidth::W1 => bitparallel_reports::<1, P>,
-                LaneWidth::W2 => bitparallel_reports::<2, P>,
                 LaneWidth::W4 => bitparallel_reports::<4, P>,
-                LaneWidth::W8 => bitparallel_reports::<8, P>,
-                LaneWidth::W16 => bitparallel_reports::<16, P>,
             };
             run(network, &faults, &graded, mode, backend, meter)
         }

@@ -221,7 +221,6 @@ fn a_cancelled_coverage_run_is_conservative_on_every_engine_and_width() {
         FaultSimEngine::Scalar,
         FaultSimEngine::BitParallelWide(LaneWidth::W4),
         FaultSimEngine::BitParallelWide(LaneWidth::W1),
-        FaultSimEngine::BitParallelWide(LaneWidth::W8),
     ]
     .into_iter()
     .zip(Backend::runnable().into_iter().cycle())

@@ -28,11 +28,10 @@ use sortnet_network::lanes::{Backend, LaneWidth, PackedFamily};
 use sortnet_network::random::NetworkSampler;
 use sortnet_network::Network;
 
-const ENGINES: [FaultSimEngine; 4] = [
+const ENGINES: [FaultSimEngine; 3] = [
     FaultSimEngine::Scalar,
     FaultSimEngine::BitParallelWide(LaneWidth::W1),
     FaultSimEngine::BitParallelWide(LaneWidth::W4),
-    FaultSimEngine::BitParallelWide(LaneWidth::W16),
 ];
 
 /// Grades `lists` in one call and each list alone, on every engine and

@@ -18,8 +18,7 @@ use sortnet_faults::universe::{
     is_multi_fault_redundant, multi_detects, multi_faulty_apply, multi_first_detection_index,
     MultiFault,
 };
-use sortnet_network::bitparallel::BitBlock;
-use sortnet_network::lanes::{Backend, SliceSource};
+use sortnet_network::lanes::{Backend, SliceSource, WideBlock};
 use sortnet_network::{Comparator, Network};
 
 const N: usize = 8;
@@ -87,7 +86,7 @@ proptest! {
         let fault = pick_fault(&net, selector);
         let lesioned = MultiFault::from(fault);
         let materialised = apply_fault(&net, &fault);
-        let mut block = BitBlock::from_strings(N, &tests);
+        let mut block = WideBlock::<1>::from_strings(N, &tests);
         multi_faulty_run_block(&net, &lesioned, &mut block, backend);
         for (j, input) in tests.iter().enumerate() {
             let scalar = multi_faulty_apply(&net, &lesioned, input);

@@ -331,9 +331,8 @@ fn assert_avx2() {
 
 /// Runtime selection of a lane-ops implementation.
 ///
-/// [`Backend::active`] is the best backend the running CPU executes, and
-/// the backend of a default [`Sweep`](super::Sweep); any other is chosen
-/// by passing it explicitly.  All backends produce bit-identical results.
+/// [`Backend::active`] is the best backend the running CPU executes; any
+/// other is chosen by passing it explicitly.  All backends produce bit-identical results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// One word at a time (the reference); runs on every architecture.

@@ -19,8 +19,8 @@
 //! — the classical SIMD-within-a-register trick, widened so that one pass
 //! over the comparators (and one *shared-prefix fork* in the fault engine)
 //! is amortised over `W × 64` vectors instead of 64.  `W = 1` recovers the
-//! original one-word [`BitBlock`](crate::bitparallel::BitBlock) exactly;
-//! [`DEFAULT_WIDTH`] is the width a default [`Sweep`] uses.
+//! original one-word block exactly; [`DEFAULT_WIDTH`] is the width the
+//! exhaustive sweeps and the test-set verifiers use.
 //!
 //! # `BlockSource`: test-vector families generated in block form
 //!
@@ -79,10 +79,8 @@
 //! [`WideBlock`] kernel and every sweep takes its backend explicitly, so
 //! whole sweeps — exhaustive,
 //! minimal-test-set, detection-matrix, redundancy — can be pinned to a
-//! backend for differential testing and benchmarking.  A [`Sweep`] bundles
-//! the backend with the lane width and the budget of an exhaustive sweep;
-//! its [`Default`] is the one place the network layer reads the
-//! process-wide backend.  See [`backend`] for the kernel contract.
+//! backend for differential testing and benchmarking.  See [`backend`]
+//! for the kernel contract.
 //!
 //! # The fork invariant: shared prefixes must advance in site order
 //!
@@ -103,7 +101,7 @@ use std::ops::ControlFlow;
 
 use sortnet_combinat::{channel_words, ChannelPack};
 
-use crate::budget::{BudgetMeter, SweepBudget};
+use crate::budget::BudgetMeter;
 use crate::builders::batcher::odd_even_merge_sort;
 use crate::error::{self, EngineError};
 use crate::network::Network;
@@ -114,79 +112,35 @@ mod family;
 pub use backend::Backend;
 pub use family::{FamilySource, PackedFamily};
 
-/// The lane width (in 64-bit words) a default [`Sweep`] and the test-set
-/// verifiers use: [`DEFAULT_WIDTH`]`×64 = 256` vectors per block, which
-/// keeps the working set of one block (`n` lanes) inside L1 for every
-/// `n ≤ 64` while amortising per-block work 4× better than single-word
-/// lanes.
+/// The lane width (in 64-bit words) the exhaustive sweeps of
+/// [`crate::bitparallel`] and the test-set verifiers use:
+/// [`DEFAULT_WIDTH`]`×64 = 256` vectors per block, which keeps the working
+/// set of one block (`n` lanes) inside L1 for every `n ≤ 64` while
+/// amortising per-block work 4× better than single-word lanes.
 pub const DEFAULT_WIDTH: usize = 4;
 
 /// Runtime-selectable lane width, for APIs (engine enums, benches) that
-/// choose `W` dynamically and dispatch to the const-generic code.
+/// choose `W` dynamically and dispatch to the const-generic code: the
+/// single-word reference and the default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LaneWidth {
     /// One `u64` word per lane: 64 vectors per block.
     W1,
-    /// Two words per lane: 128 vectors per block.
-    W2,
     /// Four words per lane: 256 vectors per block ([`DEFAULT_WIDTH`]).
     W4,
-    /// Eight words per lane: 512 vectors per block.
-    W8,
-    /// Sixteen words per lane: 1024 vectors per block.
-    W16,
 }
 
 impl LaneWidth {
     /// Every selectable width, narrowest first — the iteration set for
     /// width sweeps in tests and benches.
-    pub const ALL: [Self; 5] = [Self::W1, Self::W2, Self::W4, Self::W8, Self::W16];
+    pub const ALL: [Self; 2] = [Self::W1, Self::W4];
 
     /// Number of `u64` words per lane.
     #[must_use]
     pub const fn words(self) -> usize {
         match self {
             Self::W1 => 1,
-            Self::W2 => 2,
             Self::W4 => 4,
-            Self::W8 => 8,
-            Self::W16 => 16,
-        }
-    }
-
-    /// Number of vectors one block holds (`words × 64`).
-    #[must_use]
-    pub const fn vectors_per_block(self) -> u32 {
-        (self.words() * 64) as u32
-    }
-}
-
-/// How an exhaustive network-layer sweep runs: which lane-ops backend
-/// executes the kernels, how many words wide each block's lanes are, and
-/// how much work it may do.
-///
-/// The verdict never depends on `backend` or `width`.  An unlimited
-/// `budget` lets a large sweep fan out over scoped threads; a bounded one
-/// runs on the calling thread and may come back
-/// [`Budgeted::Partial`](crate::Budgeted::Partial).
-#[derive(Clone, Debug)]
-pub struct Sweep {
-    /// Which lane-ops backend executes the word kernels.
-    pub backend: Backend,
-    /// Lane width of each block.
-    pub width: LaneWidth,
-    /// Resource bounds, checked once per block.
-    pub budget: SweepBudget,
-}
-
-impl Default for Sweep {
-    /// The runtime-detected [`Backend::active`], [`LaneWidth::W4`] and an
-    /// unlimited budget.
-    fn default() -> Self {
-        Self {
-            backend: Backend::active(),
-            width: LaneWidth::W4,
-            budget: SweepBudget::unlimited(),
         }
     }
 }
@@ -276,11 +230,7 @@ fn transpose_rows(rows: &mut [u64; 64], lines: usize) {
 /// A block of up to `W × 64` binary input vectors in transposed
 /// (bit-sliced) form.
 ///
-/// See the [module docs](self) for the lane encoding.  `WideBlock<1>` is
-/// re-exported as [`BitBlock`](crate::bitparallel::BitBlock) and carries a
-/// single-word convenience API ([`lane`](WideBlock::<1>::lane),
-/// [`live_mask`](WideBlock::<1>::live_mask)); generic code uses the
-/// `*_words`/`*_masks` plural forms.
+/// See the [module docs](self) for the lane encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WideBlock<const W: usize> {
     /// `lanes[i][w]` holds bit `j` = value of line `i` in vector `w·64+j`.
@@ -709,24 +659,6 @@ impl<const W: usize> WideBlock<W> {
                     .map(|v| P::from_words(v, n)),
             );
         }
-    }
-}
-
-/// Single-word (`W = 1`) convenience API, so the original
-/// [`BitBlock`](crate::bitparallel::BitBlock) call sites read scalar `u64`
-/// masks without indexing one-element arrays.
-impl WideBlock<1> {
-    /// Bitmask with one set bit per vector actually present in the block
-    /// (bits `0..count`).
-    #[must_use]
-    pub fn live_mask(&self) -> u64 {
-        self.live_masks()[0]
-    }
-
-    /// Returns, for output line `i`, the 64 output bits of the block.
-    #[must_use]
-    pub fn lane(&self, i: usize) -> u64 {
-        self.lanes[i][0]
     }
 }
 
@@ -1211,7 +1143,7 @@ pub fn collect_packed<const W: usize, P: ChannelPack, S: BlockSource<W>>(mut sou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::Budgeted;
+    use crate::budget::{Budgeted, SweepBudget};
     use crate::builders::batcher::odd_even_merge_sort;
     use sortnet_combinat::BitString;
 
@@ -1559,7 +1491,7 @@ mod tests {
         let mut partial = WideBlock::<1>::from_range(3, 0, 4);
         partial.fill_lane(0, true);
         assert_eq!(
-            partial.unsorted_masks_with(Backend::Scalar)[0] & !partial.live_mask(),
+            partial.unsorted_masks_with(Backend::Scalar)[0] & !partial.live_masks()[0],
             0
         );
     }
@@ -1567,10 +1499,7 @@ mod tests {
     #[test]
     fn lane_width_enum_matches_const_widths() {
         assert_eq!(LaneWidth::W1.words(), 1);
-        assert_eq!(LaneWidth::W2.vectors_per_block(), 128);
         assert_eq!(LaneWidth::W4.words(), DEFAULT_WIDTH);
-        assert_eq!(LaneWidth::W8.vectors_per_block(), 512);
-        assert_eq!(LaneWidth::W16.vectors_per_block(), 1024);
         assert_eq!(WideBlock::<8>::capacity(), 512);
         assert_eq!(WideBlock::<16>::capacity(), 1024);
         assert!(LaneWidth::ALL

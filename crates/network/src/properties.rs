@@ -10,9 +10,9 @@ use sortnet_combinat::bitstrings::half_sorted_words;
 use sortnet_combinat::{BitString, Permutation};
 
 use crate::bitparallel;
-use crate::budget::{BudgetMeter, Budgeted};
+use crate::budget::BudgetMeter;
 use crate::error::EngineError;
-use crate::lanes::{self, Check, Sweep, WordSource, DEFAULT_WIDTH};
+use crate::lanes::{self, Backend, Check, WordSource, DEFAULT_WIDTH};
 use crate::network::Network;
 
 /// `true` when an unbudgeted sweep found no violating input; a typed
@@ -29,7 +29,7 @@ fn passes(witness: Result<Option<BitString>, EngineError>) -> bool {
 /// Panics if `n ≥ 32`.
 #[must_use]
 pub fn is_sorter(network: &Network) -> bool {
-    passes(bitparallel::find_unsorted_input(network, &Sweep::default()).map(Budgeted::into_value))
+    passes(bitparallel::find_unsorted_input(network, Backend::active()))
 }
 
 /// Exhaustively checks the sorter property by enumerating all `n!`
@@ -58,8 +58,8 @@ pub fn is_sorter_by_permutations(network: &Network) -> bool {
 /// Panics if `k > n` or `n ≥ 32`.
 #[must_use]
 pub fn is_selector(network: &Network, k: usize) -> bool {
-    let sweep = bitparallel::find_selector_violation(network, k, &Sweep::default());
-    passes(sweep.map(Budgeted::into_value))
+    let witness = bitparallel::find_selector_violation(network, k, Backend::active());
+    passes(witness)
 }
 
 /// `true` iff `output` carries the correct `k` smallest bits of `input` on
@@ -83,7 +83,7 @@ pub fn is_merger(network: &Network) -> bool {
     let outcome = lanes::sweep_find::<DEFAULT_WIDTH, BitString, _>(
         WordSource::new(n, half_sorted_words(n)),
         &Check::Sorted(network),
-        Sweep::default().backend,
+        Backend::active(),
         &mut BudgetMeter::unlimited(),
     );
     passes(outcome.map(|outcome| outcome.witness))

@@ -1,7 +1,8 @@
-//! Property-based cross-check: width-generic [`WideBlock`] sweeps and the
-//! three exhaustive operations must agree exactly with scalar evaluation
-//! on random networks, for every lane width and backend, and the streaming
-//! block sources must reproduce their families bit for bit.
+//! Property-based cross-check: width-generic [`WideBlock`] sweeps, the
+//! three exhaustive operations and the metered exhaustive block loop must
+//! agree exactly with scalar evaluation on random networks, for every
+//! lane width and backend, and the streaming block sources must reproduce
+//! their families bit for bit.
 
 use proptest::prelude::*;
 
@@ -10,10 +11,10 @@ use sortnet_network::bitparallel::{
     count_unsorted_outputs, find_selector_violation, find_unsorted_input,
 };
 use sortnet_network::lanes::{
-    self, Backend, BlockSource, IterSource, LaneWidth, RangeSource, Sweep, WideBlock,
+    self, Backend, BlockSource, Check, IterSource, RangeSource, WideBlock,
 };
 use sortnet_network::properties::selects_correctly;
-use sortnet_network::{Budgeted, Comparator, Network, SweepBudget};
+use sortnet_network::{BudgetMeter, Comparator, Network, SweepBudget};
 
 const N: usize = 9;
 
@@ -72,56 +73,85 @@ fn check_width<const W: usize>(net: &Network, tests: &[BitString]) {
     }
 }
 
-/// Checks the three exhaustive operations under `sweep` against scalar
-/// [`Network::apply_bits`] over the inputs the sweep commits: all `2^N`
-/// when unbudgeted, the first `max_blocks × W × 64` (in word order) when
-/// capped.  A witness inside the committed prefix completes the sweep; a
-/// cap short of the whole sweep otherwise leaves it partial.
-fn check_exhaustive(net: &Network, k: usize, sweep: &Sweep) {
-    let total = 1u64 << N;
-    let per_block = u64::from(sweep.width.vectors_per_block());
-    let blocks = total.div_ceil(per_block);
-    let capped = sweep.budget.max_blocks.is_some_and(|max| max < blocks);
-    let committed = sweep
-        .budget
-        .max_blocks
-        .map_or(total, |max| (max.saturating_mul(per_block)).min(total));
-    let prefix = || BitString::all(N).take(committed as usize);
-    let label = format!(
-        "{} {:?} k={k} {:?}",
-        sweep.backend.name(),
-        sweep.width,
-        sweep.budget.max_blocks
-    );
-    // (complete, value) of a first-violation search whose scalar answer
-    // over the committed prefix is `first`.
-    let expected = |first: Option<BitString>| (first.is_some() || !capped, first);
-    let observed =
-        |outcome: Budgeted<Option<BitString>>| (outcome.is_complete(), outcome.into_value());
-
-    let first_unsorted = prefix().find(|s| !net.apply_bits(s).is_sorted());
+/// Checks the three exhaustive operations on `backend` against scalar
+/// [`Network::apply_bits`] over all `2^N` inputs.
+fn check_exhaustive(net: &Network, k: usize, backend: Backend) {
+    let label = format!("{} k={k}", backend.name());
+    let first_unsorted = BitString::all(N).find(|s| !net.apply_bits(s).is_sorted());
     assert_eq!(
-        observed(find_unsorted_input(net, sweep).unwrap()),
-        expected(first_unsorted),
+        find_unsorted_input(net, backend),
+        Ok(first_unsorted),
         "find {label}"
     );
-
-    // k = 0 asks nothing of the outputs, so it is decided without a sweep.
-    let misselected = prefix().find(|s| !selects_correctly(s, &net.apply_bits(s), k));
+    let misselected = BitString::all(N).find(|s| !selects_correctly(s, &net.apply_bits(s), k));
     assert_eq!(
-        observed(find_selector_violation(net, k, sweep).unwrap()),
-        if k == 0 {
-            (true, None)
-        } else {
-            expected(misselected)
-        },
+        find_selector_violation(net, k, backend),
+        Ok(misselected),
         "selector {label}"
     );
+    let unsorted = BitString::all(N)
+        .filter(|s| !net.apply_bits(s).is_sorted())
+        .count() as u64;
+    assert_eq!(
+        count_unsorted_outputs(net, backend),
+        Ok(unsorted),
+        "count {label}"
+    );
+}
 
-    let count = count_unsorted_outputs(net, sweep).unwrap();
-    assert_eq!(count.is_complete(), !capped, "count {label}");
-    let unsorted = prefix().filter(|s| !net.apply_bits(s).is_sorted()).count() as u64;
-    assert_eq!(count.into_value(), unsorted, "count {label}");
+/// Checks the metered block loop over [`RangeSource::exhaustive`] at
+/// width `W` on `backend`, capped at `max_blocks` blocks, against scalar
+/// [`Network::apply_bits`] over the inputs it commits: the first
+/// `max_blocks × W × 64` in word order.  A witness inside the committed
+/// prefix completes the sweep, and the sweep has run every vector up to
+/// the end of the witness's block; a cap short of the whole sweep
+/// otherwise leaves it partial, having run exactly the prefix.
+fn check_exhaustive_prefix<const W: usize>(
+    net: &Network,
+    k: usize,
+    backend: Backend,
+    max_blocks: u64,
+) {
+    let (total, per_block) = (1u64 << N, u64::from(WideBlock::<W>::capacity()));
+    let capped = max_blocks < total.div_ceil(per_block);
+    let committed = max_blocks.saturating_mul(per_block).min(total);
+    let budget = SweepBudget::unlimited().with_max_blocks(max_blocks);
+    let label = format!("{} W={W} k={k} max_blocks={max_blocks}", backend.name());
+    let sorted = |s: &BitString| net.apply_bits(s).is_sorted();
+    let selects = |s: &BitString| selects_correctly(s, &net.apply_bits(s), k);
+    for (check, handles) in [
+        (Check::Sorted(net), &sorted as &dyn Fn(&BitString) -> bool),
+        (Check::selected(net, k), &selects),
+    ] {
+        let mut meter = BudgetMeter::new(&budget);
+        let outcome = lanes::sweep_find::<W, BitString, _>(
+            RangeSource::exhaustive(N),
+            &check,
+            backend,
+            &mut meter,
+        )
+        .unwrap();
+        let outcome = meter.finish(outcome);
+        let first = BitString::all(N)
+            .take(committed as usize)
+            .enumerate()
+            .find(|(_, s)| !handles(s));
+        let run = first
+            .as_ref()
+            .map_or(committed, |&(j, _)| (j as u64 / per_block + 1) * per_block);
+        assert_eq!(
+            outcome.is_complete(),
+            first.is_some() || !capped,
+            "complete {check:?} {label}"
+        );
+        let outcome = outcome.into_value();
+        assert_eq!(
+            outcome.witness,
+            first.map(|(_, s)| s),
+            "witness {check:?} {label}"
+        );
+        assert_eq!(outcome.tests_run, run.min(total), "run {check:?} {label}");
+    }
 }
 
 proptest! {
@@ -144,30 +174,24 @@ proptest! {
 
     /// The three exhaustive operations — first unsorted input, unsorted
     /// count, first selector violation — match the scalar definition on
-    /// every runnable backend (scalar, and AVX2 where available) at
-    /// every lane width, both on the unlimited path and on the metered
-    /// sequential one.
+    /// every runnable backend (scalar, and AVX2 where available).
     #[test]
     fn exhaustive_sweeps_are_backend_independent(net in arb_network(14), k in 0..=N) {
         for backend in Backend::runnable() {
-            for width in LaneWidth::ALL {
-                for budget in [SweepBudget::unlimited(), SweepBudget::unlimited().with_max_blocks(u64::MAX)] {
-                    check_exhaustive(&net, k, &Sweep { backend, width, budget });
-                }
-            }
+            check_exhaustive(&net, k, backend);
         }
     }
 
-    /// Under a capped block budget every width and backend commits an
-    /// exact prefix: the partial answers are the scalar answers over the
-    /// first `max_blocks × W × 64` inputs.
+    /// Under a capped block budget the block loop over the exhaustive
+    /// source commits an exact prefix at every width and backend: the
+    /// partial answers are the scalar answers over the first
+    /// `max_blocks × W × 64` inputs.
     #[test]
     fn exhaustive_sweeps_are_width_independent(net in arb_network(14), k in 0..=N, max_blocks in 0u64..9) {
         for backend in Backend::runnable() {
-            for width in LaneWidth::ALL {
-                let budget = SweepBudget::unlimited().with_max_blocks(max_blocks);
-                check_exhaustive(&net, k, &Sweep { backend, width, budget });
-            }
+            check_exhaustive_prefix::<1>(&net, k, backend, max_blocks);
+            check_exhaustive_prefix::<4>(&net, k, backend, max_blocks);
+            check_exhaustive_prefix::<16>(&net, k, backend, max_blocks);
         }
     }
 

@@ -22,10 +22,9 @@
 //!   (universe, mode and tests included; budget and deadline not), with
 //!   hit/miss/eviction counters.  The quarantine ledger uses the same key.
 //! * **Budget degradation** ([`pool`], [`oracle`]) — a per-request
-//!   [`SweepBudget`] (or the
-//!   service default) is plumbed into the engine's budgeted entry
-//!   points, so one oversized query degrades to a typed
-//!   [`Completion::Partial`] answer instead of stalling the queue.
+//!   [`SweepBudget`](sortnet_network::SweepBudget) is plumbed into the
+//!   engine's budgeted entry points, so one oversized query degrades to a
+//!   typed [`Completion::Partial`] answer instead of stalling the queue.
 //!
 //! On top of the serving levers sits a **robustness layer**: admission
 //! control with a typed [`ServiceError::Overloaded`] refusal and a
@@ -50,7 +49,6 @@
 use std::time::Duration;
 
 use sortnet_faults::FaultSimEngine;
-use sortnet_network::budget::SweepBudget;
 use sortnet_network::lanes::Backend;
 
 pub mod cache;
@@ -101,10 +99,6 @@ pub struct ServiceConfig {
     pub answer_ttl: Option<Duration>,
     /// Ignored, like [`matrix_cache`](Self::matrix_cache).
     pub matrix_ttl: Option<Duration>,
-    /// Budget applied to requests that do not carry their own.  Any
-    /// bounded effective budget routes a request down the solo,
-    /// cache-bypassing path (see [`oracle::answer_batch`]).
-    pub default_budget: SweepBudget,
     /// Branch-and-bound node cap for augmentation searches; `None`
     /// runs every search to certification.
     pub node_budget: Option<u64>,
@@ -133,7 +127,6 @@ impl Default for ServiceConfig {
             matrix_cache: 32,
             answer_ttl: None,
             matrix_ttl: None,
-            default_budget: SweepBudget::unlimited(),
             node_budget: Some(10_000),
             queue_capacity: 1024,
             shed_policy: ShedPolicy::RejectNew,

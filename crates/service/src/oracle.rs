@@ -15,8 +15,8 @@
 //! answer is bit-identical to the cold one (the grinder's cache strategy,
 //! the load generator and the shard differential suite all assert this).
 //!
-//! Budget rule: a request carrying its own [`SweepBudget`] (or running
-//! under a bounded service default) is evaluated **solo** through the
+//! Budget rule: a request carrying its own bounded [`SweepBudget`] is
+//! evaluated **solo** through the
 //! engine's budgeted entry points and never touches the cache in either
 //! direction ([`CacheStatus::Bypass`]) — partial answers depend on the
 //! budget that produced them, so caching them would let one request's
@@ -99,9 +99,8 @@ pub struct Request {
     pub network: Network,
     /// The question.
     pub query: Query,
-    /// Per-request budget; `None` falls back to the service default.
-    /// Any bounded effective budget routes the request down the solo,
-    /// cache-bypassing path.
+    /// Per-request budget; `None` runs unlimited.  Any bounded effective
+    /// budget routes the request down the solo, cache-bypassing path.
     pub budget: Option<SweepBudget>,
     /// Per-request deadline.  Checked at dequeue (an already-expired
     /// request gets a typed [`ServiceError::DeadlineExpired`] without
@@ -298,11 +297,8 @@ fn unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn effective_budget(config: &ServiceConfig, request: &Request) -> SweepBudget {
-    let mut budget = request
-        .budget
-        .clone()
-        .unwrap_or_else(|| config.default_budget.clone());
+fn effective_budget(request: &Request) -> SweepBudget {
+    let mut budget = request.budget.clone().unwrap_or_default();
     if let Some(deadline) = request.deadline {
         // Intersect: the sooner of the budget's own deadline and the
         // request's.  This bounds the budget, which routes the request
@@ -332,7 +328,7 @@ fn completion_of<T>(outcome: &Budgeted<T>) -> Completion {
 #[must_use]
 pub fn answer_cold(config: &ServiceConfig, request: &Request) -> Response {
     let start = Instant::now();
-    let budget = effective_budget(config, request);
+    let budget = effective_budget(request);
     let (outcome, completion) = evaluate(config, request, &budget);
     Response {
         outcome,
@@ -454,7 +450,7 @@ pub(crate) fn answer_keyed(
         // supervised by the worker pool like any real evaluation panic.
         // Deliberately placed before any cache lock is taken.
         failpoint::maybe_panic("worker-panic");
-        let budget = effective_budget(config, request);
+        let budget = effective_budget(request);
         if !budget.is_unlimited() {
             // Solo, cache-bypassing path: partial answers are shaped by
             // their budget and must not be shared.
@@ -1089,18 +1085,17 @@ mod tests {
 
     #[test]
     fn a_deadline_intersects_with_an_existing_budget_deadline() {
-        let config = ServiceConfig::default();
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let near = Instant::now() + std::time::Duration::from_secs(60);
         let mut request = coverage_request(8, RedundancyMode::Skip);
         request.budget = Some(SweepBudget::unlimited().with_deadline(far));
         request.deadline = Some(near);
-        let budget = effective_budget(&config, &request);
+        let budget = effective_budget(&request);
         assert_eq!(budget.deadline, Some(near), "the sooner deadline wins");
         // And the other way round.
         request.budget = Some(SweepBudget::unlimited().with_deadline(near));
         request.deadline = Some(far);
-        let budget = effective_budget(&config, &request);
+        let budget = effective_budget(&request);
         assert_eq!(budget.deadline, Some(near));
     }
 }

@@ -40,7 +40,7 @@ use sortnet_combinat::{BitString, ChannelPack, ChannelVec};
 use sortnet_network::bitparallel;
 use sortnet_network::error::{self, EngineError};
 use sortnet_network::lanes::{
-    self, Backend, BlockSource, Check, SliceSource, Sweep, SweepOutcome, WordSource, DEFAULT_WIDTH,
+    self, Backend, BlockSource, Check, SliceSource, SweepOutcome, WordSource, DEFAULT_WIDTH,
 };
 use sortnet_network::{BudgetMeter, Network};
 
@@ -173,15 +173,11 @@ pub fn try_verify_on(
                 merging_testset_size_permutation(m),
             ),
         };
-    let sweep = Sweep {
-        backend,
-        ..Sweep::default()
-    };
     let witness = match (source, property) {
         (None, Property::Selector { k }) => {
-            bitparallel::find_selector_violation(network, k, &sweep)?.into_value()
+            bitparallel::find_selector_violation(network, k, backend)?
         }
-        (None, _) => bitparallel::find_unsorted_input(network, &sweep)?.into_value(),
+        (None, _) => bitparallel::find_unsorted_input(network, backend)?,
         (Some(source), property) => {
             let check = match property {
                 Property::Selector { k } => Check::selected(network, k),

@@ -12,7 +12,7 @@ use sortnet_network::builders::batcher::{odd_even_merge_sort, odd_even_merge_sor
 use sortnet_network::builders::bitonic::{bitonic_sorter, bitonic_sorter_standardised};
 use sortnet_network::builders::bubble::{bubble_sort_network, insertion_sort_network};
 use sortnet_network::builders::transposition::odd_even_transposition;
-use sortnet_network::lanes::{self, Backend, Check, RangeSource, Sweep};
+use sortnet_network::lanes::{self, Backend, Check, RangeSource};
 use sortnet_network::{BudgetMeter, Network};
 use sortnet_testsets::sorting;
 use sortnet_testsets::verify::{
@@ -93,7 +93,7 @@ fn main() {
             Box::new(sorting::binary_source(wide_n)),
         ),
     ];
-    let backend = Sweep::default().backend;
+    let backend = Backend::active();
     let sorted = Check::Sorted(&sorter16);
     for (family, source) in families {
         // The sweep every verifier runs: stream the source block by block

@@ -17,7 +17,7 @@
 //!   exhaustive `bitparallel` sweeps and all three `try_verify_on`
 //!   strategies.  Every witness must fail the network, and the exhaustive
 //!   witnesses must be the first failing input in enumeration order.
-//!   Network `i` runs on runnable backend `i` and lane width `i`;
+//!   Network `i` runs on runnable backend `i`;
 //! * the reflection δ(N) = `Network::flip`, comparator `(i, j)` ↦
 //!   `(n−1−j, n−1−i)`, must keep the verdict of sorting and (even n)
 //!   merging, and the reversed, complemented witness against N must fail
@@ -34,7 +34,7 @@ use sortnet_faults::{
     FaultUniverse, RedundancyMode, StandardUniverse, SweepBudget,
 };
 use sortnet_network::bitparallel::{find_selector_violation, find_unsorted_input};
-use sortnet_network::lanes::{Backend, LaneWidth, Sweep};
+use sortnet_network::lanes::{Backend, LaneWidth};
 use sortnet_network::{properties, Comparator, Network};
 use sortnet_testsets::sorting;
 use sortnet_testsets::verify::{try_verify_on, Property, Strategy};
@@ -142,11 +142,7 @@ fn handles(net: &Network, property: Property, input: &BitString) -> bool {
 fn deciders_conform(i: usize, net: &Network) {
     let n = net.lines();
     let backends = Backend::runnable();
-    let sweep = Sweep {
-        backend: backends[i % backends.len()],
-        width: LaneWidth::ALL[i % LaneWidth::ALL.len()],
-        ..Sweep::default()
-    };
+    let backend = backends[i % backends.len()];
     let mut checked = vec![Property::Sorter];
     checked.extend((0..=n).map(|k| Property::Selector { k }));
     if n.is_multiple_of(2) {
@@ -156,32 +152,28 @@ fn deciders_conform(i: usize, net: &Network) {
         let first = decider_inputs(n, property)
             .into_iter()
             .find(|input| !handles(net, property, input));
-        let case = format!(
-            "n={n} {net}: {property:?} on {} {:?}",
-            sweep.backend.name(),
-            sweep.width
-        );
+        let case = format!("n={n} {net}: {property:?} on {}", backend.name());
         let (decided, swept) = match property {
             Property::Sorter => (
                 properties::is_sorter(net),
-                Some(find_unsorted_input(net, &sweep)),
+                Some(find_unsorted_input(net, backend)),
             ),
             Property::Selector { k } => (
                 properties::is_selector(net, k),
-                Some(find_selector_violation(net, k, &sweep)),
+                Some(find_selector_violation(net, k, backend)),
             ),
             Property::Merger => (properties::is_merger(net), None),
         };
         assert_eq!(decided, first.is_none(), "{case}: properties");
         if let Some(swept) = swept {
-            assert_eq!(swept.unwrap().into_value(), first, "{case}: bitparallel");
+            assert_eq!(swept.unwrap(), first, "{case}: bitparallel");
         }
         for strategy in [
             Strategy::Exhaustive,
             Strategy::MinimalBinary,
             Strategy::Permutation,
         ] {
-            let report = try_verify_on(net, property, strategy, sweep.backend).unwrap();
+            let report = try_verify_on(net, property, strategy, backend).unwrap();
             assert_eq!(report.passed, first.is_none(), "{case}: {strategy:?}");
             assert_eq!(
                 report.witness.is_none(),
